@@ -16,6 +16,12 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The benchmark is a module of its own, so nothing above compiles it: a
+# signature it calls changing under it would first show when the
+# benchmark pipeline builds it.
+go -C benchmark vet ./...
+go -C benchmark test ./...
+
 # Poison leg: the membufpoison tag overwrites released arenas with a
 # sentinel byte, so an eviction path that diffs or decodes against
 # released template bytes corrupts its output visibly in the budget
@@ -375,6 +381,7 @@ FUZZTIME=${FUZZTIME:-10s}
 if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzParser$'      -fuzztime="$FUZZTIME" ./internal/xmlparse
     go test -run='^$' -fuzz='^FuzzDecode$'      -fuzztime="$FUZZTIME" ./internal/soapdec
+    go test -run='^$' -fuzz='^FuzzDiffDeser$'   -fuzztime="$FUZZTIME" ./internal/diffdeser
     go test -run='^$' -fuzz='^FuzzInline$'      -fuzztime="$FUZZTIME" ./internal/multiref
     go test -run='^$' -fuzz='^FuzzReadRequest$' -fuzztime="$FUZZTIME" ./internal/transport
     go test -run='^$' -fuzz='^FuzzPipelineResponses$' -fuzztime="$FUZZTIME" ./internal/transport

@@ -6,16 +6,24 @@
 // The deserializer keeps, per operation, the raw bytes and parse result
 // of the last message, plus each scalar leaf's variable byte region
 // (value + floating closing tag + padding, recorded by soapdec). A new
-// message of identical length is diffed region by region: static regions
-// (all markup) must match byte-for-byte; changed leaf regions are
-// re-lexed locally — a handful of bytes — instead of re-running the full
-// parser. Any mismatch falls back to a full parse that also refreshes
-// the template.
+// message of identical length is first compared with the stored bytes,
+// a block at a time, and only then lexed: every differing byte must lie
+// in some leaf's region, and just those regions are re-lexed — a handful
+// of bytes each — instead of re-running the full parser. A fast decode
+// so costs one memory compare of the body plus work proportional to the
+// leaves that changed, and allocates nothing. A difference anywhere else
+// (markup), or a region that does not lex, falls back to a full parse
+// that also refreshes the template.
 package diffdeser
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sort"
 
 	"bsoap/internal/replica"
 	"bsoap/internal/soapdec"
@@ -133,13 +141,19 @@ func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, err
 		return d.fullParse(key, body, "no template")
 	}
 	reason := "length mismatch"
-	for idx, tpl := range kt.list {
+	for idx := 0; idx < len(kt.list); idx++ {
+		tpl := kt.list[idx]
 		if len(body) != len(tpl.body) {
 			continue
 		}
-		msg, info, ok, why := d.tryFast(tpl, body)
-		if !ok {
+		n, why, intact := tpl.tryFast(body)
+		if why != "" {
 			reason = why
+			if !intact {
+				d.size -= templateCost(tpl)
+				kt.list = slices.Delete(kt.list, idx, idx+1)
+				idx--
+			}
 			continue
 		}
 		// Move the hit to the LRU front (template within the key, and
@@ -149,97 +163,121 @@ func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, err
 			kt.list[0] = tpl
 		}
 		d.keys.Touch(key)
-		return msg, info, nil
+		return tpl.msg, Info{ValuesReparsed: n}, nil
 	}
 	return d.fullParse(key, body, reason)
 }
 
-// tryFast attempts the differential decode of body against one
-// template: static regions must match byte-for-byte, changed leaf
-// regions are re-lexed in place.
-func (d *Deserializer) tryFast(tpl *template, body []byte) (*wire.Message, Info, bool, string) {
-	info := Info{}
-	prev := 0
-	// First verify all static regions; only then mutate the message, so
-	// a mismatching template is left untouched for other candidates.
-	for _, r := range tpl.ranges {
-		if !bytes.Equal(body[prev:r.Start], tpl.body[prev:r.Start]) {
-			return nil, info, false, "markup changed"
+// tryFast attempts the differential decode of body (already known to be
+// as long as the template) and reports the regions re-lexed, or why the
+// template does not fit. Values are set as their regions lex; the
+// retained bytes are overwritten only once the whole body has validated,
+// so a body that fails part-way is undone from them and the template
+// stays as it was for the next candidate or the next arrival. intact is
+// false in the one case the undo cannot cover — a retained region that a
+// full parse accepted in a form the region lexer does not (an entity in a
+// number, a comment) — and the caller must then drop the template.
+func (t *template) tryFast(body []byte) (n int, why string, intact bool) {
+	n, lo, hi, why := t.relexChanged(body, body, math.MaxInt)
+	if why != "" {
+		restored, _, _, _ := t.relexChanged(body, t.body, n)
+		return 0, why, restored == n
+	}
+	// Adopt the new bytes as the template for the next arrival: outside
+	// [lo, hi) the two bodies are equal.
+	copy(t.body[lo:hi], body[lo:hi])
+	return n, "", true
+}
+
+// relexChanged walks the bytes at which body differs from the retained
+// t.body. Each difference must fall inside a leaf's variable region —
+// anything else is changed markup — and that leaf is set from the
+// region's text in src: body itself to decode, t.body to undo a decode
+// that set limit leaves before failing (the walk depends only on the two
+// bodies, so it revisits the same regions in the same order). It
+// returns the regions set, the span [lo, hi) of body that covers every
+// difference seen, and why it stopped early ("" when it did not).
+//
+// The cost is one block-wise comparison of the bodies plus the lexing of
+// the regions that differ; nothing is allocated unless a string leaf
+// changed or the walk fails.
+func (t *template) relexChanged(body, src []byte, limit int) (n, lo, hi int, why string) {
+	old := t.body
+	off, next := 0, 0
+	for n < limit {
+		off += mismatch(body[off:], old[off:])
+		if off == len(body) {
+			break
 		}
-		prev = r.End
-	}
-	if !bytes.Equal(body[prev:], tpl.body[prev:]) {
-		return nil, info, false, "trailing markup changed"
-	}
-	// Validate and parse every changed region before mutating anything:
-	// a failure mid-way must leave the template (message and bytes)
-	// exactly as it was, or a later fast-path hit against the unchanged
-	// tpl.body baseline would serve stale values.
-	type update struct {
-		leaf  int
-		value any
-	}
-	var updates []update
-	for i, r := range tpl.ranges {
-		if bytes.Equal(body[r.Start:r.End], tpl.body[r.Start:r.End]) {
-			continue
+		// Differences mostly come in leaf order, so try the region after
+		// the last one hit before searching.
+		i := next
+		if i >= len(t.ranges) || off >= t.ranges[i].End {
+			i = sort.Search(len(t.ranges), func(k int) bool { return t.ranges[k].End > off })
 		}
-		v, err := relexRegion(tpl.msg, i, body[r.Start:r.End])
-		if err != nil {
-			return nil, info, false, err.Error()
+		if i == len(t.ranges) || off < t.ranges[i].Start {
+			return n, lo, hi, "markup changed"
 		}
-		updates = append(updates, update{leaf: i, value: v})
-	}
-	for _, u := range updates {
-		switch tpl.msg.LeafType(u.leaf).Kind {
-		case wire.Int:
-			tpl.msg.SetLeafInt(u.leaf, u.value.(int32))
-		case wire.Double:
-			tpl.msg.SetLeafDouble(u.leaf, u.value.(float64))
-		case wire.Bool:
-			tpl.msg.SetLeafBool(u.leaf, u.value.(bool))
-		case wire.String:
-			tpl.msg.SetLeafString(u.leaf, u.value.(string))
+		r := t.ranges[i]
+		if err := relexRegion(t.msg, i, src[r.Start:r.End]); err != nil {
+			return n, lo, hi, err.Error()
 		}
-		info.ValuesReparsed++
+		if n == 0 {
+			lo = off
+		}
+		n++
+		off, next, hi = r.End, i+1, r.End
 	}
-	// Adopt the new bytes as the template for the next arrival.
-	tpl.body = append(tpl.body[:0], body...)
-	return tpl.msg, info, true, ""
+	return n, lo, hi, ""
+}
+
+// mismatch returns the index of the first byte at which a and b, of
+// equal length, differ, or that length when they are equal. Equal
+// stretches go by a block at a time through the runtime's vectorized
+// compare; the block holding a difference is then searched by words.
+func mismatch(a, b []byte) int {
+	const block = 256
+	b = b[:len(a)]
+	i := 0
+	for ; i+block <= len(a); i += block {
+		if !bytes.Equal(a[i:i+block], b[i:i+block]) {
+			break
+		}
+	}
+	for ; i+8 <= len(a); i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }
 
 // relexRegion re-parses one variable region: VALUE</tag>␣␣… — the value
 // text up to the first '<', the expected closing tag, then whitespace —
-// and returns the parsed value without mutating the message.
-func relexRegion(msg *wire.Message, leaf int, seg []byte) (any, error) {
+// and stores the value in leaf.
+func relexRegion(msg *wire.Message, leaf int, seg []byte) error {
 	lt := bytes.IndexByte(seg, '<')
 	if lt < 0 {
-		return nil, fmt.Errorf("leaf %d: no closing tag in region", leaf)
+		return fmt.Errorf("leaf %d: no closing tag in region", leaf)
 	}
-	rest := seg[lt:]
-	closeTag := "</" + msg.LeafTag(leaf) + ">"
-	if len(rest) < len(closeTag) || string(rest[:len(closeTag)]) != closeTag {
-		return nil, fmt.Errorf("leaf %d: closing tag changed", leaf)
+	tag, rest := msg.LeafTag(leaf), seg[lt+1:]
+	if len(rest) < len(tag)+2 || rest[0] != '/' || string(rest[1:1+len(tag)]) != tag || rest[1+len(tag)] != '>' {
+		return fmt.Errorf("leaf %d: closing tag changed", leaf)
 	}
-	for _, b := range rest[len(closeTag):] {
+	for _, b := range rest[len(tag)+2:] {
 		if !xsdlex.IsSpace(b) {
-			return nil, fmt.Errorf("leaf %d: non-whitespace padding", leaf)
+			return fmt.Errorf("leaf %d: non-whitespace padding", leaf)
 		}
 	}
-	raw := string(seg[:lt])
-	t := msg.LeafType(leaf)
-	if t.Kind == wire.String {
-		unescaped, err := xsdlex.UnescapeText(raw)
-		if err != nil {
-			return nil, fmt.Errorf("leaf %d: %w", leaf, err)
-		}
-		return unescaped, nil
+	if err := soapdec.SetLeafBytes(msg, leaf, seg[:lt]); err != nil {
+		return fmt.Errorf("leaf %d: %w", leaf, err)
 	}
-	v, err := soapdec.ParseScalar(t, raw)
-	if err != nil {
-		return nil, fmt.Errorf("leaf %d: %w", leaf, err)
-	}
-	return v, nil
+	return nil
 }
 
 // fullParse runs the complete schema-driven parse and refreshes the

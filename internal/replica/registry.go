@@ -44,7 +44,7 @@ type Slot[E Entry] struct {
 	Key   Key
 	Value E
 
-	refs    int32 // in-flight Acquires not yet Released
+	refs    int32 // in-flight Acquires not yet Released, plus a condemner's until its sweep
 	bytes   int64 // accounted size
 	evicted bool  // condemned: out of the maps, awaiting last Release
 	lastUse int64 // unix nanos of the last Acquire
@@ -234,15 +234,8 @@ func (r *Registry[E]) Release(s *Slot[E]) {
 		r.condemnLocked(sh, s)
 		r.reserved.Add(-delta)
 		s.refs--
-		free := s.refs == 0
 		sh.mu.Unlock()
-		r.evictionsBudget.Add(1)
-		if r.opts.OnEvict != nil {
-			r.opts.OnEvict(s.Key, ReasonBudget, s.bytes)
-		}
-		if free {
-			r.finalize(s)
-		}
+		r.sweep(s, ReasonBudget)
 		return
 	}
 	// Un-reserve only after the commit: a delta must never be absent
@@ -389,9 +382,13 @@ func (r *Registry[E]) condemnLocked(sh *rshard[E], s *Slot[E]) {
 }
 
 // condemnRemovedLocked is condemnLocked for a slot already unlinked
-// from the recency list (RemoveTail).
+// from the recency list (RemoveTail). The condemner takes a reference
+// of its own, dropped by the sweep it owes the slot: whoever brings a
+// condemned slot's refs to zero — that sweep or the last holder's
+// Release, both under the shard lock — is the one that finalizes it.
 func (r *Registry[E]) condemnRemovedLocked(sh *rshard[E], s *Slot[E]) {
 	s.evicted = true
+	s.refs++
 	r.bytes.Add(-s.bytes)
 	r.pending.Add(1)
 	if s.Key.Group != "" {
@@ -405,10 +402,9 @@ func (r *Registry[E]) condemnRemovedLocked(sh *rshard[E], s *Slot[E]) {
 	}
 }
 
-// sweep runs the outside-the-lock half of an eviction: the observer
-// hook and, if no call holds the entry, the arena release. refs is read
-// under the shard lock to decide who frees — either this sweep (refs
-// already zero) or the final Release.
+// sweep runs the outside-the-lock half of an eviction, once per
+// condemnation: the observer hook, then the condemner's reference is
+// dropped and, if no call still holds the entry, its arenas released.
 func (r *Registry[E]) sweep(s *Slot[E], reason Reason) {
 	if reason == ReasonBudget {
 		r.evictionsBudget.Add(1)
@@ -420,6 +416,7 @@ func (r *Registry[E]) sweep(s *Slot[E], reason Reason) {
 	}
 	sh := r.shardFor(s.Key)
 	sh.mu.Lock()
+	s.refs--
 	free := s.refs == 0
 	sh.mu.Unlock()
 	if free {

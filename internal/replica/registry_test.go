@@ -244,6 +244,32 @@ func TestBudgetCondemnsInFlightAsLastResort(t *testing.T) {
 	}
 }
 
+// TestCondemnedSlotFinalizedOnce replays, in the one order that used to
+// free twice, the two halves of an eviction around the last holder's
+// Release: the slot is condemned in flight, its holder releases it
+// before the condemner's sweep runs, then the sweep runs.
+func TestCondemnedSlotFinalizedOnce(t *testing.T) {
+	var log evictLog
+	r := newTestRegistry(RegistryOptions[*testEntry]{Shards: 1, OnEvict: log.hook})
+	s, _ := r.Acquire(Key{Group: "op", Sub: "a"})
+	sh := r.shardFor(s.Key)
+	sh.mu.Lock()
+	r.condemnLocked(sh, s)
+	sh.mu.Unlock()
+
+	r.Release(s)
+	if n := s.Value.released.Load(); n != 0 {
+		t.Fatalf("released %d times before the sweep dropped the condemner's reference", n)
+	}
+	r.sweep(s, ReasonLRU) // testEntry panics on a second ReleaseArenas
+	if n := s.Value.released.Load(); n != 1 {
+		t.Fatalf("released %d times, want 1", n)
+	}
+	if c := r.Counters(); c.Pending != 0 || c.EvictionsLRU != 1 {
+		t.Fatalf("pending = %d, lru evictions = %d, want 0 and 1", c.Pending, c.EvictionsLRU)
+	}
+}
+
 func TestOversizedEntryAdmittedOverBudget(t *testing.T) {
 	r := newTestRegistry(RegistryOptions[*testEntry]{Shards: 1, MaxBytes: 100})
 	checkout(r, Key{Group: "op", Sub: "huge"}, 500)

@@ -170,6 +170,12 @@ func (d *decoder) scalarParam(msg *wire.Message, spec ParamSpec) error {
 
 // array decodes n items of the array whose open tag has been consumed.
 func (d *decoder) array(msg *wire.Message, spec ParamSpec, n int) error {
+	// The count is the peer's claim. Every item takes at least "<item/>"
+	// of the body, so a count the remaining bytes cannot hold is refused
+	// before the message allocates that many leaves for it.
+	if n > (len(d.body)-d.p.Offset())/len("<item/>") {
+		return fmt.Errorf("array length %d exceeds the body", n)
+	}
 	elem := spec.Type.Elem
 	var first int
 	switch elem.Kind {
@@ -283,11 +289,11 @@ func (d *decoder) leafText(t *wire.Type) (any, error) {
 		}
 		d.ranges = append(d.ranges, LeafRange{Start: start, End: end})
 	}
-	return ParseScalar(t, text)
+	return parseScalar(t, text)
 }
 
-// ParseScalar parses one lexical value per its wire type.
-func ParseScalar(t *wire.Type, text string) (any, error) {
+// parseScalar parses one lexical value per its wire type.
+func parseScalar(t *wire.Type, text string) (any, error) {
 	switch t.Kind {
 	case wire.Int:
 		return parseIntText(text)
@@ -299,6 +305,45 @@ func ParseScalar(t *wire.Type, text string) (any, error) {
 		return parseBoolText(text)
 	}
 	return nil, fmt.Errorf("soapdec: non-scalar type %v", t.Kind)
+}
+
+// SetLeafBytes parses raw — one leaf's character data exactly as it
+// stands in a message body — per the leaf's type and stores the value in
+// msg. It is the differential deserializer's re-lex step, so numeric and
+// boolean text is parsed where it lies, with no string or interface
+// value made for it; a string leaf allocates only the value the message
+// keeps. Entities are resolved for strings alone: escaped numeric text
+// fails here and is left for the full parse to accept.
+func SetLeafBytes(msg *wire.Message, leaf int, raw []byte) error {
+	switch t := msg.LeafType(leaf); t.Kind {
+	case wire.Int:
+		v, err := xsdlex.ParseInt(string(raw))
+		if err != nil {
+			return err
+		}
+		msg.SetLeafInt(leaf, v)
+	case wire.Double:
+		v, err := xsdlex.ParseDouble(string(raw))
+		if err != nil {
+			return err
+		}
+		msg.SetLeafDouble(leaf, v)
+	case wire.Bool:
+		v, err := xsdlex.ParseBool(string(raw))
+		if err != nil {
+			return err
+		}
+		msg.SetLeafBool(leaf, v)
+	case wire.String:
+		v, err := xsdlex.UnescapeText(string(raw))
+		if err != nil {
+			return err
+		}
+		msg.SetLeafString(leaf, v)
+	default:
+		return fmt.Errorf("soapdec: non-scalar type %v", t.Kind)
+	}
+	return nil
 }
 
 // arrayCount extracts the element count from SOAP-ENC:arrayType.

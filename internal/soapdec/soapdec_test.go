@@ -196,6 +196,8 @@ func TestDecodeBadArrayType(t *testing.T) {
 		"malformed": ` SOAP-ENC:arrayType="xsd:int"`,
 		"negative":  ` SOAP-ENC:arrayType="xsd:int[-2]"`,
 		"nonnum":    ` SOAP-ENC:arrayType="xsd:int[x]"`,
+		// A count the body cannot hold: refused, not allocated.
+		"oversized": ` SOAP-ENC:arrayType="xsd:int[999999999]"`,
 	} {
 		doc := `<E:Envelope><E:Body><ns1:op><v` + attr + `></v></ns1:op></E:Body></E:Envelope>`
 		if _, err := Decode([]byte(doc), lookup, false); err == nil {
@@ -277,5 +279,32 @@ func TestDecodeWrongFieldOrderErrors(t *testing.T) {
 	doc2 := `<E:Envelope><E:Body><ns1:op><v SOAP-ENC:arrayType="xsd:int[1]"><other>1</other></v></ns1:op></E:Body></E:Envelope>`
 	if _, err := Decode([]byte(doc2), func(string) (*Schema, bool) { return schema2, true }, false); err == nil {
 		t.Fatal("non-item array child accepted")
+	}
+}
+
+// TestSetLeafBytes covers the re-lex entry point: each kind parsed from
+// body bytes as the full parse would read them, entities resolved for
+// strings only, and a leaf left alone when its text does not lex.
+func TestSetLeafBytes(t *testing.T) {
+	m := wire.NewMessage("urn:dec", "scalars")
+	m.AddInt("i", 1)
+	m.AddDouble("d", 1)
+	m.AddString("s", "x")
+	m.AddBool("b", false)
+	for leaf, raw := range []string{" -42\n", "\t-INF ", " a &lt; b&#33; ", "1"} {
+		if err := SetLeafBytes(m, leaf, []byte(raw)); err != nil {
+			t.Fatalf("leaf %d %q: %v", leaf, raw, err)
+		}
+	}
+	if m.LeafInt(0) != -42 || !math.IsInf(m.LeafDouble(1), -1) || m.LeafString(2) != " a < b! " || !m.LeafBool(3) {
+		t.Fatalf("leaves = %d %g %q %v", m.LeafInt(0), m.LeafDouble(1), m.LeafString(2), m.LeafBool(3))
+	}
+	for leaf, raw := range []string{"&#52;2", "1e", "&bogus;", "yes"} {
+		if err := SetLeafBytes(m, leaf, []byte(raw)); err == nil {
+			t.Fatalf("leaf %d accepted %q", leaf, raw)
+		}
+	}
+	if m.LeafInt(0) != -42 || !math.IsInf(m.LeafDouble(1), -1) || m.LeafString(2) != " a < b! " || !m.LeafBool(3) {
+		t.Fatal("a refused value changed its leaf")
 	}
 }

@@ -17,9 +17,11 @@ import (
 	"bsoap/internal/core"
 	"bsoap/internal/harness"
 	"bsoap/internal/pool"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/trace"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
+	"bsoap/internal/workload"
 )
 
 // TestMain honours BSOAP_TRACE=1 by enabling the flight recorder for the
@@ -283,4 +285,116 @@ func TestSteadyStateAllocsOverlay(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// serverBodyPair renders an n-double message twice under full stuffing,
+// every step-th leaf rewritten in between: two bodies of one length, the
+// pair a warm server sees alternate.
+func serverBodyPair(t *testing.T, n, step int) (a, b []byte) {
+	t.Helper()
+	sink := &recordSink{}
+	stub := core.NewStub(core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}}, sink)
+	d := workload.NewDoubles(n, workload.FillIntermediate)
+	if _, err := stub.Call(d.Msg); err != nil {
+		t.Fatal(err)
+	}
+	a = sink.last()
+	for i := 0; i < n; i += step {
+		d.Arr.Set(i, -d.Arr.Get(i)-0.5)
+	}
+	if _, err := stub.Call(d.Msg); err != nil {
+		t.Fatal(err)
+	}
+	b = sink.last()
+	if len(a) != len(b) {
+		t.Fatalf("stuffed bodies differ in length: %d, %d", len(a), len(b))
+	}
+	return a, b
+}
+
+// patchFrame encodes next as a patch frame against base (same length):
+// one region per run of differing bytes.
+func patchFrame(base, next []byte, tid, baseEpoch, newEpoch uint64) []byte {
+	var regions [][2]int
+	for i := 0; i < len(next); i++ {
+		if base[i] == next[i] {
+			continue
+		}
+		start := i
+		for i < len(next) && base[i] != next[i] {
+			i++
+		}
+		regions = append(regions, [2]int{start, i})
+	}
+	f := wire.AppendDeltaHeader(nil, tid, baseEpoch, newEpoch, len(next), wire.DeltaCRC(next), len(regions))
+	for _, r := range regions {
+		f = wire.AppendDeltaRegionHeader(f, r[0], r[1]-r[0])
+		f = append(f, next[r[0]:r[1]]...)
+	}
+	return f
+}
+
+// TestSteadyStateAllocsServer is the server-side gate: a warmed
+// serverpool replica decodes a request differentially, dispatches it and
+// serializes the response in a fixed number of allocations — the
+// operation name its templates are keyed by and the copy of the response
+// handed to the transport — whatever the size of the body, however many
+// of its leaves changed, and whether it arrived whole or as a patch
+// frame. The decode itself (compare, re-lex, adopt) makes none.
+func TestSteadyStateAllocsServer(t *testing.T) {
+	const perRequest = 2
+	for _, c := range []struct {
+		name    string
+		n, step int
+		patch   bool
+	}{
+		{"10of1000", 1000, 100, false},
+		{"1000of1000", 1000, 1, false},
+		{"4000of4000", 4000, 1, false},
+		{"patch10of1000", 1000, 100, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt, _ := harness.BenchRuntime(t,
+				serverpool.Options{DifferentialDeserialization: true, Delta: true},
+				transport.ServerOptions{})
+			h := rt.HTTPHandler()
+			a, b := serverBodyPair(t, c.n, c.step)
+			reqs := []*transport.Request{
+				{Method: "POST", ConnID: 1, Body: b},
+				{Method: "POST", ConnID: 1, Body: a},
+			}
+			warm := &transport.Request{Method: "POST", ConnID: 1, Body: a}
+			if c.patch {
+				warm.DeltaMode, warm.DeltaTID, warm.DeltaEpoch = transport.DeltaSync, 1, 1
+				reqs[0].Body, reqs[0].DeltaMode = patchFrame(a, b, 1, 1, 2), transport.DeltaPatch
+				reqs[1].Body, reqs[1].DeltaMode = patchFrame(b, a, 1, 2, 1), transport.DeltaPatch
+			}
+			if _, err := h(warm); err != nil {
+				t.Fatal(err)
+			}
+			round := func() {
+				for _, req := range reqs {
+					if _, err := h(req); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			round() // response template, frame scratch
+
+			before := rt.Stats()
+			gateAllocs(t, perRequest*float64(len(reqs)), round)
+			st := rt.Stats()
+			requests := st.Requests - before.Requests
+			if st.FullParses != before.FullParses || st.DiffDecodes-before.DiffDecodes != requests {
+				t.Fatalf("warm requests left the fast path: %+v", st)
+			}
+			want := int64((c.n + c.step - 1) / c.step)
+			if got := (st.ValuesReparsed - before.ValuesReparsed) / requests; got != want {
+				t.Fatalf("re-lexed %d leaves per request, want %d", got, want)
+			}
+			if c.patch && st.DeltaApplied-before.DeltaApplied != requests {
+				t.Fatalf("applied %d patch frames in %d requests", st.DeltaApplied-before.DeltaApplied, requests)
+			}
+		})
+	}
 }
