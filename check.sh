@@ -29,6 +29,36 @@ go -C benchmark test ./...
 go test -tags membufpoison ./internal/membuf ./internal/replica \
     ./internal/pool ./internal/serverpool .
 
+# Float-kernel guards. The power-of-ten table both kernels read is
+# committed, not built at start-up: regenerating it must reproduce the
+# committed file byte for byte (TestPow10Table checks the entries
+# themselves, independently of the generator). And on the SOAP value
+# path strconv's float routines may appear at exactly one place, the
+# parser's fallback for input it has already validated — a second call
+# site is a second grammar (strconv reads hex floats, underscores and
+# "Infinity") or a second spelling of the shortest form. promtext and
+# bsoap-inspect format metrics, not messages, and are not on the list.
+kernel_guard() {
+    go generate ./internal/xsdlex
+    git diff --exit-code -- internal/xsdlex/pow10tab.go || {
+        echo "kernel guard: go generate changed the committed power-of-ten table" >&2
+        exit 1
+    }
+    sites=$(grep -rnE 'strconv\.(ParseFloat|AppendFloat|FormatFloat)' \
+        --include='*.go' --exclude='*_test.go' --exclude=gen_pow10.go \
+        internal/xsdlex internal/fastconv internal/core internal/soapdec \
+        internal/diffdeser internal/xmlwr internal/multiref internal/baseline \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+        | grep -v '^internal/xsdlex/atof\.go:.*strconv\.ParseFloat(string(s), 64)$' || true)
+    if [ -n "$sites" ]; then
+        echo "kernel guard: strconv float calls on the value path besides the fallback in xsdlex/atof.go:" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+    echo "check.sh: float-kernel guards ok"
+}
+kernel_guard
+
 # One-LRU guard: the unified replica registry owns the repo's only
 # recency list. Nothing outside internal/replica may import
 # container/list or define an LRU type — a second bespoke copy creeping
@@ -389,5 +419,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzDeltaFrame$'  -fuzztime="$FUZZTIME" ./internal/serverpool
     go test -run='^$' -fuzz='^FuzzUnescape$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzParseDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
+    go test -run='^$' -fuzz='^FuzzAppendDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
+    go test -run='^$' -fuzz='^FuzzParseInt$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
 fi
 echo "check.sh: all green"

@@ -335,3 +335,48 @@ func TestRelexEdgeValues(t *testing.T) {
 	// NaN never compares equal to itself, but its bytes do: no re-lex.
 	send(0)
 }
+
+// TestRelexHoldsTheDoubleGrammar overwrites one value region, in place and
+// at the same length, with each form strconv.ParseFloat reads and the
+// xsd:double grammar does not. The region lexer must refuse it, the full
+// parse it falls back to must refuse it too, and the template must come
+// through with the values its bytes say.
+func TestRelexHoldsTheDoubleGrammar(t *testing.T) {
+	m := wire.NewMessage("urn:dd", "doubles")
+	arr := m.AddDoubleArray("v", 3)
+	arr.Set(1, 0.25)
+	sink := &captureSink{}
+	stub := core.NewStub(core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}}, sink)
+	if _, err := stub.Call(m); err != nil {
+		t.Fatal(err)
+	}
+	seed := append([]byte(nil), sink.data...)
+	d := New(testSchema(m))
+	if _, _, err := d.Decode("k", seed); err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(seed, []byte("0.25</item>"))
+	width := bytes.IndexByte(seed[start+len("0.25</item>"):], '<') + len("0.25</item>")
+	for _, form := range []string{"0x1p-2", "Infinity", "inf", "nan", "NAN", "1_0"} {
+		body := append([]byte(nil), seed...)
+		region := body[start : start+width]
+		for i := range region {
+			region[i] = ' '
+		}
+		copy(region, form+"</item>")
+		if msg, info, err := d.Decode("k", body); err == nil {
+			t.Errorf("%q decoded as %v (%+v)", form, msg.LeafDouble(1), info)
+		}
+		msg, info, err := d.Decode("k", seed)
+		if err != nil || info.FullParse || msg.LeafDouble(1) != 0.25 {
+			t.Fatalf("seed after %q: %v, %+v, %v", form, msg.LeafDouble(1), info, err)
+		}
+	}
+	// The same edit with a form inside the grammar takes the fast path.
+	body := append([]byte(nil), seed...)
+	copy(body[start:], ".5e1</item>")
+	msg, info, err := d.Decode("k", body)
+	if err != nil || info.FullParse || info.ValuesReparsed != 1 || msg.LeafDouble(1) != 5 {
+		t.Fatalf(".5e1: %v, %+v, %v", msg.LeafDouble(1), info, err)
+	}
+}

@@ -73,10 +73,10 @@ func WriteLong(dst []byte, v int64) int {
 }
 
 // doubleConverter is the pluggable double→ASCII routine every
-// serializer in the repository funnels through. The default is the
-// strconv-backed shortest form; SetDoubleConverter swaps it, e.g. for
-// the exact big-integer dragon printer that emulates 2004-era
-// conversion costs. Not safe to swap concurrently with serialization.
+// serializer in the repository funnels through. The default is xsdlex's
+// Schubfach printer; SetDoubleConverter swaps it, e.g. for the exact
+// big-integer dragon printer that emulates 2004-era conversion costs.
+// Not safe to swap concurrently with serialization.
 var doubleConverter = defaultDoubleConverter
 
 func defaultDoubleConverter(dst []byte, v float64) int {
@@ -130,10 +130,3 @@ func Pad(dst []byte, from, to int) {
 		dst[i] = ' '
 	}
 }
-
-// IntWidth reports the encoded width of v. Wrapper kept here so hot paths
-// need only one import.
-func IntWidth(v int32) int { return xsdlex.IntLen(v) }
-
-// DoubleWidth reports the encoded width of v.
-func DoubleWidth(v float64) int { return xsdlex.DoubleLen(v) }

@@ -78,17 +78,6 @@ func TestPad(t *testing.T) {
 	}
 }
 
-func TestWidthsMatchWrites(t *testing.T) {
-	f := func(v int32, d float64) bool {
-		var bi [xsdlex.MaxIntWidth]byte
-		var bd [xsdlex.MaxDoubleWidth]byte
-		return IntWidth(v) == WriteInt(bi[:], v) && DoubleWidth(d) == WriteDouble(bd[:], d)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkWriteDouble(b *testing.B) {
 	var buf [xsdlex.MaxDoubleWidth]byte
 	v := 3.14159265358979

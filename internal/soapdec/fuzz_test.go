@@ -16,6 +16,7 @@ func FuzzDecode(f *testing.F) {
 		`<E:Envelope><E:Header><h/></E:Header><E:Body><ns1:op><v>1</v></ns1:op></E:Body></E:Envelope>`,
 		`<E:Envelope><E:Body><ns1:op><a SOAP-ENC:arrayType="xsd:double[99999]"></a></ns1:op></E:Body></E:Envelope>`,
 		`<E:Envelope><E:Body><ns1:op><v>not-a-number</v></ns1:op></E:Body></E:Envelope>`,
+		`<E:Envelope><E:Body><ns1:op><v>1</v><a SOAP-ENC:arrayType="xsd:double[2]"><item>0x1p-2</item><item>.5e1</item></a></ns1:op></E:Body></E:Envelope>`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

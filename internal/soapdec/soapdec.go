@@ -310,26 +310,26 @@ func parseScalar(t *wire.Type, text string) (any, error) {
 // SetLeafBytes parses raw — one leaf's character data exactly as it
 // stands in a message body — per the leaf's type and stores the value in
 // msg. It is the differential deserializer's re-lex step, so numeric and
-// boolean text is parsed where it lies, with no string or interface
+// boolean text is parsed where it lies, with no copy, string or interface
 // value made for it; a string leaf allocates only the value the message
 // keeps. Entities are resolved for strings alone: escaped numeric text
 // fails here and is left for the full parse to accept.
 func SetLeafBytes(msg *wire.Message, leaf int, raw []byte) error {
 	switch t := msg.LeafType(leaf); t.Kind {
 	case wire.Int:
-		v, err := xsdlex.ParseInt(string(raw))
+		v, err := xsdlex.ParseInt(raw)
 		if err != nil {
 			return err
 		}
 		msg.SetLeafInt(leaf, v)
 	case wire.Double:
-		v, err := xsdlex.ParseDouble(string(raw))
+		v, err := xsdlex.ParseDouble(raw)
 		if err != nil {
 			return err
 		}
 		msg.SetLeafDouble(leaf, v)
 	case wire.Bool:
-		v, err := xsdlex.ParseBool(string(raw))
+		v, err := xsdlex.ParseBool(raw)
 		if err != nil {
 			return err
 		}

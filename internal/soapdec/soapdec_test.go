@@ -1,7 +1,9 @@
 package soapdec
 
 import (
+	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -306,5 +308,77 @@ func TestSetLeafBytes(t *testing.T) {
 	}
 	if m.LeafInt(0) != -42 || !math.IsInf(m.LeafDouble(1), -1) || m.LeafString(2) != " a < b! " || !m.LeafBool(3) {
 		t.Fatal("a refused value changed its leaf")
+	}
+}
+
+// TestDoubleLexicalSpace pins the xsd:double grammar on both entry points:
+// the forms strconv.ParseFloat reads beyond it are errors, the optional
+// parts of the grammar are not, and a value past the largest double is a
+// range error, not an infinity.
+func TestDoubleLexicalSpace(t *testing.T) {
+	schema := &Schema{Namespace: "urn:dec", Op: "one", Params: []ParamSpec{{Name: "d", Type: wire.TDouble}}}
+	lookup := func(string) (*Schema, bool) { return schema, true }
+	decode := func(text string) (float64, error) {
+		doc := `<E:Envelope><E:Body><ns1:one><d>` + text + `</d></ns1:one></E:Body></E:Envelope>`
+		res, err := Decode([]byte(doc), lookup, false)
+		if err != nil {
+			return 0, err
+		}
+		return res.Msg.LeafDouble(0), nil
+	}
+	relex := func(text string) (float64, error) {
+		m := wire.NewMessage("urn:dec", "one")
+		m.AddDouble("d", 0)
+		err := SetLeafBytes(m, 0, []byte(text))
+		return m.LeafDouble(0), err
+	}
+	for name, parse := range map[string]func(string) (float64, error){"Decode": decode, "SetLeafBytes": relex} {
+		for _, text := range []string{"0x1p-2", "Infinity", "inf", "nan", "NAN", "1_0"} {
+			if v, err := parse(text); err == nil {
+				t.Errorf("%s read %q as the double %v", name, text, v)
+			}
+		}
+		for text, want := range map[string]float64{".5": 0.5, "5.": 5, "+1.5": 1.5, "1e5": 1e5, "+INF": math.Inf(1), " -2.5E-3\n": -0.0025} {
+			if v, err := parse(text); err != nil || v != want {
+				t.Errorf("%s(%q) = %v, %v; want %v", name, text, v, err, want)
+			}
+		}
+		if v, err := parse("1E+400"); !errors.Is(err, strconv.ErrRange) {
+			t.Errorf("%s(1E+400) = %v, %v; want a range error", name, v, err)
+		}
+	}
+}
+
+// TestIntRange pins the xsd:int range on both entry points: the two limits
+// are values, one past either is a range error, and so are a limit's digits
+// with more digits after them.
+func TestIntRange(t *testing.T) {
+	schema := &Schema{Namespace: "urn:dec", Op: "one", Params: []ParamSpec{{Name: "i", Type: wire.TInt}}}
+	lookup := func(string) (*Schema, bool) { return schema, true }
+	decode := func(text string) (int32, error) {
+		doc := `<E:Envelope><E:Body><ns1:one><i>` + text + `</i></ns1:one></E:Body></E:Envelope>`
+		res, err := Decode([]byte(doc), lookup, false)
+		if err != nil {
+			return 0, err
+		}
+		return res.Msg.LeafInt(0), nil
+	}
+	relex := func(text string) (int32, error) {
+		m := wire.NewMessage("urn:dec", "one")
+		m.AddInt("i", 0)
+		err := SetLeafBytes(m, 0, []byte(text))
+		return m.LeafInt(0), err
+	}
+	for name, parse := range map[string]func(string) (int32, error){"Decode": decode, "SetLeafBytes": relex} {
+		for text, want := range map[string]int32{"2147483647": math.MaxInt32, "-2147483648": math.MinInt32, " -0002147483648\n": math.MinInt32} {
+			if v, err := parse(text); err != nil || v != want {
+				t.Errorf("%s(%q) = %v, %v; want %v", name, text, v, err, want)
+			}
+		}
+		for _, text := range []string{"2147483648", "-2147483649", "-21474836480", "-214748364800000", "21474836480"} {
+			if v, err := parse(text); !errors.Is(err, strconv.ErrRange) {
+				t.Errorf("%s(%q) = %v, %v; want a range error", name, text, v, err)
+			}
+		}
 	}
 }

@@ -52,15 +52,17 @@ func AppendLong(dst []byte, v int64) []byte {
 // an upper-case E). Special values use the XSD lexical names INF, -INF and
 // NaN. The result is at most MaxDoubleWidth bytes.
 func AppendDouble(dst []byte, v float64) []byte {
-	switch {
-	case math.IsInf(v, 1):
+	ieee := math.Float64bits(v)
+	if ieee>>52&0x7FF == 0x7FF {
+		switch {
+		case ieee<<12 != 0:
+			return append(dst, "NaN"...)
+		case ieee>>63 != 0:
+			return append(dst, "-INF"...)
+		}
 		return append(dst, "INF"...)
-	case math.IsInf(v, -1):
-		return append(dst, "-INF"...)
-	case math.IsNaN(v):
-		return append(dst, "NaN"...)
 	}
-	return strconv.AppendFloat(dst, v, 'G', -1, 64)
+	return appendShortest(dst, ieee)
 }
 
 // AppendBool appends "true" or "false".
@@ -86,25 +88,64 @@ func IntLen(v int32) int {
 	return n
 }
 
-// DoubleLen reports the exact encoded length of v. It is used by the
-// differential engine to decide whether a dirty value still fits its field
-// width before touching the template bytes. It encodes into a stack buffer,
-// which escape analysis keeps off the heap.
+// DoubleLen reports len(AppendDouble(nil, v)) from the shortest form's
+// digit count and exponent, without rendering it. The workload generators'
+// tests use it to hold the paper's field widths.
 func DoubleLen(v float64) int {
-	var buf [MaxDoubleWidth]byte
-	return len(AppendDouble(buf[:0], v))
+	ieee := math.Float64bits(v)
+	frac, be := ieee&(1<<52-1), int(ieee>>52&0x7FF)
+	if be == 0x7FF || ieee<<1 == 0 {
+		var name [len("-INF")]byte
+		return len(AppendDouble(name[:0], v))
+	}
+	d, k := shortestDecimal(frac, be)
+	nd := decimalLen(d)
+	return int(ieee>>63) + shortestLen(nd, nd+k)
 }
 
-// ParseInt parses the lexical form of an xsd:int, accepting surrounding
-// XML whitespace (the collapse facet). Like strconv, the Parse functions
-// copy s into the error rather than retain it, so a caller holding bytes
-// can pass string(b) and the conversion stays off the heap (up to the
-// compiler's 32-byte stack buffer, which every numeric form fits).
-func ParseInt(s string) (int32, error) {
-	s = TrimSpace(s)
-	v, err := strconv.ParseInt(s, 10, 32)
+// ParseInt parses the lexical form of an xsd:int, [+-]?digit+, accepting
+// surrounding XML whitespace (the collapse facet). The Parse functions read
+// a string or a byte slice in place, and like strconv copy the input into
+// the error rather than retain it.
+func ParseInt[T text](s T) (int32, error) {
+	t := TrimSpace(s)
+	v, err := parseInt(t)
 	if err != nil {
-		return 0, fmt.Errorf("xsdlex: invalid int %q: %w", strings.Clone(s), err)
+		return 0, fmt.Errorf("xsdlex: invalid int %q: %w", strings.Clone(string(t)), err)
+	}
+	return v, nil
+}
+
+// parseInt returns strconv.ErrSyntax or strconv.ErrRange, bare.
+func parseInt[T text](t T) (int32, error) {
+	i, neg := 0, false
+	if len(t) > 0 && (t[0] == '-' || t[0] == '+') {
+		neg = t[0] == '-'
+		i = 1
+	}
+	if i == len(t) {
+		return 0, strconv.ErrSyntax
+	}
+	var v int64
+	for ; i < len(t); i++ {
+		c := t[i] - '0'
+		if c > 9 {
+			return 0, strconv.ErrSyntax
+		}
+		if v > math.MaxInt32 {
+			// A digit after 2^31 or more: out of range whatever follows.
+			// Pin v where neither sign fits, so -2147483648 followed by
+			// more digits cannot pass as MinInt32.
+			v = math.MaxInt64
+		} else {
+			v = v*10 + int64(c)
+		}
+	}
+	if neg {
+		v = -v
+	}
+	if int64(int32(v)) != v {
+		return 0, strconv.ErrRange
 	}
 	return int32(v), nil
 }
@@ -119,34 +160,29 @@ func ParseLong(s string) (int64, error) {
 	return v, nil
 }
 
-// ParseDouble parses the lexical form of an xsd:double, accepting
-// surrounding whitespace and the special names INF, -INF and NaN.
-func ParseDouble(s string) (float64, error) {
-	s = TrimSpace(s)
-	switch s {
-	case "INF", "+INF":
-		return math.Inf(1), nil
-	case "-INF":
-		return math.Inf(-1), nil
-	case "NaN":
-		return math.NaN(), nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
+// ParseDouble parses the lexical form of an xsd:double — a decimal with
+// an optional exponent, or one of INF, +INF, -INF and NaN — accepting
+// surrounding whitespace. Nothing else strconv.ParseFloat would read
+// (hexadecimal, underscores, "Infinity", names in another case) is a
+// double here. A value too large for a double is a range error.
+func ParseDouble[T text](s T) (float64, error) {
+	t := TrimSpace(s)
+	v, err := parseDouble(t)
 	if err != nil {
-		return 0, fmt.Errorf("xsdlex: invalid double %q: %w", strings.Clone(s), err)
+		return 0, fmt.Errorf("xsdlex: invalid double %q: %w", strings.Clone(string(t)), err)
 	}
 	return v, nil
 }
 
 // ParseBool parses the XSD boolean lexical space: true, false, 1, 0.
-func ParseBool(s string) (bool, error) {
-	switch TrimSpace(s) {
+func ParseBool[T text](s T) (bool, error) {
+	switch string(TrimSpace(s)) {
 	case "true", "1":
 		return true, nil
 	case "false", "0":
 		return false, nil
 	}
-	return false, fmt.Errorf("xsdlex: invalid boolean %q", strings.Clone(s))
+	return false, fmt.Errorf("xsdlex: invalid boolean %q", strings.Clone(string(s)))
 }
 
 // IsSpace reports whether b is an XML white-space character.
@@ -157,7 +193,7 @@ func IsSpace(b byte) bool {
 // TrimSpace trims XML white space from both ends of s. It differs from
 // strings.TrimSpace in trimming exactly the four XML space characters,
 // nothing Unicode.
-func TrimSpace(s string) string {
+func TrimSpace[T text](s T) T {
 	for len(s) > 0 && IsSpace(s[0]) {
 		s = s[1:]
 	}
