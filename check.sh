@@ -59,6 +59,32 @@ kernel_guard() {
 }
 kernel_guard
 
+# One-path guard: the client runtime has one call loop and the transport
+# one way to annotate a request and one way to read its answer. Each of
+# these grew a copy once (a second retry loop for CallAsync, the delta
+# header rendered in four places, the resync answer classified in two)
+# and the copies drifted; a second occurrence of any marker below is a
+# second copy coming back.
+one_path_guard() {
+    count() { # count <pattern> <dir>: matching non-comment lines of non-test code
+        grep -rnE "$1" --include='*.go' --exclude='*_test.go' "$2" \
+            | grep -vcE '^[^:]+:[0-9]+:[[:space:]]*//' || true
+    }
+    check() { # check <what> <pattern> <dir>
+        n=$(count "$2" "$3")
+        if [ "$n" != 1 ]; then
+            echo "one-path guard: $1: $n occurrences in $3, want exactly 1:" >&2
+            grep -rnE "$2" --include='*.go' --exclude='*_test.go' "$3" >&2 || true
+            exit 1
+        fi
+    }
+    check "delta request header rendered" 'append\(.*deltaHeaderPrefix' internal/transport
+    check "resync answer classified" '== *wire\.DeltaValResync' internal/transport
+    check "engine invoked from the pool" 'stub\.Call\(' internal/pool
+    echo "check.sh: one-path guard ok"
+}
+one_path_guard
+
 # One-LRU guard: the unified replica registry owns the repo's only
 # recency list. Nothing outside internal/replica may import
 # container/list or define an LRU type — a second bespoke copy creeping

@@ -17,8 +17,7 @@
 // SOAP modes run on the concurrent serverpool runtime: each connection
 // gets its own differential-deserializer replica and response stub, so
 // concurrent clients decode in parallel without thrashing shared
-// templates. -locked falls back to the single-mutex endpoint (the
-// scaling baseline). With -diff, requests decode through differential
+// templates. With -diff, requests decode through differential
 // deserialization; decode statistics are reported on shutdown.
 //
 // Admission control: -max-conns and -max-inflight reject excess load
@@ -69,7 +68,6 @@ func main() {
 		respond  = flag.Bool("respond", true, "answer every request (discard mode defaults to silent)")
 		diff     = flag.Bool("diff", true, "use differential deserialization in SOAP modes")
 		delta    = flag.Bool("delta", true, "accept differential transmission (serverpool runtime: hold each client template's last body, apply patch frames against it)")
-		locked   = flag.Bool("locked", false, "single-mutex endpoint instead of the sharded serverpool runtime")
 		selfchk  = flag.Bool("selfcheck", false, "re-verify every differential fast-path decode against a full parse")
 		quiet    = flag.Bool("quiet", false, "suppress per-connection error logging")
 		recCap   = flag.Int("record-limit", 10000, "record mode: max bodies kept in memory (0 = unbounded)")
@@ -118,7 +116,6 @@ func main() {
 	sm := transport.NewServerMetrics()
 
 	var (
-		ep  *server.SOAP
 		rt  *serverpool.Runtime
 		rec *server.Recorder
 	)
@@ -153,33 +150,22 @@ func main() {
 	soapMode := svcName != ""
 	if soapMode {
 		catalog := mcs.NewCatalog([]string{"owner", "experiment", "format", "site"})
-		if *locked {
-			ep = server.New(server.Options{DifferentialDeserialization: *diff})
-			if *mode == "mcs" {
-				mcs.Bind(ep, catalog)
-			}
-			for _, o := range ops {
-				ep.Register(o.schema, o.factory())
-			}
-			opts.Handler = ep.HTTPHandler()
-		} else {
-			rt = serverpool.New(serverpool.Options{
-				DifferentialDeserialization: *diff,
-				Delta:                       *delta,
-				MaxReplicas:                 *maxReplicas,
-				MaxTemplateBytes:            *maxTmplB,
-				SelfCheck:                   *selfchk,
-				Metrics:                     sm,
-				Affinity:                    affinity(*clientAff),
-			})
-			if *mode == "mcs" {
-				mcs.BindRuntime(rt, catalog)
-			}
-			for _, o := range ops {
-				rt.Register(o.schema, o.factory)
-			}
-			opts.Handler = rt.HTTPHandler()
+		rt = serverpool.New(serverpool.Options{
+			DifferentialDeserialization: *diff,
+			Delta:                       *delta,
+			MaxReplicas:                 *maxReplicas,
+			MaxTemplateBytes:            *maxTmplB,
+			SelfCheck:                   *selfchk,
+			Metrics:                     sm,
+			Affinity:                    affinity(*clientAff),
+		})
+		if *mode == "mcs" {
+			mcs.BindRuntime(rt, catalog)
 		}
+		for _, o := range ops {
+			rt.Register(o.schema, o.factory)
+		}
+		opts.Handler = rt.HTTPHandler()
 		opts.Respond = *respond
 	}
 
@@ -201,8 +187,6 @@ func main() {
 		})
 		if werr != nil {
 			log.Printf("bsoap-server: wsdl generation failed: %v", werr)
-		} else if ep != nil {
-			ep.SetWSDL(doc)
 		} else {
 			rt.SetWSDL(doc)
 		}
@@ -227,8 +211,6 @@ func main() {
 	runtimeName := "serverpool"
 	if !soapMode {
 		runtimeName = *mode
-	} else if *locked {
-		runtimeName = "locked"
 	}
 	fmt.Printf("bsoap-server: mode=%s runtime=%s listening on %s\n", *mode, runtimeName, srv.Addr())
 
@@ -258,15 +240,7 @@ func main() {
 	if rec != nil {
 		fmt.Printf("bsoap-server: recorded %d bodies (%d dropped by -record-limit)\n", rec.Count(), rec.Dropped())
 	}
-	switch {
-	case ep != nil:
-		st := ep.Stats()
-		fmt.Printf("bsoap-server: decodes: %d full parses, %d differential (%d values reparsed)\n",
-			st.FullParses, st.DiffDecodes, st.ValuesReparsed)
-		rs := ep.ResponseStats()
-		fmt.Printf("bsoap-server: responses: %d first-time, %d content matches, %d structural\n",
-			rs.FirstTimeSends, rs.ContentMatches, rs.StructuralMatches)
-	case rt != nil:
+	if rt != nil {
 		st := rt.Stats()
 		fmt.Printf("bsoap-server: decodes: %d full parses, %d differential (%d values reparsed), %d self-check fails\n",
 			st.FullParses, st.DiffDecodes, st.ValuesReparsed, st.SelfCheckFails)
@@ -297,8 +271,7 @@ func affinity(clientAffine bool) serverpool.Affinity {
 }
 
 // opSpec couples an operation schema with a per-replica handler factory
-// (the serverpool runtime instantiates one handler per replica; the
-// locked endpoint calls the factory once).
+// (the serverpool runtime instantiates one handler per replica).
 type opSpec struct {
 	schema  *soapdec.Schema
 	factory serverpool.HandlerFactory

@@ -176,15 +176,15 @@ func TestPoolDeltaPipelinedEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaResyncRecovery is the deterministic serial resync script: a
-// patch-synchronized client loses its server-side base mid-stream and
-// the very next patch must degrade losslessly — one 409, an immediate
-// full resend on the same connection, no error surfaced, and patch
-// traffic resuming on the call after.
-func TestDeltaResyncRecovery(t *testing.T) {
-	rec, p := harness.Recorder(t, nil, bsoap.PoolOptions{
-		Size: 1, Replicas: 1, Delta: true,
-	})
+// resyncScript is the deterministic base-loss script both resync tests
+// run: a patch-synchronized client loses its server-side base mid-stream
+// and the very next patch must degrade losslessly — one 409, a full
+// resend on the same connection, no error surfaced, the call reported as
+// the rewrite it was, and patch traffic resuming on the call after. It
+// returns the pool's counters for the parity check between call paths.
+func resyncScript(t *testing.T, opts bsoap.PoolOptions) bsoap.PoolStats {
+	t.Helper()
+	rec, p := harness.Recorder(t, nil, opts)
 
 	w := workload.NewDoubles(16, workload.FillMin)
 	ref := baseline.NewGSOAPLike()
@@ -192,9 +192,20 @@ func TestDeltaResyncRecovery(t *testing.T) {
 	call := func(step string) bsoap.CallInfo {
 		t.Helper()
 		want = append(want, canon(ref.Serialize(w.Msg)))
-		ci, err := p.Call(w.Msg)
+		if opts.PipelineDepth == 0 {
+			ci, err := p.Call(w.Msg)
+			if err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			return ci
+		}
+		f, err := p.CallAsync(w.Msg)
 		if err != nil {
-			t.Fatalf("%s: %v", step, err)
+			t.Fatalf("%s: submit: %v", step, err)
+		}
+		ci, err := f.Wait()
+		if err != nil {
+			t.Fatalf("%s: wait: %v", step, err)
 		}
 		return ci
 	}
@@ -221,6 +232,10 @@ func TestDeltaResyncRecovery(t *testing.T) {
 	if ci.WireBytes <= ci.Bytes {
 		t.Errorf("call 4: wire bytes %d should exceed body %d (refused frame + full body)", ci.WireBytes, ci.Bytes)
 	}
+	if ci.Match != bsoap.StructuralMatch || ci.ValuesRewritten != 1 || ci.BytesSerialized == 0 {
+		t.Errorf("call 4: match=%v rewritten=%d serialized=%d, want the refused attempt's structural match with its 1 rewritten value",
+			ci.Match, ci.ValuesRewritten, ci.BytesSerialized)
+	}
 	if ci := call("repatch"); !ci.DeltaSent || ci.DeltaResync {
 		t.Fatalf("call 5: delta_sent=%v delta_resync=%v, want patch traffic restored", ci.DeltaSent, ci.DeltaResync)
 	}
@@ -239,63 +254,47 @@ func TestDeltaResyncRecovery(t *testing.T) {
 	if rec.DeltaResyncs() != 1 {
 		t.Errorf("server refused %d patches, want 1", rec.DeltaResyncs())
 	}
-	if st := p.Stats(); st.DeltaResyncs != 1 || st.Errors != 0 {
-		t.Errorf("delta_resyncs=%d errors=%d, want 1/0", st.DeltaResyncs, st.Errors)
+	st := p.Stats()
+	if st.DeltaResyncs != 1 || st.Errors != 0 || st.FuturesPending != 0 {
+		t.Errorf("delta_resyncs=%d errors=%d futures_pending=%d, want 1/0/0",
+			st.DeltaResyncs, st.Errors, st.FuturesPending)
 	}
+	return st
+}
+
+// TestDeltaResyncRecovery runs the script through the serial call path,
+// where the stub resends inside Call.
+func TestDeltaResyncRecovery(t *testing.T) {
+	resyncScript(t, bsoap.PoolOptions{Size: 1, Replicas: 1, Delta: true})
 }
 
 // TestDeltaResyncRecoveryPipelined is the same script through the async
-// path: the rejected patch fails its pending in order, the future
-// transparently resubmits as a full send, and the caller sees one
-// successful call flagged delta_resync — never an error, never a lost
-// or duplicated body.
+// path: the rejected patch fails its pending in order, the call is
+// resubmitted as a full send, and the caller sees one successful call
+// flagged delta_resync — never an error, never a lost or duplicated
+// body — that reports, and is counted as, exactly what the serial path
+// reports and counts.
 func TestDeltaResyncRecoveryPipelined(t *testing.T) {
-	rec, p := harness.Recorder(t, nil, bsoap.PoolOptions{
-		Size: 1, Replicas: 1, Delta: true, PipelineDepth: 4,
-	})
-
-	w := workload.NewDoubles(16, workload.FillMin)
-	ref := baseline.NewGSOAPLike()
-	want := make([][]byte, 0, 8)
-	call := func(step string) bsoap.CallInfo {
-		t.Helper()
-		want = append(want, canon(ref.Serialize(w.Msg)))
-		f, err := p.CallAsync(w.Msg)
-		if err != nil {
-			t.Fatalf("%s: submit: %v", step, err)
+	serial := resyncScript(t, bsoap.PoolOptions{Size: 1, Replicas: 1, Delta: true})
+	piped := resyncScript(t, bsoap.PoolOptions{Size: 1, Replicas: 1, Delta: true, PipelineDepth: 4})
+	for _, c := range []struct {
+		name         string
+		serial, pipe int64
+	}{
+		{"calls", serial.Calls, piped.Calls},
+		{"first_time_sends", serial.FirstTimeSends, piped.FirstTimeSends},
+		{"content_matches", serial.ContentMatches, piped.ContentMatches},
+		{"structural_matches", serial.StructuralMatches, piped.StructuralMatches},
+		{"values_rewritten", serial.ValuesRewritten, piped.ValuesRewritten},
+		{"tag_shifts", serial.TagShifts, piped.TagShifts},
+		{"bytes_serialized", serial.BytesSerialized, piped.BytesSerialized},
+		{"bytes_represented", serial.BytesRepresented, piped.BytesRepresented},
+		{"bytes_on_wire", serial.BytesOnWire, piped.BytesOnWire},
+		{"delta_sends", serial.DeltaSends, piped.DeltaSends},
+		{"delta_resyncs", serial.DeltaResyncs, piped.DeltaResyncs},
+	} {
+		if c.serial != c.pipe {
+			t.Errorf("%s: serial pool counted %d, pipelined pool %d", c.name, c.serial, c.pipe)
 		}
-		ci, err := f.Wait()
-		if err != nil {
-			t.Fatalf("%s: wait: %v", step, err)
-		}
-		return ci
-	}
-
-	call("first-time")
-	if ci := call("patch"); !ci.DeltaSent {
-		t.Fatal("call 2: content match did not go out as a patch frame")
-	}
-	rec.ForgetBases()
-	w.Arr.Set(0, workload.MinDouble2)
-	if ci := call("resync"); !ci.DeltaResync {
-		t.Fatalf("call 3: delta_resync=%v, want the future to resubmit in full", ci.DeltaResync)
-	}
-	if ci := call("repatch"); !ci.DeltaSent {
-		t.Fatal("call 4: patch traffic did not resume after the resync")
-	}
-
-	got := rec.Bodies()
-	if len(got) != len(want) {
-		t.Fatalf("server holds %d bodies, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !bytes.Equal(canon(got[i]), want[i]) {
-			t.Fatalf("call %d: server body diverges after pipelined resync\n got: %s\nwant: %s",
-				i, canon(got[i]), want[i])
-		}
-	}
-	if st := p.Stats(); st.DeltaResyncs != 1 || st.Errors != 0 || st.FuturesPending != 0 {
-		t.Errorf("delta_resyncs=%d errors=%d futures_pending=%d, want 1/0/0",
-			st.DeltaResyncs, st.Errors, st.FuturesPending)
 	}
 }

@@ -1,15 +1,10 @@
 package pool
 
 import (
-	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"bsoap/internal/core"
-	"bsoap/internal/trace"
-	"bsoap/internal/transport"
 	"bsoap/internal/wire"
 )
 
@@ -26,27 +21,20 @@ var ErrNotPipelined = fmt.Errorf("pool: CallAsync requires Options.PipelineDepth
 // A Future is safe for concurrent use; Wait may be called any number of
 // times and returns the same outcome.
 type Future struct {
-	p     *Pool
-	pd    *transport.Pending
-	r     *engine
-	m     *wire.Message
-	op    string
-	sig   string
-	ci    core.CallInfo
-	span  uint64
-	start time.Time
-	// submitted is when SendAsync returned: the request is fully on the
-	// wire (or buffered behind it), so submitted→resolve is the call's
-	// wire stage.
-	submitted time.Time
+	p   *Pool
+	m   *wire.Message
+	sub submission // never written after CallAsync: finish works on a copy
 
 	once sync.Once
+	ci   core.CallInfo
 	err  error
 }
 
 // Done returns a channel closed once the call's response (or the
-// pipeline's failure) has arrived; Wait then returns without blocking.
-func (f *Future) Done() <-chan struct{} { return f.pd.Done() }
+// pipeline's failure) has arrived; Wait then returns without blocking,
+// unless the response refused a patch frame and Wait has the full body
+// to resend.
+func (f *Future) Done() <-chan struct{} { return f.sub.pd.Done() }
 
 // Wait blocks until the call's response has been read in order off the
 // connection and returns the call's serialization info and outcome. On a
@@ -56,150 +44,14 @@ func (f *Future) Done() <-chan struct{} { return f.pd.Done() }
 // next call degrades to a full first-time send instead of diffing
 // against them. Response failures are not retried: requests behind this
 // one are already on the wire, so a replay would arrive out of order.
+// The one exception is a refused patch frame, which is state, not
+// failure: the call is resubmitted in full and reports DeltaResync.
 func (f *Future) Wait() (core.CallInfo, error) {
 	f.once.Do(f.resolve)
 	return f.ci, f.err
 }
 
-func (f *Future) resolve() {
-	err := f.pd.Wait()
-	now := f.p.senders.now()
-	elapsed := now.Sub(f.start)
-	if errors.Is(err, wire.ErrDeltaResync) {
-		// The server rejected this call's patch frame and demands a full
-		// body. The response was read in order and the connection is
-		// healthy, so this is a protocol state mismatch, not a delivery
-		// failure: the template is NOT suspect (its bytes match what the
-		// diff computed — the server just lost its base), and the call is
-		// transparently retried as a full send. The pipeline's read loop
-		// already cleared the sender's sync map, so the retry cannot
-		// encode another patch; a full send can never draw a second
-		// resync, which is what bounds the recursion.
-		f.p.metrics.RecordDeltaResync(f.ci.WireBytes)
-		if f.span != 0 {
-			trace.Rec(f.span, trace.KindDeltaResync, 0, int64(f.ci.WireBytes), 0)
-		}
-		retry, rerr := f.p.CallAsync(f.m)
-		if rerr != nil {
-			// The resubmit itself failed; CallAsync recorded that failure,
-			// so this future just adopts it.
-			f.ci, f.err = core.CallInfo{}, rerr
-			return
-		}
-		ci, werr := retry.Wait()
-		ci.DeltaResync = true
-		f.ci, f.err = ci, werr
-		return
-	}
-	if err != nil {
-		f.p.store.markSuspect(f.r, f.op, f.sig, f.span)
-		err = fmt.Errorf("pool: pipelined call: %w", err)
-	}
-	if err == nil {
-		wireNs := now.Sub(f.submitted).Nanoseconds()
-		f.p.metrics.Stages.Observe(trace.StageWire, wireNs, f.span)
-		if f.span != 0 {
-			trace.Rec(f.span, trace.KindStage, int64(trace.StageWire), wireNs, 0)
-		}
-	}
-	if f.span != 0 {
-		ok := int64(1)
-		if err != nil {
-			ok = 0
-		}
-		trace.Rec(f.span, trace.KindAsyncComplete, ok, int64(elapsed), 0)
-	}
-	f.p.metrics.RecordCall(f.ci, err, elapsed)
-	if f.span != 0 && err == nil {
-		trace.ObserveCall(f.span, int64(elapsed))
-	}
-	f.err = err
-}
-
-// submitSink adapts Pipeline.SendAsync to the engine's Sink: the request
-// write happens here, under the replica lock (template bytes are only
-// stable while it is held), while the response is left to the Future.
-type submitSink struct {
-	pl *transport.Pipeline
-	pd *transport.Pending
-	// ns accumulates time spent inside SendAsync — the pipeline-queue
-	// stage (depth-stall wait plus the request write) of the call's
-	// latency attribution.
-	ns int64
-}
-
-func (ss *submitSink) Send(bufs net.Buffers) error {
-	start := time.Now()
-	pd, err := ss.pl.SendAsync(bufs)
-	ss.ns += time.Since(start).Nanoseconds()
-	ss.pd = pd
-	return err
-}
-
-// submitSink also implements core.DeltaSink, so pipelined pools
-// negotiate and send patch frames exactly like serial ones: the epoch
-// view lives on the underlying Sender (shared with the pipeline's read
-// loop), and the delta-annotated writes go through the pipeline to keep
-// wire order equal to completion order.
-
-func (ss *submitSink) DeltaEpoch(tid uint64) (uint64, bool) {
-	return ss.pl.Sender().DeltaEpoch(tid)
-}
-
-func (ss *submitSink) SendFull(bufs net.Buffers, tid, epoch uint64) error {
-	start := time.Now()
-	pd, err := ss.pl.SendFullAsync(bufs, tid, epoch)
-	ss.ns += time.Since(start).Nanoseconds()
-	ss.pd = pd
-	return err
-}
-
-func (ss *submitSink) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
-	start := time.Now()
-	pd, err := ss.pl.SendDeltaAsync(bufs, tid, newEpoch)
-	ss.ns += time.Since(start).Nanoseconds()
-	ss.pd = pd
-	return err
-}
-
-// newPipeline wraps a freshly ensured sender for pipelined use, wiring
-// the pool's gauges into the pipeline's completion hooks.
-func (p *Pool) newPipeline(ts *transport.Sender) *transport.Pipeline {
-	pl := transport.NewPipeline(ts, p.opts.PipelineDepth)
-	pl.OnStall = func() { p.metrics.pipelineStalls.Add(1) }
-	pl.OnComplete = func() { p.metrics.futuresPending.Add(-1) }
-	return pl
-}
-
-// ensurePipeline hands back a healthy pipeline for the slot, tearing a
-// broken one down (its reader goroutine shares the sender's buffered
-// reader, which Redial resets — the old pipeline must fully wind down,
-// failing any still-queued pendings, before the connection is repaired
-// underneath it) and building a fresh one over the repaired connection.
-func (p *Pool) ensurePipeline(ps *pooledSender, deadline time.Time) (*transport.Pipeline, error) {
-	if ps.pipeline != nil && (ps.broken || ps.pipeline.Broken()) {
-		_ = ps.pipeline.Close()
-		ps.pipeline = nil
-		ps.broken = true // the connection was closed with it: ensure redials
-	}
-	sink, err := p.senders.ensure(ps, deadline)
-	if err != nil {
-		return nil, err
-	}
-	ts, ok := sink.(*transport.Sender)
-	if !ok {
-		return nil, fmt.Errorf("pool: pipelining requires a dialed transport (Options.Addr, not Options.Dial)")
-	}
-	if ps.pipeline != nil && ps.pipeline.Sender() != ts {
-		// ensure swapped the slot's sink out from under an old pipeline.
-		_ = ps.pipeline.Close()
-		ps.pipeline = nil
-	}
-	if ps.pipeline == nil {
-		ps.pipeline = p.newPipeline(ts)
-	}
-	return ps.pipeline, nil
-}
+func (f *Future) resolve() { f.ci, f.err = f.p.finish(f.m, f.sub) }
 
 // CallAsync serializes and submits m through a pooled pipelined
 // connection and returns a Future resolving when the in-order response
@@ -209,11 +61,11 @@ func (p *Pool) ensurePipeline(ps *pooledSender, deadline time.Time) (*transport.
 // pipelining differential sends: serialization overlaps transmission).
 //
 // Submit-side failures (dial, write) are repaired and retried exactly
-// like Pool.Call, within MaxRetries and the RetryBudget; once the
-// request is on the wire the call's failure mode moves to the Future
-// (see Future.Wait). The per-message confinement contract extends to
-// futures: a message must not be mutated or resubmitted until its
-// previous call's Future has resolved.
+// like Pool.Call — it is the same submit — within MaxRetries and the
+// RetryBudget; once the request is on the wire the call's failure mode
+// moves to the Future (see Future.Wait). The per-message confinement
+// contract extends to futures: a message must not be mutated or
+// resubmitted until its previous call's Future has resolved.
 //
 // Pipelined calls always read one response per request, regardless of
 // Sender.ExpectResponse — HTTP pipelining needs the response stream to
@@ -223,106 +75,12 @@ func (p *Pool) CallAsync(m *wire.Message) (*Future, error) {
 	if p.opts.PipelineDepth <= 0 {
 		return nil, ErrNotPipelined
 	}
-	start := p.senders.now()
-	deadline := start.Add(p.opts.RetryBudget)
-	var span uint64
-	if trace.Enabled() {
-		span = trace.BeginSpan()
-	}
-	ps, waited, err := p.senders.checkout()
-	if err != nil {
+	sub := p.submit(m)
+	if sub.err != nil {
+		// Nothing is on the wire and nothing will resolve later: the
+		// call ends here.
+		_, err := p.finish(m, sub)
 		return nil, err
 	}
-	ckNs := p.senders.now().Sub(start).Nanoseconds()
-	p.metrics.Stages.Observe(trace.StageCheckout, ckNs, span)
-	if span != 0 {
-		w := int64(0)
-		if waited {
-			w = 1
-		}
-		trace.Rec(span, trace.KindPoolCheckout, w, 0, 0)
-		trace.Rec(span, trace.KindStage, int64(trace.StageCheckout), ckNs, 0)
-	}
-
-	var (
-		fut *Future
-		ci  core.CallInfo
-	)
-	for attempt := 0; ; attempt++ {
-		var pl *transport.Pipeline
-		if span != 0 {
-			if ts, ok := ps.sink.(*transport.Sender); ok {
-				ts.TraceSpan = span
-			}
-		}
-		pl, err = p.ensurePipeline(ps, deadline)
-		if err != nil {
-			break
-		}
-		if span != 0 {
-			pl.Sender().TraceSpan = span
-		}
-		ss := submitSink{pl: pl}
-		r := p.store.acquire(m, span)
-		r.sink.s = &ss
-		if span != 0 {
-			r.stub.SetTraceSpan(span)
-		}
-		p.metrics.futuresPending.Add(1)
-		callStart := p.senders.now()
-		ci, err = r.stub.Call(m)
-		callNs := p.senders.now().Sub(callStart).Nanoseconds()
-		op, sig := m.Operation(), m.Signature()
-		p.store.release(r)
-		if err == nil {
-			submitted := p.senders.now()
-			// Attribute the submit: SendAsync time (stall + write) is the
-			// pipeline-queue stage, patch-frame assembly is delta encode,
-			// the rest of Call is serialization.
-			p.metrics.Stages.Observe(trace.StagePipelineQueue, ss.ns, span)
-			p.metrics.Stages.Observe(trace.StageSerialize, callNs-ss.ns-ci.DeltaEncodeNs, span)
-			if ci.DeltaEncodeNs > 0 {
-				p.metrics.Stages.Observe(trace.StageDeltaEncode, ci.DeltaEncodeNs, span)
-			}
-			if span != 0 {
-				trace.Rec(span, trace.KindStage, int64(trace.StagePipelineQueue), ss.ns, 0)
-				trace.Rec(span, trace.KindStage, int64(trace.StageSerialize), callNs-ss.ns-ci.DeltaEncodeNs, 0)
-				if ci.DeltaEncodeNs > 0 {
-					trace.Rec(span, trace.KindStage, int64(trace.StageDeltaEncode), ci.DeltaEncodeNs, 0)
-				}
-			}
-			fut = &Future{p: p, pd: ss.pd, r: r, m: m, op: op, sig: sig, ci: ci, span: span, start: start, submitted: submitted}
-			p.metrics.asyncCalls.Add(1)
-			if span != 0 {
-				trace.Rec(span, trace.KindAsyncSubmit, trace.OpID(op), int64(pl.InFlight()), 0)
-			}
-			break
-		}
-		p.metrics.futuresPending.Add(-1)
-		ps.broken = true
-		if attempt >= p.opts.MaxRetries {
-			break
-		}
-		if !p.senders.now().Before(deadline) {
-			err = fmt.Errorf("pool: send failed and no budget to retry: %w (last error: %v)",
-				ErrRetryBudgetExhausted, err)
-			break
-		}
-		p.metrics.retries.Add(1)
-		if span != 0 {
-			trace.Rec(span, trace.KindPoolRetry, int64(attempt+1), 0, 0)
-		}
-	}
-	p.senders.checkin(ps)
-	if err != nil {
-		if errors.Is(err, ErrRetryBudgetExhausted) {
-			p.metrics.retryBudgetExhausted.Add(1)
-		}
-		if span != 0 && ci.Span == 0 {
-			trace.Rec(span, trace.KindCallErr, -1, 0, 0)
-		}
-		p.metrics.RecordCall(ci, err, p.senders.now().Sub(start))
-		return nil, err
-	}
-	return fut, nil
+	return &Future{p: p, m: m, sub: sub}, nil
 }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"bsoap/internal/core"
+	"bsoap/internal/trace"
 	"bsoap/internal/transport"
+	"bsoap/internal/wire"
 	"bsoap/internal/workload"
 )
 
@@ -260,5 +262,106 @@ func TestPoolCloseFailsPendingFutures(t *testing.T) {
 	}
 	if got := p.Stats().FuturesPending; got != 0 {
 		t.Fatalf("futures_pending = %d after Close", got)
+	}
+}
+
+// TestPipelinedResyncSpans runs a refused patch through a traced
+// pipelined pool: the refused attempt's span is closed by its own
+// async-complete (not ok), the resubmission's by one that is ok, and
+// both carry the stage samples StageHist.Observe puts on a call's
+// timeline — serialize and pipeline_queue from the submit, wire only
+// from the response that succeeded.
+func TestPipelinedResyncSpans(t *testing.T) {
+	trace.Enable()
+	defer trace.Disable()
+	trace.Default.Clear()
+
+	var refuse atomic.Bool
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
+		Respond: true,
+		Handler: func(req *transport.Request) ([]byte, error) {
+			switch req.DeltaMode {
+			case transport.DeltaSync:
+				req.DeltaAck, req.DeltaAckTID, req.DeltaAckEpoch = true, req.DeltaTID, req.DeltaEpoch
+			case transport.DeltaPatch:
+				if refuse.Load() {
+					return nil, wire.ErrDeltaResync
+				}
+			}
+			return nil, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p, err := New(Options{Addr: srv.Addr(), Size: 1, Replicas: 1, PipelineDepth: 2, Delta: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	d := workload.NewDoubles(16, workload.FillMin)
+	call := func() core.CallInfo {
+		t.Helper()
+		f, err := p.CallAsync(d.Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci, err := f.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ci
+	}
+	call()
+	if ci := call(); !ci.DeltaSent {
+		t.Fatal("second call did not go out as a patch frame")
+	}
+	refuse.Store(true)
+	d.Arr.Set(0, workload.MinDouble2)
+	ci := call()
+	if !ci.DeltaResync {
+		t.Fatal("refused patch not reported as a resync")
+	}
+
+	type spanEvents struct {
+		complete []int64 // A of each async-complete
+		stages   map[trace.Stage]bool
+	}
+	spans := map[uint64]*spanEvents{}
+	var refused uint64
+	for _, ev := range trace.Default.Snapshot().Events {
+		se := spans[ev.Span]
+		if se == nil {
+			se = &spanEvents{stages: map[trace.Stage]bool{}}
+			spans[ev.Span] = se
+		}
+		switch ev.Kind {
+		case "async-complete":
+			se.complete = append(se.complete, ev.A)
+		case "stage":
+			se.stages[trace.Stage(ev.A)] = true
+		case "delta-resync":
+			refused = ev.Span
+		}
+	}
+	if refused == 0 || spans[ci.Span] == nil {
+		t.Fatalf("spans of the resynced call not found (refused %d, resent %d, %d spans)", refused, ci.Span, len(spans))
+	}
+	if got := spans[refused].complete; len(got) != 1 || got[0] != 0 {
+		t.Errorf("refused attempt's async-complete events = %v, want one with ok=0", got)
+	}
+	if got := spans[ci.Span].complete; len(got) != 1 || got[0] != 1 {
+		t.Errorf("resubmission's async-complete events = %v, want one with ok=1", got)
+	}
+	for _, st := range []trace.Stage{trace.StageCheckout, trace.StageSerialize, trace.StagePipelineQueue} {
+		if !spans[refused].stages[st] || !spans[ci.Span].stages[st] {
+			t.Errorf("stage %v missing from a span's timeline (refused %v, resent %v)", st, spans[refused].stages, spans[ci.Span].stages)
+		}
+	}
+	if spans[refused].stages[trace.StageWire] || !spans[ci.Span].stages[trace.StageWire] {
+		t.Errorf("wire stage: refused span has it = %v, resubmission has it = %v; want false/true",
+			spans[refused].stages[trace.StageWire], spans[ci.Span].stages[trace.StageWire])
 	}
 }

@@ -87,8 +87,8 @@ type Metrics struct {
 	// Async call path (zero on serial pools). pipelineDepth is a config
 	// gauge set once at pool construction; futuresPending is a live gauge
 	// (+1 per submitted request, -1 as each future resolves);
-	// pipelineStalls counts SendAsync calls that blocked because the
-	// pipeline was already at depth.
+	// pipelineStalls counts submits that blocked because the pipeline was
+	// already at depth.
 	asyncCalls     atomic.Int64
 	pipelineDepth  atomic.Int64
 	futuresPending atomic.Int64
@@ -162,15 +162,6 @@ func classifyErr(err error) int {
 		return errKindDeadline
 	}
 	return errKindSend
-}
-
-// RecordDeltaResync accounts a pipelined patch send the server rejected
-// with 409/resync: the frame's bytes crossed the wire even though the
-// call itself is re-recorded by its full-body retry, so only the wasted
-// wire traffic and the resync count are folded in here.
-func (m *Metrics) RecordDeltaResync(frameBytes int) {
-	m.deltaResyncs.Add(1)
-	m.bytesWire.Add(int64(frameBytes))
 }
 
 // SetFaultSource registers a callback reporting the running fault count
@@ -422,11 +413,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p.Counter("bsoap_client_represented_bytes_total", "Full-body bytes the sends stand for after reconstruction.", s.BytesRepresented)
 	p.Counter("bsoap_client_serialized_bytes_total", "Bytes actually converted from in-memory values.", s.BytesSerialized)
 	p.Counter("bsoap_client_saved_bytes_total", "Serialization bytes avoided by diffing.", s.BytesSaved)
-	// Deprecated aliases of the wire/serialized/saved families (pre-rename
-	// names with the unit mid-name, kept parse-compatible for one release).
-	p.Counter("bsoap_client_bytes_on_wire_total", "Deprecated: use bsoap_client_wire_bytes_total.", s.BytesOnWire)
-	p.Counter("bsoap_client_bytes_serialized_total", "Deprecated: use bsoap_client_serialized_bytes_total.", s.BytesSerialized)
-	p.Counter("bsoap_client_bytes_saved_total", "Deprecated: use bsoap_client_saved_bytes_total.", s.BytesSaved)
 
 	p.Counter("bsoap_client_delta_sends_total", "Calls sent as compact patch frames (differential transmission).", s.DeltaSends)
 	p.Counter("bsoap_client_delta_resyncs_total", "Patch sends rejected 409/resync and retried in full.", s.DeltaResyncs)

@@ -185,42 +185,63 @@ var ErrRetryBudgetExhausted = fmt.Errorf("pool: retry budget exhausted")
 // next call) degrades to a full first-time serialization rather than
 // trusting possibly half-delivered bytes.
 //
+// Call is submit, then finish, on the caller's goroutine: a serial pool
+// reads the response inline during the submit, a pipelined one waits
+// for it in finish (see CallAsync for that path's failure modes).
+//
 // Call is safe for concurrent use with distinct messages; a given
 // message must not have two Calls in flight at once (see Pool).
 func (p *Pool) Call(m *wire.Message) (core.CallInfo, error) {
-	if p.opts.PipelineDepth > 0 {
-		// Pipelined pools route sync calls through the async path so
-		// every request flows through one ordered pipeline per
-		// connection. CallAsync + resolve do all the accounting.
-		f, err := p.CallAsync(m)
-		if err != nil {
-			return core.CallInfo{}, err
-		}
-		return f.Wait()
-	}
-	start := p.senders.now()
-	deadline := start.Add(p.opts.RetryBudget)
-	var span uint64
+	return p.finish(m, p.submit(m))
+}
+
+// submission is one call between submit and finish. It travels by value:
+// a serial Call never puts it on the heap, CallAsync boxes it into a
+// Future.
+type submission struct {
+	ci    core.CallInfo
+	err   error // why the request never got onto the wire
+	span  uint64
+	start time.Time
+
+	// Pipelined pools only, when err is nil: pd resolves with the
+	// response, submitted is when the request was fully written
+	// (submitted→resolved is the call's wire stage), and r holds the
+	// template to suspect if the response fails.
+	pd        *transport.Pending
+	submitted time.Time
+	r         *engine
+}
+
+// submit is the one call path: check a connection out, then repair it,
+// acquire a template replica, run the engine against the connection,
+// release, and retry within MaxRetries and the RetryBudget, attributing
+// the time to its stages. Serial, pipelined and delta calls are
+// parameters of it — which sink the engine writes through, and whether
+// the response was read inside the engine's send or is still pending
+// when submit returns. The accounting is finish's.
+func (p *Pool) submit(m *wire.Message) submission {
+	sub := submission{start: p.senders.now()}
+	deadline := sub.start.Add(p.opts.RetryBudget)
 	if trace.Enabled() {
-		span = trace.BeginSpan()
+		sub.span = trace.BeginSpan()
 	}
+	span := sub.span
 	ps, waited, err := p.senders.checkout()
 	if err != nil {
-		return core.CallInfo{}, err
+		sub.err = err
+		return sub
 	}
-	defer p.senders.checkin(ps)
-	ckNs := p.senders.now().Sub(start).Nanoseconds()
-	p.metrics.Stages.Observe(trace.StageCheckout, ckNs, span)
+	p.metrics.Stages.Observe(trace.StageCheckout, p.senders.now().Sub(sub.start).Nanoseconds(), span)
 	if span != 0 {
 		w := int64(0)
 		if waited {
 			w = 1
 		}
 		trace.Rec(span, trace.KindPoolCheckout, w, 0, 0)
-		trace.Rec(span, trace.KindStage, int64(trace.StageCheckout), ckNs, 0)
 	}
 
-	var ci core.CallInfo
+	pipelined := p.opts.PipelineDepth > 0
 	for attempt := 0; ; attempt++ {
 		// Repair the connection before taking a template replica, so
 		// redial backoff sleeps never hold a replica lock: other callers
@@ -229,50 +250,50 @@ func (p *Pool) Call(m *wire.Message) (core.CallInfo, error) {
 		// any retry's repair. (A retry may therefore land on a different
 		// replica; acquire detects that and forces a full value rewrite.)
 		var sink core.Sink
-		if span != 0 {
-			// Attribute a repair redial of the slot's existing connection
-			// to this call's span before ensure runs.
-			if ts, ok := ps.sink.(*transport.Sender); ok {
-				ts.TraceSpan = span
-			}
-		}
-		sink, err = p.senders.ensure(ps, deadline)
+		sink, err = p.connect(ps, deadline, span)
 		if err != nil {
 			break
 		}
-		if span != 0 {
-			if ts, ok := sink.(*transport.Sender); ok {
-				ts.TraceSpan = span
-			}
-		}
 		r := p.store.acquire(m, span)
-		r.sink.s = sink
-		r.sink.wireNs = 0
+		r.sink = callSink{s: sink, pl: ps.pipeline}
 		if span != 0 {
 			r.stub.SetTraceSpan(span)
 		}
+		if pipelined {
+			p.metrics.futuresPending.Add(1)
+		}
 		callStart := p.senders.now()
-		ci, err = r.stub.Call(m)
+		sub.ci, err = r.stub.Call(m)
 		callNs := p.senders.now().Sub(callStart).Nanoseconds()
-		wireNs := r.sink.wireNs
+		sent := r.sink
 		p.store.release(r)
 		if err == nil {
-			// Attribute the stub's Call time: what was spent inside the
-			// transport sink is wire, patch-frame assembly is delta encode,
-			// the rest is serialization work.
-			p.metrics.Stages.Observe(trace.StageSerialize, callNs-wireNs-ci.DeltaEncodeNs, span)
-			p.metrics.Stages.Observe(trace.StageWire, wireNs, span)
-			if ci.DeltaEncodeNs > 0 {
-				p.metrics.Stages.Observe(trace.StageDeltaEncode, ci.DeltaEncodeNs, span)
+			// Attribute the stub's Call time: inside the transport is wire
+			// when the response was read there, pipeline queue when only
+			// the write happened; patch-frame assembly is delta encode; the
+			// rest is serialization work.
+			inTransport := trace.StageWire
+			if pipelined {
+				inTransport = trace.StagePipelineQueue
 			}
-			if span != 0 {
-				trace.Rec(span, trace.KindStage, int64(trace.StageSerialize), callNs-wireNs-ci.DeltaEncodeNs, 0)
-				trace.Rec(span, trace.KindStage, int64(trace.StageWire), wireNs, 0)
-				if ci.DeltaEncodeNs > 0 {
-					trace.Rec(span, trace.KindStage, int64(trace.StageDeltaEncode), ci.DeltaEncodeNs, 0)
+			p.metrics.Stages.Observe(trace.StageSerialize, callNs-sent.ns-sub.ci.DeltaEncodeNs, span)
+			p.metrics.Stages.Observe(inTransport, sent.ns, span)
+			if sub.ci.DeltaEncodeNs > 0 {
+				p.metrics.Stages.Observe(trace.StageDeltaEncode, sub.ci.DeltaEncodeNs, span)
+			}
+			if pipelined {
+				sub.pd, sub.submitted, sub.r = sent.pd, p.senders.now(), r
+				p.metrics.asyncCalls.Add(1)
+				if span != 0 {
+					trace.Rec(span, trace.KindAsyncSubmit, trace.OpID(m.Operation()), int64(sent.pl.InFlight()), 0)
 				}
 			}
 			break
+		}
+		if pipelined {
+			// The write failed, so no Pending exists to resolve and
+			// decrement the gauge.
+			p.metrics.futuresPending.Add(-1)
 		}
 		ps.broken = true
 		if attempt >= p.opts.MaxRetries {
@@ -288,21 +309,130 @@ func (p *Pool) Call(m *wire.Message) (core.CallInfo, error) {
 			trace.Rec(span, trace.KindPoolRetry, int64(attempt+1), 0, 0)
 		}
 	}
-	if errors.Is(err, ErrRetryBudgetExhausted) {
+	p.senders.checkin(ps)
+	sub.err = err
+	return sub
+}
+
+// connect hands back a healthy connection for the slot (on a pipelined
+// pool with a healthy ps.pipeline over it), dialing or repairing within
+// deadline.
+func (p *Pool) connect(ps *pooledSender, deadline time.Time, span uint64) (core.Sink, error) {
+	if ps.pipeline != nil && (ps.broken || ps.pipeline.Broken()) {
+		// The old pipeline must fully wind down, failing any still-queued
+		// pendings, before the connection is repaired underneath it: its
+		// reader goroutine shares the sender's buffered reader, which
+		// Redial resets.
+		_ = ps.pipeline.Close()
+		ps.pipeline = nil
+		ps.broken = true // the connection was closed with it: ensure redials
+	}
+	// The connection's X-BSoap-Trace header and its redial and deadline
+	// events carry this call's span (or none): set before ensure so a
+	// repair redial is attributed, and after it for a fresh dial.
+	attribute(ps.sink, span)
+	sink, err := p.senders.ensure(ps, deadline)
+	if err != nil {
+		return nil, err
+	}
+	attribute(sink, span)
+	if p.opts.PipelineDepth > 0 && ps.pipeline == nil {
+		// New admits PipelineDepth only over the pool's own dialer, so the
+		// sink is a dialed Sender.
+		pl := transport.NewPipeline(sink.(*transport.Sender), p.opts.PipelineDepth)
+		pl.OnStall = func() { p.metrics.pipelineStalls.Add(1) }
+		pl.OnComplete = func() { p.metrics.futuresPending.Add(-1) }
+		ps.pipeline = pl
+	}
+	return sink, nil
+}
+
+func attribute(s core.Sink, span uint64) {
+	if ts, ok := s.(*transport.Sender); ok {
+		ts.TraceSpan = span
+	}
+}
+
+// finish is the tail every call ends in — on the caller's goroutine for
+// Call, on the first waiter's for a Future: wait for a pipelined
+// response, recover from a refused patch, account the call.
+func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
+	start := sub.start
+	for sub.pd != nil {
+		err := sub.pd.Wait()
+		now := p.senders.now()
+		sub.pd = nil
+		if err == nil {
+			p.metrics.Stages.Observe(trace.StageWire, now.Sub(sub.submitted).Nanoseconds(), sub.span)
+		}
+		if sub.span != 0 {
+			ok := int64(1)
+			if err != nil {
+				ok = 0
+			}
+			trace.Rec(sub.span, trace.KindAsyncComplete, ok, int64(now.Sub(sub.start)), 0)
+		}
+		switch {
+		case errors.Is(err, wire.ErrDeltaResync):
+			// The server refused this call's patch frame and demands a
+			// full body. The response was read in order and the connection
+			// is healthy, so this is a protocol state mismatch, not a
+			// delivery failure: the template is NOT suspect (its bytes
+			// match what the diff computed — the server just lost its
+			// base). The pipeline's reader already cleared the sender's
+			// sync map, so the resubmission cannot encode another patch,
+			// and a full send never draws a resync: that bounds the loop.
+			refused := sub.ci
+			if sub.span != 0 {
+				trace.Rec(sub.span, trace.KindDeltaResync, 0, int64(refused.WireBytes), 0)
+			}
+			sub = p.submit(m)
+			sub.ci = resent(refused, sub.ci)
+		case err != nil:
+			// The bytes left this client but their delivery is
+			// unconfirmed: the structure's next call must not diff
+			// against them. (m is still as it was submitted: a message is
+			// not touched until its call has resolved.)
+			p.store.markSuspect(sub.r, m.Operation(), m.Signature(), sub.span)
+			sub.err = fmt.Errorf("pool: pipelined call: %w", err)
+		}
+	}
+	if errors.Is(sub.err, ErrRetryBudgetExhausted) {
 		p.metrics.retryBudgetExhausted.Add(1)
 	}
-	if span != 0 && err != nil && ci.Span == 0 {
+	if sub.span != 0 && sub.err != nil && sub.ci.Span == 0 {
 		// The call never reached the engine (no healthy connection):
 		// close the span from the pool layer. A=-1 marks "no match
 		// classification happened".
-		trace.Rec(span, trace.KindCallErr, -1, 0, 0)
+		trace.Rec(sub.span, trace.KindCallErr, -1, 0, 0)
 	}
 	elapsed := p.senders.now().Sub(start)
-	p.metrics.RecordCall(ci, err, elapsed)
-	if span != 0 && err == nil {
-		trace.ObserveCall(span, int64(elapsed))
+	p.metrics.RecordCall(sub.ci, sub.err, elapsed)
+	if sub.span != 0 && sub.err == nil {
+		trace.ObserveCall(sub.span, int64(elapsed))
 	}
-	return ci, err
+	return sub.ci, sub.err
+}
+
+// resent folds a refused patch attempt and its full-body resubmission
+// into the one call the caller made, as a serial call reports it when
+// the stub resends inside Call: the first attempt's classification and
+// work, the refused frame and the full body both on the wire. The
+// resubmission normally converts nothing; what it rewrote when it
+// landed on another replica is this call's work too.
+func resent(refused, full core.CallInfo) core.CallInfo {
+	ci := refused
+	ci.Span = full.Span
+	ci.DeltaSent, ci.DeltaResync = false, true
+	ci.WireBytes += full.WireBytes
+	ci.BytesSerialized += full.BytesSerialized
+	ci.ValuesRewritten += full.ValuesRewritten
+	ci.TagShifts += full.TagShifts
+	ci.Shifts += full.Shifts
+	ci.Steals += full.Steals
+	ci.Grows += full.Grows
+	ci.Splits += full.Splits
+	return ci
 }
 
 // Metrics exposes the pool's registry (for serving the JSON endpoint).

@@ -26,8 +26,8 @@ var ErrDialFailed = fmt.Errorf("pool: dial failed")
 type pooledSender struct {
 	sink   core.Sink
 	broken bool
-	// pipeline wraps sink for the async call path (nil on serial pools
-	// and until the slot's first CallAsync). It must be closed before
+	// pipeline wraps sink on a pipelined pool (nil on serial pools and
+	// until the slot's first call). It must be closed before
 	// the sink is redialed or closed: its reader goroutine shares the
 	// sender's buffered reader, and closing fails any pending futures.
 	pipeline *transport.Pipeline
@@ -42,7 +42,6 @@ type senderPool struct {
 	slots chan *pooledSender
 	dial  func() (core.Sink, error)
 
-	size         int
 	dialAttempts int
 	backoffBase  time.Duration
 	backoffMax   time.Duration
@@ -68,7 +67,6 @@ func newSenderPool(size int, dial func() (core.Sink, error), opts Options, m *Me
 	sp := &senderPool{
 		slots:        make(chan *pooledSender, size),
 		dial:         dial,
-		size:         size,
 		dialAttempts: opts.DialAttempts,
 		backoffBase:  opts.RedialBackoff,
 		backoffMax:   opts.RedialBackoffMax,
@@ -85,15 +83,9 @@ func newSenderPool(size int, dial func() (core.Sink, error), opts Options, m *Me
 
 // checkout removes a slot from the pool, blocking when all slots are in
 // use (the blocked case is counted as a checkout wait and reported via
-// waited, which the flight recorder tags the checkout event with).
+// waited, which the flight recorder tags the checkout event with). close
+// closes the slot channel, so on a closed pool the receive itself says so.
 func (sp *senderPool) checkout() (ps *pooledSender, waited bool, err error) {
-	sp.mu.Lock()
-	if sp.closed {
-		sp.mu.Unlock()
-		return nil, false, errPoolClosed
-	}
-	sp.mu.Unlock()
-
 	sp.metrics.checkouts.Add(1)
 	select {
 	case ps, ok := <-sp.slots:
@@ -127,8 +119,8 @@ func (sp *senderPool) checkin(ps *pooledSender) {
 
 // ensure hands back a healthy sink for the slot, lazily dialing or
 // repairing it with backoff, never sleeping past deadline (the Call's
-// retry budget). It runs on the slot owner's goroutine, and Pool.Call
-// invokes it before acquiring a template replica so the backoff sleeps
+// retry budget). It runs on the slot owner's goroutine, and the call
+// path invokes it before acquiring a template replica so the backoff sleeps
 // here only ever hold the pool slot — never a replica lock that other
 // callers of a hot operation could be queued on.
 func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (core.Sink, error) {

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"fmt"
 	"net"
 	"reflect"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"bsoap/internal/core"
 	reg "bsoap/internal/replica"
 	"bsoap/internal/trace"
+	"bsoap/internal/transport"
 	"bsoap/internal/wire"
 )
 
@@ -93,7 +93,7 @@ func (e *storeEntry) ReleaseArenas() {
 type engine struct {
 	mu   sync.Mutex
 	stub *core.Stub
-	sink swapSink
+	sink callSink
 	// slot is the registry slot of the entry this engine belongs to;
 	// stable for the entry's lifetime, it is how release finds its way
 	// back to the registry's refcount.
@@ -120,72 +120,71 @@ func footGen(cs core.Stats) int64 {
 	return cs.FirstTimeSends + cs.FullSerializations + cs.Grows + cs.Splits
 }
 
-// swapSink routes the stub's output to whatever connection the call
-// checked out. It is set while the replica lock is held.
-type swapSink struct {
-	s core.Sink
-	// wireNs accumulates time spent inside the sink during the current
-	// call — the wire stage of the client's latency attribution, split
-	// out of the stub's total Call time. Reset by the pool before each
-	// call; guarded by the engine lock like s.
-	wireNs int64
+// callSink is the engine's sink for one call: it routes the stub's
+// output to the connection the call checked out and times what is spent
+// there. Set and read while the replica lock is held.
+type callSink struct {
+	s core.Sink // the checked-out connection
+	// pl, on a pipelined pool, is the pipeline over s. The request is
+	// written through it here, under the replica lock — template bytes
+	// are only stable while that is held — and its response left to pd.
+	pl *transport.Pipeline
+	pd *transport.Pending
+	// ns accumulates time inside the transport, which the attribution
+	// splits out of the stub's Call time: the wire stage on a serial pool
+	// (write plus inline response read), the pipeline-queue stage on a
+	// pipelined one (depth stall plus write).
+	ns int64
 }
 
-func (w *swapSink) Send(bufs net.Buffers) error {
+// submit is the one timed way out; the send flavours of core.DeltaSink
+// are this call with the annotation filled in.
+func (c *callSink) submit(bufs net.Buffers, an transport.Annotation) error {
 	start := time.Now()
-	err := w.s.Send(bufs)
-	w.wireNs += time.Since(start).Nanoseconds()
+	var err error
+	if c.pl != nil {
+		c.pd, err = c.pl.Submit(bufs, an)
+	} else if ds, ok := c.s.(core.DeltaSink); !ok || an.Mode == transport.DeltaNone {
+		err = c.s.Send(bufs)
+	} else if an.Mode == transport.DeltaSync {
+		err = ds.SendFull(bufs, an.TID, an.Epoch)
+	} else {
+		err = ds.SendDelta(bufs, an.TID, an.Epoch)
+	}
+	c.ns += time.Since(start).Nanoseconds()
 	return err
 }
 
-// swapSink also implements core.DeltaSink by forwarding to the
-// checked-out connection when it is delta-capable. The stub probes
-// capability through DeltaEpoch — a connection whose sink is not a
-// DeltaSink answers false, so the stub never encodes a patch for it —
-// which keeps delta strictly per-connection: a pool mixing delta and
-// plain sinks degrades per call, losslessly.
+func (c *callSink) Send(bufs net.Buffers) error {
+	return c.submit(bufs, transport.Annotation{})
+}
 
-func (w *swapSink) DeltaEpoch(tid uint64) (uint64, bool) {
-	if ds, ok := w.s.(core.DeltaSink); ok {
+// callSink also implements core.DeltaSink. The stub probes capability
+// through DeltaEpoch — a connection that is not a DeltaSink answers
+// false, so the stub never encodes a patch for it — which keeps delta
+// strictly per-connection: a pool mixing delta and plain sinks degrades
+// per call, losslessly. (A pipeline's epoch view is its Sender's, which
+// its reader keeps current.)
+
+func (c *callSink) DeltaEpoch(tid uint64) (uint64, bool) {
+	if ds, ok := c.s.(core.DeltaSink); ok {
 		return ds.DeltaEpoch(tid)
 	}
 	return 0, false
 }
 
-func (w *swapSink) SendFull(bufs net.Buffers, tid, epoch uint64) error {
-	ds, ok := w.s.(core.DeltaSink)
-	if !ok {
-		return w.Send(bufs)
-	}
-	start := time.Now()
-	err := ds.SendFull(bufs, tid, epoch)
-	w.wireNs += time.Since(start).Nanoseconds()
-	return err
+func (c *callSink) SendFull(bufs net.Buffers, tid, epoch uint64) error {
+	return c.submit(bufs, transport.Annotation{Mode: transport.DeltaSync, TID: tid, Epoch: epoch})
 }
 
-func (w *swapSink) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
-	ds, ok := w.s.(core.DeltaSink)
-	if !ok {
-		// Unreachable: the stub only encodes a patch after DeltaEpoch
-		// answered true, which requires a DeltaSink underneath.
-		return fmt.Errorf("pool: SendDelta on a non-delta sink")
-	}
-	start := time.Now()
-	err := ds.SendDelta(bufs, tid, newEpoch)
-	w.wireNs += time.Since(start).Nanoseconds()
-	return err
+func (c *callSink) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
+	return c.submit(bufs, transport.Annotation{Mode: transport.DeltaPatch, TID: tid, Epoch: newEpoch})
 }
 
 // NewShardedStore builds a store with the given shard count (rounded up
-// to a power of two, default 16), per-key replica limit (default 4),
-// and template memory budget in bytes (0 = unbudgeted).
+// to a power of two), per-key replica limit, and template memory budget
+// in bytes (0 = unbudgeted); Options.withDefaults holds the defaults.
 func NewShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *Metrics) *ShardedStore {
-	if shards <= 0 {
-		shards = 16
-	}
-	if replicas <= 0 {
-		replicas = 4
-	}
 	if m == nil {
 		m = NewMetrics()
 	}
@@ -300,7 +299,7 @@ func (s *ShardedStore) release(r *engine) {
 		r.slot.Value.size.Add(fp - r.fp)
 		r.fp = fp
 	}
-	r.sink.s = nil
+	r.sink = callSink{}
 	r.mu.Unlock()
 	s.reg.Release(r.slot)
 }

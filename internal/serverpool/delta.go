@@ -98,8 +98,5 @@ func (rt *Runtime) applyDelta(r *replica, req *transport.Request) ([]byte, error
 	rt.metrics.RecordDeltaApply(len(req.Body), len(base.body))
 	ns := time.Since(start).Nanoseconds()
 	rt.metrics.Stages.Observe(trace.StageDeltaApply, ns, req.TraceSpan)
-	if req.TraceSpan != 0 && trace.Enabled() {
-		trace.Rec(req.TraceSpan, trace.KindStage, int64(trace.StageDeltaApply), ns, 0)
-	}
 	return base.body, nil
 }

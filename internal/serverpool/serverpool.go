@@ -524,9 +524,6 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 	handlerStart := time.Now()
 	decodeNs := handlerStart.Sub(decodeStart).Nanoseconds()
 	rt.metrics.Stages.Observe(trace.StageDecode, decodeNs, span)
-	if traced {
-		trace.Rec(span, trace.KindStage, int64(trace.StageDecode), decodeNs, 0)
-	}
 
 	opLocal := msg.Operation()
 	h, ok := r.handlers.Lookup(opLocal)
@@ -542,9 +539,6 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 	respondStart := time.Now()
 	handlerNs := respondStart.Sub(handlerStart).Nanoseconds()
 	rt.metrics.Stages.Observe(trace.StageHandler, handlerNs, span)
-	if traced {
-		trace.Rec(span, trace.KindStage, int64(trace.StageHandler), handlerNs, 0)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("serverpool: %s: %w", opLocal, err)
 	}
@@ -565,7 +559,6 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 		return nil, fmt.Errorf("serverpool: response serialization: %w", err)
 	}
 	if traced {
-		trace.Rec(span, trace.KindStage, int64(trace.StageRespond), respondNs, 0)
 		trace.Rec(span, trace.KindServerRespond, int64(ci.Match), int64(r.respBuf.Len()), 0)
 	}
 	out := make([]byte, r.respBuf.Len())

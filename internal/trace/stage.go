@@ -108,7 +108,10 @@ type stageDist struct {
 
 // Observe records one duration for the stage; span, when non-zero, is
 // retained as the stage's most recent exemplar (exposed on the +Inf
-// bucket). Safe for concurrent use; never allocates.
+// bucket) and gets the sample as a KindStage event in the flight
+// recorder, so every site that attributes time also puts it on the
+// call's timeline (with the recorder off that is Rec's one atomic
+// load). Safe for concurrent use; never allocates.
 func (h *StageHist) Observe(st Stage, ns int64, span uint64) {
 	if int(st) >= StageCount {
 		return
@@ -127,6 +130,7 @@ func (h *StageHist) Observe(st Stage, ns int64, span uint64) {
 	if span != 0 {
 		d.lastSpan.Store(span)
 		d.lastNs.Store(ns)
+		Rec(span, KindStage, int64(st), ns, 0)
 	}
 }
 

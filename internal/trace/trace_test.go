@@ -247,3 +247,39 @@ func TestKindRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestStageObservePutsSampleOnTimeline: an observation made under a span
+// is also a stage event on that span's timeline, with the recorder off
+// or no span it is only a histogram count, and neither allocates.
+func TestStageObservePutsSampleOnTimeline(t *testing.T) {
+	Default.Clear()
+	var h StageHist
+	h.Observe(StageWire, 100, 7) // recorder off: histogram only
+	Enable()
+	defer Disable()
+	h.Observe(StageWire, 200, 0) // no span: histogram only
+	h.Observe(StageDecode, 300, 7)
+	h.Observe(StageDecode, -5, 7) // clamped like the histogram's sample
+
+	var got [][3]int64
+	for _, ev := range Default.Snapshot().Events {
+		if ev.Kind != KindStage.String() {
+			t.Fatalf("unexpected event %+v", ev)
+		}
+		got = append(got, [3]int64{int64(ev.Span), ev.A, ev.B})
+	}
+	want := [][3]int64{{7, int64(StageDecode), 300}, {7, int64(StageDecode), 0}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("stage events = %v, want %v", got, want)
+	}
+	var counts [StageBucketCount]int64
+	if n := h.Buckets(StageWire, counts[:]); n != 2 {
+		t.Fatalf("wire observations = %d, want 2", n)
+	}
+	if !raceEnabled {
+		if a := testing.AllocsPerRun(200, func() { h.Observe(StageDecode, 300, 7) }); a != 0 {
+			t.Errorf("traced Observe allocates %v/op, want 0", a)
+		}
+	}
+	Default.Clear()
+}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"log"
 	"net"
 	"strings"
@@ -80,6 +81,32 @@ func TestFetch(t *testing.T) {
 	// Unreachable address errors.
 	if _, err := Fetch("127.0.0.1:1", "/"); err == nil {
 		t.Fatal("fetch to closed port succeeded")
+	}
+	// A peer that accepts and never answers fails the fetch at its
+	// deadline instead of hanging it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	silent := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		silent <- c // held open, never written to
+	}()
+	defer func() {
+		if c := <-silent; c != nil {
+			c.Close()
+		}
+	}()
+	start := time.Now()
+	_, err = fetch(ln.Addr().String(), "/", 200*time.Millisecond)
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("fetch from a silent peer: %v, want a timeout", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("fetch from a silent peer took %v against a 200ms deadline", d)
 	}
 }
 

@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -139,13 +143,9 @@ func TestPipelineDeltaAsync(t *testing.T) {
 		pl.Close()
 		s.Close()
 	}()
-	if pl.Sender() != s || pl.Depth() != 4 {
-		t.Fatalf("accessors: sender %p depth %d", pl.Sender(), pl.Depth())
-	}
-
-	p, err := pl.SendFullAsync(net.Buffers{[]byte("<body/>")}, 9, 1)
+	p, err := pl.Submit(net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 1})
 	if err != nil {
-		t.Fatalf("SendFullAsync: %v", err)
+		t.Fatalf("sync submit: %v", err)
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatalf("sync pending: %v", err)
@@ -155,9 +155,9 @@ func TestPipelineDeltaAsync(t *testing.T) {
 	}
 
 	refuse.Store(true)
-	p, err = pl.SendDeltaAsync(net.Buffers{[]byte("patchbytes")}, 9, 2)
+	p, err = pl.Submit(net.Buffers{[]byte("patchbytes")}, Annotation{DeltaPatch, 9, 2})
 	if err != nil {
-		t.Fatalf("SendDeltaAsync: %v", err)
+		t.Fatalf("patch submit: %v", err)
 	}
 	if err := p.Wait(); !errors.Is(err, wire.ErrDeltaResync) {
 		t.Fatalf("refused pipelined patch resolved %v, want ErrDeltaResync", err)
@@ -168,9 +168,9 @@ func TestPipelineDeltaAsync(t *testing.T) {
 
 	// The connection survived the 409: a full send resynchronizes.
 	refuse.Store(false)
-	p, err = pl.SendFullAsync(net.Buffers{[]byte("<body/>")}, 9, 2)
+	p, err = pl.Submit(net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 2})
 	if err != nil {
-		t.Fatalf("SendFullAsync after resync: %v", err)
+		t.Fatalf("sync submit after resync: %v", err)
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatalf("re-sync pending: %v", err)
@@ -180,20 +180,20 @@ func TestPipelineDeltaAsync(t *testing.T) {
 	}
 }
 
-// TestPipelineDeltaOffFallback: with Delta off, SendFullAsync degrades
-// to a plain SendAsync and patch submissions are refused up front.
+// TestPipelineDeltaOffFallback: with Delta off, a sync-annotated Submit
+// degrades to a plain one.
 func TestPipelineDeltaOffFallback(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
 	pl := pipelineOver(t, srv, 2)
-	p, err := pl.SendFullAsync(net.Buffers{[]byte("<body/>")}, 3, 1)
+	p, err := pl.Submit(net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 3, 1})
 	if err != nil {
-		t.Fatalf("SendFullAsync: %v", err)
+		t.Fatalf("sync submit: %v", err)
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatalf("pending: %v", err)
 	}
-	if _, ok := pl.Sender().DeltaEpoch(3); ok {
+	if _, ok := pl.s.DeltaEpoch(3); ok {
 		t.Fatal("Delta off but the pipeline tracked a sync")
 	}
 }
@@ -227,5 +227,112 @@ func TestServerMetricsDeltaCounters(t *testing.T) {
 	}
 	if st.ReplicaEvictions != 2 || st.ReplicaBudgetEvictions != 1 {
 		t.Fatalf("replica evictions: %d/%d", st.ReplicaEvictions, st.ReplicaBudgetEvictions)
+	}
+}
+
+// recordConn is a fake net.Conn that keeps what is written to it and
+// replays a canned response stream (then EOF) to its reader.
+type recordConn struct {
+	scriptedConn
+	mu      sync.Mutex
+	written bytes.Buffer
+}
+
+func (c *recordConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.written.Write(b)
+}
+
+// TestSubmitSameOnBothPaths drives the three annotations through
+// Sender.Submit (response read inline) and Pipeline.Submit (response
+// read by the reader goroutine) against each response the delta protocol
+// distinguishes — 200 with an ack, 409 resync, 500 — and requires the
+// same request bytes on the wire, the same outcome and the same
+// negotiation state afterwards: there is one header renderer and one
+// response classifier, and both paths go through them.
+func TestSubmitSameOnBothPaths(t *testing.T) {
+	annotations := map[string]Annotation{
+		"plain": {},
+		"sync":  {DeltaSync, 7, 3},
+		"patch": {DeltaPatch, 7, 4},
+	}
+	responses := map[string]string{
+		"200-ack":    "HTTP/1.1 200 OK\r\nX-BSoap-Delta: " + string(wire.AppendDeltaAck(nil, 7, 3)) + "\r\nContent-Length: 0\r\n\r\n",
+		"409-resync": "HTTP/1.1 409 Conflict\r\nX-BSoap-Delta: resync\r\nContent-Length: 0\r\n\r\n",
+		"500":        "HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n",
+	}
+	type outcome struct {
+		wire    string
+		err     string
+		resync  bool
+		capable bool
+		syncs   map[uint64]uint64
+	}
+	run := func(an Annotation, response string, pipelined bool) outcome {
+		conn := &recordConn{scriptedConn: scriptedConn{r: bytes.NewReader([]byte(response))}}
+		s := NewSender(conn, SenderOptions{Version: HTTP11, Host: "peer", Delta: true, ExpectResponse: !pipelined})
+		s.delta.noteSync(9, 1) // an earlier template's sync: a resync must drop it too
+		body := net.Buffers{[]byte("<a>"), []byte("</a>")}
+		var err error
+		if pipelined {
+			pl := NewPipeline(s, 2)
+			var p *Pending
+			if p, err = pl.Submit(body, an); err == nil {
+				err = p.Wait()
+			}
+			defer pl.Close()
+		} else {
+			err = s.Submit(body, an)
+		}
+		o := outcome{resync: errors.Is(err, wire.ErrDeltaResync), syncs: map[uint64]uint64{}}
+		if err != nil {
+			o.err = err.Error()
+		}
+		conn.mu.Lock()
+		o.wire = conn.written.String()
+		conn.mu.Unlock()
+		s.delta.mu.Lock()
+		o.capable = s.delta.capable
+		for k, v := range s.delta.syncs {
+			o.syncs[k] = v
+		}
+		s.delta.mu.Unlock()
+		return o
+	}
+	for an, annotation := range annotations {
+		for resp, response := range responses {
+			t.Run(an+"/"+resp, func(t *testing.T) {
+				inline, piped := run(annotation, response, false), run(annotation, response, true)
+				if !reflect.DeepEqual(inline, piped) {
+					t.Fatalf("paths diverge\n inline: %+v\n  piped: %+v", inline, piped)
+				}
+				// And the one outcome is the right one.
+				wantHdr := map[string]string{"plain": "", "sync": "X-BSoap-Delta: sync=", "patch": "X-BSoap-Delta: patch\r\n"}[an]
+				if got := strings.Count(inline.wire, "X-BSoap-Delta"); (wantHdr == "") != (got == 0) || got > 1 || !strings.Contains(inline.wire, wantHdr) {
+					t.Errorf("request carries %d delta headers, want %q:\n%s", got, wantHdr, inline.wire)
+				}
+				switch resp {
+				case "200-ack":
+					if inline.err != "" || !inline.capable {
+						t.Errorf("after an ack: err %q capable %v, want none/true", inline.err, inline.capable)
+					}
+					if _, kept := inline.syncs[9]; !kept {
+						t.Error("an ack dropped an earlier sync")
+					}
+				case "409-resync":
+					if !inline.resync || len(inline.syncs) != 0 {
+						t.Errorf("after a resync: resync %v syncs %v, want true and none", inline.resync, inline.syncs)
+					}
+				case "500":
+					if inline.resync || !strings.Contains(inline.err, "500") || inline.capable {
+						t.Errorf("after a 500: err %q resync %v capable %v", inline.err, inline.resync, inline.capable)
+					}
+					if an != "plain" && inline.syncs[7] == 0 {
+						t.Errorf("a 500 undid the sync noted at write time: %v", inline.syncs)
+					}
+				}
+			})
+		}
 	}
 }

@@ -103,7 +103,7 @@ func FuzzPipelineResponses(f *testing.F) {
 		pl := NewPipeline(s, 4)
 		var pending []*Pending
 		for i := 0; i < 3; i++ {
-			p, err := pl.SendAsync(net.Buffers{[]byte("<m/>")})
+			p, err := pl.Submit(net.Buffers{[]byte("<m/>")}, Annotation{})
 			if err != nil {
 				break // pipeline already broken by a parsed-garbage read
 			}

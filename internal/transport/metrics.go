@@ -240,9 +240,6 @@ func (m *ServerMetrics) WritePrometheus(w io.Writer) error {
 	p := promtext.New(w)
 	p.Counter("bsoap_server_requests_total", "Requests fully received.", st.Requests)
 	p.Counter("bsoap_server_received_bytes_total", "Request body bytes received.", st.BytesIn)
-	// Deprecated alias of bsoap_server_received_bytes_total (pre-rename
-	// name, kept parse-compatible for one release).
-	p.Counter("bsoap_server_bytes_in_total", "Deprecated: use bsoap_server_received_bytes_total.", st.BytesIn)
 	p.Counter("bsoap_server_parse_errors_total", "Requests aborted by a framing or parse error.", st.ParseErrors)
 	p.Counter("bsoap_server_deadline_hits_total", "Request reads aborted by an I/O deadline.", st.DeadlineHits)
 	p.Counter("bsoap_server_conns_total", "Connections accepted.", st.ConnsTotal)

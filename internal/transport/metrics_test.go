@@ -83,7 +83,7 @@ func TestServerMetricsHandlers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"bsoap_server_requests_total",
-		"bsoap_server_bytes_in_total",
+		"bsoap_server_received_bytes_total",
 		"bsoap_server_parse_errors_total",
 		"bsoap_server_deadline_hits_total",
 		"bsoap_server_conns_total",

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
-
-	"bsoap/internal/wire"
 )
 
 // ErrPipelineClosed is the sticky error a Pipeline fails with when it is
 // shut down by Close rather than by an I/O error: pendings still in
-// flight (and any later SendAsync) resolve with it.
+// flight (and any later Submit) resolve with it.
 var ErrPipelineClosed = fmt.Errorf("transport: pipeline closed")
 
 // Pending is the completion handle of one pipelined request: it resolves
@@ -63,18 +61,17 @@ func (p *Pending) complete(status int, err error) {
 //
 // Failure semantics: the first write or read error (and Close) breaks
 // the pipeline permanently. Every Pending already submitted resolves
-// with the response it got or with the sticky error; later SendAsync
+// with the response it got or with the sticky error; later Submit
 // calls fail immediately. The Sender underneath can then be Redialed
 // and wrapped in a fresh Pipeline. A non-2xx response fails only its own
 // Pending — the response was fully read, so the connection stays usable.
 type Pipeline struct {
-	s     *Sender
-	depth int
+	s *Sender
 
-	// OnStall, when set, is invoked each time a SendAsync must wait for
+	// OnStall, when set, is invoked each time a Submit must wait for
 	// in-flight responses because the pipeline is at depth. OnComplete is
 	// invoked exactly once per Pending as it resolves (success, error, or
-	// pipeline failure). Both must be set before the first SendAsync and
+	// pipeline failure). Both must be set before the first Submit and
 	// must be safe for concurrent use.
 	OnStall    func()
 	OnComplete func()
@@ -104,7 +101,6 @@ func NewPipeline(s *Sender, depth int) *Pipeline {
 	}
 	pl := &Pipeline{
 		s:      s,
-		depth:  depth,
 		queue:  make(chan *Pending, depth),
 		slots:  make(chan struct{}, depth),
 		broken: make(chan struct{}),
@@ -113,12 +109,6 @@ func NewPipeline(s *Sender, depth int) *Pipeline {
 	go pl.readLoop()
 	return pl
 }
-
-// Sender returns the wrapped Sender.
-func (pl *Pipeline) Sender() *Sender { return pl.s }
-
-// Depth returns the configured in-flight bound.
-func (pl *Pipeline) Depth() int { return pl.depth }
 
 // InFlight reports how many requests are currently on the wire awaiting
 // their response (approximate under concurrency).
@@ -145,47 +135,16 @@ func (pl *Pipeline) fail(err error) {
 	pl.errMu.Unlock()
 }
 
-// SendAsync frames bufs as one request, puts it on the wire, and returns
-// a Pending that resolves when its in-order response has been read. The
-// write runs on the caller's goroutine (see the type comment); when
-// depth requests are already in flight, SendAsync blocks until a
-// response frees a slot, reporting the stall through OnStall. A write
-// error breaks the pipeline and is returned directly — no Pending is
-// created for a request that never got onto the wire.
-func (pl *Pipeline) SendAsync(bufs net.Buffers) (*Pending, error) {
-	return pl.sendAsync(bufs, deltaAsyncNone, 0, 0)
-}
-
-// SendFullAsync is SendAsync for a delta-annotated full-body send: the
-// request carries an X-BSoap-Delta sync header so a capable peer stores
-// the body as the patch base for tid at epoch. With Delta off it is
-// identical to SendAsync.
-func (pl *Pipeline) SendFullAsync(bufs net.Buffers, tid, epoch uint64) (*Pending, error) {
-	if !pl.s.opts.Delta {
-		return pl.sendAsync(bufs, deltaAsyncNone, 0, 0)
-	}
-	return pl.sendAsync(bufs, deltaAsyncSync, tid, epoch)
-}
-
-// SendDeltaAsync is SendAsync for a pre-encoded patch frame. The
-// resulting Pending resolves with wire.ErrDeltaResync when the server
-// demands resynchronization (after the sender's sync map has been
-// cleared); the connection and pipeline stay healthy, so the caller can
-// resubmit the call as a full-body send on the same pipeline.
-func (pl *Pipeline) SendDeltaAsync(bufs net.Buffers, tid, newEpoch uint64) (*Pending, error) {
-	return pl.sendAsync(bufs, deltaAsyncPatch, tid, newEpoch)
-}
-
-// deltaAsync selects the delta annotation of one pipelined submit.
-type deltaAsync uint8
-
-const (
-	deltaAsyncNone  deltaAsync = iota // plain request, no delta header
-	deltaAsyncSync                    // full body + sync header (store as base)
-	deltaAsyncPatch                   // body is a patch frame
-)
-
-func (pl *Pipeline) sendAsync(bufs net.Buffers, da deltaAsync, tid, epoch uint64) (*Pending, error) {
+// Submit is the write half of Sender.Submit: it puts bufs on the wire
+// annotated per an and returns a Pending that resolves when its in-order
+// response has been read. The write runs on the caller's goroutine (see
+// the type comment); when depth requests are already in flight, Submit
+// blocks until a response frees a slot, reporting the stall through
+// OnStall. A write error breaks the pipeline and is returned directly —
+// no Pending is created for a request that never got onto the wire. A
+// refused patch resolves its Pending with wire.ErrDeltaResync and leaves
+// the pipeline healthy, so the caller can resubmit in full.
+func (pl *Pipeline) Submit(bufs net.Buffers, an Annotation) (*Pending, error) {
 	select {
 	case pl.slots <- struct{}{}:
 	default:
@@ -207,25 +166,10 @@ func (pl *Pipeline) sendAsync(bufs net.Buffers, da deltaAsync, tid, epoch uint64
 		<-pl.slots
 		return nil, err
 	}
-	switch da {
-	case deltaAsyncSync:
-		// Header set + write happen under writeMu, so the pending header
-		// cannot leak onto a concurrent submit's request. noteSync here is
-		// the same write-order optimism as the serial path: the queue push
-		// below is the wire order.
-		b := append(pl.s.deltaHdrBuf[:0], deltaHeaderPrefix...)
-		b = wire.AppendDeltaSync(b, tid, epoch)
-		b = append(b, '\r', '\n')
-		pl.s.deltaHdr = b
-		pl.s.delta.noteSync(tid, epoch)
-	case deltaAsyncPatch:
-		b := append(pl.s.deltaHdrBuf[:0], deltaHeaderPrefix...)
-		b = append(b, wire.DeltaValPatch...)
-		b = append(b, '\r', '\n')
-		pl.s.deltaHdr = b
-		pl.s.delta.noteSync(tid, epoch)
-	}
-	if err := pl.s.writeRequest(bufs); err != nil {
+	// Write and queue push both happen under writeMu: the queue's order
+	// is the wire's, which the sender's noting of syncs at write time
+	// relies on.
+	if err := pl.s.writeRequest(bufs, an); err != nil {
 		pl.fail(err)
 		pl.writeMu.Unlock()
 		return nil, err
@@ -246,36 +190,17 @@ func (pl *Pipeline) readLoop() {
 			pl.drainFail()
 			return
 		case p := <-pl.queue:
-			pl.s.armRead()
-			if err := ReadResponseInto(pl.s.br, &resp); err != nil {
+			if err := pl.s.readResponse(&resp); err != nil {
 				// The response stream is gone (or desynchronized): every
 				// request behind this one is undeliverable too.
-				err = pl.s.noteIOErr(err, true)
 				pl.fail(fmt.Errorf("transport: pipeline read: %w", err))
 				pl.resolve(p, 0, pl.Err())
 				pl.drainFail()
 				return
 			}
-			var serr error
-			if resp.Status/100 != 2 {
-				if pl.s.opts.Delta && resp.Status == 409 &&
-					resp.Headers[wire.DeltaHeaderKey] == wire.DeltaValResync {
-					// The server rejected a patch and demands a full body.
-					// Only this request failed — the response was fully read
-					// and the connection is healthy — so clear the sync
-					// optimism and let this Pending's owner resubmit in full.
-					pl.s.delta.reset(true)
-					serr = wire.ErrDeltaResync
-				} else {
-					serr = fmt.Errorf("transport: server returned %d", resp.Status)
-				}
-			} else if pl.s.opts.Delta {
-				if v, ok := resp.Headers[wire.DeltaHeaderKey]; ok {
-					if _, _, oka := wire.ParseDeltaAck(v); oka {
-						pl.s.delta.noteAck()
-					}
-				}
-			}
+			// A non-2xx (a refused patch included) fails only this request:
+			// the response was fully read and the connection is healthy.
+			serr := pl.s.classify(&resp)
 			pl.resolve(p, resp.Status, serr)
 			<-pl.slots
 		}
@@ -290,7 +215,7 @@ func (pl *Pipeline) resolve(p *Pending, status int, err error) {
 }
 
 // drainFail fails every Pending still queued. Taking writeMu first
-// serializes with a SendAsync mid-push: once drainFail holds the lock,
+// serializes with a Submit mid-push: once drainFail holds the lock,
 // any later submit sees the sticky error before writing, so no Pending
 // can slip into the queue unresolved after the drain.
 func (pl *Pipeline) drainFail() {

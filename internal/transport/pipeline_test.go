@@ -49,7 +49,7 @@ func TestPipelineOrderedCompletion(t *testing.T) {
 	const n = 32
 	pending := make([]*Pending, n)
 	for i := range pending {
-		p, err := pl.SendAsync(net.Buffers{[]byte(fmt.Sprintf("req-%03d", i))})
+		p, err := pl.Submit(net.Buffers{[]byte(fmt.Sprintf("req-%03d", i))}, Annotation{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -96,7 +96,7 @@ func TestPipelineDepthBoundAndStalls(t *testing.T) {
 
 	// Two submits fill the pipeline without stalling.
 	for i := 0; i < 2; i++ {
-		if _, err := pl.SendAsync(net.Buffers{[]byte("x")}); err != nil {
+		if _, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestPipelineDepthBoundAndStalls(t *testing.T) {
 	// The third must stall until a response frees a slot.
 	done := make(chan error, 1)
 	go func() {
-		_, err := pl.SendAsync(net.Buffers{[]byte("y")})
+		_, err := pl.Submit(net.Buffers{[]byte("y")}, Annotation{})
 		done <- err
 	}()
 	select {
@@ -142,7 +142,7 @@ func TestPipelineNon2xxFailsOnlyThatPending(t *testing.T) {
 	pl := pipelineOver(t, srv, 4)
 	var pending []*Pending
 	for i := 0; i < 3; i++ {
-		p, err := pl.SendAsync(net.Buffers{[]byte("x")})
+		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestPipelineBreakFailsAllPending(t *testing.T) {
 
 	var pending []*Pending
 	for i := 0; i < 3; i++ {
-		p, err := pl.SendAsync(net.Buffers{[]byte("x")})
+		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestPipelineBreakFailsAllPending(t *testing.T) {
 	if !pl.Broken() {
 		t.Fatal("pipeline not broken after read failure")
 	}
-	if _, err := pl.SendAsync(net.Buffers{[]byte("x")}); err == nil {
+	if _, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{}); err == nil {
 		t.Fatal("submit on a broken pipeline accepted")
 	}
 }
@@ -234,7 +234,7 @@ func TestPipelineCloseResolvesEverything(t *testing.T) {
 	pl := NewPipeline(s, 2)
 	var pending []*Pending
 	for i := 0; i < 2; i++ {
-		p, err := pl.SendAsync(net.Buffers{[]byte("x")})
+		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestPipelineOnCompleteFiresOncePerPending(t *testing.T) {
 
 	var pending []*Pending
 	for i := 0; i < 4; i++ {
-		p, err := pl.SendAsync(net.Buffers{[]byte("x")})
+		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			break // the break may surface as a write error on later submits
 		}
@@ -345,7 +345,7 @@ func TestServerReadAheadDrain(t *testing.T) {
 	pl := pipelineOver(t, srv, 4)
 	var pending []*Pending
 	for i := 0; i < 8; i++ {
-		p, err := pl.SendAsync(net.Buffers{[]byte("x")})
+		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestServerReadAheadIdleDrainIsImmediate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := pipelineOver(t, srv, 2)
-	p, err := pl.SendAsync(net.Buffers{[]byte("x")})
+	p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,11 +123,18 @@ type Sender struct {
 	// with submits; on the serial path the lock is uncontended.
 	delta deltaState
 
-	// deltaHdr is the pending X-BSoap-Delta request header for the next
-	// writeRequestHead (set by SendFull/SendDelta, consumed by the
-	// write); deltaHdrBuf is its persistent backing.
-	deltaHdr    []byte
+	// deltaHdrBuf is the persistent scratch the X-BSoap-Delta request
+	// header is rendered into, for the same reason as traceBuf.
 	deltaHdrBuf [64]byte
+}
+
+// Annotation says what a request's body is to a delta-capable peer — the
+// client half of Request.DeltaMode, DeltaTID and DeltaEpoch. The zero
+// value is a plain request; DeltaSync offers the body as the patch base
+// for template TID at Epoch; DeltaPatch is a frame bringing TID to Epoch.
+type Annotation struct {
+	Mode       DeltaMode
+	TID, Epoch uint64
 }
 
 // deltaState tracks what the peer holds for delta transmission.
@@ -224,17 +231,9 @@ func NewSender(conn net.Conn, opts SenderOptions) *Sender {
 // a Sender. With opts.Dialer set, that dialer establishes the connection
 // instead (and is reused by Redial).
 func Dial(addr string, opts SenderOptions) (*Sender, error) {
-	start := time.Now()
-	conn, err := dialConn(addr, opts.Dialer)
-	if trace.Enabled() {
-		ok := int64(1)
-		if err != nil {
-			ok = 0
-		}
-		// Fresh dials happen before a sender is bound to any call, so the
-		// event is unattributed (span 0) and ordered by time.
-		trace.Rec(0, trace.KindDial, ok, time.Since(start).Nanoseconds(), 0)
-	}
+	// Fresh dials happen before a sender is bound to any call, so the
+	// event is unattributed (span 0) and ordered by time.
+	conn, err := dialConn(addr, opts.Dialer, trace.KindDial, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -263,12 +262,22 @@ func DefaultDialer(network, addr string) (net.Conn, error) {
 	return conn, nil
 }
 
-// dialConn dials addr through the given dialer (nil = DefaultDialer).
-func dialConn(addr string, dialer func(network, addr string) (net.Conn, error)) (net.Conn, error) {
+// dialConn dials addr through the given dialer (nil = DefaultDialer) and
+// puts the attempt on the flight recorder as kind (dial or redial) under
+// span.
+func dialConn(addr string, dialer func(network, addr string) (net.Conn, error), kind trace.Kind, span uint64) (net.Conn, error) {
 	if dialer == nil {
 		dialer = DefaultDialer
 	}
+	start := time.Now()
 	conn, err := dialer("tcp", addr)
+	if trace.Enabled() {
+		ok := int64(1)
+		if err != nil {
+			ok = 0
+		}
+		trace.Rec(span, kind, ok, time.Since(start).Nanoseconds(), 0)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
@@ -303,15 +312,7 @@ func (s *Sender) Redial() error {
 		return ErrNotDialed
 	}
 	_ = s.Close()
-	start := time.Now()
-	conn, err := dialConn(s.addr, s.opts.Dialer)
-	if trace.Enabled() {
-		ok := int64(1)
-		if err != nil {
-			ok = 0
-		}
-		trace.Rec(s.TraceSpan, trace.KindRedial, ok, time.Since(start).Nanoseconds(), 0)
-	}
+	conn, err := dialConn(s.addr, s.opts.Dialer, trace.KindRedial, s.TraceSpan)
 	if err != nil {
 		return err
 	}
@@ -323,7 +324,6 @@ func (s *Sender) Redial() error {
 	// A fresh connection negotiates delta from scratch: nothing the old
 	// peer connection held can be assumed synchronized.
 	s.delta.reset(false)
-	s.deltaHdr = nil
 	return nil
 }
 
@@ -364,8 +364,9 @@ func (s *Sender) noteIOErr(err error, read bool) error {
 }
 
 // writeRequestHead writes the request line and common headers, leaving
-// body framing to the caller.
-func (s *Sender) writeRequestHead() error {
+// body framing to the caller. It is the one place the X-BSoap-Delta
+// request header is rendered and the sync it announces is noted.
+func (s *Sender) writeRequestHead(an Annotation) error {
 	if _, err := s.bw.Write(s.head); err != nil {
 		return err
 	}
@@ -377,12 +378,21 @@ func (s *Sender) writeRequestHead() error {
 			return err
 		}
 	}
-	if len(s.deltaHdr) != 0 {
-		// Set-then-consume: the pending delta header belongs to exactly
-		// one request; a plain Send between delta sends must not carry it.
-		hdr := s.deltaHdr
-		s.deltaHdr = nil
-		if _, err := s.bw.Write(hdr); err != nil {
+	// A patch frame is only ever handed over after DeltaEpoch answered,
+	// which needs Delta on; a sync offer with Delta off is a plain send.
+	if an.Mode == DeltaPatch || an.Mode == DeltaSync && s.opts.Delta {
+		b := append(s.deltaHdrBuf[:0], deltaHeaderPrefix...)
+		if an.Mode == DeltaPatch {
+			b = append(b, wire.DeltaValPatch...)
+		} else {
+			b = wire.AppendDeltaSync(b, an.TID, an.Epoch)
+		}
+		b = append(b, '\r', '\n')
+		// Noted optimistically at write time: requests reach the peer in
+		// the order written, so any later patch against this base arrives
+		// after it; if the write fails, redial/resync recovery clears it.
+		s.delta.noteSync(an.TID, an.Epoch)
+		if _, err := s.bw.Write(b); err != nil {
 			return err
 		}
 	}
@@ -390,42 +400,61 @@ func (s *Sender) writeRequestHead() error {
 }
 
 // traceHeaderPrefix starts the span-propagation header; the value is
-// the client's span id in lowercase hex (see TraceHeader).
+// the client's span id in lowercase hex. Servers see the name lowercased
+// ("x-bsoap-trace") in Request.Headers.
 const traceHeaderPrefix = "X-BSoap-Trace: "
 
-// TraceHeader is the canonical name of the span-propagation header.
-// Servers see it lowercased ("x-bsoap-trace") in Request.Headers.
-const TraceHeader = "X-BSoap-Trace"
-
-// Send frames bufs as one POST with Content-Length and flushes it — the
-// engine's complete-message path. The vector is written segment by
-// segment straight out of the template chunks (scatter-gather), unless
-// compression is on, in which case the whole body is gzipped first
-// (compression cannot reuse template bytes: every send re-compresses).
-func (s *Sender) Send(bufs net.Buffers) error {
-	if err := s.writeRequest(bufs); err != nil {
+// Submit is the one way a complete message reaches this connection:
+// bufs framed as one POST with Content-Length, annotated per an, and
+// flushed, then — with ExpectResponse — one response read and classified
+// inline. The vector is written segment by segment straight out of the
+// template chunks (scatter-gather), unless compression is on, in which
+// case the whole body is gzipped first (compression cannot reuse
+// template bytes: every send re-compresses).
+func (s *Sender) Submit(bufs net.Buffers, an Annotation) error {
+	if err := s.writeRequest(bufs, an); err != nil {
 		return err
 	}
 	return s.maybeReadResponse()
 }
 
+// Send implements the engine's Sink: a plain Submit.
+func (s *Sender) Send(bufs net.Buffers) error { return s.Submit(bufs, Annotation{}) }
+
+// SendFull implements core.DeltaSink: a full body a capable peer stores
+// as the patch base for tid.
+func (s *Sender) SendFull(bufs net.Buffers, tid, epoch uint64) error {
+	return s.Submit(bufs, Annotation{DeltaSync, tid, epoch})
+}
+
+// SendDelta implements core.DeltaSink: bufs is a pre-encoded patch
+// frame.
+func (s *Sender) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
+	return s.Submit(bufs, Annotation{DeltaPatch, tid, newEpoch})
+}
+
 // writeRequest frames bufs as one POST and flushes it without touching
-// the response side of the connection — the write half Send and
-// Pipeline.SendAsync share. The caller owns reading (or not reading)
-// the response.
-func (s *Sender) writeRequest(bufs net.Buffers) error {
-	if s.opts.Compress {
-		return s.writeRequestCompressed(bufs)
-	}
+// the response side of the connection — the write half Submit and
+// Pipeline.Submit share. The caller owns reading (or not reading) the
+// response.
+func (s *Sender) writeRequest(bufs net.Buffers, an Annotation) error {
 	s.armWrite()
+	lenLine := "Content-Length: "
+	if s.opts.Compress {
+		gz, err := s.compress(bufs)
+		if err != nil {
+			return fmt.Errorf("transport: compress: %w", err)
+		}
+		bufs, lenLine = net.Buffers{gz}, "Content-Encoding: gzip\r\nContent-Length: "
+	}
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
 	}
-	if err := s.writeRequestHead(); err != nil {
+	if err := s.writeRequestHead(an); err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
-	b := append(s.lenBuf[:0], "Content-Length: "...)
+	b := append(s.lenBuf[:0], lenLine...)
 	b = strconv.AppendInt(b, int64(total), 10)
 	b = append(b, '\r', '\n', '\r', '\n')
 	if _, err := s.bw.Write(b); err != nil {
@@ -442,10 +471,8 @@ func (s *Sender) writeRequest(bufs net.Buffers) error {
 	return nil
 }
 
-// writeRequestCompressed gzips the body and frames it with
-// Content-Encoding, again leaving the response to the caller.
-func (s *Sender) writeRequestCompressed(bufs net.Buffers) error {
-	s.armWrite()
+// compress gzips the whole body into the sender's reused buffer.
+func (s *Sender) compress(bufs net.Buffers) ([]byte, error) {
 	s.gzBuf.Reset()
 	if s.gz == nil {
 		s.gz = gzip.NewWriter(&s.gzBuf)
@@ -454,28 +481,13 @@ func (s *Sender) writeRequestCompressed(bufs net.Buffers) error {
 	}
 	for _, b := range bufs {
 		if _, err := s.gz.Write(b); err != nil {
-			return fmt.Errorf("transport: compress: %w", err)
+			return nil, err
 		}
 	}
 	if err := s.gz.Close(); err != nil {
-		return fmt.Errorf("transport: compress: %w", err)
+		return nil, err
 	}
-	if err := s.writeRequestHead(); err != nil {
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	b := append(s.lenBuf[:0], "Content-Encoding: gzip\r\nContent-Length: "...)
-	b = strconv.AppendInt(b, int64(s.gzBuf.Len()), 10)
-	b = append(b, '\r', '\n', '\r', '\n')
-	if _, err := s.bw.Write(b); err != nil {
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	if _, err := s.bw.Write(s.gzBuf.Bytes()); err != nil {
-		return fmt.Errorf("transport: send body: %w", s.noteIOErr(err, false))
-	}
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("transport: flush: %w", s.noteIOErr(err, false))
-	}
-	return nil
+	return s.gzBuf.Bytes(), nil
 }
 
 // BeginStream starts a chunked-transfer POST (HTTP/1.1 only).
@@ -487,7 +499,7 @@ func (s *Sender) BeginStream() error {
 		return fmt.Errorf("transport: BeginStream during active stream")
 	}
 	s.armWrite()
-	if err := s.writeRequestHead(); err != nil {
+	if err := s.writeRequestHead(Annotation{}); err != nil {
 		return fmt.Errorf("transport: begin stream: %w", err)
 	}
 	if _, err := s.bw.WriteString("Transfer-Encoding: chunked\r\n\r\n"); err != nil {
@@ -540,13 +552,12 @@ func (s *Sender) EndStream() error {
 // Roundtrip sends bufs and returns the response body regardless of the
 // ExpectResponse option — the RPC path used by the examples.
 func (s *Sender) Roundtrip(bufs net.Buffers) (*Response, error) {
-	if err := s.writeRequest(bufs); err != nil {
+	if err := s.writeRequest(bufs, Annotation{}); err != nil {
 		return nil, err
 	}
-	s.armRead()
-	resp, err := ReadResponse(s.br)
-	if err != nil {
-		return nil, s.noteIOErr(err, true)
+	resp := &Response{}
+	if err := s.readResponse(resp); err != nil {
+		return nil, err
 	}
 	return resp, nil
 }
@@ -555,22 +566,35 @@ func (s *Sender) maybeReadResponse() error {
 	if !s.opts.ExpectResponse {
 		return nil
 	}
-	s.armRead()
-	if err := ReadResponseInto(s.br, &s.resp); err != nil {
-		return s.noteIOErr(err, true)
+	if err := s.readResponse(&s.resp); err != nil {
+		return err
 	}
-	if s.resp.Status/100 != 2 {
-		if s.opts.Delta && s.resp.Status == 409 && s.resp.Headers[wire.DeltaHeaderKey] == wire.DeltaValResync {
+	return s.classify(&s.resp)
+}
+
+// readResponse reads one response off the connection under the read
+// deadline. An error means the response stream is gone or out of step.
+func (s *Sender) readResponse(resp *Response) error {
+	s.armRead()
+	return s.noteIOErr(ReadResponseInto(s.br, resp), true)
+}
+
+// classify turns one fully read response into the request's outcome and
+// folds it into the delta negotiation state, for the inline read and the
+// pipeline's reader alike. Whatever it returns, the connection is
+// healthy: the response was read whole.
+func (s *Sender) classify(resp *Response) error {
+	if resp.Status/100 != 2 {
+		if s.opts.Delta && resp.Status == 409 && resp.Headers[wire.DeltaHeaderKey] == wire.DeltaValResync {
 			// The peer rejected a patch: drop every assumed-synchronized
-			// base and let the caller resend in full. The connection
-			// itself stays healthy.
+			// base and let the caller resend in full.
 			s.delta.reset(true)
 			return wire.ErrDeltaResync
 		}
-		return fmt.Errorf("transport: server returned %d", s.resp.Status)
+		return fmt.Errorf("transport: server returned %d", resp.Status)
 	}
 	if s.opts.Delta {
-		if v, ok := s.resp.Headers[wire.DeltaHeaderKey]; ok {
+		if v, ok := resp.Headers[wire.DeltaHeaderKey]; ok {
 			if _, _, oka := wire.ParseDeltaAck(v); oka {
 				s.delta.noteAck()
 			}
@@ -593,54 +617,38 @@ func (s *Sender) DeltaEpoch(tid uint64) (uint64, bool) {
 	return s.delta.epoch(tid)
 }
 
-// SendFull implements core.DeltaSink: a full-body send annotated with a
-// sync header so a capable peer stores it as the patch base for tid.
-// The sync map is updated optimistically at write time — submits happen
-// in wire order, so any later patch against this base is written after
-// it; if the write fails, redial/resync recovery clears the optimism.
-func (s *Sender) SendFull(bufs net.Buffers, tid, epoch uint64) error {
-	if !s.opts.Delta {
-		return s.Send(bufs)
-	}
-	b := append(s.deltaHdrBuf[:0], deltaHeaderPrefix...)
-	b = wire.AppendDeltaSync(b, tid, epoch)
-	b = append(b, '\r', '\n')
-	s.deltaHdr = b
-	s.delta.noteSync(tid, epoch)
-	return s.Send(bufs)
-}
-
-// SendDelta implements core.DeltaSink: bufs is a pre-encoded patch
-// frame. A 409/resync response surfaces as wire.ErrDeltaResync (after
-// clearing the sync map) so the stub falls back to SendFull on this
-// same connection.
-func (s *Sender) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
-	b := append(s.deltaHdrBuf[:0], deltaHeaderPrefix...)
-	b = append(b, wire.DeltaValPatch...)
-	b = append(b, '\r', '\n')
-	s.deltaHdr = b
-	s.delta.noteSync(tid, newEpoch)
-	return s.Send(bufs)
-}
-
 // crlf is the HTTP line terminator.
 const crlf = "\r\n"
 
 // Fetch performs one GET request against addr and returns the response
 // — the client side of WSDL retrieval.
 func Fetch(addr, target string) (*Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	return fetch(addr, target, 10*time.Second)
+}
+
+// fetch is Fetch with the time allowed for the dial and, again, for the
+// exchange after it: a peer that accepts and never answers fails the
+// caller instead of hanging it.
+func fetch(addr, target string, timeout time.Duration) (*Response, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return nil, fmt.Errorf("transport: fetch: %w", err)
+	}
 	if target == "" {
 		target = "/"
 	}
 	if _, err := io.WriteString(conn, "GET "+target+" HTTP/1.1"+crlf+"Host: "+addr+crlf+crlf); err != nil {
 		return nil, fmt.Errorf("transport: fetch: %w", err)
 	}
-	return ReadResponse(bufio.NewReader(conn))
+	resp, err := ReadResponse(bufio.NewReader(conn))
+	if err != nil {
+		return nil, fmt.Errorf("transport: fetch %s%s: %w", addr, target, err)
+	}
+	return resp, nil
 }
 
 // DiscardSink is the in-process sink the benchmarks use by default: it
@@ -697,7 +705,6 @@ type DeltaDiscardSink struct {
 	mu         sync.Mutex
 	syncs      map[uint64]uint64
 	deltaSends atomic.Int64
-	fullSends  atomic.Int64
 }
 
 // NewDeltaDiscardSink returns a fresh delta-capable discard sink.
@@ -718,25 +725,17 @@ func (d *DeltaDiscardSink) SendFull(bufs net.Buffers, tid, epoch uint64) error {
 	d.mu.Lock()
 	d.syncs[tid] = epoch
 	d.mu.Unlock()
-	d.fullSends.Add(1)
 	return d.Send(bufs)
 }
 
 // SendDelta implements core.DeltaSink.
 func (d *DeltaDiscardSink) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
-	d.mu.Lock()
-	d.syncs[tid] = newEpoch
-	d.mu.Unlock()
 	d.deltaSends.Add(1)
-	return d.Send(bufs)
+	return d.SendFull(bufs, tid, newEpoch)
 }
 
-// DeltaSends reports patch-frame sends consumed; FullSends reports
-// annotated full sends.
+// DeltaSends reports patch-frame sends consumed.
 func (d *DeltaDiscardSink) DeltaSends() int64 { return d.deltaSends.Load() }
-
-// FullSends reports sync-annotated full-body sends consumed.
-func (d *DeltaDiscardSink) FullSends() int64 { return d.fullSends.Load() }
 
 // WriterSink adapts any io.Writer into a Sink/StreamSink (tests, files).
 type WriterSink struct{ W io.Writer }

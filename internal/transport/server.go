@@ -39,7 +39,6 @@ type Server struct {
 	reqTO     time.Duration
 	readAhead int
 	wg        sync.WaitGroup
-	closed    atomic.Bool
 	draining  atomic.Bool
 	lnOnce    sync.Once
 	lnErr     error
@@ -50,28 +49,19 @@ type Server struct {
 	conns map[net.Conn]*connState
 }
 
-// connState tracks what a connection goroutine is doing, for drain: idle
-// means blocked waiting for the first byte of a next request (safe to
-// poke with a read deadline), not-idle means a request is being read,
-// handled, or answered (drain must let it finish).
-//
-// The serial loop stores idle directly. Read-ahead connections split the
-// work over two goroutines, so idle is derived instead: parked records
-// whether the reader is waiting for a next first byte, pending counts
-// requests parsed but not yet answered, and the connection is idle only
-// when the reader is parked with nothing queued.
+// connState tracks what a connection is doing, for drain: parked while
+// it waits for the first byte of a next request, pending the requests
+// read but not yet answered. It is idle — safe to poke with a read
+// deadline, nothing lost if force-closed — only when parked with nothing
+// pending. Under read-ahead two goroutines write the two, so idle is
+// derived on demand, never stored.
 type connState struct {
-	idle    atomic.Bool
 	parked  atomic.Bool
 	pending atomic.Int64
 }
 
-// noteIdle recomputes the derived idle flag. Both the reader (after
-// parking) and the responder (after answering) call it after their own
-// state change, so whichever runs last reads both final values and the
-// flag converges to the truth.
-func (st *connState) noteIdle() {
-	st.idle.Store(st.parked.Load() && st.pending.Load() == 0)
+func (st *connState) idle() bool {
+	return st.parked.Load() && st.pending.Load() == 0
 }
 
 // ServerOptions configure a Server.
@@ -174,7 +164,6 @@ func (s *Server) closeListener() error {
 // option (tests, emergency stop, or the force phase after a Shutdown
 // deadline).
 func (s *Server) Close() error {
-	s.closed.Store(true)
 	s.draining.Store(true)
 	err := s.closeListener()
 	s.mu.Lock()
@@ -202,10 +191,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Unblock connections parked waiting for a next request: a read
 	// deadline in the past fails their wait immediately. A connection
 	// whose first request byte wins the race keeps the deadline only
-	// until the serve loop re-arms it for that (final) request.
+	// until nextRequest re-arms it for that (final) request.
 	s.mu.Lock()
 	for c, st := range s.conns {
-		if st.idle.Load() {
+		if st.idle() {
 			_ = c.SetReadDeadline(time.Unix(1, 0))
 		}
 	}
@@ -222,7 +211,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		s.mu.Lock()
 		for c, st := range s.conns {
-			if !st.idle.Load() {
+			if !st.idle() {
 				s.metrics.drainAborted.Add(1)
 			}
 			c.Close()
@@ -255,10 +244,9 @@ func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			if s.closed.Load() || s.draining.Load() {
-				return
+			if !s.draining.Load() {
+				s.logf("accept: %v", err)
 			}
-			s.logf("accept: %v", err)
 			return
 		}
 		if s.maxConns > 0 && s.numConns.Load() >= int64(s.maxConns) {
@@ -287,10 +275,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.numConns.Add(-1)
 	defer conn.Close()
-	if s.handler != nil && s.readAhead > 0 {
-		s.serveConnPipelined(conn)
-		return
-	}
 	st := &connState{}
 	if !s.track(conn, st) {
 		return
@@ -306,73 +290,68 @@ func (s *Server) serveConn(conn net.Conn) {
 		ConnID:     s.nextConn.Add(1),
 		RemoteAddr: conn.RemoteAddr().String(),
 	}
-	for {
-		// Park idle until a next request begins (its first byte arrives).
-		// Shutdown unblocks parked connections with a poisoned read
-		// deadline; the busy/idle flag tells it which connections are
-		// safe to poke versus mid-request.
-		st.idle.Store(true)
-		if s.draining.Load() {
-			return
-		}
-		_, err := br.Peek(1)
-		st.idle.Store(false)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return // clean close between requests
-			}
-			if s.draining.Load() {
-				return // drain poke, not a peer failure
-			}
-			s.metrics.recordReadError(err)
-			s.logf("await request: %v", err)
-			return
-		}
-		// A request has begun: arm its deadline. This also clears a
-		// drain poke that lost the race to the request's first byte —
-		// that request is in flight now and must be allowed to finish.
-		var deadline time.Time
-		if s.reqTO > 0 {
-			deadline = time.Now().Add(s.reqTO)
-		}
-		_ = conn.SetReadDeadline(deadline)
-
-		if err := ReadRequestInto(br, req); err != nil {
-			if !errors.Is(err, ErrConnClosed) && !s.draining.Load() {
-				s.metrics.recordReadError(err)
-				s.logf("read request: %v", err)
-			}
-			return
-		}
-		if s.reqTO > 0 {
-			// The request is fully read; its deadline must not outlive it
-			// into the next keep-alive wait.
-			_ = conn.SetReadDeadline(time.Time{})
-		}
-		s.metrics.recordRequest(len(req.Body))
-		req.recvNs = time.Now().UnixNano()
-
-		if s.handler == nil {
-			// Dummy server: the body has been drained; optionally ack.
-			if s.respond {
-				if err := WriteResponse(conn, 202, "", nil); err != nil {
-					s.logf("write response: %v", err)
-					return
-				}
-			}
-			if s.draining.Load() {
-				return
-			}
-			continue
-		}
-		if !s.dispatch(conn, req) {
-			return
-		}
-		if s.draining.Load() {
-			// The final request completed; no keep-alive during drain.
+	if s.handler != nil && s.readAhead > 0 {
+		s.serveAhead(conn, br, st, req)
+		return
+	}
+	for s.nextRequest(conn, br, st, req) {
+		ok := s.dispatch(conn, req)
+		st.pending.Add(-1)
+		if !ok || s.draining.Load() {
+			// No keep-alive during drain: that was the final request.
 			return
 		}
 	}
+}
+
+// nextRequest is the request-read step both schedulers run — on the
+// connection goroutine, or on its reader goroutine under read-ahead:
+// park, arm the deadline, read into req, account. False means the
+// connection has no further request to serve (clean close, drain, or a
+// read failure, already recorded).
+func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req *Request) bool {
+	// Park until a next request's first byte arrives. Shutdown unblocks
+	// parked connections with a poisoned read deadline; parked tells it
+	// those safe to poke from those mid-request.
+	st.parked.Store(true)
+	if s.draining.Load() {
+		return false
+	}
+	_, err := br.Peek(1)
+	st.parked.Store(false)
+	if err != nil {
+		// EOF is a clean close between requests, and during drain the
+		// error is the poke, not a peer failure.
+		if !errors.Is(err, io.EOF) && !s.draining.Load() {
+			s.metrics.recordReadError(err)
+			s.logf("await request: %v", err)
+		}
+		return false
+	}
+	// A request has begun: arm its deadline. This also clears a drain
+	// poke that lost the race to the request's first byte — that request
+	// is in flight now and must be allowed to finish.
+	var deadline time.Time
+	if s.reqTO > 0 {
+		deadline = time.Now().Add(s.reqTO)
+	}
+	_ = conn.SetReadDeadline(deadline)
+	if err := ReadRequestInto(br, req); err != nil {
+		if !errors.Is(err, ErrConnClosed) && !s.draining.Load() {
+			s.metrics.recordReadError(err)
+			s.logf("read request: %v", err)
+		}
+		return false
+	}
+	if s.reqTO > 0 {
+		// The request is fully read; its deadline must not outlive it
+		// into the next keep-alive wait.
+		_ = conn.SetReadDeadline(time.Time{})
+	}
+	s.metrics.recordRequest(len(req.Body))
+	req.recvNs = time.Now().UnixNano()
+	st.pending.Add(1)
+	return true
 }
 
 // dispatch admits, handles and answers one fully received request. It
@@ -380,6 +359,17 @@ func (s *Server) serveConn(conn net.Conn) {
 // write failed); admission sheds and handler errors are answered on the
 // wire and keep the connection alive.
 func (s *Server) dispatch(conn net.Conn, req *Request) bool {
+	if s.handler == nil {
+		// Dummy server: the body has been drained; optionally ack.
+		if !s.respond {
+			return true
+		}
+		err := WriteResponse(conn, 202, "", nil)
+		if err != nil {
+			s.logf("write response: %v", err)
+		}
+		return err == nil
+	}
 	if s.inflight != nil {
 		select {
 		case s.inflight <- struct{}{}:
@@ -398,9 +388,6 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 	if req.recvNs > 0 {
 		qns := now - req.recvNs
 		s.metrics.Stages.Observe(trace.StageServerQueue, qns, req.TraceSpan)
-		if req.TraceSpan != 0 && trace.Enabled() {
-			trace.Rec(req.TraceSpan, trace.KindStage, int64(trace.StageServerQueue), qns, 0)
-		}
 	}
 	s.metrics.inFlight.Add(1)
 	body, err := s.handler(req)
@@ -436,9 +423,6 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 		werr := WriteResponseExtra(conn, 200, "text/xml; charset=utf-8", extra, body)
 		wns := time.Since(wstart).Nanoseconds()
 		s.metrics.Stages.Observe(trace.StageWrite, wns, req.TraceSpan)
-		if req.TraceSpan != 0 && trace.Enabled() {
-			trace.Rec(req.TraceSpan, trace.KindStage, int64(trace.StageWrite), wns, 0)
-		}
 		if werr != nil {
 			s.logf("write response: %v", werr)
 			ok = false
@@ -452,27 +436,18 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 	return ok
 }
 
-// serveConnPipelined is serveConn for ReadAhead > 0: a reader goroutine
-// parses requests ahead into a bounded queue while this goroutine
-// handles and answers them strictly in order. A ring of ReadAhead+1
-// Request objects cycles between the two, so the handler's request is
-// untouched while later ones parse — the next-read-invalidates contract
-// holds because a Request re-enters the free list only after its
-// handler has returned.
-func (s *Server) serveConnPipelined(conn net.Conn) {
-	st := &connState{}
-	if !s.track(conn, st) {
-		return
-	}
-	s.metrics.connOpened()
-	defer s.metrics.connClosed()
-	defer s.untrack(conn)
-
-	connID := s.nextConn.Add(1)
-	remote := conn.RemoteAddr().String()
+// serveAhead is the ReadAhead > 0 scheduler: a reader goroutine runs the
+// request-read step ahead into a bounded queue while this goroutine
+// handles and answers strictly in order. A ring of ReadAhead+1 Request
+// objects cycles between the two, so the handler's request is untouched
+// while later ones parse — the next-read-invalidates contract holds
+// because a Request re-enters the free list only after its handler has
+// returned.
+func (s *Server) serveAhead(conn net.Conn, br *bufio.Reader, st *connState, first *Request) {
 	free := make(chan *Request, s.readAhead+1)
-	for i := 0; i < s.readAhead+1; i++ {
-		free <- &Request{ConnID: connID, RemoteAddr: remote}
+	free <- first
+	for i := 0; i < s.readAhead; i++ {
+		free <- &Request{ConnID: first.ConnID, RemoteAddr: first.RemoteAddr}
 	}
 	parsed := make(chan *Request, s.readAhead)
 
@@ -480,46 +455,11 @@ func (s *Server) serveConnPipelined(conn net.Conn) {
 	go func() {
 		defer s.wg.Done()
 		defer close(parsed)
-		br := bufio.NewReaderSize(conn, 32*1024)
 		for {
 			req := <-free
-			st.parked.Store(true)
-			st.noteIdle()
-			if s.draining.Load() {
+			if !s.nextRequest(conn, br, st, req) {
 				return
 			}
-			_, err := br.Peek(1)
-			st.parked.Store(false)
-			st.idle.Store(false)
-			if err != nil {
-				if !errors.Is(err, io.EOF) && !s.draining.Load() {
-					s.metrics.recordReadError(err)
-					s.logf("await request: %v", err)
-				}
-				return
-			}
-			// Arm the request deadline. As in the serial loop, this also
-			// clears a drain poke that lost the race to the first byte —
-			// that request is in flight and must be allowed to finish.
-			var deadline time.Time
-			if s.reqTO > 0 {
-				deadline = time.Now().Add(s.reqTO)
-			}
-			_ = conn.SetReadDeadline(deadline)
-			if err := ReadRequestInto(br, req); err != nil {
-				if !errors.Is(err, ErrConnClosed) && !s.draining.Load() {
-					s.metrics.recordReadError(err)
-					s.logf("read request: %v", err)
-				}
-				return
-			}
-			if s.reqTO > 0 {
-				_ = conn.SetReadDeadline(time.Time{})
-			}
-			s.metrics.recordRequest(len(req.Body))
-			req.recvNs = time.Now().UnixNano()
-			st.pending.Add(1)
-			st.noteIdle()
 			parsed <- req
 		}
 	}()
@@ -536,14 +476,13 @@ func (s *Server) serveConnPipelined(conn net.Conn) {
 			}
 		}
 		st.pending.Add(-1)
-		st.noteIdle()
 		free <- req
 		if s.draining.Load() && st.parked.Load() {
 			// Drain began while the reader was already parked (so
 			// Shutdown's idle poke may have missed it — the connection
 			// was busy then): wake it with a poisoned deadline so both
 			// goroutines wind down. A request mid-read is safe: its first
-			// byte re-armed the real deadline above.
+			// byte re-armed the real deadline in nextRequest.
 			_ = conn.SetReadDeadline(time.Unix(1, 0))
 		}
 	}

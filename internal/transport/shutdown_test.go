@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -334,5 +335,74 @@ func TestConnIdentity(t *testing.T) {
 	}
 	if got[0].addr == "" || got[0].addr != got[1].addr {
 		t.Fatalf("conn 1 addrs: %q, %q", got[0].addr, got[1].addr)
+	}
+}
+
+// TestShutdownPokeRacesFirstByte starts a client's next request at the
+// moment Shutdown pokes its parked connection. Whichever side wins, the
+// one request-read step must behave the same under both schedulers:
+// either the request is served whole (its first byte won — it is in
+// flight, and the drain waits for it) or the connection closes with
+// nothing written (the poke won). Never a partial response, a hang, a
+// failed drain or a request counted as aborted.
+func TestShutdownPokeRacesFirstByte(t *testing.T) {
+	for _, readAhead := range []int{0, 4} {
+		t.Run(fmt.Sprintf("readahead=%d", readAhead), func(t *testing.T) {
+			served, closed := 0, 0
+			for i := 0; i < 40; i++ {
+				srv, err := Listen("127.0.0.1:0", ServerOptions{Handler: echoHandler, Respond: true, ReadAhead: readAhead})
+				if err != nil {
+					t.Fatal(err)
+				}
+				conn, err := net.Dial("tcp", srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				br := bufio.NewReader(conn)
+				rawPost(t, conn, "warm")
+				if st := readStatus(t, br); st != 200 {
+					t.Fatalf("warm-up status = %d", st)
+				}
+
+				// Spread the request's start over the window in which the
+				// drain begins: ahead of it, level with it, behind it.
+				lead := time.Duration(i%8-4) * 25 * time.Microsecond
+				shut := make(chan error, 1)
+				go func() {
+					time.Sleep(lead)
+					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+					defer cancel()
+					shut <- srv.Shutdown(ctx)
+				}()
+				time.Sleep(-lead)
+				_, werr := fmt.Fprint(conn, "POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nrace")
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				resp, rerr := ReadResponse(br)
+				switch {
+				case werr == nil && rerr == nil:
+					if resp.Status != 200 || string(resp.Body) != "race" {
+						t.Fatalf("iteration %d: served %d %q", i, resp.Status, resp.Body)
+					}
+					served++
+				default:
+					var ne net.Error
+					if errors.As(rerr, &ne) && ne.Timeout() {
+						t.Fatalf("iteration %d: neither served nor closed: %v", i, rerr)
+					}
+					if br.Buffered() != 0 {
+						t.Fatalf("iteration %d: connection closed after a partial response (%d bytes)", i, br.Buffered())
+					}
+					closed++
+				}
+				if err := <-shut; err != nil {
+					t.Fatalf("iteration %d: Shutdown: %v", i, err)
+				}
+				if n := srv.Metrics().Snapshot().DrainAborted; n != 0 {
+					t.Fatalf("iteration %d: drain_aborted = %d", i, n)
+				}
+				conn.Close()
+			}
+			t.Logf("served %d, closed %d", served, closed)
+		})
 	}
 }
