@@ -85,6 +85,24 @@ one_path_guard() {
 }
 one_path_guard
 
+# Sticky guard: the client store binds a message to the replica that
+# holds its bytes, exactly (store.go, acquire). What that replaced — a
+# replica picked by hashing the message's heap address, and a forced
+# MarkAllDirty for a message found on a replica it had bounced away
+# from — must not come back beside it.
+sticky_guard() {
+    hits=$(grep -rnE 'reflect|Affinity64\(|MarkAllDirty\(' \
+        --include='*.go' --exclude='*_test.go' internal/pool \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+    if [ -n "$hits" ]; then
+        echo "sticky guard: pointer-hash affinity or bounce handling in internal/pool:" >&2
+        echo "$hits" >&2
+        exit 1
+    fi
+    echo "check.sh: sticky guard ok"
+}
+sticky_guard
+
 # One-LRU guard: the unified replica registry owns the repo's only
 # recency list. Nothing outside internal/replica may import
 # container/list or define an LRU type — a second bespoke copy creeping
@@ -305,10 +323,11 @@ budget_smoke() {
 budget_smoke
 
 # Delta smoke: differential transmission under concurrency. 8 RPC
-# workers on a content-match mix with negotiation on must save ≥50% of
-# wire bytes vs what the calls represent (the config measures 61-63%;
-# the floor leaves headroom for scheduler noise in replica binding),
-# with zero failed calls, zero resyncs surfacing as errors, and the
+# workers on a content-match mix with negotiation on must save ≥95% of
+# wire bytes vs what the calls represent (the config measures 99.6%:
+# every message stays bound to its own template, so every warm call is
+# a patch frame; a rebind is a full body and shows here first), with
+# zero failed calls, zero resyncs surfacing as errors, and the
 # server-side differential fast path still ≥90% on the reconstructed
 # bodies. The loadgen enforces all three and exits nonzero itself.
 delta_smoke() {
@@ -321,7 +340,7 @@ delta_smoke() {
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29993 -workers 8 -replicas 16 \
         -n 400 -mix 100/0/0 -duration 4s -rpc -delta -max-err 0 \
-        -min-delta-saved 50 \
+        -min-delta-saved 95 \
         -server-metrics http://127.0.0.1:28131/metrics -min-server-fast 90 \
         > "$tmp/lg.log" || {
         echo "delta smoke: loadgen failed:" >&2
@@ -447,5 +466,6 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzParseDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzAppendDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzParseInt$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
+    go test -run='^$' -fuzz='^FuzzBindingSchedule$' -fuzztime="$FUZZTIME" ./internal/pool
 fi
 echo "check.sh: all green"

@@ -53,7 +53,7 @@ func main() {
 		calls     = flag.Int64("calls", 0, "stop after this many calls instead of -duration")
 		hold      = flag.Duration("hold", 0, "keep serving -metrics debug endpoints this long after the run (so trace rings can be scraped/correlated post-run)")
 		conns     = flag.Int("conns", 0, "pooled connections (default = workers, max 16)")
-		replicas  = flag.Int("replicas", 4, "template replicas per operation structure")
+		replicas  = flag.Int("replicas", 0, "template replicas per operation structure (default = conns: one template per message that can be in flight)")
 		shards    = flag.Int("shards", 16, "template store shards")
 		maxTmplB  = flag.Int64("max-template-bytes", 0, "template memory budget in bytes (0 = unbudgeted); LRU entries are evicted to stay under it")
 		mix       = flag.String("mix", "60/30/10", "percent of iterations that are untouched/touched/grown")
@@ -83,6 +83,12 @@ func main() {
 	}
 	if *conns <= 0 {
 		*conns = min(*workers, 16)
+	}
+	if *replicas <= 0 {
+		// Fewer replicas than same-shape messages in flight leaves the
+		// surplus nothing to stay bound to: every such call takes over a
+		// template and rewrites it in full.
+		*replicas = *conns
 	}
 
 	if *pipeline > 0 && *inprocess {
@@ -234,7 +240,7 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	report(os.Stdout, pool, inj, *workers, *ops, *addr, *inprocess, elapsed)
+	report(os.Stdout, pool, inj, *workers, *ops, *replicas, *addr, *inprocess, elapsed)
 	if *pipeline > 0 {
 		// Every future handed out must have come back: a submitted call
 		// that neither resolved nor errored is a bug in the async path,
@@ -431,7 +437,7 @@ func checkServerMetrics(url string, minFast float64) error {
 }
 
 // report prints the throughput + match-class summary.
-func report(w *os.File, pool *bsoap.Pool, inj *faultwire.Injector, workers, ops int, addr string, inprocess bool, elapsed time.Duration) {
+func report(w *os.File, pool *bsoap.Pool, inj *faultwire.Injector, workers, ops, replicas int, addr string, inprocess bool, elapsed time.Duration) {
 	st := pool.Stats()
 	target := addr
 	if inprocess {
@@ -444,7 +450,7 @@ func report(w *os.File, pool *bsoap.Pool, inj *faultwire.Injector, workers, ops 
 		}
 		return 100 * float64(n) / float64(st.Calls)
 	}
-	fmt.Fprintf(w, "bsoap-loadgen: %d workers × %d ops against %s for %.1fs\n", workers, ops, target, secs)
+	fmt.Fprintf(w, "bsoap-loadgen: %d workers × %d ops, %d replicas, against %s for %.1fs\n", workers, ops, replicas, target, secs)
 	fmt.Fprintf(w, "  calls        %10d   (%.0f calls/s, %.1f MB/s on wire)\n",
 		st.Calls, float64(st.Calls)/secs, float64(st.BytesOnWire)/1e6/secs)
 	fmt.Fprintf(w, "  match kinds: first-time %d (%.2f%%) · content %d (%.1f%%) · structural %d (%.1f%%) · partial %d (%.1f%%) · errors %d\n",

@@ -98,7 +98,7 @@ func (s *Stub) deltaEligible(ds DeltaSink, tpl *Template, ci *CallInfo, baseEpoc
 // Dirty leaves are visited in table order, which is buffer order, so a
 // single cursor walks the chunk list to turn (chunk, offset) positions
 // into absolute body offsets; adjacent dirty spans in the same chunk
-// coalesce into one region.
+// coalesce into one region. The walk ends at the last dirty leaf.
 func (s *Stub) encodeDelta(tpl *Template, m *wire.Message, ci *CallInfo, baseEpoch uint64) bool {
 	sc := &s.scr
 	regs := sc.regs[:0]
@@ -106,10 +106,11 @@ func (s *Stub) encodeDelta(tpl *Template, m *wire.Message, ci *CallInfo, baseEpo
 	curOff := 0
 	frameLen := wire.DeltaHeaderLen
 	n := tpl.tab.Len()
-	for i := 0; i < n; i++ {
+	for i, left := 0, m.DirtyCount(); i < n && left > 0; i++ {
 		if !m.Dirty(i) {
 			continue
 		}
+		left--
 		e := tpl.tab.At(i)
 		if e.Chunk != cur {
 			if cur == nil {

@@ -66,6 +66,11 @@ func (t *Template) Table() *dut.Table { return &t.tab }
 // Signature returns the structural signature the template was built for.
 func (t *Template) Signature() string { return t.sig }
 
+// Message returns the message the template is bound to: the one whose
+// dirty bits describe its bytes (tests check a runtime's own record of
+// the binding against it).
+func (t *Template) Message() *wire.Message { return t.msg }
+
 // Suspect reports whether the template's last send failed mid-flight
 // (the next call of this structure will degrade to a fresh first-time
 // serialization). Exposed for the /debug/templates view and tests.
@@ -209,14 +214,16 @@ func (t *Template) emitScalar(m *wire.Message, typ *wire.Type, open, cls string,
 }
 
 // applyDiff re-serializes exactly the dirty leaves of m into the
-// template, expanding fields as needed, and updates ci.
+// template, expanding fields as needed, and updates ci. The walk ends at
+// the last dirty leaf, not at the last leaf.
 func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch) {
 	t.buf.Span = sc.span // attribute chunk grow/split events to this call
 	n := t.tab.Len()
-	for i := 0; i < n; i++ {
+	for i, left := 0, m.DirtyCount(); i < n && left > 0; i++ {
 		if !m.Dirty(i) {
 			continue
 		}
+		left--
 		t.rewriteLeaf(m, i, sc, ci)
 	}
 }

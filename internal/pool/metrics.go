@@ -72,7 +72,6 @@ type Metrics struct {
 	retries       atomic.Int64
 
 	templateRebinds atomic.Int64
-	staleRebinds    atomic.Int64
 	evictions       atomic.Int64
 	budgetEvictions atomic.Int64
 
@@ -240,9 +239,9 @@ type Stats struct {
 	Retries         int64 `json:"pool_send_retries"`
 	TemplateRebinds int64 `json:"template_rebinds"`
 
-	// TemplateStaleRebinds counts calls forced through a full value
-	// rewrite because the message returned to a replica it had bounced
-	// away from (whose template bytes were therefore stale).
+	// TemplateStaleRebinds is always zero: it counted messages returning
+	// to a replica they had bounced away from, which exact binding rules
+	// out. The field and its Prometheus family stay for their readers.
 	TemplateStaleRebinds int64 `json:"template_stale_rebinds"`
 	// TemplateEvictions counts (operation, signature) replica sets
 	// dropped for any reason; TemplateBudgetEvictions is the subset
@@ -340,7 +339,6 @@ func (m *Metrics) Snapshot() Stats {
 		Retries:         m.retries.Load(),
 		TemplateRebinds: m.templateRebinds.Load(),
 
-		TemplateStaleRebinds:    m.staleRebinds.Load(),
 		TemplateEvictions:       m.evictions.Load(),
 		TemplateBudgetEvictions: m.budgetEvictions.Load(),
 
@@ -431,7 +429,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p.Counter("bsoap_client_pool_send_retries_total", "Calls retried after connection repair.", s.Retries)
 
 	p.Counter("bsoap_client_template_rebinds_total", "Template rebinds to a different message object.", s.TemplateRebinds)
-	p.Counter("bsoap_client_template_stale_rebinds_total", "Full rewrites forced by replica bounce.", s.TemplateStaleRebinds)
+	p.Counter("bsoap_client_template_stale_rebinds_total", "Always 0: a message no longer bounces between replicas.", s.TemplateStaleRebinds)
 	p.CounterWithLabel("bsoap_client_template_evictions_total", "Replica sets evicted, by driver.",
 		"reason", []promtext.LabeledValue{
 			{Label: "lru", Value: s.TemplateEvictions - s.TemplateBudgetEvictions},

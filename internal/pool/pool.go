@@ -247,14 +247,14 @@ func (p *Pool) submit(m *wire.Message) submission {
 		// redial backoff sleeps never hold a replica lock: other callers
 		// of the same hot operation proceed through healthy pool slots
 		// while this one dials. The replica is likewise released before
-		// any retry's repair. (A retry may therefore land on a different
-		// replica; acquire detects that and forces a full value rewrite.)
+		// any retry's repair; the retry finds it again through the binding,
+		// unless another message took it over meanwhile.
 		var sink core.Sink
 		sink, err = p.connect(ps, deadline, span)
 		if err != nil {
 			break
 		}
-		r := p.store.acquire(m, span)
+		r := p.store.acquire(m)
 		r.sink = callSink{s: sink, pl: ps.pipeline}
 		if span != 0 {
 			r.stub.SetTraceSpan(span)

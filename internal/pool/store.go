@@ -2,7 +2,6 @@ package pool
 
 import (
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +17,8 @@ import (
 // pool, built on the unified replica registry (internal/replica): entry
 // lookup, sharding, the per-operation signature LRU, in-flight
 // refcounts and the byte budget all live there; this file owns what is
-// client-specific — the engine replicas inside an entry, message
-// affinity, and the stale-rebind protocol.
+// client-specific — the engine replicas inside an entry and the binding
+// of each message to the one replica that holds its bytes.
 //
 // Entries are keyed by (operation, structural signature). Within one
 // entry the store holds up to Replicas independent engine replicas (a
@@ -31,21 +30,16 @@ import (
 // template in parallel, while the total first-time-send cost stays
 // bounded at R per structure.
 //
-// Checkout prefers the replica a message used last (affinity by message
-// identity), preserving the engine's dirty-bit classification. Because
-// dirty bits live on the message while template bytes live per replica,
-// the entry also tracks which replica served each message last: a
-// message returning to an earlier replica after being served elsewhere
-// is forced through a full value rewrite (see acquire), or its
-// untouched resend would put that replica's stale bytes on the wire.
+// Dirty bits live on the message while template bytes live per replica,
+// so "these leaves changed" describes only the replica that serialized
+// the message last: acquire binds each message to that one replica.
 //
 // Eviction — per-operation LRU cap or byte budget — condemns an entry
 // in the registry; calls already holding one of its engines complete
 // unaffected, and the registry releases the entry's chunk arenas when
-// the last in-flight call returns (previously eviction could only drop
-// references and wait for the garbage collector). A message whose entry
-// was evicted simply builds a fresh one on its next call: a degraded
-// first-time send, never a diff against released bytes.
+// the last in-flight call returns. A message whose entry was evicted
+// simply builds a fresh one on its next call: a degraded first-time
+// send, never a diff against released bytes.
 type ShardedStore struct {
 	reg      *reg.Registry[*storeEntry]
 	replicas int
@@ -57,12 +51,9 @@ type ShardedStore struct {
 type storeEntry struct {
 	mu      sync.Mutex
 	engines []*engine
-	// last records the engine that most recently served each message.
-	// A message whose calls alternate between engines has template
-	// bytes in several of them, only the last of which is current. The
-	// tracker is bounded: at capacity it resets wholesale, and acquire
-	// treats an unknown last server as a possible bounce.
-	last *reg.Tracker[*wire.Message, *engine]
+	// clock stamps each choice of an engine; the smallest stamp is the
+	// entry's least recently used engine.
+	clock uint64
 	// size caches the entry's template footprint for the registry's
 	// budget accounting: updated by release while the engine lock is
 	// held, read lock-free by SizeBytes under registry locks.
@@ -98,10 +89,19 @@ type engine struct {
 	// stable for the entry's lifetime, it is how release finds its way
 	// back to the registry's refcount.
 	slot *reg.Slot[*storeEntry]
-	// bound is the message identity currently bound to the template,
-	// used to count rebinds (metrics only; the engine tracks its own
-	// binding).
+	// bound is the message this engine's template holds the bytes of, and
+	// used the entry clock when it was last chosen; both belong to the
+	// entry lock, where acquire makes the choice. bound is the one record
+	// of the binding: at most one engine of an entry names a message.
 	bound *wire.Message
+	used  uint64
+	// Calls run on an engine in the order they chose it: chosen (entry
+	// lock) hands out tickets, served (written under mu, after each call)
+	// is the ticket whose turn it is, turn wakes the calls queued behind
+	// it. The engine is free when the two are equal.
+	chosen uint32
+	served atomic.Uint32
+	turn   sync.Cond
 	// fp is the engine's last-accounted template footprint, guarded by
 	// mu; release folds the delta into the entry's cached size. gen is
 	// the stub-stats generation at which fp was computed: the footprint
@@ -201,9 +201,7 @@ func NewShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *M
 		Shards:      shards,
 		MaxPerGroup: perOp,
 		MaxBytes:    maxBytes,
-		New: func(reg.Key) *storeEntry {
-			return &storeEntry{last: reg.NewTracker[*wire.Message, *engine](0)}
-		},
+		New:         func(reg.Key) *storeEntry { return &storeEntry{} },
 		OnEvict: func(key reg.Key, reason reg.Reason, bytes int64) {
 			m.evictions.Add(1)
 			if reason == reg.ReasonBudget {
@@ -222,67 +220,70 @@ func NewShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *M
 // acquire returns a locked engine for m's operation+signature, with an
 // in-flight reference held on its registry entry. The caller must
 // release it after the call completes. m must not have another call in
-// flight (see Pool's per-message confinement contract). span is the
-// call's flight-recorder span (zero when tracing is off).
-func (s *ShardedStore) acquire(m *wire.Message, span uint64) *engine {
-	key := reg.Key{Group: m.Operation(), Sub: m.Signature()}
-	slot, _ := s.reg.Acquire(key)
+// flight (see Pool's per-message confinement contract).
+//
+// The engine is chosen under the entry lock, by the first rule that
+// applies:
+//
+//  1. the engine bound to m;
+//  2. a new engine, while the entry holds fewer than Replicas;
+//  3. the least recently used engine that is free, which m takes over;
+//  4. the least recently used engine, which m queues on.
+//
+// The binding is recorded with the choice, and calls run on an engine in
+// the order they chose it. Together these keep the engine's own view —
+// the message its template last serialized — equal to the binding: a
+// template can only still name m if nobody chose its engine since m did,
+// and then rule 1 has sent every call of m there, so its bytes are m's
+// latest. Every other meeting of message and template is a change of
+// binding, which the engine answers by rewriting every value. A wait
+// under rule 1 is never behind another call, only behind a late
+// markSuspect or an arena release.
+func (s *ShardedStore) acquire(m *wire.Message) *engine {
+	slot, _ := s.reg.Acquire(reg.Key{Group: m.Operation(), Sub: m.Signature()})
 	e := slot.Value
-	aff := reg.Affinity64(reflect.ValueOf(m).Pointer())
 
 	e.mu.Lock()
-	var r *engine
-	locked := false
-	if n := len(e.engines); n > 0 {
-		// Preferred replica first, then any free one.
-		if pref := e.engines[aff%uint64(n)]; pref.mu.TryLock() {
-			r, locked = pref, true
-		} else {
-			for _, c := range e.engines {
-				if c.mu.TryLock() {
-					r, locked = c, true
-					break
-				}
-			}
+	var r, free, lru *engine
+	for _, c := range e.engines {
+		if c.bound == m {
+			r = c
+			break
+		}
+		if lru == nil || c.used < lru.used {
+			lru = c
+		}
+		if c.chosen == c.served.Load() && (free == nil || c.used < free.used) {
+			free = c
 		}
 	}
-	if r == nil && len(e.engines) < s.replicas {
+	switch {
+	case r != nil:
+	case len(e.engines) < s.replicas:
 		r = &engine{slot: slot}
+		r.turn.L = &r.mu
 		r.stub = core.NewStub(s.cfg, &r.sink)
-		r.mu.Lock()
-		locked = true
 		e.engines = append(e.engines, r)
-	}
-	if r == nil {
-		// Every replica busy and the set is full: queue on the preferred
-		// one outside the entry lock.
-		r = e.engines[aff%uint64(len(e.engines))]
-	}
-	prev, _ := e.last.Lookup(m)
-	e.last.Note(m, r)
-	e.mu.Unlock()
-
-	if !locked {
-		r.mu.Lock()
+	case free != nil:
+		r = free
+	default:
+		r = lru
 	}
 	if r.bound != m {
 		if r.bound != nil {
 			s.metrics.templateRebinds.Add(1)
 		}
 		r.bound = m
-	} else if prev != r {
-		// r served m at some point, but not most recently (or the
-		// tracking map was reset): values m serialized through another
-		// replica since then are missing from r's template bytes, yet the
-		// engine sees its own binding intact and would classify an
-		// untouched m as a content match — resending the stale bytes.
-		// Force every value dirty so this call rewrites the template in
-		// full (tag generation is still skipped).
-		m.MarkAllDirty()
-		s.metrics.staleRebinds.Add(1)
-		if span != 0 {
-			trace.Rec(span, trace.KindStaleRebind, trace.OpID(key.Group), 0, 0)
-		}
+	}
+	e.clock++
+	r.used = e.clock
+	ticket := r.chosen
+	r.chosen++
+	e.mu.Unlock()
+
+	r.mu.Lock()
+	for r.served.Load() != ticket {
+		r.turn.Wait()
 	}
 	return r
 }
@@ -300,6 +301,8 @@ func (s *ShardedStore) release(r *engine) {
 		r.fp = fp
 	}
 	r.sink = callSink{}
+	r.served.Add(1)
+	r.turn.Broadcast()
 	r.mu.Unlock()
 	s.reg.Release(r.slot)
 }

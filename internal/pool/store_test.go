@@ -9,67 +9,6 @@ import (
 	"bsoap/internal/workload"
 )
 
-// TestReplicaBounceForcesRewrite is the regression test for the stale
-// payload bug: dirty bits live on the message but template bytes live
-// per replica, so a message whose call bounces to a fallback replica
-// (preferred one busy) and then returns must not be classified as a
-// content match — the original replica's bytes predate the bounce.
-func TestReplicaBounceForcesRewrite(t *testing.T) {
-	st := NewShardedStore(1, 2, 0, core.Config{}, nil)
-	d := workload.NewDoubles(8, workload.FillIntermediate)
-	m := d.Msg
-
-	call := func() (core.CallInfo, []byte, *engine) {
-		t.Helper()
-		r := st.acquire(m, 0)
-		var buf bytes.Buffer
-		r.sink.s = transport.WriterSink{W: &buf}
-		ci, err := r.stub.Call(m)
-		st.release(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ci, buf.Bytes(), r
-	}
-
-	ci1, b1, r1 := call()
-	if ci1.Match != core.FirstTime {
-		t.Fatalf("call 1 match = %v, want first-time", ci1.Match)
-	}
-
-	// Call 2 carries new values and is forced onto a second replica by
-	// holding the first one busy (the TryLock fallback path).
-	d.SetAll(4242.5)
-	r1.mu.Lock()
-	_, _, r2 := call()
-	r1.mu.Unlock()
-	if r2 == r1 {
-		t.Fatal("call 2 was expected to bounce to a second replica")
-	}
-
-	// Call 3 is untouched and returns to the first replica (the second
-	// is held busy). Its template bytes still hold call 1's values, so
-	// the call must be forced through a full rewrite, not resend them.
-	r2.mu.Lock()
-	ci3, b3, r3 := call()
-	r2.mu.Unlock()
-	if r3 != r1 {
-		t.Fatal("call 3 was expected to return to the first replica")
-	}
-	if ci3.Match == core.ContentMatch {
-		t.Fatalf("call 3 classified as content match on a stale template")
-	}
-	if bytes.Equal(b3, b1) {
-		t.Fatal("call 3 resent call 1's stale payload")
-	}
-	if !bytes.Contains(b3, []byte("4242.5")) {
-		t.Fatalf("call 3 payload missing current values:\n%s", b3)
-	}
-	if got := st.metrics.staleRebinds.Load(); got != 1 {
-		t.Fatalf("stale rebinds = %d, want 1", got)
-	}
-}
-
 // TestShardedStoreEvictsColdSignatures proves the per-operation LRU cap:
 // cold (operation, signature) replica sets are dropped, recently used
 // ones stay warm, so the store cannot grow without bound under varying
@@ -127,15 +66,8 @@ func TestBudgetEvictionDegradesToFTS(t *testing.T) {
 
 	call := func(d *workload.Doubles) (core.CallInfo, []byte) {
 		t.Helper()
-		r := st.acquire(d.Msg, 0)
-		var buf bytes.Buffer
-		r.sink.s = transport.WriterSink{W: &buf}
-		ci, err := r.stub.Call(d.Msg)
-		st.release(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ci, buf.Bytes()
+		ci, body, _ := through(t, st, d.Msg)
+		return ci, body
 	}
 
 	if ci, _ := call(dA); ci.Match != core.FirstTime {
@@ -175,14 +107,7 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 
 	call := func(d *workload.Doubles) core.CallInfo {
 		t.Helper()
-		r := st.acquire(d.Msg, 0)
-		var buf bytes.Buffer
-		r.sink.s = transport.WriterSink{W: &buf}
-		ci, err := r.stub.Call(d.Msg)
-		st.release(r)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ci, _, _ := through(t, st, d.Msg)
 		return ci
 	}
 
@@ -190,7 +115,7 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 	if ci := call(dA); ci.Match != core.FirstTime {
 		t.Fatalf("warmup match = %v", ci.Match)
 	}
-	rA := st.acquire(dA.Msg, 0)
+	rA := st.acquire(dA.Msg)
 
 	// B's release must chase the budget; with A in flight only the
 	// last-resort tier can pay, condemning A's entry under our feet.

@@ -12,8 +12,8 @@
 //
 //   - LRU: the one recency list (map-indexed intrusive doubly-linked
 //     list, O(1) touch, allocation-free on the warm path).
-//   - Tracker: the one bounded last-served affinity map (message-,
-//     connection- or client-keyed) with wholesale reset at capacity.
+//   - Tracker: the one bounded lookup map (the server's per-replica
+//     handler tables) with wholesale reset at capacity.
 //   - Registry: the sharded entry store, parameterized over the entry
 //     type, owning count caps (per shard and per group), an in-flight
 //     refcount protocol, and byte-accurate memory budgeting.
@@ -106,8 +106,10 @@ func fnv32(s string) uint32 {
 
 // Affinity64 hashes a pointer-derived identity to spread it stably over
 // a small set of replicas (Fibonacci hashing; pointer low bits are all
-// zero from alignment). The client pool uses it to give each message a
-// preferred replica within an entry.
+// zero from alignment). Nothing in this module calls it any more — the
+// client pool binds a message to its replica exactly — and it stays
+// exported only because the frozen benchmark's sameReplica (set-up of
+// shared_2w, benchmark/stack.go) still does.
 func Affinity64(p uintptr) uint64 {
 	return (uint64(p) * 0x9E3779B97F4A7C15) >> 32
 }

@@ -1,23 +1,17 @@
 package replica
 
-// DefaultTrackerCap bounds a Tracker's map before it resets wholesale.
-// The value matches the historical caps that pool/store.go and the
-// serverpool handler table each hand-rolled before they were unified
-// here: large enough that a steady working set never resets, small
-// enough that a pathological workload cycling through fresh identities
-// (new message structs every call, one-shot connections) cannot grow
-// the map without bound.
+// DefaultTrackerCap bounds a Tracker's map before it resets wholesale:
+// large enough that a steady working set never resets, small enough that
+// a pathological workload cycling through fresh identities (one-shot
+// operation names) cannot grow the map without bound.
 const DefaultTrackerCap = 1024
 
-// Tracker is the one bounded last-served affinity map: the client pool
-// keys it by message pointer to remember which engine last served a
-// message (a change of engine means the template no longer matches the
-// message's dirty bits and every region must be re-serialized), the
-// server side bounds per-replica key tables with it. When the map hits
-// its cap it is reset wholesale — affinity is a hint, and forgetting it
-// costs one degraded call per entry, which is far cheaper than an
-// unbounded map. Not safe for concurrent use; callers hold the
-// enclosing entry lock.
+// Tracker is a bounded lookup map: the server side bounds each replica's
+// operation → handler table with it. When the map hits its cap it is
+// reset wholesale — what it remembers is a shortcut, and forgetting it
+// costs one slow lookup per key, which is far cheaper than an unbounded
+// map. Not safe for concurrent use; callers hold the enclosing entry
+// lock.
 type Tracker[K comparable, V any] struct {
 	m      map[K]V
 	cap    int

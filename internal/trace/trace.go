@@ -72,8 +72,9 @@ const (
 	// KindTemplateRebind is a same-structure different-message rebind
 	// (all values rewritten, tags reused): A=op id.
 	KindTemplateRebind
-	// KindStaleRebind is a forced full value rewrite because the message
-	// returned to a replica holding stale bytes: A=op id.
+	// KindStaleRebind was a forced full value rewrite because the message
+	// returned to a replica holding stale bytes: A=op id. Nothing records
+	// it any more; the kind keeps its number so saved rings still decode.
 	KindStaleRebind
 	// KindPoolCheckout is a connection checkout: A=1 when the caller had
 	// to wait for a free slot.

@@ -43,6 +43,9 @@ type Message struct {
 	leaves []leafSlot
 	store  []int
 	dirty  []bool
+	// ndirty counts the set bits of dirty, so that "nothing changed" is
+	// a compare and a diff can stop after the last changed leaf.
+	ndirty int
 
 	version   int // bumped on every structural change
 	signature string
@@ -249,7 +252,7 @@ func (m *Message) ResizeArray(pi, n int) {
 	// Rebuild from scratch, replaying parameters with preserved values.
 	m.params = nil
 	m.ints, m.doubles, m.strs, m.bools = nil, nil, nil, nil
-	m.leaves, m.store, m.dirty = nil, nil, nil
+	m.leaves, m.store, m.dirty, m.ndirty = nil, nil, nil, 0
 	for i, s := range snap {
 		count := s.p.Count
 		if i == pi {
@@ -323,7 +326,7 @@ func (m *Message) SetLeafInt(i int, v int32) {
 	s := m.store[i]
 	if m.ints[s] != v {
 		m.ints[s] = v
-		m.dirty[i] = true
+		m.TouchLeaf(i)
 	}
 }
 
@@ -332,7 +335,7 @@ func (m *Message) SetLeafDouble(i int, v float64) {
 	s := m.store[i]
 	if m.doubles[s] != v {
 		m.doubles[s] = v
-		m.dirty[i] = true
+		m.TouchLeaf(i)
 	}
 }
 
@@ -341,7 +344,7 @@ func (m *Message) SetLeafString(i int, v string) {
 	s := m.store[i]
 	if m.strs[s] != v {
 		m.strs[s] = v
-		m.dirty[i] = true
+		m.TouchLeaf(i)
 	}
 }
 
@@ -350,45 +353,39 @@ func (m *Message) SetLeafBool(i int, v bool) {
 	s := m.store[i]
 	if m.bools[s] != v {
 		m.bools[s] = v
-		m.dirty[i] = true
+		m.TouchLeaf(i)
 	}
 }
 
 // TouchLeaf forcibly marks leaf i dirty without changing its value. The
 // benchmark harness uses it to control re-serialization percentages
 // exactly as the paper does (values re-serialized but unchanged in size).
-func (m *Message) TouchLeaf(i int) { m.dirty[i] = true }
+func (m *Message) TouchLeaf(i int) {
+	if !m.dirty[i] {
+		m.dirty[i] = true
+		m.ndirty++
+	}
+}
 
 // Dirty reports leaf i's dirty bit.
 func (m *Message) Dirty(i int) bool { return m.dirty[i] }
 
 // AnyDirty reports whether any leaf is dirty.
-func (m *Message) AnyDirty() bool {
-	for _, d := range m.dirty {
-		if d {
-			return true
-		}
-	}
-	return false
-}
+func (m *Message) AnyDirty() bool { return m.ndirty > 0 }
 
 // DirtyCount reports the number of dirty leaves.
-func (m *Message) DirtyCount() int {
-	n := 0
-	for _, d := range m.dirty {
-		if d {
-			n++
-		}
-	}
-	return n
-}
+func (m *Message) DirtyCount() int { return m.ndirty }
 
 // ClearDirty resets every dirty bit; the template layer calls it after a
 // successful send.
 func (m *Message) ClearDirty() {
+	if m.ndirty == 0 {
+		return
+	}
 	for i := range m.dirty {
 		m.dirty[i] = false
 	}
+	m.ndirty = 0
 }
 
 // MarkAllDirty sets every dirty bit (used after structure changes and by
@@ -397,6 +394,7 @@ func (m *Message) MarkAllDirty() {
 	for i := range m.dirty {
 		m.dirty[i] = true
 	}
+	m.ndirty = len(m.dirty)
 }
 
 // Signature returns a canonical description of the message structure:

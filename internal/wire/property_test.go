@@ -136,3 +136,67 @@ func TestResizeStress(t *testing.T) {
 		}
 	}
 }
+
+// TestDirtyCountMatchesBits drives every mutator that can touch a dirty
+// bit — the four Set kinds (changing and not changing the value),
+// TouchLeaf, MarkAllDirty, ClearDirty and a structural Resize — in random
+// order and checks after each step that the maintained count is the
+// number of set bits, which is what AnyDirty, DirtyCount and the early
+// exits built on them rely on.
+func TestDirtyCountMatchesBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 50; trial++ {
+		m := NewMessage("urn:prop", "op")
+		m.AddInt("i", 1)
+		m.AddBool("b", false)
+		m.AddString("s", "a")
+		arr := m.AddDoubleArray("v", 1+rng.Intn(12))
+		for step := 0; step < 200; step++ {
+			i := rng.Intn(m.NumLeaves())
+			switch op := rng.Intn(8); op {
+			case 0, 1, 2: // Set: half the time the value is unchanged.
+				fresh := rng.Intn(2) == 0
+				switch m.LeafType(i).Kind {
+				case Int:
+					v := m.LeafInt(i)
+					if fresh {
+						v++
+					}
+					m.SetLeafInt(i, v)
+				case Double:
+					v := m.LeafDouble(i)
+					if fresh {
+						v += 0.5
+					}
+					m.SetLeafDouble(i, v)
+				case String:
+					v := m.LeafString(i)
+					if fresh {
+						v += "x"
+					}
+					m.SetLeafString(i, v)
+				case Bool:
+					m.SetLeafBool(i, m.LeafBool(i) != fresh)
+				}
+			case 3, 4:
+				m.TouchLeaf(i)
+			case 5:
+				m.MarkAllDirty()
+			case 6:
+				m.ClearDirty()
+			case 7:
+				arr.Resize(1 + rng.Intn(12))
+			}
+			bits := 0
+			for l := 0; l < m.NumLeaves(); l++ {
+				if m.Dirty(l) {
+					bits++
+				}
+			}
+			if m.DirtyCount() != bits || m.AnyDirty() != (bits > 0) {
+				t.Fatalf("trial %d step %d: DirtyCount %d, AnyDirty %v, %d bits set",
+					trial, step, m.DirtyCount(), m.AnyDirty(), bits)
+			}
+		}
+	}
+}
