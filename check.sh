@@ -130,11 +130,13 @@ lru_guard
 # (instrumentation allocates), so the steady-state zero-alloc contract
 # gets its own plain run — twice: once with the flight recorder off and
 # once recording every call (BSOAP_TRACE=1), since "recording never
-# allocates" is the tracer's core claim. The bench smoke
-# (-benchtime=100x) confirms the figure benchmarks still execute and
-# report allocs without paying for a full sweep.
-go test -run 'TestSteadyState' .
-BSOAP_TRACE=1 go test -count=1 -run 'TestSteadyState' .
+# allocates" is the tracer's core claim. TestColdPathAllocs rides both
+# runs: the cold path's bound is not zero, but it is per container and
+# never per leaf, traced or not. The bench smoke (-benchtime=100x)
+# confirms the figure benchmarks still execute and report allocs without
+# paying for a full sweep.
+go test -run 'TestSteadyState|TestColdPathAllocs' .
+BSOAP_TRACE=1 go test -count=1 -run 'TestSteadyState|TestColdPathAllocs' .
 # Propagation cost: the span header write and the slow-ring observe
 # must be allocation-free too (their AllocsPerRun tests skip under
 # -race, so they need this plain leg).

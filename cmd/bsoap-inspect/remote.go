@@ -10,7 +10,8 @@
 // binary A/B/C arguments decoded back into the engine's vocabulary
 // ("field 7 grew 12→14", "stole 2 B pad from field 8"). `metrics`
 // fetches a Prometheus scrape and validates it against the text
-// exposition format, exiting nonzero on malformed output. `templates`
+// exposition format, exiting nonzero on malformed output; for a server's
+// page it adds why requests took the full parse, by reason. `templates`
 // fetches one or more /debug/templates dumps — client pool and server
 // runtime serve the same uniform document — and renders each registry's
 // entries and budget accounting.
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"bsoap/internal/core"
+	"bsoap/internal/diffdeser"
 	"bsoap/internal/promtext"
 	"bsoap/internal/replica"
 	"bsoap/internal/trace"
@@ -364,6 +366,27 @@ func runMetrics(args []string) {
 	for _, n := range names {
 		fmt.Printf("  %s\n", n)
 	}
+	if vals, err := promtext.ReadValues(bytes.NewReader(body)); err == nil {
+		printFullParseReasons(os.Stdout, vals)
+	}
+}
+
+// printFullParseReasons shows, for a server's page, why its requests went
+// cold: the labelled split of bsoap_server_dds_full_parse_total.
+func printFullParseReasons(w io.Writer, vals map[string]float64) {
+	total, ok := vals["bsoap_server_dds_full_parse_total"]
+	if !ok {
+		return // not a server's page
+	}
+	fast := vals["bsoap_server_dds_fast_path_total"]
+	fmt.Fprintf(w, "server decodes: %.0f differential, %.0f full parses", fast, total)
+	sep := " — "
+	for r := diffdeser.ReasonNone + 1; r < diffdeser.NumReasons && total > 0; r++ {
+		n := vals[`bsoap_server_dds_full_parse_reason_total{reason="`+r.String()+`"}`]
+		fmt.Fprintf(w, "%s%s %.1f%% (%.0f)", sep, r, 100*n/total, n)
+		sep = ", "
+	}
+	fmt.Fprintln(w)
 }
 
 func fetch(url string) ([]byte, error) {

@@ -58,7 +58,7 @@ func leafTexts(t *testing.T, doc []byte) []string {
 			stack = append(stack, &frame{})
 		case xmlparse.CharData:
 			if len(stack) > 0 {
-				stack[len(stack)-1].text.WriteString(tok.Text)
+				stack[len(stack)-1].text.Write(tok.Text)
 			}
 		case xmlparse.EndElement:
 			f := stack[len(stack)-1]

@@ -41,20 +41,6 @@ type Template struct {
 	// checksum is the correctness authority.
 	deltaID    uint64
 	deltaEpoch uint64
-
-	// tags caches "<name>"/"</name>" pairs so emission does not
-	// concatenate per leaf.
-	tags map[string][2]string
-}
-
-// tagPair returns the cached open/close tags for name.
-func (t *Template) tagPair(name string) (string, string) {
-	if p, ok := t.tags[name]; ok {
-		return p[0], p[1]
-	}
-	p := [2]string{"<" + name + ">", "</" + name + ">"}
-	t.tags[name] = p
-	return p[0], p[1]
 }
 
 // Buffer exposes the template's chunk buffer (transports and tests).
@@ -134,9 +120,9 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) *Template {
 		version: m.Version(),
 		buf:     chunk.New(cfg.Chunk),
 		cfg:     cfg,
-		tags:    make(map[string][2]string, 8),
 		deltaID: nextDeltaID.Add(1),
 	}
+	t.tab.Entries = make([]dut.Entry, 0, m.NumLeaves())
 	t.buf.Span = sc.span
 	t.buf.AppendString(soapenv.EnvelopeStart(m.Namespace()))
 	t.buf.AppendString(soapenv.OperationStart(m.Operation()))
@@ -152,21 +138,48 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) *Template {
 	return t
 }
 
+// emitStep is one step of serializing a value: markup copied as it
+// stands and then, for a scalar leaf, the leaf's value field.
+type emitStep struct {
+	lit string     // open tag of the leaf, or a struct's own open or close tag
+	typ *wire.Type // the leaf's scalar type; nil when the step is only markup
+	cls string     // the leaf's closing tag
+}
+
+// appendSteps appends the steps that serialize one value of type typ
+// wrapped in <tag>…</tag>. An array resolves its element's tags here once
+// and then runs the steps per item.
+func appendSteps(steps []emitStep, typ *wire.Type, tag string) []emitStep {
+	open, cls := soapenv.OpenTag(tag), soapenv.CloseTag(tag)
+	if typ.Kind != wire.Struct {
+		return append(steps, emitStep{lit: open, typ: typ, cls: cls})
+	}
+	steps = append(steps, emitStep{lit: open})
+	for _, f := range typ.Fields {
+		steps = appendSteps(steps, f.Type, f.Name)
+	}
+	return append(steps, emitStep{lit: cls})
+}
+
 // emitParam serializes one parameter starting at leaf index `leaf` and
 // returns the next leaf index.
 func (t *Template) emitParam(m *wire.Message, p *wire.Param, leaf int, sc *scratch) int {
+	var buf [8]emitStep // an MIO element is five steps; a wider type spills to the heap
 	switch p.Type.Kind {
 	case wire.Array:
 		t.buf.AppendString(soapenv.ArrayStart(p.Name, p.Type.Elem, p.Count))
+		steps := appendSteps(buf[:0], p.Type.Elem, soapenv.ItemTag)
 		for i := 0; i < p.Count; i++ {
-			leaf = t.emitValue(m, p.Type.Elem, soapenv.ItemTag, leaf, sc)
+			leaf = t.emitSteps(m, steps, leaf, sc)
 		}
 		t.buf.AppendString(soapenv.ArrayEnd(p.Name))
 	case wire.Struct:
 		t.buf.AppendString(soapenv.StructStart(p.Name, p.Type))
+		steps := buf[:0]
 		for _, f := range p.Type.Fields {
-			leaf = t.emitValue(m, f.Type, f.Name, leaf, sc)
+			steps = appendSteps(steps, f.Type, f.Name)
 		}
+		leaf = t.emitSteps(m, steps, leaf, sc)
 		t.buf.AppendString(soapenv.CloseTag(p.Name))
 	default:
 		open := soapenv.ScalarStart(p.Name, p.Type)
@@ -175,19 +188,16 @@ func (t *Template) emitParam(m *wire.Message, p *wire.Param, leaf int, sc *scrat
 	return leaf
 }
 
-// emitValue serializes one value of type typ wrapped in <tag>…</tag>.
-func (t *Template) emitValue(m *wire.Message, typ *wire.Type, tag string, leaf int, sc *scratch) int {
-	if typ.Kind == wire.Struct {
-		open, cls := t.tagPair(tag)
-		t.buf.AppendString(open)
-		for _, f := range typ.Fields {
-			leaf = t.emitValue(m, f.Type, f.Name, leaf, sc)
+// emitSteps serializes one value by its steps.
+func (t *Template) emitSteps(m *wire.Message, steps []emitStep, leaf int, sc *scratch) int {
+	for i := range steps {
+		if st := &steps[i]; st.typ == nil {
+			t.buf.AppendString(st.lit)
+		} else {
+			leaf = t.emitScalar(m, st.typ, st.lit, st.cls, leaf, sc)
 		}
-		t.buf.AppendString(cls)
-		return leaf
 	}
-	open, cls := t.tagPair(tag)
-	return t.emitScalar(m, typ, open, cls, leaf, sc)
+	return leaf
 }
 
 // emitScalar serializes one scalar leaf with the configured stuffing and

@@ -19,7 +19,6 @@ package diffdeser
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -37,8 +36,37 @@ type Info struct {
 	FullParse bool
 	// ValuesReparsed counts leaf regions re-lexed on the fast path.
 	ValuesReparsed int
-	// Reason explains why a full parse happened ("" on the fast path).
-	Reason string
+	// Reason says why a full parse happened (ReasonNone on the fast path).
+	Reason Reason
+}
+
+// Reason classifies why a Decode ran the full parse. The set is closed,
+// so a reason can label a metric: what a region's lexer said about a
+// peer's bytes stays in the error, and never becomes a label.
+type Reason uint8
+
+const (
+	// ReasonNone: the fast path served the decode.
+	ReasonNone Reason = iota
+	// ReasonNoTemplate: nothing is retained for the key.
+	ReasonNoTemplate
+	// ReasonLength: no retained body has this body's length.
+	ReasonLength
+	// ReasonMarkup: a byte differs outside every leaf's region.
+	ReasonMarkup
+	// ReasonValue: a changed region is not a value of its leaf's type,
+	// the leaf's closing tag and white space.
+	ReasonValue
+	// ReasonDropped: a region failed after others had been set, and the
+	// retained bytes would not lex to undo them: the template was dropped.
+	ReasonDropped
+	// NumReasons sizes an array indexed by Reason.
+	NumReasons
+)
+
+// String returns the reason as a metric label value ("" for ReasonNone).
+func (r Reason) String() string {
+	return [NumReasons]string{"", "no_template", "length", "markup", "value", "dropped"}[r]
 }
 
 // template is the stored last message for one operation.
@@ -138,18 +166,19 @@ func (d *Deserializer) noteKey(key string, kt *keyTemplates) {
 func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, error) {
 	kt, ok := d.keys.Peek(key)
 	if !ok || len(kt.list) == 0 {
-		return d.fullParse(key, body, "no template")
+		return d.fullParse(key, body, ReasonNoTemplate)
 	}
-	reason := "length mismatch"
+	reason := ReasonLength
 	for idx := 0; idx < len(kt.list); idx++ {
 		tpl := kt.list[idx]
 		if len(body) != len(tpl.body) {
 			continue
 		}
 		n, why, intact := tpl.tryFast(body)
-		if why != "" {
+		if why != ReasonNone {
 			reason = why
 			if !intact {
+				reason = ReasonDropped
 				d.size -= templateCost(tpl)
 				kt.list = slices.Delete(kt.list, idx, idx+1)
 				idx--
@@ -177,16 +206,16 @@ func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, err
 // false in the one case the undo cannot cover — a retained region that a
 // full parse accepted in a form the region lexer does not (an entity in a
 // number, a comment) — and the caller must then drop the template.
-func (t *template) tryFast(body []byte) (n int, why string, intact bool) {
+func (t *template) tryFast(body []byte) (n int, why Reason, intact bool) {
 	n, lo, hi, why := t.relexChanged(body, body, math.MaxInt)
-	if why != "" {
+	if why != ReasonNone {
 		restored, _, _, _ := t.relexChanged(body, t.body, n)
 		return 0, why, restored == n
 	}
 	// Adopt the new bytes as the template for the next arrival: outside
 	// [lo, hi) the two bodies are equal.
 	copy(t.body[lo:hi], body[lo:hi])
-	return n, "", true
+	return n, ReasonNone, true
 }
 
 // relexChanged walks the bytes at which body differs from the retained
@@ -196,12 +225,12 @@ func (t *template) tryFast(body []byte) (n int, why string, intact bool) {
 // that set limit leaves before failing (the walk depends only on the two
 // bodies, so it revisits the same regions in the same order). It
 // returns the regions set, the span [lo, hi) of body that covers every
-// difference seen, and why it stopped early ("" when it did not).
+// difference seen, and why it stopped early (ReasonNone when it did not).
 //
 // The cost is one block-wise comparison of the bodies plus the lexing of
 // the regions that differ; nothing is allocated unless a string leaf
 // changed or the walk fails.
-func (t *template) relexChanged(body, src []byte, limit int) (n, lo, hi int, why string) {
+func (t *template) relexChanged(body, src []byte, limit int) (n, lo, hi int, why Reason) {
 	old := t.body
 	off, next := 0, 0
 	for n < limit {
@@ -216,11 +245,11 @@ func (t *template) relexChanged(body, src []byte, limit int) (n, lo, hi int, why
 			i = sort.Search(len(t.ranges), func(k int) bool { return t.ranges[k].End > off })
 		}
 		if i == len(t.ranges) || off < t.ranges[i].Start {
-			return n, lo, hi, "markup changed"
+			return n, lo, hi, ReasonMarkup
 		}
 		r := t.ranges[i]
-		if err := relexRegion(t.msg, i, src[r.Start:r.End]); err != nil {
-			return n, lo, hi, err.Error()
+		if !relexRegion(t.msg, i, src[r.Start:r.End]) {
+			return n, lo, hi, ReasonValue
 		}
 		if n == 0 {
 			lo = off
@@ -228,7 +257,7 @@ func (t *template) relexChanged(body, src []byte, limit int) (n, lo, hi int, why
 		n++
 		off, next, hi = r.End, i+1, r.End
 	}
-	return n, lo, hi, ""
+	return n, lo, hi, ReasonNone
 }
 
 // mismatch returns the index of the first byte at which a and b, of
@@ -259,30 +288,27 @@ func mismatch(a, b []byte) int {
 
 // relexRegion re-parses one variable region: VALUE</tag>␣␣… — the value
 // text up to the first '<', the expected closing tag, then whitespace —
-// and stores the value in leaf.
-func relexRegion(msg *wire.Message, leaf int, seg []byte) error {
+// and stores the value in leaf. It reports whether the region was that.
+func relexRegion(msg *wire.Message, leaf int, seg []byte) bool {
 	lt := bytes.IndexByte(seg, '<')
 	if lt < 0 {
-		return fmt.Errorf("leaf %d: no closing tag in region", leaf)
+		return false // no closing tag in the region
 	}
 	tag, rest := msg.LeafTag(leaf), seg[lt+1:]
 	if len(rest) < len(tag)+2 || rest[0] != '/' || string(rest[1:1+len(tag)]) != tag || rest[1+len(tag)] != '>' {
-		return fmt.Errorf("leaf %d: closing tag changed", leaf)
+		return false // the closing tag changed
 	}
 	for _, b := range rest[len(tag)+2:] {
 		if !xsdlex.IsSpace(b) {
-			return fmt.Errorf("leaf %d: non-whitespace padding", leaf)
+			return false // the padding is not white space
 		}
 	}
-	if err := soapdec.SetLeafBytes(msg, leaf, seg[:lt]); err != nil {
-		return fmt.Errorf("leaf %d: %w", leaf, err)
-	}
-	return nil
+	return soapdec.SetLeafBytes(msg, leaf, seg[:lt]) == nil
 }
 
 // fullParse runs the complete schema-driven parse and refreshes the
 // template for key.
-func (d *Deserializer) fullParse(key string, body []byte, reason string) (*wire.Message, Info, error) {
+func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.Message, Info, error) {
 	res, err := soapdec.Decode(body, d.lookup, true)
 	if err != nil {
 		return nil, Info{FullParse: true, Reason: reason}, err

@@ -183,7 +183,7 @@ func TestLengthChangeFallsBackToFullParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.FullParse || info.Reason != "length mismatch" {
+	if !info.FullParse || info.Reason != ReasonLength {
 		t.Fatalf("info: %+v", info)
 	}
 }

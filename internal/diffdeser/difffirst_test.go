@@ -380,3 +380,60 @@ func TestRelexHoldsTheDoubleGrammar(t *testing.T) {
 		t.Fatalf(".5e1: %v, %+v, %v", msg.LeafDouble(1), info, err)
 	}
 }
+
+// TestFullParseReasons drives each way a decode leaves the fast path and
+// checks the class it reports: the closed set a metric label is cut from.
+func TestFullParseReasons(t *testing.T) {
+	c := newStuffedDoubles(3)
+	d := New(testSchema(c.msg))
+	plain := c.body(t)
+	decode := func(body []byte) Reason {
+		t.Helper()
+		_, info, _ := d.Decode("k", body)
+		if info.FullParse != (info.Reason != ReasonNone) {
+			t.Fatalf("info %+v: a reason without a full parse, or the reverse", info)
+		}
+		return info.Reason
+	}
+	edit := func(at int, with string) []byte {
+		b := append([]byte(nil), plain...)
+		copy(b[at:], with)
+		return b
+	}
+	if got := decode(plain); got != ReasonNoTemplate {
+		t.Fatalf("first body: %v, want no_template", got)
+	}
+	tpl := templates(t, d, "k")[0]
+	r0, r2 := tpl.ranges[0].Start, tpl.ranges[2].Start
+	if got := decode(edit(r0, "7")); got != ReasonNone {
+		t.Fatalf("one changed value: %v, want the fast path", got)
+	}
+	if got := decode(append(append([]byte(nil), plain...), ' ')); got != ReasonLength {
+		t.Fatalf("longer body: %v, want length", got)
+	}
+	// A letter of the array's own tag name: outside every region. (The
+	// body fails to parse; the reason is still why the fast path was
+	// left.)
+	if got := decode(edit(bytes.Index(plain, []byte("<v ")), "<w ")); got != ReasonMarkup {
+		t.Fatalf("changed tag: %v, want markup", got)
+	}
+	if got := decode(edit(r2, "x")); got != ReasonValue {
+		t.Fatalf("unlexable value: %v, want value", got)
+	}
+	// TestUndoThatCannotLexDropsTemplate's case: the retained body spells
+	// leaf 0 in a form the region lexer cannot undo from.
+	d = New(testSchema(c.msg))
+	if got := decode(edit(r0, "&#48;</item>")); got != ReasonNoTemplate {
+		t.Fatalf("exotic first body: %v, want no_template", got)
+	}
+	evil := edit(r0, "7")
+	evil[r2] = 'x'
+	if got := decode(evil); got != ReasonDropped {
+		t.Fatalf("undo that cannot lex: %v, want dropped", got)
+	}
+	for r := ReasonNone; r < NumReasons; r++ {
+		if (r.String() == "") != (r == ReasonNone) {
+			t.Errorf("reason %d has label %q", r, r.String())
+		}
+	}
+}

@@ -34,20 +34,51 @@ func TestOversizeUnpooled(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesArena checks what membuf promises about a released
+// arena coming back, and nothing sync.Pool does not: every acquire is
+// counted and served at least the capacity asked for, a release is
+// counted, a miss is an acquire no class could serve (so never more of
+// them than acquires, and one at least from an empty pool), and with
+// poisoning on an arena returns overwritten — whether it is the same
+// arena is the pool's business (the race detector drops puts at random
+// to make that point).
 func TestReleaseRecyclesArena(t *testing.T) {
 	p := NewPool()
-	a := p.Acquire(100)
-	arr := &a.B[:1][0]
-	a.Release()
-	// Same goroutine, no GC pressure: the class pool should hand the
-	// arena straight back.
-	b := p.Acquire(100)
-	if &b.B[:1][0] != arr {
-		t.Error("arena not recycled by immediate re-acquire")
+	p.SetPoison(true)
+	const rounds = 8
+	var last *Buf
+	for i := 0; i < rounds; i++ {
+		b := p.Acquire(100)
+		if len(b.B) != 0 || cap(b.B) < 100 {
+			t.Fatalf("round %d: len %d cap %d, want 0 and >= 100", i, len(b.B), cap(b.B))
+		}
+		full := b.B[:cap(b.B)]
+		if b == last {
+			// The arena released last round: it must carry the poison, not
+			// the bytes its last owner wrote.
+			for j, c := range full {
+				if c != PoisonByte {
+					t.Fatalf("round %d: recycled arena byte %d = %#x, want poison", i, j, c)
+				}
+			}
+		}
+		for j := range full {
+			full[j] = 'A'
+		}
+		last = b
+		b.Release()
+		for j, c := range full {
+			if c != PoisonByte {
+				t.Fatalf("round %d: byte %d = %#x after release, want poison", i, j, c)
+			}
+		}
 	}
-	b.Release()
-	if s := p.Stats(); s.Acquires != 2 || s.Releases != 2 || s.Misses != 1 {
-		t.Fatalf("stats: %+v", s)
+	s := p.Stats()
+	if s.Acquires != rounds || s.Releases != rounds || s.Outstanding() != 0 {
+		t.Fatalf("stats: %+v, want %d acquires and releases", s, rounds)
+	}
+	if s.Misses < 1 || s.Misses > s.Acquires {
+		t.Fatalf("stats: %+v, want 1 <= misses <= acquires", s)
 	}
 }
 

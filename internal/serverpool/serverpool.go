@@ -485,7 +485,7 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 		if err != nil {
 			return nil, fmt.Errorf("serverpool: decode: %w", err)
 		}
-		rt.metrics.RecordDDSDecode(!info.FullParse, info.ValuesReparsed)
+		rt.metrics.RecordDDSDecode(info.Reason, info.ValuesReparsed)
 		if d := r.differ.Evictions() - r.keyEvictions; d > 0 {
 			r.keyEvictions += d
 			rt.ddsKeyEvictions.Add(d)
@@ -515,7 +515,7 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 		}
 		msg = res.Msg
 		rt.fullParses.Add(1)
-		rt.metrics.RecordDDSDecode(false, 0)
+		rt.metrics.RecordDDSDecode(diffdeser.ReasonNoTemplate, 0) // nothing is retained with the differ off
 		if traced {
 			trace.Rec(span, trace.KindServerDecode, 0, 0, int64(len(body)))
 		}

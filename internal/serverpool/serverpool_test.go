@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bsoap/internal/core"
+	"bsoap/internal/promtext"
 	reg "bsoap/internal/replica"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/trace"
@@ -618,5 +619,61 @@ func TestSpanAdoptionRecordsServerEvents(t *testing.T) {
 		if ev.Kind == "server-span" {
 			t.Fatalf("anchor recorded without a propagated span: %+v", ev)
 		}
+	}
+}
+
+// TestFullParseReasonsOfALengthRotation is the benchmark's reshape_cold
+// read off the server's own metrics: one connection sending the same
+// operation at sixteen array lengths in rotation misses the four
+// templates a key keeps on every call, and after the first — which found
+// nothing retained — every full parse says so: "length". The labelled
+// family sums to the unlabelled total and the page stays valid.
+func TestFullParseReasonsOfALengthRotation(t *testing.T) {
+	m := transport.NewServerMetrics()
+	rt := newSumRuntime(Options{DifferentialDeserialization: true, Metrics: m})
+	clients := make([]*client, 16)
+	for i := range clients {
+		clients[i] = newClient(20 + 2*i)
+	}
+	const rounds = 3
+	for r := 0; r < rounds; r++ {
+		for _, c := range clients {
+			c.arr.Set(0, float64(r))
+			if _, err := rt.Handle(1, "10.0.0.1:99", c.body(t)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := m.Snapshot()
+	total := int64(rounds * len(clients))
+	if snap.DDSFastPath != 0 || snap.DDSFullParses != total {
+		t.Fatalf("fast %d full %d, want every one of %d calls cold", snap.DDSFastPath, snap.DDSFullParses, total)
+	}
+	why := snap.DDSFullParseReasons
+	if why["no_template"] != 1 || why["length"] != total-1 || len(why) != 5 {
+		t.Fatalf("reasons %v, want 1 no_template and %d length of 5 classes", why, total-1)
+	}
+
+	var page strings.Builder
+	if err := m.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := promtext.Validate(strings.NewReader(page.String())); err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	vals, err := promtext.ReadValues(strings.NewReader(page.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, reason := range []string{"no_template", "length", "markup", "value", "dropped"} {
+		v, ok := vals[`bsoap_server_dds_full_parse_reason_total{reason="`+reason+`"}`]
+		if !ok {
+			t.Errorf("no %q sample on the page", reason)
+		}
+		sum += v
+	}
+	if unlabelled := vals["bsoap_server_dds_full_parse_total"]; sum != unlabelled || unlabelled != float64(total) {
+		t.Fatalf("labelled samples sum to %v, unlabelled total %v, want %d", sum, unlabelled, total)
 	}
 }

@@ -7,9 +7,10 @@
 package soapdec
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 
 	"bsoap/internal/wire"
 	"bsoap/internal/xmlparse"
@@ -59,7 +60,7 @@ func Decode(body []byte, lookup Lookup, recordRanges bool) (*Result, error) {
 		return nil, fmt.Errorf("soapdec: %w", err)
 	}
 	// An optional SOAP Header is skipped wholesale.
-	if tok.Kind == xmlparse.StartElement && xmlparse.Local(tok.Name) == "Header" {
+	if tok.Kind == xmlparse.StartElement && string(xmlparse.Local(tok.Name)) == "Header" {
 		if err := p.SkipElement(); err != nil {
 			return nil, fmt.Errorf("soapdec: skipping header: %w", err)
 		}
@@ -68,14 +69,14 @@ func Decode(body []byte, lookup Lookup, recordRanges bool) (*Result, error) {
 			return nil, fmt.Errorf("soapdec: %w", err)
 		}
 	}
-	if tok.Kind != xmlparse.StartElement || xmlparse.Local(tok.Name) != "Body" {
+	if tok.Kind != xmlparse.StartElement || string(xmlparse.Local(tok.Name)) != "Body" {
 		return nil, fmt.Errorf("soapdec: expected Body, got %v %q", tok.Kind, tok.Name)
 	}
 	opTok, err := p.ExpectStart("")
 	if err != nil {
 		return nil, fmt.Errorf("soapdec: reading operation: %w", err)
 	}
-	opLocal := xmlparse.Local(opTok.Name)
+	opLocal := string(xmlparse.Local(opTok.Name))
 	schema, ok := lookup(opLocal)
 	if !ok {
 		return nil, fmt.Errorf("soapdec: unknown operation %q", opLocal)
@@ -121,10 +122,7 @@ func (d *decoder) param(msg *wire.Message, spec ParamSpec) error {
 	case wire.Struct:
 		leaf := msg.NumLeaves()
 		msg.AddStruct(spec.Name, spec.Type)
-		if _, err := d.structFields(msg, spec.Type, leaf); err != nil {
-			return err
-		}
-		_, err := d.p.ExpectEnd()
+		_, err := d.value(msg, spec.Type, leaf)
 		return err
 	default:
 		return d.scalarParam(msg, spec)
@@ -133,74 +131,55 @@ func (d *decoder) param(msg *wire.Message, spec ParamSpec) error {
 
 // scalarParam decodes a scalar parameter (its element is already open).
 func (d *decoder) scalarParam(msg *wire.Message, spec ParamSpec) error {
+	leaf := msg.NumLeaves()
 	switch spec.Type.Kind {
 	case wire.Int:
-		ref := msg.AddInt(spec.Name, 0)
-		v, err := d.leafText(wire.TInt)
-		if err != nil {
-			return err
-		}
-		ref.Set(v.(int32))
+		msg.AddInt(spec.Name, 0)
 	case wire.Double:
-		ref := msg.AddDouble(spec.Name, 0)
-		v, err := d.leafText(wire.TDouble)
-		if err != nil {
-			return err
-		}
-		ref.Set(v.(float64))
+		msg.AddDouble(spec.Name, 0)
 	case wire.String:
-		ref := msg.AddString(spec.Name, "")
-		v, err := d.leafText(wire.TString)
-		if err != nil {
-			return err
-		}
-		ref.Set(v.(string))
+		msg.AddString(spec.Name, "")
 	case wire.Bool:
-		ref := msg.AddBool(spec.Name, false)
-		v, err := d.leafText(wire.TBool)
-		if err != nil {
-			return err
-		}
-		ref.Set(v.(bool))
+		msg.AddBool(spec.Name, false)
 	default:
 		return fmt.Errorf("unsupported scalar kind %v", spec.Type.Kind)
 	}
-	return nil
+	return d.scalar(msg, leaf)
 }
 
 // array decodes n items of the array whose open tag has been consumed.
 func (d *decoder) array(msg *wire.Message, spec ParamSpec, n int) error {
-	// The count is the peer's claim. Every item takes at least "<item/>"
-	// of the body, so a count the remaining bytes cannot hold is refused
-	// before the message allocates that many leaves for it.
-	if n > (len(d.body)-d.p.Offset())/len("<item/>") {
+	elem := spec.Type.Elem
+	// The count is the peer's claim, and the message makes every leaf slot
+	// of every item before the first item is read. An item cannot take
+	// less of the body than its type's emptiest form, so a count the
+	// remaining bytes cannot hold is refused before anything is allocated
+	// for it.
+	if n > (len(d.body)-d.p.Offset())/minEncoded(elem, "item") {
 		return fmt.Errorf("array length %d exceeds the body", n)
 	}
-	elem := spec.Type.Elem
-	var first int
+	leaf := msg.NumLeaves()
 	switch elem.Kind {
 	case wire.Int:
-		first = msg.NumLeaves()
 		msg.AddIntArray(spec.Name, n)
 	case wire.Double:
-		first = msg.NumLeaves()
 		msg.AddDoubleArray(spec.Name, n)
 	case wire.String:
-		first = msg.NumLeaves()
 		msg.AddStringArray(spec.Name, n)
 	case wire.Struct:
-		first = msg.NumLeaves()
 		msg.AddStructArray(spec.Name, elem, n)
 	default:
 		return fmt.Errorf("unsupported array element kind %v", elem.Kind)
 	}
-	leaf := first
+	if d.record {
+		d.ranges = slices.Grow(d.ranges, msg.NumLeaves()-leaf)
+	}
 	for i := 0; i < n; i++ {
 		if _, err := d.p.ExpectStart("item"); err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}
 		var err error
-		leaf, err = d.value(msg, elem, leaf, true)
+		leaf, err = d.value(msg, elem, leaf)
 		if err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}
@@ -209,102 +188,58 @@ func (d *decoder) array(msg *wire.Message, spec ParamSpec, n int) error {
 	return err
 }
 
-// value decodes one value of type t into leaf slot(s) starting at leaf.
-// The enclosing element is already open when elemOpen is true.
-func (d *decoder) value(msg *wire.Message, t *wire.Type, leaf int, elemOpen bool) (int, error) {
-	if !elemOpen {
-		if _, err := d.p.ExpectStart(""); err != nil {
-			return leaf, err
-		}
+// minEncoded is the fewest body bytes one value of type t in an element
+// named tag can occupy: <tag/> for a scalar; for a struct, its own open
+// and close tags around the least each field can be.
+func minEncoded(t *wire.Type, tag string) int {
+	if t.Kind != wire.Struct {
+		return len("</>") + len(tag)
 	}
-	if t.Kind == wire.Struct {
-		leaf, err := d.structFields(msg, t, leaf)
-		if err != nil {
-			return leaf, err
-		}
-		_, err = d.p.ExpectEnd()
-		return leaf, err
+	n := len("<></>") + 2*len(tag)
+	for _, f := range t.Fields {
+		n += minEncoded(f.Type, f.Name)
 	}
-	return d.scalarInto(msg, t, leaf)
+	return n
 }
 
-// structFields decodes the fields of an open struct element.
-func (d *decoder) structFields(msg *wire.Message, t *wire.Type, leaf int) (int, error) {
+// value decodes one value of type t, whose element is already open, into
+// the leaf slot(s) starting at leaf.
+func (d *decoder) value(msg *wire.Message, t *wire.Type, leaf int) (int, error) {
+	if t.Kind != wire.Struct {
+		return leaf + 1, d.scalar(msg, leaf)
+	}
 	for _, f := range t.Fields {
 		if _, err := d.p.ExpectStart(f.Name); err != nil {
 			return leaf, err
 		}
 		var err error
-		if f.Type.Kind == wire.Struct {
-			leaf, err = d.structFields(msg, f.Type, leaf)
-			if err != nil {
-				return leaf, err
-			}
-			if _, err = d.p.ExpectEnd(); err != nil {
-				return leaf, err
-			}
-		} else {
-			leaf, err = d.scalarInto(msg, f.Type, leaf)
-			if err != nil {
-				return leaf, err
-			}
+		if leaf, err = d.value(msg, f.Type, leaf); err != nil {
+			return leaf, err
 		}
 	}
-	return leaf, nil
+	_, err := d.p.ExpectEnd()
+	return leaf, err
 }
 
-// scalarInto parses the open element's text into leaf and records its
-// variable region.
-func (d *decoder) scalarInto(msg *wire.Message, t *wire.Type, leaf int) (int, error) {
-	v, err := d.leafText(t)
-	if err != nil {
-		return leaf, err
-	}
-	switch t.Kind {
-	case wire.Int:
-		msg.SetLeafInt(leaf, v.(int32))
-	case wire.Double:
-		msg.SetLeafDouble(leaf, v.(float64))
-	case wire.String:
-		msg.SetLeafString(leaf, v.(string))
-	case wire.Bool:
-		msg.SetLeafBool(leaf, v.(bool))
-	}
-	return leaf + 1, nil
-}
-
-// leafText consumes the current element's text and closing tag, parses
-// it per type, and (when recording) captures the variable byte region.
-func (d *decoder) leafText(t *wire.Type) (any, error) {
+// scalar parses the open element's text into leaf and, when recording,
+// captures its variable region: from the text's first byte past the
+// closing tag and any padding to the next '<'.
+func (d *decoder) scalar(msg *wire.Message, leaf int) error {
 	start := d.p.Offset()
 	text, err := d.p.Text()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d.record {
-		// Extend past the closing tag and any padding to the next '<'.
 		end := d.p.Offset()
-		for end < len(d.body) && d.body[end] != '<' {
-			end++
+		if i := bytes.IndexByte(d.body[end:], '<'); i >= 0 {
+			end += i
+		} else {
+			end = len(d.body)
 		}
 		d.ranges = append(d.ranges, LeafRange{Start: start, End: end})
 	}
-	return parseScalar(t, text)
-}
-
-// parseScalar parses one lexical value per its wire type.
-func parseScalar(t *wire.Type, text string) (any, error) {
-	switch t.Kind {
-	case wire.Int:
-		return parseIntText(text)
-	case wire.Double:
-		return parseDoubleText(text)
-	case wire.String:
-		return text, nil
-	case wire.Bool:
-		return parseBoolText(text)
-	}
-	return nil, fmt.Errorf("soapdec: non-scalar type %v", t.Kind)
+	return setLeaf(msg, leaf, text, false)
 }
 
 // SetLeafBytes parses raw — one leaf's character data exactly as it
@@ -315,29 +250,39 @@ func parseScalar(t *wire.Type, text string) (any, error) {
 // keeps. Entities are resolved for strings alone: escaped numeric text
 // fails here and is left for the full parse to accept.
 func SetLeafBytes(msg *wire.Message, leaf int, raw []byte) error {
+	return setLeaf(msg, leaf, raw, true)
+}
+
+// setLeaf is the one place a leaf's text becomes its value. The full
+// parse hands it text the tokenizer has already resolved (escaped false);
+// the region lexer hands it body bytes.
+func setLeaf(msg *wire.Message, leaf int, text []byte, escaped bool) error {
 	switch t := msg.LeafType(leaf); t.Kind {
 	case wire.Int:
-		v, err := xsdlex.ParseInt(raw)
+		v, err := xsdlex.ParseInt(text)
 		if err != nil {
 			return err
 		}
 		msg.SetLeafInt(leaf, v)
 	case wire.Double:
-		v, err := xsdlex.ParseDouble(raw)
+		v, err := xsdlex.ParseDouble(text)
 		if err != nil {
 			return err
 		}
 		msg.SetLeafDouble(leaf, v)
 	case wire.Bool:
-		v, err := xsdlex.ParseBool(raw)
+		v, err := xsdlex.ParseBool(text)
 		if err != nil {
 			return err
 		}
 		msg.SetLeafBool(leaf, v)
 	case wire.String:
-		v, err := xsdlex.UnescapeText(string(raw))
-		if err != nil {
-			return err
+		v := string(text) // the message keeps it: the one copy a leaf costs
+		if escaped {
+			var err error
+			if v, err = xsdlex.UnescapeText(v); err != nil {
+				return err
+			}
 		}
 		msg.SetLeafString(leaf, v)
 	default:
@@ -349,15 +294,15 @@ func SetLeafBytes(msg *wire.Message, leaf int, raw []byte) error {
 // arrayCount extracts the element count from SOAP-ENC:arrayType.
 func arrayCount(attrs []xmlparse.Attr) (int, error) {
 	for _, a := range attrs {
-		if xmlparse.Local(a.Name) != "arrayType" {
+		if string(xmlparse.Local(a.Name)) != "arrayType" {
 			continue
 		}
-		open := strings.IndexByte(a.Value, '[')
-		closeB := strings.IndexByte(a.Value, ']')
+		open := bytes.IndexByte(a.Value, '[')
+		closeB := bytes.IndexByte(a.Value, ']')
 		if open < 0 || closeB <= open {
 			return 0, fmt.Errorf("soapdec: malformed arrayType %q", a.Value)
 		}
-		n, err := strconv.Atoi(a.Value[open+1 : closeB])
+		n, err := strconv.Atoi(string(a.Value[open+1 : closeB]))
 		if err != nil || n < 0 {
 			return 0, fmt.Errorf("soapdec: bad array length in %q", a.Value)
 		}
@@ -365,7 +310,3 @@ func arrayCount(attrs []xmlparse.Attr) (int, error) {
 	}
 	return 0, fmt.Errorf("soapdec: array element missing arrayType attribute")
 }
-
-func parseIntText(s string) (int32, error)      { return xsdlex.ParseInt(s) }
-func parseDoubleText(s string) (float64, error) { return xsdlex.ParseDouble(s) }
-func parseBoolText(s string) (bool, error)      { return xsdlex.ParseBool(s) }

@@ -3,6 +3,7 @@ package soapdec
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,6 +206,65 @@ func TestDecodeBadArrayType(t *testing.T) {
 		if _, err := Decode([]byte(doc), lookup, false); err == nil {
 			t.Errorf("%s arrayType: decoded without error", name)
 		}
+	}
+}
+
+// TestArrayLengthBoundedByElementSize: the message makes every leaf slot
+// of a claimed array before it reads the first item, so the claim is
+// checked against the least the items could occupy — a struct element's
+// own tags and one empty element per field, not the seven bytes of
+// <item/>.
+func TestArrayLengthBoundedByElementSize(t *testing.T) {
+	pair := wire.StructOf("ns1:Pair",
+		wire.Field{Name: "a", Type: wire.TString},
+		wire.Field{Name: "b", Type: wire.TString})
+	for _, c := range []struct {
+		name string
+		elem *wire.Type
+		min  int
+	}{
+		{"scalar", wire.TInt, len("<item/>")},
+		{"MIO", mioType(), len("<item><x/><y/><value/></item>")},
+		{"Pair", pair, len("<item><a/><b/></item>")},
+	} {
+		if got := minEncoded(c.elem, "item"); got != c.min {
+			t.Errorf("minEncoded(%s) = %d, want %d", c.name, got, c.min)
+		}
+	}
+
+	decode := func(elem *wire.Type, n int, items string) (*Result, error) {
+		schema := &Schema{Namespace: "urn:x", Op: "op",
+			Params: []ParamSpec{{Name: "v", Type: wire.ArrayOf(elem)}}}
+		doc := `<E:Envelope><E:Body><ns1:op><v e:arrayType="` + elem.Name + `[` + strconv.Itoa(n) + `]">` +
+			items + `</v></ns1:op></E:Body></E:Envelope>`
+		return Decode([]byte(doc), func(string) (*Schema, bool) { return schema, true }, true)
+	}
+
+	// A claim of n MIOs over 10 body bytes each: within the old bound of
+	// 7 a claimed item, and 900 000 leaf slots if it were believed.
+	const n = 300_000
+	padding := strings.Repeat(" ", 10*n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decode(mioType(), n, padding)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the body") {
+		t.Fatalf("MIO[%d] over %d bytes: err = %v, want the length refused", n, len(padding), err)
+	}
+	// The document itself is 3 MB; the slots would have been 50 MB more.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("refusing the claim allocated %d bytes: leaves were added first", grew)
+	}
+
+	// The fullest honest body — every item at its type's minimum, nothing
+	// between them — is still accepted.
+	res, err := decode(pair, 1000, strings.Repeat("<item><a/><b/></item>", 1000))
+	if err != nil || res.Msg.NumLeaves() != 2000 || len(res.Ranges) != 2000 {
+		t.Fatalf("maximal honest body: %v", err)
+	}
+	// One more claimed than that body holds is not.
+	if _, err := decode(pair, 1003, strings.Repeat("<item><a/><b/></item>", 1000)); err == nil {
+		t.Fatal("claim beyond the body's items accepted")
 	}
 }
 

@@ -20,14 +20,14 @@ func TestEnvelopeRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	tok, err := p.ExpectStart("op")
-	if err != nil || tok.Name != "ns1:op" {
+	if err != nil || string(tok.Name) != "ns1:op" {
 		t.Fatalf("op: %+v, %v", tok, err)
 	}
 	if _, err := p.ExpectStart("v"); err != nil {
 		t.Fatal(err)
 	}
 	text, err := p.Text()
-	if err != nil || text != "42" {
+	if err != nil || string(text) != "42" {
 		t.Fatalf("text %q, %v", text, err)
 	}
 }
@@ -82,7 +82,7 @@ func TestFaultParses(t *testing.T) {
 		if tok.Kind == xmlparse.EOF {
 			break
 		}
-		if tok.Kind == xmlparse.StartElement && xmlparse.Local(tok.Name) == "Fault" {
+		if tok.Kind == xmlparse.StartElement && string(xmlparse.Local(tok.Name)) == "Fault" {
 			sawFault = true
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bsoap/internal/diffdeser"
 	"bsoap/internal/wire"
 )
 
@@ -205,8 +206,8 @@ func TestServerMetricsDeltaCounters(t *testing.T) {
 	m.RecordDeltaSync(100)
 	m.RecordDeltaApply(40, 100)
 	m.RecordDeltaBaseEviction()
-	m.RecordDDSDecode(true, 3)
-	m.RecordDDSDecode(false, 0)
+	m.RecordDDSDecode(diffdeser.ReasonNone, 3)
+	m.RecordDDSDecode(diffdeser.ReasonLength, 0)
 	m.AddDDSKeyEvictions(2)
 	m.AddDDSKeyEvictions(0) // no-op branch
 	m.RecordReplicaEviction(true)
@@ -219,7 +220,7 @@ func TestServerMetricsDeltaCounters(t *testing.T) {
 	if st.DeltaWireBytes != 140 || st.DeltaRepresented != 200 {
 		t.Fatalf("delta bytes: wire %d represented %d, want 140/200", st.DeltaWireBytes, st.DeltaRepresented)
 	}
-	if st.DDSFastPath != 1 || st.DDSFullParses != 1 || st.DDSValuesReparsed != 3 {
+	if st.DDSFastPath != 1 || st.DDSFullParses != 1 || st.DDSValuesReparsed != 3 || st.DDSFullParseReasons["length"] != 1 {
 		t.Fatalf("dds counters: %+v", st)
 	}
 	if st.DDSKeyEvictions != 2 {

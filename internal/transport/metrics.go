@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"bsoap/internal/diffdeser"
 	"bsoap/internal/promtext"
 	"bsoap/internal/replica"
 	"bsoap/internal/trace"
@@ -35,7 +36,7 @@ type ServerMetrics struct {
 	// Differential-deserialization outcomes, recorded by the serverpool
 	// runtime (the transport itself never parses SOAP).
 	ddsFastPath            atomic.Int64
-	ddsFullParses          atomic.Int64
+	ddsFullParses          [diffdeser.NumReasons]atomic.Int64 // by why the request went cold
 	ddsValuesReparsed      atomic.Int64
 	ddsKeyEvictions        atomic.Int64
 	replicaEvictions       atomic.Int64
@@ -82,11 +83,14 @@ type ServerStats struct {
 	RejectedRequests int64 `json:"rejected_requests"`
 	DrainAborted     int64 `json:"drain_aborted"`
 
-	DDSFastPath       int64 `json:"dds_fast_path"`
-	DDSFullParses     int64 `json:"dds_full_parses"`
-	DDSValuesReparsed int64 `json:"dds_values_reparsed"`
-	DDSKeyEvictions   int64 `json:"dds_key_evictions"`
-	ReplicaEvictions  int64 `json:"replica_evictions"`
+	DDSFastPath   int64 `json:"dds_fast_path"`
+	DDSFullParses int64 `json:"dds_full_parses"`
+	// DDSFullParseReasons splits DDSFullParses by diffdeser.Reason (its
+	// label as the key): the entries sum to it.
+	DDSFullParseReasons map[string]int64 `json:"dds_full_parse_reasons"`
+	DDSValuesReparsed   int64            `json:"dds_values_reparsed"`
+	DDSKeyEvictions     int64            `json:"dds_key_evictions"`
+	ReplicaEvictions    int64            `json:"replica_evictions"`
 
 	// ReplicaBudgetEvictions is the subset of ReplicaEvictions driven by
 	// the MaxTemplateBytes budget; the rest is the replica count cap.
@@ -128,7 +132,6 @@ func (m *ServerMetrics) Snapshot() ServerStats {
 		DrainAborted:     m.drainAborted.Load(),
 
 		DDSFastPath:       m.ddsFastPath.Load(),
-		DDSFullParses:     m.ddsFullParses.Load(),
 		DDSValuesReparsed: m.ddsValuesReparsed.Load(),
 		DDSKeyEvictions:   m.ddsKeyEvictions.Load(),
 		ReplicaEvictions:  m.replicaEvictions.Load(),
@@ -142,6 +145,12 @@ func (m *ServerMetrics) Snapshot() ServerStats {
 		DeltaWireBytes:     m.deltaWireBytes.Load(),
 		DeltaRepresented:   m.deltaRepresented.Load(),
 	}
+	st.DDSFullParseReasons = make(map[string]int64, diffdeser.NumReasons-1)
+	for r := diffdeser.ReasonNone + 1; r < diffdeser.NumReasons; r++ {
+		n := m.ddsFullParses[r].Load()
+		st.DDSFullParseReasons[r.String()] = n
+		st.DDSFullParses += n
+	}
 	if f := m.templateSource.Load(); f != nil {
 		c := (*f)()
 		st.TemplateBytes = c.Bytes
@@ -150,15 +159,16 @@ func (m *ServerMetrics) Snapshot() ServerStats {
 	return st
 }
 
-// RecordDDSDecode counts one decoded request: fast differential decodes
-// versus full parses, plus how many leaf value regions the fast path
-// re-lexed. The serverpool runtime calls this per request.
-func (m *ServerMetrics) RecordDDSDecode(fastPath bool, valuesReparsed int) {
-	if fastPath {
+// RecordDDSDecode counts one decoded request: a fast differential decode
+// (ReasonNone) and how many leaf value regions it re-lexed, or a full
+// parse under the reason the fast path did not serve it. The serverpool
+// runtime calls this per request.
+func (m *ServerMetrics) RecordDDSDecode(why diffdeser.Reason, valuesReparsed int) {
+	if why == diffdeser.ReasonNone {
 		m.ddsFastPath.Add(1)
 		m.ddsValuesReparsed.Add(int64(valuesReparsed))
 	} else {
-		m.ddsFullParses.Add(1)
+		m.ddsFullParses[why].Add(1)
 	}
 }
 
@@ -250,6 +260,12 @@ func (m *ServerMetrics) WritePrometheus(w io.Writer) error {
 	p.Counter("bsoap_server_drain_aborted_total", "In-flight requests force-closed when a Shutdown deadline expired.", st.DrainAborted)
 	p.Counter("bsoap_server_dds_fast_path_total", "Requests decoded differentially (no full parse).", st.DDSFastPath)
 	p.Counter("bsoap_server_dds_full_parse_total", "Requests decoded by a full schema-driven parse.", st.DDSFullParses)
+	reasons := make([]promtext.LabeledValue, 0, diffdeser.NumReasons-1)
+	for r := diffdeser.ReasonNone + 1; r < diffdeser.NumReasons; r++ {
+		reasons = append(reasons, promtext.LabeledValue{Label: r.String(), Value: st.DDSFullParseReasons[r.String()]})
+	}
+	p.CounterWithLabel("bsoap_server_dds_full_parse_reason_total",
+		"Full parses, by why the differential path did not serve the request; sums to bsoap_server_dds_full_parse_total.", "reason", reasons)
 	p.Counter("bsoap_server_dds_values_reparsed_total", "Leaf value regions re-lexed on the differential fast path.", st.DDSValuesReparsed)
 	p.Counter("bsoap_server_dds_key_evictions_total", "Operation keys evicted from bounded deserializers.", st.DDSKeyEvictions)
 	p.Counter("bsoap_server_replica_evictions_total", "Connection replicas evicted by the serverpool registry.", st.ReplicaEvictions)

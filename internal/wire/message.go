@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -202,10 +203,27 @@ func (m *Message) addArray(name string, elem *Type, n int) int {
 	m.bumpStructure()
 	first := len(m.leaves)
 	m.params = append(m.params, Param{Name: name, Type: ArrayOf(elem), Count: n, First: first})
+	m.reserve(elem, n)
 	for i := 0; i < n; i++ {
 		m.addLeavesForValue(elem, "item")
 	}
 	return len(m.params) - 1
+}
+
+// reserve makes room for n more values of type t, so that adding them
+// grows each slice once instead of by doubling: the element type fixes
+// how many leaves of each kind a value has.
+func (m *Message) reserve(t *Type, n int) {
+	var perKind [Bool + 1]int
+	t.countLeaves(&perKind)
+	m.ints = slices.Grow(m.ints, n*perKind[Int])
+	m.doubles = slices.Grow(m.doubles, n*perKind[Double])
+	m.strs = slices.Grow(m.strs, n*perKind[String])
+	m.bools = slices.Grow(m.bools, n*perKind[Bool])
+	leaves := n * t.leaves
+	m.leaves = slices.Grow(m.leaves, leaves)
+	m.store = slices.Grow(m.store, leaves)
+	m.dirty = slices.Grow(m.dirty, leaves)
 }
 
 // ResizeArray changes the element count of the array parameter at index

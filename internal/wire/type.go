@@ -115,6 +115,18 @@ func ArrayOf(elem *Type) *Type {
 // occupies (for arrays: per element).
 func (t *Type) LeavesPerValue() int { return t.leaves }
 
+// countLeaves adds, per scalar kind, the leaves one value of this type
+// occupies.
+func (t *Type) countLeaves(perKind *[Bool + 1]int) {
+	if t.Kind != Struct {
+		perKind[t.Kind]++
+		return
+	}
+	for _, f := range t.Fields {
+		f.Type.countLeaves(perKind)
+	}
+}
+
 // MaxWidth reports the maximum serialized width of a scalar type's
 // lexical form, or 0 if unbounded (strings). It panics on non-scalars.
 func (t *Type) MaxWidth() int {

@@ -225,13 +225,13 @@ func Parse(doc []byte) (*Service, error) {
 	}
 	svc := &Service{}
 	for _, a := range tok.Attrs {
-		switch xmlparse.Local(a.Name) {
+		switch localName(a.Name) {
 		case "name":
-			if a.Name == "name" {
-				svc.Name = a.Value
+			if string(a.Name) == "name" {
+				svc.Name = string(a.Value)
 			}
 		case "targetNamespace":
-			svc.Namespace = a.Value
+			svc.Namespace = string(a.Value)
 		}
 	}
 	if svc.Namespace == "" {
@@ -254,7 +254,7 @@ func Parse(doc []byte) (*Service, error) {
 		if tok.Kind != xmlparse.StartElement {
 			return nil, fmt.Errorf("wsdl: unexpected %v at top level", tok.Kind)
 		}
-		switch xmlparse.Local(tok.Name) {
+		switch localName(tok.Name) {
 		case "types":
 			if err := parseTypes(p, raw); err != nil {
 				return nil, err
@@ -262,8 +262,8 @@ func Parse(doc []byte) (*Service, error) {
 		case "message":
 			name := attr(tok.Attrs, "name")
 			var parts []rawPart
-			if err := eachChild(p, func(c xmlparse.Token) error {
-				if xmlparse.Local(c.Name) != "part" {
+			if err := eachChild(p, func(c *xmlparse.Token) error {
+				if localName(c.Name) != "part" {
 					return p.SkipElement()
 				}
 				parts = append(parts, rawPart{attr(c.Attrs, "name"), attr(c.Attrs, "type")})
@@ -273,8 +273,8 @@ func Parse(doc []byte) (*Service, error) {
 			}
 			messages[name] = parts
 		case "portType":
-			if err := eachChild(p, func(c xmlparse.Token) error {
-				if xmlparse.Local(c.Name) == "operation" {
+			if err := eachChild(p, func(c *xmlparse.Token) error {
+				if localName(c.Name) == "operation" {
 					opOrder = append(opOrder, attr(c.Attrs, "name"))
 				}
 				return p.SkipElement()
@@ -366,24 +366,24 @@ func Parse(doc []byte) (*Service, error) {
 
 // parseTypes consumes <types> collecting complexType declarations.
 func parseTypes(p *xmlparse.Parser, raw map[string]*rawType) error {
-	return eachChild(p, func(schemaTok xmlparse.Token) error {
-		if xmlparse.Local(schemaTok.Name) != "schema" {
+	return eachChild(p, func(schemaTok *xmlparse.Token) error {
+		if localName(schemaTok.Name) != "schema" {
 			return p.SkipElement()
 		}
-		return eachChild(p, func(ct xmlparse.Token) error {
-			if xmlparse.Local(ct.Name) != "complexType" {
+		return eachChild(p, func(ct *xmlparse.Token) error {
+			if localName(ct.Name) != "complexType" {
 				return p.SkipElement()
 			}
 			rt := &rawType{name: attr(ct.Attrs, "name")}
 			if rt.name == "" {
 				return fmt.Errorf("wsdl: anonymous complexType")
 			}
-			err := eachChild(p, func(seq xmlparse.Token) error {
-				if xmlparse.Local(seq.Name) != "sequence" {
+			err := eachChild(p, func(seq *xmlparse.Token) error {
+				if localName(seq.Name) != "sequence" {
 					return p.SkipElement()
 				}
-				return eachChild(p, func(el xmlparse.Token) error {
-					if xmlparse.Local(el.Name) != "element" {
+				return eachChild(p, func(el *xmlparse.Token) error {
+					if localName(el.Name) != "element" {
 						return p.SkipElement()
 					}
 					name := attr(el.Attrs, "name")
@@ -410,12 +410,12 @@ func parseTypes(p *xmlparse.Parser, raw map[string]*rawType) error {
 // findAddress walks a <service> element for soap:address/@location.
 func findAddress(p *xmlparse.Parser) (string, error) {
 	var loc string
-	err := eachChild(p, func(port xmlparse.Token) error {
-		if xmlparse.Local(port.Name) != "port" {
+	err := eachChild(p, func(port *xmlparse.Token) error {
+		if localName(port.Name) != "port" {
 			return p.SkipElement()
 		}
-		return eachChild(p, func(addr xmlparse.Token) error {
-			if xmlparse.Local(addr.Name) == "address" {
+		return eachChild(p, func(addr *xmlparse.Token) error {
+			if localName(addr.Name) == "address" {
 				loc = attr(addr.Attrs, "location")
 			}
 			return p.SkipElement()
@@ -428,7 +428,7 @@ func findAddress(p *xmlparse.Parser) (string, error) {
 // StartElement was just consumed; fn must consume the child completely
 // (e.g. via SkipElement or nested eachChild). eachChild consumes the
 // parent's EndElement.
-func eachChild(p *xmlparse.Parser, fn func(tok xmlparse.Token) error) error {
+func eachChild(p *xmlparse.Parser, fn func(tok *xmlparse.Token) error) error {
 	for {
 		tok, err := p.NextNonSpace()
 		if err != nil {
@@ -447,11 +447,16 @@ func eachChild(p *xmlparse.Parser, fn func(tok xmlparse.Token) error) error {
 	}
 }
 
+// localName is a token name's local part as a string. Tokens are views into
+// the document; the service description outlives it, so everything this
+// package keeps of a token goes through localName or attr.
+func localName(name []byte) string { return string(xmlparse.Local(name)) }
+
 // attr finds an attribute by local name.
-func attr(attrs []xmlparse.Attr, local string) string {
+func attr(attrs []xmlparse.Attr, name string) string {
 	for _, a := range attrs {
-		if xmlparse.Local(a.Name) == local {
-			return a.Value
+		if localName(a.Name) == name {
+			return string(a.Value)
 		}
 	}
 	return ""

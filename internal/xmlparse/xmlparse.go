@@ -5,12 +5,19 @@
 // slice — SOAP requests arrive framed by HTTP, so the whole body is
 // available — and verifies element nesting.
 //
+// Tokens are views: a name, an attribute and a run of text are slices of
+// the document, the open-element stack holds offsets, and reading a
+// document allocates nothing per token. The one exception is text or an
+// attribute value that holds an entity, whose resolved form has to be
+// made. A caller that outlives the document copies what it keeps.
+//
 // The SOAP server's full-deserialization path is built on this package;
 // its cost is exactly what the paper's differential *deserialization*
 // extension (§6) avoids for unchanged message regions.
 package xmlparse
 
 import (
+	"bytes"
 	"fmt"
 
 	"bsoap/internal/xsdlex"
@@ -48,25 +55,37 @@ func (k Kind) String() string {
 
 // Attr is one attribute of a start tag.
 type Attr struct {
-	Name  string
-	Value string
+	Name  []byte
+	Value []byte
 }
 
-// Token is one parse event.
+// Token is one parse event. Name, Text and the attribute fields are
+// views into the document, not copies: a caller that keeps one past the
+// document's life must copy it. Only text or an attribute value holding
+// an entity is a fresh slice (the resolved form is not in the document).
 type Token struct {
 	Kind  Kind
-	Name  string // element name, prefix included, for Start/EndElement
+	Name  []byte // element name, prefix included, for Start/EndElement
 	Attrs []Attr // attributes, for StartElement
-	Text  string // character data, for CharData
+	Text  []byte // character data, for CharData (entities resolved)
 }
 
-// Parser is a pull parser over an in-memory document.
+// Parser is a pull parser over an in-memory document. It holds one token,
+// the current one: every method that returns a *Token returns that one,
+// overwritten by the next read — copy what must outlive it.
 type Parser struct {
-	data    []byte
-	pos     int
-	stack   []string
-	pending *Token // synthetic EndElement after a self-closing tag
+	data  []byte
+	pos   int
+	stack []nameSpan // names of the open elements, as document offsets
+	tok   Token      // the current token
+	attrs []Attr     // backing store of tok.Attrs
+	// selfClosed is set by <name/>: the next token is its synthetic
+	// EndElement, not read from the document.
+	selfClosed bool
 }
+
+// nameSpan locates an open element's name in the document.
+type nameSpan struct{ lo, hi int }
 
 // NewParser returns a parser over data. The slice is not copied; the
 // caller must not mutate it during parsing.
@@ -81,40 +100,36 @@ func (p *Parser) Offset() int { return p.pos }
 // Depth reports the current element nesting depth.
 func (p *Parser) Depth() int { return len(p.stack) }
 
-// Next returns the next token. After EOF or an error, subsequent calls
+// Next reads the next token. After EOF or an error, subsequent calls
 // repeat the result.
-func (p *Parser) Next() (Token, error) {
-	if p.pending != nil {
-		t := *p.pending
-		p.pending = nil
-		return t, nil
+func (p *Parser) Next() (*Token, error) {
+	if p.selfClosed {
+		p.selfClosed = false
+		p.tok.Kind, p.tok.Attrs = EndElement, nil
+		return &p.tok, nil
 	}
 	for {
 		if p.pos >= len(p.data) {
 			if len(p.stack) != 0 {
-				return Token{}, fmt.Errorf("xmlparse: document ended with %q unclosed", p.stack[len(p.stack)-1])
+				open := p.stack[len(p.stack)-1]
+				return nil, fmt.Errorf("xmlparse: document ended with %q unclosed", p.data[open.lo:open.hi])
 			}
-			return Token{Kind: EOF}, nil
+			return p.set(EOF, nil, nil), nil
 		}
 		if p.data[p.pos] != '<' {
 			return p.charData()
 		}
 		if p.pos+1 >= len(p.data) {
-			return Token{}, p.errf("truncated markup")
+			return nil, p.errf("truncated markup")
 		}
 		switch p.data[p.pos+1] {
 		case '?':
 			if err := p.skipUntil("?>"); err != nil {
-				return Token{}, err
+				return nil, err
 			}
 		case '!':
-			if err := p.skipBang(); err != nil {
-				return Token{}, err
-			}
-			if p.pending != nil {
-				t := *p.pending
-				p.pending = nil
-				return t, nil
+			if tok, err := p.skipBang(); tok != nil || err != nil {
+				return tok, err
 			}
 		case '/':
 			return p.endTag()
@@ -124,6 +139,13 @@ func (p *Parser) Next() (Token, error) {
 	}
 }
 
+// set makes the current token one of the given kind, with a name or with
+// text, and returns it.
+func (p *Parser) set(kind Kind, name, text []byte) *Token {
+	p.tok.Kind, p.tok.Name, p.tok.Attrs, p.tok.Text = kind, name, nil, text
+	return &p.tok
+}
+
 // errf formats a positioned parse error.
 func (p *Parser) errf(format string, args ...any) error {
 	return fmt.Errorf("xmlparse: offset %d: %s", p.pos, fmt.Sprintf(format, args...))
@@ -131,135 +153,140 @@ func (p *Parser) errf(format string, args ...any) error {
 
 // skipUntil advances past the next occurrence of marker.
 func (p *Parser) skipUntil(marker string) error {
-	for i := p.pos; i+len(marker) <= len(p.data); i++ {
-		if string(p.data[i:i+len(marker)]) == marker {
-			p.pos = i + len(marker)
-			return nil
-		}
+	i := bytes.Index(p.data[p.pos:], []byte(marker))
+	if i < 0 {
+		return p.errf("unterminated construct (missing %q)", marker)
 	}
-	return p.errf("unterminated construct (missing %q)", marker)
+	p.pos += i + len(marker)
+	return nil
 }
 
-// skipBang handles <!-- comments -->, <![CDATA[...]]> (which it does NOT
-// skip — CDATA is routed back as character data by charData) and DOCTYPE.
-func (p *Parser) skipBang() error {
+// skipBang skips a <!-- comment --> or a DOCTYPE and returns no token; a
+// <![CDATA[...]]> section it returns as character data, verbatim (no
+// entity resolution).
+func (p *Parser) skipBang() (*Token, error) {
 	rest := p.data[p.pos:]
 	switch {
 	case hasPrefix(rest, "<!--"):
-		return p.skipUntil("-->")
+		return nil, p.skipUntil("-->")
 	case hasPrefix(rest, "<![CDATA["):
-		return p.cdata()
+		start := p.pos + len("<![CDATA[")
+		i := bytes.Index(p.data[start:], []byte("]]>"))
+		if i < 0 {
+			return nil, p.errf("unterminated CDATA section")
+		}
+		p.pos = start + i + len("]]>")
+		return p.set(CharData, nil, p.data[start:start+i]), nil
 	default:
 		// DOCTYPE etc. — skip to the matching '>' (no nested brackets
 		// support; SOAP envelopes never carry a DTD).
-		return p.skipUntil(">")
+		return nil, p.skipUntil(">")
 	}
-}
-
-// cdata consumes a CDATA section and stages its contents as a pending
-// CharData token (verbatim, no entity resolution).
-func (p *Parser) cdata() error {
-	start := p.pos + len("<![CDATA[")
-	for i := start; i+3 <= len(p.data); i++ {
-		if string(p.data[i:i+3]) == "]]>" {
-			text := string(p.data[start:i])
-			p.pos = i + 3
-			p.pending = &Token{Kind: CharData, Text: text}
-			return nil
-		}
-	}
-	return p.errf("unterminated CDATA section")
 }
 
 // charData consumes text up to the next '<' and resolves entities.
-func (p *Parser) charData() (Token, error) {
-	start := p.pos
-	for p.pos < len(p.data) && p.data[p.pos] != '<' {
-		p.pos++
+func (p *Parser) charData() (*Token, error) {
+	raw := p.data[p.pos:]
+	if i := bytes.IndexByte(raw, '<'); i >= 0 {
+		raw = raw[:i]
 	}
-	raw := p.data[start:p.pos]
-	text, err := xsdlex.UnescapeText(string(raw))
+	p.pos += len(raw)
+	text, err := unescape(raw)
 	if err != nil {
-		return Token{}, p.errf("%v", err)
+		return nil, p.errf("%v", err)
 	}
-	return Token{Kind: CharData, Text: text}, nil
+	return p.set(CharData, nil, text), nil
+}
+
+// unescape resolves the entities in raw. Text without one — nearly all of
+// it — is returned as it stands in the document; only the resolved form
+// is a new slice.
+func unescape(raw []byte) ([]byte, error) {
+	if bytes.IndexByte(raw, '&') < 0 {
+		return raw, nil
+	}
+	s, err := xsdlex.UnescapeText(string(raw))
+	return []byte(s), err
 }
 
 // startTag parses <name attr="v" ...> or <name .../>.
-func (p *Parser) startTag() (Token, error) {
+func (p *Parser) startTag() (*Token, error) {
 	p.pos++ // consume '<'
-	name, err := p.name()
-	if err != nil {
-		return Token{}, err
+	lo := p.pos
+	name := p.name()
+	if len(name) == 0 {
+		return nil, p.errf("expected name")
 	}
-	tok := Token{Kind: StartElement, Name: name}
+	p.attrs = p.attrs[:0]
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.data) {
-			return Token{}, p.errf("unterminated start tag <%s", name)
+			return nil, p.errf("unterminated start tag <%s", name)
 		}
 		switch p.data[p.pos] {
 		case '>':
 			p.pos++
-			p.stack = append(p.stack, name)
-			return tok, nil
+			p.stack = append(p.stack, nameSpan{lo, lo + len(name)})
 		case '/':
 			if p.pos+1 >= len(p.data) || p.data[p.pos+1] != '>' {
-				return Token{}, p.errf("stray '/' in tag <%s", name)
+				return nil, p.errf("stray '/' in tag <%s", name)
 			}
 			p.pos += 2
-			p.pending = &Token{Kind: EndElement, Name: name}
-			return tok, nil
+			p.selfClosed = true
 		default:
 			attr, err := p.attr()
 			if err != nil {
-				return Token{}, err
+				return nil, err
 			}
-			tok.Attrs = append(tok.Attrs, attr)
+			p.attrs = append(p.attrs, attr)
+			continue
 		}
+		p.set(StartElement, name, nil)
+		p.tok.Attrs = p.attrs
+		return &p.tok, nil
 	}
 }
 
 // endTag parses </name>.
-func (p *Parser) endTag() (Token, error) {
+func (p *Parser) endTag() (*Token, error) {
 	p.pos += 2 // consume '</'
-	name, err := p.name()
-	if err != nil {
-		return Token{}, err
+	name := p.name()
+	if len(name) == 0 {
+		return nil, p.errf("expected name")
 	}
 	p.skipSpace()
 	if p.pos >= len(p.data) || p.data[p.pos] != '>' {
-		return Token{}, p.errf("malformed end tag </%s", name)
+		return nil, p.errf("malformed end tag </%s", name)
 	}
 	p.pos++
 	if len(p.stack) == 0 {
-		return Token{}, p.errf("closing tag </%s> with no open element", name)
+		return nil, p.errf("closing tag </%s> with no open element", name)
 	}
 	open := p.stack[len(p.stack)-1]
-	if open != name {
-		return Token{}, p.errf("closing tag </%s> does not match open <%s>", name, open)
+	if !bytes.Equal(p.data[open.lo:open.hi], name) {
+		return nil, p.errf("closing tag </%s> does not match open <%s>", name, p.data[open.lo:open.hi])
 	}
 	p.stack = p.stack[:len(p.stack)-1]
-	return Token{Kind: EndElement, Name: name}, nil
+	return p.set(EndElement, name, nil), nil
 }
 
-// name consumes an XML name (byte-oriented: any run of name characters).
-func (p *Parser) name() (string, error) {
-	start := p.pos
-	for p.pos < len(p.data) && isNameByte(p.data[p.pos]) {
-		p.pos++
+// name consumes an XML name (byte-oriented: any run of name characters)
+// and returns it, empty where none starts.
+func (p *Parser) name() []byte {
+	rest := p.data[p.pos:]
+	n := 0
+	for n < len(rest) && nameByte[rest[n]] {
+		n++
 	}
-	if p.pos == start {
-		return "", p.errf("expected name")
-	}
-	return string(p.data[start:p.pos]), nil
+	p.pos += n
+	return rest[:n]
 }
 
 // attr consumes name="value" or name='value'.
 func (p *Parser) attr() (Attr, error) {
-	name, err := p.name()
-	if err != nil {
-		return Attr{}, err
+	name := p.name()
+	if len(name) == 0 {
+		return Attr{}, p.errf("expected name")
 	}
 	p.skipSpace()
 	if p.pos >= len(p.data) || p.data[p.pos] != '=' {
@@ -272,46 +299,67 @@ func (p *Parser) attr() (Attr, error) {
 	}
 	quote := p.data[p.pos]
 	p.pos++
-	start := p.pos
-	for p.pos < len(p.data) && p.data[p.pos] != quote {
-		p.pos++
-	}
-	if p.pos >= len(p.data) {
+	n := bytes.IndexByte(p.data[p.pos:], quote)
+	if n < 0 {
+		p.pos = len(p.data)
 		return Attr{}, p.errf("unterminated attribute %q", name)
 	}
-	raw := string(p.data[start:p.pos])
-	p.pos++
-	val, err := xsdlex.UnescapeText(raw)
+	raw := p.data[p.pos : p.pos+n]
+	p.pos += n + 1
+	val, err := unescape(raw)
 	if err != nil {
 		return Attr{}, p.errf("attribute %q: %v", name, err)
 	}
 	return Attr{Name: name, Value: val}, nil
 }
 
-func (p *Parser) skipSpace() {
-	for p.pos < len(p.data) && xsdlex.IsSpace(p.data[p.pos]) {
-		p.pos++
+func (p *Parser) skipSpace() { p.pos = p.spaceEnd() }
+
+// spaceEnd returns the offset of the first byte at or after the current
+// one that is not white space.
+func (p *Parser) spaceEnd() int {
+	data, i := p.data, p.pos
+	for i < len(data) && xsdlex.IsSpace(data[i]) {
+		i++
 	}
+	return i
 }
 
-func isNameByte(b byte) bool {
-	switch {
-	case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9':
-		return true
-	case b == ':' || b == '_' || b == '-' || b == '.':
-		return true
-	case b >= 0x80: // multi-byte UTF-8 name characters, accepted wholesale
-		return true
+// nameByte marks the bytes a name is made of: ASCII letters, digits and
+// ":_-.", and every byte of a multi-byte UTF-8 character, accepted
+// wholesale.
+var nameByte = func() (t [256]bool) {
+	for b := range t {
+		switch {
+		case 'a' <= b && b <= 'z', 'A' <= b && b <= 'Z', '0' <= b && b <= '9':
+			t[b] = true
+		case b == ':' || b == '_' || b == '-' || b == '.' || b >= 0x80:
+			t[b] = true
+		}
 	}
-	return false
-}
+	return t
+}()
 
 func hasPrefix(b []byte, s string) bool {
-	return len(b) >= len(s) && string(b[:len(s)]) == s
+	return len(b) >= len(s) && equal(b[:len(s)], s)
 }
 
-// Local strips any namespace prefix from an element or attribute name.
-func Local(name string) string {
+// equal reports whether b holds exactly the bytes of s.
+func equal(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i := range b {
+		if b[i] != s[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Local strips any namespace prefix from an element or attribute name,
+// held as a string or as the bytes of a token.
+func Local[T ~string | ~[]byte](name T) T {
 	for i := len(name) - 1; i >= 0; i-- {
 		if name[i] == ':' {
 			return name[i+1:]
@@ -322,15 +370,20 @@ func Local(name string) string {
 
 // --- Convenience layer used by the SOAP deserializer ---
 
-// NextNonSpace returns the next token, transparently skipping CharData
+// NextNonSpace reads the next token, transparently skipping CharData
 // tokens that are entirely white space (formatting between elements).
-func (p *Parser) NextNonSpace() (Token, error) {
+func (p *Parser) NextNonSpace() (*Token, error) {
 	for {
+		// White space running up to markup is a token this loop would
+		// read and drop: step over it here in one pass instead.
+		if i := p.spaceEnd(); !p.selfClosed && (i == len(p.data) || p.data[i] == '<') {
+			p.pos = i
+		}
 		t, err := p.Next()
 		if err != nil {
-			return t, err
+			return nil, err
 		}
-		if t.Kind == CharData && xsdlex.TrimSpace(t.Text) == "" {
+		if t.Kind == CharData && len(xsdlex.TrimSpace(t.Text)) == 0 {
 			continue
 		}
 		return t, nil
@@ -340,50 +393,59 @@ func (p *Parser) NextNonSpace() (Token, error) {
 // ExpectStart consumes the next non-space token and verifies it opens an
 // element with the given local name (namespace prefix ignored). An empty
 // local accepts any element.
-func (p *Parser) ExpectStart(local string) (Token, error) {
+func (p *Parser) ExpectStart(local string) (*Token, error) {
 	t, err := p.NextNonSpace()
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	if t.Kind != StartElement {
-		return t, fmt.Errorf("xmlparse: expected <%s>, got %v", local, t.Kind)
+		return nil, fmt.Errorf("xmlparse: expected <%s>, got %v", local, t.Kind)
 	}
-	if local != "" && Local(t.Name) != local {
-		return t, fmt.Errorf("xmlparse: expected <%s>, got <%s>", local, t.Name)
+	if local != "" && !equal(Local(t.Name), local) {
+		return nil, fmt.Errorf("xmlparse: expected <%s>, got <%s>", local, t.Name)
 	}
 	return t, nil
 }
 
 // ExpectEnd consumes the next non-space token and verifies it closes an
 // element.
-func (p *Parser) ExpectEnd() (Token, error) {
+func (p *Parser) ExpectEnd() (*Token, error) {
 	t, err := p.NextNonSpace()
 	if err != nil {
-		return t, err
+		return nil, err
 	}
 	if t.Kind != EndElement {
-		return t, fmt.Errorf("xmlparse: expected end tag, got %v", t.Kind)
+		return nil, fmt.Errorf("xmlparse: expected end tag, got %v", t.Kind)
 	}
 	return t, nil
 }
 
 // Text consumes character data up to the element's closing tag and returns
 // it with surrounding whitespace intact (XSD parsing trims later). It
-// must be called immediately after the element's StartElement token.
-func (p *Parser) Text() (string, error) {
-	var text string
+// must be called immediately after the element's StartElement token. A
+// single run of text — the only form a serializer writes — is returned
+// as the token's view; runs split by a comment or a CDATA section are the
+// one case that is joined into a new slice.
+func (p *Parser) Text() ([]byte, error) {
+	var text []byte
 	for {
 		t, err := p.Next()
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		switch t.Kind {
 		case CharData:
-			text += t.Text
+			if text == nil {
+				text = t.Text
+			} else {
+				// The full-slice expression caps text at its length, so
+				// the append copies and never writes into the document.
+				text = append(text[:len(text):len(text)], t.Text...)
+			}
 		case EndElement:
 			return text, nil
 		default:
-			return "", fmt.Errorf("xmlparse: unexpected %v inside text element", t.Kind)
+			return nil, fmt.Errorf("xmlparse: unexpected %v inside text element", t.Kind)
 		}
 	}
 }

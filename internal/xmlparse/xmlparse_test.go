@@ -8,11 +8,13 @@ import (
 	"bsoap/internal/xmlwr"
 )
 
-// tokens drains the parser, failing the test on error.
-func tokens(t *testing.T, doc string) []Token {
+// tokens drains the parser, failing the test on error. Tokens are
+// returned in string form, copied: a token's Attrs do not survive the
+// next call.
+func tokens(t *testing.T, doc string) []refToken {
 	t.Helper()
 	p := NewParser([]byte(doc))
-	var out []Token
+	var out []refToken
 	for {
 		tok, err := p.Next()
 		if err != nil {
@@ -21,13 +23,13 @@ func tokens(t *testing.T, doc string) []Token {
 		if tok.Kind == EOF {
 			return out
 		}
-		out = append(out, tok)
+		out = append(out, toRef(tok))
 	}
 }
 
 func TestSimpleDocument(t *testing.T) {
 	toks := tokens(t, "<a><b>hi</b></a>")
-	want := []Token{
+	want := []refToken{
 		{Kind: StartElement, Name: "a"},
 		{Kind: StartElement, Name: "b"},
 		{Kind: CharData, Text: "hi"},
@@ -49,7 +51,7 @@ func TestAttributes(t *testing.T) {
 	if toks[0].Kind != StartElement || len(toks[0].Attrs) != 3 {
 		t.Fatalf("start token %+v", toks[0])
 	}
-	want := []Attr{{"a", "1"}, {"b", "two"}, {"c", "a&b"}}
+	want := []refAttr{{"a", "1"}, {"b", "two"}, {"c", "a&b"}}
 	for i, a := range toks[0].Attrs {
 		if a != want[i] {
 			t.Errorf("attr %d = %+v, want %+v", i, a, want[i])
@@ -105,9 +107,9 @@ func TestMismatchedTagsError(t *testing.T) {
 		p := NewParser([]byte(doc))
 		var err error
 		for err == nil {
-			var tok Token
+			var tok *Token
 			tok, err = p.Next()
-			if tok.Kind == EOF {
+			if err == nil && tok.Kind == EOF {
 				break
 			}
 		}
@@ -154,11 +156,11 @@ func TestWhitespaceBetweenElements(t *testing.T) {
 		t.Fatal(err)
 	}
 	tok, err = p.ExpectStart("a")
-	if err != nil || tok.Name != "a" {
+	if err != nil || string(tok.Name) != "a" {
 		t.Fatalf("ExpectStart(a): %+v, %v", tok, err)
 	}
 	text, err := p.Text()
-	if err != nil || text != "1" {
+	if err != nil || string(text) != "1" {
 		t.Fatalf("Text: %q, %v", text, err)
 	}
 	if _, err := p.ExpectEnd(); err != nil {
@@ -189,7 +191,7 @@ func TestSkipElement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tok, err := p.ExpectStart("keep")
-	if err != nil || tok.Name != "keep" {
+	if err != nil || string(tok.Name) != "keep" {
 		t.Fatalf("after skip: %+v, %v", tok, err)
 	}
 }
@@ -200,7 +202,7 @@ func TestTextAcrossCDATA(t *testing.T) {
 		t.Fatal(err)
 	}
 	text, err := p.Text()
-	if err != nil || text != "ab<raw>cd" {
+	if err != nil || string(text) != "ab<raw>cd" {
 		t.Fatalf("Text: %q, %v", text, err)
 	}
 }
@@ -265,12 +267,12 @@ func TestWriterParserRoundTrip(t *testing.T) {
 				t.Logf("elem %d: %v", i, err)
 				return false
 			}
-			if len(tok.Attrs) != 1 || tok.Attrs[0].Value != s {
+			if len(tok.Attrs) != 1 || string(tok.Attrs[0].Value) != s {
 				t.Logf("elem %d attr mismatch: %+v vs %q", i, tok.Attrs, s)
 				return false
 			}
 			text, err := p.Text()
-			if err != nil || text != s {
+			if err != nil || string(text) != s {
 				t.Logf("elem %d text %q vs %q (%v)", i, text, s, err)
 				return false
 			}
