@@ -34,9 +34,11 @@
 //
 // # Server side
 //
-// The server, soapdec and diffdeser internal packages implement the
-// receiving end, including the paper's future-work differential
-// deserialization; see the examples directory for complete services.
+// The serverpool, soapdec and diffdeser internal packages implement the
+// receiving end — one endpoint, serverpool.Runtime, with a private
+// deserializer and response stub per connection — including the paper's
+// future-work differential deserialization; see the examples directory
+// for complete services.
 package bsoap
 
 import (

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"bsoap"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
@@ -140,10 +140,10 @@ func TestPoolFacade(t *testing.T) {
 // arrive.
 func TestEndToEndOverlayStreaming(t *testing.T) {
 	var lastSum atomic.Value
-	endpoint := server.New(server.Options{})
+	endpoint := serverpool.New(serverpool.Options{})
 	resp := wire.NewMessage("urn:calc", "sumResponse")
 	total := resp.AddDouble("total", 0)
-	endpoint.Register(&soapdec.Schema{
+	endpoint.RegisterShared(&soapdec.Schema{
 		Namespace: "urn:calc",
 		Op:        "sum",
 		Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},

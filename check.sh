@@ -64,23 +64,37 @@ kernel_guard
 # these grew a copy once (a second retry loop for CallAsync, the delta
 # header rendered in four places, the resync answer classified in two)
 # and the copies drifted; a second occurrence of any marker below is a
-# second copy coming back.
+# second copy coming back. The server side likewise: one endpoint
+# (serverpool.Runtime) decodes differentially at one call site, and one
+# keeper of patch bases parses frames — the single-mutex endpoint in
+# internal/server and the recorder's private copy of the delta protocol
+# are gone and stay gone.
 one_path_guard() {
-    count() { # count <pattern> <dir>: matching non-comment lines of non-test code
-        grep -rnE "$1" --include='*.go' --exclude='*_test.go' "$2" \
+    count() { # count <pattern> <dir> [grep options]: matching non-comment lines of non-test code
+        pattern=$1 dir=$2
+        shift 2
+        grep -rnE "$pattern" --include='*.go' --exclude='*_test.go' "$@" "$dir" \
             | grep -vcE '^[^:]+:[0-9]+:[[:space:]]*//' || true
     }
-    check() { # check <what> <pattern> <dir>
-        n=$(count "$2" "$3")
+    check() { # check <what> <pattern> <dir> [grep options]
+        what=$1
+        shift
+        n=$(count "$@")
         if [ "$n" != 1 ]; then
-            echo "one-path guard: $1: $n occurrences in $3, want exactly 1:" >&2
-            grep -rnE "$2" --include='*.go' --exclude='*_test.go' "$3" >&2 || true
+            echo "one-path guard: $what: $n occurrences in $2, want exactly 1:" >&2
+            grep -rnE "$1" --include='*.go' --exclude='*_test.go' "$2" >&2 || true
             exit 1
         fi
     }
     check "delta request header rendered" 'append\(.*deltaHeaderPrefix' internal/transport
     check "resync answer classified" '== *wire\.DeltaValResync' internal/transport
     check "engine invoked from the pool" 'stub\.Call\(' internal/pool
+    check "request decoded differentially" 'differ\.Decode\(' internal
+    check "patch frame parsed outside internal/wire" 'ParseDeltaFrame\(' internal --exclude-dir=wire
+    if [ -d internal/server ]; then
+        echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
+        exit 1
+    fi
     echo "check.sh: one-path guard ok"
 }
 one_path_guard

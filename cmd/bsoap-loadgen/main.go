@@ -37,6 +37,7 @@ import (
 	"bsoap/internal/faultwire"
 	"bsoap/internal/health"
 	"bsoap/internal/promtext"
+	"bsoap/internal/replica"
 	"bsoap/internal/trace"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
@@ -182,11 +183,11 @@ func main() {
 	if *metrics != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", pool.Metrics())
-		mux.Handle("/metrics", pool.Metrics().PrometheusHandler())
+		mux.Handle("/metrics", promtext.Handler(pool.Metrics().WritePrometheus))
 		mux.Handle("/debug/trace", trace.Handler())
 		mux.Handle("/debug/trace/slow", trace.SlowHandler())
 		mux.Handle("/debug/health", health.NewProbe("bsoap-loadgen").Handler())
-		mux.Handle("/debug/templates", pool.TemplatesHandler())
+		mux.Handle("/debug/templates", replica.DumpHandler(pool.DebugTemplates))
 		go func() {
 			if err := http.ListenAndServe(*metrics, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "bsoap-loadgen: metrics endpoint:", err)

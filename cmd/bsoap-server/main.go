@@ -51,7 +51,8 @@ import (
 	"bsoap/internal/classad"
 	"bsoap/internal/health"
 	"bsoap/internal/mcs"
-	"bsoap/internal/server"
+	"bsoap/internal/promtext"
+	"bsoap/internal/replica"
 	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/trace"
@@ -117,7 +118,7 @@ func main() {
 
 	var (
 		rt  *serverpool.Runtime
-		rec *server.Recorder
+		rec *serverpool.Recorder
 	)
 	opts := transport.ServerOptions{
 		Logger: logger, Metrics: sm,
@@ -131,7 +132,7 @@ func main() {
 	case "discard":
 		opts.Respond = false // Send Time measurements never wait
 	case "record":
-		rec = server.NewRecorder(*recCap)
+		rec = serverpool.NewRecorder(*recCap)
 		opts.Handler = rec.HTTPHandler()
 		opts.Respond = true
 	case "sum":
@@ -194,12 +195,12 @@ func main() {
 	if *metrics != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/", sm.StatsHandler())
-		mux.Handle("/metrics", sm.PrometheusHandler())
+		mux.Handle("/metrics", promtext.Handler(sm.WritePrometheus))
 		mux.Handle("/debug/trace", trace.Handler())
 		mux.Handle("/debug/trace/slow", trace.SlowHandler())
 		mux.Handle("/debug/health", health.NewProbe("bsoap-server").Handler())
 		if rt != nil {
-			mux.Handle("/debug/templates", rt.TemplatesHandler())
+			mux.Handle("/debug/templates", replica.DumpHandler(rt.DebugTemplates))
 		}
 		go func() {
 			if err := http.ListenAndServe(*metrics, mux); err != nil {
@@ -284,7 +285,7 @@ func sumOps() []opSpec {
 		Op:        "sum",
 		Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},
 	}
-	return []opSpec{{schema: schema, factory: func() server.Handler {
+	return []opSpec{{schema: schema, factory: func() serverpool.Handler {
 		resp := wire.NewMessage("urn:calc", "sumResponse")
 		total := resp.AddDouble("total", 0)
 		return func(req *wire.Message) (*wire.Message, error) {
@@ -308,7 +309,7 @@ func flockOps(logger *log.Logger) []opSpec {
 			{Name: "ads", Type: wire.ArrayOf(classad.AdType())},
 		},
 	}
-	return []opSpec{{schema: schema, factory: func() server.Handler {
+	return []opSpec{{schema: schema, factory: func() serverpool.Handler {
 		resp := wire.NewMessage(classad.Namespace, "flockUpdateResponse")
 		accepted := resp.AddInt("accepted", 0)
 		return func(req *wire.Message) (*wire.Message, error) {
@@ -339,7 +340,7 @@ func flockOps(logger *log.Logger) []opSpec {
 // that gives the response stub content/structural matches.
 func benchOps() []opSpec {
 	ack := func(respOp string) serverpool.HandlerFactory {
-		return func() server.Handler {
+		return func() serverpool.Handler {
 			resp := wire.NewMessage(workload.Namespace, respOp)
 			n := resp.AddInt("n", 0)
 			return func(req *wire.Message) (*wire.Message, error) {

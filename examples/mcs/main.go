@@ -15,7 +15,7 @@ import (
 
 	"bsoap"
 	"bsoap/internal/mcs"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/transport"
 )
 
@@ -46,8 +46,8 @@ func main() {
 	// differential deserialization.
 	schema := []string{"owner", "experiment", "format", "site"}
 	catalog := mcs.NewCatalog(schema)
-	endpoint := server.New(server.Options{DifferentialDeserialization: true})
-	mcs.Bind(endpoint, catalog)
+	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
+	mcs.BindRuntime(endpoint, catalog)
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
 		Handler: endpoint.HTTPHandler(),
 		Respond: true,

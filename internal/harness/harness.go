@@ -22,7 +22,6 @@ import (
 	"bsoap/internal/core"
 	"bsoap/internal/faultwire"
 	"bsoap/internal/pool"
-	"bsoap/internal/server"
 	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/transport"
@@ -34,9 +33,9 @@ import (
 // byte-conformance checks) and a pooled client dialed at it. When inj is
 // non-nil, every client connection runs through the fault injector and
 // the pool's metrics report its fault count.
-func Recorder(tb testing.TB, inj *faultwire.Injector, opts pool.Options) (*server.Recorder, *pool.Pool) {
+func Recorder(tb testing.TB, inj *faultwire.Injector, opts pool.Options) (*serverpool.Recorder, *pool.Pool) {
 	tb.Helper()
-	rec := server.NewRecorder(0)
+	rec := serverpool.NewRecorder(0)
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
 		Handler:   rec.HTTPHandler(),
 		Respond:   true,

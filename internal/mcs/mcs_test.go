@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"bsoap/internal/core"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/wire"
 )
 
@@ -105,12 +105,12 @@ func (c *captureSink) Send(bufs net.Buffers) error {
 }
 
 // call renders m with a differential stub and dispatches it.
-func call(t *testing.T, ep *server.SOAP, stub *core.Stub, sink *captureSink, m *wire.Message) []byte {
+func call(t *testing.T, ep *serverpool.Runtime, stub *core.Stub, sink *captureSink, m *wire.Message) []byte {
 	t.Helper()
 	if _, err := stub.Call(m); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ep.Handle(sink.data)
+	resp, err := ep.Handle(1, "", sink.data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func call(t *testing.T, ep *server.SOAP, stub *core.Stub, sink *captureSink, m *
 
 func TestSOAPBindingEndToEnd(t *testing.T) {
 	c := NewCatalog(testSchema)
-	ep := server.New(server.Options{DifferentialDeserialization: true})
-	Bind(ep, c)
+	ep := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
+	BindRuntime(ep, c)
 
 	sink := &captureSink{}
 	stub := core.NewStub(core.Config{}, sink)
@@ -176,8 +176,8 @@ func TestSOAPBindingEndToEnd(t *testing.T) {
 
 func TestResponsePageIsFixedShape(t *testing.T) {
 	c := NewCatalog(testSchema)
-	ep := server.New(server.Options{})
-	Bind(ep, c)
+	ep := serverpool.New(serverpool.Options{})
+	BindRuntime(ep, c)
 	sink := &captureSink{}
 	stub := core.NewStub(core.Config{}, sink)
 

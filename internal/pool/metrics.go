@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -103,7 +101,7 @@ type Metrics struct {
 	// exposed as bsoap_client_stage_seconds.
 	Stages trace.StageHist
 
-	lat histogram
+	lat trace.Hist
 }
 
 // NewMetrics returns an empty registry.
@@ -139,7 +137,7 @@ func (m *Metrics) RecordCall(ci core.CallInfo, err error, d time.Duration) {
 	if k := int(ci.Match); k >= 0 && k < len(m.matches) {
 		m.matches[k].Add(1)
 	}
-	m.lat.observe(d)
+	m.lat.Observe(int64(d))
 	if ci.Degraded && ci.Match == core.FirstTime {
 		m.degradedFTS.Add(1)
 	}
@@ -350,15 +348,15 @@ func (m *Metrics) Snapshot() Stats {
 		FuturesPending: m.futuresPending.Load(),
 		PipelineStalls: m.pipelineStalls.Load(),
 
-		LatencyP50: m.lat.quantile(0.50),
-		LatencyP90: m.lat.quantile(0.90),
-		LatencyP99: m.lat.quantile(0.99),
-		LatencyMax: time.Duration(m.lat.max.Load()),
+		LatencyP50: time.Duration(m.lat.Quantile(0.50)),
+		LatencyP90: time.Duration(m.lat.Quantile(0.90)),
+		LatencyP99: time.Duration(m.lat.Quantile(0.99)),
+		LatencyMax: time.Duration(m.lat.MaxNs()),
 
-		LatencyBuckets: m.lat.bucketCounts(),
-		LatencyCount:   m.lat.count.Load(),
-		LatencySumNs:   m.lat.sum.Load(),
+		LatencyBuckets: make([]int64, trace.StageBucketCount),
+		LatencySumNs:   m.lat.SumNs(),
 	}
+	s.LatencyCount = m.lat.Buckets(s.LatencyBuckets)
 	if f := m.faultSource.Load(); f != nil {
 		s.FaultsInjected = (*f)()
 	}
@@ -447,12 +445,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p.Gauge("bsoap_client_pipeline_depth", "Configured per-connection in-flight bound (0 = serial).", s.PipelineDepth)
 	p.Gauge("bsoap_client_futures_pending", "Requests submitted but not yet resolved.", s.FuturesPending)
 
-	uppers := make([]float64, len(s.LatencyBuckets))
-	for i := range uppers {
-		uppers[i] = float64(uint64(1)<<uint(i)) / 1e9
-	}
 	p.Histogram("bsoap_client_call_latency_seconds", "Successful call latency (power-of-two buckets).",
-		uppers, s.LatencyBuckets, float64(s.LatencySumNs)/1e9, s.LatencyCount)
+		trace.StageBucketUppers(), s.LatencyBuckets, float64(s.LatencySumNs)/1e9, s.LatencyCount)
 
 	p.HistogramWithLabel("bsoap_client_stage_seconds",
 		"Client-side per-call latency attribution by pipeline stage.", "stage",
@@ -475,86 +469,4 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	if err := m.WriteJSON(w); err != nil {
 		http.Error(w, fmt.Sprintf("metrics: %v", err), http.StatusInternalServerError)
 	}
-}
-
-// PrometheusHandler serves the registry in text exposition format — the
-// /metrics endpoint a Prometheus scraper points at.
-func (m *Metrics) PrometheusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", promtext.ContentType)
-		if err := m.WritePrometheus(w); err != nil {
-			http.Error(w, fmt.Sprintf("metrics: %v", err), http.StatusInternalServerError)
-		}
-	})
-}
-
-// histogram tracks latencies in power-of-two nanosecond buckets: bucket
-// i holds observations in [2^(i-1), 2^i). 40 buckets cover ~18 minutes.
-type histogram struct {
-	buckets [40]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// bucketCounts copies the raw bucket counters out.
-func (h *histogram) bucketCounts() []int64 {
-	out := make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
-// quantile returns an upper bound for the q-quantile (the top of the
-// bucket the quantile falls in), good to a factor of two — enough to
-// tell microseconds from milliseconds in a report. The rank is the
-// ceiling of q×count: the observation at or above which a fraction q of
-// all observations lie, so q=0.99 over 10 observations selects the 10th
-// (truncating would select the 9th — a bucket below the true quantile).
-func (h *histogram) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	max := h.max.Load()
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			ub := int64(1) << uint(i)
-			if ub > max {
-				ub = max // never report a quantile above the observed max
-			}
-			return time.Duration(ub)
-		}
-	}
-	return time.Duration(max)
 }

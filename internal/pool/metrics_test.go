@@ -81,21 +81,22 @@ func TestRecordCallFailure(t *testing.T) {
 // observations must select the 10th (the lone slow one), not truncate to
 // the 9th and report a bucket below the true quantile.
 func TestHistogramQuantileRank(t *testing.T) {
-	var h histogram
+	m := NewMetrics()
 	for i := 0; i < 9; i++ {
-		h.observe(1 * time.Microsecond)
+		m.RecordCall(core.CallInfo{}, nil, time.Microsecond)
 	}
-	h.observe(100 * time.Millisecond)
+	m.RecordCall(core.CallInfo{}, nil, 100*time.Millisecond)
 
-	if p99 := h.quantile(0.99); p99 < 100*time.Millisecond {
-		t.Errorf("p99 = %v, want >= 100ms (rank must be ceil(0.99*10)=10)", p99)
+	s := m.Snapshot()
+	if s.LatencyP99 < 100*time.Millisecond {
+		t.Errorf("p99 = %v, want >= 100ms (rank must be ceil(0.99*10)=10)", s.LatencyP99)
 	}
-	if p50 := h.quantile(0.50); p50 > 10*time.Microsecond {
-		t.Errorf("p50 = %v, want within the fast bucket", p50)
+	if s.LatencyP50 > 10*time.Microsecond {
+		t.Errorf("p50 = %v, want within the fast bucket", s.LatencyP50)
 	}
 	// The reported quantile is clamped to the observed max.
-	if p100 := h.quantile(1.0); p100 != 100*time.Millisecond {
-		t.Errorf("p100 = %v, want exactly the observed max", p100)
+	if s.LatencyP99 != 100*time.Millisecond || s.LatencyMax != 100*time.Millisecond {
+		t.Errorf("p99 = %v, max = %v, want exactly the observed max", s.LatencyP99, s.LatencyMax)
 	}
 }
 

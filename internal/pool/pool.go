@@ -19,10 +19,8 @@
 package pool
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"bsoap/internal/core"
@@ -450,18 +448,6 @@ func (p *Pool) Entries() int { return p.store.Entries() }
 // DebugTemplates snapshots the live template store in the uniform
 // client/server dump format (see ShardedStore.DebugSnapshot).
 func (p *Pool) DebugTemplates() replica.Dump { return p.store.DebugSnapshot() }
-
-// TemplatesHandler serves the live template store as indented JSON — the
-// /debug/templates endpoint, in the same shape the server side serves
-// so `bsoap-inspect templates` renders both.
-func (p *Pool) TemplatesHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(p.DebugTemplates())
-	})
-}
 
 // Close shuts the pool down: blocked and future checkouts fail, idle
 // connections close now, checked-out ones as they return.

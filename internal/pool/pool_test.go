@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"bsoap/internal/core"
 	"bsoap/internal/transport"
@@ -210,18 +211,21 @@ func TestMetricsJSON(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantiles reads the call-latency quantiles where
+// pool.Stats reports them (the distribution itself is trace.Hist).
 func TestHistogramQuantiles(t *testing.T) {
-	var h histogram
+	m := NewMetrics()
 	for i := 0; i < 90; i++ {
-		h.observe(1000) // 1µs
+		m.RecordCall(core.CallInfo{}, nil, time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.observe(1000000) // 1ms
+		m.RecordCall(core.CallInfo{}, nil, time.Millisecond)
 	}
-	if q := h.quantile(0.50); q > 2048 {
-		t.Errorf("p50 = %v, want ~1µs bucket", q)
+	s := m.Snapshot()
+	if s.LatencyP50 > 2048 {
+		t.Errorf("p50 = %v, want ~1µs bucket", s.LatencyP50)
 	}
-	if q := h.quantile(0.99); q < 500000 {
-		t.Errorf("p99 = %v, want ~1ms bucket", q)
+	if s.LatencyP99 < 500000 {
+		t.Errorf("p99 = %v, want ~1ms bucket", s.LatencyP99)
 	}
 }

@@ -110,16 +110,6 @@ type engine struct {
 	gen int64
 }
 
-// footGen folds the stub counters that can change its store's
-// footprint — template builds and buffer reshaping — into one
-// generation number. In-place rewrites, tag shifts, shifts, and steals
-// reuse existing bytes, so the steady state keeps the generation (and
-// the accounted footprint) constant without walking the chunk lists on
-// every release.
-func footGen(cs core.Stats) int64 {
-	return cs.FirstTimeSends + cs.FullSerializations + cs.Grows + cs.Splits
-}
-
 // callSink is the engine's sink for one call: it routes the stub's
 // output to the connection the call checked out and times what is spent
 // there. Set and read while the replica lock is held.
@@ -294,7 +284,7 @@ func (s *ShardedStore) acquire(m *wire.Message) *engine {
 // point, and, for a condemned entry, possibly the release that frees
 // its arenas.
 func (s *ShardedStore) release(r *engine) {
-	if gen := footGen(r.stub.Stats()); gen != r.gen {
+	if gen := r.stub.Stats().FootprintGen(); gen != r.gen {
 		r.gen = gen
 		fp := int64(r.stub.Store().Footprint())
 		r.slot.Value.size.Add(fp - r.fp)

@@ -10,6 +10,7 @@ package promtext
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 )
 
@@ -22,6 +23,17 @@ const ContentType = "text/plain; version=0.0.4"
 type Writer struct {
 	w   io.Writer
 	err error
+}
+
+// Handler serves a registry's exposition — its WritePrometheus — as the
+// /metrics endpoint a Prometheus scraper points at.
+func Handler(write func(io.Writer) error) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", ContentType)
+		if err := write(w); err != nil {
+			http.Error(w, fmt.Sprintf("metrics: %v", err), http.StatusInternalServerError)
+		}
+	})
 }
 
 // New returns a Writer emitting to w.

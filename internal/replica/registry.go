@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"encoding/json"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -516,6 +518,18 @@ type Dump struct {
 	EvictionsLRU    int64        `json:"evictions_lru"`
 	EvictionsBudget int64        `json:"evictions_budget"`
 	Templates       []DebugEntry `json:"templates"`
+}
+
+// DumpHandler serves snapshot's Dump as indented JSON — the
+// /debug/templates endpoint of both sides, in the one shape
+// `bsoap-inspect templates` renders.
+func DumpHandler(snapshot func() Dump) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(snapshot())
+	})
 }
 
 // Dump builds the uniform debug document. fill, called outside shard

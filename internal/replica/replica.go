@@ -7,13 +7,11 @@
 // the same machinery — pool.ShardedStore's per-op signature LRU, the
 // serverpool replica LRU, diffdeser's operation-key LRU and core.Store's
 // in-slice rotation — each with its own sharding, eviction counters and
-// in-flight protection story. They are all ports of the three pieces
+// in-flight protection story. They are all ports of the two pieces
 // here:
 //
 //   - LRU: the one recency list (map-indexed intrusive doubly-linked
 //     list, O(1) touch, allocation-free on the warm path).
-//   - Tracker: the one bounded lookup map (the server's per-replica
-//     handler tables) with wholesale reset at capacity.
 //   - Registry: the sharded entry store, parameterized over the entry
 //     type, owning count caps (per shard and per group), an in-flight
 //     refcount protocol, and byte-accurate memory budgeting.

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"bsoap/internal/core"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
@@ -13,9 +13,9 @@ import (
 
 // startCalc starts a sum service with WSDL, returning its address and
 // a closer.
-func startCalc(t *testing.T) (string, *server.SOAP, func()) {
+func startCalc(t *testing.T) (string, *serverpool.Runtime, func()) {
 	t.Helper()
-	endpoint := server.New(server.Options{DifferentialDeserialization: true})
+	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
 	resp := wire.NewMessage("urn:calc", "sumResponse")
 	total := resp.AddDouble("total", 0)
 	schema := &soapdec.Schema{
@@ -23,7 +23,7 @@ func startCalc(t *testing.T) (string, *server.SOAP, func()) {
 		Op:        "sum",
 		Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},
 	}
-	endpoint.Register(schema, func(req *wire.Message) (*wire.Message, error) {
+	endpoint.RegisterShared(schema, func(req *wire.Message) (*wire.Message, error) {
 		var s float64
 		for i := 0; i < req.NumLeaves(); i++ {
 			s += req.LeafDouble(i)

@@ -3,14 +3,13 @@ package serverpool
 import (
 	"sync/atomic"
 	"testing"
-
-	"bsoap/internal/server"
 )
 
 // The scaling benchmark: 8 concurrent clients, each with its own stable
-// request shape, against (a) the single-mutex server.SOAP endpoint with
-// one shared deserializer and (b) the sharded runtime with a replica
-// per connection. The shared decoder holds at most
+// request shape, against (a) a locked endpoint — the runtime fed one
+// connection id, so one replica's mutex, deserializer and response stub
+// serve everyone — and (b) the sharded runtime with a replica per
+// connection. The shared decoder holds at most
 // diffdeser.MaxTemplatesPerKey templates per operation, so eight
 // distinct shapes thrash it into constant full parses on top of the
 // dispatch lock convoy; per-connection replicas keep every client on
@@ -28,8 +27,7 @@ func benchBodies(b *testing.B) [][]byte {
 }
 
 func BenchmarkLockedEndpoint8Clients(b *testing.B) {
-	endpoint := server.New(server.Options{DifferentialDeserialization: true})
-	endpoint.Register(sumSchema(), sumFactory())
+	rt := newSumRuntime(Options{DifferentialDeserialization: true})
 	bodies := benchBodies(b)
 	var next atomic.Int64
 	b.SetParallelism(benchClients)
@@ -38,7 +36,7 @@ func BenchmarkLockedEndpoint8Clients(b *testing.B) {
 		id := int(next.Add(1)-1) % benchClients
 		body := bodies[id]
 		for pb.Next() {
-			if _, err := endpoint.Handle(body); err != nil {
+			if _, err := rt.Handle(1, "", body); err != nil {
 				b.Error(err)
 				return
 			}

@@ -52,14 +52,14 @@ func FuzzDeltaFrame(f *testing.F) {
 		sync()
 
 		slot, r := rt.acquire(reg.Key{Conn: 7})
-		got, err := rt.applyDelta(r, &transport.Request{ConnID: 7, Body: b})
+		got, err := r.bases.apply(&transport.Request{ConnID: 7, Body: b})
 		switch {
 		case err != nil && !errors.Is(err, wire.ErrDeltaResync):
 			rt.release(slot)
 			t.Fatalf("refusal does not wrap ErrDeltaResync: %v", err)
-		case err == nil && wire.DeltaCRC(got) != r.frame.BodyCRC:
+		case err == nil && wire.DeltaCRC(got) != r.bases.frame.BodyCRC:
 			rt.release(slot)
-			t.Fatalf("accepted body CRC %08x != frame %08x", wire.DeltaCRC(got), r.frame.BodyCRC)
+			t.Fatalf("accepted body CRC %08x != frame %08x", wire.DeltaCRC(got), r.bases.frame.BodyCRC)
 		}
 		rt.release(slot)
 
@@ -67,7 +67,7 @@ func FuzzDeltaFrame(f *testing.F) {
 		// patch, then run a checked full decode on the same replica.
 		sync()
 		slot, r = rt.acquire(reg.Key{Conn: 7})
-		got, err = rt.applyDelta(r, &transport.Request{ConnID: 7, Body: identity()})
+		got, err = r.bases.apply(&transport.Request{ConnID: 7, Body: identity()})
 		if err != nil {
 			rt.release(slot)
 			t.Fatalf("identity patch refused after fuzz frame: %v", err)

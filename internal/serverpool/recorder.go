@@ -1,50 +1,36 @@
-package server
+package serverpool
 
 import (
-	"fmt"
 	"sync"
 
 	"bsoap/internal/transport"
-	"bsoap/internal/wire"
 )
 
 // Recorder is a conformance-test endpoint: it keeps a verbatim copy of
 // every request body the transport accepted, so a test can later prove
 // that what the server received is byte-equivalent to a from-scratch
 // serialization of the client's values. It speaks the differential
-// transmission protocol: sync-annotated bodies are held as patch bases
-// per (connection, template), patch frames are reconstructed against
-// them — the recorded body is always the full reconstructed body, so
-// delta conformance runs use the same byte oracle as full-body runs.
-// Safe for concurrent use.
+// transmission protocol through the keeper every replica uses — one per
+// connection, scoped the way the client scopes its sync state — so the
+// recorded body is always the full reconstructed body, delta conformance
+// runs use the same byte oracle as full-body runs, and what they test is
+// the code that ships. Safe for concurrent use.
 type Recorder struct {
 	mu      sync.Mutex
 	bodies  [][]byte
 	limit   int
 	dropped int64
 
-	bases        map[recorderKey]*recorderBase
+	keepers      map[uint64]*baseKeeper // by connection id
 	deltaApplied int64
 	deltaResyncs int64
-}
-
-// recorderKey scopes a patch base the way the client scopes its sync
-// state: per connection, per template.
-type recorderKey struct {
-	conn uint64
-	tid  uint64
-}
-
-type recorderBase struct {
-	epoch uint64
-	body  []byte
 }
 
 // NewRecorder builds a recorder retaining at most limit bodies (<= 0
 // means unbounded). Bodies beyond the limit are counted as dropped
 // rather than silently lost.
 func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit, bases: make(map[recorderKey]*recorderBase)}
+	return &Recorder{limit: limit, keepers: make(map[uint64]*baseKeeper)}
 }
 
 // HTTPHandler adapts the recorder to the transport server. The handler
@@ -56,63 +42,32 @@ func (r *Recorder) HTTPHandler() transport.Handler {
 	return func(req *transport.Request) ([]byte, error) {
 		body := req.Body
 		r.mu.Lock()
-		switch req.DeltaMode {
-		case transport.DeltaPatch:
-			reconstructed, err := r.applyDelta(req)
-			if err != nil {
-				r.deltaResyncs++
-				r.mu.Unlock()
-				return nil, err
+		defer r.mu.Unlock()
+		if req.DeltaMode != transport.DeltaNone {
+			k := r.keepers[req.ConnID]
+			if k == nil {
+				k = &baseKeeper{}
+				r.keepers[req.ConnID] = k
 			}
-			r.deltaApplied++
-			body = reconstructed
-		case transport.DeltaSync:
-			key := recorderKey{conn: req.ConnID, tid: req.DeltaTID}
-			base := r.bases[key]
-			if base == nil {
-				base = &recorderBase{}
-				r.bases[key] = base
+			if req.DeltaMode == transport.DeltaSync {
+				k.sync(req)
+			} else {
+				reconstructed, err := k.apply(req)
+				if err != nil {
+					r.deltaResyncs++
+					return nil, err
+				}
+				r.deltaApplied++
+				body = reconstructed
 			}
-			base.epoch = req.DeltaEpoch
-			base.body = append(base.body[:0], req.Body...)
-			req.DeltaAck = true
-			req.DeltaAckTID = req.DeltaTID
-			req.DeltaAckEpoch = req.DeltaEpoch
 		}
 		if r.limit > 0 && len(r.bodies) >= r.limit {
 			r.dropped++
 		} else {
-			kept := make([]byte, len(body))
-			copy(kept, body)
-			r.bodies = append(r.bodies, kept)
+			r.bodies = append(r.bodies, append([]byte(nil), body...))
 		}
-		r.mu.Unlock()
 		return nil, nil
 	}
-}
-
-// applyDelta reconstructs a patch frame against its held base. Callers
-// hold r.mu. Any failure wraps wire.ErrDeltaResync; a base that failed
-// its checksum is dropped (its bytes can no longer be trusted).
-func (r *Recorder) applyDelta(req *transport.Request) ([]byte, error) {
-	var f wire.DeltaFrame
-	if err := wire.ParseDeltaFrame(&f, req.Body); err != nil {
-		return nil, err
-	}
-	key := recorderKey{conn: req.ConnID, tid: f.TID}
-	base := r.bases[key]
-	if base == nil {
-		return nil, fmt.Errorf("recorder: no base for template %d: %w", f.TID, wire.ErrDeltaResync)
-	}
-	if base.epoch != f.BaseEpoch {
-		return nil, fmt.Errorf("recorder: base epoch %d != frame %d: %w", base.epoch, f.BaseEpoch, wire.ErrDeltaResync)
-	}
-	if err := f.Apply(base.body); err != nil {
-		delete(r.bases, key)
-		return nil, err
-	}
-	base.epoch = f.NewEpoch
-	return base.body, nil
 }
 
 // Bodies returns a snapshot of the recorded request bodies, in arrival
@@ -144,7 +99,7 @@ func (r *Recorder) Dropped() int64 {
 // refused with a resync and the client must recover losslessly.
 func (r *Recorder) ForgetBases() {
 	r.mu.Lock()
-	r.bases = make(map[recorderKey]*recorderBase)
+	r.keepers = make(map[uint64]*baseKeeper)
 	r.mu.Unlock()
 }
 

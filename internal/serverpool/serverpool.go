@@ -1,12 +1,18 @@
-// Package serverpool is the concurrent SOAP server runtime. Where
-// server.SOAP serializes every request behind one mutex, Runtime keeps
-// a pool of per-connection (or per-client) replicas, each with its own
-// differential deserializer and differential response stub — the
-// server-side mirror of the client's pool.ShardedStore. Requests from
-// the same connection land on the same replica, so its stored templates
-// track that client's message shapes: concurrent clients with different
-// shapes no longer thrash a shared template set, and decodes proceed in
-// parallel with no cross-connection lock.
+// Package serverpool is the SOAP service endpoint: it dispatches
+// incoming envelopes to registered operations, decoding with a full
+// schema-driven parse or with differential deserialization, and
+// serializes responses through a differential stub (the paper: the
+// technique "could be used equally well by a server sending identical
+// (or similar) responses").
+//
+// Runtime keeps a pool of per-connection (or per-client) replicas, each
+// with its own deserializer, response stub, handler instances and patch
+// bases — the server-side mirror of the client's pool.ShardedStore.
+// Requests from the same connection land on the same replica, so its
+// templates track that client's message shapes: concurrent clients do
+// not thrash a shared template set, and decodes proceed in parallel with
+// no cross-connection lock. One connection id for every request makes it
+// a single locked endpoint.
 //
 // Replicas live in the unified replica registry (internal/replica),
 // which owns sharding, the recency list, in-flight refcounts and the
@@ -16,9 +22,9 @@ package serverpool
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
+	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,15 +34,17 @@ import (
 	"bsoap/internal/diffdeser"
 	"bsoap/internal/multiref"
 	reg "bsoap/internal/replica"
-	"bsoap/internal/server"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/trace"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
+	"bsoap/internal/xsdlex"
 )
 
-// Handler is the per-operation callback, identical to server.Handler.
-type Handler = server.Handler
+// Handler processes one decoded request message and returns a response
+// message, or nil for one-way operations. The request message is owned
+// by the runtime and valid only for the duration of the call.
+type Handler func(req *wire.Message) (*wire.Message, error)
 
 // HandlerFactory builds one handler instance. Each replica gets its own
 // instance, so handlers may keep per-instance state — in particular a
@@ -76,8 +84,8 @@ type Options struct {
 	// with LRU eviction, mirroring pool.ShardedStore.
 	MaxReplicas int
 	// MaxTemplateBytes budgets the replicas' aggregate template memory
-	// (request deserializer templates, response stub templates and the
-	// response buffer): the registry evicts least-recently-used replicas
+	// (request deserializer templates, response stub templates and patch
+	// bases): the registry evicts least-recently-used replicas
 	// to stay at or below it. Zero leaves memory bounded only by
 	// MaxReplicas and the per-replica key caps. See README "Sizing
 	// template memory".
@@ -137,22 +145,22 @@ type operation struct {
 
 // replica is one client's private decode/encode state: a bounded
 // differential deserializer whose templates track that client's request
-// shapes, a differential response stub, and per-replica handler
-// instances (handlers reuse response messages, so instances cannot be
-// shared). The mutex serializes the rare case of two requests mapping
-// to one replica (AffinityClient, or an evicted key recreated while its
-// old request still runs).
+// shapes, a differential response stub, per-replica handler instances
+// (handlers reuse response messages, so instances cannot be shared) and
+// the client's patch bases. The mutex serializes the rare case of two
+// requests mapping to one replica (AffinityClient, or an evicted key
+// recreated while its old request still runs).
 type replica struct {
 	mu           sync.Mutex
 	differ       *diffdeser.Deserializer
 	keyEvictions int64 // last value drained into metrics
-	// handlers maps operation to this replica's handler instance. The
-	// tracker is the same bounded map the client pool uses for message
-	// affinity: at capacity it resets wholesale and the next request of
-	// a forgotten operation just re-runs its factory.
-	handlers *reg.Tracker[string, Handler]
-	respBuf  bytes.Buffer
-	stub     *core.Stub
+	// handlers maps operation to this replica's handler instance; only
+	// registered operations get one, so rt.ops bounds it.
+	handlers map[string]Handler
+	// sink is where stub sends: handle points it at the request's
+	// recycled response storage for the length of one call.
+	sink respSink
+	stub *core.Stub
 	// size caches the replica's memory footprint for the registry's
 	// budget accounting: stored by release while the replica lock is
 	// held, read lock-free by SizeBytes under registry locks.
@@ -163,13 +171,26 @@ type replica struct {
 	// change the footprint hold still.
 	stubFP  int64
 	stubGen int64
-	// bases holds this replica's differential-transmission patch bases
-	// (template id -> last synchronized body), nil until the first sync;
-	// deltaBytes tracks their aggregate capacity for the footprint, and
-	// frame is the reused patch-parse scratch. All guarded by mu.
-	bases      *reg.LRU[uint64, *deltaBase]
-	deltaBytes int64
-	frame      wire.DeltaFrame
+	// bases holds this replica's differential-transmission patch bases,
+	// guarded by mu.
+	bases baseKeeper
+}
+
+// respSink is a replica's response sink: it appends the stub's gather
+// vector to buf.
+type respSink struct{ buf []byte }
+
+// Send implements core.Sink.
+func (s *respSink) Send(bufs net.Buffers) error {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	s.buf = slices.Grow(s.buf[:0], n)
+	for _, b := range bufs {
+		s.buf = append(s.buf, b...)
+	}
+	return nil
 }
 
 // SizeBytes reports the cached footprint (replica.Entry).
@@ -325,17 +346,6 @@ func (rt *Runtime) DebugTemplates() reg.Dump {
 	return rt.reg.Dump("server", nil)
 }
 
-// TemplatesHandler serves DebugTemplates as indented JSON — the
-// server-side /debug/templates endpoint.
-func (rt *Runtime) TemplatesHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rt.DebugTemplates())
-	})
-}
-
 // HTTPHandler adapts the runtime to the transport server: POSTs are
 // dispatched as SOAP calls on the caller's replica, GETs answered with
 // the WSDL when one is installed.
@@ -356,13 +366,20 @@ func (rt *Runtime) HTTPHandler() transport.Handler {
 		if rt.opts.Delta {
 			switch req.DeltaMode {
 			case transport.DeltaPatch:
-				reconstructed, err := rt.applyDelta(r, req)
+				start := time.Now()
+				reconstructed, err := r.bases.apply(req)
 				if err != nil {
+					rt.deltaResyncs.Add(1)
 					return nil, err
 				}
+				rt.deltaApplied.Add(1)
+				rt.metrics.RecordDeltaApply(len(body), len(reconstructed))
+				rt.metrics.Stages.Observe(trace.StageDeltaApply, time.Since(start).Nanoseconds(), req.TraceSpan)
 				body = reconstructed
 			case transport.DeltaSync:
-				rt.storeDeltaBase(r, req)
+				r.bases.sync(req)
+				rt.deltaSyncs.Add(1)
+				rt.metrics.RecordDeltaSync(len(body))
 			}
 		} else if req.DeltaMode == transport.DeltaPatch {
 			// A patch arrived but delta is off (e.g. disabled after a
@@ -370,16 +387,17 @@ func (rt *Runtime) HTTPHandler() transport.Handler {
 			rt.deltaResyncs.Add(1)
 			return nil, fmt.Errorf("serverpool: delta disabled: %w", wire.ErrDeltaResync)
 		}
-		return rt.handle(r, body, req.TraceSpan, req.ConnID)
+		return rt.handle(r, req, body)
 	}
 }
 
 // Handle decodes and dispatches one envelope for the given connection
 // identity, for callers not going through transport.Server.
 func (rt *Runtime) Handle(connID uint64, remoteAddr string, body []byte) ([]byte, error) {
-	slot, r := rt.acquire(rt.keyFor(&transport.Request{ConnID: connID, RemoteAddr: remoteAddr}))
+	req := &transport.Request{ConnID: connID, RemoteAddr: remoteAddr}
+	slot, r := rt.acquire(rt.keyFor(req))
 	defer rt.release(slot)
-	return rt.handle(r, body, 0, connID)
+	return rt.handle(r, req, body)
 }
 
 func (rt *Runtime) keyFor(req *transport.Request) reg.Key {
@@ -411,11 +429,11 @@ func (rt *Runtime) acquire(key reg.Key) (*reg.Slot[*replica], *replica) {
 // its arenas. Caller holds r.mu.
 func (rt *Runtime) release(slot *reg.Slot[*replica]) {
 	r := slot.Value
-	if gen := footGen(r.stub.Stats()); gen != r.stubGen {
+	if gen := r.stub.Stats().FootprintGen(); gen != r.stubGen {
 		r.stubGen = gen
 		r.stubFP = int64(r.stub.Store().Footprint())
 	}
-	fp := r.stubFP + int64(r.respBuf.Cap()) + r.deltaBytes
+	fp := r.stubFP + r.bases.bytes
 	if r.differ != nil {
 		fp += int64(r.differ.SizeBytes())
 	}
@@ -424,40 +442,34 @@ func (rt *Runtime) release(slot *reg.Slot[*replica]) {
 	rt.reg.Release(slot)
 }
 
-// footGen folds the stub counters that can change its store's footprint
-// — template builds and buffer reshaping — into one generation number,
-// so the steady state (in-place rewrites, tag shifts) skips the
-// chunk-list walk entirely.
-func footGen(cs core.Stats) int64 {
-	return cs.FirstTimeSends + cs.FullSerializations + cs.Grows + cs.Splits
-}
-
 func (rt *Runtime) newReplica() *replica {
-	r := &replica{handlers: reg.NewTracker[string, Handler](0)}
+	r := &replica{handlers: make(map[string]Handler)}
 	if rt.opts.DifferentialDeserialization {
 		r.differ = diffdeser.NewBounded(rt.lookupSchema, rt.opts.MaxKeysPerReplica)
 	}
-	r.stub = core.NewStub(rt.opts.Core, transport.WriterSink{W: &r.respBuf})
+	r.stub = core.NewStub(rt.opts.Core, &r.sink)
+	r.bases.onDrop = rt.metrics.RecordDeltaBaseEviction
 	return r
 }
 
-// handle runs one request on r. Caller holds r.mu. clientSpan is the
-// span id propagated from the client over the X-BSoap-Trace header (0 =
-// untraced caller): when present, every event this request records
-// carries the client's id, so `bsoap-inspect trace -correlate` can
+// handle runs one request on r: body is req's own, or the one its patch
+// frame reconstructed. The response is serialized into req.Resp, valid
+// until req is read into again. Caller holds r.mu. req.TraceSpan is the
+// client's span id (0 = untraced caller): when present, every event this
+// request records carries it, so `bsoap-inspect trace -correlate` can
 // merge the two rings into one cross-process timeline.
-func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([]byte, error) {
+func (rt *Runtime) handle(r *replica, req *transport.Request, body []byte) ([]byte, error) {
 	rt.requests.Add(1)
 
 	var span uint64
 	traced := trace.Enabled()
 	if traced {
-		if clientSpan != 0 {
+		if req.TraceSpan != 0 {
 			// Adopt the client's span and link a server-local sub-span id
 			// to it: the sub-span (A) disambiguates re-sent client spans,
 			// the conn id (B) ties the timeline to a transport connection.
-			span = clientSpan
-			trace.Rec(span, trace.KindServerSpan, int64(trace.BeginSpan()), int64(connID), 0)
+			span = req.TraceSpan
+			trace.Rec(span, trace.KindServerSpan, int64(trace.BeginSpan()), int64(req.ConnID), 0)
 		} else {
 			span = trace.BeginSpan()
 		}
@@ -475,13 +487,21 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 
 	var msg *wire.Message
 	if r.differ != nil {
-		opLocal, perr := server.PeekOperation(body)
+		// Key by operation, a registered one by its schema's own string;
+		// an unknown name is left for the full parse to refuse.
+		name, perr := peekOperation(body)
 		if perr != nil {
 			return nil, perr
 		}
+		var key string
+		if op := rt.ops[string(name)]; op != nil {
+			key = op.schema.Op
+		} else {
+			key = string(name)
+		}
 		var info diffdeser.Info
 		var err error
-		msg, info, err = r.differ.Decode(opLocal, body)
+		msg, info, err = r.differ.Decode(key, body)
 		if err != nil {
 			return nil, fmt.Errorf("serverpool: decode: %w", err)
 		}
@@ -526,14 +546,14 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 	rt.metrics.Stages.Observe(trace.StageDecode, decodeNs, span)
 
 	opLocal := msg.Operation()
-	h, ok := r.handlers.Lookup(opLocal)
+	h, ok := r.handlers[opLocal]
 	if !ok {
 		op := rt.ops[opLocal]
 		if op == nil {
 			return nil, fmt.Errorf("serverpool: no handler for %s", opLocal)
 		}
 		h = op.factory()
-		r.handlers.Note(opLocal, h)
+		r.handlers[opLocal] = h
 	}
 	resp, err := h(msg)
 	respondStart := time.Now()
@@ -546,24 +566,58 @@ func (rt *Runtime) handle(r *replica, body []byte, clientSpan, connID uint64) ([
 		return nil, nil
 	}
 
-	r.respBuf.Reset()
 	if span != 0 {
 		// The response stub's serialization events join this request's
 		// span instead of allocating their own.
 		r.stub.SetTraceSpan(span)
 	}
+	r.sink.buf = req.Resp
 	ci, err := r.stub.Call(resp)
+	req.Resp, r.sink.buf = r.sink.buf, nil
 	respondNs := time.Since(respondStart).Nanoseconds()
 	rt.metrics.Stages.Observe(trace.StageRespond, respondNs, span)
 	if err != nil {
 		return nil, fmt.Errorf("serverpool: response serialization: %w", err)
 	}
 	if traced {
-		trace.Rec(span, trace.KindServerRespond, int64(ci.Match), int64(r.respBuf.Len()), 0)
+		trace.Rec(span, trace.KindServerRespond, int64(ci.Match), int64(len(req.Resp)), 0)
 	}
-	out := make([]byte, r.respBuf.Len())
-	copy(out, r.respBuf.Bytes())
-	return out, nil
+	return req.Resp, nil
+}
+
+// peekOperation finds the operation's local name without a full parse —
+// the first element inside <Body>, prefix stripped — and returns it as a
+// view into body.
+func peekOperation(body []byte) ([]byte, error) {
+	var off int
+	if idx := bytes.Index(body, []byte(":Body>")); idx >= 0 {
+		off = idx + len(":Body>")
+	} else if idx := bytes.Index(body, []byte("<Body>")); idx >= 0 {
+		off = idx + len("<Body>")
+	} else {
+		return nil, fmt.Errorf("serverpool: no SOAP Body")
+	}
+	rest := body[off:]
+	i := 0
+	for i < len(rest) && xsdlex.IsSpace(rest[i]) {
+		i++
+	}
+	if i >= len(rest) || rest[i] != '<' {
+		return nil, fmt.Errorf("serverpool: no operation element")
+	}
+	i++
+	start := i
+	for i < len(rest) && rest[i] != '>' && rest[i] != '/' && !xsdlex.IsSpace(rest[i]) {
+		i++
+	}
+	name := rest[start:i]
+	if c := bytes.LastIndexByte(name, ':'); c >= 0 {
+		name = name[c+1:]
+	}
+	if len(name) == 0 {
+		return nil, fmt.Errorf("serverpool: no operation element")
+	}
+	return name, nil
 }
 
 // selfCheck re-decodes body from scratch and compares every leaf with

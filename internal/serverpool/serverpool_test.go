@@ -384,7 +384,7 @@ func TestBudgetEvictionWithInFlightRequest(t *testing.T) {
 	// The held replica still decodes differentially and serializes its
 	// response on live arenas; SelfCheck re-verifies the decode.
 	a.arr.Set(0, 1234.5)
-	resp, err := rt.handle(r, a.body(t), 0, 0)
+	resp, err := rt.handle(r, &transport.Request{}, a.body(t))
 	rt.release(slot)
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +529,7 @@ func TestDebugTemplatesDump(t *testing.T) {
 	check(rt.DebugTemplates())
 
 	rec := httptest.NewRecorder()
-	rt.TemplatesHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/templates", nil))
+	reg.DumpHandler(rt.DebugTemplates).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/templates", nil))
 	if rec.Code != 200 {
 		t.Fatalf("handler status %d", rec.Code)
 	}

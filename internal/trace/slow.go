@@ -2,9 +2,7 @@ package trace
 
 import (
 	"math"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -56,15 +54,6 @@ type slowEntry struct {
 	n     int
 	trunc bool
 	evs   [slowEventCap]Event
-}
-
-// latDist is the internal end-to-end latency histogram feeding the
-// rolling-quantile threshold (same power-of-two-ns bucketing as the
-// stage histograms).
-type latDist struct {
-	buckets [stageBuckets]atomic.Int64
-	count   atomic.Int64
-	ctr     atomic.Uint64
 }
 
 // SetSlowThreshold arms slow-call capture with an absolute end-to-end
@@ -127,34 +116,13 @@ func (t *Tracer) ObserveCall(span uint64, latNs int64) {
 // periodically recomputes the threshold as the configured quantile's
 // bucket upper bound.
 func (t *Tracer) observeQuantile(latNs int64) {
-	if latNs < 0 {
-		latNs = 0
-	}
-	i := bits.Len64(uint64(latNs))
-	if i >= stageBuckets {
-		i = stageBuckets - 1
-	}
-	t.slowLat.buckets[i].Add(1)
-	t.slowLat.count.Add(1)
-	if t.slowLat.ctr.Add(1)&slowRecalcMask != 0 {
+	t.slowLat.Observe(latNs)
+	if t.slowLat.Count()&slowRecalcMask != 0 {
 		return
 	}
 	q := math.Float64frombits(t.slowQuantile.Load())
-	total := t.slowLat.count.Load()
-	if total == 0 {
-		return
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for b := 0; b < stageBuckets; b++ {
-		cum += t.slowLat.buckets[b].Load()
-		if cum >= rank {
-			t.slowThresh.Store(int64(uint64(1) << uint(b)))
-			return
-		}
+	if b := t.slowLat.quantileBucket(q); b >= 0 {
+		t.slowThresh.Store(int64(1) << uint(b))
 	}
 }
 

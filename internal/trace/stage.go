@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 )
@@ -84,14 +85,94 @@ func StageFromString(name string) (Stage, bool) {
 	return 0, false
 }
 
-// stageBuckets is the per-stage histogram resolution: power-of-two
-// nanosecond buckets, bucket i counting durations with
-// 2^(i-1) < d <= 2^i ns (bucket 0 is <=1ns), covering ~1ns to ~9min.
-const stageBuckets = 40
+// histBuckets is a Hist's resolution: power-of-two nanosecond buckets,
+// bucket i counting durations with 2^(i-1) <= d < 2^i ns (bucket 0 is
+// zero), covering ~1ns to ~9min.
+const histBuckets = 40
 
-// StageHist is an always-on, allocation-free per-stage latency
-// histogram: one power-of-two-bucket nanosecond histogram per Stage,
-// all counters atomic. It is embedded in both the client and the server
+// Hist is the tree's one latency distribution: an allocation-free
+// histogram of nanosecond durations in power-of-two buckets with count,
+// sum and maximum, all atomic (the pool's call latency, each stage).
+type Hist struct {
+	buckets [histBuckets]atomic.Int64
+	count   atomic.Int64
+	sum     atomic.Int64 // nanoseconds
+	max     atomic.Int64
+}
+
+// Observe records one duration (negative values count as zero).
+func (h *Hist) Observe(ns int64) {
+	if ns < 0 {
+		ns = 0
+	}
+	i := bits.Len64(uint64(ns))
+	if i >= histBuckets {
+		i = histBuckets - 1
+	}
+	h.buckets[i].Add(1)
+	h.count.Add(1)
+	h.sum.Add(ns)
+	for {
+		cur := h.max.Load()
+		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
+}
+
+// Count returns the number of observations.
+func (h *Hist) Count() int64 { return h.count.Load() }
+
+// SumNs returns the cumulative observed nanoseconds.
+func (h *Hist) SumNs() int64 { return h.sum.Load() }
+
+// MaxNs returns the largest observation.
+func (h *Hist) MaxNs() int64 { return h.max.Load() }
+
+// Buckets copies the per-bucket (non-cumulative) counts into dst, which
+// should hold StageBucketCount entries, and returns the observation
+// count at snapshot start.
+func (h *Hist) Buckets(dst []int64) int64 {
+	n := h.count.Load()
+	for i := 0; i < histBuckets && i < len(dst); i++ {
+		dst[i] = h.buckets[i].Load()
+	}
+	return n
+}
+
+// Quantile returns an upper bound in nanoseconds for the q-quantile (the
+// top of its bucket, capped at the observed max), good to a factor of
+// two. The rank is the ceiling of q×count, so q=0.99 over 10
+// observations selects the 10th (truncating would select the 9th — a
+// bucket below the true quantile).
+func (h *Hist) Quantile(q float64) int64 {
+	i := h.quantileBucket(q)
+	if i < 0 {
+		return 0
+	}
+	return min(int64(1)<<uint(i), h.max.Load())
+}
+
+// quantileBucket returns the bucket the q-quantile falls in, -1 with
+// nothing observed.
+func (h *Hist) quantileBucket(q float64) int {
+	total := h.count.Load()
+	if total == 0 {
+		return -1
+	}
+	rank := min(max(int64(math.Ceil(q*float64(total))), 1), total)
+	var cum int64
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
+		if cum >= rank {
+			return i
+		}
+	}
+	return histBuckets - 1
+}
+
+// StageHist is the per-stage latency attribution: one Hist per Stage.
+// It is embedded in both the client and the server
 // metrics registries and rendered as the bsoap_{client,server}_stage_seconds
 // Prometheus families.
 type StageHist struct {
@@ -99,9 +180,7 @@ type StageHist struct {
 }
 
 type stageDist struct {
-	buckets  [stageBuckets]atomic.Int64
-	count    atomic.Int64
-	sum      atomic.Int64 // nanoseconds
+	Hist
 	lastSpan atomic.Uint64
 	lastNs   atomic.Int64
 }
@@ -119,14 +198,8 @@ func (h *StageHist) Observe(st Stage, ns int64, span uint64) {
 	if ns < 0 {
 		ns = 0
 	}
-	i := bits.Len64(uint64(ns))
-	if i >= stageBuckets {
-		i = stageBuckets - 1
-	}
 	d := &h.stages[st]
-	d.buckets[i].Add(1)
-	d.count.Add(1)
-	d.sum.Add(ns)
+	d.Hist.Observe(ns)
 	if span != 0 {
 		d.lastSpan.Store(span)
 		d.lastNs.Store(ns)
@@ -145,45 +218,17 @@ func (h *StageHist) Exemplar(st Stage) (span uint64, ns int64, ok bool) {
 	return span, d.lastNs.Load(), span != 0
 }
 
-// Count returns the number of observations recorded for the stage.
-func (h *StageHist) Count(st Stage) int64 {
-	if int(st) >= StageCount {
-		return 0
-	}
-	return h.stages[st].count.Load()
-}
+// Stage returns the stage's distribution (st must be a valid Stage).
+func (h *StageHist) Stage(st Stage) *Hist { return &h.stages[st].Hist }
 
-// SumSeconds returns the stage's cumulative observed time in seconds.
-func (h *StageHist) SumSeconds(st Stage) float64 {
-	if int(st) >= StageCount {
-		return 0
-	}
-	return float64(h.stages[st].sum.Load()) / 1e9
-}
-
-// Buckets copies the stage's per-bucket (non-cumulative) counts into
-// dst, which must hold StageBucketCount entries, and returns the
-// observation count at snapshot start.
-func (h *StageHist) Buckets(st Stage, dst []int64) int64 {
-	if int(st) >= StageCount {
-		return 0
-	}
-	d := &h.stages[st]
-	n := d.count.Load()
-	for i := 0; i < stageBuckets && i < len(dst); i++ {
-		dst[i] = d.buckets[i].Load()
-	}
-	return n
-}
-
-// StageBucketCount is the number of histogram buckets per stage.
-const StageBucketCount = stageBuckets
+// StageBucketCount is the number of buckets of a Hist.
+const StageBucketCount = histBuckets
 
 // StageBucketUppers returns the bucket upper bounds in seconds
 // (2^i nanoseconds for bucket i). The slice is freshly allocated; cold
 // path only (exposition).
 func StageBucketUppers() []float64 {
-	u := make([]float64, stageBuckets)
+	u := make([]float64, histBuckets)
 	for i := range u {
 		u[i] = float64(uint64(1)<<uint(i)) / 1e9
 	}

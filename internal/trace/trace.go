@@ -258,7 +258,7 @@ type Tracer struct {
 	slowQuantile atomic.Uint64 // math.Float64bits of the rolling quantile
 	slowIdx      atomic.Uint64
 	slowCaptured atomic.Uint64
-	slowLat      latDist
+	slowLat      Hist // end-to-end latencies feeding the rolling-quantile threshold
 	slow         []slowEntry
 }
 

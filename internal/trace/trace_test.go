@@ -273,7 +273,7 @@ func TestStageObservePutsSampleOnTimeline(t *testing.T) {
 		t.Fatalf("stage events = %v, want %v", got, want)
 	}
 	var counts [StageBucketCount]int64
-	if n := h.Buckets(StageWire, counts[:]); n != 2 {
+	if n := h.Stage(StageWire).Buckets(counts[:]); n != 2 {
 		t.Fatalf("wire observations = %d, want 2", n)
 	}
 	if !raceEnabled {
@@ -282,4 +282,29 @@ func TestStageObservePutsSampleOnTimeline(t *testing.T) {
 		}
 	}
 	Default.Clear()
+}
+
+// TestHistQuantile pins the ceiling rank and the clamp to the observed
+// maximum: q=0.99 over 10 observations selects the 10th, the lone slow
+// one, and no quantile reads above it.
+func TestHistQuantile(t *testing.T) {
+	var h Hist
+	if h.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram reported a quantile")
+	}
+	for i := 0; i < 9; i++ {
+		h.Observe(1000)
+	}
+	h.Observe(100e6)
+	h.Observe(-5) // counts as zero
+	if p50 := h.Quantile(0.50); p50 > 2048 {
+		t.Errorf("p50 = %d, want the 1µs bucket", p50)
+	}
+	if p99, p100 := h.Quantile(0.99), h.Quantile(1); p99 != 100e6 || p100 != 100e6 || h.MaxNs() != 100e6 {
+		t.Errorf("p99 = %d, p100 = %d, max = %d, want the observed max", p99, p100, h.MaxNs())
+	}
+	buckets := make([]int64, StageBucketCount)
+	if n := h.Buckets(buckets); n != 11 || h.Count() != 11 || buckets[0] != 1 || h.SumNs() != 9*1000+100e6 {
+		t.Errorf("count %d, zero bucket %d, sum %d", n, buckets[0], h.SumNs())
+	}
 }

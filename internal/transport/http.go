@@ -28,7 +28,7 @@ type Request struct {
 	Method  string
 	Target  string
 	Proto   string
-	Headers map[string]string // keys lower-cased
+	Headers map[string]string // keys lower-cased; x-bsoap-trace is parsed into TraceSpan instead
 	Body    []byte
 
 	// ConnID identifies the connection the request arrived on: unique
@@ -63,12 +63,20 @@ type Request struct {
 	DeltaAckTID   uint64
 	DeltaAckEpoch uint64
 
+	// Resp is recycled storage for the handler's response body: a
+	// handler may build its response in Resp[:0], store the grown slice
+	// back and return it, and a warm connection answers without
+	// allocating. The Server never reads it; it lives until the next read
+	// into the request (under read-ahead, after its response is written).
+	Resp []byte
+
 	// recvNs is the UnixNano at which the Server finished reading the
 	// request; dispatch attributes recv→dispatch time to the
 	// server-queue latency stage. Zero outside a Server.
 	recvNs int64
 
 	scratch parseScratch
+	respHdr [respHeaderBytes]byte // the Server renders the response header here
 }
 
 // DeltaMode classifies a request's differential-transmission intent.
@@ -104,6 +112,10 @@ type parseScratch struct {
 	line    []byte
 	body    []byte
 	interns map[string]string
+	// traceSpan is the message's X-BSoap-Trace value (zero: none, or
+	// garbage). Its value is new on every call, so it is parsed where it
+	// is read and never reaches the intern cache.
+	traceSpan uint64
 }
 
 // intern returns the cached string equal to b, allocating only on first
@@ -210,7 +222,7 @@ func parseUintBytes[T ~string | ~[]byte](b T, base uint64) (uint64, bool) {
 // parseHex64 parses a full-range lowercase/uppercase hex uint64 — the
 // X-BSoap-Trace span id, which parseUintBytes cannot carry (it rejects
 // values above 1<<32, a guard sized for lengths and status codes).
-func parseHex64(s string) (uint64, bool) {
+func parseHex64[T ~string | ~[]byte](s T) (uint64, bool) {
 	if len(s) == 0 || len(s) > 16 {
 		return 0, false
 	}
@@ -265,6 +277,7 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 	} else {
 		clear(h)
 	}
+	ps.traceSpan = 0
 	total := 0
 	for {
 		line, err := readLine(br, &ps.line)
@@ -285,6 +298,10 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 		}
 		key := lowerASCIIInPlace(bytes.TrimSpace(line[:colon]))
 		val := bytes.TrimSpace(line[colon+1:])
+		if string(key) == traceHeaderKey {
+			ps.traceSpan, _ = parseHex64(val)
+			continue
+		}
 		h[ps.intern(key)] = ps.intern(val)
 	}
 }
@@ -426,14 +443,9 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 	if req.Headers, err = readHeadersInto(br, req.Headers, ps); err != nil {
 		return err
 	}
-	// Reset-then-parse: a keep-alive connection must not leak a previous
-	// request's span onto one that carried no header.
-	req.TraceSpan = 0
-	if v, ok := req.Headers["x-bsoap-trace"]; ok {
-		if span, okp := parseHex64(v); okp {
-			req.TraceSpan = span
-		}
-	}
+	// Reset-then-parse, as readHeadersInto did for the span: a keep-alive
+	// connection must not leak a previous request's onto one without.
+	req.TraceSpan = ps.traceSpan
 	// Same reset-then-parse discipline for delta negotiation state, both
 	// the parsed inputs and the handler-set ack outputs.
 	req.DeltaMode, req.DeltaTID, req.DeltaEpoch = DeltaNone, 0, 0
@@ -500,9 +512,12 @@ func ReadResponseInto(br *bufio.Reader, resp *Response) error {
 	return err
 }
 
+// respHeaderBytes holds any header section the Server renders: status
+// line, content type, a delta ack and Content-Length.
+const respHeaderBytes = 224
+
 // WriteResponse writes a complete HTTP/1.1 response with Content-Length
-// framing. The header section is assembled in one stack buffer — no
-// per-response builder.
+// framing.
 func WriteResponse(w io.Writer, status int, contentType string, body []byte) error {
 	return WriteResponseExtra(w, status, contentType, nil, body)
 }
@@ -510,8 +525,15 @@ func WriteResponse(w io.Writer, status int, contentType string, body []byte) err
 // WriteResponseExtra is WriteResponse with one raw extra header section
 // spliced in before the blank line. extra must be complete CRLF-
 // terminated header lines (e.g. "X-BSoap-Delta: ack=1.0\r\n"), or nil.
+// The header buffer is allocated per call (handed to an io.Writer, it
+// cannot stay on the stack); the Server renders into its Request's.
 func WriteResponseExtra(w io.Writer, status int, contentType string, extra, body []byte) error {
-	var hdr [224]byte
+	return writeResponse(w, make([]byte, 0, respHeaderBytes), status, contentType, extra, body)
+}
+
+// writeResponse renders the header section into hdr[:0] and writes it,
+// then the body: two writes.
+func writeResponse(w io.Writer, hdr []byte, status int, contentType string, extra, body []byte) error {
 	b := append(hdr[:0], "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')

@@ -303,13 +303,13 @@ func StageSeconds(h *trace.StageHist, stages []trace.Stage) []promtext.LabeledHi
 	out := make([]promtext.LabeledHistogram, 0, len(stages))
 	for _, st := range stages {
 		counts := make([]int64, trace.StageBucketCount)
-		n := h.Buckets(st, counts)
+		d := h.Stage(st)
 		lh := promtext.LabeledHistogram{
 			Label:  st.String(),
 			Uppers: uppers,
 			Counts: counts,
-			Sum:    h.SumSeconds(st),
-			Count:  n,
+			Count:  d.Buckets(counts),
+			Sum:    float64(d.SumNs()) / 1e9,
 		}
 		if span, ns, ok := h.Exemplar(st); ok {
 			lh.Exemplar = &promtext.Exemplar{
@@ -321,14 +321,6 @@ func StageSeconds(h *trace.StageHist, stages []trace.Stage) []promtext.LabeledHi
 		out = append(out, lh)
 	}
 	return out
-}
-
-// PrometheusHandler serves the registry as a /metrics scrape target.
-func (m *ServerMetrics) PrometheusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", promtext.ContentType)
-		_ = m.WritePrometheus(w)
-	})
 }
 
 // StatsHandler serves the registry as indented JSON.

@@ -73,7 +73,7 @@ func TestServerMetricsHandlers(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	m.PrometheusHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	promtext.Handler(m.WritePrometheus).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if got := rec.Header().Get("Content-Type"); got != promtext.ContentType {
 		t.Errorf("content type = %q, want %q", got, promtext.ContentType)
 	}

@@ -207,11 +207,13 @@ func (pl *Pipeline) readLoop() {
 	}
 }
 
+// resolve counts first, then wakes: whoever Wait releases must already
+// see what OnComplete accounted (the pool's futures_pending gauge).
 func (pl *Pipeline) resolve(p *Pending, status int, err error) {
-	p.complete(status, err)
 	if pl.OnComplete != nil {
 		pl.OnComplete()
 	}
+	p.complete(status, err)
 }
 
 // drainFail fails every Pending still queued. Taking writeMu first

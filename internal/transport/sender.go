@@ -400,9 +400,12 @@ func (s *Sender) writeRequestHead(an Annotation) error {
 }
 
 // traceHeaderPrefix starts the span-propagation header; the value is
-// the client's span id in lowercase hex. Servers see the name lowercased
-// ("x-bsoap-trace") in Request.Headers.
-const traceHeaderPrefix = "X-BSoap-Trace: "
+// the client's span id in lowercase hex. Servers parse it, by its
+// lowercased name, into Request.TraceSpan.
+const (
+	traceHeaderPrefix = "X-BSoap-Trace: "
+	traceHeaderKey    = "x-bsoap-trace"
+)
 
 // Submit is the one way a complete message reaches this connection:
 // bufs framed as one POST with Content-Length, annotated per an, and

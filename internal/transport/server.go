@@ -364,7 +364,7 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 		if !s.respond {
 			return true
 		}
-		err := WriteResponse(conn, 202, "", nil)
+		err := writeResponse(conn, req.respHdr[:0], 202, "", nil, nil)
 		if err != nil {
 			s.logf("write response: %v", err)
 		}
@@ -420,7 +420,7 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 			extra = append(b, '\r', '\n')
 		}
 		wstart := time.Now()
-		werr := WriteResponseExtra(conn, 200, "text/xml; charset=utf-8", extra, body)
+		werr := writeResponse(conn, req.respHdr[:0], 200, "text/xml; charset=utf-8", extra, body)
 		wns := time.Since(wstart).Nanoseconds()
 		s.metrics.Stages.Observe(trace.StageWrite, wns, req.TraceSpan)
 		if werr != nil {
@@ -442,7 +442,7 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 // objects cycles between the two, so the handler's request is untouched
 // while later ones parse — the next-read-invalidates contract holds
 // because a Request re-enters the free list only after its handler has
-// returned.
+// returned and its response (which may live in the Request) is written.
 func (s *Server) serveAhead(conn net.Conn, br *bufio.Reader, st *connState, first *Request) {
 	free := make(chan *Request, s.readAhead+1)
 	free <- first

@@ -11,6 +11,7 @@ package bsoap_test
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"bsoap/internal/chunk"
@@ -336,13 +337,14 @@ func patchFrame(base, next []byte, tid, baseEpoch, newEpoch uint64) []byte {
 
 // TestSteadyStateAllocsServer is the server-side gate: a warmed
 // serverpool replica decodes a request differentially, dispatches it and
-// serializes the response in a fixed number of allocations — the
-// operation name its templates are keyed by and the copy of the response
-// handed to the transport — whatever the size of the body, however many
-// of its leaves changed, and whether it arrived whole or as a patch
-// frame. The decode itself (compare, re-lex, adopt) makes none.
+// serializes the response without allocating — the operation is looked
+// up by a view of its name and the response is built in the request's
+// own recycled storage — whatever the size of the body, however many of
+// its leaves changed, and whether it arrived whole or as a patch frame.
+// The loopback case adds the rest of the server's path: the transport's
+// read, dispatch and response write on a real connection.
 func TestSteadyStateAllocsServer(t *testing.T) {
-	const perRequest = 2
+	const perRequest = 0
 	for _, c := range []struct {
 		name    string
 		n, step int
@@ -397,4 +399,43 @@ func TestSteadyStateAllocsServer(t *testing.T) {
 			}
 		})
 	}
+
+	// The client's warm path is TestSteadyStateAllocsPool's and allocates
+	// nothing, so over a real connection the process's allocation count
+	// is the server goroutine's: request read, handler, response write.
+	t.Run("loopback", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation counts are unreliable under -race")
+		}
+		rt, srv := harness.BenchRuntime(t,
+			serverpool.Options{DifferentialDeserialization: true},
+			transport.ServerOptions{})
+		p := harness.Pool(t, pool.Options{
+			Size: 1, Addr: srv.Addr(),
+			Config: core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}},
+		})
+		d := workload.NewDoubles(100, workload.FillIntermediate)
+		call := func(i int) {
+			d.Arr.Set(i%100, float64(i))
+			if _, err := p.Call(d.Msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			call(i)
+		}
+		const calls = 2000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			call(i)
+		}
+		runtime.ReadMemStats(&after)
+		if got := float64(after.Mallocs-before.Mallocs) / calls; got > 0.05 {
+			t.Errorf("%v allocations per call over loopback, want <= 0.05", got)
+		}
+		if st := rt.Stats(); st.FullParses != 1 || st.Requests != calls+100 {
+			t.Fatalf("warm requests left the fast path: %+v", st)
+		}
+	})
 }
