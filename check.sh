@@ -65,10 +65,12 @@ kernel_guard
 # header rendered in four places, the resync answer classified in two)
 # and the copies drifted; a second occurrence of any marker below is a
 # second copy coming back. The server side likewise: one endpoint
-# (serverpool.Runtime) decodes differentially at one call site, and one
-# keeper of patch bases parses frames — the single-mutex endpoint in
-# internal/server and the recorder's private copy of the delta protocol
-# are gone and stay gone.
+# (serverpool.Runtime) decodes differentially at one call site for
+# requests that name no template and at one for those that do, one
+# keeper of patch bases parses and applies frames under one cap, and the
+# patch base is the decode template — the single-mutex endpoint in
+# internal/server, the recorder's private copy of the delta protocol and
+# the second copy of every synced body are gone and stay gone.
 one_path_guard() {
     count() { # count <pattern> <dir> [grep options]: matching non-comment lines of non-test code
         pattern=$1 dir=$2
@@ -90,7 +92,10 @@ one_path_guard() {
     check "resync answer classified" '== *wire\.DeltaValResync' internal/transport
     check "engine invoked from the pool" 'stub\.Call\(' internal/pool
     check "request decoded differentially" 'differ\.Decode\(' internal
+    check "request decoded by template id" '\.DecodeRegions\(' internal
     check "patch frame parsed outside internal/wire" 'ParseDeltaFrame\(' internal --exclude-dir=wire
+    check "patch frame applied outside internal/wire" '\.Apply\(' internal --exclude-dir=wire
+    check "cap on patch bases declared" 'maxDeltaBases += [0-9]' internal
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1
@@ -151,6 +156,13 @@ lru_guard
 # paying for a full sweep.
 go test -run 'TestSteadyState|TestColdPathAllocs' .
 BSOAP_TRACE=1 go test -count=1 -run 'TestSteadyState|TestColdPathAllocs' .
+# One retained body per template, read off the gauge, the heap and the
+# re-lex count, and decode state bounded per operation under template-id
+# churn, with the flight recorder on too (the -race run above covers the
+# plain leg).
+BSOAP_TRACE=1 go test -count=1 \
+    -run 'TestDeltaSameShapeReparsesOnlyChanges|TestDeltaHoldsOneBodyPerTemplate|TestDeltaBoundsDecodeStateUnderChurn' \
+    ./internal/serverpool
 # Propagation cost: the span header write and the slow-ring observe
 # must be allocation-free too (their AllocsPerRun tests skip under
 # -race, so they need this plain leg).

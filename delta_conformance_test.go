@@ -8,6 +8,8 @@ import (
 	"bsoap"
 	"bsoap/internal/baseline"
 	"bsoap/internal/harness"
+	"bsoap/internal/serverpool"
+	"bsoap/internal/transport"
 	"bsoap/internal/workload"
 )
 
@@ -174,6 +176,72 @@ func TestPoolDeltaPipelinedEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeltaConformanceBesideIdlessPeer runs the server's two lookups side
+// by side on one runtime. A delta pool on one connection sends the
+// equivalence schedule — syncs and patches, each decoded against the body
+// held for its template id — while on another connection a gSOAP-like
+// client, a peer that names no template, sends the same operations in
+// full, each decoded against whichever retained body of its operation has
+// its length. SelfCheck re-parses every fast-path decode from scratch and
+// compares it leaf by leaf: neither path may disagree with that oracle.
+func TestDeltaConformanceBesideIdlessPeer(t *testing.T) {
+	const rounds = 400
+	rt, srv := harness.BenchRuntime(t,
+		serverpool.Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true},
+		transport.ServerOptions{})
+	p := harness.Pool(t, bsoap.PoolOptions{
+		Size: 1, Replicas: 2, Delta: true, Addr: srv.Addr(),
+		Config: bsoap.Config{Width: bsoap.WidthPolicy{Double: 18, Int: 9}, EnableStealing: true},
+	})
+	sender, err := transport.Dial(srv.Addr(), transport.SenderOptions{ExpectResponse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	gsoap := baseline.NewClient(baseline.NewGSOAPLike(), sender)
+
+	targets := func() []*target {
+		return []*target{
+			doublesTarget("doubles-a", 64),
+			doublesTarget("doubles-b", 64),
+			intsTarget("ints", 64),
+			miosTarget("mios", 16),
+		}
+	}
+	pooled, plain := targets(), targets()
+	sched := rand.New(rand.NewSource(3))
+	pRng, gRng := rand.New(rand.NewSource(29)), rand.New(rand.NewSource(29))
+	var byID, byLength int64 // fast-path decodes on each connection
+	for round := 0; round < rounds; round++ {
+		i := sched.Intn(len(pooled))
+		pooled[i].mutate(pRng)
+		plain[i].mutate(gRng)
+		before := rt.Stats().DiffDecodes
+		if _, err := p.Call(pooled[i].msg); err != nil {
+			t.Fatalf("round %d (%s): delta pool: %v", round, pooled[i].name, err)
+		}
+		mid := rt.Stats().DiffDecodes
+		if _, err := gsoap.Call(plain[i].msg); err != nil {
+			t.Fatalf("round %d (%s): gSOAP-like client: %v", round, plain[i].name, err)
+		}
+		byID += mid - before
+		byLength += rt.Stats().DiffDecodes - mid
+	}
+
+	st := rt.Stats()
+	if st.SelfCheckFails != 0 {
+		t.Fatalf("self-check fails: %d of %d requests", st.SelfCheckFails, st.Requests)
+	}
+	if st.Requests != 2*rounds || p.Stats().Errors != 0 {
+		t.Fatalf("runtime decoded %d requests, want %d; %d pool errors", st.Requests, 2*rounds, p.Stats().Errors)
+	}
+	if st.DeltaApplied == 0 || byID == 0 || byLength == 0 {
+		t.Fatalf("a lookup went unexercised: %d patches applied, %d fast decodes by template id, %d by length",
+			st.DeltaApplied, byID, byLength)
+	}
+	t.Logf("%d patches, %d syncs; fast decodes: %d by template id, %d by length", st.DeltaApplied, st.DeltaSyncs, byID, byLength)
 }
 
 // resyncScript is the deterministic base-loss script both resync tests

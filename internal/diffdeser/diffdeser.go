@@ -3,17 +3,22 @@
 // storing messages at the SOAP server suggests the structure of future
 // arrivals, letting the server avoid complete parsing.
 //
-// The deserializer keeps, per operation, the raw bytes and parse result
-// of the last message, plus each scalar leaf's variable byte region
-// (value + floating closing tag + padding, recorded by soapdec). A new
-// message of identical length is first compared with the stored bytes,
-// a block at a time, and only then lexed: every differing byte must lie
-// in some leaf's region, and just those regions are re-lexed — a handful
-// of bytes each — instead of re-running the full parser. A fast decode
-// so costs one memory compare of the body plus work proportional to the
-// leaves that changed, and allocates nothing. A difference anywhere else
+// A Template is the parse result of a retained body plus each scalar
+// leaf's variable byte region (value + floating closing tag + padding,
+// recorded by soapdec). A new body is compared with the retained bytes
+// and only then lexed: every differing byte must lie in some leaf's
+// region, and just those regions are re-lexed — a handful of bytes each
+// — instead of re-running the full parser. A difference anywhere else
 // (markup), or a region that does not lex, falls back to a full parse
 // that also refreshes the template.
+//
+// A Template does not hold the bytes it was decoded from; its owner does.
+// Two owners exist. A request that names its template (a delta sync or
+// patch frame) is decoded against the patch base the serverpool keeper
+// already holds for that template id, through DecodeRegions — compared
+// only where the frame's regions say the body changed. A request that
+// names nothing is decoded by a Deserializer, which keeps its own copy of
+// each body and picks among a key's few by equal length.
 package diffdeser
 
 import (
@@ -30,7 +35,7 @@ import (
 	"bsoap/internal/xsdlex"
 )
 
-// Info reports how one Decode was served.
+// Info reports how one decode was served.
 type Info struct {
 	// FullParse is set when the whole envelope was parsed.
 	FullParse bool
@@ -40,7 +45,7 @@ type Info struct {
 	Reason Reason
 }
 
-// Reason classifies why a Decode ran the full parse. The set is closed,
+// Reason classifies why a decode ran the full parse. The set is closed,
 // so a reason can label a metric: what a region's lexer said about a
 // peer's bytes stays in the error, and never becomes a label.
 type Reason uint8
@@ -48,7 +53,7 @@ type Reason uint8
 const (
 	// ReasonNone: the fast path served the decode.
 	ReasonNone Reason = iota
-	// ReasonNoTemplate: nothing is retained for the key.
+	// ReasonNoTemplate: nothing is retained for the key or template id.
 	ReasonNoTemplate
 	// ReasonLength: no retained body has this body's length.
 	ReasonLength
@@ -69,11 +74,81 @@ func (r Reason) String() string {
 	return [NumReasons]string{"", "no_template", "length", "markup", "value", "dropped"}[r]
 }
 
-// template is the stored last message for one operation.
-type template struct {
-	body   []byte
+// Template is the decode state of one retained body: the message the
+// body decoded to and, in leaf order, each scalar leaf's variable byte
+// region in it. It holds no bytes — whoever retains the body passes it
+// in. The zero value has no message, so its first decode is a full
+// parse. Not safe for concurrent use.
+type Template struct {
 	msg    *wire.Message
 	ranges []soapdec.LeafRange
+}
+
+// SizeBytes estimates the template's resident bytes apart from the body
+// it decodes against: the range table and a fixed charge for the struct
+// and the message header.
+func (t *Template) SizeBytes() int {
+	const perRange = 16 // two ints per soapdec.LeafRange
+	const fixed = 256
+	return len(t.ranges)*perRange + fixed
+}
+
+// DecodeRegions brings the template up to src, a body that differs from
+// the one it was last decoded from only inside regions; old holds the
+// bytes the regions replaced, region after region. Either src is a held
+// body with a verified patch frame's regions already copied in, old what
+// they overwrote, or src is a new full body and the one region spans it,
+// old the held bytes. Only the leaves whose bytes differ are re-lexed,
+// from src. If the template has no message yet, old is not as long as
+// the regions (a full body of another length), a difference lies outside
+// every leaf's region or a changed region does not lex, src is parsed in
+// full instead and the template refreshed from it. The returned message
+// is owned by the template and valid until its next decode.
+//
+// After an error the message may hold values no body says: the caller
+// must give the template up.
+func (t *Template) DecodeRegions(src []byte, regions []wire.DeltaRegion, old []byte, lookup soapdec.Lookup) (*wire.Message, Info, error) {
+	why := ReasonNoTemplate
+	if t.msg != nil {
+		why = ReasonLength
+		if regionBytes(regions) == len(old) {
+			var n int
+			if n, _, _, why = t.relexChanged(regions, old, src, math.MaxInt); why == ReasonNone {
+				return t.msg, Info{ValuesReparsed: n}, nil
+			}
+		}
+	}
+	info := Info{FullParse: true, Reason: why}
+	if err := t.parse(src, lookup); err != nil {
+		return nil, info, err
+	}
+	return t.msg, info, nil
+}
+
+func regionBytes(regions []wire.DeltaRegion) int {
+	n := 0
+	for i := range regions {
+		n += len(regions[i].Bytes)
+	}
+	return n
+}
+
+// parse runs the complete schema-driven parse of body and, when it
+// succeeds, makes the result the template.
+func (t *Template) parse(body []byte, lookup soapdec.Lookup) error {
+	res, err := soapdec.Decode(body, lookup, true)
+	if err != nil {
+		return err
+	}
+	t.msg, t.ranges = res.Msg, res.Ranges
+	return nil
+}
+
+// owned is a Template with its own copy of the body: what a Deserializer
+// retains, several per operation key.
+type owned struct {
+	body []byte
+	Template
 }
 
 // MaxTemplatesPerKey bounds how many structurally distinct message
@@ -90,7 +165,9 @@ const MaxTemplatesPerKey = 4
 // deserializer without bound.
 const DefaultMaxKeys = 64
 
-// Deserializer is the stateful server-side decoder. Not safe for
+// Deserializer decodes requests that name no template: it keeps, per
+// operation key, the last few bodies with their templates and decodes a
+// new body against the first of them with the same length. Not safe for
 // concurrent use; guard it per connection or with the server's dispatch
 // lock.
 type Deserializer struct {
@@ -103,7 +180,7 @@ type Deserializer struct {
 
 // keyTemplates is one operation key's template list, LRU front first.
 type keyTemplates struct {
-	list []*template
+	list []*owned
 }
 
 // New returns a deserializer resolving operations through lookup, with
@@ -129,17 +206,15 @@ func NewBounded(lookup soapdec.Lookup, maxKeys int) *Deserializer {
 func (d *Deserializer) Evictions() int64 { return d.evictions }
 
 // SizeBytes reports the deserializer's resident cost: stored message
-// bodies plus a fixed estimate per template for the parsed message and
-// its leaf ranges. Maintained incrementally, so reading it is free —
-// the server runtime feeds it to the replica registry's byte budget.
+// bodies plus each template's own estimate. Maintained incrementally, so
+// reading it is free — the server runtime feeds it to the replica
+// registry's byte budget.
 func (d *Deserializer) SizeBytes() int { return int(d.size) }
 
-// templateCost estimates one template's resident bytes: the body copy,
-// the parsed message's leaf storage, and the range table.
-func templateCost(t *template) int64 {
-	const perRange = 16 // two ints per soapdec.LeafRange
-	const fixed = 256   // template struct, message header
-	return int64(cap(t.body)) + int64(len(t.ranges))*perRange + fixed
+// templateCost is one retained template's resident bytes: its body's
+// capacity and the template's own estimate.
+func templateCost(o *owned) int64 {
+	return int64(cap(o.body) + o.SizeBytes())
 }
 
 // noteKey moves key to the front of the key LRU, inserting it when new
@@ -152,8 +227,8 @@ func (d *Deserializer) noteKey(key string, kt *keyTemplates) {
 	d.keys.PushFront(key, kt)
 	if d.keys.Len() > d.maxKeys {
 		if _, victim, ok := d.keys.RemoveTail(); ok {
-			for _, t := range victim.list {
-				d.size -= templateCost(t)
+			for _, o := range victim.list {
+				d.size -= templateCost(o)
 			}
 			d.evictions++
 		}
@@ -170,16 +245,16 @@ func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, err
 	}
 	reason := ReasonLength
 	for idx := 0; idx < len(kt.list); idx++ {
-		tpl := kt.list[idx]
-		if len(body) != len(tpl.body) {
+		o := kt.list[idx]
+		if len(body) != len(o.body) {
 			continue
 		}
-		n, why, intact := tpl.tryFast(body)
+		n, why, intact := o.tryFast(body)
 		if why != ReasonNone {
 			reason = why
 			if !intact {
 				reason = ReasonDropped
-				d.size -= templateCost(tpl)
+				d.size -= templateCost(o)
 				kt.list = slices.Delete(kt.list, idx, idx+1)
 				idx--
 			}
@@ -189,73 +264,83 @@ func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, err
 		// the key within the deserializer).
 		if idx != 0 {
 			copy(kt.list[1:idx+1], kt.list[0:idx])
-			kt.list[0] = tpl
+			kt.list[0] = o
 		}
 		d.keys.Touch(key)
-		return tpl.msg, Info{ValuesReparsed: n}, nil
+		return o.msg, Info{ValuesReparsed: n}, nil
 	}
 	return d.fullParse(key, body, reason)
 }
 
 // tryFast attempts the differential decode of body (already known to be
-// as long as the template) and reports the regions re-lexed, or why the
-// template does not fit. Values are set as their regions lex; the
+// as long as the retained one) and reports the regions re-lexed, or why
+// the template does not fit. Values are set as their regions lex; the
 // retained bytes are overwritten only once the whole body has validated,
 // so a body that fails part-way is undone from them and the template
 // stays as it was for the next candidate or the next arrival. intact is
 // false in the one case the undo cannot cover — a retained region that a
 // full parse accepted in a form the region lexer does not (an entity in a
 // number, a comment) — and the caller must then drop the template.
-func (t *template) tryFast(body []byte) (n int, why Reason, intact bool) {
-	n, lo, hi, why := t.relexChanged(body, body, math.MaxInt)
+func (o *owned) tryFast(body []byte) (n int, why Reason, intact bool) {
+	whole := [1]wire.DeltaRegion{{Bytes: body}}
+	n, lo, hi, why := o.relexChanged(whole[:], o.body, body, math.MaxInt)
 	if why != ReasonNone {
-		restored, _, _, _ := t.relexChanged(body, t.body, n)
+		restored, _, _, _ := o.relexChanged(whole[:], o.body, o.body, n)
 		return 0, why, restored == n
 	}
 	// Adopt the new bytes as the template for the next arrival: outside
 	// [lo, hi) the two bodies are equal.
-	copy(t.body[lo:hi], body[lo:hi])
+	copy(o.body[lo:hi], body[lo:hi])
 	return n, ReasonNone, true
 }
 
-// relexChanged walks the bytes at which body differs from the retained
-// t.body. Each difference must fall inside a leaf's variable region —
-// anything else is changed markup — and that leaf is set from the
-// region's text in src: body itself to decode, t.body to undo a decode
-// that set limit leaves before failing (the walk depends only on the two
-// bodies, so it revisits the same regions in the same order). It
-// returns the regions set, the span [lo, hi) of body that covers every
+// relexChanged walks the bytes at which the regions differ from old, the
+// bytes they replaced (region after region, so the two are as long).
+// Each difference must fall inside a leaf's variable region — anything
+// else is changed markup — and that leaf is set from its region's text in
+// src: the new body to decode, or the retained one to undo a decode that
+// set limit leaves before failing (the walk depends only on the regions
+// and old, so it revisits the same leaves in the same order). A leaf is
+// set once, from its whole text, however many regions touch it. It
+// returns the leaves set, the span [lo, hi) of the body that covers every
 // difference seen, and why it stopped early (ReasonNone when it did not).
 //
-// The cost is one block-wise comparison of the bodies plus the lexing of
-// the regions that differ; nothing is allocated unless a string leaf
-// changed or the walk fails.
-func (t *template) relexChanged(body, src []byte, limit int) (n, lo, hi int, why Reason) {
-	old := t.body
-	off, next := 0, 0
-	for n < limit {
-		off += mismatch(body[off:], old[off:])
-		if off == len(body) {
-			break
+// The cost is one block-wise comparison of the regions with old plus the
+// lexing of the leaves that differ; nothing is allocated unless a string
+// leaf changed or the walk fails.
+func (t *Template) relexChanged(regions []wire.DeltaRegion, old, src []byte, limit int) (n, lo, hi int, why Reason) {
+	next := 0
+	for g := range regions {
+		cur, at := regions[g].Bytes, regions[g].Off
+		prev := old[:len(cur)]
+		old = old[len(cur):]
+		// Bytes before hi belong to a leaf that is already set.
+		for j := max(hi-at, 0); n < limit && j < len(cur); {
+			j += mismatch(cur[j:], prev[j:])
+			if j == len(cur) {
+				break
+			}
+			off := at + j
+			// Differences mostly come in leaf order, so try the region after
+			// the last one hit before searching.
+			i := next
+			if i >= len(t.ranges) || off >= t.ranges[i].End {
+				i = sort.Search(len(t.ranges), func(k int) bool { return t.ranges[k].End > off })
+			}
+			if i == len(t.ranges) || off < t.ranges[i].Start {
+				return n, lo, hi, ReasonMarkup
+			}
+			r := t.ranges[i]
+			if !relexRegion(t.msg, i, src[r.Start:r.End]) {
+				return n, lo, hi, ReasonValue
+			}
+			if n == 0 {
+				lo = off
+			}
+			n++
+			next, hi = i+1, r.End
+			j = r.End - at
 		}
-		// Differences mostly come in leaf order, so try the region after
-		// the last one hit before searching.
-		i := next
-		if i >= len(t.ranges) || off >= t.ranges[i].End {
-			i = sort.Search(len(t.ranges), func(k int) bool { return t.ranges[k].End > off })
-		}
-		if i == len(t.ranges) || off < t.ranges[i].Start {
-			return n, lo, hi, ReasonMarkup
-		}
-		r := t.ranges[i]
-		if !relexRegion(t.msg, i, src[r.Start:r.End]) {
-			return n, lo, hi, ReasonValue
-		}
-		if n == 0 {
-			lo = off
-		}
-		n++
-		off, next, hi = r.End, i+1, r.End
 	}
 	return n, lo, hi, ReasonNone
 }
@@ -309,21 +394,17 @@ func relexRegion(msg *wire.Message, leaf int, seg []byte) bool {
 // fullParse runs the complete schema-driven parse and refreshes the
 // template for key.
 func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.Message, Info, error) {
-	res, err := soapdec.Decode(body, d.lookup, true)
-	if err != nil {
+	o := &owned{}
+	if err := o.parse(body, d.lookup); err != nil {
 		return nil, Info{FullParse: true, Reason: reason}, err
 	}
-	tpl := &template{
-		body:   append([]byte(nil), body...),
-		msg:    res.Msg,
-		ranges: res.Ranges,
-	}
+	o.body = append([]byte(nil), body...)
 	kt, ok := d.keys.Peek(key)
 	if !ok {
 		kt = &keyTemplates{}
 	}
-	kt.list = append([]*template{tpl}, kt.list...)
-	d.size += templateCost(tpl)
+	kt.list = append([]*owned{o}, kt.list...)
+	d.size += templateCost(o)
 	if len(kt.list) > MaxTemplatesPerKey {
 		for _, dropped := range kt.list[MaxTemplatesPerKey:] {
 			d.size -= templateCost(dropped)
@@ -331,7 +412,7 @@ func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.
 		kt.list = kt.list[:MaxTemplatesPerKey]
 	}
 	d.noteKey(key, kt)
-	return res.Msg, Info{FullParse: true, Reason: reason}, nil
+	return o.msg, Info{FullParse: true, Reason: reason}, nil
 }
 
 // KeyCount reports how many operation keys are resident.

@@ -70,7 +70,7 @@ type snapshot struct {
 	doubles []float64
 }
 
-func snap(tpl *template) snapshot {
+func snap(tpl *owned) snapshot {
 	s := snapshot{body: append([]byte(nil), tpl.body...)}
 	for i := 0; i < tpl.msg.NumLeaves(); i++ {
 		s.doubles = append(s.doubles, tpl.msg.LeafDouble(i))
@@ -78,7 +78,7 @@ func snap(tpl *template) snapshot {
 	return s
 }
 
-func (s snapshot) check(t *testing.T, tpl *template) {
+func (s snapshot) check(t *testing.T, tpl *owned) {
 	t.Helper()
 	if !bytes.Equal(tpl.body, s.body) {
 		t.Fatal("failed decode changed the retained bytes")
@@ -90,7 +90,7 @@ func (s snapshot) check(t *testing.T, tpl *template) {
 	}
 }
 
-func templates(t *testing.T, d *Deserializer, key string) []*template {
+func templates(t *testing.T, d *Deserializer, key string) []*owned {
 	t.Helper()
 	kt, ok := d.keys.Peek(key)
 	if !ok {

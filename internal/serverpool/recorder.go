@@ -14,7 +14,9 @@ import (
 // connection, scoped the way the client scopes its sync state — so the
 // recorded body is always the full reconstructed body, delta conformance
 // runs use the same byte oracle as full-body runs, and what they test is
-// the code that ships. Safe for concurrent use.
+// the apply that ships. Its keepers decode nothing (no lookup): a
+// recorder has no schemas, and the byte oracle needs only the bytes.
+// Safe for concurrent use.
 type Recorder struct {
 	mu      sync.Mutex
 	bodies  [][]byte
@@ -50,15 +52,15 @@ func (r *Recorder) HTTPHandler() transport.Handler {
 				r.keepers[req.ConnID] = k
 			}
 			if req.DeltaMode == transport.DeltaSync {
-				k.sync(req)
+				k.sync(req) // a keeper that does not decode cannot refuse
 			} else {
-				reconstructed, err := k.apply(req)
+				b, err := k.apply(req)
 				if err != nil {
 					r.deltaResyncs++
 					return nil, err
 				}
 				r.deltaApplied++
-				body = reconstructed
+				body = b.body
 			}
 		}
 		if r.limit > 0 && len(r.bodies) >= r.limit {

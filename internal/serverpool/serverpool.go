@@ -6,8 +6,9 @@
 // (or similar) responses").
 //
 // Runtime keeps a pool of per-connection (or per-client) replicas, each
-// with its own deserializer, response stub, handler instances and patch
-// bases — the server-side mirror of the client's pool.ShardedStore.
+// with its own patch bases (which are also the decode templates of the
+// requests that name them), deserializer, response stub and handler
+// instances — the server-side mirror of the client's pool.ShardedStore.
 // Requests from the same connection land on the same replica, so its
 // templates track that client's message shapes: concurrent clients do
 // not thrash a shared template set, and decodes proceed in parallel with
@@ -100,9 +101,10 @@ type Options struct {
 	// paranoid mode. A mismatch fails the request and is counted.
 	SelfCheck bool
 	// Delta accepts differential-transmission requests: sync-annotated
-	// full bodies are stored as per-replica patch bases (and
+	// full bodies that decode are stored as per-replica patch bases (and
 	// acknowledged, which is what turns the client's patch sends on),
-	// and patch frames are applied to the held base before decoding.
+	// and patch frames are applied to the held base, which is then
+	// decoded from the frame's own regions.
 	// Any mismatch is answered 409/resync and the client falls back to a
 	// full-body send — off or on, reconstructed bodies are byte-identical
 	// to what the client would have sent in full.
@@ -143,13 +145,14 @@ type operation struct {
 	factory HandlerFactory
 }
 
-// replica is one client's private decode/encode state: a bounded
-// differential deserializer whose templates track that client's request
-// shapes, a differential response stub, per-replica handler instances
-// (handlers reuse response messages, so instances cannot be shared) and
-// the client's patch bases. The mutex serializes the rare case of two
-// requests mapping to one replica (AffinityClient, or an evicted key
-// recreated while its old request still runs).
+// replica is one client's private decode/encode state: the client's
+// patch bases, each the decode template of its own bytes, for requests
+// that name their template; a bounded differential deserializer whose
+// templates track the shapes of requests that do not; a differential
+// response stub; and per-replica handler instances (handlers reuse
+// response messages, so instances cannot be shared). The mutex serializes
+// the rare case of two requests mapping to one replica (AffinityClient,
+// or an evicted key recreated while its old request still runs).
 type replica struct {
 	mu           sync.Mutex
 	differ       *diffdeser.Deserializer
@@ -171,8 +174,9 @@ type replica struct {
 	// change the footprint hold still.
 	stubFP  int64
 	stubGen int64
-	// bases holds this replica's differential-transmission patch bases,
-	// guarded by mu.
+	// bases holds this replica's differential-transmission patch bases
+	// and, with differential deserialization on, their templates; guarded
+	// by mu.
 	bases baseKeeper
 }
 
@@ -362,42 +366,17 @@ func (rt *Runtime) HTTPHandler() transport.Handler {
 		}
 		slot, r := rt.acquire(rt.keyFor(req))
 		defer rt.release(slot)
-		body := req.Body
-		if rt.opts.Delta {
-			switch req.DeltaMode {
-			case transport.DeltaPatch:
-				start := time.Now()
-				reconstructed, err := r.bases.apply(req)
-				if err != nil {
-					rt.deltaResyncs.Add(1)
-					return nil, err
-				}
-				rt.deltaApplied.Add(1)
-				rt.metrics.RecordDeltaApply(len(body), len(reconstructed))
-				rt.metrics.Stages.Observe(trace.StageDeltaApply, time.Since(start).Nanoseconds(), req.TraceSpan)
-				body = reconstructed
-			case transport.DeltaSync:
-				r.bases.sync(req)
-				rt.deltaSyncs.Add(1)
-				rt.metrics.RecordDeltaSync(len(body))
-			}
-		} else if req.DeltaMode == transport.DeltaPatch {
-			// A patch arrived but delta is off (e.g. disabled after a
-			// restart): demand a full body rather than failing the call.
-			rt.deltaResyncs.Add(1)
-			return nil, fmt.Errorf("serverpool: delta disabled: %w", wire.ErrDeltaResync)
-		}
-		return rt.handle(r, req, body)
+		return rt.handle(r, req)
 	}
 }
 
 // Handle decodes and dispatches one envelope for the given connection
 // identity, for callers not going through transport.Server.
 func (rt *Runtime) Handle(connID uint64, remoteAddr string, body []byte) ([]byte, error) {
-	req := &transport.Request{ConnID: connID, RemoteAddr: remoteAddr}
+	req := &transport.Request{ConnID: connID, RemoteAddr: remoteAddr, Body: body}
 	slot, r := rt.acquire(rt.keyFor(req))
 	defer rt.release(slot)
-	return rt.handle(r, req, body)
+	return rt.handle(r, req)
 }
 
 func (rt *Runtime) keyFor(req *transport.Request) reg.Key {
@@ -449,16 +428,38 @@ func (rt *Runtime) newReplica() *replica {
 	}
 	r.stub = core.NewStub(rt.opts.Core, &r.sink)
 	r.bases.onDrop = rt.metrics.RecordDeltaBaseEviction
+	if r.differ != nil {
+		r.bases.lookup = rt.lookupSchema
+	}
 	return r
 }
 
-// handle runs one request on r: body is req's own, or the one its patch
-// frame reconstructed. The response is serialized into req.Resp, valid
-// until req is read into again. Caller holds r.mu. req.TraceSpan is the
-// client's span id (0 = untraced caller): when present, every event this
-// request records carries it, so `bsoap-inspect trace -correlate` can
-// merge the two rings into one cross-process timeline.
-func (rt *Runtime) handle(r *replica, req *transport.Request, body []byte) ([]byte, error) {
+// handle runs one request on r: a patch frame is first applied to the
+// base it names, then the request decoded, dispatched and answered. The
+// response is serialized into req.Resp, valid until req is read into
+// again. Caller holds r.mu. req.TraceSpan is the client's span id (0 =
+// untraced caller): when present, every event this request records
+// carries it, so `bsoap-inspect trace -correlate` can merge the two rings
+// into one cross-process timeline.
+func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
+	var patched *deltaBase
+	if req.DeltaMode == transport.DeltaPatch {
+		if !rt.opts.Delta {
+			// A patch arrived but delta is off (e.g. disabled after a
+			// restart): demand a full body rather than failing the call.
+			rt.deltaResyncs.Add(1)
+			return nil, fmt.Errorf("serverpool: delta disabled: %w", wire.ErrDeltaResync)
+		}
+		start := time.Now()
+		var err error
+		if patched, err = r.bases.apply(req); err != nil {
+			rt.deltaResyncs.Add(1)
+			return nil, err
+		}
+		rt.deltaApplied.Add(1)
+		rt.metrics.RecordDeltaApply(len(req.Body), len(patched.body))
+		rt.metrics.Stages.Observe(trace.StageDeltaApply, time.Since(start).Nanoseconds(), req.TraceSpan)
+	}
 	rt.requests.Add(1)
 
 	var span uint64
@@ -476,68 +477,26 @@ func (rt *Runtime) handle(r *replica, req *transport.Request, body []byte) ([]by
 	}
 	decodeStart := time.Now()
 
-	if multiref.HasRefs(body) {
-		inlined, err := multiref.Inline(body)
-		if err != nil {
-			return nil, fmt.Errorf("serverpool: multi-ref: %w", err)
-		}
-		body = inlined
-		rt.multiRefInlined.Add(1)
+	msg, body, info, err := rt.decode(r, req, patched)
+	if err != nil {
+		return nil, fmt.Errorf("serverpool: decode: %w", err)
 	}
-
-	var msg *wire.Message
-	if r.differ != nil {
-		// Key by operation, a registered one by its schema's own string;
-		// an unknown name is left for the full parse to refuse.
-		name, perr := peekOperation(body)
-		if perr != nil {
-			return nil, perr
-		}
-		var key string
-		if op := rt.ops[string(name)]; op != nil {
-			key = op.schema.Op
-		} else {
-			key = string(name)
-		}
-		var info diffdeser.Info
-		var err error
-		msg, info, err = r.differ.Decode(key, body)
-		if err != nil {
-			return nil, fmt.Errorf("serverpool: decode: %w", err)
-		}
-		rt.metrics.RecordDDSDecode(info.Reason, info.ValuesReparsed)
-		if d := r.differ.Evictions() - r.keyEvictions; d > 0 {
-			r.keyEvictions += d
-			rt.ddsKeyEvictions.Add(d)
-			rt.metrics.AddDDSKeyEvictions(d)
-		}
-		var fast int64
-		if info.FullParse {
-			rt.fullParses.Add(1)
-		} else {
-			fast = 1
-			rt.diffDecodes.Add(1)
-			rt.valuesReparsed.Add(int64(info.ValuesReparsed))
-		}
-		if traced {
-			trace.Rec(span, trace.KindServerDecode, fast, int64(info.ValuesReparsed), int64(len(body)))
-		}
-		if rt.opts.SelfCheck && !info.FullParse {
-			if err := rt.selfCheck(body, msg); err != nil {
-				rt.selfCheckFails.Add(1)
-				return nil, err
-			}
-		}
-	} else {
-		res, derr := soapdec.Decode(body, rt.lookupSchema, false)
-		if derr != nil {
-			return nil, fmt.Errorf("serverpool: decode: %w", derr)
-		}
-		msg = res.Msg
+	rt.metrics.RecordDDSDecode(info.Reason, info.ValuesReparsed)
+	var fast int64
+	if info.FullParse {
 		rt.fullParses.Add(1)
-		rt.metrics.RecordDDSDecode(diffdeser.ReasonNoTemplate, 0) // nothing is retained with the differ off
-		if traced {
-			trace.Rec(span, trace.KindServerDecode, 0, 0, int64(len(body)))
+	} else {
+		fast = 1
+		rt.diffDecodes.Add(1)
+		rt.valuesReparsed.Add(int64(info.ValuesReparsed))
+	}
+	if traced {
+		trace.Rec(span, trace.KindServerDecode, fast, int64(info.ValuesReparsed), int64(len(body)))
+	}
+	if rt.opts.SelfCheck && !info.FullParse {
+		if err := rt.selfCheck(body, msg); err != nil {
+			rt.selfCheckFails.Add(1)
+			return nil, err
 		}
 	}
 
@@ -585,6 +544,92 @@ func (rt *Runtime) handle(r *replica, req *transport.Request, body []byte) ([]by
 	return req.Resp, nil
 }
 
+// decode turns a request into its message by the one path its
+// annotation selects, and returns the body the message was decoded from.
+// A request that names its template — a patch frame already applied to
+// patched, or a delta sync — is decoded against the one body held for
+// that template id. Anything else — delta off, a peer that sends no id, a
+// multi-ref body the server would have to rewrite before decoding — goes
+// through the replica's deserializer, which picks a retained body of the
+// same operation by length. With differential deserialization off every
+// decode is a full parse, and a sync is kept only once it has parsed.
+func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase) (*wire.Message, []byte, diffdeser.Info, error) {
+	body := req.Body
+	full := diffdeser.Info{FullParse: true, Reason: diffdeser.ReasonNoTemplate}
+	switch {
+	case patched != nil && r.differ != nil:
+		msg, info, err := r.bases.decodePatch(patched)
+		return msg, patched.body, info, err
+	case patched != nil:
+		msg, err := rt.fullParse(patched.body)
+		return msg, patched.body, full, err
+	case req.DeltaMode == transport.DeltaSync && rt.opts.Delta && !multiref.HasRefs(body):
+		msg, info, err := rt.sync(r, req)
+		return msg, body, info, err
+	}
+
+	if multiref.HasRefs(body) {
+		inlined, err := multiref.Inline(body)
+		if err != nil {
+			return nil, nil, full, fmt.Errorf("multi-ref: %w", err)
+		}
+		body = inlined
+		rt.multiRefInlined.Add(1)
+	}
+	if r.differ == nil {
+		msg, err := rt.fullParse(body)
+		return msg, body, full, err
+	}
+	// Key by operation, a registered one by its schema's own string; an
+	// unknown name is left for the full parse to refuse.
+	name, err := peekOperation(body)
+	if err != nil {
+		return nil, nil, full, err
+	}
+	var key string
+	if op := rt.ops[string(name)]; op != nil {
+		key = op.schema.Op
+	} else {
+		key = string(name)
+	}
+	msg, info, err := r.differ.Decode(key, body)
+	if d := r.differ.Evictions() - r.keyEvictions; d > 0 {
+		r.keyEvictions += d
+		rt.ddsKeyEvictions.Add(d)
+		rt.metrics.AddDDSKeyEvictions(d)
+	}
+	return msg, body, info, err
+}
+
+// sync keeps a sync-annotated body as its template's patch base, once it
+// has decoded: into the base's own template, or — with differential
+// deserialization off — by a full parse that keeps nothing but the bytes.
+func (rt *Runtime) sync(r *replica, req *transport.Request) (*wire.Message, diffdeser.Info, error) {
+	info := diffdeser.Info{FullParse: true, Reason: diffdeser.ReasonNoTemplate}
+	var msg *wire.Message
+	var err error
+	if r.differ == nil {
+		if msg, err = rt.fullParse(req.Body); err != nil {
+			return nil, info, err
+		}
+		r.bases.sync(req) // a keeper that does not decode cannot refuse
+	} else if msg, info, err = r.bases.sync(req); err != nil {
+		return nil, info, err
+	}
+	rt.deltaSyncs.Add(1)
+	rt.metrics.RecordDeltaSync(len(req.Body))
+	return msg, info, nil
+}
+
+// fullParse is the complete schema-driven parse, keeping nothing.
+func (rt *Runtime) fullParse(body []byte) (*wire.Message, error) {
+	res, err := soapdec.Decode(body, rt.lookupSchema, false)
+	if err != nil {
+		return nil, err
+	}
+	return res.Msg, nil
+}
+
 // peekOperation finds the operation's local name without a full parse —
 // the first element inside <Body>, prefix stripped — and returns it as a
 // view into body.
@@ -595,7 +640,7 @@ func peekOperation(body []byte) ([]byte, error) {
 	} else if idx := bytes.Index(body, []byte("<Body>")); idx >= 0 {
 		off = idx + len("<Body>")
 	} else {
-		return nil, fmt.Errorf("serverpool: no SOAP Body")
+		return nil, fmt.Errorf("no SOAP Body")
 	}
 	rest := body[off:]
 	i := 0
@@ -603,7 +648,7 @@ func peekOperation(body []byte) ([]byte, error) {
 		i++
 	}
 	if i >= len(rest) || rest[i] != '<' {
-		return nil, fmt.Errorf("serverpool: no operation element")
+		return nil, fmt.Errorf("no operation element")
 	}
 	i++
 	start := i
@@ -615,7 +660,7 @@ func peekOperation(body []byte) ([]byte, error) {
 		name = name[c+1:]
 	}
 	if len(name) == 0 {
-		return nil, fmt.Errorf("serverpool: no operation element")
+		return nil, fmt.Errorf("no operation element")
 	}
 	return name, nil
 }
@@ -625,11 +670,10 @@ func peekOperation(body []byte) ([]byte, error) {
 // differential one, so agreement means the region diff reconstructed
 // the exact message a cold parse would have produced.
 func (rt *Runtime) selfCheck(body []byte, got *wire.Message) error {
-	res, err := soapdec.Decode(body, rt.lookupSchema, false)
+	want, err := rt.fullParse(body)
 	if err != nil {
 		return fmt.Errorf("serverpool: self-check reference parse: %w", err)
 	}
-	want := res.Msg
 	if got.Operation() != want.Operation() {
 		return fmt.Errorf("serverpool: self-check: operation %q != %q", got.Operation(), want.Operation())
 	}

@@ -384,7 +384,7 @@ func TestBudgetEvictionWithInFlightRequest(t *testing.T) {
 	// The held replica still decodes differentially and serializes its
 	// response on live arenas; SelfCheck re-verifies the decode.
 	a.arr.Set(0, 1234.5)
-	resp, err := rt.handle(r, &transport.Request{}, a.body(t))
+	resp, err := rt.handle(r, &transport.Request{Body: a.body(t)})
 	rt.release(slot)
 	if err != nil {
 		t.Fatal(err)

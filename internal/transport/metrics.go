@@ -99,7 +99,7 @@ type ServerStats struct {
 	// Differential transmission: DeltaApplied counts patch frames applied
 	// to a held base; DeltaSyncs counts full bodies stored as bases;
 	// DeltaResyncs counts 409 resync answers; DeltaBaseEvictions counts
-	// bases dropped (cap, eviction, or checksum failure).
+	// bases dropped (cap, or a synced or patched body that did not decode).
 	// DeltaWireBytes/DeltaRepresented split delta-negotiated request
 	// traffic into bytes that crossed the wire versus body bytes they
 	// represent after reconstruction.
@@ -208,7 +208,8 @@ func (m *ServerMetrics) RecordDeltaSync(bodyLen int) {
 }
 
 // RecordDeltaBaseEviction counts one patch base dropped — LRU pressure,
-// replica eviction, or a checksum failure poisoning the base.
+// or a synced or patched body that would not decode (a frame that fails
+// its checksum leaves the base as it was).
 func (m *ServerMetrics) RecordDeltaBaseEviction() { m.deltaBaseEvictions.Add(1) }
 
 // SetTemplateSource installs the function that snapshots the replica
@@ -279,7 +280,7 @@ func (m *ServerMetrics) WritePrometheus(w io.Writer) error {
 	p.Counter("bsoap_server_delta_applied_total", "Patch frames applied to a held base (differential transmission).", st.DeltaApplied)
 	p.Counter("bsoap_server_delta_syncs_total", "Full bodies stored as patch bases.", st.DeltaSyncs)
 	p.Counter("bsoap_server_delta_resyncs_total", "Patch frames rejected with 409 resync.", st.DeltaResyncs)
-	p.Counter("bsoap_server_delta_base_evictions_total", "Patch bases dropped (cap, eviction, or checksum failure).", st.DeltaBaseEvictions)
+	p.Counter("bsoap_server_delta_base_evictions_total", "Patch bases dropped (cap, or a body that did not decode).", st.DeltaBaseEvictions)
 	p.Counter("bsoap_server_delta_wire_bytes_total", "Bytes received on the wire for delta-negotiated requests.", st.DeltaWireBytes)
 	p.Counter("bsoap_server_delta_represented_bytes_total", "Body bytes those delta-negotiated requests represent after reconstruction.", st.DeltaRepresented)
 	p.HistogramWithLabel("bsoap_server_stage_seconds",

@@ -169,21 +169,30 @@ func ParseDeltaFrame(f *DeltaFrame, b []byte) error {
 // Apply patches the frame's regions into base in place and verifies the
 // result against the frame's CRC. The base must already be exactly
 // BodyLen bytes (delta frames never resize the body — a size change is
-// structurally ineligible on the encoder side). On any failure base
-// must be treated as corrupt and dropped; Apply makes no attempt to
-// roll back partially applied regions.
-func (f *DeltaFrame) Apply(base []byte) error {
+// structurally ineligible on the encoder side). The bytes the regions
+// overwrite are appended to old, region after region, and the extended
+// slice is returned: with them a decoder can tell what each region
+// changed. On a checksum mismatch base is restored from them before Apply
+// returns, so a refused frame leaves base as it found it.
+func (f *DeltaFrame) Apply(base, old []byte) ([]byte, error) {
 	if len(base) != f.BodyLen {
-		return fmt.Errorf("wire: delta base is %d bytes, frame wants %d: %w", len(base), f.BodyLen, ErrDeltaResync)
+		return old, fmt.Errorf("wire: delta base is %d bytes, frame wants %d: %w", len(base), f.BodyLen, ErrDeltaResync)
 	}
+	mark := len(old)
 	for i := range f.Regions {
 		r := &f.Regions[i]
+		old = append(old, base[r.Off:r.Off+len(r.Bytes)]...)
 		copy(base[r.Off:], r.Bytes)
 	}
 	if crc := DeltaCRC(base); crc != f.BodyCRC {
-		return fmt.Errorf("wire: delta body checksum %08x != frame %08x: %w", crc, f.BodyCRC, ErrDeltaResync)
+		saved := old[mark:]
+		for i := range f.Regions {
+			r := &f.Regions[i]
+			saved = saved[copy(base[r.Off:r.Off+len(r.Bytes)], saved):]
+		}
+		return old, fmt.Errorf("wire: delta body checksum %08x != frame %08x: %w", crc, f.BodyCRC, ErrDeltaResync)
 	}
-	return nil
+	return old, nil
 }
 
 // ---- X-BSoap-Delta header values ----

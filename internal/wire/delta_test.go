@@ -52,11 +52,15 @@ func TestDeltaFrameRoundTrip(t *testing.T) {
 		t.Fatalf("regions = %d, want 2", len(f.Regions))
 	}
 	work := append([]byte(nil), base...)
-	if err := f.Apply(work); err != nil {
+	old, err := f.Apply(work, nil)
+	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	if !bytes.Equal(work, patched) {
 		t.Fatalf("reconstructed body mismatch:\n got %q\nwant %q", work, patched)
+	}
+	if string(old) != "111222" {
+		t.Fatalf("overwritten bytes = %q, want the two regions' old bytes in order", old)
 	}
 }
 
@@ -68,13 +72,13 @@ func TestDeltaFrameZeroRegions(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	work := append([]byte(nil), body...)
-	if err := f.Apply(work); err != nil {
+	if _, err := f.Apply(work, nil); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	// A zero-region frame against a *different* base must fail the CRC.
 	bad := append([]byte(nil), body...)
 	bad[3] ^= 0xff
-	if err := f.Apply(bad); !errors.Is(err, ErrDeltaResync) {
+	if _, err := f.Apply(bad, nil); !errors.Is(err, ErrDeltaResync) {
 		t.Fatalf("apply on mismatched base: err = %v, want ErrDeltaResync", err)
 	}
 }
@@ -135,7 +139,7 @@ func TestDeltaFrameApplySizeMismatch(t *testing.T) {
 	if err := ParseDeltaFrame(&f, frame); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Apply(body[:len(body)-1]); !errors.Is(err, ErrDeltaResync) {
+	if _, err := f.Apply(body[:len(body)-1], nil); !errors.Is(err, ErrDeltaResync) {
 		t.Fatalf("short base: err = %v, want ErrDeltaResync", err)
 	}
 }
@@ -173,7 +177,9 @@ func TestDeltaHeaderValues(t *testing.T) {
 // parsing succeeds, applies the frame to a fresh base of the declared
 // size. Invariants: never panic; on successful Apply the reconstructed
 // body must actually hash to the frame's CRC (i.e. the checksum gate
-// cannot be bypassed); on failed Apply the error wraps ErrDeltaResync.
+// cannot be bypassed) and the returned bytes are what the regions
+// overwrote; on failed Apply the error wraps ErrDeltaResync and the base
+// is as it was.
 func FuzzDeltaFrame(f *testing.F) {
 	patched := []byte("<a><b>222</b><c>hellp</c></a>")
 	var runs []byte
@@ -200,14 +206,25 @@ func FuzzDeltaFrame(f *testing.F) {
 		for i := range work {
 			work[i] = byte(i)
 		}
-		if err := fr.Apply(work); err != nil {
+		before := bytes.Clone(work)
+		old, err := fr.Apply(work, nil)
+		if err != nil {
 			if !errors.Is(err, ErrDeltaResync) {
 				t.Fatalf("apply error not ErrDeltaResync: %v", err)
+			}
+			if !bytes.Equal(work, before) {
+				t.Fatal("refused frame left the base changed")
 			}
 			return
 		}
 		if DeltaCRC(work) != fr.BodyCRC {
 			t.Fatalf("Apply succeeded but body CRC %08x != frame %08x", DeltaCRC(work), fr.BodyCRC)
+		}
+		for _, r := range fr.Regions {
+			if !bytes.Equal(old[:len(r.Bytes)], before[r.Off:r.Off+len(r.Bytes)]) {
+				t.Fatalf("region at %d: returned bytes are not the ones it overwrote", r.Off)
+			}
+			old = old[len(r.Bytes):]
 		}
 	})
 }
