@@ -28,19 +28,26 @@ import (
 // either side's template-bytes gauge reading above its budget.
 func TestBudgetChaosSoak(t *testing.T) {
 	const (
-		// A single server replica (one conn's templates, differ state,
-		// response buffer) runs ~44 KB here; a single client template
-		// entry ~35 KB (arena chunk granularity dominates). Budgets
-		// hold one or two of each — far under the 4-conn x 8-shape
-		// working sets (~176 KB server, ~141 KB per client pool) —
-		// without tripping the oversized-entry exemption that would
-		// legitimately push the gauge over budget.
-		serverBudget = 96 << 10
-		// The client budget holds roughly half the 8-shape working set (~20 KB per stuffed entry):
-		// low enough that eviction churns every round, high enough that
-		// the alternating submit order below re-hits still-resident
-		// templates — the calls that go out as patch frames.
-		clientBudget = 96 << 10
+		// Measured with the server budget off: a server replica is one
+		// conn's patch bases with their decode state, plus a response
+		// stub whose template is sized to its one-int body (~1 KB). The
+		// client budget below rebuilds templates under fresh ids, and
+		// the server keeps a base per id up to its cap of 32, so a
+		// replica runs 13–55 KB (the largest in ten runs: 54.6 KB), and
+		// with the replicas of conns the faults killed the server peaks
+		// at 181–258 KB. The budget holds a third to a half of that, and
+		// stays above the largest replica so the oversized-entry
+		// exemption, which would legitimately push the gauge over
+		// budget, never trips.
+		serverBudget = 80 << 10
+		// A client entry is one stuffed template, ~5 KB at most (a
+		// 44-double body in a 2 KB arena, 64 B a leaf and the headers);
+		// the per-operation cap keeps four resident, ~21 KB. The budget holds
+		// two, about half: low enough that eviction churns every round,
+		// high enough that the alternating submit order below re-hits
+		// still-resident templates — the calls that go out as patch
+		// frames.
+		clientBudget = 10 << 10
 		clients      = 4
 		window       = 8 // in-flight futures per client == pipeline depth
 		rounds       = 60

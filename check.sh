@@ -25,9 +25,11 @@ go -C benchmark test ./...
 # Poison leg: the membufpoison tag overwrites released arenas with a
 # sentinel byte, so an eviction path that diffs or decodes against
 # released template bytes corrupts its output visibly in the budget
-# tests instead of passing on a lucky stale read.
+# tests instead of passing on a lucky stale read. core and chunk ride
+# along because a template build releases an arena mid-build, when its
+# tail chunk moves into the arena that fits it.
 go test -tags membufpoison ./internal/membuf ./internal/replica \
-    ./internal/pool ./internal/serverpool .
+    ./internal/pool ./internal/serverpool ./internal/core ./internal/chunk .
 
 # Float-kernel guards. The power-of-ten table both kernels read is
 # committed, not built at start-up: regenerating it must reproduce the
@@ -70,7 +72,9 @@ kernel_guard
 # keeper of patch bases parses and applies frames under one cap, and the
 # patch base is the decode template — the single-mutex endpoint in
 # internal/server, the recorder's private copy of the delta protocol and
-# the second copy of every synced body are gone and stay gone.
+# the second copy of every synced body are gone and stay gone. A template
+# is sized to its message at one place, the end of its build, so client
+# templates and server response stubs share one fit.
 one_path_guard() {
     count() { # count <pattern> <dir> [grep options]: matching non-comment lines of non-test code
         pattern=$1 dir=$2
@@ -96,6 +100,7 @@ one_path_guard() {
     check "patch frame parsed outside internal/wire" 'ParseDeltaFrame\(' internal --exclude-dir=wire
     check "patch frame applied outside internal/wire" '\.Apply\(' internal --exclude-dir=wire
     check "cap on patch bases declared" 'maxDeltaBases += [0-9]' internal
+    check "template tail fitted" '\.FitTail\(' internal/core
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1
@@ -495,5 +500,10 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzAppendDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzParseInt$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzBindingSchedule$' -fuzztime="$FUZZTIME" ./internal/pool
+    # A schedule replays up to 64 calls, each checked against a fresh
+    # serialization: minimizing one spends the default minute on a
+    # single input, so the minimizer gets five seconds.
+    go test -run='^$' -fuzz='^FuzzMutationSchedule$' -fuzztime="$FUZZTIME" \
+        -fuzzminimizetime=5s ./internal/core
 fi
 echo "check.sh: all green"

@@ -34,7 +34,9 @@ type Config struct {
 	SplitThreshold int
 	// TrailingSlack is the space left empty at the end of each chunk
 	// during initial serialization, allowing shifts without reallocation.
-	// Zero selects ChunkSize/8.
+	// Zero selects ChunkSize/8. A finished template's tail chunk keeps
+	// only the same ratio of its own bytes (Buffer.FitTail); the first
+	// shift that needs more grows the chunk, which adds the full slack.
 	TrailingSlack int
 	// Pool supplies chunk backing arrays. Nil selects membuf.Default.
 	// Arenas are returned to it by Buffer.Release (template discard and
@@ -174,7 +176,8 @@ func (b *Buffer) newChunk(capacity int) *Chunk {
 	a := b.cfg.Pool.Acquire(capacity)
 	// Three-index slice: the arena may be class-rounded above the
 	// requested capacity, but chunk growth/split behavior must match the
-	// configured sizes exactly, so the extra is hidden.
+	// configured sizes exactly, so the extra is hidden. (A fitted tail is
+	// the one exception: FitTail hands it the whole class.)
 	c := &Chunk{buf: a.B[0:0:capacity], arena: a, owner: b}
 	if b.tail == nil {
 		b.head, b.tail = c, c
@@ -262,6 +265,39 @@ func (b *Buffer) GrowChunk(c *Chunk, need int) {
 	}
 	a := b.cfg.Pool.Acquire(capacity)
 	nb := a.B[0:len(c.buf):capacity]
+	copy(nb, c.buf)
+	c.buf = nb
+	c.arena.Release()
+	c.arena = a
+}
+
+// FitTail moves the tail chunk into the smallest arena that holds its
+// bytes plus a proportional slack — TrailingSlack scaled by how much of a
+// ChunkSize the chunk fills, so the configured ratio survives — and gives
+// the chunk that arena's whole capacity. A finished template calls it
+// once: its last chunk was sized for appends that will never come, and a
+// one-leaf message would otherwise pin a whole ChunkSize arena. A chunk
+// already filled to half its arena or more stays where it is, with no
+// copy. Chunk identity and offsets are unchanged, as in GrowChunk; a
+// field that later outgrows the fitted slack grows the chunk, which
+// restores the full TrailingSlack.
+func (b *Buffer) FitTail() {
+	c := b.tail
+	if c == nil {
+		return
+	}
+	n := len(c.buf)
+	slack := min(b.cfg.TrailingSlack, (n*b.cfg.TrailingSlack+b.cfg.ChunkSize-1)/b.cfg.ChunkSize)
+	want := n + slack
+	if want > c.arena.Cap()/2 {
+		return // no smaller class holds it
+	}
+	a := b.cfg.Pool.Acquire(want)
+	if a.Cap() >= c.arena.Cap() { // the arena is already the smallest class
+		a.Release()
+		return
+	}
+	nb := a.B[0:n:a.Cap()]
 	copy(nb, c.buf)
 	c.buf = nb
 	c.arena.Release()
@@ -377,12 +413,15 @@ func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// Footprint reports the total allocated capacity across chunks — the
-// resident-memory cost the paper's chunk overlaying bounds (§3.3).
+// Footprint reports the total capacity of the arenas the chunks hold —
+// the resident-memory cost the paper's chunk overlaying bounds (§3.3).
+// It charges whole arenas, not the capacity a chunk is allowed to use:
+// class rounding after a grow, a split or an oversized item is memory
+// held all the same.
 func (b *Buffer) Footprint() int {
 	n := 0
 	for c := b.head; c != nil; c = c.next {
-		n += cap(c.buf)
+		n += c.arena.Cap()
 	}
 	return n
 }

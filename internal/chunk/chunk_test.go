@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"bsoap/internal/membuf"
 )
 
 func TestEmptyBuffer(t *testing.T) {
@@ -410,6 +412,73 @@ func TestPosValid(t *testing.T) {
 	if (Pos{C: pos.C, Off: pos.C.Len() + 1}).Valid() {
 		t.Fatal("out-of-range position valid")
 	}
+}
+
+// TestFootprintChargesArenas holds the gauge to the pool: after every
+// way a chunk can come to hold more arena than it may use — a grow to a
+// size between classes, a split, an oversized item — and after a fit,
+// Footprint is exactly the capacity the pool has handed out and not got
+// back. ChunkSize 200 is itself between classes (256).
+func TestFootprintChargesArenas(t *testing.T) {
+	p := membuf.NewPool()
+	p.EnableTracking()
+	defer p.DisableTracking()
+	b := New(Config{ChunkSize: 200, TrailingSlack: 32, Pool: p})
+	check := func(step string) {
+		t.Helper()
+		b.CheckInvariants()
+		if fp, live := b.Footprint(), p.LiveBytes(); fp != live {
+			t.Fatalf("%s: Footprint %d, pool has %d B out", step, fp, live)
+		}
+	}
+	c := b.AppendString(strings.Repeat("a", 100)).C
+	check("append")
+	b.GrowChunk(c, 1000) // 100 + 1000 + 32 B: a 2 KB arena
+	check("grow")
+	b.SplitChunk(c, 50)
+	check("split")
+	b.AppendString(strings.Repeat("b", 700)) // a chunk of its own, 732 B in 1 KB
+	check("oversized append")
+	b.CloseChunk()
+	tail := b.AppendString("tail").C
+	b.FitTail()
+	if b.Tail() != tail || tail.Cap() != 64 || string(tail.Bytes()) != "tail" {
+		t.Fatalf("fitted tail: same chunk %v, cap %d, bytes %q", b.Tail() == tail, tail.Cap(), tail.Bytes())
+	}
+	check("fit")
+	b.Release()
+	if live := p.LiveBytes(); live != 0 {
+		t.Fatalf("after Release the pool still has %d B out", live)
+	}
+}
+
+// TestFitTail: a fitted tail keeps its identity, bytes and the slack
+// ratio, sees its whole class, and pays for more slack only when a shift
+// needs it. A tail at least half its arena is left alone.
+func TestFitTail(t *testing.T) {
+	p := membuf.NewPool()
+	b := New(Config{Pool: p}) // 32 KB chunks, 4 KB slack: ⅛
+	c := b.AppendString(strings.Repeat("x", 700)).C
+	b.FitTail()
+	// 700 B + ⌈700/8⌉ = 788 B of want: the 1 KB class, all of it visible.
+	if c.Cap() != 1024 || b.Footprint() != 1024 || b.Len() != 700 || b.Tail() != c {
+		t.Fatalf("fitted: cap %d, footprint %d, len %d", c.Cap(), b.Footprint(), b.Len())
+	}
+	// The first shift beyond the fitted slack grows the chunk back to
+	// the full trailing slack.
+	b.GrowChunk(c, 500)
+	if c.Slack() < 500+b.Config().TrailingSlack || string(c.Bytes()) != strings.Repeat("x", 700) {
+		t.Fatalf("grow after fit: slack %d", c.Slack())
+	}
+
+	half := New(Config{ChunkSize: 1024, Pool: p})
+	half.AppendString(strings.Repeat("y", 500)) // 500 + 63 B of want > 512
+	before := p.Stats().Acquires
+	half.FitTail()
+	if half.Tail().Cap() != 1024 || p.Stats().Acquires != before {
+		t.Fatalf("a tail over half its arena moved: cap %d, %d acquires", half.Tail().Cap(), p.Stats().Acquires-before)
+	}
+	New(Config{}).FitTail() // an empty buffer has no tail to fit
 }
 
 func TestFootprint(t *testing.T) {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"bsoap/internal/chunk"
+	"bsoap/internal/membuf"
 	"bsoap/internal/wire"
+	"bsoap/internal/workload"
 )
 
 // TestOverlayBoundsMemory verifies the paper's §3.3 claim numerically:
@@ -50,6 +54,62 @@ func TestOverlayBoundsMemory(t *testing.T) {
 	}
 	t.Logf("template %d bytes resident vs overlay %d bytes (%.0fx reduction)",
 		tmplCost, ovCost, float64(tmplCost)/float64(ovCost))
+}
+
+// TestTemplateMemoryIsFreed holds the footprint to the heap: small
+// templates must cost what they hold, and the saving must be memory that
+// is gone, not a term dropped from the gauge. The chunks draw from a
+// private pool, so no arena recycled from an earlier test can serve a
+// build and hide what it allocates.
+func TestTemplateMemoryIsFreed(t *testing.T) {
+	const stubs = 2000
+	cfg := Config{
+		Chunk: chunk.Config{Pool: membuf.NewPool()},
+		Width: WidthPolicy{Double: 18, Int: 9},
+	}
+	// The benchmark's small_serial messages: 8 doubles, 8 ints, 3 MIOs.
+	msgs := []*wire.Message{
+		workload.NewDoubles(8, workload.FillIntermediate).Msg,
+		workload.NewInts(8, workload.FillIntermediate).Msg,
+		workload.NewMIOs(3, workload.FillIntermediate).Msg,
+	}
+	sink := &captureSink{} // shared: it holds one message at a time
+	ss := make([]*Stub, stubs)
+	for i := range ss {
+		ss[i] = NewStub(cfg, sink)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, s := range ss {
+		for _, m := range msgs {
+			if _, err := s.Call(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two collections: an arena released into a sync.Pool survives the
+	// first in the pool's victim cache.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	footprint := 0
+	for _, s := range ss {
+		footprint += s.Store().Footprint()
+	}
+	runtime.KeepAlive(ss)
+
+	n := float64(stubs * len(msgs))
+	heap := (float64(after.HeapInuse) - float64(before.HeapInuse)) / n
+	fp := float64(footprint) / n
+	t.Logf("per template: heap growth %.0f B, MemoryFootprint %.0f B", heap, fp)
+	if heap > 4096 {
+		t.Errorf("heap grew %.0f B per template, want <= 4096", heap)
+	}
+	if heap < 0.75*fp || heap > 1.25*fp {
+		t.Errorf("heap growth %.0f B per template is not within 25%% of MemoryFootprint %.0f B", heap, fp)
+	}
 }
 
 // TestFootprintGrowsWithMessage sanity-checks the accounting itself.

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"bsoap/internal/chunk"
 	"bsoap/internal/dut"
 	"bsoap/internal/fastconv"
+	"bsoap/internal/membuf"
 	"bsoap/internal/soapenv"
 	"bsoap/internal/trace"
 	"bsoap/internal/wire"
@@ -71,13 +73,18 @@ func (t *Template) DeltaID() uint64 { return t.deltaID }
 // DeltaEpoch returns the template's current content version.
 func (t *Template) DeltaEpoch() uint64 { return t.deltaEpoch }
 
-// MemoryFootprint estimates the template's resident cost in bytes:
-// chunk capacity plus the DUT table — the storage the paper's §3.3
-// identifies as differential serialization's price, and what chunk
-// overlaying bounds to a single chunk.
+// MemoryFootprint estimates the template's resident cost in bytes: the
+// arenas its chunks hold, the DUT table, and the headers that tie them
+// together (the template, its chunk buffer, and a chunk and arena header
+// per chunk) — the storage the paper's §3.3 identifies as differential
+// serialization's price, and what chunk overlaying bounds to a single
+// chunk. With tails fitted to their messages the headers are a fifth of
+// a small template, so they are charged too.
 func (t *Template) MemoryFootprint() int {
 	const entrySize = 64 // approximate per-entry size of dut.Entry
-	return t.buf.Footprint() + t.tab.Len()*entrySize
+	const fixed = int(unsafe.Sizeof(Template{}) + unsafe.Sizeof(chunk.Buffer{}))
+	const perChunk = int(unsafe.Sizeof(chunk.Chunk{}) + unsafe.Sizeof(membuf.Buf{}))
+	return t.buf.Footprint() + t.tab.Len()*entrySize + fixed + t.buf.NumChunks()*perChunk
 }
 
 // encodeLeaf renders leaf i's lexical form into scratch (which must have
@@ -132,6 +139,7 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) *Template {
 	}
 	t.buf.AppendString(soapenv.OperationEnd(m.Operation()))
 	t.buf.AppendString(soapenv.EnvelopeEnd)
+	t.buf.FitTail() // the template is complete: size its last chunk to what it holds
 	if leaf != m.NumLeaves() {
 		panic(fmt.Sprintf("core: emitted %d leaves, message has %d", leaf, m.NumLeaves()))
 	}

@@ -230,6 +230,18 @@ func (p *Pool) Leaks() []string {
 	return out
 }
 
+// LiveBytes sums the capacity of the buffers still live under tracking:
+// the memory the pool has handed out and not got back.
+func (p *Pool) LiveBytes() int {
+	p.trackMu.Lock()
+	defer p.trackMu.Unlock()
+	n := 0
+	for b := range p.live {
+		n += cap(b.B)
+	}
+	return n
+}
+
 func (p *Pool) track(b *Buf) {
 	_, file, line, _ := runtime.Caller(2)
 	p.trackMu.Lock()
