@@ -56,8 +56,6 @@ type (
 	WidthPolicy = core.WidthPolicy
 	// Stub is a differential-serialization client endpoint.
 	Stub = core.Stub
-	// Store is a template store shareable between stubs.
-	Store = core.Store
 	// CallInfo describes how one call was served.
 	CallInfo = core.CallInfo
 	// Stats accumulates per-stub counters.
@@ -152,15 +150,6 @@ func ArrayOf(elem *Type) *Type { return wire.ArrayOf(elem) }
 // NewStub creates a differential-serialization stub sending through
 // sink.
 func NewStub(cfg Config, sink Sink) *Stub { return core.NewStub(cfg, sink) }
-
-// NewStubWithStore creates a stub over a shared template store.
-func NewStubWithStore(cfg Config, sink Sink, store *Store) *Stub {
-	return core.NewStubWithStore(cfg, sink, store)
-}
-
-// NewStore creates a template store retaining perOp templates per
-// operation (0 selects the default).
-func NewStore(perOp int) *Store { return core.NewStore(perOp) }
 
 // Dial connects to a SOAP endpoint over TCP with the paper's socket
 // options and returns a Sender usable as the stub's Sink (and, for

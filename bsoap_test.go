@@ -2,6 +2,7 @@ package bsoap_test
 
 import (
 	"math"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,23 +64,32 @@ func TestPublicAPITypes(t *testing.T) {
 	}
 }
 
-// TestSharedStoreFacade verifies the future-work template sharing
-// through the public constructors.
+// switchSink forwards each send to whichever destination is current.
+type switchSink struct{ to bsoap.Sink }
+
+func (w *switchSink) Send(bufs net.Buffers) error { return w.to.Send(bufs) }
+
+// TestSharedStoreFacade verifies the future-work template sharing across
+// destinations through the public constructors: one stub whose sink is
+// switched reuses its serialization for the second destination.
 func TestSharedStoreFacade(t *testing.T) {
-	store := bsoap.NewStore(2)
-	sinkA, sinkB := bsoap.NewDiscardSink(), bsoap.NewDiscardSink()
-	a := bsoap.NewStubWithStore(bsoap.Config{}, sinkA, store)
-	b := bsoap.NewStubWithStore(bsoap.Config{}, sinkB, store)
+	sinkA, sinkB := &recordSink{}, &recordSink{}
+	sw := &switchSink{to: sinkA}
+	stub := bsoap.NewStub(bsoap.Config{}, sw)
 
 	msg := bsoap.NewMessage("urn:demo", "op")
 	arr := msg.AddDoubleArray("v", 10)
 	arr.Set(0, 1)
-	if _, err := a.Call(msg); err != nil {
+	if _, err := stub.Call(msg); err != nil {
 		t.Fatal(err)
 	}
-	ci, err := b.Call(msg)
+	sw.to = sinkB
+	ci, err := stub.Call(msg)
 	if err != nil || ci.Match != bsoap.ContentMatch {
-		t.Fatalf("shared template not reused: %+v, %v", ci, err)
+		t.Fatalf("template not reused for second destination: %+v, %v", ci, err)
+	}
+	if string(sinkA.last()) != string(sinkB.last()) {
+		t.Fatal("destinations received different bytes")
 	}
 }
 

@@ -82,16 +82,18 @@ one_path_guard() {
         grep -rnE "$pattern" --include='*.go' --exclude='*_test.go' "$@" "$dir" \
             | grep -vcE '^[^:]+:[0-9]+:[[:space:]]*//' || true
     }
-    check() { # check <what> <pattern> <dir> [grep options]
-        what=$1
-        shift
+    expect() { # expect <want> <what> <pattern> <dir> [grep options]
+        want=$1 what=$2
+        shift 2
         n=$(count "$@")
-        if [ "$n" != 1 ]; then
-            echo "one-path guard: $what: $n occurrences in $2, want exactly 1:" >&2
+        if [ "$n" != "$want" ]; then
+            echo "one-path guard: $what: $n occurrences in $2, want exactly $want:" >&2
             grep -rnE "$1" --include='*.go' --exclude='*_test.go' "$2" >&2 || true
             exit 1
         fi
     }
+    check() { expect 1 "$@"; }
+    absent() { expect 0 "$@"; }
     check "delta request header rendered" 'append\(.*deltaHeaderPrefix' internal/transport
     check "resync answer classified" '== *wire\.DeltaValResync' internal/transport
     check "engine invoked from the pool" 'stub\.Call\(' internal/pool
@@ -101,6 +103,12 @@ one_path_guard() {
     check "patch frame applied outside internal/wire" '\.Apply\(' internal --exclude-dir=wire
     check "cap on patch bases declared" 'maxDeltaBases += [0-9]' internal
     check "template tail fitted" '\.FitTail\(' internal/core
+    # A stub's templates are its own, confined with the stub: no lock in
+    # the engine, no store shared between stubs, no second wire encoding
+    # beside delta frames (ablation_test.go keeps gzip as a contrast).
+    absent "mutex in the engine" 'sync\.(RW)?Mutex' internal/core
+    absent "template store shared between stubs" 'NewStubWithStore' .
+    absent "gzip outside the ablation" '"compress/gzip"' .
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1

@@ -121,8 +121,8 @@ func ExtD1(o Options) (*Figure, error) {
 // double arrays) with 2004-era conversion costs emulated: the exact
 // big-integer dragon printer replaces the modern shortest-float code in
 // every serializer. The paper's original 10× MCM speedup was measured
-// when conversions cost this much; with them restored, the compressed
-// modern ratios widen back toward the paper's.
+// when conversions cost this much; with them restored, the narrow modern
+// ratios widen back toward the paper's.
 func ExtC1(o Options) (*Figure, error) {
 	restore := fastconv.SetDoubleConverter(fastconv.DragonDoubleConverter)
 	defer restore()

@@ -1,81 +1,36 @@
 package core
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"bsoap/internal/wire"
 )
 
-// TestStoreConcurrentAccess exercises the documented guarantee that
-// Store's own methods are safe for concurrent use: goroutines hammer
-// lookup, insert and TemplateCount on one shared Store under the race
-// detector. (Template mutation stays single-goroutine here, matching
-// the documented contract.)
-func TestStoreConcurrentAccess(t *testing.T) {
-	st := NewStore(4)
-	cfg := Config{}.withDefaults()
-
-	const workers = 8
-	const iters = 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				op := fmt.Sprintf("op%d", i%5)
-				// A worker-specific array length yields a distinct
-				// signature, so inserts and LRU evictions interleave.
-				m := wire.NewMessage("urn:t", op)
-				arr := m.AddDoubleArray("v", 1+(w+i)%7)
-				arr.Set(0, float64(i))
-				m.ClearDirty()
-				if st.lookup(op, m.Signature()) == nil {
-					st.insert(op, newTemplate(m, cfg, new(scratch)))
-				}
-				if n := st.TemplateCount(); n < 0 {
-					t.Errorf("negative template count %d", n)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// 5 operations, capacity 4 each: the store can never exceed 20.
-	if n := st.TemplateCount(); n == 0 || n > 20 {
-		t.Fatalf("TemplateCount = %d, want 1..20", n)
-	}
-}
-
-// TestStoreLookupMovesToFront pins the LRU behaviour the pool relies on
-// (least recently used templates are the ones evicted), now under the
-// locked implementation.
+// TestStoreLookupMovesToFront pins the LRU behaviour the pool relies on:
+// with two templates per operation, a third structure evicts the least
+// recently used one, and a call that reuses a template refreshes it.
 func TestStoreLookupMovesToFront(t *testing.T) {
-	st := NewStore(2)
-	cfg := Config{}.withDefaults()
+	s := NewStub(Config{MaxTemplatesPerOp: 2}, &captureSink{})
 
 	mk := func(n int) *wire.Message {
 		m := wire.NewMessage("urn:t", "op")
 		m.AddDoubleArray("v", n)
-		m.ClearDirty()
 		return m
 	}
 	a, b, c := mk(1), mk(2), mk(3)
-	st.insert("op", newTemplate(a, cfg, new(scratch)))
-	st.insert("op", newTemplate(b, cfg, new(scratch)))
-
-	// Touch a so b becomes the LRU victim when c arrives.
-	if st.lookup("op", a.Signature()) == nil {
-		t.Fatal("template for a missing")
+	for _, m := range []*wire.Message{a, b, a, c} { // a touched after b
+		if _, err := s.Call(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st.insert("op", newTemplate(c, cfg, new(scratch)))
 
-	if st.lookup("op", b.Signature()) != nil {
+	if s.Template("op", b.Signature()) != nil {
 		t.Error("b should have been evicted as least recently used")
 	}
-	if st.lookup("op", a.Signature()) == nil || st.lookup("op", c.Signature()) == nil {
+	if s.Template("op", a.Signature()) == nil || s.Template("op", c.Signature()) == nil {
 		t.Error("a and c should have survived")
+	}
+	if n := s.Store().TemplateCount(); n != 2 {
+		t.Errorf("TemplateCount = %d, want 2", n)
 	}
 }

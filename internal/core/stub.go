@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net"
-	"sync"
 
 	"bsoap/internal/replica"
 	"bsoap/internal/trace"
@@ -11,40 +10,21 @@ import (
 	"bsoap/internal/xsdlex"
 )
 
-// Store holds templates keyed by operation. Each Stub owns one by
-// default; passing the same Store to several stubs shares templates
-// across destinations, amortizing serialization across services that
-// receive the same data (paper §6 future work). Recency within an
-// operation is tracked by the tree's one LRU (internal/replica); a
-// warm-path lookup allocates nothing.
-//
-// Concurrency guarantee: Store's own methods (lookup, insert,
-// TemplateCount) are safe for concurrent use by multiple goroutines.
-// That does NOT make concurrent Stub.Call through a shared Store safe:
-// a Call mutates the looked-up Template's bytes and DUT table outside
-// the Store's lock. Stubs sharing a Store must still be externally
-// synchronized; internal/pool provides a sharded runtime that does this
-// for many goroutines.
+// Store holds a stub's templates keyed by operation. It is part of the
+// Stub that owns it and has no synchronization of its own: a Call
+// mutates the looked-up Template's bytes in place, so the store is
+// confined exactly as its stub is — to one goroutine, or to whoever
+// holds the pool engine or server replica lock around the stub. Recency
+// within an operation is tracked by the tree's one LRU
+// (internal/replica); a warm-path lookup allocates nothing.
 type Store struct {
-	mu   sync.Mutex
 	byOp map[string]*replica.LRU[string, *Template]
-	cap  int
-}
-
-// NewStore returns an empty template store retaining at most perOp
-// structurally distinct templates per operation (0 selects 4).
-func NewStore(perOp int) *Store {
-	if perOp <= 0 {
-		perOp = 4
-	}
-	return &Store{byOp: make(map[string]*replica.LRU[string, *Template]), cap: perOp}
+	cap  int // templates retained per operation (Config.MaxTemplatesPerOp)
 }
 
 // lookup finds a template with the given structural signature, moving it
 // to the front (LRU position) when found.
 func (st *Store) lookup(op, sig string) *Template {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if l := st.byOp[op]; l != nil {
 		if t, ok := l.Get(sig); ok {
 			return t
@@ -57,8 +37,6 @@ func (st *Store) lookup(op, sig string) *Template {
 // returning its arenas to the pool (callers discard suspect templates;
 // their bytes are no longer in flight once the failed send returned).
 func (st *Store) remove(op, sig string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if l := st.byOp[op]; l != nil {
 		if t, ok := l.Remove(sig); ok {
 			t.release()
@@ -70,11 +48,9 @@ func (st *Store) remove(op, sig string) {
 // recently used beyond capacity. Insertion happens only on first-time
 // sends (which allocate a whole template anyway); warm calls never come
 // here. An evicted template's chunk arenas go back to the pool (safe:
-// insert runs under the same external synchronization as the Calls that
-// use the templates, so nothing evicted can be mid-send).
+// insert runs inside a Call on the owning stub, so nothing evicted can be
+// mid-send).
 func (st *Store) insert(op string, t *Template) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	l := st.byOp[op]
 	if l == nil {
 		l = replica.NewLRU[string, *Template]()
@@ -90,8 +66,6 @@ func (st *Store) insert(op string, t *Template) {
 
 // TemplateCount reports the number of stored templates (all operations).
 func (st *Store) TemplateCount() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	n := 0
 	for _, l := range st.byOp {
 		n += l.Len()
@@ -102,8 +76,6 @@ func (st *Store) TemplateCount() int {
 // Footprint sums the MemoryFootprint of every stored template: the
 // store's contribution to a pooled replica's budget accounting.
 func (st *Store) Footprint() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	n := 0
 	for _, l := range st.byOp {
 		l.FromFront(func(_ string, t *Template) bool {
@@ -115,11 +87,9 @@ func (st *Store) Footprint() int {
 }
 
 // EachTemplate visits every stored template, most recently used first
-// within each operation (debug dumps, tests). The visit runs under the
-// store lock and must not call back into the store.
+// within each operation (debug dumps, tests). The visit must not call
+// back into the store.
 func (st *Store) EachTemplate(visit func(op string, t *Template)) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for op, l := range st.byOp {
 		l.FromFront(func(_ string, t *Template) bool {
 			visit(op, t)
@@ -134,8 +104,6 @@ func (st *Store) EachTemplate(visit func(op string, t *Template)) {
 // call has returned; a late MarkSuspect from a pipelined response simply
 // misses its lookup afterwards.
 func (st *Store) ReleaseAll() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for op, l := range st.byOp {
 		for {
 			_, t, ok := l.RemoveTail()
@@ -149,13 +117,15 @@ func (st *Store) ReleaseAll() {
 }
 
 // Stub is a client-side SOAP endpoint employing differential
-// serialization. It is not safe for concurrent use; create one stub per
-// sending goroutine (they may share a Store only if externally
-// synchronized).
+// serialization. It owns its templates (paper §1) and is not safe for
+// concurrent use: one goroutine drives it, or — for pooled engines and
+// server replicas — whoever holds that engine's or replica's lock. To
+// reuse one serialization for several destinations, swap the stub's
+// sink between sends rather than sharing templates between stubs.
 type Stub struct {
 	cfg      Config
 	sink     Sink
-	store    *Store
+	store    Store
 	stats    Stats
 	overlays map[string]*overlayState
 	flat     flatRenderer // DisableDiff reusable buffer
@@ -210,12 +180,10 @@ func (sc *scratch) encode(m *wire.Message, i int, typ *wire.Type) []byte {
 // NewStub returns a stub sending through sink.
 func NewStub(cfg Config, sink Sink) *Stub {
 	c := cfg.withDefaults()
-	return &Stub{cfg: c, sink: sink, store: NewStore(c.MaxTemplatesPerOp)}
-}
-
-// NewStubWithStore returns a stub using a shared template store.
-func NewStubWithStore(cfg Config, sink Sink, store *Store) *Stub {
-	return &Stub{cfg: cfg.withDefaults(), sink: sink, store: store}
+	return &Stub{cfg: c, sink: sink, store: Store{
+		byOp: make(map[string]*replica.LRU[string, *Template]),
+		cap:  c.MaxTemplatesPerOp,
+	}}
 }
 
 // Stats returns cumulative counters.
@@ -243,8 +211,9 @@ func (s *Stub) endSpan(ci *CallInfo, err error) {
 	s.scr.span = 0
 }
 
-// Store exposes the template store (tests, inspector tool).
-func (s *Stub) Store() *Store { return s.store }
+// Store exposes the stub's template store (memory accounting, release,
+// tests, inspector tool). It shares the stub's confinement.
+func (s *Stub) Store() *Store { return &s.store }
 
 // Template returns the current template for an operation+signature, or
 // nil (tests, inspector tool).

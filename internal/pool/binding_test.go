@@ -105,6 +105,9 @@ func checkBinding(t testing.TB, st *ShardedStore) {
 				continue // mid-call: the template catches up when the queue drains
 			}
 			r.mu.Lock()
+			if n := r.stub.Store().TemplateCount(); n > 1 {
+				t.Errorf("%s engine %d holds %d templates, want at most one", key.Group, i, n)
+			}
 			if tpl := r.stub.Template(key.Group, key.Sub); tpl != nil && tpl.Message() != r.bound {
 				t.Errorf("%s engine %d: bound to %p, template serialized %p last",
 					key.Group, i, r.bound, tpl.Message())
@@ -489,6 +492,7 @@ func FuzzBindingSchedule(f *testing.F) {
 				}
 				d.Arr.Resize(leaves)
 			}
+			checkBinding(t, st)
 		}
 	})
 }

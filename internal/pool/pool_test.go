@@ -229,3 +229,47 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Errorf("p99 = %v, want ~1ms bucket", s.LatencyP99)
 	}
 }
+
+// TestTemplateCountDuringFirstTimeSends reads the template count while
+// calls are inserting and evicting templates: a stub's store is guarded
+// only by its engine lock, so this is the test that fails under -race if
+// TemplateCount reads a store without it.
+func TestTemplateCountDuringFirstTimeSends(t *testing.T) {
+	p, _ := newDiscardPool(t, Options{Replicas: 2, MaxTemplateBytes: 16 << 10})
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			for i := 0; i < 200; i++ {
+				// A fresh size each call is a new signature: a first-time
+				// send that inserts into a stub's store, while the budget
+				// evicts and releases older entries.
+				m := workload.NewInts(1+(i*2+w)%64, workload.FillIntermediate)
+				if _, err := p.Call(m.Msg); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	go func() {
+		defer close(done)
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if n := p.TemplateCount(); n < 1 {
+				t.Fatalf("templates = %d after the calls, want at least 1", n)
+			}
+			return
+		default:
+			p.TemplateCount()
+		}
+	}
+}

@@ -22,7 +22,8 @@ import (
 //
 // Entries are keyed by (operation, structural signature). Within one
 // entry the store holds up to Replicas independent engine replicas (a
-// core.Stub with a single-key store each). A call checks out one
+// core.Stub each, holding that key's one template and confined by the
+// engine lock). A call checks out one
 // replica, holds its lock across classify + diff + send (the template's
 // bytes are on the wire during the send, so they cannot be mutated
 // concurrently), and releases it. Replicas are what lets a hot
@@ -316,16 +317,20 @@ func (s *ShardedStore) markSuspect(r *engine, op, sig string, span uint64) {
 }
 
 // TemplateCount sums the stored templates across every entry and
-// replica (each replica's single-key store holds at most
-// MaxTemplatesPerOp; in practice one).
+// engine. Each engine's stub serves one registry key, so it holds at
+// most one template. A stub's store is confined to its engine lock, so
+// each count is read under it, as ReleaseArenas does.
 func (s *ShardedStore) TemplateCount() int {
 	n := 0
 	s.reg.Each(func(_ reg.Key, e *storeEntry) {
 		e.mu.Lock()
-		for _, r := range e.engines {
-			n += r.stub.Store().TemplateCount()
-		}
+		engines := e.engines
 		e.mu.Unlock()
+		for _, r := range engines {
+			r.mu.Lock()
+			n += r.stub.Store().TemplateCount()
+			r.mu.Unlock()
+		}
 	})
 	return n
 }

@@ -163,6 +163,7 @@ type replica struct {
 	// sink is where stub sends: handle points it at the request's
 	// recycled response storage for the length of one call.
 	sink respSink
+	// stub is the response stub; it and its templates are guarded by mu.
 	stub *core.Stub
 	// size caches the replica's memory footprint for the registry's
 	// budget accounting: stored by release while the replica lock is

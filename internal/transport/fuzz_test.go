@@ -22,6 +22,8 @@ func FuzzReadRequest(f *testing.F) {
 		"POST / HTTP/1.1\r\nContent-Length: 999999999999999999999\r\n\r\n",
 		"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
 		"\r\n\r\n",
+		"POST / HTTP/1.1\r\nContent-Encoding: gzip\r\nContent-Length: 28\r\n\r\n" +
+			"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03\xb3\x49\xb4\x33\xb4\xd1\x4f\xb4\x03\x00\x68\x28\xdb\x0c\x08\x00\x00\x00",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -30,6 +32,12 @@ func FuzzReadRequest(f *testing.F) {
 		req, err := ReadRequest(bufio.NewReader(strings.NewReader(string(data))))
 		if err == nil && req == nil {
 			t.Fatal("nil request without error")
+		}
+		if err != nil {
+			return
+		}
+		if _, ok := req.Headers["content-encoding"]; ok {
+			t.Fatal("encoded body accepted")
 		}
 	})
 }

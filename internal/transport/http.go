@@ -9,7 +9,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -307,37 +306,13 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 }
 
 // readBodyInto consumes the message body per the framing headers into
-// ps.body, transparently decoding gzip content encoding (the decode
-// path allocates; compressed connections are off the zero-alloc
-// contract).
+// ps.body. No content encoding is accepted: a body is the message bytes
+// themselves (delta frames, not compression, are the answer to slow
+// links).
 func readBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch) ([]byte, error) {
-	body, err := readRawBodyInto(br, h, ps)
-	if err != nil {
-		return nil, err
-	}
 	if ce, ok := h["content-encoding"]; ok {
-		if !strings.EqualFold(ce, "gzip") {
-			return nil, fmt.Errorf("transport: unsupported content encoding %q", ce)
-		}
-		zr, err := gzip.NewReader(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("transport: gzip body: %w", err)
-		}
-		out, err := io.ReadAll(io.LimitReader(zr, MaxBodyBytes+1))
-		if err != nil {
-			return nil, fmt.Errorf("transport: gzip body: %w", err)
-		}
-		if len(out) > MaxBodyBytes {
-			return nil, errors.New("transport: decompressed body too large")
-		}
-		return out, nil
+		return nil, fmt.Errorf("transport: unsupported content encoding %q", ce)
 	}
-	return body, nil
-}
-
-// readRawBodyInto reads the framed (still possibly compressed) body
-// bytes into ps.body.
-func readRawBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch) ([]byte, error) {
 	if te, ok := h["transfer-encoding"]; ok {
 		if !strings.EqualFold(te, "chunked") {
 			return nil, fmt.Errorf("transport: unsupported transfer encoding %q", te)

@@ -2,8 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -42,11 +40,6 @@ type SenderOptions struct {
 	// message. The paper's Send Time measurements do not wait for
 	// responses; RPC-style examples do.
 	ExpectResponse bool
-	// Compress gzips complete message bodies (Content-Encoding: gzip) —
-	// the bandwidth-for-CPU trade the paper's related work attributes
-	// to gSOAP, complementary to (and measurable against) differential
-	// serialization. Streamed (overlay) sends are never compressed.
-	Compress bool
 	// Dialer overrides the TCP dial used by Dial and Redial (fault
 	// injection, tests, alternative transports). nil selects the default
 	// dialer with the paper's socket options.
@@ -108,8 +101,6 @@ type Sender struct {
 	lenBuf [80]byte
 
 	streaming bool
-	gz        *gzip.Writer
-	gzBuf     bytes.Buffer
 
 	// resp is reused across maybeReadResponse roundtrips: the ack of a
 	// warm send is parsed into recycled storage (Roundtrip, whose caller
@@ -411,9 +402,7 @@ const (
 // bufs framed as one POST with Content-Length, annotated per an, and
 // flushed, then — with ExpectResponse — one response read and classified
 // inline. The vector is written segment by segment straight out of the
-// template chunks (scatter-gather), unless compression is on, in which
-// case the whole body is gzipped first (compression cannot reuse
-// template bytes: every send re-compresses).
+// template chunks (scatter-gather).
 func (s *Sender) Submit(bufs net.Buffers, an Annotation) error {
 	if err := s.writeRequest(bufs, an); err != nil {
 		return err
@@ -442,14 +431,6 @@ func (s *Sender) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
 // response.
 func (s *Sender) writeRequest(bufs net.Buffers, an Annotation) error {
 	s.armWrite()
-	lenLine := "Content-Length: "
-	if s.opts.Compress {
-		gz, err := s.compress(bufs)
-		if err != nil {
-			return fmt.Errorf("transport: compress: %w", err)
-		}
-		bufs, lenLine = net.Buffers{gz}, "Content-Encoding: gzip\r\nContent-Length: "
-	}
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
@@ -457,7 +438,7 @@ func (s *Sender) writeRequest(bufs net.Buffers, an Annotation) error {
 	if err := s.writeRequestHead(an); err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
-	b := append(s.lenBuf[:0], lenLine...)
+	b := append(s.lenBuf[:0], "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(total), 10)
 	b = append(b, '\r', '\n', '\r', '\n')
 	if _, err := s.bw.Write(b); err != nil {
@@ -472,25 +453,6 @@ func (s *Sender) writeRequest(bufs net.Buffers, an Annotation) error {
 		return fmt.Errorf("transport: flush: %w", s.noteIOErr(err, false))
 	}
 	return nil
-}
-
-// compress gzips the whole body into the sender's reused buffer.
-func (s *Sender) compress(bufs net.Buffers) ([]byte, error) {
-	s.gzBuf.Reset()
-	if s.gz == nil {
-		s.gz = gzip.NewWriter(&s.gzBuf)
-	} else {
-		s.gz.Reset(&s.gzBuf)
-	}
-	for _, b := range bufs {
-		if _, err := s.gz.Write(b); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.gz.Close(); err != nil {
-		return nil, err
-	}
-	return s.gzBuf.Bytes(), nil
 }
 
 // BeginStream starts a chunked-transfer POST (HTTP/1.1 only).

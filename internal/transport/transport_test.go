@@ -74,6 +74,22 @@ func TestReadRequestErrors(t *testing.T) {
 	}
 }
 
+// TestBadContentEncodingRejected pins that no content encoding is
+// accepted, not even a well-formed gzip body.
+func TestBadContentEncodingRejected(t *testing.T) {
+	cases := map[string]string{
+		"br":           "POST / HTTP/1.1\r\nContent-Encoding: br\r\nContent-Length: 3\r\n\r\nabc",
+		"corrupt gzip": "POST / HTTP/1.1\r\nContent-Encoding: gzip\r\nContent-Length: 3\r\n\r\nabc",
+		"valid gzip": "POST / HTTP/1.1\r\nContent-Encoding: gzip\r\nContent-Length: 28\r\n\r\n" +
+			"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03\xb3\x49\xb4\x33\xb4\xd1\x4f\xb4\x03\x00\x68\x28\xdb\x0c\x08\x00\x00\x00",
+	}
+	for name, raw := range cases {
+		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); err == nil {
+			t.Errorf("%s: encoded body accepted", name)
+		}
+	}
+}
+
 func TestWriteAndReadResponse(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteResponse(&buf, 200, "text/xml", []byte("<ok/>")); err != nil {
