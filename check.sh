@@ -127,6 +127,12 @@ one_path_guard() {
     # not by a second round-trip path beside it.
     absent "round-trip send beside Submit" 'Roundtrip\(' .
     absent "round-trip client package" '"bsoap/internal/rpc"' .
+    # A response's header section is rendered at one place, and the
+    # Server writes every answer from the request's own buffer in one
+    # Write; the writer that allocated a header per 409 and split the 500
+    # stays gone.
+    check "response status line rendered" '"HTTP/1\.1 "' internal/transport
+    absent "allocating response writer" 'writeResponseExtra' .
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1

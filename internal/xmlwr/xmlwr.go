@@ -63,57 +63,6 @@ func (w *Writer) Attr(name, value string) *Writer {
 	return w
 }
 
-// Text appends escaped character data.
-func (w *Writer) Text(s string) *Writer {
-	if w.err != nil {
-		return w
-	}
-	w.closeOpenTag()
-	w.buf = xsdlex.EscapeText(w.buf, s)
-	return w
-}
-
-// Int appends the lexical form of a 32-bit integer as character data.
-func (w *Writer) Int(v int32) *Writer {
-	if w.err != nil {
-		return w
-	}
-	w.closeOpenTag()
-	w.buf = xsdlex.AppendInt(w.buf, v)
-	return w
-}
-
-// Double appends the lexical form of a double as character data.
-func (w *Writer) Double(v float64) *Writer {
-	if w.err != nil {
-		return w
-	}
-	w.closeOpenTag()
-	w.buf = xsdlex.AppendDouble(w.buf, v)
-	return w
-}
-
-// Bool appends the lexical form of a boolean as character data.
-func (w *Writer) Bool(v bool) *Writer {
-	if w.err != nil {
-		return w
-	}
-	w.closeOpenTag()
-	w.buf = xsdlex.AppendBool(w.buf, v)
-	return w
-}
-
-// Raw appends s verbatim, without escaping. The caller guarantees
-// well-formedness.
-func (w *Writer) Raw(s string) *Writer {
-	if w.err != nil {
-		return w
-	}
-	w.closeOpenTag()
-	w.buf = append(w.buf, s...)
-	return w
-}
-
 // End closes the most recently opened element.
 func (w *Writer) End() *Writer {
 	if w.err != nil {
@@ -137,11 +86,6 @@ func (w *Writer) End() *Writer {
 	return w
 }
 
-// Element writes <name>text</name> in one call.
-func (w *Writer) Element(name, text string) *Writer {
-	return w.Start(name).Text(text).End()
-}
-
 // Err reports the first error encountered, if any.
 func (w *Writer) Err() error { return w.err }
 
@@ -157,17 +101,6 @@ func (w *Writer) Result() ([]byte, error) {
 	}
 	w.closeOpenTag()
 	return w.buf, nil
-}
-
-// Len reports the bytes written so far (including any unclosed start tag).
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Reset clears the writer for reuse, retaining the buffer's capacity.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.stack = w.stack[:0]
-	w.openTag = false
-	w.err = nil
 }
 
 func (w *Writer) closeOpenTag() {

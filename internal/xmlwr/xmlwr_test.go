@@ -16,8 +16,8 @@ func result(t *testing.T, w *Writer) string {
 
 func TestSimpleDocument(t *testing.T) {
 	w := NewWriter(64)
-	w.Start("root").Start("a").Text("x").End().Start("b").Int(42).End().End()
-	if got := result(t, w); got != "<root><a>x</a><b>42</b></root>" {
+	w.Start("root").Start("a").Attr("v", "x").End().Start("b").Start("c").End().End().End()
+	if got := result(t, w); got != `<root><a v="x"/><b><c/></b></root>` {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -33,8 +33,8 @@ func TestDecl(t *testing.T) {
 
 func TestAttributes(t *testing.T) {
 	w := NewWriter(64)
-	w.Start("e").Attr("a", "1").Attr("b", `<&">`).Text("t").End()
-	want := `<e a="1" b="&lt;&amp;&quot;&gt;">t</e>`
+	w.Start("e").Attr("a", "1").Attr("b", `<&">`).Start("t").End().End()
+	want := `<e a="1" b="&lt;&amp;&quot;&gt;"><t/></e>`
 	if got := result(t, w); got != want {
 		t.Fatalf("got %q", got)
 	}
@@ -48,38 +48,11 @@ func TestSelfClosingEmptyElement(t *testing.T) {
 	}
 }
 
+// TestTextEscaping: text reaches a document only as attribute values.
 func TestTextEscaping(t *testing.T) {
 	w := NewWriter(32)
-	w.Start("t").Text("a<b & c>d").End()
-	if got := result(t, w); got != "<t>a&lt;b &amp; c&gt;d</t>" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestNumericHelpers(t *testing.T) {
-	w := NewWriter(64)
-	w.Start("r").
-		Start("i").Int(-7).End().
-		Start("d").Double(2.5).End().
-		Start("b").Bool(true).End().
-		End()
-	if got := result(t, w); got != "<r><i>-7</i><d>2.5</d><b>true</b></r>" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestRaw(t *testing.T) {
-	w := NewWriter(32)
-	w.Start("r").Raw("<pre/>").End()
-	if got := result(t, w); got != "<r><pre/></r>" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestElementShorthand(t *testing.T) {
-	w := NewWriter(32)
-	w.Start("r").Element("k", "v").End()
-	if got := result(t, w); got != "<r><k>v</k></r>" {
+	w.Start("t").Attr("v", "a<b & c>d").End()
+	if got := result(t, w); got != `<t v="a&lt;b &amp; c&gt;d"/>` {
 		t.Fatalf("got %q", got)
 	}
 }
@@ -102,7 +75,7 @@ func TestOpenElementsReportedByResult(t *testing.T) {
 
 func TestAttrAfterContentIsError(t *testing.T) {
 	w := NewWriter(8)
-	w.Start("a").Text("x").Attr("k", "v").End()
+	w.Start("a").Start("x").End().Attr("k", "v").End()
 	if _, err := w.Result(); err == nil {
 		t.Fatal("attribute after content not reported")
 	}
@@ -112,29 +85,8 @@ func TestErrorIsSticky(t *testing.T) {
 	w := NewWriter(8)
 	w.End() // error
 	before := w.Err()
-	w.Start("a").Text("x").End()
+	w.Start("a").Attr("k", "v").End()
 	if w.Err() != before {
 		t.Fatal("later calls replaced the first error")
-	}
-}
-
-func TestReset(t *testing.T) {
-	w := NewWriter(8)
-	w.Start("a") // leave open, then reset
-	w.Reset()
-	w.Start("b").End()
-	if got := result(t, w); got != "<b/>" {
-		t.Fatalf("after reset: %q", got)
-	}
-}
-
-func TestLen(t *testing.T) {
-	w := NewWriter(8)
-	if w.Len() != 0 {
-		t.Fatal("fresh writer non-empty")
-	}
-	w.Start("ab")
-	if w.Len() != len("<ab") {
-		t.Fatalf("Len = %d", w.Len())
 	}
 }

@@ -10,6 +10,7 @@
 package bsoap_test
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
@@ -402,40 +403,47 @@ func TestSteadyStateAllocsServer(t *testing.T) {
 
 	// The client's warm path is TestSteadyStateAllocsPool's and allocates
 	// nothing, so over a real connection the process's allocation count
-	// is the server goroutine's: request read, handler, response write.
+	// is the server goroutine's: request read, handler, response write —
+	// on the connection goroutine, and under read-ahead (the scheduler
+	// pipelined_d8 runs) on a reader goroutine and a ring of nine
+	// Requests, each with its own response buffer.
 	t.Run("loopback", func(t *testing.T) {
 		if raceEnabled {
 			t.Skip("allocation counts are unreliable under -race")
 		}
-		rt, srv := harness.BenchRuntime(t,
-			serverpool.Options{DifferentialDeserialization: true},
-			transport.ServerOptions{})
-		p := harness.Pool(t, pool.Options{
-			Size: 1, Addr: srv.Addr(),
-			Config: core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}},
-		})
-		d := workload.NewDoubles(100, workload.FillIntermediate)
-		call := func(i int) {
-			d.Arr.Set(i%100, float64(i))
-			if _, err := p.Call(d.Msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 100; i++ {
-			call(i)
-		}
-		const calls = 2000
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < calls; i++ {
-			call(i)
-		}
-		runtime.ReadMemStats(&after)
-		if got := float64(after.Mallocs-before.Mallocs) / calls; got > 0.05 {
-			t.Errorf("%v allocations per call over loopback, want <= 0.05", got)
-		}
-		if st := rt.Stats(); st.FullParses != 1 || st.Requests != calls+100 {
-			t.Fatalf("warm requests left the fast path: %+v", st)
+		for _, readAhead := range []int{0, 8} {
+			t.Run(fmt.Sprintf("readahead%d", readAhead), func(t *testing.T) {
+				rt, srv := harness.BenchRuntime(t,
+					serverpool.Options{DifferentialDeserialization: true},
+					transport.ServerOptions{ReadAhead: readAhead})
+				p := harness.Pool(t, pool.Options{
+					Size: 1, Addr: srv.Addr(),
+					Config: core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}},
+				})
+				d := workload.NewDoubles(100, workload.FillIntermediate)
+				call := func(i int) {
+					d.Arr.Set(i%100, float64(i))
+					if _, err := p.Call(d.Msg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 100; i++ {
+					call(i)
+				}
+				const calls = 2000
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < calls; i++ {
+					call(i)
+				}
+				runtime.ReadMemStats(&after)
+				if got := float64(after.Mallocs-before.Mallocs) / calls; got > 0.05 {
+					t.Errorf("%v allocations per call over loopback, want <= 0.05", got)
+				}
+				if st := rt.Stats(); st.FullParses != 1 || st.Requests != calls+100 {
+					t.Fatalf("warm requests left the fast path: %+v", st)
+				}
+			})
 		}
 	})
 }
