@@ -133,6 +133,14 @@ one_path_guard() {
     # stays gone.
     check "response status line rendered" '"HTTP/1\.1 "' internal/transport
     absent "allocating response writer" 'writeResponseExtra' .
+    # The diff walk finds a changed leaf by seeking forward from the last
+    # one hit, not by a binary search of the whole range table. Socket
+    # buffers are sized per request in flight from one constant: serial
+    # connections keep the paper's 32 KiB, pipelines and read-ahead
+    # connections get a multiple of it.
+    absent "whole-table range search in the diff walk" 'sort\.Search\(len\(t\.ranges\)' internal/diffdeser
+    check "per-request socket buffer declared" 'sockBufPerRequest += ' internal/transport
+    absent "socket buffer set from a literal" 'Set(Read|Write)Buffer\(32 \* 1024\)' internal/transport
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1

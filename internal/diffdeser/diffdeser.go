@@ -27,7 +27,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"bsoap/internal/replica"
 	"bsoap/internal/soapdec"
@@ -321,12 +320,10 @@ func (t *Template) relexChanged(regions []wire.DeltaRegion, old, src []byte, lim
 				break
 			}
 			off := at + j
-			// Differences mostly come in leaf order, so try the region after
-			// the last one hit before searching.
-			i := next
-			if i >= len(t.ranges) || off >= t.ranges[i].End {
-				i = sort.Search(len(t.ranges), func(k int) bool { return t.ranges[k].End > off })
-			}
+			// off lies at or after the end of the last range hit, so the
+			// range holding it is the next one or one after it: seek
+			// forward from there.
+			i := seek(t.ranges, next, off)
 			if i == len(t.ranges) || off < t.ranges[i].Start {
 				return n, lo, hi, ReasonMarkup
 			}
@@ -343,6 +340,34 @@ func (t *Template) relexChanged(regions []wire.DeltaRegion, old, src []byte, lim
 		}
 	}
 	return n, lo, hi, ReasonNone
+}
+
+// seek returns the first range at or after from that ends past off, or
+// len(ranges) when none does; every range before from must end at or
+// before off. It tries from itself first — a changed leaf is most often
+// the one after the last — then gallops forward, doubling its step, and
+// bisects the last step: a skip over d ranges costs O(log d) probes
+// however long the table.
+func seek(ranges []soapdec.LeafRange, from, off int) int {
+	if from >= len(ranges) || off < ranges[from].End {
+		return from
+	}
+	// ranges[lo] ends at or before off; ranges[hi], if any, past it.
+	lo, step := from, 1
+	for lo+step < len(ranges) && ranges[lo+step].End <= off {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(ranges))
+	for lo+1 < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ranges[m].End <= off {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
 }
 
 // mismatch returns the index of the first byte at which a and b, of

@@ -87,10 +87,16 @@ type Pipeline struct {
 // NewPipeline wraps s for pipelined use, starting the reader goroutine.
 // The Sender must not be used directly (Send/streaming) until
 // the pipeline is closed: its connection and read buffer now belong to
-// the reader. depth < 1 is treated as 1.
+// the reader. depth < 1 is treated as 1. A bare TCP connection's send
+// buffer is raised to depth requests' worth, so a full window of
+// requests fits in the socket and Submit does not block in write before
+// the depth bound does.
 func NewPipeline(s *Sender, depth int) *Pipeline {
 	if depth < 1 {
 		depth = 1
+	}
+	if tc, ok := s.conn.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(depth * sockBufPerRequest)
 	}
 	pl := &Pipeline{
 		s:      s,

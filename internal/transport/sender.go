@@ -231,6 +231,14 @@ func Dial(addr string, opts SenderOptions) (*Sender, error) {
 	return s, nil
 }
 
+// sockBufPerRequest is the paper's socket buffer size (32 KiB), which
+// holds the one message a serial connection has in flight. A connection
+// that carries several requests at once gets this much per request: a
+// depth-d Pipeline's send buffer and a read-ahead-N server connection's
+// receive buffer are d and N times it. Every setting is advisory — a
+// connection still works, only slower, where the kernel refuses it.
+const sockBufPerRequest = 32 * 1024
+
 // DefaultDialer establishes one experiment-configured TCP connection:
 // TCP_NODELAY, keep-alive, 32 KiB socket buffers, 10s dial timeout. It
 // is the dial SenderOptions.Dialer overrides, exported so wrappers
@@ -245,8 +253,8 @@ func DefaultDialer(network, addr string) (net.Conn, error) {
 		// the exact 2004 socket configuration.
 		_ = tc.SetNoDelay(true)
 		_ = tc.SetKeepAlive(true)
-		_ = tc.SetWriteBuffer(32 * 1024)
-		_ = tc.SetReadBuffer(32 * 1024)
+		_ = tc.SetWriteBuffer(sockBufPerRequest)
+		_ = tc.SetReadBuffer(sockBufPerRequest)
 	}
 	return conn, nil
 }

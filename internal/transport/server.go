@@ -37,7 +37,7 @@ type Server struct {
 	maxConns  int
 	inflight  chan struct{} // nil = unlimited; buffered to MaxInFlight
 	reqTO     time.Duration
-	readAhead int
+	readAhead int // 0 without a handler: ServerOptions.ReadAhead is ignored
 	wg        sync.WaitGroup
 	draining  atomic.Bool
 	lnOnce    sync.Once
@@ -120,6 +120,9 @@ func Serve(ln net.Listener, opts ServerOptions) *Server {
 	}
 	if opts.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInFlight)
+	}
+	if s.handler == nil {
+		s.readAhead = 0
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -257,9 +260,12 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		if tc, ok := conn.(*net.TCPConn); ok {
+			// A read-ahead connection's receive buffer holds the
+			// ReadAhead requests it may have in flight, so a client's
+			// depth-sized window does not stall on a full socket.
 			_ = tc.SetNoDelay(true)
-			_ = tc.SetReadBuffer(32 * 1024)
-			_ = tc.SetWriteBuffer(32 * 1024)
+			_ = tc.SetReadBuffer(sockBufPerRequest * max(s.readAhead, 1))
+			_ = tc.SetWriteBuffer(sockBufPerRequest)
 		}
 		s.numConns.Add(1)
 		s.wg.Add(1)
@@ -286,7 +292,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		ConnID:     s.nextConn.Add(1),
 		RemoteAddr: conn.RemoteAddr().String(),
 	}
-	if s.handler != nil && s.readAhead > 0 {
+	if s.readAhead > 0 {
 		s.serveAhead(conn, br, st, req)
 		return
 	}
