@@ -63,7 +63,7 @@ kernel_guard() {
     sites=$(grep -rnE 'strconv\.(ParseFloat|AppendFloat|FormatFloat)' \
         --include='*.go' --exclude='*_test.go' --exclude=gen_pow10.go \
         internal/xsdlex internal/fastconv internal/core internal/soapdec \
-        internal/diffdeser internal/xmlwr internal/multiref internal/baseline \
+        internal/diffdeser internal/xmlwr internal/multiref internal/baseline internal/soapenv \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
         | grep -v '^internal/xsdlex/atof\.go:.*strconv\.ParseFloat(string(s), 64)$' || true)
     if [ -n "$sites" ]; then
@@ -141,6 +141,15 @@ one_path_guard() {
     absent "whole-table range search in the diff walk" 'sort\.Search\(len\(t\.ranges\)' internal/diffdeser
     check "per-request socket buffer declared" 'sockBufPerRequest += ' internal/transport
     absent "socket buffer set from a literal" 'Set(Read|Write)Buffer\(32 \* 1024\)' internal/transport
+    # One of each in the engine: one from-scratch renderer (in soapenv,
+    # shared by the diff-off mode and the gSOAP-like baseline), one
+    # overlay loop (sequential and pipelined sends are its parameter),
+    # and one footprint cache (the stub's own).
+    check "single-pass renderer defined" '^func AppendMessage\(' internal
+    absent "single-pass renderer in the engine" 'b = append\(b, soapenv\.(EnvelopeStart|ArrayStart)' internal/core
+    absent "single-pass renderer in the baselines" 'b = append\(b, soapenv\.(EnvelopeStart|ArrayStart)' internal/baseline
+    check "overlay stream begun" '\.BeginStream\(\)' internal/core
+    absent "footprint generation beside the stub's cache" 'FootprintGen' .
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1

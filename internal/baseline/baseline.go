@@ -5,7 +5,8 @@
 //
 //   - GSOAPLike reproduces gSOAP's approach: a single streaming pass over
 //     the data into one reusable growing buffer, with tight inline
-//     value-conversion loops. This is the fastest way to serialize a
+//     value-conversion loops (soapenv.AppendMessage, which the engine's
+//     diff-off mode shares). This is the fastest way to serialize a
 //     message *from scratch*; differential serialization wins by not
 //     serializing from scratch.
 //
@@ -80,69 +81,8 @@ func (g *GSOAPLike) Name() string { return "gSOAP-like" }
 
 // Serialize implements Serializer.
 func (g *GSOAPLike) Serialize(m *wire.Message) []byte {
-	b := g.buf[:0]
-	b = append(b, soapenv.EnvelopeStart(m.Namespace())...)
-	b = append(b, soapenv.OperationStart(m.Operation())...)
-	leaf := 0
-	for _, p := range m.Params() {
-		switch p.Type.Kind {
-		case wire.Array:
-			b = append(b, soapenv.ArrayStart(p.Name, p.Type.Elem, p.Count)...)
-			for i := 0; i < p.Count; i++ {
-				b, leaf = g.value(b, m, p.Type.Elem, soapenv.ItemTag, leaf)
-			}
-			b = append(b, soapenv.ArrayEnd(p.Name)...)
-		case wire.Struct:
-			b = append(b, soapenv.StructStart(p.Name, p.Type)...)
-			for _, f := range p.Type.Fields {
-				b, leaf = g.value(b, m, f.Type, f.Name, leaf)
-			}
-			b = append(b, soapenv.CloseTag(p.Name)...)
-		default:
-			b = append(b, soapenv.ScalarStart(p.Name, p.Type)...)
-			b, leaf = g.scalar(b, m, p.Type, leaf)
-			b = append(b, soapenv.CloseTag(p.Name)...)
-		}
-	}
-	b = append(b, soapenv.OperationEnd(m.Operation())...)
-	b = append(b, soapenv.EnvelopeEnd...)
-	g.buf = b
-	return b
-}
-
-func (g *GSOAPLike) value(b []byte, m *wire.Message, t *wire.Type, tag string, leaf int) ([]byte, int) {
-	b = append(b, '<')
-	b = append(b, tag...)
-	b = append(b, '>')
-	if t.Kind == wire.Struct {
-		for _, f := range t.Fields {
-			b, leaf = g.value(b, m, f.Type, f.Name, leaf)
-		}
-	} else {
-		b, leaf = g.scalar(b, m, t, leaf)
-	}
-	b = append(b, '<', '/')
-	b = append(b, tag...)
-	b = append(b, '>')
-	return b, leaf
-}
-
-func (g *GSOAPLike) scalar(b []byte, m *wire.Message, t *wire.Type, leaf int) ([]byte, int) {
-	switch t.Kind {
-	case wire.Int:
-		var tmp [xsdlex.MaxIntWidth]byte
-		n := fastconv.WriteInt(tmp[:], m.LeafInt(leaf))
-		b = append(b, tmp[:n]...)
-	case wire.Double:
-		var tmp [xsdlex.MaxDoubleWidth]byte
-		n := fastconv.WriteDouble(tmp[:], m.LeafDouble(leaf))
-		b = append(b, tmp[:n]...)
-	case wire.Bool:
-		b = xsdlex.AppendBool(b, m.LeafBool(leaf))
-	case wire.String:
-		b = xsdlex.EscapeText(b, m.LeafString(leaf))
-	}
-	return b, leaf + 1
+	g.buf = soapenv.AppendMessage(g.buf[:0], m)
+	return g.buf
 }
 
 // ---------------------------------------------------------------------

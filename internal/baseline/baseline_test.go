@@ -80,20 +80,91 @@ func leafTexts(t *testing.T, doc []byte) []string {
 	}
 }
 
+// TestGSOAPLikeMatchesDifferentialFirstSend pins the one from-scratch
+// renderer against the template builder, which stays a separate
+// serializer: for every message shape, the engine's diff-off call, the
+// gSOAP-like baseline and an exact-width first-time template must be
+// byte-identical — same grammar, same conversions.
 func TestGSOAPLikeMatchesDifferentialFirstSend(t *testing.T) {
-	m := sampleMessage()
-	g := NewGSOAPLike()
-	got := append([]byte(nil), g.Serialize(m)...)
-
-	sink := &captureSink{}
-	stub := core.NewStub(core.Config{}, sink)
-	if _, err := stub.Call(m); err != nil {
-		t.Fatal(err)
+	mio := wire.StructOf("ns1:MIO",
+		wire.Field{Name: "x", Type: wire.TInt},
+		wire.Field{Name: "y", Type: wire.TInt},
+		wire.Field{Name: "value", Type: wire.TDouble},
+	)
+	shapes := []struct {
+		name  string
+		build func() *wire.Message
+	}{
+		{"sample", sampleMessage},
+		{"ints", func() *wire.Message {
+			m := wire.NewMessage("urn:base", "ints")
+			arr := m.AddIntArray("v", 7)
+			for i, v := range []int32{0, 1, -1, 42, -2147483648, 2147483647, 1000000} {
+				arr.Set(i, v)
+			}
+			return m
+		}},
+		{"doubles", func() *wire.Message {
+			m := wire.NewMessage("urn:base", "doubles")
+			arr := m.AddDoubleArray("v", 8)
+			for i, v := range []float64{0, -0.5, 1, 3.141592653589793, 1e-300, -1.7976931348623157e+308, 123456789.125, 0.1} {
+				arr.Set(i, v)
+			}
+			return m
+		}},
+		{"mios", func() *wire.Message {
+			m := wire.NewMessage("urn:base", "mios")
+			arr := m.AddStructArray("mios", mio, 5)
+			for i := 0; i < 5; i++ {
+				arr.SetInt(i, 0, int32(i*i))
+				arr.SetInt(i, 1, int32(-i))
+				arr.SetDouble(i, 2, float64(i)/7)
+			}
+			return m
+		}},
+		{"empty array", func() *wire.Message {
+			m := wire.NewMessage("urn:base", "empty")
+			m.AddInt("n", 0)
+			m.AddDoubleArray("v", 0)
+			return m
+		}},
+		{"escaped strings", func() *wire.Message {
+			m := wire.NewMessage("urn:base", "strings")
+			m.AddString("s", `<a href="x">&'</a>`)
+			arr := m.AddStringArray("v", 3)
+			arr.Set(0, "")
+			arr.Set(1, "plain")
+			arr.Set(2, "1 < 2 && 3 > 2")
+			return m
+		}},
+		{"scalar and struct params", func() *wire.Message {
+			m := wire.NewMessage("urn:base", "params")
+			m.AddInt("i", -7)
+			m.AddDouble("d", 2.5)
+			m.AddBool("b", true)
+			m.AddString("s", "x&y")
+			st := m.AddStruct("p", mio)
+			st.SetInt(0, 3)
+			st.SetInt(1, -4)
+			st.SetDouble(2, 0.25)
+			return m
+		}},
 	}
-	// With exact widths the differential first-time send and the gSOAP
-	// baseline must be byte-identical: same grammar, same conversions.
-	if string(got) != string(sink.data) {
-		t.Fatalf("baselines diverge:\n gsoap: %.400s\n bsoap: %.400s", got, sink.data)
+	for _, sh := range shapes {
+		g := string(NewGSOAPLike().Serialize(sh.build()))
+
+		off := &captureSink{}
+		if _, err := core.NewStub(core.Config{DisableDiff: true}, off).Call(sh.build()); err != nil {
+			t.Fatal(err)
+		}
+		first := &captureSink{}
+		if _, err := core.NewStub(core.Config{}, first).Call(sh.build()); err != nil {
+			t.Fatal(err)
+		}
+		if g != string(off.data) || g != string(first.data) {
+			t.Fatalf("%s: serializers diverge:\n gsoap:    %.400s\n diff-off: %.400s\n template: %.400s",
+				sh.name, g, off.data, first.data)
+		}
 	}
 }
 

@@ -262,16 +262,6 @@ type Stats struct {
 	DeltaResyncs int64
 }
 
-// FootprintGen folds the counters that can change a stub store's
-// footprint — template builds and buffer reshaping — into one
-// generation number. In-place rewrites, tag shifts, shifts, and steals
-// reuse existing bytes, so a runtime accounting template memory keeps
-// the last-walked footprint while the generation holds still instead of
-// walking the chunk lists on every release.
-func (s Stats) FootprintGen() int64 {
-	return s.FirstTimeSends + s.FullSerializations + s.Grows + s.Splits
-}
-
 func (s *Stats) add(ci CallInfo) {
 	s.Calls++
 	switch ci.Match {

@@ -96,7 +96,7 @@ func TestTemplateMemoryIsFreed(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	footprint := 0
 	for _, s := range ss {
-		footprint += s.Store().Footprint()
+		footprint += s.Footprint()
 	}
 	runtime.KeepAlive(ss)
 

@@ -74,70 +74,128 @@ var errOverlayUnsupported = errors.New("core: overlay requires a message whose f
 // serialized into the message head. The template store is not used: the
 // resident chunk *is* the (single-portion) template, kept across calls.
 func (s *Stub) CallOverlay(m *wire.Message, sink StreamSink) (CallInfo, error) {
+	return s.overlay(m, sink, false)
+}
+
+// CallOverlayPipelined is CallOverlay with pipelined send (companion
+// paper [3], "Chunk-Overlaying and Pipelined-Send"): a writer goroutine
+// streams portion k while the caller serializes portion k+1 into the
+// alternate resident buffer, overlapping conversion with transport I/O.
+func (s *Stub) CallOverlayPipelined(m *wire.Message, sink StreamSink) (CallInfo, error) {
+	return s.overlay(m, sink, true)
+}
+
+// overlay is the one portion loop behind both entry points; pipelined
+// picks its send step: inline from resident buffer 0, or a pipeWriter
+// goroutine while the loop alternates the two buffers. Every exit after
+// a successful BeginStream ends the stream unless the sink itself
+// failed, so a value too wide for its field still leaves a whole
+// (unparseable) request and a connection in step for the next call.
+func (s *Stub) overlay(m *wire.Message, sink StreamSink, pipelined bool) (CallInfo, error) {
 	var ci CallInfo
 	st, err := s.overlayStateFor(m)
 	if err != nil {
 		return ci, err
 	}
 	arr := m.Params()[len(m.Params())-1]
-
-	if trace.Enabled() && s.scr.span == 0 {
-		s.scr.span = trace.BeginSpan()
-	}
-	if s.scr.span != 0 {
-		ci.Span = s.scr.span
-		trace.Rec(s.scr.span, trace.KindCallStart, trace.OpID(m.Operation()), int64(m.DirtyCount()), 0)
-	}
-
+	s.beginCall(m, &ci)
 	if err := sink.BeginStream(); err != nil {
-		err = fmt.Errorf("core: overlay begin: %w", err)
-		s.endSpan(&ci, err)
-		return ci, err
+		return s.endCall(m, &ci, fmt.Errorf("core: overlay begin: %w", err))
 	}
-	if err := sink.StreamChunk(st.head); err != nil {
-		err = fmt.Errorf("core: overlay head: %w", err)
-		s.endSpan(&ci, err)
-		return ci, err
-	}
-	ci.Bytes += len(st.head)
 
-	for base := 0; base < arr.Count; base += st.itemsPerMbuf {
-		n := arr.Count - base
-		if n > st.itemsPerMbuf {
-			n = st.itemsPerMbuf
+	var pw *pipeWriter // nil: sequential
+	if pipelined {
+		pw = startPipeWriter(sink)
+	}
+	var ferr error // a portion that could not be filled
+	serr := pw.send(sink, st.head)
+	ci.Bytes += len(st.head)
+	buf := 0
+	for base := 0; serr == nil && base < arr.Count; base += st.itemsPerMbuf {
+		n := min(arr.Count-base, st.itemsPerMbuf)
+		var portion []byte
+		if portion, ferr = st.fillPortion(m, arr, base, n, buf, &s.scr, &ci); ferr != nil {
+			break
 		}
-		portion, err := st.fillPortion(m, arr, base, n, 0, &s.scr, &ci)
-		if err != nil {
-			s.endSpan(&ci, err)
-			return ci, err
-		}
-		if err := sink.StreamChunk(portion); err != nil {
-			err = fmt.Errorf("core: overlay portion: %w", err)
-			s.endSpan(&ci, err)
-			return ci, err
-		}
+		serr = pw.send(sink, portion)
 		ci.Bytes += len(portion)
-		if s.scr.span != 0 {
+		if serr == nil && s.scr.span != 0 {
 			trace.Rec(s.scr.span, trace.KindOverlayPortion, int64(base), int64(n), int64(len(portion)))
 		}
+		if pw != nil {
+			buf ^= 1
+		}
+	}
+	if serr == nil && ferr == nil {
+		serr = pw.send(sink, st.tail)
+		ci.Bytes += len(st.tail)
+	}
+	if pw != nil {
+		serr = pw.stop()
 	}
 
-	if err := sink.StreamChunk(st.tail); err != nil {
-		err = fmt.Errorf("core: overlay tail: %w", err)
-		s.endSpan(&ci, err)
-		return ci, err
+	switch {
+	case serr != nil:
+		err = errors.Join(ferr, fmt.Errorf("core: overlay send: %w", serr))
+	case ferr != nil:
+		// The peer's answer to the truncated body does not change the
+		// outcome: the call failed on its own value.
+		_ = sink.EndStream()
+		err = ferr
+	default:
+		if err = sink.EndStream(); err != nil {
+			err = fmt.Errorf("core: overlay end: %w", err)
+		} else {
+			ci.Match = StructuralMatch
+		}
 	}
-	ci.Bytes += len(st.tail)
-	if err := sink.EndStream(); err != nil {
-		err = fmt.Errorf("core: overlay end: %w", err)
-		s.endSpan(&ci, err)
-		return ci, err
+	return s.endCall(m, &ci, err)
+}
+
+// pipeWriter is the pipelined send step: a goroutine streams each portion
+// handed to it. A handoff completes only once the writer is free, that
+// is once the previous portion's StreamChunk has returned, so the
+// resident buffer the loop fills next is never one still being written.
+type pipeWriter struct {
+	ch   chan []byte
+	done chan struct{}
+	err  error // the sink's error; read only after done is closed
+}
+
+func startPipeWriter(sink StreamSink) *pipeWriter {
+	w := &pipeWriter{ch: make(chan []byte), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		for p := range w.ch {
+			if w.err = sink.StreamChunk(p); w.err != nil {
+				return
+			}
+		}
+	}()
+	return w
+}
+
+// send hands p to the writer, or reports the sink's error once the writer
+// has stopped on it. Without a writer (sequential mode) it streams p
+// inline.
+func (w *pipeWriter) send(sink StreamSink, p []byte) error {
+	if w == nil {
+		return sink.StreamChunk(p)
 	}
-	ci.Match = StructuralMatch
-	m.ClearDirty()
-	s.stats.add(ci)
-	s.endSpan(&ci, nil)
-	return ci, nil
+	select {
+	case w.ch <- p:
+		return nil
+	case <-w.done:
+		return w.err
+	}
+}
+
+// stop waits for the writer to finish the portions handed to it and
+// returns the sink's error, if any.
+func (w *pipeWriter) stop() error {
+	close(w.ch)
+	<-w.done
+	return w.err
 }
 
 // overlayStateFor returns (building if needed) the overlay layout for m.
@@ -270,109 +328,4 @@ func (st *overlayState) fillPortion(m *wire.Message, arr wire.Param, base, n, bu
 		}
 	}
 	return res[:n*st.itemSpan], nil
-}
-
-// CallOverlayPipelined is CallOverlay with pipelined send (companion
-// paper [3], "Chunk-Overlaying and Pipelined-Send"): a writer goroutine
-// streams portion k while the caller serializes portion k+1 into the
-// alternate resident buffer, overlapping conversion with transport I/O.
-func (s *Stub) CallOverlayPipelined(m *wire.Message, sink StreamSink) (CallInfo, error) {
-	var ci CallInfo
-	st, err := s.overlayStateFor(m)
-	if err != nil {
-		return ci, err
-	}
-	arr := m.Params()[len(m.Params())-1]
-
-	if trace.Enabled() && s.scr.span == 0 {
-		s.scr.span = trace.BeginSpan()
-	}
-	if s.scr.span != 0 {
-		ci.Span = s.scr.span
-		trace.Rec(s.scr.span, trace.KindCallStart, trace.OpID(m.Operation()), int64(m.DirtyCount()), 0)
-	}
-
-	if err := sink.BeginStream(); err != nil {
-		err = fmt.Errorf("core: overlay begin: %w", err)
-		s.endSpan(&ci, err)
-		return ci, err
-	}
-
-	writeCh := make(chan []byte)
-	errCh := make(chan error, 1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := range writeCh {
-			if err := sink.StreamChunk(p); err != nil {
-				errCh <- err
-				return
-			}
-		}
-	}()
-	// send hands a portion to the writer; false means the writer died.
-	send := func(p []byte) bool {
-		select {
-		case writeCh <- p:
-			return true
-		case <-done:
-			return false
-		}
-	}
-	finish := func() error {
-		close(writeCh)
-		<-done
-		select {
-		case err := <-errCh:
-			return err
-		default:
-			return nil
-		}
-	}
-
-	ok := send(st.head)
-	ci.Bytes += len(st.head)
-	buf := 0
-	for base := 0; ok && base < arr.Count; base += st.itemsPerMbuf {
-		n := arr.Count - base
-		if n > st.itemsPerMbuf {
-			n = st.itemsPerMbuf
-		}
-		portion, ferr := st.fillPortion(m, arr, base, n, buf, &s.scr, &ci)
-		if ferr != nil {
-			werr := finish()
-			if werr != nil {
-				werr = fmt.Errorf("core: overlay: %v (writer: %w)", ferr, werr)
-				s.endSpan(&ci, werr)
-				return ci, werr
-			}
-			s.endSpan(&ci, ferr)
-			return ci, ferr
-		}
-		ok = send(portion)
-		ci.Bytes += len(portion)
-		if ok && s.scr.span != 0 {
-			trace.Rec(s.scr.span, trace.KindOverlayPortion, int64(base), int64(n), int64(len(portion)))
-		}
-		buf ^= 1
-	}
-	if ok {
-		send(st.tail)
-		ci.Bytes += len(st.tail)
-	}
-	if err := finish(); err != nil {
-		err = fmt.Errorf("core: overlay portion: %w", err)
-		s.endSpan(&ci, err)
-		return ci, err
-	}
-	if err := sink.EndStream(); err != nil {
-		err = fmt.Errorf("core: overlay end: %w", err)
-		s.endSpan(&ci, err)
-		return ci, err
-	}
-	ci.Match = StructuralMatch
-	m.ClearDirty()
-	s.stats.add(ci)
-	s.endSpan(&ci, nil)
-	return ci, nil
 }

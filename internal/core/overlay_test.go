@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bsoap/internal/chunk"
+	"bsoap/internal/soapenv"
+	"bsoap/internal/transport"
 	"bsoap/internal/wire"
 )
 
@@ -257,5 +261,75 @@ func TestOverlayIntermediateFixedWidth(t *testing.T) {
 	arr.Set(0, -1.7976931348623157e+308)
 	if _, err := s.CallOverlay(m, sink); err == nil {
 		t.Fatal("overflowing value accepted by fixed-width overlay")
+	}
+}
+
+// TestOverlayFailureEndsStream drives both overlay modes over a real
+// connection into a value too wide for its fixed field, two portions
+// into the stream. The failed call must still end the chunked body: the
+// server answers the truncated envelope with a 500, and the same Sender
+// then carries a plain Call and a second overlay without redialing.
+func TestOverlayFailureEndsStream(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		name := "sequential"
+		if pipelined {
+			name = "pipelined"
+		}
+		t.Run(name, func(t *testing.T) {
+			var whole, truncated atomic.Int64
+			srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
+				Respond: true,
+				Handler: func(req *transport.Request) ([]byte, error) {
+					if !bytes.HasSuffix(req.Body, []byte(soapenv.EnvelopeEnd)) {
+						truncated.Add(1)
+						return nil, errors.New("truncated envelope")
+					}
+					whole.Add(1)
+					return nil, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			sender, err := transport.Dial(srv.Addr(), transport.SenderOptions{
+				Version: transport.HTTP11, ExpectResponse: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sender.Close()
+
+			s := NewStub(Config{Width: WidthPolicy{Double: 6}}, sender)
+			call := s.CallOverlay
+			if pipelined {
+				call = s.CallOverlayPipelined
+			}
+			m := wire.NewMessage("urn:t", "big")
+			arr := m.AddDoubleArray("v", 5000)
+			for i := 0; i < arr.Len(); i++ {
+				arr.Set(i, 0.5)
+			}
+			arr.Set(4000, 1234567.25) // ten characters in a six-character field
+			if _, err := call(m, sender); err == nil || !strings.Contains(err.Error(), "wider") {
+				t.Fatalf("overlay error = %v, want the width error", err)
+			}
+			if !m.AnyDirty() || s.Stats().Calls != 0 {
+				t.Fatal("failed overlay cleared dirty bits or was counted")
+			}
+
+			plain := wire.NewMessage("urn:t", "small")
+			plain.AddInt("n", 7)
+			if _, err := s.Call(plain); err != nil {
+				t.Fatalf("plain call after the failed overlay: %v", err)
+			}
+			arr.Set(4000, 2.5)
+			if _, err := call(m, sender); err != nil {
+				t.Fatalf("second overlay: %v", err)
+			}
+			if w, tr := whole.Load(), truncated.Load(); w != 2 || tr != 1 {
+				t.Fatalf("server saw %d whole and %d truncated bodies, want 2 and 1", w, tr)
+			}
+		})
 	}
 }

@@ -151,34 +151,95 @@ func (p *pipeSink) StreamChunk(b []byte) error {
 }
 func (p *pipeSink) EndStream() error { return nil }
 
+// TestPipelinedOverlayMatchesSequential runs the overlay loop's two send
+// modes side by side over array lengths around the portion size, for a
+// scalar and a struct element: the streamed bytes and chunk boundaries,
+// every CallInfo field and the stub's Stats must agree. A sink failing at
+// the head, the second chunk or the tail fails both modes alike, counts
+// nothing and keeps the message's dirty bits for a retry.
 func TestPipelinedOverlayMatchesSequential(t *testing.T) {
-	build := func() *wire.Message {
-		m := wire.NewMessage("urn:t", "big")
-		arr := m.AddDoubleArray("v", 900)
-		for i := 0; i < 900; i++ {
-			arr.Set(i, float64(i)+0.5)
-		}
-		return m
+	mio := wire.StructOf("ns1:MIO",
+		wire.Field{Name: "x", Type: wire.TInt},
+		wire.Field{Name: "y", Type: wire.TInt},
+		wire.Field{Name: "value", Type: wire.TDouble},
+	)
+	elems := []struct {
+		name  string
+		build func(n int) *wire.Message
+	}{
+		{"double", func(n int) *wire.Message {
+			m := wire.NewMessage("urn:t", "big")
+			arr := m.AddDoubleArray("v", n)
+			for i := 0; i < n; i++ {
+				arr.Set(i, float64(i)+0.5)
+			}
+			return m
+		}},
+		{"mio", func(n int) *wire.Message {
+			m := wire.NewMessage("urn:t", "big")
+			arr := m.AddStructArray("v", mio, n)
+			for i := 0; i < n; i++ {
+				arr.SetInt(i, 0, int32(i))
+				arr.SetInt(i, 1, int32(-i))
+				arr.SetDouble(i, 2, float64(i)/3)
+			}
+			return m
+		}},
 	}
 	cfg := overlayConfig()
+	type outcome struct {
+		ci     CallInfo
+		err    error
+		stats  Stats
+		data   string
+		chunks int
+		dirty  bool
+	}
+	run := func(m *wire.Message, failAt int, pipelined bool) outcome {
+		sink := &captureStream{failAt: failAt}
+		s := NewStub(cfg, sink)
+		call := s.CallOverlay
+		if pipelined {
+			call = s.CallOverlayPipelined
+		}
+		ci, err := call(m, sink)
+		return outcome{ci, err, s.Stats(), string(sink.data), sink.portions, m.AnyDirty()}
+	}
+	for _, el := range elems {
+		st, err := buildOverlayState(el.build(1), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := st.itemsPerMbuf
+		for _, n := range []int{1, per - 1, per, per + 1, 3*per + 7} {
+			seq, pip := run(el.build(n), 0, false), run(el.build(n), 0, true)
+			if seq.err != nil || pip.err != nil {
+				t.Fatalf("%s[%d]: %v / %v", el.name, n, seq.err, pip.err)
+			}
+			if pip.data != seq.data || pip.chunks != seq.chunks {
+				t.Fatalf("%s[%d]: pipelined stream (%d B in %d chunks) diverges from sequential (%d B in %d)",
+					el.name, n, len(pip.data), pip.chunks, len(seq.data), seq.chunks)
+			}
+			if pip.ci != seq.ci || pip.stats != seq.stats {
+				t.Fatalf("%s[%d]: pipelined %+v %+v, sequential %+v %+v", el.name, n, pip.ci, pip.stats, seq.ci, seq.stats)
+			}
+			if seq.ci.Bytes != len(seq.data) || seq.ci.ValuesRewritten != n*st.perItem || seq.dirty {
+				t.Fatalf("%s[%d]: %+v for %d streamed bytes, dirty %v", el.name, n, seq.ci, len(seq.data), seq.dirty)
+			}
+			checkRendered(t, el.build(n), []byte(seq.data))
+		}
 
-	seq := &captureStream{}
-	sSeq := NewStub(cfg, seq)
-	if _, err := sSeq.CallOverlay(build(), seq); err != nil {
-		t.Fatal(err)
-	}
-
-	pip := &pipeSink{}
-	sPip := NewStub(cfg, &captureSink{})
-	ci, err := sPip.CallOverlayPipelined(build(), pip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pip.data) != string(seq.data) {
-		t.Fatalf("pipelined bytes diverge: %d vs %d", len(pip.data), len(seq.data))
-	}
-	if ci.Bytes != len(pip.data) {
-		t.Fatalf("ci.Bytes = %d, sink got %d", ci.Bytes, len(pip.data))
+		n := 3*per + 7
+		tail := 1 + (n+per-1)/per + 1
+		for _, failAt := range []int{1, 2, tail} {
+			for _, pipelined := range []bool{false, true} {
+				o := run(el.build(n), failAt, pipelined)
+				if o.err == nil || o.stats != (Stats{}) || !o.dirty {
+					t.Fatalf("%s, sink failing at chunk %d (pipelined %v): err %v, stats %+v, dirty %v",
+						el.name, failAt, pipelined, o.err, o.stats, o.dirty)
+				}
+			}
+		}
 	}
 }
 

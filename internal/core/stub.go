@@ -5,6 +5,7 @@ import (
 	"net"
 
 	"bsoap/internal/replica"
+	"bsoap/internal/soapenv"
 	"bsoap/internal/trace"
 	"bsoap/internal/wire"
 	"bsoap/internal/xsdlex"
@@ -73,9 +74,8 @@ func (st *Store) TemplateCount() int {
 	return n
 }
 
-// Footprint sums the MemoryFootprint of every stored template: the
-// store's contribution to a pooled replica's budget accounting.
-func (st *Store) Footprint() int {
+// footprint sums the memoryFootprint of every stored template.
+func (st *Store) footprint() int {
 	n := 0
 	for _, l := range st.byOp {
 		l.FromFront(func(_ string, t *Template) bool {
@@ -116,8 +116,11 @@ type Stub struct {
 	store    Store
 	stats    Stats
 	overlays map[string]*overlayState
-	flat     flatRenderer // DisableDiff reusable buffer
-	scr      scratch      // per-stub send scratch, alive across calls
+	scr      scratch // per-stub send scratch, alive across calls
+	// fp caches the store's footprint as of footprint generation fpGen
+	// (see Footprint).
+	fp    int
+	fpGen int64
 }
 
 // scratch is the stub's reusable working memory: everything a warm send
@@ -132,7 +135,9 @@ type scratch struct {
 	bufs net.Buffers
 	// enc holds one leaf's lexical form. It starts at the numeric
 	// maximum width and grows to the longest string leaf seen, so
-	// re-serializing strings stays allocation-free once warm.
+	// re-serializing strings stays allocation-free once warm. A diff-off
+	// call renders its whole message here instead (it encodes no single
+	// leaf), converging on the largest message sent.
 	enc []byte
 	// regs and delta are the differential-transmission working set:
 	// the coalesced dirty regions of the call in progress and the
@@ -177,6 +182,21 @@ func NewStub(cfg Config, sink Sink) *Stub {
 // Stats returns cumulative counters.
 func (s *Stub) Stats() Stats { return s.stats }
 
+// Footprint reports the memory held by the stub's stored templates: its
+// contribution to a pooled or server replica's budget accounting. Only
+// template builds and buffer reshaping (grows, splits) change it —
+// in-place rewrites, tag shifts, shifts and steals reuse existing bytes,
+// and a diff-off call never touches the store — so the walk over the
+// chunk lists is cached and redone only when one of those counters has
+// moved since.
+func (s *Stub) Footprint() int {
+	if gen := s.stats.FirstTimeSends + s.stats.Grows + s.stats.Splits; gen != s.fpGen {
+		s.fpGen = gen
+		s.fp = s.store.footprint()
+	}
+	return s.fp
+}
+
 // SetTraceSpan hands the stub the flight-recorder span for the next
 // Call, letting a runtime that owns the call lifecycle (internal/pool)
 // stitch pool-level events (checkout, redial, retry) and core-level
@@ -184,19 +204,37 @@ func (s *Stub) Stats() Stats { return s.stats }
 // by the Call; without one, a traced Call allocates its own span id.
 func (s *Stub) SetTraceSpan(span uint64) { s.scr.span = span }
 
-// endSpan closes the in-progress call's trace span and resets it so it
-// cannot leak into the next call.
-func (s *Stub) endSpan(ci *CallInfo, err error) {
-	span := s.scr.span
-	if span == 0 {
-		return
+// beginCall is every call's prologue: it opens the call's trace span
+// (the runtime's, or a fresh one when tracing is on) and records the
+// call start.
+func (s *Stub) beginCall(m *wire.Message, ci *CallInfo) {
+	if trace.Enabled() && s.scr.span == 0 {
+		s.scr.span = trace.BeginSpan()
 	}
-	if err != nil {
-		trace.Rec(span, trace.KindCallErr, int64(ci.Match), int64(ci.Bytes), 0)
-	} else {
-		trace.Rec(span, trace.KindCallEnd, int64(ci.Match), int64(ci.Bytes), int64(ci.BytesSerialized))
+	if s.scr.span != 0 {
+		ci.Span = s.scr.span
+		trace.Rec(s.scr.span, trace.KindCallStart, trace.OpID(m.Operation()), int64(m.DirtyCount()), 0)
 	}
-	s.scr.span = 0
+}
+
+// endCall is every call's epilogue. A call that succeeded clears m's
+// dirty bits and is counted; a failed one keeps both, so a retry
+// re-serializes the same changes. Either way the trace span is closed
+// and reset so it cannot leak into the next call.
+func (s *Stub) endCall(m *wire.Message, ci *CallInfo, err error) (CallInfo, error) {
+	if err == nil {
+		m.ClearDirty()
+		s.stats.add(*ci)
+	}
+	if span := s.scr.span; span != 0 {
+		if err != nil {
+			trace.Rec(span, trace.KindCallErr, int64(ci.Match), int64(ci.Bytes), 0)
+		} else {
+			trace.Rec(span, trace.KindCallEnd, int64(ci.Match), int64(ci.Bytes), int64(ci.BytesSerialized))
+		}
+		s.scr.span = 0
+	}
+	return *ci, err
 }
 
 // Store exposes the stub's template store (memory accounting, release,
@@ -232,31 +270,20 @@ func (s *Stub) MarkSuspect(op, sig string) bool {
 // than patching bytes whose delivery state is unknown.
 func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 	var ci CallInfo
-
-	if trace.Enabled() && s.scr.span == 0 {
-		s.scr.span = trace.BeginSpan()
-	}
-	if s.scr.span != 0 {
-		ci.Span = s.scr.span
-		trace.Rec(s.scr.span, trace.KindCallStart, trace.OpID(m.Operation()), int64(m.DirtyCount()), 0)
-	}
+	s.beginCall(m, &ci)
 
 	if s.cfg.DisableDiff {
 		ci.Match = FullSerialization
-		data := s.flat.render(m)
-		ci.Bytes = len(data)
-		ci.WireBytes = len(data)
-		ci.BytesSerialized = len(data)
-		s.scr.bufs = append(s.scr.bufs[:0], data)
-		if err := s.sink.Send(s.scr.bufs); err != nil {
+		s.scr.enc = soapenv.AppendMessage(s.scr.enc[:0], m)
+		ci.Bytes = len(s.scr.enc)
+		ci.WireBytes = ci.Bytes
+		ci.BytesSerialized = ci.Bytes
+		s.scr.bufs = append(s.scr.bufs[:0], s.scr.enc)
+		err := s.sink.Send(s.scr.bufs)
+		if err != nil {
 			err = fmt.Errorf("core: send: %w", err)
-			s.endSpan(&ci, err)
-			return ci, err
 		}
-		m.ClearDirty()
-		s.stats.add(ci)
-		s.endSpan(&ci, nil)
-		return ci, nil
+		return s.endCall(m, &ci, err)
 	}
 
 	op := m.Operation()
@@ -322,21 +349,17 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 	if ci.Match == FirstTime {
 		ci.BytesSerialized = ci.Bytes
 	}
-	if err := s.send(tpl, m, &ci); err != nil {
+	err := s.send(tpl, m, &ci)
+	if err != nil {
 		// The send died with the template bytes possibly half-delivered:
 		// mark the template suspect so the next call of this structure
 		// degrades to a full re-serialization instead of an incremental
-		// patch. Dirty bits stay set (see below), so no change is lost.
+		// patch. Dirty bits stay set (see endCall), so no change is lost.
 		tpl.suspect = true
 		err = fmt.Errorf("core: send: %w", err)
 		if s.scr.span != 0 {
 			trace.Rec(s.scr.span, trace.KindTemplateSuspect, trace.OpID(op), 0, 0)
 		}
-		s.endSpan(&ci, err)
-		return ci, err
 	}
-	m.ClearDirty()
-	s.stats.add(ci)
-	s.endSpan(&ci, nil)
-	return ci, nil
+	return s.endCall(m, &ci, err)
 }

@@ -104,11 +104,8 @@ type engine struct {
 	served atomic.Uint32
 	turn   sync.Cond
 	// fp is the engine's last-accounted template footprint, guarded by
-	// mu; release folds the delta into the entry's cached size. gen is
-	// the stub-stats generation at which fp was computed: the footprint
-	// walk is skipped while the counters that can change it hold still.
-	fp  int64
-	gen int64
+	// mu; release folds the delta into the entry's cached size.
+	fp int64
 }
 
 // callSink is the engine's sink for one call: it routes the stub's
@@ -285,9 +282,7 @@ func (s *shardedStore) acquire(m *wire.Message) *engine {
 // point, and, for a condemned entry, possibly the release that frees
 // its arenas.
 func (s *shardedStore) release(r *engine) {
-	if gen := r.stub.Stats().FootprintGen(); gen != r.gen {
-		r.gen = gen
-		fp := int64(r.stub.Store().Footprint())
+	if fp := int64(r.stub.Footprint()); fp != r.fp {
 		r.slot.Value.size.Add(fp - r.fp)
 		r.fp = fp
 	}

@@ -134,7 +134,7 @@ func heldCost(body []byte, leaves int) int64 {
 // share of it.
 func replicaSize(rt *Runtime, conn uint64) (size, stub int64) {
 	slot, r := rt.acquire(reg.Key{Conn: conn})
-	stub = int64(r.stub.Store().Footprint())
+	stub = int64(r.stub.Footprint())
 	rt.release(slot)
 	return int64(r.SizeBytes()), stub
 }

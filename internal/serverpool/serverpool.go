@@ -169,12 +169,6 @@ type replica struct {
 	// budget accounting: stored by release while the replica lock is
 	// held, read lock-free by SizeBytes under registry locks.
 	size atomic.Int64
-	// stubFP is the last-walked response-stub footprint and stubGen the
-	// stub-stats generation it was computed at (both guarded by mu):
-	// release skips the chunk-list walk while the counters that can
-	// change the footprint hold still.
-	stubFP  int64
-	stubGen int64
 	// bases holds this replica's differential-transmission patch bases
 	// and, with differential deserialization on, their templates; guarded
 	// by mu.
@@ -409,11 +403,7 @@ func (rt *Runtime) acquire(key reg.Key) (*reg.Slot[*replica], *replica) {
 // its arenas. Caller holds r.mu.
 func (rt *Runtime) release(slot *reg.Slot[*replica]) {
 	r := slot.Value
-	if gen := r.stub.Stats().FootprintGen(); gen != r.stubGen {
-		r.stubGen = gen
-		r.stubFP = int64(r.stub.Store().Footprint())
-	}
-	fp := r.stubFP + r.bases.bytes
+	fp := int64(r.stub.Footprint()) + r.bases.bytes
 	if r.differ != nil {
 		fp += int64(r.differ.SizeBytes())
 	}

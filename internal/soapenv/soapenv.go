@@ -7,7 +7,9 @@ package soapenv
 import (
 	"fmt"
 
+	"bsoap/internal/fastconv"
 	"bsoap/internal/wire"
+	"bsoap/internal/xsdlex"
 )
 
 // Namespace URIs of SOAP 1.1 and XML Schema.
@@ -72,3 +74,72 @@ func CloseTag(tag string) string { return "</" + tag + ">" }
 
 // ItemTag is the element name of array items.
 const ItemTag = "item"
+
+// AppendMessage appends m's complete envelope to b in one pass — no
+// template, no DUT table — and returns the extended slice. It is the
+// repository's one from-scratch renderer: the gSOAP-like baseline and the
+// engine's diff-off mode ("bSOAP Full Serialization") both call it, so
+// the measured gap between them and differential serialization is
+// strategy alone.
+func AppendMessage(b []byte, m *wire.Message) []byte {
+	b = append(b, EnvelopeStart(m.Namespace())...)
+	b = append(b, OperationStart(m.Operation())...)
+	leaf := 0
+	for _, p := range m.Params() {
+		switch p.Type.Kind {
+		case wire.Array:
+			b = append(b, ArrayStart(p.Name, p.Type.Elem, p.Count)...)
+			for i := 0; i < p.Count; i++ {
+				b, leaf = appendValue(b, m, p.Type.Elem, ItemTag, leaf)
+			}
+			b = append(b, ArrayEnd(p.Name)...)
+		case wire.Struct:
+			b = append(b, StructStart(p.Name, p.Type)...)
+			for _, f := range p.Type.Fields {
+				b, leaf = appendValue(b, m, f.Type, f.Name, leaf)
+			}
+			b = append(b, CloseTag(p.Name)...)
+		default:
+			b = append(b, ScalarStart(p.Name, p.Type)...)
+			b, leaf = appendScalar(b, m, p.Type, leaf)
+			b = append(b, CloseTag(p.Name)...)
+		}
+	}
+	b = append(b, OperationEnd(m.Operation())...)
+	return append(b, EnvelopeEnd...)
+}
+
+func appendValue(b []byte, m *wire.Message, t *wire.Type, tag string, leaf int) ([]byte, int) {
+	b = append(b, '<')
+	b = append(b, tag...)
+	b = append(b, '>')
+	if t.Kind == wire.Struct {
+		for _, f := range t.Fields {
+			b, leaf = appendValue(b, m, f.Type, f.Name, leaf)
+		}
+	} else {
+		b, leaf = appendScalar(b, m, t, leaf)
+	}
+	b = append(b, '<', '/')
+	b = append(b, tag...)
+	b = append(b, '>')
+	return b, leaf
+}
+
+func appendScalar(b []byte, m *wire.Message, t *wire.Type, leaf int) ([]byte, int) {
+	switch t.Kind {
+	case wire.Int:
+		var tmp [xsdlex.MaxIntWidth]byte
+		n := fastconv.WriteInt(tmp[:], m.LeafInt(leaf))
+		b = append(b, tmp[:n]...)
+	case wire.Double:
+		var tmp [xsdlex.MaxDoubleWidth]byte
+		n := fastconv.WriteDouble(tmp[:], m.LeafDouble(leaf))
+		b = append(b, tmp[:n]...)
+	case wire.Bool:
+		b = xsdlex.AppendBool(b, m.LeafBool(leaf))
+	case wire.String:
+		b = xsdlex.EscapeText(b, m.LeafString(leaf))
+	}
+	return b, leaf + 1
+}
