@@ -150,6 +150,12 @@ one_path_guard() {
     absent "single-pass renderer in the baselines" 'b = append\(b, soapenv\.(EnvelopeStart|ArrayStart)' internal/baseline
     check "overlay stream begun" '\.BeginStream\(\)' internal/core
     absent "footprint generation beside the stub's cache" 'FootprintGen' .
+    # The client reads a response one way: whoever needs it reads it
+    # inline (Sender.Submit, Pending.Wait, a Submit at depth). No reader
+    # goroutine, no per-call wake-up channel, no channel on a future.
+    absent "reader goroutine in the client pipeline" 'go pl\.readLoop|func \(pl \*Pipeline\) readLoop' internal/transport
+    absent "wake-up channel in the client pipeline" 'make\(chan ' internal/transport/pipeline.go
+    absent "channel accessor on a future" 'func \(f \*Future\) Done' internal/pool
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1
@@ -304,6 +310,11 @@ drain_smoke() {
     echo "check.sh: drain smoke ok"
 }
 drain_smoke
+
+# Drain stress: a clean drain answers every request that has already
+# arrived, under both schedulers, while the drain's wake-up of an idle
+# reader races the next request's bytes — one run proves little.
+go test -count=50 -run 'Drain' ./internal/transport
 
 # Pipeline smoke: the async call path must actually pay. One worker,
 # small messages (round-trip-bound, where pipelining is the paper's

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"bsoap/internal/core"
+	"bsoap/internal/transport"
 	"bsoap/internal/wire"
 )
 
@@ -23,18 +24,13 @@ var errNotPipelined = fmt.Errorf("pool: CallAsync requires Options.PipelineDepth
 type Future struct {
 	p   *Pool
 	m   *wire.Message
-	sub submission // never written after CallAsync: finish works on a copy
+	sub submission        // never written after CallAsync: finish works on a copy
+	pd  transport.Pending // the request's place in the pipeline: no allocation of its own
 
 	once sync.Once
 	ci   core.CallInfo
 	err  error
 }
-
-// Done returns a channel closed once the call's response (or the
-// pipeline's failure) has arrived; Wait then returns without blocking,
-// unless the response refused a patch frame and Wait has the full body
-// to resend.
-func (f *Future) Done() <-chan struct{} { return f.sub.pd.Done() }
 
 // Wait blocks until the call's response has been read in order off the
 // connection and returns the call's serialization info and outcome. On a
@@ -75,12 +71,13 @@ func (p *Pool) CallAsync(m *wire.Message) (*Future, error) {
 	if p.opts.PipelineDepth <= 0 {
 		return nil, errNotPipelined
 	}
-	sub := p.submit(m)
-	if sub.err != nil {
+	f := &Future{p: p, m: m}
+	f.sub = p.submit(m, &f.pd)
+	if f.sub.err != nil {
 		// Nothing is on the wire and nothing will resolve later: the
 		// call ends here.
-		_, err := p.finish(m, sub)
+		_, err := p.finish(m, f.sub)
 		return nil, err
 	}
-	return &Future{p: p, m: m, sub: sub}, nil
+	return f, nil
 }

@@ -190,7 +190,7 @@ var errRetryBudgetExhausted = fmt.Errorf("pool: retry budget exhausted")
 // Call is safe for concurrent use with distinct messages; a given
 // message must not have two Calls in flight at once (see Pool).
 func (p *Pool) Call(m *wire.Message) (core.CallInfo, error) {
-	return p.finish(m, p.submit(m))
+	return p.finish(m, p.submit(m, nil))
 }
 
 // submission is one call between submit and finish. It travels by value:
@@ -217,8 +217,8 @@ type submission struct {
 // the time to its stages. Serial, pipelined and delta calls are
 // parameters of it — which sink the engine writes through, and whether
 // the response was read inside the engine's send or is still pending
-// when submit returns. The accounting is finish's.
-func (p *Pool) submit(m *wire.Message) submission {
+// in pd (a Future's, else new) at return. The accounting is finish's.
+func (p *Pool) submit(m *wire.Message, pd *transport.Pending) submission {
 	sub := submission{start: p.senders.now()}
 	deadline := sub.start.Add(p.opts.RetryBudget)
 	if trace.Enabled() {
@@ -240,6 +240,9 @@ func (p *Pool) submit(m *wire.Message) submission {
 	}
 
 	pipelined := p.opts.PipelineDepth > 0
+	if pipelined && pd == nil {
+		pd = new(transport.Pending)
+	}
 	for attempt := 0; ; attempt++ {
 		// Repair the connection before taking a template replica, so
 		// redial backoff sleeps never hold a replica lock: other callers
@@ -253,7 +256,7 @@ func (p *Pool) submit(m *wire.Message) submission {
 			break
 		}
 		r := p.store.acquire(m)
-		r.sink = callSink{s: sink, pl: ps.pipeline}
+		r.sink = callSink{s: sink, pl: ps.pipeline, pd: pd}
 		if span != 0 {
 			r.stub.SetTraceSpan(span)
 		}
@@ -280,7 +283,7 @@ func (p *Pool) submit(m *wire.Message) submission {
 				p.metrics.Stages.Observe(trace.StageDeltaEncode, sub.ci.DeltaEncodeNs, span)
 			}
 			if pipelined {
-				sub.pd, sub.submitted, sub.r = sent.pd, p.senders.now(), r
+				sub.pd, sub.submitted, sub.r = pd, p.senders.now(), r
 				p.metrics.asyncCalls.Add(1)
 				if span != 0 {
 					trace.Rec(span, trace.KindAsyncSubmit, trace.OpID(m.Operation()), int64(sent.pl.InFlight()), 0)
@@ -289,7 +292,7 @@ func (p *Pool) submit(m *wire.Message) submission {
 			break
 		}
 		if pipelined {
-			// The write failed, so no Pending exists to resolve and
+			// The write failed, so pd was never queued to resolve and
 			// decrement the gauge.
 			p.metrics.futuresPending.Add(-1)
 		}
@@ -318,9 +321,9 @@ func (p *Pool) submit(m *wire.Message) submission {
 func (p *Pool) connect(ps *pooledSender, deadline time.Time, span uint64) (core.Sink, error) {
 	if ps.pipeline != nil && (ps.broken || ps.pipeline.Broken()) {
 		// The old pipeline must fully wind down, failing any still-queued
-		// pendings, before the connection is repaired underneath it: its
-		// reader goroutine shares the sender's buffered reader, which
-		// Redial resets.
+		// pendings, before the connection is repaired underneath it: a
+		// waiter reading through it shares the sender's buffered reader,
+		// which Redial resets.
 		_ = ps.pipeline.Close()
 		ps.pipeline = nil
 		ps.broken = true // the connection was closed with it: ensure redials
@@ -356,8 +359,8 @@ func attribute(s core.Sink, span uint64) {
 // response, recover from a refused patch, account the call.
 func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 	start := sub.start
-	for sub.pd != nil {
-		err := sub.pd.Wait()
+	for pd := sub.pd; pd != nil; pd = sub.pd {
+		err := pd.Wait()
 		now := p.senders.now()
 		sub.pd = nil
 		if err == nil {
@@ -377,14 +380,15 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 			// is healthy, so this is a protocol state mismatch, not a
 			// delivery failure: the template is NOT suspect (its bytes
 			// match what the diff computed — the server just lost its
-			// base). The pipeline's reader already cleared the sender's
+			// base). Reading the refusal already cleared the sender's
 			// sync map, so the resubmission cannot encode another patch,
 			// and a full send never draws a resync: that bounds the loop.
+			// pd has resolved, so the resubmission reuses it.
 			refused := sub.ci
 			if sub.span != 0 {
 				trace.Rec(sub.span, trace.KindDeltaResync, 0, int64(refused.WireBytes), 0)
 			}
-			sub = p.submit(m)
+			sub = p.submit(m, pd)
 			sub.ci = resent(refused, sub.ci)
 		case err != nil:
 			// The bytes left this client but their delivery is

@@ -27,8 +27,8 @@ type pooledSender struct {
 	sink   core.Sink
 	broken bool
 	// pipeline wraps sink on a pipelined pool (nil on serial pools and
-	// until the slot's first call). It must be closed before
-	// the sink is redialed or closed: its reader goroutine shares the
+	// until the slot's first call). It must be closed before the sink is
+	// redialed or closed: a future's waiter may be reading through the
 	// sender's buffered reader, and closing fails any pending futures.
 	pipeline *transport.Pipeline
 }
@@ -207,7 +207,7 @@ func (sp *senderPool) close() {
 }
 
 // teardown closes a slot's pipeline (failing its pending futures and
-// waiting for the reader goroutine) before the underlying connection.
+// waiting out any read through it) before the underlying connection.
 func teardown(ps *pooledSender) {
 	if ps.pipeline != nil {
 		_ = ps.pipeline.Close()

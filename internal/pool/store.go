@@ -131,7 +131,7 @@ func (c *callSink) submit(bufs net.Buffers, an transport.Annotation) error {
 	start := time.Now()
 	var err error
 	if c.pl != nil {
-		c.pd, err = c.pl.Submit(bufs, an)
+		err = c.pl.Submit(c.pd, bufs, an)
 	} else if ds, ok := c.s.(core.DeltaSink); !ok || an.Mode == transport.DeltaNone {
 		err = c.s.Send(bufs)
 	} else if an.Mode == transport.DeltaSync {
@@ -152,7 +152,7 @@ func (c *callSink) Send(bufs net.Buffers) error {
 // false, so the stub never encodes a patch for it — which keeps delta
 // strictly per-connection: a pool mixing delta and plain sinks degrades
 // per call, losslessly. (A pipeline's epoch view is its Sender's, which
-// its reader keeps current.)
+// every response read through it keeps current.)
 
 func (c *callSink) DeltaEpoch(tid uint64) (uint64, bool) {
 	if ds, ok := c.s.(core.DeltaSink); ok {

@@ -144,7 +144,7 @@ func TestPipelineDeltaAsync(t *testing.T) {
 		pl.Close()
 		s.Close()
 	}()
-	p, err := pl.Submit(net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 1})
+	p, err := submit(pl, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 1})
 	if err != nil {
 		t.Fatalf("sync submit: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestPipelineDeltaAsync(t *testing.T) {
 	}
 
 	refuse.Store(true)
-	p, err = pl.Submit(net.Buffers{[]byte("patchbytes")}, Annotation{DeltaPatch, 9, 2})
+	p, err = submit(pl, net.Buffers{[]byte("patchbytes")}, Annotation{DeltaPatch, 9, 2})
 	if err != nil {
 		t.Fatalf("patch submit: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestPipelineDeltaAsync(t *testing.T) {
 
 	// The connection survived the 409: a full send resynchronizes.
 	refuse.Store(false)
-	p, err = pl.Submit(net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 2})
+	p, err = submit(pl, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 2})
 	if err != nil {
 		t.Fatalf("sync submit after resync: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestPipelineDeltaOffFallback(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
 	pl := pipelineOver(t, srv, 2)
-	p, err := pl.Submit(net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 3, 1})
+	p, err := submit(pl, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 3, 1})
 	if err != nil {
 		t.Fatalf("sync submit: %v", err)
 	}
@@ -278,8 +278,8 @@ func TestSubmitSameOnBothPaths(t *testing.T) {
 		var err error
 		if pipelined {
 			pl := NewPipeline(s, 2)
-			var p *Pending
-			if p, err = pl.Submit(body, an); err == nil {
+			var p Pending
+			if err = pl.Submit(&p, body, an); err == nil {
 				err = p.Wait()
 			}
 			defer pl.Close()

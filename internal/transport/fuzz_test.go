@@ -111,19 +111,14 @@ func FuzzPipelineResponses(f *testing.F) {
 		pl := NewPipeline(s, 4)
 		var pending []*Pending
 		for i := 0; i < 3; i++ {
-			p, err := pl.Submit(net.Buffers{[]byte("<m/>")}, Annotation{})
+			p, err := submit(pl, net.Buffers{[]byte("<m/>")}, Annotation{})
 			if err != nil {
 				break // pipeline already broken by a parsed-garbage read
 			}
 			pending = append(pending, p)
 		}
 		for i, p := range pending {
-			select {
-			case <-p.Done():
-			case <-time.After(10 * time.Second):
-				t.Fatalf("pending %d never resolved", i)
-			}
-			if p.Wait() == nil && p.status/100 != 2 {
+			if waitWatched(t, p) == nil && p.status/100 != 2 {
 				t.Fatalf("pending %d: nil error for status %d", i, p.status)
 			}
 		}

@@ -6,12 +6,35 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// submit is Pipeline.Submit with a Pending of its own, the shape most
+// tests want.
+func submit(pl *Pipeline, bufs net.Buffers, an Annotation) (*Pending, error) {
+	p := new(Pending)
+	return p, pl.Submit(p, bufs, an)
+}
+
+// waitWatched is Wait under a 10 s watchdog: a Pending that never
+// resolves fails the test instead of hanging it.
+func waitWatched(t *testing.T, p *Pending) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- p.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("pending never resolved")
+		return nil
+	}
+}
 
 // pipelineOver dials a pipelined sender against srv.
 func pipelineOver(t *testing.T, srv *Server, depth int) *Pipeline {
@@ -49,7 +72,7 @@ func TestPipelineOrderedCompletion(t *testing.T) {
 	const n = 32
 	pending := make([]*Pending, n)
 	for i := range pending {
-		p, err := pl.Submit(net.Buffers{[]byte(fmt.Sprintf("req-%03d", i))}, Annotation{})
+		p, err := submit(pl, net.Buffers{[]byte(fmt.Sprintf("req-%03d", i))}, Annotation{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -96,7 +119,7 @@ func TestPipelineDepthBoundAndStalls(t *testing.T) {
 
 	// Two submits fill the pipeline without stalling.
 	for i := 0; i < 2; i++ {
-		if _, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{}); err != nil {
+		if _, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +129,7 @@ func TestPipelineDepthBoundAndStalls(t *testing.T) {
 	// The third must stall until a response frees a slot.
 	done := make(chan error, 1)
 	go func() {
-		_, err := pl.Submit(net.Buffers{[]byte("y")}, Annotation{})
+		_, err := submit(pl, net.Buffers{[]byte("y")}, Annotation{})
 		done <- err
 	}()
 	select {
@@ -142,7 +165,7 @@ func TestPipelineNon2xxFailsOnlyThatPending(t *testing.T) {
 	pl := pipelineOver(t, srv, 4)
 	var pending []*Pending
 	for i := 0; i < 3; i++ {
-		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +218,7 @@ func TestPipelineBreakFailsAllPending(t *testing.T) {
 
 	var pending []*Pending
 	for i := 0; i < 3; i++ {
-		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +235,7 @@ func TestPipelineBreakFailsAllPending(t *testing.T) {
 	if !pl.Broken() {
 		t.Fatal("pipeline not broken after read failure")
 	}
-	if _, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{}); err == nil {
+	if _, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{}); err == nil {
 		t.Fatal("submit on a broken pipeline accepted")
 	}
 }
@@ -234,7 +257,7 @@ func TestPipelineCloseResolvesEverything(t *testing.T) {
 	pl := NewPipeline(s, 2)
 	var pending []*Pending
 	for i := 0; i < 2; i++ {
-		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,13 +267,242 @@ func TestPipelineCloseResolvesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range pending {
-		select {
-		case <-p.Done():
-		default:
+		// Resolved by Close itself, not by a later read: nobody had
+		// waited on them yet.
+		if !resolved(pl, p) {
 			t.Fatalf("pending %d unresolved after Close", i)
 		}
-		if err := p.Wait(); !errors.Is(err, errPipelineClosed) {
+		if err := waitWatched(t, p); !errors.Is(err, errPipelineClosed) {
 			t.Fatalf("pending %d: %v, want ErrPipelineClosed", i, err)
+		}
+	}
+}
+
+// resolved reports whether p has resolved, without waiting on it.
+func resolved(pl *Pipeline, p *Pending) bool {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return p.done
+}
+
+// TestPipelineWaitReadsOlderResponses: waiting on the last of four
+// pendings reads the three responses ahead of it and resolves each
+// request with its own, in order — a 500 in the middle fails only its
+// own Pending.
+func TestPipelineWaitReadsOlderResponses(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerOptions{
+		Respond: true,
+		Handler: func(req *Request) ([]byte, error) {
+			if string(req.Body) == "req-1" {
+				return nil, fmt.Errorf("boom")
+			}
+			return nil, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	pl := pipelineOver(t, srv, 4)
+	var completions atomic.Int64
+	pl.OnComplete = func() { completions.Add(1) }
+	var pending []*Pending
+	for i := 0; i < 4; i++ {
+		p, err := submit(pl, net.Buffers{[]byte(fmt.Sprintf("req-%d", i))}, Annotation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+	}
+	if err := waitWatched(t, pending[3]); err != nil {
+		t.Fatalf("fourth: %v", err)
+	}
+	if got := completions.Load(); got != 4 {
+		t.Fatalf("%d resolved after the fourth's wait, want 4", got)
+	}
+	for i, want := range []int{200, 500, 200} {
+		p := pending[i]
+		if !resolved(pl, p) {
+			t.Fatalf("pending %d unresolved after a later one's wait", i)
+		}
+		if p.status != want || (p.err != nil) != (want != 200) {
+			t.Fatalf("pending %d: status %d err %v, want status %d", i, p.status, p.err, want)
+		}
+	}
+	if pl.Broken() {
+		t.Fatal("pipeline broken by an orderly 500")
+	}
+}
+
+// TestPipelineConcurrentWaiters: goroutines submitting and waiting on
+// one pipeline at once (run under -race) each get their own response.
+func TestPipelineConcurrentWaiters(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerOptions{Respond: true, ReadAhead: 4, Handler: echoHandler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	pl := pipelineOver(t, srv, 4)
+	const workers, calls = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				p, err := submit(pl, net.Buffers{[]byte(fmt.Sprintf("w%d-%d", w, i))}, Annotation{})
+				if err == nil {
+					err = p.Wait()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := srv.Requests(); got != workers*calls {
+		t.Fatalf("server saw %d requests, want %d", got, workers*calls)
+	}
+}
+
+// TestPipelineCloseDuringRead: Close while a waiter is blocked reading a
+// response that will never come resolves that waiter and every request
+// queued behind it with the closed error.
+func TestPipelineCloseDuringRead(t *testing.T) {
+	client, server := net.Pipe()
+	go func() { // reads requests, never answers
+		br := bufio.NewReader(server)
+		for {
+			if _, err := ReadRequest(br); err != nil {
+				return
+			}
+		}
+	}()
+	defer server.Close()
+
+	pl := NewPipeline(NewSender(client, SenderOptions{Version: HTTP11}), 4)
+	var pending []*Pending
+	for i := 0; i < 3; i++ {
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+	}
+	results := make(chan error, len(pending))
+	for _, p := range pending {
+		go func(p *Pending) { results <- p.Wait() }(p)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		pl.mu.Lock()
+		reading := pl.reading
+		pl.mu.Unlock()
+		if reading {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no waiter started reading")
+		}
+	}
+	if err := pl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range pending {
+		select {
+		case err := <-results:
+			if !errors.Is(err, errPipelineClosed) {
+				t.Fatalf("waiter got %v, want the closed error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a waiter never returned after Close")
+		}
+	}
+}
+
+// TestPipelineSubmitAtDepthReads: a Submit that finds the pipeline at
+// depth reads the oldest response itself — exactly one, enough to free
+// a slot — and reports one stall.
+func TestPipelineSubmitAtDepthReads(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerOptions{Respond: true, Handler: echoHandler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	pl := pipelineOver(t, srv, 2)
+	var stalls atomic.Int64
+	pl.OnStall = func() { stalls.Add(1) }
+	var pending []*Pending
+	for i := 0; i < 3; i++ {
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+	}
+	if got := stalls.Load(); got != 1 {
+		t.Fatalf("stalls = %d, want 1", got)
+	}
+	if !resolved(pl, pending[0]) || pending[0].status != 200 {
+		t.Fatalf("oldest not resolved by the submit at depth (status %d)", pending[0].status)
+	}
+	if resolved(pl, pending[1]) {
+		t.Fatal("the submit at depth read more than one response")
+	}
+	if got := pl.InFlight(); got != 2 {
+		t.Fatalf("in flight = %d, want 2", got)
+	}
+	for i, p := range pending[1:] {
+		if err := waitWatched(t, p); err != nil {
+			t.Fatalf("pending %d: %v", i+1, err)
+		}
+	}
+}
+
+// TestPipelineStartsNoGoroutine: a pipeline runs on its callers'
+// goroutines only. Beside the test's own, the one extra goroutine while
+// it works is the server's for the connection, and after Close the count
+// is back where it started.
+func TestPipelineStartsNoGoroutine(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerOptions{Respond: true, Handler: echoHandler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	start := runtime.NumGoroutine()
+
+	s, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPipeline(s, 4)
+	for i := 0; i < 16; i++ {
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
+		if err == nil {
+			err = p.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runtime.NumGoroutine(); got > start+1 {
+		t.Fatalf("%d goroutines while pipelining, want at most %d (the server's connection)", got, start+1)
+	}
+	if err := pl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), start)
 		}
 	}
 }
@@ -265,7 +517,7 @@ func TestPipelineOnCompleteFiresOncePerPending(t *testing.T) {
 
 	var pending []*Pending
 	for i := 0; i < 4; i++ {
-		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			break // the break may surface as a write error on later submits
 		}
@@ -345,7 +597,7 @@ func TestServerReadAheadDrain(t *testing.T) {
 	pl := pipelineOver(t, srv, 4)
 	var pending []*Pending
 	for i := 0; i < 8; i++ {
-		p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
+		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +629,7 @@ func TestServerReadAheadIdleDrainIsImmediate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := pipelineOver(t, srv, 2)
-	p, err := pl.Submit(net.Buffers{[]byte("x")}, Annotation{})
+	p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,19 +50,52 @@ type Server struct {
 	conns map[net.Conn]*connState
 }
 
-// connState tracks what a connection is doing, for drain: parked while
-// it waits for the first byte of a next request, pending the requests
-// read but not yet answered. It is idle — safe to poke with a read
-// deadline, nothing lost if force-closed — only when parked with nothing
-// pending. Under read-ahead two goroutines write the two, so idle is
-// derived on demand, never stored.
+// connState tracks what a connection is doing, for drain: park says
+// whether its reader waits for the first byte of a next request, pending
+// counts the requests read but not yet answered. It is idle — safe to
+// poke with a read deadline, nothing lost if force-closed — only when
+// parked with nothing pending. Under read-ahead two goroutines write the
+// two, so idle is derived on demand, never stored.
 type connState struct {
-	parked  atomic.Bool
+	park    atomic.Int32
 	pending atomic.Int64
 }
 
+// Park states. A poke is two steps, claim then poison, so the reader
+// can tell one in progress from one done.
+const (
+	running = iota // reading, handling, or between steps
+	parked         // waiting for a next request's first byte
+	poking         // claimed by a drain poke; deadline not yet poisoned
+	poked          // read deadline poisoned
+)
+
 func (st *connState) idle() bool {
-	return st.parked.Load() && st.pending.Load() == 0
+	return st.park.Load() != running && st.pending.Load() == 0
+}
+
+// poke wakes an idle connection for drain with a read deadline in the
+// past.
+func (st *connState) poke(conn net.Conn) {
+	if st.pending.Load() == 0 && st.park.CompareAndSwap(parked, poking) {
+		_ = conn.SetReadDeadline(time.Unix(1, 0))
+		st.park.Store(poked)
+	}
+}
+
+// unpark ends the reader's park and reports whether a poke claimed it.
+// A poke in progress is waited out (it is one deadline call away), so a
+// reader that goes on to read re-arms its deadline after the poison,
+// never before.
+func (st *connState) unpark() (wasPoked bool) {
+	if st.park.CompareAndSwap(parked, running) {
+		return false
+	}
+	for st.park.Load() != poked {
+		runtime.Gosched()
+	}
+	st.park.Store(running)
+	return true
 }
 
 // ServerOptions configure a Server.
@@ -182,20 +216,24 @@ func (s *Server) Close() error {
 // the drain_aborted metric — and ctx.Err() is returned without waiting
 // further: a handler wedged on something other than connection I/O
 // (like net/http, Shutdown cannot interrupt it) keeps its goroutine
-// until it eventually returns. A nil return means a clean drain: zero
-// in-flight requests were dropped.
+// until it eventually returns.
+//
+// A nil return means a clean drain: no request was aborted mid-flight,
+// and every request that reached a connection before the connection
+// fell idle was answered. A draining connection serves what already
+// sits in its read buffer or its socket, and waits for more only while
+// it still owes answers (a pipelining client may be mid-window); it is
+// idle, and closes, once it owes none and nothing further has arrived.
+// A request racing that moment finds the connection closed, unread.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	err := s.closeListener()
-	// Unblock connections parked waiting for a next request: a read
-	// deadline in the past fails their wait immediately. A connection
-	// whose first request byte wins the race keeps the deadline only
-	// until nextRequest re-arms it for that (final) request.
+	// Wake connections parked with nothing owed (see connState.poke).
+	// One parked while it still owes answers is woken by its responder,
+	// after the last of them.
 	s.mu.Lock()
 	for c, st := range s.conns {
-		if st.idle() {
-			_ = c.SetReadDeadline(time.Unix(1, 0))
-		}
+		st.poke(c)
 	}
 	s.mu.Unlock()
 
@@ -299,8 +337,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	for s.nextRequest(conn, br, st, req) {
 		ok := s.dispatch(conn, req)
 		st.pending.Add(-1)
-		if !ok || s.draining.Load() {
-			// No keep-alive during drain: that was the final request.
+		if !ok {
 			return
 		}
 	}
@@ -308,31 +345,15 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // nextRequest is the request-read step both schedulers run — on the
 // connection goroutine, or on its reader goroutine under read-ahead:
-// park, arm the deadline, read into req, account. False means the
-// connection has no further request to serve (clean close, drain, or a
-// read failure, already recorded).
+// wait for a first byte unless one is buffered, arm the deadline, read
+// into req, account. False means the connection has no further request
+// to serve (clean close, drain, or a read failure, already recorded).
 func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req *Request) bool {
-	// Park until a next request's first byte arrives. Shutdown unblocks
-	// parked connections with a poisoned read deadline; parked tells it
-	// those safe to poke from those mid-request.
-	st.parked.Store(true)
-	if s.draining.Load() {
+	if br.Buffered() == 0 && !s.await(conn, br, st) {
 		return false
 	}
-	_, err := br.Peek(1)
-	st.parked.Store(false)
-	if err != nil {
-		// EOF is a clean close between requests, and during drain the
-		// error is the poke, not a peer failure.
-		if !errors.Is(err, io.EOF) && !s.draining.Load() {
-			s.metrics.recordReadError(err)
-			s.logf("await request: %v", err)
-		}
-		return false
-	}
-	// A request has begun: arm its deadline. This also clears a drain
-	// poke that lost the race to the request's first byte — that request
-	// is in flight now and must be allowed to finish.
+	// A request has begun: arm its deadline, which also lifts a drain
+	// poke that lost the race to it (await waited the poke out).
 	var deadline time.Time
 	if s.reqTO > 0 {
 		deadline = time.Now().Add(s.reqTO)
@@ -353,6 +374,35 @@ func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req
 	s.metrics.recordRequest(len(req.Body))
 	req.recvNs = time.Now().UnixNano()
 	st.pending.Add(1)
+	return true
+}
+
+// await parks until a next request's first byte arrives. Drain wakes a
+// parked connection that owes no answers (connState.poke). A draining
+// connection parks only while it owes answers or has a request in its
+// socket already (which the park then returns at once); otherwise it
+// ends here.
+func (s *Server) await(conn net.Conn, br *bufio.Reader, st *connState) bool {
+	st.park.Store(parked)
+	if s.draining.Load() && st.pending.Load() == 0 && !arrived(conn) {
+		return false
+	}
+	_, err := br.Peek(1)
+	if st.unpark() {
+		// The drain found the connection idle, and err may be its
+		// poisoned deadline. A request that arrived meanwhile is still
+		// served: nextRequest re-arms the deadline before reading it.
+		return br.Buffered() > 0 || arrived(conn)
+	}
+	if err != nil {
+		// EOF is a clean close between requests, and during drain the
+		// error is Close's, not a peer failure.
+		if !errors.Is(err, io.EOF) && !s.draining.Load() {
+			s.metrics.recordReadError(err)
+			s.logf("await request: %v", err)
+		}
+		return false
+	}
 	return true
 }
 
@@ -482,13 +532,10 @@ func (s *Server) serveAhead(conn net.Conn, br *bufio.Reader, st *connState, firs
 		}
 		st.pending.Add(-1)
 		free <- req
-		if s.draining.Load() && st.parked.Load() {
-			// Drain began while the reader was already parked (so
-			// Shutdown's idle poke may have missed it — the connection
-			// was busy then): wake it with a poisoned deadline so both
-			// goroutines wind down. A request mid-read is safe: its first
-			// byte re-armed the real deadline in nextRequest.
-			_ = conn.SetReadDeadline(time.Unix(1, 0))
+		if s.draining.Load() {
+			// A draining reader parks while answers are owed; once the
+			// last is written, wake it so both goroutines wind down.
+			st.poke(conn)
 		}
 	}
 }

@@ -406,3 +406,110 @@ func TestShutdownPokeRacesFirstByte(t *testing.T) {
 		})
 	}
 }
+
+// TestDrainAnswersArrivedRequests: a pipelining client has sent A, B
+// and C, and the handler is still on A when Shutdown begins. All three
+// reached the server before the drain did, so a clean drain answers all
+// three — whether C waits in the connection's read buffer or still in
+// its socket, and under either scheduler.
+func TestDrainAnswersArrivedRequests(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		readAhead int
+		late      bool // C is written only once the server has read B
+	}{
+		{"readahead/buffered", 1, false},
+		{"readahead/socket", 1, true},
+		{"serial/buffered", 0, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			entered, release := make(chan struct{}), make(chan struct{})
+			srv, err := Listen("127.0.0.1:0", ServerOptions{
+				Respond:   true,
+				ReadAhead: c.readAhead,
+				Handler: func(req *Request) ([]byte, error) {
+					if string(req.Body) == "A" {
+						close(entered)
+						<-release
+					}
+					return append([]byte(nil), req.Body...), nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			post := func(bodies ...string) {
+				var b []byte
+				for _, body := range bodies {
+					b = fmt.Appendf(b, "POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+				}
+				if _, err := conn.Write(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			until := func(what string, cond func() bool) {
+				for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s", what)
+					}
+				}
+			}
+
+			if c.late {
+				post("A", "B")
+			} else {
+				post("A", "B", "C")
+			}
+			<-entered
+			// Under read-ahead the reader takes B too, then waits for a
+			// free Request (the ring holds two); the serial loop reads
+			// nothing while A is handled.
+			read := int64(1)
+			if c.readAhead > 0 {
+				read = 2
+			}
+			until("the server to read ahead", func() bool { return srv.Requests() == read })
+			if c.late {
+				post("C")
+				time.Sleep(20 * time.Millisecond) // into the server's socket
+			}
+
+			shut := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				shut <- srv.Shutdown(ctx)
+			}()
+			until("the drain to begin", srv.draining.Load)
+			close(release)
+
+			br := bufio.NewReader(conn)
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for _, want := range []string{"A", "B", "C"} {
+				resp, err := ReadResponse(br)
+				if err != nil {
+					t.Fatalf("response to %s: %v", want, err)
+				}
+				if resp.Status != 200 || string(resp.Body) != want {
+					t.Fatalf("response to %s: %d %q", want, resp.Status, resp.Body)
+				}
+			}
+			if err := <-shut; err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			if n := srv.Metrics().Snapshot().DrainAborted; n != 0 {
+				t.Fatalf("drain_aborted = %d, want 0", n)
+			}
+			// Nothing owed and nothing arrived: the connection closes.
+			if _, err := br.ReadByte(); err == nil {
+				t.Fatal("connection still open after the drain")
+			}
+		})
+	}
+}

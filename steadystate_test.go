@@ -260,6 +260,65 @@ func TestSteadyStateAllocsPool(t *testing.T) {
 	})
 }
 
+// TestSteadyStateAllocsPipelined gates the pipelined call path over
+// loopback against a read-ahead server (the pipelined_d8 shape): a
+// request's place in the pipeline lives in its Future, and the waiter
+// reads the response itself, so CallAsync + Wait allocates the Future
+// and nothing else, and a pipelined Call allocates only its Pending.
+// AllocsPerRun counts the whole process and averages in whole
+// allocations, which absorbs the server's rare header intern (a few per
+// thousand requests).
+func TestSteadyStateAllocsPipelined(t *testing.T) {
+	const depth = 8
+	_, srv := harness.BenchRuntime(t,
+		serverpool.Options{DifferentialDeserialization: true},
+		transport.ServerOptions{ReadAhead: depth})
+	p := harness.Pool(t, pool.Options{
+		Size: 1, Addr: srv.Addr(), PipelineDepth: depth,
+		Config: core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}},
+	})
+	var ds [depth]*workload.Doubles
+	for i := range ds {
+		ds[i] = workload.NewDoubles(100, workload.FillIntermediate)
+	}
+	var futs [depth]*pool.Future
+	n := 0
+	window := func() { // depth calls in flight, then their waits
+		n++
+		for j, d := range ds {
+			d.Arr.Set((n+j)%100, float64(n))
+			f, err := p.CallAsync(d.Msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs[j] = f
+		}
+		for _, f := range futs {
+			if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	call := func() {
+		n++
+		d := ds[n%depth]
+		d.Arr.Set(n%100, float64(n))
+		if _, err := p.Call(d.Msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // templates, connection, server replicas
+		window()
+	}
+
+	t.Run("CallAsync+Wait", func(t *testing.T) {
+		gateAllocs(t, depth, window)
+	})
+	t.Run("Call", func(t *testing.T) {
+		gateAllocs(t, 1, call)
+	})
+}
+
 // TestSteadyStateAllocsOverlay gates the chunk-overlaying path: once the
 // resident chunk is laid out, re-serializing an array many times its
 // size must not allocate.
