@@ -40,13 +40,14 @@ func TestBudgetChaosSoak(t *testing.T) {
 		// exemption, which would legitimately push the gauge over
 		// budget, never trips.
 		serverBudget = 80 << 10
-		// A client entry is one stuffed template, ~5 KB at most (a
-		// 44-double body in a 2 KB arena, 64 B a leaf and the headers);
-		// the per-operation cap keeps four resident, ~21 KB. The budget holds
-		// two, about half: low enough that eviction churns every round,
-		// high enough that the alternating submit order below re-hits
-		// still-resident templates — the calls that go out as patch
-		// frames.
+		// A client entry is one stuffed template, 5.4 KB at most (a
+		// 44-double body with 16 B a leaf of DUT table and the headers;
+		// Stub.Footprint of the largest message below); the
+		// per-operation cap keeps four resident, ~15 KB. The budget
+		// holds two to three of them, about two thirds: low enough that
+		// eviction churns every round, high enough that the alternating
+		// submit order below re-hits still-resident templates — the
+		// calls that go out as patch frames.
 		clientBudget = 10 << 10
 		clients      = 4
 		window       = 8 // in-flight futures per client == pipeline depth

@@ -156,6 +156,10 @@ one_path_guard() {
     absent "reader goroutine in the client pipeline" 'go pl\.readLoop|func \(pl \*Pipeline\) readLoop' internal/transport
     absent "wake-up channel in the client pipeline" 'make\(chan ' internal/transport/pipeline.go
     absent "channel accessor on a future" 'func \(f \*Future\) Done' internal/pool
+    # Template memory is charged at what the layouts hold (unsafe.Sizeof
+    # of a 16-byte DUT entry and an 8-byte leaf range), not at constants.
+    absent "flat per-entry charge" 'entrySize = 64' internal/core
+    absent "flat per-range charge" 'perRange = 16' internal/diffdeser
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1
@@ -532,6 +536,32 @@ examples_smoke() {
     echo "check.sh: examples smoke ok"
 }
 examples_smoke
+
+# Inspector smoke: bsoap-inspect's DUT dump of two scripted templates —
+# MIOs (three kinds in one template, shifted and grown) and doubles
+# (whose growth splits chunks) — must match the committed goldens byte
+# for byte: the same chunk map, offsets, widths, lengths, type names and
+# values, whatever the table's layout.
+inspect_smoke() {
+    tmp=$(mktemp -d)
+    go build -o "$tmp/bsoap-inspect" ./cmd/bsoap-inspect
+    for run in mios:2000 doubles:4000; do
+        typ=${run%%:*}
+        "$tmp/bsoap-inspect" -type "$typ" -n "${run#*:}" -width exact \
+            -script grow:0.5,touch:1,grow:1 > "$tmp/$typ.out" || {
+            echo "inspect smoke: bsoap-inspect -type $typ failed" >&2
+            exit 1
+        }
+        cmp -s "$tmp/$typ.out" "testdata/inspect_$typ.golden" || {
+            echo "inspect smoke: the $typ dump differs from testdata/inspect_$typ.golden:" >&2
+            diff "testdata/inspect_$typ.golden" "$tmp/$typ.out" | head -20 >&2 || true
+            exit 1
+        }
+    done
+    rm -rf "$tmp"
+    echo "check.sh: inspect smoke ok"
+}
+inspect_smoke
 
 # Coverage floors on the runtime packages the call path spans. These
 # are ratchets, not targets: set just under the measured rate so a

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"bsoap/internal/chunk"
 	"bsoap/internal/core"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
@@ -126,15 +127,20 @@ func main() {
 		fatal(fmt.Errorf("no template recorded"))
 	}
 
+	tab := tpl.Table()
+	entries := make(map[*chunk.Chunk][2]int) // each chunk's entry range; none: [0,0)
+	for i := 0; i < tab.Len(); i++ {
+		lo, hi := tab.Range(tab.At(i))
+		entries[tab.Chunk(tab.At(i))] = [2]int{lo, hi}
+	}
 	fmt.Printf("\nchunk map (%d chunks, %d bytes total):\n", tpl.Buffer().NumChunks(), tpl.Buffer().Len())
 	idx := 0
 	for c := tpl.Buffer().Head(); c != nil; c = c.Next() {
 		fmt.Printf("  chunk %2d: len %6d  cap %6d  slack %5d  entries [%d,%d)\n",
-			idx, c.Len(), c.Cap(), c.Slack(), c.EntryLo, c.EntryHi)
+			idx, c.Len(), c.Cap(), c.Slack(), entries[c][0], entries[c][1])
 		idx++
 	}
 
-	tab := tpl.Table()
 	fmt.Printf("\nDUT table (%d entries):\n", tab.Len())
 	limit := tab.Len()
 	if limit > 48 {
@@ -142,9 +148,10 @@ func main() {
 	}
 	for i := 0; i < limit; i++ {
 		e := tab.At(i)
-		val := e.Chunk.Bytes()[e.Off : e.Off+e.SerLen]
+		val := tab.Chunk(e).Bytes()[e.Off() : e.Off()+e.SerLen()]
+		typ, _ := tab.Kind(e)
 		fmt.Printf("  %4d: %-11s off %6d  serlen %3d  width %3d  pad %3d  %q\n",
-			i, e.Type.Name, e.Off, e.SerLen, e.Width, e.Pad(), val)
+			i, typ.Name, e.Off(), e.SerLen(), e.Width(), e.Width()-e.SerLen(), val)
 	}
 	if tab.Len() > limit {
 		fmt.Printf("  … %d more entries\n", tab.Len()-limit)

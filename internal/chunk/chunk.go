@@ -73,12 +73,6 @@ type Chunk struct {
 	arena      *membuf.Buf
 	prev, next *Chunk
 	owner      *Buffer
-
-	// EntryLo and EntryHi bracket the half-open range of DUT-entry
-	// indexes whose values live in this chunk. The chunk package does not
-	// interpret them; the template layer maintains them so that offset
-	// fix-ups after a shift or split touch only this chunk's entries.
-	EntryLo, EntryHi int
 }
 
 // Len reports the number of used bytes in the chunk.
@@ -116,12 +110,6 @@ func (c *Chunk) InsertGap(pos, delta int) bool {
 	copy(c.buf[pos+delta:], c.buf[pos:old])
 	c.owner.total += delta
 	return true
-}
-
-// Pos identifies a byte position inside a buffer.
-type Pos struct {
-	C   *Chunk
-	Off int
 }
 
 // Buffer is a chunked append buffer with stable interior positions.
@@ -192,10 +180,10 @@ func (b *Buffer) appendRoom(n int) *Chunk {
 }
 
 // Reserve extends the buffer by n contiguous uninitialized bytes and
-// returns their position. The caller must overwrite them. A reserved
-// span never crosses a chunk boundary, so a DUT entry can address it with
-// a single (chunk, offset) pair.
-func (b *Buffer) Reserve(n int) Pos {
+// returns the chunk holding them and their offset in it. The caller must
+// overwrite them. A reserved span never crosses a chunk boundary, so a
+// DUT entry can address it with a single (chunk, offset) pair.
+func (b *Buffer) Reserve(n int) (*Chunk, int) {
 	if n < 0 {
 		panic("chunk: negative Reserve")
 	}
@@ -203,14 +191,15 @@ func (b *Buffer) Reserve(n int) Pos {
 	off := len(c.buf)
 	c.buf = c.buf[:off+n]
 	b.total += n
-	return Pos{C: c, Off: off}
+	return c, off
 }
 
-// AppendString copies s onto the end of the buffer, contiguously.
-func (b *Buffer) AppendString(s string) Pos {
-	pos := b.Reserve(len(s))
-	copy(pos.C.buf[pos.Off:], s)
-	return pos
+// AppendString copies s onto the end of the buffer, contiguously, and
+// returns where it landed, as Reserve does.
+func (b *Buffer) AppendString(s string) (*Chunk, int) {
+	c, off := b.Reserve(len(s))
+	copy(c.buf[off:], s)
+	return c, off
 }
 
 // GrowChunk reallocates c so that it can hold at least need more bytes
@@ -272,7 +261,7 @@ func (b *Buffer) FitTail() {
 // SplitChunk moves the bytes [at:Len()) of c into a freshly allocated
 // chunk inserted immediately after c, and returns the new chunk. The new
 // chunk is allocated with the configured slack so the pending shift that
-// triggered the split has room. Entry-range bookkeeping (EntryLo/EntryHi)
+// triggered the split has room. Moving the entries that pointed past at
 // is left to the caller, which knows where its entries are.
 func (b *Buffer) SplitChunk(c *Chunk, at int) *Chunk {
 	if at < 0 || at > len(c.buf) {

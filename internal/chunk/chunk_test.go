@@ -62,11 +62,11 @@ func TestAppendAndBytes(t *testing.T) {
 func TestAppendIsContiguous(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 8})
 	for i := 0; i < 200; i++ {
-		pos := b.AppendString("0123456789")
-		if pos.Off+10 > pos.C.Len() {
+		pc, off := b.AppendString("0123456789")
+		if off+10 > pc.Len() {
 			t.Fatalf("append split across chunks at iteration %d", i)
 		}
-		if got := string(pos.C.Bytes()[pos.Off : pos.Off+10]); got != "0123456789" {
+		if got := string(pc.Bytes()[off : off+10]); got != "0123456789" {
 			t.Fatalf("appended bytes read back %q", got)
 		}
 	}
@@ -89,9 +89,9 @@ func TestTrailingSlackHonoured(t *testing.T) {
 func TestOversizedAppendGetsOwnChunk(t *testing.T) {
 	b := New(Config{ChunkSize: 32, TrailingSlack: 4})
 	big := strings.Repeat("A", 100)
-	pos := b.AppendString(big)
-	if pos.Off != 0 || pos.C.Len() != 100 {
-		t.Fatalf("oversized append at off %d in chunk of len %d", pos.Off, pos.C.Len())
+	pc, off := b.AppendString(big)
+	if off != 0 || pc.Len() != 100 {
+		t.Fatalf("oversized append at off %d in chunk of len %d", off, pc.Len())
 	}
 	if got := string(b.Bytes()); got != big {
 		t.Fatalf("contents %q", got)
@@ -101,8 +101,8 @@ func TestOversizedAppendGetsOwnChunk(t *testing.T) {
 
 func TestInsertGapWithinSlack(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 16})
-	pos := b.AppendString("hello world")
-	c := pos.C
+	pc, _ := b.AppendString("hello world")
+	c := pc
 	if !c.InsertGap(5, 3) {
 		t.Fatal("InsertGap refused despite slack")
 	}
@@ -118,8 +118,8 @@ func TestInsertGapWithinSlack(t *testing.T) {
 
 func TestInsertGapAtEnds(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 16})
-	pos := b.AppendString("abc")
-	c := pos.C
+	pc, _ := b.AppendString("abc")
+	c := pc
 	if !c.InsertGap(0, 2) {
 		t.Fatal("gap at head refused")
 	}
@@ -135,8 +135,8 @@ func TestInsertGapAtEnds(t *testing.T) {
 
 func TestInsertGapZeroIsNoop(t *testing.T) {
 	b := New(Config{ChunkSize: 64})
-	pos := b.AppendString("abc")
-	if !pos.C.InsertGap(1, 0) {
+	pc, _ := b.AppendString("abc")
+	if !pc.InsertGap(1, 0) {
 		t.Fatal("zero gap refused")
 	}
 	if got := string(b.Bytes()); got != "abc" {
@@ -146,9 +146,9 @@ func TestInsertGapZeroIsNoop(t *testing.T) {
 
 func TestInsertGapInsufficientSlack(t *testing.T) {
 	b := New(Config{ChunkSize: 16, TrailingSlack: 2})
-	pos := b.Reserve(14)
-	copy(pos.C.Bytes(), "0123456789abcd")
-	if pos.C.InsertGap(0, 10) {
+	pc, _ := b.Reserve(14)
+	copy(pc.Bytes(), "0123456789abcd")
+	if pc.InsertGap(0, 10) {
 		t.Fatal("InsertGap succeeded beyond capacity")
 	}
 	if got := string(b.Bytes()); got != "0123456789abcd" {
@@ -158,8 +158,8 @@ func TestInsertGapInsufficientSlack(t *testing.T) {
 
 func TestGrowChunkPreservesContentsAndIdentity(t *testing.T) {
 	b := New(Config{ChunkSize: 16, TrailingSlack: 2})
-	pos := b.AppendString("0123456789abcd")
-	c := pos.C
+	pc, _ := b.AppendString("0123456789abcd")
+	c := pc
 	b.GrowChunk(c, 100)
 	if c.Cap() < c.Len()+100 {
 		t.Fatalf("cap %d after grow", c.Cap())
@@ -175,18 +175,18 @@ func TestGrowChunkPreservesContentsAndIdentity(t *testing.T) {
 
 func TestGrowChunkNoopWhenRoomy(t *testing.T) {
 	b := New(Config{ChunkSize: 1024, TrailingSlack: 64})
-	pos := b.AppendString("small")
-	before := pos.C.Cap()
-	b.GrowChunk(pos.C, 4)
-	if pos.C.Cap() != before {
+	pc, _ := b.AppendString("small")
+	before := pc.Cap()
+	b.GrowChunk(pc, 4)
+	if pc.Cap() != before {
 		t.Fatal("GrowChunk reallocated unnecessarily")
 	}
 }
 
 func TestSplitChunk(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 8})
-	pos := b.AppendString("0123456789")
-	c := pos.C
+	pc, _ := b.AppendString("0123456789")
+	c := pc
 	nc := b.SplitChunk(c, 4)
 	if string(c.Bytes()) != "0123" || string(nc.Bytes()) != "456789" {
 		t.Fatalf("split contents: %q | %q", c.Bytes(), nc.Bytes())
@@ -222,10 +222,10 @@ func TestSplitChunkInMiddleOfList(t *testing.T) {
 
 func TestSplitAtEndsProducesEmptySide(t *testing.T) {
 	b := New(Config{ChunkSize: 64})
-	pos := b.AppendString("abcdef")
-	nc := b.SplitChunk(pos.C, 6)
-	if nc.Len() != 0 || pos.C.Len() != 6 {
-		t.Fatalf("split at end: %d | %d", pos.C.Len(), nc.Len())
+	pc, _ := b.AppendString("abcdef")
+	nc := b.SplitChunk(pc, 6)
+	if nc.Len() != 0 || pc.Len() != 6 {
+		t.Fatalf("split at end: %d | %d", pc.Len(), nc.Len())
 	}
 	b.CheckInvariants()
 	if got := string(b.Bytes()); got != "abcdef" {
@@ -350,7 +350,7 @@ func TestFootprintChargesArenas(t *testing.T) {
 			t.Fatalf("%s: Footprint %d, pool has %d B out", step, fp, live)
 		}
 	}
-	c := b.AppendString(strings.Repeat("a", 100)).C
+	c, _ := b.AppendString(strings.Repeat("a", 100))
 	check("append")
 	b.GrowChunk(c, 1000) // 100 + 1000 + 32 B: a 2 KB arena
 	check("grow")
@@ -359,7 +359,7 @@ func TestFootprintChargesArenas(t *testing.T) {
 	b.AppendString(strings.Repeat("b", 700)) // a chunk of its own, 732 B in 1 KB
 	check("oversized append")
 	b.newChunk(0) // a fresh tail chunk
-	tail := b.AppendString("tail").C
+	tail, _ := b.AppendString("tail")
 	b.FitTail()
 	if b.tail != tail || tail.Cap() != 64 || string(tail.Bytes()) != "tail" {
 		t.Fatalf("fitted tail: same chunk %v, cap %d, bytes %q", b.tail == tail, tail.Cap(), tail.Bytes())
@@ -377,7 +377,7 @@ func TestFootprintChargesArenas(t *testing.T) {
 func TestFitTail(t *testing.T) {
 	p := membuf.NewPool()
 	b := New(Config{Pool: p}) // 32 KB chunks, 4 KB slack: ⅛
-	c := b.AppendString(strings.Repeat("x", 700)).C
+	c, _ := b.AppendString(strings.Repeat("x", 700))
 	b.FitTail()
 	// 700 B + ⌈700/8⌉ = 788 B of want: the 1 KB class, all of it visible.
 	if c.Cap() != 1024 || b.Footprint() != 1024 || b.Len() != 700 || b.tail != c {

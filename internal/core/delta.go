@@ -112,11 +112,11 @@ func (s *Stub) encodeDelta(tpl *Template, m *wire.Message, ci *CallInfo, baseEpo
 		}
 		left--
 		e := tpl.tab.At(i)
-		if e.Chunk != cur {
+		if ec := tpl.tab.Chunk(e); ec != cur {
 			if cur == nil {
 				cur = tpl.buf.Head()
 			}
-			for cur != e.Chunk {
+			for cur != ec {
 				curOff += cur.Len()
 				cur = cur.Next()
 				if cur == nil {
@@ -124,7 +124,7 @@ func (s *Stub) encodeDelta(tpl *Template, m *wire.Message, ci *CallInfo, baseEpo
 				}
 			}
 		}
-		lo, hi := e.Off, e.SpanEnd()
+		lo, hi := e.Off(), tpl.tab.SpanEnd(e)
 		if k := len(regs) - 1; k >= 0 && regs[k].c == cur && regs[k].hi == lo {
 			regs[k].hi = hi
 			frameLen += hi - lo

@@ -120,8 +120,9 @@ func FuzzMutationSchedule(f *testing.F) {
 				for c := buf.Head(); c != nil; c = c.Next() {
 					own[c] = true
 				}
-				for i := range tpl.Table().Entries {
-					if e := tpl.Table().At(i); !own[e.Chunk] || e.Off < 0 || e.SpanEnd() > e.Chunk.Len() {
+				tab := tpl.Table()
+				for i := 0; i < tab.Len(); i++ {
+					if e := tab.At(i); !own[tab.Chunk(e)] || tab.SpanEnd(e) > tab.Chunk(e).Len() {
 						t.Fatalf("entry %d lies outside its buffer's chunks", i)
 					}
 				}
@@ -146,7 +147,7 @@ func FuzzMutationSchedule(f *testing.F) {
 			case opBeyond:
 				width := 0
 				if tpl := s.Template(m.Operation(), m.Signature()); tpl != nil {
-					width = tpl.Table().At(leaf).Width
+					width = tpl.Table().At(leaf).Width()
 				}
 				setLeaf(m, leaf, width+1+arg%64)
 			case opGrowString:

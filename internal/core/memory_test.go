@@ -56,25 +56,59 @@ func TestOverlayBoundsMemory(t *testing.T) {
 		tmplCost, ovCost, float64(tmplCost)/float64(ovCost))
 }
 
-// TestTemplateMemoryIsFreed holds the footprint to the heap: small
-// templates must cost what they hold, and the saving must be memory that
-// is gone, not a term dropped from the gauge. The chunks draw from a
-// private pool, so no arena recycled from an earlier test can serve a
-// build and hide what it allocates.
+// TestTemplateMemoryIsFreed holds the footprint to the heap: templates
+// must cost what they hold, and the saving must be memory that is gone,
+// not a term dropped from the gauge. The chunks draw from a private pool,
+// so no arena recycled from an earlier test can serve a build and hide
+// what it allocates.
 func TestTemplateMemoryIsFreed(t *testing.T) {
-	const stubs = 2000
-	cfg := Config{
-		Chunk: chunk.Config{Pool: membuf.NewPool()},
-		Width: WidthPolicy{Double: 18, Int: 9},
+	t.Run("small", func(t *testing.T) {
+		// The benchmark's small_serial messages: 8 doubles, 8 ints, 3 MIOs.
+		heap, fp, _ := templateHeap(t, 2000, WidthPolicy{Double: 18, Int: 9},
+			workload.NewDoubles(8, workload.FillIntermediate).Msg,
+			workload.NewInts(8, workload.FillIntermediate).Msg,
+			workload.NewMIOs(3, workload.FillIntermediate).Msg)
+		if heap > 4096 {
+			t.Errorf("heap grew %.0f B per template, want <= 4096", heap)
+		}
+		if heap < 0.75*fp || heap > 1.25*fp {
+			t.Errorf("heap growth %.0f B per template is not within 25%% of MemoryFootprint %.0f B", heap, fp)
+		}
+	})
+	t.Run("bulk", func(t *testing.T) {
+		// The benchmark's rewrite_bulk message: 5000 max-width doubles.
+		// Past the chunk arenas, what a template holds is its DUT table:
+		// 16 B an entry and a few headers per chunk.
+		const leaves = 5000
+		heap, fp, arenas := templateHeap(t, 16, WidthPolicy{Double: MaxWidth},
+			workload.NewDoubles(leaves, workload.FillMax).Msg)
+		side := (heap - arenas) / leaves
+		t.Logf("outside the chunk arenas: %.1f B per leaf", side)
+		if heap < 0.85*fp || heap > 1.15*fp {
+			t.Errorf("heap growth %.0f B per template is not within 15%% of MemoryFootprint %.0f B", heap, fp)
+		}
+		if side > 20 {
+			t.Errorf("heap growth outside the chunk arenas is %.1f B per leaf, want <= 20", side)
+		}
+	})
+}
+
+// templateHeap builds one template of each message on each of n stubs
+// and reports, per template, the heap the templates hold, what
+// Stub.Footprint charges for them, and the bytes of their chunk arenas.
+func templateHeap(t *testing.T, n int, width WidthPolicy, msgs ...*wire.Message) (heap, fp, arenas float64) {
+	t.Helper()
+	cfg := Config{Chunk: chunk.Config{Pool: membuf.NewPool()}, Width: width}
+	// The sink is shared and holds one message at a time; a warm-up
+	// stub sizes it to the largest before the measurement starts.
+	sink := &captureSink{}
+	warm := NewStub(cfg, sink)
+	for _, m := range msgs {
+		if _, err := warm.Call(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The benchmark's small_serial messages: 8 doubles, 8 ints, 3 MIOs.
-	msgs := []*wire.Message{
-		workload.NewDoubles(8, workload.FillIntermediate).Msg,
-		workload.NewInts(8, workload.FillIntermediate).Msg,
-		workload.NewMIOs(3, workload.FillIntermediate).Msg,
-	}
-	sink := &captureSink{} // shared: it holds one message at a time
-	ss := make([]*Stub, stubs)
+	ss := make([]*Stub, n)
 	for i := range ss {
 		ss[i] = NewStub(cfg, sink)
 	}
@@ -94,22 +128,20 @@ func TestTemplateMemoryIsFreed(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	footprint := 0
+	footprint, arena := 0, 0
 	for _, s := range ss {
 		footprint += s.Footprint()
+		for _, m := range msgs {
+			arena += s.Template(m.Operation(), m.Signature()).Buffer().Footprint()
+		}
 	}
 	runtime.KeepAlive(ss)
 
-	n := float64(stubs * len(msgs))
-	heap := (float64(after.HeapInuse) - float64(before.HeapInuse)) / n
-	fp := float64(footprint) / n
-	t.Logf("per template: heap growth %.0f B, MemoryFootprint %.0f B", heap, fp)
-	if heap > 4096 {
-		t.Errorf("heap grew %.0f B per template, want <= 4096", heap)
-	}
-	if heap < 0.75*fp || heap > 1.25*fp {
-		t.Errorf("heap growth %.0f B per template is not within 25%% of MemoryFootprint %.0f B", heap, fp)
-	}
+	k := float64(n * len(msgs))
+	heap = (float64(after.HeapInuse) - float64(before.HeapInuse)) / k
+	fp, arenas = float64(footprint)/k, float64(arena)/k
+	t.Logf("per template: heap growth %.0f B, MemoryFootprint %.0f B, chunk arenas %.0f B", heap, fp, arenas)
+	return heap, fp, arenas
 }
 
 // TestFootprintGrowsWithMessage sanity-checks the accounting itself.

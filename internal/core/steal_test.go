@@ -51,8 +51,8 @@ func TestStealPrefersRightThenLeft(t *testing.T) {
 	// "1.234567890123" is 14 chars: deficit 4 against the 10-char field,
 	// taken from element 3's padding (9 → 5).
 	tpl := s.Template(m.Operation(), m.Signature())
-	if tpl.Table().At(3).Pad() != 5 {
-		t.Fatalf("right neighbour pad = %d, want 5", tpl.Table().At(3).Pad())
+	if d := tpl.Table().At(3); d.Width()-d.SerLen() != 5 {
+		t.Fatalf("right neighbour pad = %d, want 5", d.Width()-d.SerLen())
 	}
 	checkRendered(t, m, sink.data)
 

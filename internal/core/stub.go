@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net"
+	"unsafe"
 
 	"bsoap/internal/replica"
 	"bsoap/internal/soapenv"
@@ -36,11 +37,15 @@ func (st *Store) lookup(op, sig string) *Template {
 
 // remove deletes the template with the given signature, if present,
 // returning its arenas to the pool (callers discard suspect templates;
-// their bytes are no longer in flight once the failed send returned).
+// their bytes are no longer in flight once the failed send returned),
+// and the operation's list with its last template.
 func (st *Store) remove(op, sig string) {
 	if l := st.byOp[op]; l != nil {
 		if t, ok := l.Remove(sig); ok {
 			t.release()
+		}
+		if l.Len() == 0 {
+			delete(st.byOp, op)
 		}
 	}
 }
@@ -74,10 +79,14 @@ func (st *Store) TemplateCount() int {
 	return n
 }
 
-// footprint sums the memoryFootprint of every stored template.
+// footprint sums the memoryFootprint of every stored template and the
+// store's own bookkeeping for them: per operation a slot in byOp and its
+// LRU, whose nodes and index slots are one per template.
 func (st *Store) footprint() int {
+	const perOp = int(unsafe.Sizeof("") + unsafe.Sizeof((*replica.LRU[string, *Template])(nil)))
 	n := 0
 	for _, l := range st.byOp {
+		n += perOp + l.SizeBytes()
 		l.FromFront(func(_ string, t *Template) bool {
 			n += t.memoryFootprint()
 			return true
@@ -273,17 +282,7 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 	s.beginCall(m, &ci)
 
 	if s.cfg.DisableDiff {
-		ci.Match = FullSerialization
-		s.scr.enc = soapenv.AppendMessage(s.scr.enc[:0], m)
-		ci.Bytes = len(s.scr.enc)
-		ci.WireBytes = ci.Bytes
-		ci.BytesSerialized = ci.Bytes
-		s.scr.bufs = append(s.scr.bufs[:0], s.scr.enc)
-		err := s.sink.Send(s.scr.bufs)
-		if err != nil {
-			err = fmt.Errorf("core: send: %w", err)
-		}
-		return s.endCall(m, &ci, err)
+		return s.fromScratch(m, &ci)
 	}
 
 	op := m.Operation()
@@ -301,7 +300,10 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 	case tpl == nil:
 		// First-Time Send: serialize fully and save the template.
 		ci.Match = FirstTime
-		tpl = newTemplate(m, s.cfg, &s.scr)
+		var ok bool
+		if tpl, ok = newTemplate(m, s.cfg, &s.scr); !ok {
+			return s.unrepresentable(m, &ci)
+		}
 		s.store.insert(op, tpl)
 		if s.scr.span != 0 {
 			trace.Rec(s.scr.span, trace.KindTemplateBuild, trace.OpID(op), int64(tpl.buf.Len()), 0)
@@ -312,7 +314,9 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 			ci.Match = ContentMatch
 		} else {
 			ci.Match = StructuralMatch
-			tpl.applyDiff(m, &ci, &s.scr)
+			if !tpl.applyDiff(m, &ci, &s.scr) {
+				return s.unrepresentable(m, &ci)
+			}
 			if ci.Shifts > 0 || ci.Steals > 0 {
 				ci.Match = PartialMatch
 			}
@@ -330,7 +334,9 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 		if s.scr.span != 0 {
 			trace.Rec(s.scr.span, trace.KindTemplateRebind, trace.OpID(op), 0, 0)
 		}
-		tpl.applyDiff(m, &ci, &s.scr)
+		if !tpl.applyDiff(m, &ci, &s.scr) {
+			return s.unrepresentable(m, &ci)
+		}
 		if ci.Shifts > 0 || ci.Steals > 0 {
 			ci.Match = PartialMatch
 		}
@@ -362,4 +368,33 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 		}
 	}
 	return s.endCall(m, &ci, err)
+}
+
+// fromScratch serializes m in one pass and sends it, with no template:
+// the diff-off mode, and a message whose template the DUT table cannot
+// represent.
+func (s *Stub) fromScratch(m *wire.Message, ci *CallInfo) (CallInfo, error) {
+	ci.Match = FullSerialization
+	s.scr.enc = soapenv.AppendMessage(s.scr.enc[:0], m)
+	ci.Bytes = len(s.scr.enc)
+	ci.WireBytes = ci.Bytes
+	ci.BytesSerialized = ci.Bytes
+	s.scr.bufs = append(s.scr.bufs[:0], s.scr.enc)
+	err := s.sink.Send(s.scr.bufs)
+	if err != nil {
+		err = fmt.Errorf("core: send: %w", err)
+	}
+	return s.endCall(m, ci, err)
+}
+
+// unrepresentable serves from scratch a call whose template the DUT
+// table could not represent, dropping the template if it was stored (a
+// failed build kept nothing). What the call did to the dropped template
+// is not reported, and the footprint cache is invalidated, since the
+// store changed without a build, grow or split being counted.
+func (s *Stub) unrepresentable(m *wire.Message, ci *CallInfo) (CallInfo, error) {
+	s.store.remove(m.Operation(), m.Signature())
+	*ci = CallInfo{Span: ci.Span}
+	s.fpGen = -1
+	return s.fromScratch(m, ci)
 }

@@ -60,17 +60,18 @@ func (t *Template) Message() *wire.Message { return t.msg }
 func (t *Template) Bytes() []byte { return t.buf.Bytes() }
 
 // memoryFootprint estimates the template's resident cost in bytes: the
-// arenas its chunks hold, the DUT table, and the headers that tie them
-// together (the template, its chunk buffer, and a chunk and arena header
-// per chunk) — the storage the paper's §3.3 identifies as differential
-// serialization's price, and what chunk overlaying bounds to a single
-// chunk. With tails fitted to their messages the headers are a fifth of
-// a small template, so they are charged too.
+// arenas its chunks hold, the DUT table at its layout's size, and the
+// headers that tie them together (the template, its chunk buffer, and a
+// chunk and arena header per chunk) — the storage the paper's §3.3
+// identifies as differential serialization's price, and what chunk
+// overlaying bounds to a single chunk. With tails fitted to their
+// messages the headers are a fifth of a small template, so they are
+// charged too.
 func (t *Template) memoryFootprint() int {
-	const entrySize = 64 // approximate per-entry size of dut.Entry
 	const fixed = int(unsafe.Sizeof(Template{}) + unsafe.Sizeof(chunk.Buffer{}))
 	const perChunk = int(unsafe.Sizeof(chunk.Chunk{}) + unsafe.Sizeof(membuf.Buf{}))
-	return t.buf.Footprint() + t.tab.Len()*entrySize + fixed + t.buf.NumChunks()*perChunk
+	const perEntry = int(unsafe.Sizeof(dut.Entry{}))
+	return t.buf.Footprint() + t.tab.Len()*perEntry + t.tab.SideBytes() + fixed + t.buf.NumChunks()*perChunk
 }
 
 // encodeLeaf renders leaf i's lexical form into scratch (which must have
@@ -105,8 +106,11 @@ func (t *Template) release() {
 var nextDeltaID atomic.Uint64
 
 // newTemplate fully serializes m and records the DUT table — the
-// paper's First-Time Send.
-func newTemplate(m *wire.Message, cfg Config, sc *scratch) *Template {
+// paper's First-Time Send. It reports false, keeping nothing, when a
+// field of the table cannot represent the template (a chunk or kind id,
+// an offset or a width out of its entry field's range); the call then
+// goes out from scratch.
+func newTemplate(m *wire.Message, cfg Config, sc *scratch) (*Template, bool) {
 	t := &Template{
 		sig:     m.Signature(),
 		msg:     m,
@@ -115,13 +119,16 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) *Template {
 		cfg:     cfg,
 		deltaID: nextDeltaID.Add(1),
 	}
-	t.tab.Entries = make([]dut.Entry, 0, m.NumLeaves())
+	t.tab = dut.NewTable(m.NumLeaves())
 	t.buf.Span = sc.span
 	t.buf.AppendString(soapenv.EnvelopeStart(m.Namespace()))
 	t.buf.AppendString(soapenv.OperationStart(m.Operation()))
 	leaf := 0
 	for _, p := range m.Params() {
-		leaf = t.emitParam(m, &p, leaf, sc)
+		if leaf = t.emitParam(m, &p, leaf, sc); leaf < 0 {
+			t.release()
+			return nil, false
+		}
 	}
 	t.buf.AppendString(soapenv.OperationEnd(m.Operation()))
 	t.buf.AppendString(soapenv.EnvelopeEnd)
@@ -129,15 +136,16 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) *Template {
 	if leaf != m.NumLeaves() {
 		panic(fmt.Sprintf("core: emitted %d leaves, message has %d", leaf, m.NumLeaves()))
 	}
-	return t
+	return t, true
 }
 
 // emitStep is one step of serializing a value: markup copied as it
 // stands and then, for a scalar leaf, the leaf's value field.
 type emitStep struct {
-	lit string     // open tag of the leaf, or a struct's own open or close tag
-	typ *wire.Type // the leaf's scalar type; nil when the step is only markup
-	cls string     // the leaf's closing tag
+	lit  string     // open tag of the leaf, or a struct's own open or close tag
+	typ  *wire.Type // the leaf's scalar type; nil when the step is only markup
+	cls  string     // the leaf's closing tag
+	kind int        // the DUT kind of (typ, cls), set by kinds
 }
 
 // appendSteps appends the steps that serialize one value of type typ
@@ -155,29 +163,48 @@ func appendSteps(steps []emitStep, typ *wire.Type, tag string) []emitStep {
 	return append(steps, emitStep{lit: cls})
 }
 
+// kinds resolves each leaf step's DUT kind once, before the steps run
+// for every item, and reports false when the table has no kind id left.
+func (t *Template) kinds(steps []emitStep) bool {
+	for i := range steps {
+		if st := &steps[i]; st.typ != nil {
+			var ok bool
+			if st.kind, ok = t.tab.AddKind(st.typ, st.cls); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // emitParam serializes one parameter starting at leaf index `leaf` and
-// returns the next leaf index.
+// returns the next leaf index, or -1 when the DUT table cannot represent
+// the template.
 func (t *Template) emitParam(m *wire.Message, p *wire.Param, leaf int, sc *scratch) int {
 	var buf [8]emitStep // an MIO element is five steps; a wider type spills to the heap
+	steps, count, end := buf[:0], 1, ""
 	switch p.Type.Kind {
 	case wire.Array:
 		t.buf.AppendString(soapenv.ArrayStart(p.Name, p.Type.Elem, p.Count))
-		steps := appendSteps(buf[:0], p.Type.Elem, soapenv.ItemTag)
-		for i := 0; i < p.Count; i++ {
-			leaf = t.emitSteps(m, steps, leaf, sc)
-		}
-		t.buf.AppendString(soapenv.ArrayEnd(p.Name))
+		steps = appendSteps(steps, p.Type.Elem, soapenv.ItemTag)
+		count, end = p.Count, soapenv.ArrayEnd(p.Name)
 	case wire.Struct:
 		t.buf.AppendString(soapenv.StructStart(p.Name, p.Type))
-		steps := buf[:0]
 		for _, f := range p.Type.Fields {
 			steps = appendSteps(steps, f.Type, f.Name)
 		}
-		leaf = t.emitSteps(m, steps, leaf, sc)
-		t.buf.AppendString(soapenv.CloseTag(p.Name))
+		end = soapenv.CloseTag(p.Name)
 	default:
-		open := soapenv.ScalarStart(p.Name, p.Type)
-		leaf = t.emitScalar(m, p.Type, open, soapenv.CloseTag(p.Name), leaf, sc)
+		steps = append(steps, emitStep{lit: soapenv.ScalarStart(p.Name, p.Type), typ: p.Type, cls: soapenv.CloseTag(p.Name)})
+	}
+	if !t.kinds(steps) {
+		return -1
+	}
+	for i := 0; i < count && leaf >= 0; i++ {
+		leaf = t.emitSteps(m, steps, leaf, sc)
+	}
+	if end != "" && leaf >= 0 {
+		t.buf.AppendString(end)
 	}
 	return leaf
 }
@@ -187,40 +214,37 @@ func (t *Template) emitSteps(m *wire.Message, steps []emitStep, leaf int, sc *sc
 	for i := range steps {
 		if st := &steps[i]; st.typ == nil {
 			t.buf.AppendString(st.lit)
-		} else {
-			leaf = t.emitScalar(m, st.typ, st.lit, st.cls, leaf, sc)
+		} else if leaf = t.emitScalar(m, st, leaf, sc); leaf < 0 {
+			return leaf
 		}
 	}
 	return leaf
 }
 
 // emitScalar serializes one scalar leaf with the configured stuffing and
-// records its DUT entry.
-func (t *Template) emitScalar(m *wire.Message, typ *wire.Type, open, cls string, leaf int, sc *scratch) int {
-	t.buf.AppendString(open)
-	enc := sc.encode(m, leaf, typ)
-	width := t.cfg.Width.widthFor(typ, len(enc))
-	span := width + len(cls)
-	pos := t.buf.Reserve(span)
-	b := pos.C.Bytes()
-	copy(b[pos.Off:], enc)
-	copy(b[pos.Off+len(enc):], cls)
-	fastconv.Pad(b, pos.Off+len(enc)+len(cls), pos.Off+span)
-	t.tab.Append(dut.Entry{
-		Type:     typ,
-		Chunk:    pos.C,
-		Off:      pos.Off,
-		SerLen:   len(enc),
-		Width:    width,
-		CloseTag: cls,
-	})
+// records its DUT entry, or returns -1 when the entry cannot hold it.
+func (t *Template) emitScalar(m *wire.Message, st *emitStep, leaf int, sc *scratch) int {
+	t.buf.AppendString(st.lit)
+	enc := sc.encode(m, leaf, st.typ)
+	width := t.cfg.Width.widthFor(st.typ, len(enc))
+	span := width + len(st.cls)
+	c, off := t.buf.Reserve(span)
+	b := c.Bytes()
+	copy(b[off:], enc)
+	copy(b[off+len(enc):], st.cls)
+	fastconv.Pad(b, off+len(enc)+len(st.cls), off+span)
+	if !t.tab.Append(c, off, len(enc), width, st.kind) {
+		return -1
+	}
 	return leaf + 1
 }
 
 // applyDiff re-serializes exactly the dirty leaves of m into the
 // template, expanding fields as needed, and updates ci. The walk ends at
-// the last dirty leaf, not at the last leaf.
-func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch) {
+// the last dirty leaf, not at the last leaf. It reports false when an
+// expansion left a field the DUT table cannot represent: the template is
+// then unusable and must be dropped.
+func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch) bool {
 	t.buf.Span = sc.span // attribute chunk grow/split events to this call
 	n := t.tab.Len()
 	for i, left := 0, m.DirtyCount(); i < n && left > 0; i++ {
@@ -228,20 +252,24 @@ func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch) {
 			continue
 		}
 		left--
-		t.rewriteLeaf(m, i, sc, ci)
+		if !t.rewriteLeaf(m, i, sc, ci) {
+			return false
+		}
 	}
+	return true
 }
 
 // rewriteLeaf writes leaf i's current value into its template field.
-func (t *Template) rewriteLeaf(m *wire.Message, i int, sc *scratch, ci *CallInfo) {
+func (t *Template) rewriteLeaf(m *wire.Message, i int, sc *scratch, ci *CallInfo) bool {
 	e := t.tab.At(i)
-	enc := sc.encode(m, i, e.Type)
+	typ, cls := t.tab.Kind(e)
+	enc := sc.encode(m, i, typ)
 	if sc.span != 0 {
-		trace.Rec(sc.span, trace.KindRewrite, int64(i), int64(e.SerLen), int64(len(enc)))
+		trace.Rec(sc.span, trace.KindRewrite, int64(i), int64(e.SerLen()), int64(len(enc)))
 	}
-	if len(enc) > e.Width {
+	if len(enc) > e.Width() {
 		// Partial structural match: the field must be expanded.
-		deficit := len(enc) - e.Width
+		deficit := len(enc) - e.Width()
 		donor, stolen := -1, false
 		if t.cfg.EnableStealing {
 			donor, stolen = t.trySteal(i, deficit)
@@ -252,35 +280,39 @@ func (t *Template) rewriteLeaf(m *wire.Message, i int, sc *scratch, ci *CallInfo
 				trace.Rec(sc.span, trace.KindSteal, int64(i), int64(deficit), int64(donor))
 			}
 		} else {
-			t.shiftGrow(i, deficit, ci, sc)
+			if !t.shiftGrow(i, deficit, ci, sc) {
+				return false
+			}
 			ci.Shifts++
 		}
-		e = t.tab.At(i) // the entry's chunk may have changed
 	}
-	b := e.Chunk.Bytes()
-	copy(b[e.Off:], enc)
-	if len(enc) != e.SerLen {
+	b := t.tab.Chunk(e).Bytes()
+	off := e.Off()
+	copy(b[off:], enc)
+	if len(enc) != e.SerLen() {
 		// Closing-tag shift: rewrite the tag right after the value and
 		// pad the remainder of the field with whitespace (paper §3.2).
-		copy(b[e.Off+len(enc):], e.CloseTag)
-		fastconv.Pad(b, e.Off+len(enc)+len(e.CloseTag), e.SpanEnd())
-		e.SerLen = len(enc)
+		copy(b[off+len(enc):], cls)
+		fastconv.Pad(b, off+len(enc)+len(cls), t.tab.SpanEnd(e))
+		e.SetSerLen(len(enc))
 		ci.TagShifts++
 		if sc.span != 0 {
-			trace.Rec(sc.span, trace.KindTagShift, int64(i), int64(len(enc)), int64(e.Width))
+			trace.Rec(sc.span, trace.KindTagShift, int64(i), int64(len(enc)), int64(e.Width()))
 		}
 	}
 	ci.ValuesRewritten++
 	ci.BytesSerialized += len(enc)
+	return true
 }
 
 // shiftGrow expands entry i's field by deficit bytes using on-the-fly
 // message expansion: consume the chunk's slack, grow the chunk up to the
-// split threshold, or split the chunk and expand there (paper §3.2).
-func (t *Template) shiftGrow(i, deficit int, ci *CallInfo, sc *scratch) {
+// split threshold, or split the chunk and expand there (paper §3.2). It
+// reports false when the DUT table cannot represent the result.
+func (t *Template) shiftGrow(i, deficit int, ci *CallInfo, sc *scratch) bool {
 	e := t.tab.At(i)
-	c := e.Chunk
-	pos := e.SpanEnd()
+	c := t.tab.Chunk(e)
+	pos := t.tab.SpanEnd(e)
 
 	if c.Slack() < deficit {
 		if c.Len()+deficit <= t.buf.Config().SplitThreshold {
@@ -294,12 +326,14 @@ func (t *Template) shiftGrow(i, deficit int, ci *CallInfo, sc *scratch) {
 			// threshold.
 			at := pos
 			if target := c.Len() / 2; target > pos {
-				if off, ok := t.tab.FirstOffAtOrAfter(c, target); ok && off > pos {
+				if off, ok := t.tab.FirstOffAtOrAfter(e, target); ok && off > pos {
 					at = off
 				}
 			}
 			nc := t.buf.SplitChunk(c, at)
-			t.tab.FixupSplit(c, nc, at)
+			if !t.tab.FixupSplit(i, nc, at) {
+				return false
+			}
 			ci.Splits++
 			if c.Slack() < deficit {
 				t.buf.GrowChunk(c, deficit)
@@ -313,8 +347,7 @@ func (t *Template) shiftGrow(i, deficit int, ci *CallInfo, sc *scratch) {
 	if !c.InsertGap(pos, deficit) {
 		panic("core: InsertGap failed after ensuring room")
 	}
-	t.tab.FixupShift(c, pos, deficit)
-	e.Width += deficit
+	return t.tab.Grow(i, deficit)
 }
 
 // trySteal serves a field expansion by taking padding from a nearby
@@ -323,7 +356,9 @@ func (t *Template) shiftGrow(i, deficit int, ci *CallInfo, sc *scratch) {
 // (companion paper [4] explores this dynamic field resizing). Donors to
 // the right are preferred — the move there excludes the grower's own
 // bytes — then donors to the left. Returns the donor's entry index so
-// the flight recorder can name it.
+// the flight recorder can name it. A steal the DUT table cannot
+// represent moves nothing and is not taken; the shift that serves the
+// expansion instead reports the overflow.
 func (t *Template) trySteal(i, deficit int) (int, bool) {
 	if j, ok := t.stealRight(i, deficit); ok {
 		return j, true
@@ -334,29 +369,26 @@ func (t *Template) trySteal(i, deficit int) (int, bool) {
 // stealRight takes padding from a donor after the grower.
 func (t *Template) stealRight(i, deficit int) (int, bool) {
 	e := t.tab.At(i)
-	c := e.Chunk
-	limit := i + 1 + t.cfg.StealScan
-	if limit > c.EntryHi {
-		limit = c.EntryHi
-	}
+	c := t.tab.Chunk(e)
+	_, hi := t.tab.Range(e)
+	limit := min(i+1+t.cfg.StealScan, hi)
 	for j := i + 1; j < limit; j++ {
 		d := t.tab.At(j)
-		if d.Pad() < deficit {
+		if d.Width()-d.SerLen() < deficit {
 			continue
 		}
 		// Move [grower's span end, donor's pad start) right by deficit.
-		src := e.SpanEnd()
-		padStart := d.Off + d.SerLen + len(d.CloseTag)
-		b := c.Bytes()
-		copy(b[src+deficit:padStart+deficit], b[src:padStart])
 		// Entries strictly between grower and donor, and the donor
 		// itself, moved right; the donor's width shrinks by what it
 		// donated, the grower's grows.
-		for k := i + 1; k <= j; k++ {
-			t.tab.At(k).Off += deficit
+		src := t.tab.SpanEnd(e)
+		_, cls := t.tab.Kind(d)
+		padStart := d.Off() + d.SerLen() + len(cls)
+		if !t.tab.Steal(i, j, deficit) {
+			return 0, false
 		}
-		d.Width -= deficit
-		e.Width += deficit
+		b := c.Bytes()
+		copy(b[src+deficit:padStart+deficit], b[src:padStart])
 		return j, true
 	}
 	return 0, false
@@ -367,27 +399,23 @@ func (t *Template) stealRight(i, deficit int) (int, bool) {
 // left, and the grower's field opens toward lower offsets.
 func (t *Template) stealLeft(i, deficit int) (int, bool) {
 	e := t.tab.At(i)
-	c := e.Chunk
-	limit := i - t.cfg.StealScan
-	if limit < c.EntryLo {
-		limit = c.EntryLo
-	}
+	c := t.tab.Chunk(e)
+	lo, _ := t.tab.Range(e)
+	limit := max(i-t.cfg.StealScan, lo)
 	for j := i - 1; j >= limit; j-- {
 		d := t.tab.At(j)
-		if d.Pad() < deficit {
+		if d.Width()-d.SerLen() < deficit {
 			continue
 		}
 		// Move [donor's span end, grower's value start) left by deficit,
 		// consuming the tail of the donor's padding. The grower's open
 		// tag travels with the moved region.
-		src := d.SpanEnd()
-		b := c.Bytes()
-		copy(b[src-deficit:e.Off-deficit], b[src:e.Off])
-		for k := j + 1; k <= i; k++ {
-			t.tab.At(k).Off -= deficit
+		src, end := t.tab.SpanEnd(d), e.Off()
+		if !t.tab.Steal(i, j, deficit) {
+			return 0, false
 		}
-		d.Width -= deficit
-		e.Width += deficit
+		b := c.Bytes()
+		copy(b[src-deficit:end-deficit], b[src:end])
 		return j, true
 	}
 	return 0, false

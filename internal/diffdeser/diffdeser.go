@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"bsoap/internal/replica"
 	"bsoap/internal/soapdec"
@@ -84,12 +85,11 @@ type Template struct {
 }
 
 // SizeBytes estimates the template's resident bytes apart from the body
-// it decodes against: the range table and a fixed charge for the struct
-// and the message header.
+// it decodes against: the range table at its layout's size and a fixed
+// charge for the struct and the message header.
 func (t *Template) SizeBytes() int {
-	const perRange = 16 // two ints per soapdec.LeafRange
 	const fixed = 256
-	return len(t.ranges)*perRange + fixed
+	return len(t.ranges)*int(unsafe.Sizeof(soapdec.LeafRange{})) + fixed
 }
 
 // DecodeRegions brings the template up to src, a body that differs from
@@ -324,19 +324,19 @@ func (t *Template) relexChanged(regions []wire.DeltaRegion, old, src []byte, lim
 			// range holding it is the next one or one after it: seek
 			// forward from there.
 			i := seek(t.ranges, next, off)
-			if i == len(t.ranges) || off < t.ranges[i].Start {
+			if i == len(t.ranges) || off < int(t.ranges[i].Start) {
 				return n, lo, hi, ReasonMarkup
 			}
-			r := t.ranges[i]
-			if !relexRegion(t.msg, i, src[r.Start:r.End]) {
+			start, end := int(t.ranges[i].Start), int(t.ranges[i].End)
+			if !relexRegion(t.msg, i, src[start:end]) {
 				return n, lo, hi, ReasonValue
 			}
 			if n == 0 {
 				lo = off
 			}
 			n++
-			next, hi = i+1, r.End
-			j = r.End - at
+			next, hi = i+1, end
+			j = end - at
 		}
 	}
 	return n, lo, hi, ReasonNone
@@ -349,19 +349,19 @@ func (t *Template) relexChanged(regions []wire.DeltaRegion, old, src []byte, lim
 // bisects the last step: a skip over d ranges costs O(log d) probes
 // however long the table.
 func seek(ranges []soapdec.LeafRange, from, off int) int {
-	if from >= len(ranges) || off < ranges[from].End {
+	if from >= len(ranges) || off < int(ranges[from].End) {
 		return from
 	}
 	// ranges[lo] ends at or before off; ranges[hi], if any, past it.
 	lo, step := from, 1
-	for lo+step < len(ranges) && ranges[lo+step].End <= off {
+	for lo+step < len(ranges) && int(ranges[lo+step].End) <= off {
 		lo += step
 		step *= 2
 	}
 	hi := min(lo+step, len(ranges))
 	for lo+1 < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ranges[m].End <= off {
+		if int(ranges[m].End) <= off {
 			lo = m
 		} else {
 			hi = m

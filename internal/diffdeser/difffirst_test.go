@@ -107,7 +107,7 @@ func TestMismatchInLastPartialBlockAndTrailingMarkup(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := templates(t, d, "k")[0].ranges[39]
-	if len(first)%256 == 0 || last.Start < len(first)/256*256 {
+	if len(first)%256 == 0 || int(last.Start) < len(first)/256*256 {
 		t.Fatalf("last leaf at %d of %d bytes is not in a partial block", last.Start, len(first))
 	}
 
@@ -404,7 +404,7 @@ func TestFullParseReasons(t *testing.T) {
 		t.Fatalf("first body: %v, want no_template", got)
 	}
 	tpl := templates(t, d, "k")[0]
-	r0, r2 := tpl.ranges[0].Start, tpl.ranges[2].Start
+	r0, r2 := int(tpl.ranges[0].Start), int(tpl.ranges[2].Start)
 	if got := decode(edit(r0, "7")); got != ReasonNone {
 		t.Fatalf("one changed value: %v, want the fast path", got)
 	}

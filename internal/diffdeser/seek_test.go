@@ -16,10 +16,10 @@ func TestSeekMatchesLinearScan(t *testing.T) {
 	// Ranges as a body lays them out: ascending, with markup between.
 	var ranges []soapdec.LeafRange
 	for i := 0; i < 300; i++ {
-		ranges = append(ranges, soapdec.LeafRange{Start: 10*i + 3, End: 10*i + 8})
+		ranges = append(ranges, soapdec.LeafRange{Start: uint32(10*i + 3), End: uint32(10*i + 8)})
 	}
 	linear := func(from, off int) int {
-		for from < len(ranges) && ranges[from].End <= off {
+		for from < len(ranges) && int(ranges[from].End) <= off {
 			from++
 		}
 		return from
@@ -27,7 +27,7 @@ func TestSeekMatchesLinearScan(t *testing.T) {
 	for from := 0; from <= len(ranges); from++ {
 		lo := 0
 		if from > 0 {
-			lo = ranges[from-1].End // every offset the walk reaches
+			lo = int(ranges[from-1].End) // every offset the walk reaches
 		}
 		for off := lo; off < 10*len(ranges)+5; off++ {
 			if got, want := seek(ranges, from, off), linear(from, off); got != want {
@@ -101,14 +101,14 @@ func TestSparseChangesAtEveryGap(t *testing.T) {
 			old = append(old, held[from:to]...)
 		}
 		for k, i := range changed {
-			r := tpl.ranges[i]
+			start, end := int(tpl.ranges[i].Start), int(tpl.ranges[i].End)
 			if k == 0 {
-				mid := r.Start + (r.End-r.Start)/2
-				add(r.Start, mid)
-				add(mid, r.End)
+				mid := start + (end-start)/2
+				add(start, mid)
+				add(mid, end)
 				continue
 			}
-			add(r.Start, r.End)
+			add(start, end)
 		}
 		for _, g := range regions {
 			copy(held[g.Off:], g.Bytes)

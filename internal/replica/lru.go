@@ -1,5 +1,7 @@
 package replica
 
+import "unsafe"
+
 // LRU is the one recency list in the tree: a map-indexed intrusive
 // doubly-linked list with O(1) touch, lookup, insert and tail removal.
 // Touching or reading never allocates — nodes are allocated only on
@@ -24,6 +26,16 @@ func NewLRU[K comparable, V any]() *LRU[K, V] {
 
 // Len reports the number of entries.
 func (l *LRU[K, V]) Len() int { return len(l.index) }
+
+// SizeBytes reports the list's resident bookkeeping at its layout's
+// sizes: the list header and, per entry, a node and an index slot (the
+// key and the node pointer). Lengths are charged, not capacities: the
+// index's unused slots are not.
+func (l *LRU[K, V]) SizeBytes() int {
+	var key K
+	perEntry := unsafe.Sizeof(node[K, V]{}) + unsafe.Sizeof(key) + unsafe.Sizeof(l.head)
+	return int(unsafe.Sizeof(*l)) + len(l.index)*int(perEntry)
+}
 
 // Get returns the value for key and marks it most recently used.
 func (l *LRU[K, V]) Get(key K) (V, bool) {

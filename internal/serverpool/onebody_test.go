@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"bsoap/internal/core"
 	"bsoap/internal/pool"
@@ -125,9 +126,10 @@ func touch(rng *rand.Rand, m *wire.Message, k int) {
 }
 
 // heldCost is what one retained template must cost the replica: its
-// body's capacity, 16 bytes a leaf range and 256 for the rest.
+// body's capacity, a soapdec.LeafRange (8 bytes) a leaf and 256 for the
+// rest.
 func heldCost(body []byte, leaves int) int64 {
-	return int64(cap(append([]byte(nil), body...)) + 16*leaves + 256)
+	return int64(cap(append([]byte(nil), body...)) + int(unsafe.Sizeof(soapdec.LeafRange{}))*leaves + 256)
 }
 
 // replicaSize reads conn's accounted footprint and its response stub's

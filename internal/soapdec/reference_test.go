@@ -257,7 +257,7 @@ func (d *refDecoder) leafText(t *wire.Type) (any, error) {
 		for end < len(d.body) && d.body[end] != '<' {
 			end++
 		}
-		d.ranges = append(d.ranges, LeafRange{Start: start, End: end})
+		d.ranges = append(d.ranges, LeafRange{Start: uint32(start), End: uint32(end)})
 	}
 	return refParseScalar(t, text)
 }

@@ -9,6 +9,7 @@ package soapdec
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -34,9 +35,10 @@ type Schema struct {
 
 // LeafRange is the variable byte region of one scalar leaf within the
 // message body: from right after the element's opening '>' to the start
-// of the next tag after the value's padding.
+// of the next tag after the value's padding. Offsets are 32-bit: Decode
+// refuses a body longer than one can address.
 type LeafRange struct {
-	Start, End int
+	Start, End uint32
 }
 
 // Result is a decoded message, with leaf ranges when requested.
@@ -49,8 +51,12 @@ type Result struct {
 type Lookup func(opLocal string) (*Schema, bool)
 
 // Decode parses one SOAP envelope. With recordRanges set, Result.Ranges
-// holds one entry per scalar leaf, in leaf order.
+// holds one entry per scalar leaf, in leaf order, and a body longer than
+// a LeafRange offset can address is refused.
 func Decode(body []byte, lookup Lookup, recordRanges bool) (*Result, error) {
+	if recordRanges && len(body) > math.MaxUint32 {
+		return nil, fmt.Errorf("soapdec: a %d-byte body is beyond the %d bytes a leaf range addresses", len(body), uint32(math.MaxUint32))
+	}
 	p := xmlparse.NewParser(body)
 	if _, err := p.ExpectStart("Envelope"); err != nil {
 		return nil, fmt.Errorf("soapdec: %w", err)
@@ -237,7 +243,7 @@ func (d *decoder) scalar(msg *wire.Message, leaf int) error {
 		} else {
 			end = len(d.body)
 		}
-		d.ranges = append(d.ranges, LeafRange{Start: start, End: end})
+		d.ranges = append(d.ranges, LeafRange{Start: uint32(start), End: uint32(end)})
 	}
 	return setLeaf(msg, leaf, text, false)
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"bsoap/internal/baseline"
 	"bsoap/internal/wire"
@@ -138,15 +139,16 @@ func TestRangesCoverEveryLeaf(t *testing.T) {
 	}
 	prev := 0
 	for i, r := range res.Ranges {
-		if r.Start < prev || r.End < r.Start || r.End > len(doc) {
+		start, end := int(r.Start), int(r.End)
+		if start < prev || end < start || end > len(doc) {
 			t.Fatalf("range %d = %+v out of order (prev end %d, len %d)", i, r, prev, len(doc))
 		}
 		// Each region must start with the value and contain the close tag.
-		seg := string(doc[r.Start:r.End])
+		seg := string(doc[start:end])
 		if !strings.Contains(seg, "</") {
 			t.Fatalf("range %d (%q) missing closing tag", i, seg)
 		}
-		prev = r.End
+		prev = end
 	}
 }
 
@@ -440,5 +442,12 @@ func TestIntRange(t *testing.T) {
 				t.Errorf("%s(%q) = %v, %v; want a range error", name, text, v, err)
 			}
 		}
+	}
+}
+
+// TestLeafRangeLayout pins a leaf range at 8 bytes: two uint32 offsets.
+func TestLeafRangeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(LeafRange{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(LeafRange{}) = %d, want 8", got)
 	}
 }
