@@ -146,7 +146,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 
 	b.Run("fullSerialization", func(b *testing.B) {
 		w := newWorkload()
-		ser := baseline.NewGSOAPLike()
+		ser := new(baseline.GSOAPLike)
 		var bytesOut int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -157,7 +157,7 @@ func BenchmarkAblationCompression(b *testing.B) {
 
 	b.Run("fullSerializationGzip", func(b *testing.B) {
 		w := newWorkload()
-		ser := baseline.NewGSOAPLike()
+		ser := new(baseline.GSOAPLike)
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
 		var bytesOut int64

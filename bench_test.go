@@ -80,11 +80,11 @@ func mcmBench(b *testing.B, build func(n int) *wire.Message, withXSOAP bool) {
 		m := build(n)
 		if withXSOAP {
 			b.Run("series=XSOAP/"+sizeName(n), func(b *testing.B) {
-				benchFullSerialization(b, m, false, baseline.NewXSOAPLike())
+				benchFullSerialization(b, m, false, new(baseline.XSOAPLike))
 			})
 		}
 		b.Run("series=gSOAP/"+sizeName(n), func(b *testing.B) {
-			benchFullSerialization(b, m, false, baseline.NewGSOAPLike())
+			benchFullSerialization(b, m, false, new(baseline.GSOAPLike))
 		})
 		b.Run("series=bSOAPFull/"+sizeName(n), func(b *testing.B) {
 			benchFullSerialization(b, m, true, nil)

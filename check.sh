@@ -160,6 +160,17 @@ one_path_guard() {
     # of a 16-byte DUT entry and an 8-byte leaf range), not at constants.
     absent "flat per-entry charge" 'entrySize = 64' internal/core
     absent "flat per-range charge" 'perRange = 16' internal/diffdeser
+    # Doubles print through a converter value each serializer holds. A
+    # process-global converter is an indirect call that escape analysis
+    # cannot see through: the from-scratch renderer's conversion scratch
+    # moved to the heap, one allocation per double.
+    absent "process-global double converter" 'SetDoubleConverter|doubleConverter =' .
+    heap=$(go build -gcflags=-m ./internal/soapenv 2>&1 | grep 'moved to heap' || true)
+    if [ -n "$heap" ]; then
+        echo "one-path guard: the from-scratch renderer moves a variable to the heap:" >&2
+        echo "$heap" >&2
+        exit 1
+    fi
     if [ -d internal/server ]; then
         echo "one-path guard: internal/server is back; serverpool.Runtime is the endpoint" >&2
         exit 1

@@ -300,9 +300,9 @@ func printTemplates(w io.Writer, url string, d *replica.Dump) {
 	if d.BudgetBytes > 0 {
 		budget = fmt.Sprintf("budget %.1f KB", float64(d.BudgetBytes)/1e3)
 	}
-	fmt.Fprintf(w, "%s side (%s): %d entries, %.1f KB resident (high water %.1f KB, %s), evictions %d lru / %d budget\n",
+	fmt.Fprintf(w, "%s side (%s): %d entries, %.1f KB resident (high water %.1f KB, %s), evictions %d lru / %d budget, %d refused\n",
 		d.Side, url, d.Entries, float64(d.Bytes)/1e3, float64(d.HighWaterBytes)/1e3, budget,
-		d.EvictionsLRU, d.EvictionsBudget)
+		d.EvictionsLRU, d.EvictionsBudget, d.Refused)
 	if len(d.Templates) == 0 {
 		return
 	}

@@ -34,9 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
+	var conv fastconv.Converter
 	if *era {
-		restore := fastconv.SetDoubleConverter(fastconv.DragonDoubleConverter)
-		defer restore()
+		conv = fastconv.Dragon
 		fmt.Println("# 2004-era conversion costs emulated (dragon dtoa)")
 	}
 
@@ -83,7 +83,7 @@ func main() {
 	switch *engine {
 	case "bsoap", "bsoap-full":
 		cfg.DisableDiff = *engine == "bsoap-full"
-		stub := core.NewStub(cfg, sink)
+		stub := core.NewStubWithConverter(cfg, sink, conv)
 		for i := 0; i < *count; i++ {
 			if i > 0 {
 				touch(*dirty)
@@ -102,9 +102,9 @@ func main() {
 			st.Calls, st.FirstTimeSends, st.ContentMatches, st.StructuralMatches,
 			st.PartialMatches, st.FullSerializations)
 	case "gsoap", "xsoap":
-		var ser baseline.Serializer = baseline.NewGSOAPLike()
+		var ser baseline.Serializer = &baseline.GSOAPLike{Conv: conv}
 		if *engine == "xsoap" {
-			ser = baseline.NewXSOAPLike()
+			ser = &baseline.XSOAPLike{Conv: conv}
 		}
 		client := baseline.NewClient(ser, sink)
 		for i := 0; i < *count; i++ {

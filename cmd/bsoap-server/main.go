@@ -249,9 +249,10 @@ func main() {
 			fmt.Printf("bsoap-server: delta: %d patches applied, %d base syncs, %d resyncs\n",
 				st.DeltaApplied, st.DeltaSyncs, st.DeltaResyncs)
 		}
-		fmt.Printf("bsoap-server: replicas: %d resident, %d evicted, %d template keys evicted\n",
-			st.Replicas, st.ReplicaEvictions, st.DDSKeyEvictions)
-		if ss := sm.Snapshot(); ss.ReplicaBudgetEvictions > 0 || ss.TemplateBytesHighWater > 0 {
+		ss := sm.Snapshot()
+		fmt.Printf("bsoap-server: replicas: %d resident, %d evicted, %d template keys evicted, %d templates refused\n",
+			st.Replicas, st.ReplicaEvictions, st.DDSKeyEvictions, ss.DDSRefused)
+		if ss.ReplicaBudgetEvictions > 0 || ss.TemplateBytesHighWater > 0 {
 			fmt.Printf("bsoap-server: template memory: %.1f KB resident (high water %.1f KB), %d budget evictions\n",
 				float64(ss.TemplateBytes)/1e3, float64(ss.TemplateBytesHighWater)/1e3, ss.ReplicaBudgetEvictions)
 		}

@@ -58,7 +58,7 @@ func TestConformanceMatchClasses(t *testing.T) {
 	})
 
 	w := workload.NewDoubles(16, workload.FillMin)
-	ref := baseline.NewGSOAPLike()
+	ref := new(baseline.GSOAPLike)
 	expected := newExpectSet()
 	call := func(step string) bsoap.CallInfo {
 		t.Helper()
@@ -164,7 +164,7 @@ func TestConformanceUnderChaos(t *testing.T) {
 		go func(wk int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(wk) + 1))
-			ref := baseline.NewGSOAPLike()
+			ref := new(baseline.GSOAPLike)
 			targets := []*target{
 				doublesTarget("doubles", 32),
 				intsTarget("ints", 32),

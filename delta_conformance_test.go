@@ -2,12 +2,15 @@ package bsoap_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"bsoap"
 	"bsoap/internal/baseline"
+	"bsoap/internal/core"
 	"bsoap/internal/harness"
+	"bsoap/internal/pool"
 	"bsoap/internal/serverpool"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
@@ -37,7 +40,7 @@ func TestPoolDeltaEquivalence(t *testing.T) {
 				intsTarget("ints", 64),
 				miosTarget("mios", 16),
 			}
-			ref := baseline.NewGSOAPLike()
+			ref := new(baseline.GSOAPLike)
 			rng := rand.New(rand.NewSource(7))
 			want := make([][]byte, 0, rounds)
 
@@ -200,7 +203,7 @@ func TestDeltaConformanceBesideIdlessPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sender.Close()
-	gsoap := baseline.NewClient(baseline.NewGSOAPLike(), sender)
+	gsoap := baseline.NewClient(new(baseline.GSOAPLike), sender)
 
 	targets := func() []*target {
 		return []*target{
@@ -255,7 +258,7 @@ func resyncScript(t *testing.T, opts bsoap.PoolOptions) bsoap.PoolStats {
 	rec, p := harness.Recorder(t, nil, opts)
 
 	w := workload.NewDoubles(16, workload.FillMin)
-	ref := baseline.NewGSOAPLike()
+	ref := new(baseline.GSOAPLike)
 	want := make([][]byte, 0, 8)
 	call := func(step string) bsoap.CallInfo {
 		t.Helper()
@@ -364,5 +367,62 @@ func TestDeltaResyncRecoveryPipelined(t *testing.T) {
 		if c.serial != c.pipe {
 			t.Errorf("%s: serial pool counted %d, pipelined pool %d", c.name, c.serial, c.pipe)
 		}
+	}
+}
+
+// TestRefusedCallIsNeverAPatchBase runs a delta pool whose operation has
+// room for one template, on a serial and on a pipelined connection: the
+// held shape syncs once and then goes out as patch frames, while two
+// other shapes take turns, each refused a template by the doorkeeper.
+// A refused call is a plain full body — no sync annotation, no patch —
+// so the server keeps no base for it, and the held shape's base stays
+// in step: no resync, and every patch applied.
+func TestRefusedCallIsNeverAPatchBase(t *testing.T) {
+	for _, depth := range []int{0, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			rt, srv := harness.BenchRuntime(t,
+				serverpool.Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true},
+				transport.ServerOptions{ReadAhead: depth})
+			p := harness.Pool(t, pool.Options{
+				Size: 1, Addr: srv.Addr(), PipelineDepth: depth, Delta: true,
+				Config: core.Config{MaxTemplatesPerOp: 1, Width: core.WidthPolicy{Double: core.MaxWidth}},
+			})
+			held := workload.NewDoubles(64, workload.FillIntermediate)
+			others := []*workload.Doubles{
+				workload.NewDoubles(65, workload.FillIntermediate),
+				workload.NewDoubles(66, workload.FillIntermediate),
+			}
+			call := func(d *workload.Doubles, i int) core.CallInfo {
+				t.Helper()
+				d.Arr.Set(i%d.Arr.Len(), float64(i))
+				ci, err := p.Call(d.Msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ci
+			}
+			if ci := call(held, 0); ci.Match != core.FirstTime || ci.DeltaSent {
+				t.Fatalf("held shape's first call: %+v", ci)
+			}
+			const rounds = 6
+			for i := 1; i <= rounds; i++ {
+				for _, d := range others {
+					if ci := call(d, i); ci.Match != core.FullSerialization || ci.DeltaSent || ci.WireBytes != ci.Bytes {
+						t.Fatalf("round %d: refused call %+v, want a plain full body", i, ci)
+					}
+				}
+				if ci := call(held, i); !ci.DeltaSent {
+					t.Fatalf("round %d: held shape %+v, want a patch frame", i, ci)
+				}
+			}
+			st, cs := rt.Stats(), p.Stats()
+			if st.DeltaSyncs != 1 || st.DeltaApplied != rounds || st.DeltaResyncs != 0 || cs.DeltaResyncs != 0 {
+				t.Fatalf("server: %d syncs, %d patches applied, %d resyncs; client %d resyncs; want 1, %d, 0, 0",
+					st.DeltaSyncs, st.DeltaApplied, st.DeltaResyncs, cs.DeltaResyncs, rounds)
+			}
+			if cs.TemplateRefusals != 2*rounds || cs.TemplateEvictions != 0 || st.SelfCheckFails != 0 {
+				t.Fatalf("client: %d refusals, %d evictions; server %d self-check fails", cs.TemplateRefusals, cs.TemplateEvictions, st.SelfCheckFails)
+			}
+		})
 	}
 }

@@ -67,21 +67,21 @@ func (c *Client) Call(m *wire.Message) (int, error) {
 // gSOAP-like: one streaming pass, reused buffer, inline conversions.
 // ---------------------------------------------------------------------
 
-// GSOAPLike is a single-pass full serializer in the style of gSOAP.
-// Not safe for concurrent use (the buffer is reused across calls).
+// GSOAPLike is a single-pass full serializer in the style of gSOAP; the
+// zero value is ready to use. Not safe for concurrent use (the buffer is
+// reused across calls).
 type GSOAPLike struct {
-	buf []byte
+	// Conv is the double converter (the zero value is the default one).
+	Conv fastconv.Converter
+	buf  []byte
 }
-
-// NewGSOAPLike returns a serializer with a small initial buffer.
-func NewGSOAPLike() *GSOAPLike { return &GSOAPLike{buf: make([]byte, 0, 4096)} }
 
 // Name implements Serializer.
 func (g *GSOAPLike) Name() string { return "gSOAP-like" }
 
 // Serialize implements Serializer.
 func (g *GSOAPLike) Serialize(m *wire.Message) []byte {
-	g.buf = soapenv.AppendMessage(g.buf[:0], m)
+	g.buf = soapenv.AppendMessage(g.buf[:0], m, g.Conv)
 	return g.buf
 }
 
@@ -99,11 +99,12 @@ type node struct {
 
 // XSOAPLike is a DOM-building full serializer in the style of the Java
 // XSOAP/SoapRMI implementations: every element is an allocated object
-// and every value is boxed into a string before the output pass.
-type XSOAPLike struct{}
-
-// NewXSOAPLike returns the serializer.
-func NewXSOAPLike() *XSOAPLike { return &XSOAPLike{} }
+// and every value is boxed into a string before the output pass. The
+// zero value is ready to use.
+type XSOAPLike struct {
+	// Conv is the double converter (the zero value is the default one).
+	Conv fastconv.Converter
+}
 
 // Name implements Serializer.
 func (x *XSOAPLike) Name() string { return "XSOAP-like" }
@@ -167,7 +168,7 @@ func (x *XSOAPLike) valueNode(m *wire.Message, t *wire.Type, tag string, leaf in
 		n.text = strconv.FormatInt(int64(m.LeafInt(leaf)), 10)
 	case wire.Double:
 		var tmp [xsdlex.MaxDoubleWidth]byte
-		w := fastconv.WriteDouble(tmp[:], m.LeafDouble(leaf))
+		w := x.Conv.WriteDouble(tmp[:], m.LeafDouble(leaf))
 		n.text = string(tmp[:w])
 	case wire.Bool:
 		n.text = strconv.FormatBool(m.LeafBool(leaf))

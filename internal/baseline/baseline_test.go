@@ -151,7 +151,7 @@ func TestGSOAPLikeMatchesDifferentialFirstSend(t *testing.T) {
 		}},
 	}
 	for _, sh := range shapes {
-		g := string(NewGSOAPLike().Serialize(sh.build()))
+		g := string(new(GSOAPLike).Serialize(sh.build()))
 
 		off := &captureSink{}
 		if _, err := core.NewStub(core.Config{DisableDiff: true}, off).Call(sh.build()); err != nil {
@@ -170,9 +170,9 @@ func TestGSOAPLikeMatchesDifferentialFirstSend(t *testing.T) {
 
 func TestXSOAPLikeSameValues(t *testing.T) {
 	m := sampleMessage()
-	x := NewXSOAPLike()
+	x := new(XSOAPLike)
 	xd := x.Serialize(m)
-	g := NewGSOAPLike()
+	g := new(GSOAPLike)
 	gd := g.Serialize(m)
 	xs, gs := leafTexts(t, xd), leafTexts(t, gd)
 	if len(xs) != len(gs) {
@@ -187,7 +187,7 @@ func TestXSOAPLikeSameValues(t *testing.T) {
 
 func TestSerializersAreReusable(t *testing.T) {
 	m := sampleMessage()
-	for _, ser := range []Serializer{NewGSOAPLike(), NewXSOAPLike()} {
+	for _, ser := range []Serializer{new(GSOAPLike), new(XSOAPLike)} {
 		first := append([]byte(nil), ser.Serialize(m)...)
 		second := ser.Serialize(m)
 		if string(first) != string(second) {
@@ -197,7 +197,7 @@ func TestSerializersAreReusable(t *testing.T) {
 }
 
 func TestSerializerNames(t *testing.T) {
-	if NewGSOAPLike().Name() != "gSOAP-like" || NewXSOAPLike().Name() != "XSOAP-like" {
+	if new(GSOAPLike).Name() != "gSOAP-like" || new(XSOAPLike).Name() != "XSOAP-like" {
 		t.Fatal("names changed; benchmark output depends on them")
 	}
 }
@@ -205,7 +205,7 @@ func TestSerializerNames(t *testing.T) {
 func TestClientCall(t *testing.T) {
 	m := sampleMessage()
 	sink := &captureSink{}
-	c := NewClient(NewGSOAPLike(), sink)
+	c := NewClient(new(GSOAPLike), sink)
 	n, err := c.Call(m)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestValueUpdatesAreReflected(t *testing.T) {
 	// Full serializers read the live message every call: no staleness.
 	m := wire.NewMessage("urn:base", "op")
 	d := m.AddDouble("v", 1.5)
-	g := NewGSOAPLike()
+	g := new(GSOAPLike)
 	if !strings.Contains(string(g.Serialize(m)), ">1.5<") {
 		t.Fatal("value missing")
 	}
@@ -235,7 +235,7 @@ func BenchmarkGSOAPLikeDoubles1K(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		arr.Set(i, float64(i)*1.0001)
 	}
-	g := NewGSOAPLike()
+	g := new(GSOAPLike)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -249,7 +249,7 @@ func BenchmarkXSOAPLikeDoubles1K(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		arr.Set(i, float64(i)*1.0001)
 	}
-	x := NewXSOAPLike()
+	x := new(XSOAPLike)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

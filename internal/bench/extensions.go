@@ -124,12 +124,9 @@ func extD1(o Options) (*Figure, error) {
 // when conversions cost this much; with them restored, the narrow modern
 // ratios widen back toward the paper's.
 func extC1(o Options) (*Figure, error) {
-	restore := fastconv.SetDoubleConverter(fastconv.DragonDoubleConverter)
-	defer restore()
-	fig, err := mcmFigure(o, "extC1",
+	return mcmFigure(o, "extC1",
 		"Message Content Matches: Doubles, 2004-era conversion costs (extension)",
-		"double", buildDoubleMsg, false)
-	return fig, err
+		"double", buildDoubleMsg, false, fastconv.Dragon)
 }
 
 // renderSink captures the stub's last serialized message.

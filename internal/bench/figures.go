@@ -6,6 +6,7 @@ import (
 	"bsoap/internal/baseline"
 	"bsoap/internal/chunk"
 	"bsoap/internal/core"
+	"bsoap/internal/fastconv"
 	"bsoap/internal/wire"
 	"bsoap/internal/workload"
 )
@@ -55,8 +56,9 @@ func buildIntMsg(n int) *wire.Message { return workload.NewInts(n, workload.Fill
 
 // mcmFigure measures gSOAP (and optionally XSOAP) full serialization,
 // bSOAP with differential serialization off, and bSOAP message content
-// matches for resends of an unchanged message.
-func mcmFigure(o Options, id, title, elem string, build mcmBuilder, withXSOAP bool) (*Figure, error) {
+// matches for resends of an unchanged message, every serializer printing
+// doubles through conv.
+func mcmFigure(o Options, id, title, elem string, build mcmBuilder, withXSOAP bool, conv fastconv.Converter) (*Figure, error) {
 	o = o.withDefaults()
 	fig := &Figure{
 		ID:     id,
@@ -71,7 +73,7 @@ func mcmFigure(o Options, id, title, elem string, build mcmBuilder, withXSOAP bo
 		m := build(n)
 
 		if withXSOAP {
-			cl := baseline.NewClient(baseline.NewXSOAPLike(), o.Sink)
+			cl := baseline.NewClient(&baseline.XSOAPLike{Conv: conv}, o.Sink)
 			ms, err := timeCalls(o.Reps, func() error { _, err := cl.Call(m); return err })
 			if err != nil {
 				return nil, err
@@ -79,21 +81,21 @@ func mcmFigure(o Options, id, title, elem string, build mcmBuilder, withXSOAP bo
 			sXSOAP.Points = append(sXSOAP.Points, Point{n, ms})
 		}
 
-		cl := baseline.NewClient(baseline.NewGSOAPLike(), o.Sink)
+		cl := baseline.NewClient(&baseline.GSOAPLike{Conv: conv}, o.Sink)
 		ms, err := timeCalls(o.Reps, func() error { _, err := cl.Call(m); return err })
 		if err != nil {
 			return nil, err
 		}
 		sGSOAP.Points = append(sGSOAP.Points, Point{n, ms})
 
-		full := core.NewStub(core.Config{Chunk: chunk32K(), DisableDiff: true}, o.Sink)
+		full := core.NewStubWithConverter(core.Config{Chunk: chunk32K(), DisableDiff: true}, o.Sink, conv)
 		ms, err = timeCalls(o.Reps, func() error { _, err := full.Call(m); return err })
 		if err != nil {
 			return nil, err
 		}
 		sFull.Points = append(sFull.Points, Point{n, ms})
 
-		diff := core.NewStub(core.Config{Chunk: chunk32K()}, o.Sink)
+		diff := core.NewStubWithConverter(core.Config{Chunk: chunk32K()}, o.Sink, conv)
 		if _, err := diff.Call(m); err != nil { // first-time send, untimed
 			return nil, err
 		}
@@ -116,18 +118,18 @@ func mcmFigure(o Options, id, title, elem string, build mcmBuilder, withXSOAP bo
 
 // fig01 reproduces Figure 1: message content matches, MIO arrays.
 func fig01(o Options) (*Figure, error) {
-	return mcmFigure(o, "fig01", "Message Content Matches: MIO's", "MIO", buildMIOMsg, false)
+	return mcmFigure(o, "fig01", "Message Content Matches: MIO's", "MIO", buildMIOMsg, false, 0)
 }
 
 // fig02 reproduces Figure 2: message content matches, double arrays,
 // with the XSOAP baseline added.
 func fig02(o Options) (*Figure, error) {
-	return mcmFigure(o, "fig02", "Message Content Matches: Doubles", "double", buildDoubleMsg, true)
+	return mcmFigure(o, "fig02", "Message Content Matches: Doubles", "double", buildDoubleMsg, true, 0)
 }
 
 // fig03 reproduces Figure 3: message content matches, integer arrays.
 func fig03(o Options) (*Figure, error) {
-	return mcmFigure(o, "fig03", "Message Content Matches: Integers", "int", buildIntMsg, false)
+	return mcmFigure(o, "fig03", "Message Content Matches: Integers", "int", buildIntMsg, false, 0)
 }
 
 // ---------------------------------------------------------------------

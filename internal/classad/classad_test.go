@@ -108,7 +108,7 @@ func TestDecodeAdsRoundTrip(t *testing.T) {
 	p.Tick(0.5)
 	e := NewExchange(p)
 	e.Sync()
-	doc := baseline.NewGSOAPLike().Serialize(e.Msg)
+	doc := new(baseline.GSOAPLike).Serialize(e.Msg)
 
 	schema := &soapdec.Schema{
 		Namespace: Namespace,

@@ -135,7 +135,11 @@ type Config struct {
 	DisableDiff bool
 	// MaxTemplatesPerOp bounds how many structurally distinct templates
 	// are retained per operation (paper §6 future work: multiple
-	// templates per remote service). Zero selects 4.
+	// templates per remote service). Zero selects 4. In a pool it also
+	// sizes the template store's doorkeeper: once an operation holds
+	// this many, a new signature gets a template only if it was refused
+	// one within the operation's last MaxTemplatesPerOp refusals, and a
+	// refused call is serialized from scratch.
 	MaxTemplatesPerOp int
 }
 

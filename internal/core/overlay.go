@@ -206,7 +206,7 @@ func (s *Stub) overlayStateFor(m *wire.Message) (*overlayState, error) {
 	if st, ok := s.overlays[m.Operation()]; ok && st.sig == m.Signature() {
 		return st, nil
 	}
-	st, err := buildOverlayState(m, s.cfg)
+	st, err := buildOverlayState(m, s.cfg, s.scr.conv)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func (s *Stub) overlayStateFor(m *wire.Message) (*overlayState, error) {
 
 // buildOverlayState validates the message shape and computes the fixed
 // per-item layout.
-func buildOverlayState(m *wire.Message, cfg Config) (*overlayState, error) {
+func buildOverlayState(m *wire.Message, cfg Config, conv fastconv.Converter) (*overlayState, error) {
 	params := m.Params()
 	if len(params) == 0 || params[len(params)-1].Type.Kind != wire.Array {
 		return nil, errOverlayUnsupported
@@ -234,7 +234,7 @@ func buildOverlayState(m *wire.Message, cfg Config) (*overlayState, error) {
 	head := soapenv.EnvelopeStart(m.Namespace()) + soapenv.OperationStart(m.Operation())
 	var scratch [xsdlex.MaxDoubleWidth]byte
 	for _, p := range params[:len(params)-1] {
-		enc := encodeLeaf(m, p.First, p.Type, scratch[:])
+		enc := encodeLeaf(m, p.First, p.Type, scratch[:], conv)
 		head += soapenv.ScalarStart(p.Name, p.Type) + string(enc) + soapenv.CloseTag(p.Name)
 	}
 	head += soapenv.ArrayStart(arr.Name, arr.Type.Elem, arr.Count)

@@ -5,6 +5,7 @@ import (
 	"net"
 	"unsafe"
 
+	"bsoap/internal/fastconv"
 	"bsoap/internal/replica"
 	"bsoap/internal/soapenv"
 	"bsoap/internal/trace"
@@ -155,6 +156,9 @@ type scratch struct {
 	// seen and then stop allocating.
 	regs  []deltaRegion
 	delta []byte
+	// conv is the double converter every value of the stub prints
+	// through, chosen at construction (NewStubWithConverter).
+	conv fastconv.Converter
 	// span is the flight-recorder span of the call in progress: set by
 	// the pool runtime (SetTraceSpan) or self-allocated at Call entry
 	// when tracing is on, consumed (reset to zero) when the call's span
@@ -172,17 +176,22 @@ func (sc *scratch) encode(m *wire.Message, i int, typ *wire.Type) []byte {
 	if cap(sc.enc) < xsdlex.MaxDoubleWidth {
 		sc.enc = make([]byte, 0, xsdlex.MaxDoubleWidth)
 	}
-	out := encodeLeaf(m, i, typ, sc.enc[:cap(sc.enc)])
+	out := encodeLeaf(m, i, typ, sc.enc[:cap(sc.enc)], sc.conv)
 	if cap(out) > cap(sc.enc) {
 		sc.enc = out
 	}
 	return out
 }
 
-// NewStub returns a stub sending through sink.
-func NewStub(cfg Config, sink Sink) *Stub {
+// NewStub returns a stub sending through sink, printing doubles with the
+// default converter.
+func NewStub(cfg Config, sink Sink) *Stub { return NewStubWithConverter(cfg, sink, 0) }
+
+// NewStubWithConverter returns a stub sending through sink whose doubles
+// print through conv — fastconv.Dragon for the 2004-era cost emulation.
+func NewStubWithConverter(cfg Config, sink Sink, conv fastconv.Converter) *Stub {
 	c := cfg.withDefaults()
-	return &Stub{cfg: c, sink: sink, store: Store{
+	return &Stub{cfg: c, sink: sink, scr: scratch{conv: conv}, store: Store{
 		byOp: make(map[string]*replica.LRU[string, *Template]),
 		cap:  c.MaxTemplatesPerOp,
 	}}
@@ -375,7 +384,7 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 // represent.
 func (s *Stub) fromScratch(m *wire.Message, ci *CallInfo) (CallInfo, error) {
 	ci.Match = FullSerialization
-	s.scr.enc = soapenv.AppendMessage(s.scr.enc[:0], m)
+	s.scr.enc = soapenv.AppendMessage(s.scr.enc[:0], m, s.scr.conv)
 	ci.Bytes = len(s.scr.enc)
 	ci.WireBytes = ci.Bytes
 	ci.BytesSerialized = ci.Bytes

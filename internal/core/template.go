@@ -75,14 +75,15 @@ func (t *Template) memoryFootprint() int {
 }
 
 // encodeLeaf renders leaf i's lexical form into scratch (which must have
-// capacity ≥ MaxDoubleWidth for numeric kinds); strings may allocate.
-func encodeLeaf(m *wire.Message, i int, typ *wire.Type, scratch []byte) []byte {
+// capacity ≥ MaxDoubleWidth for numeric kinds), doubles through conv;
+// strings may allocate.
+func encodeLeaf(m *wire.Message, i int, typ *wire.Type, scratch []byte, conv fastconv.Converter) []byte {
 	switch typ.Kind {
 	case wire.Int:
 		n := fastconv.WriteInt(scratch, m.LeafInt(i))
 		return scratch[:n]
 	case wire.Double:
-		n := fastconv.WriteDouble(scratch, m.LeafDouble(i))
+		n := conv.WriteDouble(scratch, m.LeafDouble(i))
 		return scratch[:n]
 	case wire.Bool:
 		n := fastconv.WriteBool(scratch, m.LeafBool(i))

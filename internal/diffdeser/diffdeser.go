@@ -43,6 +43,10 @@ type Info struct {
 	ValuesReparsed int
 	// Reason says why a full parse happened (ReasonNone on the fast path).
 	Reason Reason
+	// Refused is set on a full parse that kept nothing: the key's
+	// templates were full and the doorkeeper had not refused the body's
+	// length recently (see Deserializer).
+	Refused bool
 }
 
 // Reason classifies why a decode ran the full parse. The set is closed,
@@ -166,9 +170,14 @@ const defaultMaxKeys = 64
 
 // Deserializer decodes requests that name no template: it keeps, per
 // operation key, the last few bodies with their templates and decodes a
-// new body against the first of them with the same length. Not safe for
-// concurrent use; guard it per connection or with the server's dispatch
-// lock.
+// new body against the first of them with the same length.
+//
+// A key whose MaxTemplatesPerKey templates are full keeps a body of a new
+// length only when it refused that length within its last
+// MaxTemplatesPerKey refusals (the client pool's doorkeeper, keyed by
+// length): any other is decoded without ranges and without a copy, and
+// the templates in use stay. Not safe for concurrent use; guard it per
+// connection or with the server's dispatch lock.
 type Deserializer struct {
 	lookup    soapdec.Lookup
 	keys      *replica.LRU[string, *keyTemplates] // the tree's one LRU
@@ -177,9 +186,33 @@ type Deserializer struct {
 	size      int64 // resident bytes, maintained incrementally
 }
 
-// keyTemplates is one operation key's template list, LRU front first.
+// keyTemplates is one operation key's template list, LRU front first,
+// and its doorkeeper: the body lengths of its last MaxTemplatesPerKey
+// refusals (0 is an empty place), next the place the next one takes.
+// A refused body decodes into scratch, so a key that keeps refusing
+// reuses one message instead of making one per request; like a
+// template's message, it is not charged to SizeBytes.
 type keyTemplates struct {
-	list []*owned
+	list    []*owned
+	refused [MaxTemplatesPerKey]int
+	next    int
+	scratch soapdec.Scratch
+}
+
+// admit reports whether the full key keeps a body of length n: only one
+// whose length it refused within its last MaxTemplatesPerKey refusals. A
+// length admitted leaves the ring; a length refused takes the oldest
+// place in it.
+func (kt *keyTemplates) admit(n int) bool {
+	for i, x := range kt.refused {
+		if x == n {
+			kt.refused[i] = 0
+			return true
+		}
+	}
+	kt.refused[kt.next] = n
+	kt.next = (kt.next + 1) % MaxTemplatesPerKey
+	return false
 }
 
 // New returns a deserializer resolving operations through lookup, with
@@ -417,14 +450,25 @@ func relexRegion(msg *wire.Message, leaf int, seg []byte) bool {
 }
 
 // fullParse runs the complete schema-driven parse and refreshes the
-// template for key.
+// template for key — unless the key is full and the body is a length
+// none of its templates has (ReasonLength) that the doorkeeper refuses:
+// then the parse records no ranges, copies nothing and decodes into the
+// key's scratch message, and the key keeps the templates it has.
 func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.Message, Info, error) {
+	kt, ok := d.keys.Peek(key)
+	if ok && reason == ReasonLength && len(kt.list) >= MaxTemplatesPerKey && !kt.admit(len(body)) {
+		msg, err := kt.scratch.Decode(body, d.lookup)
+		if err != nil {
+			return nil, Info{FullParse: true, Reason: reason}, err
+		}
+		d.keys.Touch(key)
+		return msg, Info{FullParse: true, Reason: reason, Refused: true}, nil
+	}
 	o := &owned{}
 	if err := o.parse(body, d.lookup); err != nil {
 		return nil, Info{FullParse: true, Reason: reason}, err
 	}
 	o.body = append([]byte(nil), body...)
-	kt, ok := d.keys.Peek(key)
 	if !ok {
 		kt = &keyTemplates{}
 	}

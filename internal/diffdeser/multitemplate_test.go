@@ -6,6 +6,7 @@ import (
 
 	"bsoap/internal/core"
 	"bsoap/internal/soapdec"
+	"bsoap/internal/soapenv"
 	"bsoap/internal/wire"
 )
 
@@ -136,4 +137,54 @@ func replaceFirst(t *testing.T, b, old, new []byte) {
 
 func lastIndex(b, pat []byte) int {
 	return bytes.LastIndex(b, pat)
+}
+
+// TestDoorkeeperRefusesALengthRotation rotates 2×MaxTemplatesPerKey+1
+// body lengths through one key: the first MaxTemplatesPerKey lengths
+// keep the key's templates and decode on the fast path from their second
+// turn; every other is refused a template on every turn — a full parse
+// that records no ranges, copies nothing and evicts nothing — and still
+// decodes to the values sent. A new set of MaxTemplatesPerKey lengths
+// then takes the key over: refused on its first turn, admitted on its
+// second, fast on its third.
+func TestDoorkeeperRefusesALengthRotation(t *testing.T) {
+	schema := &soapdec.Schema{Namespace: "urn:dd", Op: "send",
+		Params: []soapdec.ParamSpec{{Name: "v", Type: wire.ArrayOf(wire.TDouble)}}}
+	d := New(func(string) (*soapdec.Schema, bool) { return schema, true })
+	shape := func(n int) (*wire.Message, wire.DoubleArrayRef) {
+		m := wire.NewMessage("urn:dd", "send")
+		return m, m.AddDoubleArray("v", n)
+	}
+	decode := func(what string, n, round int, fast, refused bool) {
+		t.Helper()
+		m, arr := shape(n)
+		arr.Set(n-1, float64(round)) // one digit: the body keeps its length
+		msg, info, err := d.Decode("k", soapenv.AppendMessage(nil, m, 0))
+		if err != nil || info.FullParse == fast || info.Refused != refused {
+			t.Fatalf("%s %d, round %d: %+v, %v; want fast %v, refused %v", what, n, round, info, err, fast, refused)
+		}
+		if !fast && info.Reason != ReasonLength && round > 0 {
+			t.Fatalf("%s %d, round %d: reason %v, want length", what, n, round, info.Reason)
+		}
+		if got := msg.LeafDouble(n - 1); got != float64(round) {
+			t.Fatalf("%s %d, round %d: decoded %v", what, n, round, got)
+		}
+	}
+	var size int
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 2*MaxTemplatesPerKey+1; i++ {
+			held := i < MaxTemplatesPerKey
+			decode("length", 10+i, round, held && round > 0, !held)
+		}
+		if round == 0 {
+			size = d.SizeBytes()
+		} else if d.SizeBytes() != size || d.TemplateCount() != MaxTemplatesPerKey {
+			t.Fatalf("round %d: %d templates, %d B; want %d and %d B", round, d.TemplateCount(), d.SizeBytes(), MaxTemplatesPerKey, size)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < MaxTemplatesPerKey; i++ {
+			decode("new length", 40+i, round, round == 2, round == 0)
+		}
+	}
 }

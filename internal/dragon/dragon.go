@@ -12,9 +12,9 @@
 //     from first principles rather than the standard library.
 //
 //   - It is deliberately *slow* — exact big-integer arithmetic, like
-//     the printf-family conversions SOAP toolkits used in 2004. The
-//     benchmark harness can swap it in (fastconv.SetDoubleConverter)
-//     to emulate 2004-era conversion/transport cost ratios and recover
+//     the printf-family conversions SOAP toolkits used in 2004. A
+//     serializer built with fastconv.Dragon converts through it, to
+//     emulate 2004-era conversion/transport cost ratios and recover
 //     the paper's original speedup magnitudes.
 package dragon
 

@@ -44,22 +44,27 @@ func WriteInt(dst []byte, v int32) int {
 	return n
 }
 
-// doubleConverter is the pluggable double→ASCII routine every
-// serializer in the repository funnels through. The default is xsdlex's
-// Schubfach printer; SetDoubleConverter swaps it, e.g. for the exact
-// big-integer dragon printer that emulates 2004-era conversion costs.
-// Not safe to swap concurrently with serialization.
-var doubleConverter = defaultDoubleConverter
+// Converter selects the double→ASCII routine a serializer prints with.
+// The zero value is xsdlex's Schubfach printer; Dragon is the exact
+// big-integer printer that emulates 2004-era conversion costs. It is a
+// value held by each serializer, not a process-global function: the
+// call it makes is direct, so escape analysis keeps a caller's scratch
+// buffer on its stack.
+type Converter uint8
 
-func defaultDoubleConverter(dst []byte, v float64) int {
-	return len(xsdlex.AppendDouble(dst[:0], v))
-}
-
-// DragonDoubleConverter converts through the from-scratch exact
-// Dragon4 printer (internal/dragon), with the XSD special-value names.
-// It is deliberately slow — big-integer arithmetic per value, like the
+// Dragon converts through the from-scratch exact Dragon4 printer
+// (internal/dragon), with the XSD special-value names. It is
+// deliberately slow — big-integer arithmetic per value, like the
 // printf-family conversions of 2004-era SOAP stacks.
-func DragonDoubleConverter(dst []byte, v float64) int {
+const Dragon Converter = 1
+
+// WriteDouble writes the shortest round-trip form of v at dst[0:] with
+// c's routine and returns the number of bytes written. dst must have
+// room for xsdlex.MaxDoubleWidth bytes.
+func (c Converter) WriteDouble(dst []byte, v float64) int {
+	if c != Dragon {
+		return len(xsdlex.AppendDouble(dst[:0], v))
+	}
 	switch {
 	case math.IsInf(v, 1):
 		return copy(dst, "INF")
@@ -71,19 +76,10 @@ func DragonDoubleConverter(dst []byte, v float64) int {
 	return len(dragon.AppendShortest(dst[:0], v))
 }
 
-// SetDoubleConverter installs fn as the double conversion routine and
-// returns a function restoring the previous one.
-func SetDoubleConverter(fn func(dst []byte, v float64) int) (restore func()) {
-	prev := doubleConverter
-	doubleConverter = fn
-	return func() { doubleConverter = prev }
-}
-
-// WriteDouble writes the shortest round-trip form of v at dst[0:] and
-// returns the number of bytes written. dst must have room for
-// xsdlex.MaxDoubleWidth bytes.
+// WriteDouble writes v with the default converter (Converter's zero
+// value).
 func WriteDouble(dst []byte, v float64) int {
-	return doubleConverter(dst, v)
+	return Converter(0).WriteDouble(dst, v)
 }
 
 // WriteBool writes "true" or "false" and returns the bytes written.

@@ -82,32 +82,26 @@ func TestDoubleConverterSwap(t *testing.T) {
 	def := WriteDouble(buf[:], 3.25)
 	defText := string(buf[:def])
 
-	restore := SetDoubleConverter(DragonDoubleConverter)
-	n := WriteDouble(buf[:], 3.25)
+	n := Dragon.WriteDouble(buf[:], 3.25)
 	if string(buf[:n]) != defText {
 		t.Fatalf("dragon converter diverges: %q vs %q", buf[:n], defText)
 	}
-	// XSD special-value names must be preserved under the swap.
-	n = WriteDouble(buf[:], math.Inf(-1))
-	if string(buf[:n]) != "-INF" {
-		t.Fatalf("dragon -Inf = %q", buf[:n])
-	}
-	n = WriteDouble(buf[:], math.NaN())
-	if string(buf[:n]) != "NaN" {
-		t.Fatalf("dragon NaN = %q", buf[:n])
-	}
-	restore()
-	n = WriteDouble(buf[:], 3.25)
-	if string(buf[:n]) != defText {
-		t.Fatal("restore did not reinstate the default converter")
+	// XSD special-value names must be preserved by both converters.
+	for _, c := range []Converter{0, Dragon} {
+		if n = c.WriteDouble(buf[:], math.Inf(-1)); string(buf[:n]) != "-INF" {
+			t.Fatalf("converter %d: -Inf = %q", c, buf[:n])
+		}
+		if n = c.WriteDouble(buf[:], math.NaN()); string(buf[:n]) != "NaN" {
+			t.Fatalf("converter %d: NaN = %q", c, buf[:n])
+		}
 	}
 }
 
 func TestDragonConverterMatchesDefaultBroadly(t *testing.T) {
 	f := func(v float64) bool {
 		var a, b [xsdlex.MaxDoubleWidth]byte
-		na := defaultDoubleConverter(a[:], v)
-		nb := DragonDoubleConverter(b[:], v)
+		na := WriteDouble(a[:], v)
+		nb := Dragon.WriteDouble(b[:], v)
 		return string(a[:na]) == string(b[:nb])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {

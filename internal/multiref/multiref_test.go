@@ -60,7 +60,7 @@ func TestEncodeDeduplicatesRepeatedStrings(t *testing.T) {
 		t.Fatalf("owner serialized %d times", n)
 	}
 	// And the message must be meaningfully smaller than the plain form.
-	plain := baseline.NewGSOAPLike().Serialize(m)
+	plain := new(baseline.GSOAPLike).Serialize(m)
 	if len(doc) >= len(plain) {
 		t.Fatalf("multi-ref (%d bytes) not smaller than plain (%d)", len(doc), len(plain))
 	}

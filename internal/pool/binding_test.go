@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"bsoap/internal/core"
 	reg "bsoap/internal/replica"
+	"bsoap/internal/soapenv"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
 	"bsoap/internal/workload"
@@ -19,7 +21,8 @@ import (
 
 // through runs one call of m through the store, as Pool.submit does
 // between acquire and release, into a buffer of its own: the body the
-// call put on the wire, and the engine that served it.
+// call put on the wire, and the engine that served it (nil when the
+// store refused the call a template and it went out from scratch).
 func through(t testing.TB, st *shardedStore, m *wire.Message) (core.CallInfo, []byte, *engine) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -32,6 +35,11 @@ func through(t testing.TB, st *shardedStore, m *wire.Message) (core.CallInfo, []
 
 func throughTo(st *shardedStore, m *wire.Message, w io.Writer) (core.CallInfo, *engine, error) {
 	r := st.acquire(m)
+	if r == nil {
+		// Refused: rendered from scratch, as by the pool slot's own stub.
+		ci, err := core.NewStub(core.Config{DisableDiff: true}, transport.WriterSink{W: w}).Call(m)
+		return ci, nil, err
+	}
 	r.sink.s = transport.WriterSink{W: w}
 	ci, err := r.stub.Call(m)
 	st.release(r)
@@ -115,6 +123,19 @@ func checkBinding(t testing.TB, st *shardedStore) {
 			r.mu.Unlock()
 		}
 	})
+}
+
+// bindings records which message every engine of the store is bound to.
+func bindings(st *shardedStore) map[*engine]*wire.Message {
+	b := make(map[*engine]*wire.Message)
+	st.reg.Each(func(_ reg.Key, e *storeEntry) {
+		e.mu.Lock()
+		for _, r := range e.engines {
+			b[r] = r.bound
+		}
+		e.mu.Unlock()
+	})
+	return b
 }
 
 // change gives `leaves` distinct elements of d new values.
@@ -424,7 +445,8 @@ func TestBindingOversubscribedConcurrent(t *testing.T) {
 // message, fail a send, evict the entry, resize a message and restore
 // it. After every call that succeeds, the bytes handed to the sink must
 // be a from-scratch serialization of the message modulo padding, and the
-// binding invariant must hold.
+// binding invariant must hold. A call the doorkeeper refuses a template
+// must go out as exactly soapenv.AppendMessage's body and bind nothing.
 func FuzzBindingSchedule(f *testing.F) {
 	const (
 		opCall = iota
@@ -457,16 +479,28 @@ func FuzzBindingSchedule(f *testing.F) {
 		for i := range msgs {
 			msgs[i] = workload.NewDoubles(leaves, workload.FillIntermediate)
 		}
-		// Two other shapes of the same operation: calling both pushes the
+		// Two other shapes of the same operation: calling both twice —
+		// refused by the full operation, then admitted — pushes the
 		// messages' entry out of the per-operation cap.
 		evictors := []*workload.Doubles{
 			workload.NewDoubles(leaves+2, workload.FillMin),
 			workload.NewDoubles(leaves+3, workload.FillMin),
 		}
 		call := func(d *workload.Doubles) {
-			_, body, _ := through(t, st, d.Msg)
+			before := bindings(st)
+			want := soapenv.AppendMessage(nil, d.Msg, 0) // before the call clears the dirty bits
+			ci, body, r := through(t, st, d.Msg)
 			checkBody(t, cfg, d.Msg, body, "call")
 			checkBinding(t, st)
+			if r != nil {
+				return
+			}
+			if ci.Match != core.FullSerialization || !bytes.Equal(body, want) {
+				t.Fatalf("refused call: %v, body differs from AppendMessage's", ci.Match)
+			}
+			if after := bindings(st); !maps.Equal(before, after) {
+				t.Fatal("a refused call changed a binding")
+			}
 		}
 		for in = in[2:]; len(in) >= 2; in = in[2:] {
 			arg := int(in[1])
@@ -483,6 +517,7 @@ func FuzzBindingSchedule(f *testing.F) {
 				checkBinding(t, st)
 			case opEvict:
 				for _, ev := range evictors {
+					call(ev)
 					call(ev)
 				}
 			case opReshape:

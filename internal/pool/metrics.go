@@ -247,6 +247,11 @@ type Stats struct {
 	// per-operation LRU cap).
 	TemplateEvictions       int64 `json:"template_evictions"`
 	TemplateBudgetEvictions int64 `json:"template_budget_evictions"`
+	// TemplateRefusals counts calls served from scratch, as full
+	// serializations, because their operation's templates were full and
+	// the doorkeeper had not seen their signature refused recently: a
+	// template refused, not built and evicted.
+	TemplateRefusals int64 `json:"template_refusals"`
 
 	// TemplateBytes gauges the registry's accounted template memory;
 	// TemplateBytesHighWater is its lifetime maximum. Zero when the pool
@@ -364,6 +369,7 @@ func (m *Metrics) Snapshot() Stats {
 		c := (*f)()
 		s.TemplateBytes = c.Bytes
 		s.TemplateBytesHighWater = c.HighWater
+		s.TemplateRefusals = c.Refused
 	}
 	s.BytesSaved = s.BytesRepresented - s.BytesSerialized
 	s.DeltaBytesSaved = s.BytesRepresented - s.BytesOnWire
@@ -433,6 +439,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			{Label: "lru", Value: s.TemplateEvictions - s.TemplateBudgetEvictions},
 			{Label: "budget", Value: s.TemplateBudgetEvictions},
 		})
+	p.Counter("bsoap_client_template_refused_total", "Calls served from scratch because their operation's templates were full and in use.", s.TemplateRefusals)
 	p.Gauge("bsoap_client_template_bytes", "Accounted template memory resident in the replica registry.", s.TemplateBytes)
 	p.Gauge("bsoap_client_template_bytes_high_water", "Lifetime maximum of bsoap_client_template_bytes.", s.TemplateBytesHighWater)
 

@@ -44,7 +44,10 @@ type Options struct {
 
 	// Size bounds concurrent connections (default 4).
 	Size int
-	// Config tunes the differential-serialization engines.
+	// Config tunes the differential-serialization engines. Its
+	// MaxTemplatesPerOp caps the signatures the template store keeps per
+	// operation and sizes the doorkeeper that admits new ones (see
+	// README "Sizing template memory").
 	Config core.Config
 	// Shards is the template-store shard count (default 16).
 	Shards int
@@ -205,7 +208,8 @@ type submission struct {
 	// Pipelined pools only, when err is nil: pd resolves with the
 	// response, submitted is when the request was fully written
 	// (submitted→resolved is the call's wire stage), and r holds the
-	// template to suspect if the response fails.
+	// template to suspect if the response fails (nil for a call served
+	// from scratch, which has none).
 	pd        *transport.Pending
 	submitted time.Time
 	r         *engine
@@ -255,19 +259,29 @@ func (p *Pool) submit(m *wire.Message, pd *transport.Pending) submission {
 		if err != nil {
 			break
 		}
+		// A call the store refuses a template (r nil) is rendered from
+		// scratch by the slot's own stub.
 		r := p.store.acquire(m)
-		r.sink = callSink{s: sink, pl: ps.pipeline, pd: pd}
+		stub, cs := ps.render, &ps.renderSink
+		if r != nil {
+			stub, cs = r.stub, &r.sink
+		}
+		*cs = callSink{s: sink, pl: ps.pipeline, pd: pd}
 		if span != 0 {
-			r.stub.SetTraceSpan(span)
+			stub.SetTraceSpan(span)
 		}
 		if pipelined {
 			p.metrics.futuresPending.Add(1)
 		}
 		callStart := p.senders.now()
-		sub.ci, err = r.stub.Call(m)
+		sub.ci, err = stub.Call(m)
 		callNs := p.senders.now().Sub(callStart).Nanoseconds()
-		sent := r.sink
-		p.store.release(r)
+		sent := *cs
+		if r != nil {
+			p.store.release(r)
+		} else {
+			*cs = callSink{}
+		}
 		if err == nil {
 			// Attribute the stub's Call time: inside the transport is wire
 			// when the response was read there, pipeline queue when only

@@ -31,6 +31,12 @@ type pooledSender struct {
 	// redialed or closed: a future's waiter may be reading through the
 	// sender's buffered reader, and closing fails any pending futures.
 	pipeline *transport.Pipeline
+	// render serializes from scratch the calls the template store refuses
+	// a template: a diff-off stub writing through renderSink, both
+	// confined to the slot as its connection is. Its bodies carry no
+	// delta annotation, so none becomes a patch base.
+	render     *core.Stub
+	renderSink callSink
 }
 
 // senderPool is a bounded set of connections with checkout/checkin
@@ -75,8 +81,12 @@ func newSenderPool(size int, dial func() (core.Sink, error), opts Options, m *Me
 		metrics:      m,
 		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+	cfg := opts.Config
+	cfg.DisableDiff = true
 	for i := 0; i < size; i++ {
-		sp.slots <- &pooledSender{}
+		ps := &pooledSender{}
+		ps.render = core.NewStub(cfg, &ps.renderSink)
+		sp.slots <- ps
 	}
 	return sp
 }

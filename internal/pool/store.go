@@ -35,12 +35,18 @@ import (
 // so "these leaves changed" describes only the replica that serialized
 // the message last: acquire binds each message to that one replica.
 //
+// An operation whose templates are full admits a new signature only
+// through the registry's doorkeeper (replica.Registry.AcquireAdmitted):
+// a signature refused there gets no entry, and its call goes out from
+// scratch on the checked-out connection (pooledSender.render) instead.
+//
 // Eviction — per-operation LRU cap or byte budget — condemns an entry
 // in the registry; calls already holding one of its engines complete
 // unaffected, and the registry releases the entry's chunk arenas when
 // the last in-flight call returns. A message whose entry was evicted
-// simply builds a fresh one on its next call: a degraded first-time
-// send, never a diff against released bytes.
+// builds a fresh one on its next call, a degraded first-time send, or is
+// refused one and goes out from scratch: never a diff against released
+// bytes.
 type shardedStore struct {
 	reg      *reg.Registry[*storeEntry]
 	replicas int
@@ -208,7 +214,9 @@ func newShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *M
 // acquire returns a locked engine for m's operation+signature, with an
 // in-flight reference held on its registry entry. The caller must
 // release it after the call completes. m must not have another call in
-// flight (see Pool's per-message confinement contract).
+// flight (see Pool's per-message confinement contract). It returns nil,
+// holding nothing, when the doorkeeper refuses m's signature a template:
+// the call is then served from scratch and binds no engine.
 //
 // The engine is chosen under the entry lock, by the first rule that
 // applies:
@@ -228,7 +236,10 @@ func newShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *M
 // under rule 1 is never behind another call, only behind a late
 // markSuspect or an arena release.
 func (s *shardedStore) acquire(m *wire.Message) *engine {
-	slot, _ := s.reg.Acquire(reg.Key{Group: m.Operation(), Sub: m.Signature()})
+	slot, _ := s.reg.AcquireAdmitted(reg.Key{Group: m.Operation(), Sub: m.Signature()})
+	if slot == nil {
+		return nil
+	}
 	e := slot.Value
 
 	e.mu.Lock()
@@ -303,6 +314,9 @@ func (s *shardedStore) release(r *engine) {
 // the meantime, the lookup simply misses. span tags the flight-recorder
 // event (0 = untraced).
 func (s *shardedStore) markSuspect(r *engine, op, sig string, span uint64) {
+	if r == nil {
+		return // served from scratch: no template to suspect
+	}
 	r.mu.Lock()
 	found := r.stub.MarkSuspect(op, sig)
 	r.mu.Unlock()

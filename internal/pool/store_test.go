@@ -5,14 +5,17 @@ import (
 	"testing"
 
 	"bsoap/internal/core"
+	"bsoap/internal/soapenv"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
 )
 
-// TestShardedStoreEvictsColdSignatures proves the per-operation LRU cap:
-// cold (operation, signature) replica sets are dropped, recently used
-// ones stay warm, so the store cannot grow without bound under varying
-// message shapes.
+// TestShardedStoreEvictsColdSignatures proves the per-operation LRU cap
+// behind its doorkeeper: a new signature of a full operation is first
+// refused — sent from scratch, nothing built, nothing evicted — and gets
+// in on its next call, evicting the cold (operation, signature) replica
+// set while the recently used one stays warm, so the store cannot grow
+// without bound under varying message shapes.
 func TestShardedStoreEvictsColdSignatures(t *testing.T) {
 	p, _ := newDiscardPool(t, Options{
 		Replicas: 1,
@@ -25,30 +28,33 @@ func TestShardedStoreEvictsColdSignatures(t *testing.T) {
 	dB := workload.NewDoubles(5, workload.FillIntermediate)
 	dC := workload.NewDoubles(6, workload.FillIntermediate)
 
-	for _, m := range []*workload.Doubles{dA, dB} {
-		if ci, err := p.Call(m.Msg); err != nil || ci.Match != core.FirstTime {
-			t.Fatalf("warmup: %v %v", ci.Match, err)
+	call := func(what string, d *workload.Doubles, want core.MatchKind, evictions int64) {
+		t.Helper()
+		if ci, err := p.Call(d.Msg); err != nil || ci.Match != want {
+			t.Fatalf("%s: %v %v, want %v", what, ci.Match, err, want)
+		}
+		if got := p.Stats().TemplateEvictions; got != evictions {
+			t.Fatalf("%s: evictions = %d, want %d", what, got, evictions)
 		}
 	}
-	// Touch A so B becomes the LRU tail, then push C in: B is evicted.
-	if ci, err := p.Call(dA.Msg); err != nil || ci.Match != core.ContentMatch {
-		t.Fatalf("recency touch: %v %v", ci.Match, err)
-	}
-	if ci, err := p.Call(dC.Msg); err != nil || ci.Match != core.FirstTime {
-		t.Fatalf("insert C: %v %v", ci.Match, err)
-	}
+	call("warmup A", dA, core.FirstTime, 0)
+	call("warmup B", dB, core.FirstTime, 0)
+	// Touch A so B becomes the LRU tail.
+	call("recency touch", dA, core.ContentMatch, 0)
+	// C finds the operation full: refused once, then admitted over B.
+	call("C refused", dC, core.FullSerialization, 0)
+	call("C admitted", dC, core.FirstTime, 1)
 
 	if got := p.Entries(); got != 2 {
 		t.Fatalf("entries = %d, want 2 (per-op cap)", got)
 	}
-	if ci, err := p.Call(dA.Msg); err != nil || ci.Match == core.FirstTime {
-		t.Fatalf("A went cold despite recency: %v %v", ci.Match, err)
-	}
-	if ci, err := p.Call(dB.Msg); err != nil || ci.Match != core.FirstTime {
-		t.Fatalf("B expected to have been evicted: %v %v", ci.Match, err)
-	}
-	if got := p.Stats().TemplateEvictions; got != 2 {
-		t.Fatalf("evictions = %d, want 2 (B then C)", got)
+	call("A after C", dA, core.ContentMatch, 1)
+	// B was evicted: it goes through the doorkeeper like any new shape,
+	// and its admission evicts C, now the tail.
+	call("B refused", dB, core.FullSerialization, 1)
+	call("B admitted", dB, core.FirstTime, 2)
+	if st := p.Stats(); st.TemplateRefusals != 2 || st.FullSerializations != 2 {
+		t.Fatalf("refusals %d, full serializations %d, want 2 and 2", st.TemplateRefusals, st.FullSerializations)
 	}
 }
 
@@ -152,4 +158,103 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 	if ci := call(dA); ci.Match != core.FirstTime {
 		t.Fatalf("post-eviction match = %v, want first-time", ci.Match)
 	}
+}
+
+// admissionPool is a serial one-replica pool over a connection that
+// keeps the last body sent.
+func admissionPool(t *testing.T) (*Pool, *bytes.Buffer) {
+	t.Helper()
+	var last bytes.Buffer
+	p, err := New(Options{
+		Size:     1,
+		Replicas: 1,
+		Dial: func() (core.Sink, error) {
+			return transport.WriterSink{W: &last}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return p, &last
+}
+
+// rotate calls every shape once, in order, and checks each call's match
+// class: want(i) for shape i. A refused call's body must be exactly what
+// the one from-scratch renderer makes of the message.
+func rotate(t *testing.T, p *Pool, last *bytes.Buffer, shapes []*workload.Doubles, want func(i int) core.MatchKind) {
+	t.Helper()
+	for i, d := range shapes {
+		body := soapenv.AppendMessage(nil, d.Msg, 0)
+		last.Reset()
+		ci, err := p.Call(d.Msg)
+		if err != nil || ci.Match != want(i) {
+			t.Fatalf("shape %d: %v %v, want %v", i, ci.Match, err, want(i))
+		}
+		if ci.Match == core.FullSerialization && !bytes.Equal(last.Bytes(), body) {
+			t.Fatalf("shape %d: refused body differs from AppendMessage's", i)
+		}
+	}
+}
+
+// TestDoorkeeperKeepsTheTemplatesInUse rotates 2×cap+1 shapes of one
+// operation through the pool, the benchmark's reshape_cold in small: the
+// first cap shapes take the cap's templates and stay warm, and the other
+// cap+1 are refused on every call — between two turns of a shape come
+// cap other refusals, which push it out of the doorkeeper's ring — so
+// they go out from scratch, and nothing is ever evicted. (With exactly
+// 2×cap shapes the refused half would fit the ring: it would be admitted
+// on its second turn and displace the first half, as the phase change
+// below does.)
+func TestDoorkeeperKeepsTheTemplatesInUse(t *testing.T) {
+	const perOp = 4 // core.Config's default MaxTemplatesPerOp
+	p, last := admissionPool(t)
+	shapes := make([]*workload.Doubles, 2*perOp+1)
+	for i := range shapes {
+		shapes[i] = workload.NewDoubles(4+i, workload.FillIntermediate)
+	}
+	const rounds = 4
+	for r := 0; r < rounds; r++ {
+		rotate(t, p, last, shapes, func(i int) core.MatchKind {
+			switch {
+			case i >= perOp:
+				return core.FullSerialization
+			case r == 0:
+				return core.FirstTime
+			}
+			return core.ContentMatch
+		})
+	}
+	st := p.Stats()
+	if st.TemplateEvictions != 0 || st.FirstTimeSends != perOp || st.TemplateRefusals != rounds*(perOp+1) {
+		t.Fatalf("evictions %d, first-time sends %d, refusals %d; want 0, %d and %d",
+			st.TemplateEvictions, st.FirstTimeSends, st.TemplateRefusals, perOp, rounds*(perOp+1))
+	}
+	if got := p.DebugTemplates(); got.Refused != rounds*(perOp+1) || got.Entries != perOp {
+		t.Fatalf("/debug/templates: %d entries, %d refused; want %d and %d", got.Entries, got.Refused, perOp, rounds*(perOp+1))
+	}
+}
+
+// TestDoorkeeperAdmitsANewSteadySet changes phase: after a set of cap
+// shapes has settled, a new set of cap shapes takes over the operation.
+// Each new shape is refused on its first turn and admitted on its second,
+// evicting one old shape each, and is warm from the third; the old
+// shapes, come back, are now the ones refused.
+func TestDoorkeeperAdmitsANewSteadySet(t *testing.T) {
+	const perOp = 4
+	p, last := admissionPool(t)
+	old, next := make([]*workload.Doubles, perOp), make([]*workload.Doubles, perOp)
+	for i := range old {
+		old[i] = workload.NewDoubles(4+i, workload.FillIntermediate)
+		next[i] = workload.NewDoubles(4+perOp+i, workload.FillIntermediate)
+	}
+	rotate(t, p, last, old, func(int) core.MatchKind { return core.FirstTime })
+	rotate(t, p, last, old, func(int) core.MatchKind { return core.ContentMatch })
+	for _, want := range []core.MatchKind{core.FullSerialization, core.FirstTime, core.ContentMatch} {
+		rotate(t, p, last, next, func(int) core.MatchKind { return want })
+	}
+	if st := p.Stats(); st.TemplateEvictions != perOp || st.TemplateRefusals != perOp {
+		t.Fatalf("evictions %d, refusals %d; want %d and %d", st.TemplateEvictions, st.TemplateRefusals, perOp, perOp)
+	}
+	rotate(t, p, last, old[:1], func(int) core.MatchKind { return core.FullSerialization })
 }

@@ -118,3 +118,70 @@ func TestPoolStressSharedStore(t *testing.T) {
 		t.Fatalf("bytes on wire %d != server body bytes %d", st.BytesOnWire, srv.Bytes())
 	}
 }
+
+// TestDoorkeeperUnderConcurrency has workers rotate more shapes of one
+// operation than twice its cap through a shared pool at once, each over
+// its own messages, so admissions, refusals and evictions of the one
+// group race one another while refused calls render on whichever
+// connection slot their caller checked out. Run under -race it proves
+// the doorkeeper and the slots' renderers need no lock beyond the
+// registry shard's; the recorder proves every body arrived whole.
+func TestDoorkeeperUnderConcurrency(t *testing.T) {
+	var mu sync.Mutex
+	bodies := 0
+	p, err := New(Options{
+		Size:     3,
+		Replicas: 2,
+		Config:   core.Config{MaxTemplatesPerOp: 2},
+		Dial: func() (core.Sink, error) {
+			return transport.WriterSink{W: writerFunc(func(b []byte) (int, error) {
+				mu.Lock()
+				bodies++
+				mu.Unlock()
+				return len(b), nil
+			})}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const workers, shapes, rounds = 4, 7, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ds := make([]*workload.Doubles, shapes)
+			for i := range ds {
+				ds[i] = workload.NewDoubles(8+i, workload.FillIntermediate)
+			}
+			for r := 0; r < rounds; r++ {
+				for i, d := range ds {
+					d.Arr.Set(r%d.Arr.Len(), float64(r*i))
+					if _, err := p.Call(d.Msg); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := p.Stats()
+	calls := int64(workers * shapes * rounds)
+	if st.Calls != calls || st.Errors != 0 || int64(bodies) < calls {
+		t.Fatalf("calls %d, errors %d, bodies %d; want %d calls, no error", st.Calls, st.Errors, bodies, calls)
+	}
+	if st.TemplateRefusals == 0 || st.FullSerializations != st.TemplateRefusals {
+		t.Fatalf("refusals %d, full serializations %d; want equal and nonzero", st.TemplateRefusals, st.FullSerializations)
+	}
+	if n := p.Entries(); n > 2 {
+		t.Fatalf("%d entries resident, want at most the cap of 2", n)
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(b []byte) (int, error) { return f(b) }

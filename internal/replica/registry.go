@@ -19,7 +19,8 @@ type RegistryOptions[E Entry] struct {
 	// shard as max(1, MaxEntries/Shards). 0 means uncapped.
 	MaxEntries int
 	// MaxPerGroup caps the number of entries per Group (the historical
-	// per-operation signature cap). 0 means uncapped.
+	// per-operation signature cap). 0 means uncapped. It also sizes each
+	// group's doorkeeper (see AcquireAdmitted).
 	MaxPerGroup int
 	// MaxBytes is the registry's memory budget: the sum of accounted
 	// entry sizes is kept at or below it by evicting least-recently-
@@ -60,6 +61,8 @@ type Counters struct {
 	Pending         int64 // condemned entries whose arenas are not yet released
 	EvictionsLRU    int64
 	EvictionsBudget int64
+	// Refused counts AcquireAdmitted calls the doorkeeper turned away.
+	Refused int64
 }
 
 // Registry is the sharded, budget-bounded replica store.
@@ -75,6 +78,7 @@ type Registry[E Entry] struct {
 	pending         atomic.Int64
 	evictionsLRU    atomic.Int64
 	evictionsBudget atomic.Int64
+	refused         atomic.Int64
 	cursor          atomic.Uint32
 }
 
@@ -88,6 +92,30 @@ type rshard[E Entry] struct {
 type groupStats struct {
 	count int
 	bytes int64
+	// refused is the group's doorkeeper: the key hashes of its last
+	// MaxPerGroup refusals (0 is an empty place), next the place the
+	// next refusal takes. Allocated at the group's first refusal.
+	refused []uint64
+	next    int
+}
+
+// admit reports whether the full group lets sub in: only a key it has
+// refused within its last len(refused) refusals. A key admitted leaves
+// the ring; a key refused takes the oldest place in it.
+func (g *groupStats) admit(sub string, size int) bool {
+	h := fnv64(sub) | 1
+	for i, x := range g.refused {
+		if x == h {
+			g.refused[i] = 0
+			return true
+		}
+	}
+	if g.refused == nil {
+		g.refused = make([]uint64, size)
+	}
+	g.refused[g.next] = h
+	g.next = (g.next + 1) % size
+	return false
 }
 
 // NewRegistry builds a registry. opts.New is required.
@@ -132,6 +160,24 @@ func (r *Registry[E]) shardFor(key Key) *rshard[E] {
 // exactly one Release. created reports whether the entry was built by
 // this call.
 func (r *Registry[E]) Acquire(key Key) (s *Slot[E], created bool) {
+	return r.acquire(key, false)
+}
+
+// AcquireAdmitted is Acquire behind a doorkeeper on the per-group cap.
+// A key that is resident, or whose group has room, is acquired as by
+// Acquire. A new key of a full group is admitted — evicting the group's
+// least recently used entry — only when the group refused that key
+// within its last MaxPerGroup refusals; any other is refused: the call
+// returns a nil slot, keeps nothing and must not be Released. So a shape
+// has to come back within MaxPerGroup refusals to displace a resident
+// entry, entries in use are never displaced by a rotation of shapes
+// wider than the cap, and a new steady set of at most MaxPerGroup keys
+// replaces the old one within two rotations.
+func (r *Registry[E]) AcquireAdmitted(key Key) (s *Slot[E], created bool) {
+	return r.acquire(key, true)
+}
+
+func (r *Registry[E]) acquire(key Key, gated bool) (s *Slot[E], created bool) {
 	sh := r.shardFor(key)
 	now := time.Now().UnixNano()
 	sh.mu.Lock()
@@ -141,13 +187,16 @@ func (r *Registry[E]) Acquire(key Key) (s *Slot[E], created bool) {
 		sh.mu.Unlock()
 		return s, false
 	}
-	s = &Slot[E]{Key: key, refs: 1, lastUse: now}
-	s.Value = r.opts.New(key)
 
 	// Count caps: condemn victims under the lock, finalize outside it.
 	var victims []*Slot[E]
 	if key.Group != "" && r.opts.MaxPerGroup > 0 {
 		if g := sh.groups[key.Group]; g != nil && g.count >= r.opts.MaxPerGroup {
+			if gated && !g.admit(key.Sub, r.opts.MaxPerGroup) {
+				sh.mu.Unlock()
+				r.refused.Add(1)
+				return nil, false
+			}
 			if v := sh.tailOfGroup(key.Group); v != nil {
 				r.condemnLocked(sh, v)
 				victims = append(victims, v)
@@ -161,6 +210,8 @@ func (r *Registry[E]) Acquire(key Key) (s *Slot[E], created bool) {
 		}
 	}
 
+	s = &Slot[E]{Key: key, refs: 1, lastUse: now}
+	s.Value = r.opts.New(key)
 	sh.entries.PushFront(key, s)
 	if key.Group != "" {
 		g := sh.groups[key.Group]
@@ -468,6 +519,7 @@ func (r *Registry[E]) Counters() Counters {
 		Pending:         r.pending.Load(),
 		EvictionsLRU:    r.evictionsLRU.Load(),
 		EvictionsBudget: r.evictionsBudget.Load(),
+		Refused:         r.refused.Load(),
 	}
 }
 
@@ -511,6 +563,7 @@ type Dump struct {
 	HighWaterBytes  int64        `json:"high_water_bytes"`
 	EvictionsLRU    int64        `json:"evictions_lru"`
 	EvictionsBudget int64        `json:"evictions_budget"`
+	Refused         int64        `json:"refused"` // shapes served without a template (AcquireAdmitted)
 	Templates       []DebugEntry `json:"templates"`
 }
 
@@ -565,6 +618,7 @@ func (r *Registry[E]) Dump(side string, fill func(e E, d *DebugEntry)) Dump {
 		HighWaterBytes:  r.highWater.Load(),
 		EvictionsLRU:    r.evictionsLRU.Load(),
 		EvictionsBudget: r.evictionsBudget.Load(),
+		Refused:         r.refused.Load(),
 		Templates:       make([]DebugEntry, 0, len(rows)),
 	}
 	for i := range rows {

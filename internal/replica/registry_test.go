@@ -408,3 +408,52 @@ func TestConcurrentChurnUnderBudget(t *testing.T) {
 
 // Bytes reports the accounted resident size.
 func (r *Registry[E]) Bytes() int64 { return r.bytes.Load() }
+
+// TestAcquireAdmittedDoorkeeper walks the doorkeeper on a group capped
+// at two: room admits; a full group refuses a new key, keeping and
+// building nothing, until the key comes back within two refusals; a key
+// pushed out of the ring by two later refusals is refused again; and
+// Acquire, the ungated path, admits whatever the ring says.
+func TestAcquireAdmittedDoorkeeper(t *testing.T) {
+	var built int
+	r := newTestRegistry(RegistryOptions[*testEntry]{
+		MaxPerGroup: 2,
+		New:         func(Key) *testEntry { built++; return &testEntry{} },
+	})
+	key := func(sub string) Key { return Key{Group: "op", Sub: sub} }
+	admitted := func(sub string) bool {
+		t.Helper()
+		s, _ := r.AcquireAdmitted(key(sub))
+		if s != nil {
+			r.Release(s)
+		}
+		return s != nil
+	}
+	for _, step := range []struct {
+		sub  string
+		want bool
+	}{
+		{"a", true}, {"b", true}, // room
+		{"c", false}, {"c", true}, // refused, then back within two refusals: evicts a
+		{"a", false}, {"d", false}, {"e", false}, // a leaves the ring two refusals later
+		{"a", false}, {"e", true}, // a is refused afresh; e was still in the ring
+		{"b", false}, // b was evicted by e
+	} {
+		if got := admitted(step.sub); got != step.want {
+			t.Fatalf("%s: admitted %v, want %v", step.sub, got, step.want)
+		}
+	}
+	c := r.Counters()
+	if c.Refused != 6 || c.EvictionsLRU != 2 || c.Entries != 2 || built != 4 {
+		t.Fatalf("refused %d, evictions %d, entries %d, built %d; want 6, 2, 2 and 4",
+			c.Refused, c.EvictionsLRU, c.Entries, built)
+	}
+	if s, created := r.Acquire(key("f")); s == nil || !created {
+		t.Fatal("Acquire went through the doorkeeper")
+	} else {
+		r.Release(s)
+	}
+	if d := r.Dump("client", nil); d.Refused != 6 {
+		t.Fatalf("dump reads %d refused, want 6", d.Refused)
+	}
+}

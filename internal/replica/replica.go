@@ -93,6 +93,15 @@ func (k Key) hash() uint32 {
 	return uint32(k.Conn*2654435761) ^ uint32(k.Conn>>32)
 }
 
+func fnv64(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 func fnv32(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

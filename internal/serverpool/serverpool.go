@@ -340,9 +340,13 @@ func (rt *Runtime) ResponseStats() core.Stats {
 // DebugTemplates snapshots the replica registry in the uniform
 // client/server dump format served by /debug/templates and read by
 // `bsoap-inspect templates`. Each server entry is a single replica; the
-// affinity column carries the conn:N or host:X grouping key.
+// affinity column carries the conn:N or host:X grouping key, and the
+// refusals are the deserializers' (diffdeser.Info.Refused), as counted
+// by the server metrics.
 func (rt *Runtime) DebugTemplates() reg.Dump {
-	return rt.reg.Dump("server", nil)
+	d := rt.reg.Dump("server", nil)
+	d.Refused = rt.metrics.Snapshot().DDSRefused
+	return d
 }
 
 // HTTPHandler adapts the runtime to the transport server: POSTs are
@@ -472,7 +476,7 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serverpool: decode: %w", err)
 	}
-	rt.metrics.RecordDDSDecode(info.Reason, info.ValuesReparsed)
+	rt.metrics.RecordDDSDecode(info)
 	var fast int64
 	if info.FullParse {
 		rt.fullParses.Add(1)

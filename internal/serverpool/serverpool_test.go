@@ -628,10 +628,15 @@ func TestSpanAdoptionRecordsServerEvents(t *testing.T) {
 
 // TestFullParseReasonsOfALengthRotation is the benchmark's reshape_cold
 // read off the server's own metrics: one connection sending the same
-// operation at sixteen array lengths in rotation misses the four
-// templates a key keeps on every call, and after the first — which found
-// nothing retained — every full parse says so: "length". The labelled
-// family sums to the unlabelled total and the page stays valid.
+// operation at sixteen array lengths in rotation. The first four lengths
+// take the four templates a key keeps and hold them: from the second
+// round on they decode on the fast path. The other twelve are refused a
+// template on every call — the doorkeeper remembers only the last four
+// refused lengths, and twelve come between a length's turns — so they
+// are full parses that keep nothing and evict nothing. After the first
+// call, which found nothing retained, every full parse says why:
+// "length". The labelled family sums to the unlabelled total and the
+// page stays valid.
 func TestFullParseReasonsOfALengthRotation(t *testing.T) {
 	m := transport.NewServerMetrics()
 	rt := newSumRuntime(Options{DifferentialDeserialization: true, Metrics: m})
@@ -650,12 +655,20 @@ func TestFullParseReasonsOfALengthRotation(t *testing.T) {
 	}
 	snap := m.Snapshot()
 	total := int64(rounds * len(clients))
-	if snap.DDSFastPath != 0 || snap.DDSFullParses != total {
-		t.Fatalf("fast %d full %d, want every one of %d calls cold", snap.DDSFastPath, snap.DDSFullParses, total)
+	const fast, refused = (rounds - 1) * 4, rounds * 12
+	if snap.DDSFastPath != fast || snap.DDSFullParses != total-fast || snap.DDSRefused != refused {
+		t.Fatalf("fast %d full %d refused %d, want %d, %d and %d of %d calls",
+			snap.DDSFastPath, snap.DDSFullParses, snap.DDSRefused, fast, total-fast, refused, total)
+	}
+	if st := rt.Stats(); st.DDSKeyEvictions != 0 {
+		t.Fatalf("runtime: %d key evictions, want 0", st.DDSKeyEvictions)
+	}
+	if d := rt.DebugTemplates(); d.Refused != refused {
+		t.Fatalf("/debug/templates reads %d refused, want %d", d.Refused, refused)
 	}
 	why := snap.DDSFullParseReasons
-	if why["no_template"] != 1 || why["length"] != total-1 || len(why) != 5 {
-		t.Fatalf("reasons %v, want 1 no_template and %d length of 5 classes", why, total-1)
+	if why["no_template"] != 1 || why["length"] != total-fast-1 || len(why) != 5 {
+		t.Fatalf("reasons %v, want 1 no_template and %d length of 5 classes", why, total-fast-1)
 	}
 
 	var page strings.Builder
@@ -677,7 +690,10 @@ func TestFullParseReasonsOfALengthRotation(t *testing.T) {
 		}
 		sum += v
 	}
-	if unlabelled := vals["bsoap_server_dds_full_parse_total"]; sum != unlabelled || unlabelled != float64(total) {
-		t.Fatalf("labelled samples sum to %v, unlabelled total %v, want %d", sum, unlabelled, total)
+	if unlabelled := vals["bsoap_server_dds_full_parse_total"]; sum != unlabelled || unlabelled != float64(total-fast) {
+		t.Fatalf("labelled samples sum to %v, unlabelled total %v, want %d", sum, unlabelled, total-fast)
+	}
+	if v := vals["bsoap_server_dds_refused_total"]; v != refused {
+		t.Fatalf("bsoap_server_dds_refused_total = %v, want %d", v, refused)
 	}
 }

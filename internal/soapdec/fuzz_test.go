@@ -38,13 +38,23 @@ func fuzzLookup() Lookup {
 	}
 }
 
-// requireSameAsReference decodes data with Decode and with the reference
+// requireSameAsReference decodes data with Decode — or, given a Scratch,
+// with its Decode, which records no ranges — and with the reference
 // decoder (reference_test.go) and fails unless they agree: both refuse
 // it, or both accept it with the same structure, the same value and type
 // in every leaf, and the same ranges.
-func requireSameAsReference(t *testing.T, data []byte, lookup Lookup, record bool) {
+func requireSameAsReference(t *testing.T, data []byte, lookup Lookup, record bool, s *Scratch) {
 	t.Helper()
-	got, err := Decode(data, lookup, record)
+	var got *Result
+	var err error
+	if s == nil {
+		got, err = Decode(data, lookup, record)
+	} else {
+		var msg *wire.Message
+		if msg, err = s.Decode(data, lookup); err == nil {
+			got = &Result{Msg: msg}
+		}
+	}
 	want, wantErr := refDecode(data, lookup, record)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("record=%v: Decode error %v, reference error %v", record, err, wantErr)
@@ -135,9 +145,21 @@ func FuzzDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	lookup := fuzzLookup()
+	// A Scratch decodes into what the decodes before it left: a message of
+	// the other operation with strings in it, then one of this operation
+	// abandoned part-way by an error.
+	strs, bad := []byte(seeds[len(seeds)-3]), []byte(seeds[5])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, record := range []bool{false, true} {
-			requireSameAsReference(t, data, lookup, record)
+			requireSameAsReference(t, data, lookup, record, nil)
 		}
+		var s Scratch
+		if _, err := s.Decode(strs, lookup); err != nil {
+			t.Fatalf("warm-up: %v", err)
+		}
+		if _, err := s.Decode(bad, lookup); err == nil {
+			t.Fatal("warm-up: a bad value decoded")
+		}
+		requireSameAsReference(t, data, lookup, false, &s)
 	})
 }

@@ -30,7 +30,7 @@ func TestDecodeRefusesUnaddressableBody(t *testing.T) {
 
 	m := wire.NewMessage("urn:dec", "big")
 	m.AddDoubleArray("v", 4)
-	doc := baseline.NewGSOAPLike().Serialize(m)
+	doc := new(baseline.GSOAPLike).Serialize(m)
 	copy(body, doc)
 	schema := schemaFor(m)
 	lookup := func(string) (*Schema, bool) { return schema, true }

@@ -57,7 +57,39 @@ func Decode(body []byte, lookup Lookup, recordRanges bool) (*Result, error) {
 	if recordRanges && len(body) > math.MaxUint32 {
 		return nil, fmt.Errorf("soapdec: a %d-byte body is beyond the %d bytes a leaf range addresses", len(body), uint32(math.MaxUint32))
 	}
-	p := xmlparse.NewParser(body)
+	d := &decoder{p: xmlparse.NewParser(body), body: body, record: recordRanges}
+	msg, err := d.envelope(lookup, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Msg: msg, Ranges: d.ranges}, nil
+}
+
+// Scratch is what a decode that records no ranges reuses from one call
+// to the next: its parser and the message it decodes into. The zero
+// value is ready; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	p   xmlparse.Parser
+	msg *wire.Message
+}
+
+// Decode is Decode(body, lookup, false) into s's own message, which it
+// returns, valid until s's next Decode. Once that message has grown to
+// the shape decoded, a decode allocates nothing but string values.
+func (s *Scratch) Decode(body []byte, lookup Lookup) (*wire.Message, error) {
+	if s.msg == nil {
+		s.msg = wire.NewMessage("", "")
+	}
+	s.p.Reset(body)
+	defer s.p.Reset(nil) // hold no view into body past the call
+	d := decoder{p: &s.p, body: body}
+	return d.envelope(lookup, s.msg)
+}
+
+// envelope decodes the envelope d's parser stands before, into reuse
+// (Reset to the operation) or, when that is nil, a new message.
+func (d *decoder) envelope(lookup Lookup, reuse *wire.Message) (*wire.Message, error) {
+	p := d.p
 	if _, err := p.ExpectStart("Envelope"); err != nil {
 		return nil, fmt.Errorf("soapdec: %w", err)
 	}
@@ -82,14 +114,25 @@ func Decode(body []byte, lookup Lookup, recordRanges bool) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("soapdec: reading operation: %w", err)
 	}
-	opLocal := string(xmlparse.Local(opTok.Name))
+	// A reused message of the same operation spares converting the name.
+	local := xmlparse.Local(opTok.Name)
+	var opLocal string
+	if reuse != nil && reuse.Operation() == string(local) {
+		opLocal = reuse.Operation()
+	} else {
+		opLocal = string(local)
+	}
 	schema, ok := lookup(opLocal)
 	if !ok {
 		return nil, fmt.Errorf("soapdec: unknown operation %q", opLocal)
 	}
 
-	d := &decoder{p: p, body: body, record: recordRanges}
-	msg := wire.NewMessage(schema.Namespace, schema.Op)
+	msg := reuse
+	if msg == nil {
+		msg = wire.NewMessage(schema.Namespace, schema.Op)
+	} else {
+		msg.Reset(schema.Namespace, schema.Op)
+	}
 	for _, spec := range schema.Params {
 		if err := d.param(msg, spec); err != nil {
 			return nil, fmt.Errorf("soapdec: parameter %q: %w", spec.Name, err)
@@ -102,7 +145,7 @@ func Decode(body []byte, lookup Lookup, recordRanges bool) (*Result, error) {
 		}
 	}
 	msg.ClearDirty()
-	return &Result{Msg: msg, Ranges: d.ranges}, nil
+	return msg, nil
 }
 
 type decoder struct {

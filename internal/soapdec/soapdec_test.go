@@ -34,7 +34,7 @@ func schemaFor(m *wire.Message) *Schema {
 // it back, comparing every leaf.
 func decodeRoundTrip(t *testing.T, m *wire.Message, record bool) *Result {
 	t.Helper()
-	doc := baseline.NewGSOAPLike().Serialize(m)
+	doc := new(baseline.GSOAPLike).Serialize(m)
 	schema := schemaFor(m)
 	res, err := Decode(doc, func(op string) (*Schema, bool) {
 		if op == schema.Op {
@@ -132,7 +132,7 @@ func TestRangesCoverEveryLeaf(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.SetDouble(i, 2, 1.5)
 	}
-	doc := baseline.NewGSOAPLike().Serialize(m)
+	doc := new(baseline.GSOAPLike).Serialize(m)
 	res := decodeRoundTrip(t, m, true)
 	if len(res.Ranges) != m.NumLeaves() {
 		t.Fatalf("ranges = %d, leaves = %d", len(res.Ranges), m.NumLeaves())
@@ -155,7 +155,7 @@ func TestRangesCoverEveryLeaf(t *testing.T) {
 func TestDecodeUnknownOperation(t *testing.T) {
 	m := wire.NewMessage("urn:dec", "mystery")
 	m.AddInt("x", 1)
-	doc := baseline.NewGSOAPLike().Serialize(m)
+	doc := new(baseline.GSOAPLike).Serialize(m)
 	_, err := Decode(doc, func(string) (*Schema, bool) { return nil, false }, false)
 	if err == nil || !strings.Contains(err.Error(), "unknown operation") {
 		t.Fatalf("err = %v", err)

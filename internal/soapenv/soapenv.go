@@ -5,7 +5,7 @@
 package soapenv
 
 import (
-	"fmt"
+	"strconv"
 
 	"bsoap/internal/fastconv"
 	"bsoap/internal/wire"
@@ -23,16 +23,21 @@ const (
 // prologue is the XML declaration that starts every message.
 const prologue = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
-// EnvelopeStart returns the envelope and body opening, binding ns1 to the
-// application namespace.
-func EnvelopeStart(appNS string) string {
-	return prologue +
+// envelopeHead and bodyStart frame the application namespace in the
+// envelope and body opening.
+const (
+	envelopeHead = prologue +
 		`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + nsEnvelope +
 		`" xmlns:SOAP-ENC="` + nsEncoding +
 		`" xmlns:xsi="` + nsXSI +
 		`" xmlns:xsd="` + nsXSD +
-		`" xmlns:ns1="` + appNS + `">` + "\n<SOAP-ENV:Body>\n"
-}
+		`" xmlns:ns1="`
+	bodyStart = `">` + "\n<SOAP-ENV:Body>\n"
+)
+
+// EnvelopeStart returns the envelope and body opening, binding ns1 to the
+// application namespace.
+func EnvelopeStart(appNS string) string { return envelopeHead + appNS + bodyStart }
 
 // EnvelopeEnd closes the body and envelope.
 const EnvelopeEnd = "\n</SOAP-ENV:Body>\n</SOAP-ENV:Envelope>\n"
@@ -47,8 +52,19 @@ func OperationEnd(op string) string { return "</ns1:" + op + ">" }
 // attribute, e.g. <values xsi:type="SOAP-ENC:Array"
 // SOAP-ENC:arrayType="xsd:double[100]">.
 func ArrayStart(name string, elem *wire.Type, n int) string {
-	return fmt.Sprintf(`<%s xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="%s[%d]">`,
-		name, elem.Name, n)
+	return string(appendArrayStart(make([]byte, 0, len(arrayType)+len(name)+len(elem.Name)+25), name, elem, n))
+}
+
+const arrayType = ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="`
+
+func appendArrayStart(b []byte, name string, elem *wire.Type, n int) []byte {
+	b = append(b, '<')
+	b = append(b, name...)
+	b = append(b, arrayType...)
+	b = append(b, elem.Name...)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, `]">`...)
 }
 
 // ArrayEnd closes an array-valued parameter.
@@ -60,8 +76,27 @@ func ScalarStart(name string, t *wire.Type) string {
 }
 
 // StructStart opens a struct-valued parameter element.
-func StructStart(name string, t *wire.Type) string {
-	return `<` + name + ` xsi:type="` + t.Name + `">`
+func StructStart(name string, t *wire.Type) string { return ScalarStart(name, t) }
+
+// appendTyped appends the opening tag of a parameter carrying its
+// xsi:type, a scalar's or a struct's: ScalarStart, without building the
+// string.
+func appendTyped(b []byte, name string, t *wire.Type) []byte {
+	b = append(b, '<')
+	b = append(b, name...)
+	b = append(b, ` xsi:type="`...)
+	b = append(b, t.Name...)
+	return append(b, `">`...)
+}
+
+// appendTag appends <tag>, or </tag> when closing.
+func appendTag(b []byte, tag string, closing bool) []byte {
+	b = append(b, '<')
+	if closing {
+		b = append(b, '/')
+	}
+	b = append(b, tag...)
+	return append(b, '>')
 }
 
 // OpenTag returns <tag>; array items and struct fields use bare tags (the
@@ -80,53 +115,52 @@ const ItemTag = "item"
 // repository's one from-scratch renderer: the gSOAP-like baseline and the
 // engine's diff-off mode ("bSOAP Full Serialization") both call it, so
 // the measured gap between them and differential serialization is
-// strategy alone.
-func AppendMessage(b []byte, m *wire.Message) []byte {
-	b = append(b, EnvelopeStart(m.Namespace())...)
-	b = append(b, OperationStart(m.Operation())...)
+// strategy alone. Doubles print through conv.
+func AppendMessage(b []byte, m *wire.Message, conv fastconv.Converter) []byte {
+	b = append(b, envelopeHead...)
+	b = append(b, m.Namespace()...)
+	b = append(b, bodyStart...)
+	b = append(b, "<ns1:"...)
+	b = append(b, m.Operation()...)
+	b = append(b, '>')
 	leaf := 0
 	for _, p := range m.Params() {
 		switch p.Type.Kind {
 		case wire.Array:
-			b = append(b, ArrayStart(p.Name, p.Type.Elem, p.Count)...)
+			b = appendArrayStart(b, p.Name, p.Type.Elem, p.Count)
 			for i := 0; i < p.Count; i++ {
-				b, leaf = appendValue(b, m, p.Type.Elem, ItemTag, leaf)
+				b, leaf = appendValue(b, m, p.Type.Elem, ItemTag, leaf, conv)
 			}
-			b = append(b, ArrayEnd(p.Name)...)
 		case wire.Struct:
-			b = append(b, StructStart(p.Name, p.Type)...)
+			b = appendTyped(b, p.Name, p.Type)
 			for _, f := range p.Type.Fields {
-				b, leaf = appendValue(b, m, f.Type, f.Name, leaf)
+				b, leaf = appendValue(b, m, f.Type, f.Name, leaf, conv)
 			}
-			b = append(b, CloseTag(p.Name)...)
 		default:
-			b = append(b, ScalarStart(p.Name, p.Type)...)
-			b, leaf = appendScalar(b, m, p.Type, leaf)
-			b = append(b, CloseTag(p.Name)...)
+			b = appendTyped(b, p.Name, p.Type)
+			b, leaf = appendScalar(b, m, p.Type, leaf, conv)
 		}
+		b = appendTag(b, p.Name, true)
 	}
-	b = append(b, OperationEnd(m.Operation())...)
+	b = append(b, "</ns1:"...)
+	b = append(b, m.Operation()...)
+	b = append(b, '>')
 	return append(b, EnvelopeEnd...)
 }
 
-func appendValue(b []byte, m *wire.Message, t *wire.Type, tag string, leaf int) ([]byte, int) {
-	b = append(b, '<')
-	b = append(b, tag...)
-	b = append(b, '>')
+func appendValue(b []byte, m *wire.Message, t *wire.Type, tag string, leaf int, conv fastconv.Converter) ([]byte, int) {
+	b = appendTag(b, tag, false)
 	if t.Kind == wire.Struct {
 		for _, f := range t.Fields {
-			b, leaf = appendValue(b, m, f.Type, f.Name, leaf)
+			b, leaf = appendValue(b, m, f.Type, f.Name, leaf, conv)
 		}
 	} else {
-		b, leaf = appendScalar(b, m, t, leaf)
+		b, leaf = appendScalar(b, m, t, leaf, conv)
 	}
-	b = append(b, '<', '/')
-	b = append(b, tag...)
-	b = append(b, '>')
-	return b, leaf
+	return appendTag(b, tag, true), leaf
 }
 
-func appendScalar(b []byte, m *wire.Message, t *wire.Type, leaf int) ([]byte, int) {
+func appendScalar(b []byte, m *wire.Message, t *wire.Type, leaf int, conv fastconv.Converter) ([]byte, int) {
 	switch t.Kind {
 	case wire.Int:
 		var tmp [xsdlex.MaxIntWidth]byte
@@ -134,7 +168,7 @@ func appendScalar(b []byte, m *wire.Message, t *wire.Type, leaf int) ([]byte, in
 		b = append(b, tmp[:n]...)
 	case wire.Double:
 		var tmp [xsdlex.MaxDoubleWidth]byte
-		n := fastconv.WriteDouble(tmp[:], m.LeafDouble(leaf))
+		n := conv.WriteDouble(tmp[:], m.LeafDouble(leaf))
 		b = append(b, tmp[:n]...)
 	case wire.Bool:
 		b = xsdlex.AppendBool(b, m.LeafBool(leaf))

@@ -1,9 +1,11 @@
 package soapenv
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"bsoap/internal/fastconv"
 	"bsoap/internal/wire"
 	"bsoap/internal/xmlparse"
 )
@@ -61,5 +63,29 @@ func TestTagHelpers(t *testing.T) {
 	}
 	if OperationStart("f") != "<ns1:f>" || OperationEnd("f") != "</ns1:f>" {
 		t.Fatal("operation helpers wrong")
+	}
+}
+
+// TestAppendMessageFraming renders one parameter of each kind and checks
+// the document against the grammar's own string helpers, with doubles
+// printed the same by both converters.
+func TestAppendMessageFraming(t *testing.T) {
+	m := wire.NewMessage("urn:app", "op")
+	m.AddInt("n", -7)
+	m.AddDouble("x", 0.1)
+	m.AddString("s", "a<b")
+	arr := m.AddDoubleArray("vals", 2)
+	arr.Set(0, 1.5)
+	arr.Set(1, math.Inf(-1))
+	want := EnvelopeStart("urn:app") + OperationStart("op") +
+		ScalarStart("n", wire.TInt) + "-7" + CloseTag("n") +
+		ScalarStart("x", wire.TDouble) + "0.1" + CloseTag("x") +
+		ScalarStart("s", wire.TString) + "a&lt;b" + CloseTag("s") +
+		ArrayStart("vals", wire.TDouble, 2) + "<item>1.5</item><item>-INF</item>" + ArrayEnd("vals") +
+		OperationEnd("op") + EnvelopeEnd
+	for _, conv := range []fastconv.Converter{0, fastconv.Dragon} {
+		if got := string(AppendMessage(nil, m, conv)); got != want {
+			t.Errorf("converter %d:\n got %s\nwant %s", conv, got, want)
+		}
 	}
 }

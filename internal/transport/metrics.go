@@ -38,6 +38,7 @@ type ServerMetrics struct {
 	ddsFastPath            atomic.Int64
 	ddsFullParses          [diffdeser.NumReasons]atomic.Int64 // by why the request went cold
 	ddsValuesReparsed      atomic.Int64
+	ddsRefused             atomic.Int64
 	ddsKeyEvictions        atomic.Int64
 	replicaEvictions       atomic.Int64
 	replicaBudgetEvictions atomic.Int64
@@ -89,6 +90,7 @@ type ServerStats struct {
 	// label as the key): the entries sum to it.
 	DDSFullParseReasons map[string]int64 `json:"dds_full_parse_reasons"`
 	DDSValuesReparsed   int64            `json:"dds_values_reparsed"`
+	DDSRefused          int64            `json:"dds_refused"` // full parses that kept no template (diffdeser.Info.Refused)
 	DDSKeyEvictions     int64            `json:"dds_key_evictions"`
 	ReplicaEvictions    int64            `json:"replica_evictions"`
 
@@ -133,6 +135,7 @@ func (m *ServerMetrics) Snapshot() ServerStats {
 
 		DDSFastPath:       m.ddsFastPath.Load(),
 		DDSValuesReparsed: m.ddsValuesReparsed.Load(),
+		DDSRefused:        m.ddsRefused.Load(),
 		DDSKeyEvictions:   m.ddsKeyEvictions.Load(),
 		ReplicaEvictions:  m.replicaEvictions.Load(),
 
@@ -161,14 +164,17 @@ func (m *ServerMetrics) Snapshot() ServerStats {
 
 // RecordDDSDecode counts one decoded request: a fast differential decode
 // (ReasonNone) and how many leaf value regions it re-lexed, or a full
-// parse under the reason the fast path did not serve it. The serverpool
-// runtime calls this per request.
-func (m *ServerMetrics) RecordDDSDecode(why diffdeser.Reason, valuesReparsed int) {
-	if why == diffdeser.ReasonNone {
+// parse under the reason the fast path did not serve it, and whether it
+// was refused a template. The serverpool runtime calls this per request.
+func (m *ServerMetrics) RecordDDSDecode(info diffdeser.Info) {
+	if info.Reason == diffdeser.ReasonNone {
 		m.ddsFastPath.Add(1)
-		m.ddsValuesReparsed.Add(int64(valuesReparsed))
-	} else {
-		m.ddsFullParses[why].Add(1)
+		m.ddsValuesReparsed.Add(int64(info.ValuesReparsed))
+		return
+	}
+	m.ddsFullParses[info.Reason].Add(1)
+	if info.Refused {
+		m.ddsRefused.Add(1)
 	}
 }
 
@@ -268,6 +274,7 @@ func (m *ServerMetrics) WritePrometheus(w io.Writer) error {
 	p.CounterWithLabel("bsoap_server_dds_full_parse_reason_total",
 		"Full parses, by why the differential path did not serve the request; sums to bsoap_server_dds_full_parse_total.", "reason", reasons)
 	p.Counter("bsoap_server_dds_values_reparsed_total", "Leaf value regions re-lexed on the differential fast path.", st.DDSValuesReparsed)
+	p.Counter("bsoap_server_dds_refused_total", "Full parses that kept no template: the operation's templates were full and in use.", st.DDSRefused)
 	p.Counter("bsoap_server_dds_key_evictions_total", "Operation keys evicted from bounded deserializers.", st.DDSKeyEvictions)
 	p.Counter("bsoap_server_replica_evictions_total", "Connection replicas evicted by the serverpool registry.", st.ReplicaEvictions)
 	p.CounterWithLabel("bsoap_server_template_evictions_total", "Server replica entries evicted, by reason.", "reason",

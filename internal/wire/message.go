@@ -58,6 +58,19 @@ func NewMessage(namespace, operation string) *Message {
 	return &Message{ns: namespace, op: operation}
 }
 
+// Reset empties m into a message of the given operation with no
+// parameters, as NewMessage returns, keeping the storage of its
+// parameters and leaves for the ones added next. It is a structural
+// change.
+func (m *Message) Reset(namespace, operation string) {
+	clear(m.strs)
+	m.ns, m.op = namespace, operation
+	m.params = m.params[:0]
+	m.ints, m.doubles, m.strs, m.bools = m.ints[:0], m.doubles[:0], m.strs[:0], m.bools[:0]
+	m.leaves, m.store, m.dirty, m.ndirty = m.leaves[:0], m.store[:0], m.dirty[:0], 0
+	m.bumpStructure()
+}
+
 // Namespace returns the operation's namespace URI.
 func (m *Message) Namespace() string { return m.ns }
 
@@ -202,7 +215,18 @@ func (m *Message) addArray(name string, elem *Type, n int) int {
 	}
 	m.bumpStructure()
 	first := len(m.leaves)
-	m.params = append(m.params, Param{Name: name, Type: ArrayOf(elem), Count: n, First: first})
+	// A message Reset for reuse still holds, past its parameters, the
+	// array type this place had last: types are immutable, so it serves.
+	var t *Type
+	if i := len(m.params); i < cap(m.params) {
+		if old := m.params[:i+1][i].Type; old != nil && old.Kind == Array && old.Elem == elem {
+			t = old
+		}
+	}
+	if t == nil {
+		t = ArrayOf(elem)
+	}
+	m.params = append(m.params, Param{Name: name, Type: t, Count: n, First: first})
 	m.reserve(elem, n)
 	for i := 0; i < n; i++ {
 		m.addLeavesForValue(elem, "item")

@@ -321,3 +321,58 @@ func TestFillHelpers(t *testing.T) {
 	}()
 	da.Fill([]float64{1})
 }
+
+// TestResetRebuildsAsNew builds a message, Resets it to another
+// operation and builds a second shape into it: it reads exactly as the
+// same shape built into a new message, with zero values, no dirty bit
+// and a structural version past every one it had.
+func TestResetRebuildsAsNew(t *testing.T) {
+	mio := mioType()
+	build := func(m *Message, n int) {
+		m.AddString("s", "")
+		m.AddStructArray("mios", mio, n)
+		m.AddDoubleArray("v", n+1)
+	}
+	m := NewMessage("urn:a", "first")
+	build(m, 5)
+	m.AddStringArray("tags", 2).Set(1, "kept?")
+	m.AddInt("i", 7)
+	m.MarkAllDirty()
+	sig, version := m.Signature(), m.Version()
+
+	m.Reset("urn:b", "second")
+	if m.NumLeaves() != 0 || len(m.Params()) != 0 || m.AnyDirty() || m.Version() <= version || m.Signature() == sig {
+		t.Fatalf("after Reset: %d leaves, %d params, dirty %v, version %d (was %d), signature %q",
+			m.NumLeaves(), len(m.Params()), m.AnyDirty(), m.Version(), version, m.Signature())
+	}
+	build(m, 3)
+	want := NewMessage("urn:b", "second")
+	build(want, 3)
+	if m.Signature() != want.Signature() || m.NumLeaves() != want.NumLeaves() {
+		t.Fatalf("rebuilt %q (%d leaves), want %q (%d)", m.Signature(), m.NumLeaves(), want.Signature(), want.NumLeaves())
+	}
+	for i := 0; i < want.NumLeaves(); i++ {
+		if m.LeafType(i) != want.LeafType(i) || m.LeafTag(i) != want.LeafTag(i) || m.Dirty(i) {
+			t.Fatalf("leaf %d: %s <%s> dirty %v, want %s <%s>", i, m.LeafType(i).Name, m.LeafTag(i), m.Dirty(i), want.LeafType(i).Name, want.LeafTag(i))
+		}
+		switch want.LeafType(i).Kind {
+		case Int:
+			if m.LeafInt(i) != 0 {
+				t.Fatalf("leaf %d: %d", i, m.LeafInt(i))
+			}
+		case Double:
+			if m.LeafDouble(i) != 0 {
+				t.Fatalf("leaf %d: %g", i, m.LeafDouble(i))
+			}
+		case String:
+			if m.LeafString(i) != "" {
+				t.Fatalf("leaf %d: %q", i, m.LeafString(i))
+			}
+		}
+	}
+	for i, p := range m.Params() {
+		if w := want.Params()[i]; p.Name != w.Name || p.Count != w.Count || p.First != w.First || p.Type.Name != w.Type.Name || p.Type.Elem != w.Type.Elem {
+			t.Fatalf("param %d: %+v, want %+v", i, p, w)
+		}
+	}
+}

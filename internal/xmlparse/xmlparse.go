@@ -93,6 +93,14 @@ func NewParser(data []byte) *Parser {
 	return &Parser{data: data}
 }
 
+// Reset makes p a parser over data, as NewParser(data) returns, keeping
+// the storage of its element stack and attribute list. It drops every
+// view into the previous document.
+func (p *Parser) Reset(data []byte) {
+	clear(p.attrs[:cap(p.attrs)])
+	*p = Parser{data: data, stack: p.stack[:0], attrs: p.attrs[:0]}
+}
+
 // Offset reports the current byte offset into the document, used by the
 // differential deserializer to record value byte-ranges.
 func (p *Parser) Offset() int { return p.pos }

@@ -218,7 +218,7 @@ func TestPoolBaselineEquivalence(t *testing.T) {
 				intsTarget("ints", 64),
 				miosTarget("mios", 16),
 			}
-			ref := baseline.NewGSOAPLike()
+			ref := new(baseline.GSOAPLike)
 			rng := rand.New(rand.NewSource(7))
 			seen := map[bsoap.MatchKind]bool{}
 

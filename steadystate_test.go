@@ -260,6 +260,37 @@ func TestSteadyStateAllocsPool(t *testing.T) {
 	})
 }
 
+// TestSteadyStateAllocsRefused gates the call the template store refuses:
+// an operation whose one template is in use sees two other shapes take
+// turns, so the doorkeeper — which remembers only the last refused
+// shape — refuses each, and it goes out from scratch through the
+// connection slot's own renderer, a full serialization that builds,
+// evicts and allocates nothing once the slot's buffer has grown.
+func TestSteadyStateAllocsRefused(t *testing.T) {
+	p, _ := harness.DiscardPool(t, pool.Options{Size: 1, Config: core.Config{MaxTemplatesPerOp: 1}})
+	held := workload.NewDoubles(100, workload.FillIntermediate)
+	if ci, err := p.Call(held.Msg); err != nil || ci.Match != core.FirstTime {
+		t.Fatalf("held shape: %v %v", ci.Match, err)
+	}
+	refused := []*workload.Doubles{
+		workload.NewDoubles(101, workload.FillIntermediate),
+		workload.NewDoubles(102, workload.FillIntermediate),
+	}
+	call := func() {
+		for i, d := range refused {
+			d.Arr.Set(i, float64(i))
+			if ci, err := p.Call(d.Msg); err != nil || ci.Match != core.FullSerialization {
+				t.Fatalf("shape %d: %v %v, want a full serialization", i, ci.Match, err)
+			}
+		}
+	}
+	call()
+	gateAllocs(t, 0, call)
+	if st := p.Stats(); st.TemplateEvictions != 0 || st.FirstTimeSends != 1 {
+		t.Fatalf("%d evictions, %d first-time sends; want 0 and 1", st.TemplateEvictions, st.FirstTimeSends)
+	}
+}
+
 // TestSteadyStateAllocsPipelined gates the pipelined call path over
 // loopback against a read-ahead server (the pipelined_d8 shape): a
 // request's place in the pipeline lives in its Future, and the waiter
