@@ -111,8 +111,9 @@ type (
 	PoolStats = pool.Stats
 	// PoolMetrics is the live registry (JSON endpoint, http.Handler).
 	PoolMetrics = pool.Metrics
-	// Future is the completion handle of a pipelined call (see
-	// Pool.CallAsync and PoolOptions.PipelineDepth).
+	// Future is the completion handle of any pool call that does not
+	// wait for its response (Pool.CallAsync works on every pool;
+	// PoolOptions.PipelineDepth bounds how many ride one connection).
 	Future = pool.Future
 )
 

@@ -97,7 +97,7 @@ func TestSharedStoreFacade(t *testing.T) {
 // a pool over a loopback server, goroutines sharing templates, and the
 // metrics snapshot accounting for every call.
 func TestPoolFacade(t *testing.T) {
-	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{})
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,6 @@ func TestEndToEndOverlayStreaming(t *testing.T) {
 	defer srv.Close()
 
 	sender, err := bsoap.Dial(srv.Addr(), bsoap.SenderOptions{
-		Version:        transport.HTTP11,
 		ExpectResponse: true,
 	})
 	if err != nil {

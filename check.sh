@@ -156,6 +156,15 @@ one_path_guard() {
     absent "reader goroutine in the client pipeline" 'go pl\.readLoop|func \(pl \*Pipeline\) readLoop' internal/transport
     absent "wake-up channel in the client pipeline" 'make\(chan ' internal/transport/pipeline.go
     absent "channel accessor on a future" 'func \(f \*Future\) Done' internal/pool
+    # One client connection discipline: every pool slot is a dialed
+    # Sender under a Pipeline (a Call is depth 1 of it), dialed only
+    # through SenderOptions.Dialer, and every request is HTTP/1.1 — no
+    # second pool mode, no dial that hands the pool a sink, no second
+    # framing, no in-process loadgen.
+    absent "second HTTP framing" 'transport\.HTTP1[01]|Keep-Alive' .
+    absent "serial pool mode beside the pipeline" 'errNotPipelined|PipelineDepth > 0' internal/pool
+    absent "pool dial returning a sink" 'func\(\) \(core\.Sink' internal/pool
+    absent "in-process loadgen" 'inprocess' cmd/bsoap-loadgen
     # Template memory is charged at what the layouts hold (unsafe.Sizeof
     # of a 16-byte DUT entry and an 8-byte leaf range), not at constants.
     absent "flat per-entry charge" 'entrySize = 64' internal/core
@@ -244,7 +253,7 @@ BSOAP_TRACE=1 go test -count=1 \
 go test -run 'AllocFree|IsFree' ./internal/transport ./internal/trace
 go test -run '^$' -bench 'Fig0[12]' -benchtime=100x -benchmem .
 
-# Observability smoke: a real loadgen run against a discard server with
+# Observability smoke: a real loadgen run against a bench server with
 # the flight recorder on, then scrape both debug ports — /metrics must
 # parse as valid Prometheus exposition (bsoap-inspect validates it) and
 # /debug/trace must contain at least one complete call span.
@@ -253,7 +262,7 @@ obs_smoke() {
     go build -o "$tmp/bsoap-server" ./cmd/bsoap-server
     go build -o "$tmp/bsoap-loadgen" ./cmd/bsoap-loadgen
     go build -o "$tmp/bsoap-inspect" ./cmd/bsoap-inspect
-    "$tmp/bsoap-server" -mode discard -addr 127.0.0.1:29999 \
+    "$tmp/bsoap-server" -mode bench -addr 127.0.0.1:29999 \
         -metrics 127.0.0.1:28124 -quiet &
     srv=$!
     sleep 0.5
@@ -288,7 +297,7 @@ scaling_smoke() {
         -metrics 127.0.0.1:28125 -quiet > "$tmp/srv.log" 2>&1 &
     srv=$!
     sleep 0.5
-    "$tmp/bsoap-loadgen" -addr 127.0.0.1:29998 -workers 8 -duration 4s -rpc \
+    "$tmp/bsoap-loadgen" -addr 127.0.0.1:29998 -workers 8 -duration 4s \
         -max-err 0 -server-metrics http://127.0.0.1:28125/metrics \
         -min-server-fast 90
     kill -TERM "$srv"
@@ -309,7 +318,7 @@ drain_smoke() {
         > "$tmp/srv.log" 2>&1 &
     srv=$!
     sleep 0.5
-    "$tmp/bsoap-loadgen" -addr 127.0.0.1:29997 -workers 4 -duration 6s -rpc \
+    "$tmp/bsoap-loadgen" -addr 127.0.0.1:29997 -workers 4 -duration 6s \
         > "$tmp/lg.log" 2>&1 &
     lg=$!
     sleep 1.5
@@ -350,9 +359,9 @@ pipeline_smoke() {
     srv=$!
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29996 -workers 1 -ops 8 -n 100 \
-        -mix 100/0/0 -duration 3s -rpc -max-err 0 > "$tmp/serial.log"
+        -mix 100/0/0 -duration 3s -max-err 0 > "$tmp/serial.log"
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29996 -workers 1 -ops 8 -n 100 \
-        -mix 100/0/0 -duration 3s -rpc -pipeline 8 -max-err 0 \
+        -mix 100/0/0 -duration 3s -pipeline 8 -max-err 0 \
         -server-metrics http://127.0.0.1:28126/metrics -min-server-fast 90 \
         > "$tmp/piped.log"
     serial_rate=$(awk '/calls\/s/ {gsub("\\(",""); print int($3)}' "$tmp/serial.log")
@@ -371,7 +380,7 @@ pipeline_smoke() {
     srv=$!
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29996 -workers 2 -ops 8 -n 100 \
-        -duration 4s -rpc -pipeline 8 -chaos 0.05 -max-err 100 \
+        -duration 4s -pipeline 8 -chaos 0.05 -max-err 100 \
         > "$tmp/chaos.log" 2>&1 &
     lg=$!
     sleep 1.5
@@ -405,7 +414,7 @@ budget_smoke() {
     srv=$!
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29995 -workers 4 -ops 8 -n 100 \
-        -duration 4s -rpc -metrics 127.0.0.1:28128 \
+        -duration 4s -metrics 127.0.0.1:28128 \
         -max-template-bytes 65536 -max-err 0 > "$tmp/lg.log" 2>&1 &
     lg=$!
     sleep 2.5
@@ -447,7 +456,7 @@ delta_smoke() {
     srv=$!
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29993 -workers 8 -replicas 16 \
-        -n 400 -mix 100/0/0 -duration 4s -rpc -delta -max-err 0 \
+        -n 400 -mix 100/0/0 -duration 4s -delta -max-err 0 \
         -min-delta-saved 95 \
         -server-metrics http://127.0.0.1:28131/metrics -min-server-fast 90 \
         > "$tmp/lg.log" || {
@@ -484,7 +493,7 @@ correlate_smoke() {
     # and the orphan gate below would trip on them. -hold keeps the
     # loadgen's debug endpoints alive after the run so both rings can
     # be scraped at rest.
-    "$tmp/bsoap-loadgen" -addr 127.0.0.1:29994 -workers 8 -rpc -calls 200 \
+    "$tmp/bsoap-loadgen" -addr 127.0.0.1:29994 -workers 8 -calls 200 \
         -mix 100/0/0 -trace -trace-sample 1000 -slow-threshold 1us \
         -metrics 127.0.0.1:28130 -max-err 0 -hold 30s > "$tmp/lg.log" 2>&1 &
     lg=$!

@@ -44,7 +44,7 @@ func main() {
 
 	opts := bench.Options{Reps: *reps, MaxSize: *maxSize}
 	if *tcp != "" {
-		sender, err := transport.Dial(*tcp, transport.SenderOptions{Version: transport.HTTP11})
+		sender, err := transport.Dial(*tcp, transport.SenderOptions{})
 		if err != nil {
 			fatal(fmt.Errorf("connecting to discard server: %w", err))
 		}

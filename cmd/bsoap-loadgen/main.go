@@ -4,13 +4,15 @@
 // differential templates saved under load.
 //
 //	# terminal 1
-//	go run ./cmd/bsoap-server -mode discard
+//	go run ./cmd/bsoap-server -mode bench
 //	# terminal 2
 //	go run ./cmd/bsoap-loadgen -workers 8
 //
-// Use -inprocess to measure without a server (in-process discard sink),
-// and -metrics :8123 to expose the live registry while the run is in
-// flight: JSON at http://localhost:8123/, Prometheus text exposition at
+// Every call reads its response, so the server must answer (any SOAP
+// mode, or -mode record; the silent -mode discard is for bsoap-bench).
+// Every socket read and write is bounded by 10s, so a server that never
+// answers fails the run instead of hanging it. Use -metrics :8123 to
+// expose the live registry while the run is in flight: JSON at http://localhost:8123/, Prometheus text exposition at
 // /metrics, the flight-recorder ring at /debug/trace (pair with -trace)
 // and the live template store at /debug/templates.
 //
@@ -39,14 +41,12 @@ import (
 	"bsoap/internal/promtext"
 	"bsoap/internal/replica"
 	"bsoap/internal/trace"
-	"bsoap/internal/transport"
 	"bsoap/internal/workload"
 )
 
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:9999", "bsoap-server address")
-		inprocess = flag.Bool("inprocess", false, "use an in-process discard sink instead of a server")
 		workers   = flag.Int("workers", 8, "concurrent worker goroutines")
 		ops       = flag.Int("ops", 3, "distinct operations to spread calls over")
 		n         = flag.Int("n", 1000, "array elements per message")
@@ -64,8 +64,7 @@ func main() {
 		slowThr   = flag.Duration("slow-threshold", 0, "capture full event sets of calls slower end-to-end than this (0 = off)")
 		slowQuant = flag.Float64("slow-quantile", 0, "capture calls slower than this rolling latency quantile, e.g. 0.99 (0 = off; overrides -slow-threshold)")
 		pprofSrv  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060) — verify the send path's allocation profile under load")
-		rpc       = flag.Bool("rpc", false, "read one HTTP response per call (pair with a responding server, e.g. -mode record)")
-		pipeline  = flag.Int("pipeline", 0, "pipeline depth: keep up to N async calls in flight per worker (requires a responding server; workers drive max(-ops, N) messages each so the window can fill)")
+		pipeline  = flag.Int("pipeline", 0, "pipeline depth: keep up to N async calls in flight per worker (workers drive max(-ops, N) messages each so the window can fill)")
 		maxErr    = flag.Float64("max-err", 0, "max tolerated error rate in percent before exiting nonzero")
 		chaos     = flag.Float64("chaos", 0, "inject faults: connection-reset probability per socket op (plus partial writes, mid-stream closes and dial failures at a quarter of it)")
 		chaosSeed = flag.Int64("chaos-seed", 1, "fault injector seed")
@@ -92,11 +91,8 @@ func main() {
 		*replicas = *conns
 	}
 
-	if *pipeline > 0 && *inprocess {
-		fmt.Fprintln(os.Stderr, "bsoap-loadgen: -pipeline needs a real connection to a responding server; drop -inprocess")
-		os.Exit(2)
-	}
 	popts := bsoap.PoolOptions{
+		Addr:             *addr,
 		Size:             *conns,
 		Shards:           *shards,
 		Replicas:         *replicas,
@@ -104,14 +100,13 @@ func main() {
 		PipelineDepth:    *pipeline,
 		Config:           bsoap.Config{EnableStealing: true, Width: bsoap.WidthPolicy{Double: 18, Int: 9}},
 	}
-	popts.Sender.ExpectResponse = *rpc
 	popts.Delta = *delta
+	// Bound every socket operation: a stalled or silent peer costs a
+	// timeout, not a worker.
+	popts.Sender.WriteTimeout = 10 * time.Second
+	popts.Sender.ReadTimeout = 10 * time.Second
 	var inj *faultwire.Injector
 	if *chaos > 0 {
-		if *inprocess {
-			fmt.Fprintln(os.Stderr, "bsoap-loadgen: -chaos needs a real connection; drop -inprocess")
-			os.Exit(2)
-		}
 		inj = faultwire.New(faultwire.Options{
 			Seed: *chaosSeed,
 			Probs: faultwire.Probabilities{
@@ -122,30 +117,9 @@ func main() {
 			},
 		})
 		popts.Sender.Dialer = inj.Dial(nil)
-		// A faulty wire can also mean a wedged one: bound every socket
-		// operation so a stalled peer costs a timeout, not a worker.
-		popts.Sender.WriteTimeout = 10 * time.Second
-		popts.Sender.ReadTimeout = 10 * time.Second
 	}
 	if *bandwidth > 0 {
-		if *inprocess {
-			fmt.Fprintln(os.Stderr, "bsoap-loadgen: -bandwidth needs a real connection; drop -inprocess")
-			os.Exit(2)
-		}
 		popts.Sender.Dialer = faultwire.Bandwidth(*bandwidth).Dial(popts.Sender.Dialer)
-	}
-	if *inprocess {
-		if *delta {
-			// An always-capable in-process peer: measures the pure
-			// client-side delta encode cost without a network.
-			sink := transport.NewDeltaDiscardSink()
-			popts.Dial = func() (bsoap.Sink, error) { return sink, nil }
-		} else {
-			sink := bsoap.NewDiscardSink()
-			popts.Dial = func() (bsoap.Sink, error) { return sink, nil }
-		}
-	} else {
-		popts.Addr = *addr
 	}
 	pool, err := bsoap.NewPool(popts)
 	if err != nil {
@@ -202,7 +176,7 @@ func main() {
 	probe := workload.NewDoubles(1, workload.FillMin)
 	if _, err := pool.Call(probe.Msg); err != nil {
 		if inj == nil {
-			fmt.Fprintf(os.Stderr, "bsoap-loadgen: cannot reach %s: %v\n(start one with: go run ./cmd/bsoap-server -mode discard)\n", *addr, err)
+			fmt.Fprintf(os.Stderr, "bsoap-loadgen: cannot reach %s: %v\n(start one with: go run ./cmd/bsoap-server -mode bench)\n", *addr, err)
 			os.Exit(1)
 		}
 		// Under chaos the probe itself may eat an injected fault; the
@@ -233,7 +207,7 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	report(os.Stdout, pool, inj, *workers, *ops, *replicas, *addr, *inprocess, elapsed)
+	report(os.Stdout, pool, inj, *workers, *ops, *replicas, *addr, elapsed)
 	if *pipeline > 0 {
 		// Every future handed out must have come back: a submitted call
 		// that neither resolved nor errored is a bug in the async path,
@@ -430,12 +404,8 @@ func checkServerMetrics(url string, minFast float64) error {
 }
 
 // report prints the throughput + match-class summary.
-func report(w *os.File, pool *bsoap.Pool, inj *faultwire.Injector, workers, ops, replicas int, addr string, inprocess bool, elapsed time.Duration) {
+func report(w *os.File, pool *bsoap.Pool, inj *faultwire.Injector, workers, ops, replicas int, addr string, elapsed time.Duration) {
 	st := pool.Stats()
-	target := addr
-	if inprocess {
-		target = "in-process discard sink"
-	}
 	secs := elapsed.Seconds()
 	pct := func(n int64) float64 {
 		if st.Calls == 0 {
@@ -443,7 +413,7 @@ func report(w *os.File, pool *bsoap.Pool, inj *faultwire.Injector, workers, ops,
 		}
 		return 100 * float64(n) / float64(st.Calls)
 	}
-	fmt.Fprintf(w, "bsoap-loadgen: %d workers × %d ops, %d replicas, against %s for %.1fs\n", workers, ops, replicas, target, secs)
+	fmt.Fprintf(w, "bsoap-loadgen: %d workers × %d ops, %d replicas, against %s for %.1fs\n", workers, ops, replicas, addr, secs)
 	fmt.Fprintf(w, "  calls        %10d   (%.0f calls/s, %.1f MB/s on wire)\n",
 		st.Calls, float64(st.Calls)/secs, float64(st.BytesOnWire)/1e6/secs)
 	fmt.Fprintf(w, "  match kinds: first-time %d (%.2f%%) · content %d (%.1f%%) · structural %d (%.1f%%) · partial %d (%.1f%%) · errors %d\n",
@@ -466,10 +436,8 @@ func report(w *os.File, pool *bsoap.Pool, inj *faultwire.Injector, workers, ops,
 		st.ValuesRewritten, st.TagShifts, st.Shifts, st.Steals, st.TemplateRebinds)
 	fmt.Fprintf(w, "  pool: %d checkouts (%d waited), %d dials, %d redials, %d dial failures, %d retries\n",
 		st.Checkouts, st.CheckoutWaits, st.Dials, st.Redials, st.DialFailures, st.Retries)
-	if st.AsyncCalls > 0 {
-		fmt.Fprintf(w, "  pipeline: depth %d · %d async calls · %d submit stalls\n",
-			st.PipelineDepth, st.AsyncCalls, st.PipelineStalls)
-	}
+	fmt.Fprintf(w, "  pipeline: depth %d · %d requests written · %d submit stalls\n",
+		st.PipelineDepth, st.AsyncCalls, st.PipelineStalls)
 	if inj != nil {
 		byKind := inj.FaultsByKind()
 		parts := make([]string, 0, len(byKind))

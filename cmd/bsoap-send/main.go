@@ -42,7 +42,7 @@ func main() {
 
 	var sink core.Sink
 	if *addr != "" {
-		sender, err := transport.Dial(*addr, transport.SenderOptions{Version: transport.HTTP11})
+		sender, err := transport.Dial(*addr, transport.SenderOptions{})
 		if err != nil {
 			fatal(err)
 		}

@@ -118,6 +118,79 @@ func TestConformanceMatchClasses(t *testing.T) {
 	}
 }
 
+// TestConformanceLostResponse is the read-side twin of the scripted
+// reset above: the fifth response read is reset, so request 5 reached
+// the server but its delivery is unconfirmed at the client. The Call
+// repairs its connection and retries on the slot it holds — every call
+// checks out exactly once, even on a one-connection pool — and because
+// the unconfirmed bytes made the template suspect, the retry is a
+// degraded first-time send. Every body the server accepts, the
+// unconfirmed one included, is a from-scratch serialization of the
+// values at call time.
+func TestConformanceLostResponse(t *testing.T) {
+	inj := faultwire.NewScripted(faultwire.Options{},
+		faultwire.Step{Op: faultwire.OpRead, Skip: 4, Kind: faultwire.Reset})
+	rec, p := harness.Recorder(t, inj, bsoap.PoolOptions{
+		Size:             1,
+		Replicas:         1,
+		MaxRetries:       2,
+		RedialBackoff:    time.Millisecond,
+		RedialBackoffMax: 10 * time.Millisecond,
+	})
+
+	w := workload.NewDoubles(16, workload.FillMin)
+	ref := new(baseline.GSOAPLike)
+	expected := newExpectSet()
+	call := func(step string) bsoap.CallInfo {
+		t.Helper()
+		expected.add(canon(ref.Serialize(w.Msg)))
+		ci, err := p.Call(w.Msg)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		return ci
+	}
+	call("first-time")
+	call("content")
+	w.Arr.Set(0, workload.MinDouble2)
+	call("structural")
+	w.Arr.Set(1, workload.MaxDouble)
+	call("partial")
+	w.Arr.Set(2, workload.MinDouble2)
+	if ci := call("lost response"); ci.Match != bsoap.FirstTime || !ci.Degraded {
+		t.Fatalf("call 5: match=%v degraded=%v, want degraded first-time", ci.Match, ci.Degraded)
+	}
+	if ci := call("recovered"); ci.Match != bsoap.ContentMatch {
+		t.Fatalf("call 6 match = %v, want content match", ci.Match)
+	}
+
+	// Seven bodies: call 5's twice. The unconfirmed one is handled on the
+	// old connection and may land after the retry's.
+	deadline := time.Now().Add(5 * time.Second)
+	for rec.Count() < 7 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	bodies := rec.Bodies()
+	if len(bodies) != 7 {
+		t.Fatalf("server accepted %d bodies, want 7", len(bodies))
+	}
+	for i, b := range bodies {
+		if !expected.has(canon(b)) {
+			t.Errorf("accepted body %d diverges from every from-scratch serialization:\n%s", i, b)
+		}
+	}
+
+	st := p.Stats()
+	if st.DegradedFTS != 1 || st.Retries != 1 || st.Errors != 0 || st.FaultsInjected != 1 {
+		t.Errorf("degraded_fts=%d retries=%d errors=%d faults=%d, want 1/1/0/1",
+			st.DegradedFTS, st.Retries, st.Errors, st.FaultsInjected)
+	}
+	if st.Checkouts != 6 || st.CheckoutWaits != 0 {
+		t.Errorf("checkouts=%d waits=%d, want 6/0: the retry runs on the slot its call holds",
+			st.Checkouts, st.CheckoutWaits)
+	}
+}
+
 // TestConformanceUnderChaos is the probabilistic half: concurrent
 // workers drive random mutations (touches, growths forcing shifts and
 // steals, resizes) through a shared pool while faultwire resets 5% of

@@ -94,17 +94,11 @@ func TestPoolDeltaPipelinedEquivalence(t *testing.T) {
 
 	for _, tc := range equivalenceConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := &recordSink{}
-			serial, err := bsoap.NewPool(bsoap.PoolOptions{
+			srec, serial := harness.Recorder(t, nil, bsoap.PoolOptions{
 				Size:     1,
 				Replicas: 1,
 				Config:   tc.cfg,
-				Dial:     func() (bsoap.Sink, error) { return sink, nil },
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer serial.Close()
 
 			rec, piped := harness.Recorder(t, nil, bsoap.PoolOptions{
 				Size:          1,
@@ -157,13 +151,13 @@ func TestPoolDeltaPipelinedEquivalence(t *testing.T) {
 				}
 			}
 
-			got := rec.Bodies()
-			if len(sink.msgs) != rounds || len(got) != rounds {
+			got, sent := rec.Bodies(), srec.Bodies()
+			if len(sent) != rounds || len(got) != rounds {
 				t.Fatalf("serial recorded %d bodies, server holds %d, want %d each",
-					len(sink.msgs), len(got), rounds)
+					len(sent), len(got), rounds)
 			}
 			for i := range got {
-				want := canon(sink.msgs[i])
+				want := canon(sent[i])
 				if !bytes.Equal(canon(got[i]), want) {
 					t.Fatalf("call %d: reconstructed body diverges from serial\n got: %s\nwant: %s",
 						i, canon(got[i]), want)
@@ -333,10 +327,21 @@ func resyncScript(t *testing.T, opts bsoap.PoolOptions) bsoap.PoolStats {
 	return st
 }
 
-// TestDeltaResyncRecovery runs the script through the serial call path,
-// where the stub resends inside Call.
+// TestDeltaResyncRecovery runs the script through Call.
 func TestDeltaResyncRecovery(t *testing.T) {
 	resyncScript(t, bsoap.PoolOptions{Size: 1, Replicas: 1, Delta: true})
+}
+
+// TestDeltaResyncOnItsOwnSlot runs the script through Call on a
+// one-connection pool: the full resend after the refused patch runs on
+// the slot the call already holds, so no call checks out twice or waits
+// for a slot.
+func TestDeltaResyncOnItsOwnSlot(t *testing.T) {
+	st := resyncScript(t, bsoap.PoolOptions{Size: 1, Replicas: 1, Delta: true})
+	if st.DeltaResyncs != 1 || st.Checkouts != st.Calls || st.CheckoutWaits != 0 {
+		t.Errorf("resyncs=%d checkouts=%d calls=%d waits=%d, want 1 resync, one checkout per call, no wait",
+			st.DeltaResyncs, st.Checkouts, st.Calls, st.CheckoutWaits)
+	}
 }
 
 // TestDeltaResyncRecoveryPipelined is the same script through the async

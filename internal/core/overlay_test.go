@@ -293,7 +293,7 @@ func TestOverlayFailureEndsStream(t *testing.T) {
 			}
 			defer srv.Close()
 			sender, err := transport.Dial(srv.Addr(), transport.SenderOptions{
-				Version: transport.HTTP11, ExpectResponse: true,
+				ExpectResponse: true,
 			})
 			if err != nil {
 				t.Fatal(err)

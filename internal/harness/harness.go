@@ -1,8 +1,8 @@
 // Package harness is the shared scaffolding of the integration suites:
 // the recording conformance server, the serverpool "bench" runtime that
-// acknowledges every workload operation, and pooled clients wired for
-// RPC responses — previously duplicated across the root-level
-// conformance, serverpool and steady-state tests.
+// acknowledges every workload operation, and pooled clients with socket
+// timeouts — previously duplicated across the root-level conformance,
+// serverpool and steady-state tests.
 //
 // (The natural name for this package is taken: internal/dut is the
 // paper's Data Update Tracking table, so the test scaffolding lives
@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"bsoap/internal/core"
 	"bsoap/internal/faultwire"
 	"bsoap/internal/pool"
 	"bsoap/internal/serverpool"
@@ -59,7 +58,7 @@ func Recorder(tb testing.TB, inj *faultwire.Injector, opts pool.Options) (*serve
 
 // readAheadFor matches the server's read-ahead window to the client's
 // pipeline depth, so pipelined suites exercise server-side read-ahead
-// too (a serial client leaves it zero: same wire behaviour either way).
+// too (a depth-1 client leaves it zero: same wire behaviour either way).
 func readAheadFor(opts pool.Options) int {
 	if opts.PipelineDepth > 0 {
 		return opts.PipelineDepth
@@ -107,12 +106,11 @@ func BenchRuntime(tb testing.TB, opts serverpool.Options, sopts transport.Server
 	return rt, srv
 }
 
-// Pool builds a pooled client from opts with the suites' defaults
-// filled in: RPC responses expected (a dropped response surfaces as a
-// call error) and 5s socket timeouts. opts.Addr must be set.
+// Pool builds a pooled client from opts with the suites' default of 5s
+// socket timeouts filled in (a dropped response surfaces as a call
+// error, not a hang). opts.Addr must be set.
 func Pool(tb testing.TB, opts pool.Options) *pool.Pool {
 	tb.Helper()
-	opts.Sender.ExpectResponse = true
 	if opts.Sender.WriteTimeout == 0 {
 		opts.Sender.WriteTimeout = 5 * time.Second
 	}
@@ -132,19 +130,4 @@ func Pool(tb testing.TB, opts pool.Options) *pool.Pool {
 func ClientPool(tb testing.TB, addr string) *pool.Pool {
 	tb.Helper()
 	return Pool(tb, pool.Options{Size: 1, Addr: addr})
-}
-
-// DiscardPool builds a pool whose connections all feed one shared
-// in-process discard sink: the serialization-side scaffolding of the
-// steady-state allocation gates and throughput benchmarks.
-func DiscardPool(tb testing.TB, opts pool.Options) (*pool.Pool, *transport.DiscardSink) {
-	tb.Helper()
-	sink := transport.NewDiscardSink()
-	opts.Dial = func() (core.Sink, error) { return sink, nil }
-	p, err := pool.New(opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { p.Close() })
-	return p, sink
 }

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"fmt"
 	"sync"
 
 	"bsoap/internal/core"
@@ -9,18 +8,17 @@ import (
 	"bsoap/internal/wire"
 )
 
-// errNotPipelined is returned by CallAsync on pools configured without a
-// pipeline (Options.PipelineDepth == 0).
-var errNotPipelined = fmt.Errorf("pool: CallAsync requires Options.PipelineDepth > 0")
-
-// Future is the completion handle of a pipelined call: the request is on
-// the wire (serialized through the shared template and submitted), the
-// template replica is already released, and the response has not
-// necessarily arrived yet. Every Future resolves — a broken connection
-// fails its in-flight futures rather than leaving a waiter blocked.
+// Future is the completion handle of any pool call that does not wait
+// for its response: the request is on the wire (serialized through the
+// shared template and written), the template replica and the connection
+// are already released, and the response has not necessarily arrived
+// yet. Every Future resolves — a broken connection fails its in-flight
+// futures rather than leaving a waiter blocked.
 //
 // A Future is safe for concurrent use; Wait may be called any number of
-// times and returns the same outcome.
+// times and returns the same outcome. That is why it is the one
+// allocation of an asynchronous call: the pool cannot know when the
+// last Wait has returned, so it cannot recycle the handle.
 type Future struct {
 	p   *Pool
 	m   *wire.Message
@@ -39,7 +37,7 @@ type Future struct {
 // left this client but their delivery is unconfirmed, so the structure's
 // next call degrades to a full first-time send instead of diffing
 // against them. Response failures are not retried: requests behind this
-// one are already on the wire, so a replay would arrive out of order.
+// one may already be on the wire, so a replay would arrive out of order.
 // The one exception is a refused patch frame, which is state, not
 // failure: the call is resubmitted in full and reports DeltaResync.
 func (f *Future) Wait() (core.CallInfo, error) {
@@ -49,11 +47,12 @@ func (f *Future) Wait() (core.CallInfo, error) {
 
 func (f *Future) resolve() { f.ci, f.err = f.p.finish(f.m, f.sub) }
 
-// CallAsync serializes and submits m through a pooled pipelined
-// connection and returns a Future resolving when the in-order response
-// arrives. The template replica is held only across classify + diff +
-// write — it is released before the response returns, so a hot
-// operation's replica is never pinned for a round trip (the point of
+// CallAsync serializes and submits m through a pooled connection and
+// returns a Future resolving when the in-order response arrives. The
+// template replica is held only across classify + diff + write, and the
+// connection is checked back in once the request is written, so other
+// callers pipeline behind it up to Options.PipelineDepth requests per
+// connection while this one's response is outstanding (the point of
 // pipelining differential sends: serialization overlaps transmission).
 //
 // Submit-side failures (dial, write) are repaired and retried exactly
@@ -62,17 +61,14 @@ func (f *Future) resolve() { f.ci, f.err = f.p.finish(f.m, f.sub) }
 // moves to the Future (see Future.Wait). The per-message confinement
 // contract extends to futures: a message must not be mutated or
 // resubmitted until its previous call's Future has resolved.
-//
-// Pipelined calls always read one response per request, regardless of
-// Sender.ExpectResponse — HTTP pipelining needs the response stream to
-// stay in lockstep — so the server must respond (bsoap-server does in
-// every SOAP mode).
 func (p *Pool) CallAsync(m *wire.Message) (*Future, error) {
-	if p.opts.PipelineDepth <= 0 {
-		return nil, errNotPipelined
-	}
 	f := &Future{p: p, m: m}
-	f.sub = p.submit(m, &f.pd)
+	f.sub = p.open()
+	if f.sub.err == nil {
+		p.submit(m, &f.sub, &f.pd)
+		p.senders.checkin(f.sub.ps)
+		f.sub.ps = nil
+	}
 	if f.sub.err != nil {
 		// Nothing is on the wire and nothing will resolve later: the
 		// call ends here.

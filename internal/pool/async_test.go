@@ -2,7 +2,6 @@ package pool
 
 import (
 	"bufio"
-	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -15,39 +14,38 @@ import (
 	"bsoap/internal/workload"
 )
 
-// newPipelinedPool dials a pipelined pool at a responding ack server.
+// newPipelinedPool dials a pool of the given depth at a responding ack
+// server.
 func newPipelinedPool(t *testing.T, depth int, opts Options) (*Pool, *transport.Server) {
 	t.Helper()
-	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	opts.Addr = srv.Addr()
 	opts.PipelineDepth = depth
-	opts.Sender.ReadTimeout = 5 * time.Second
-	opts.Sender.WriteTimeout = 5 * time.Second
-	p, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	return p, srv
+	return newAckPool(t, opts)
 }
 
-func TestCallAsyncRequiresPipelineDepth(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{})
+// TestCallAsyncOnDefaultPool: every pool connection is a pipeline, so
+// CallAsync needs no option — on a default pool (depth 1) the future
+// resolves with the call, and Wait repeats the outcome.
+func TestCallAsyncOnDefaultPool(t *testing.T) {
+	p, srv := newAckPool(t, Options{Size: 1, Replicas: 1})
 	d := workload.NewDoubles(8, workload.FillIntermediate)
-	if _, err := p.CallAsync(d.Msg); !errors.Is(err, errNotPipelined) {
-		t.Fatalf("err = %v, want ErrNotPipelined", err)
+	for i, want := range []core.MatchKind{core.FirstTime, core.ContentMatch} {
+		f, err := p.CallAsync(d.Msg)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		ci, err := f.Wait()
+		if err != nil || ci.Match != want {
+			t.Fatalf("call %d: %v %v, want %v", i, ci.Match, err, want)
+		}
+		if again, err := f.Wait(); err != nil || again != ci {
+			t.Fatalf("call %d: second Wait returned %+v %v, want the first outcome", i, again, err)
+		}
 	}
-}
-
-func TestNewRejectsPipelineOverCustomDial(t *testing.T) {
-	sink := transport.NewDiscardSink()
-	_, err := New(Options{Dial: discardDial(sink), PipelineDepth: 4})
-	if err == nil {
-		t.Fatal("New accepted PipelineDepth with a custom Dial")
+	if s := p.Stats(); s.Calls != 2 || s.Errors != 0 || s.PipelineDepth != 1 || s.FuturesPending != 0 {
+		t.Fatalf("calls=%d errors=%d depth=%d pending=%d, want 2/0/1/0", s.Calls, s.Errors, s.PipelineDepth, s.FuturesPending)
+	}
+	if srv.Requests() != 2 {
+		t.Fatalf("server saw %d requests, want 2", srv.Requests())
 	}
 }
 

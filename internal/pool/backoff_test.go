@@ -3,10 +3,11 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
-	"bsoap/internal/core"
+	"bsoap/internal/transport"
 	"bsoap/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func TestBackoffGrowthAndJitter(t *testing.T) {
 		RedialBackoff:    base,
 		RedialBackoffMax: max,
 	}.withDefaults()
-	sp := newSenderPool(1, func() (core.Sink, error) { return nil, dialErr }, opts, newMetrics())
+	sp := newSenderPool(1, func() (*transport.Sender, error) { return nil, dialErr }, opts, newMetrics())
 	clk := newFakeClock()
 	clk.install(sp)
 
@@ -93,7 +94,7 @@ func TestEnsureHonorsRetryBudget(t *testing.T) {
 		RedialBackoff:    20 * time.Millisecond,
 		RedialBackoffMax: time.Second,
 	}.withDefaults()
-	sp := newSenderPool(1, func() (core.Sink, error) { return nil, fmt.Errorf("down") }, opts, newMetrics())
+	sp := newSenderPool(1, func() (*transport.Sender, error) { return nil, fmt.Errorf("down") }, opts, newMetrics())
 	clk := newFakeClock()
 	clk.install(sp)
 
@@ -117,9 +118,12 @@ func TestEnsureHonorsRetryBudget(t *testing.T) {
 // fails with errRetryBudgetExhausted and the registry counts it.
 func TestCallRetryBudgetExhausted(t *testing.T) {
 	p, err := New(Options{
-		Size:             1,
-		Replicas:         1,
-		Dial:             func() (core.Sink, error) { return nil, fmt.Errorf("endpoint down") },
+		Size:     1,
+		Replicas: 1,
+		Addr:     "endpoint.invalid:1",
+		Sender: transport.SenderOptions{Dialer: func(string, string) (net.Conn, error) {
+			return nil, fmt.Errorf("endpoint down")
+		}},
 		DialAttempts:     100,
 		RedialBackoff:    50 * time.Millisecond,
 		RedialBackoffMax: 200 * time.Millisecond,

@@ -9,23 +9,17 @@ import (
 	"bsoap/internal/workload"
 )
 
-// BenchmarkPoolParallel measures pooled concurrent sends: every
-// parallel goroutine owns a message and shares the Pool. Run with
+// BenchmarkPoolParallel measures pooled concurrent calls over loopback:
+// every parallel goroutine owns a message and shares the Pool. Run with
 // -cpu 1,2,4,8 to see scaling; compare BenchmarkSingleSenderMutex, the
 // baseline a pool-less client is stuck with (one engine, one
 // connection, one global lock).
 func BenchmarkPoolParallel(b *testing.B) {
-	sink := transport.NewDiscardSink()
-	p, err := New(Options{
-		Dial:     func() (core.Sink, error) { return sink, nil },
+	p, _ := newAckPool(b, Options{
 		Size:     16,
 		Replicas: 16,
 		Config:   core.Config{Width: core.WidthPolicy{Double: 18}},
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
 
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -45,9 +39,19 @@ func BenchmarkPoolParallel(b *testing.B) {
 }
 
 // BenchmarkSingleSenderMutex is the no-pool baseline: all goroutines
-// funnel through one stub and one connection behind a mutex.
+// funnel through one stub and one connection (to the same kind of
+// loopback ack server, each response read) behind a mutex.
 func BenchmarkSingleSenderMutex(b *testing.B) {
-	sink := transport.NewDiscardSink()
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	sink, err := transport.Dial(srv.Addr(), transport.SenderOptions{ExpectResponse: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
 	stub := core.NewStub(core.Config{Width: core.WidthPolicy{Double: 18}}, sink)
 	var mu sync.Mutex
 

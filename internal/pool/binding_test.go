@@ -7,6 +7,7 @@ import (
 	"io"
 	"maps"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -40,11 +41,21 @@ func throughTo(st *shardedStore, m *wire.Message, w io.Writer) (core.CallInfo, *
 		ci, err := core.NewStub(core.Config{DisableDiff: true}, transport.WriterSink{W: w}).Call(m)
 		return ci, nil, err
 	}
-	r.sink.s = transport.WriterSink{W: w}
+	r.sink.conn = writerConn{w}
 	ci, err := r.stub.Call(m)
 	st.release(r)
 	return ci, r, err
 }
+
+// writerConn stands in for a slot's pipeline in the store tests: Submit
+// writes the request body to w, and no peer ever holds a patch base.
+type writerConn struct{ w io.Writer }
+
+func (c writerConn) Submit(_ *transport.Pending, bufs net.Buffers, _ transport.Annotation) error {
+	return transport.WriterSink{W: c.w}.Send(bufs)
+}
+
+func (writerConn) DeltaEpoch(uint64) (uint64, bool) { return 0, false }
 
 // failWriter is a connection that dies mid-send.
 type failWriter struct{}
@@ -344,7 +355,7 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		r.sink.s = transport.WriterSink{W: &buf}
+		r.sink.conn = writerConn{&buf}
 		if ci, err := r.stub.Call(d1.Msg); err != nil || ci.Match != core.ContentMatch {
 			t.Fatalf("owner's call in flight: %v %v, want content match", ci.Match, err)
 		}

@@ -81,14 +81,16 @@ type Metrics struct {
 	degradedFTS          atomic.Int64
 	retryBudgetExhausted atomic.Int64
 
-	// Async call path (zero on serial pools). pipelineDepth is a config
-	// gauge set once at pool construction; futuresPending is a live gauge
-	// (+1 per submitted request, -1 as each future resolves);
-	// pipelineStalls counts submits that blocked because the pipeline was
-	// already at depth.
+	// The pipelines under the pool's slots. asyncCalls counts requests
+	// written (+1 as a write starts, -1 if it fails) and resolved the
+	// written requests whose response is in or whose pipeline failed:
+	// their difference is the futures_pending gauge. pipelineDepth is a
+	// config gauge set once at pool construction (the effective depth, at
+	// least 1); pipelineStalls counts submits that blocked because the
+	// pipeline was already at depth.
 	asyncCalls     atomic.Int64
+	resolved       atomic.Int64
 	pipelineDepth  atomic.Int64
-	futuresPending atomic.Int64
 	pipelineStalls atomic.Int64
 
 	// faultSource, when set, reports how many faults an external
@@ -269,11 +271,11 @@ type Stats struct {
 	// first-time send because a prior failure poisoned the template.
 	DegradedFTS int64 `json:"degraded_fts"`
 
-	// AsyncCalls counts requests submitted through the pipelined path
-	// (CallAsync, including Call on a pipelined pool). PipelineDepth is
-	// the configured per-connection in-flight bound (0 = serial pool).
-	// FuturesPending gauges requests submitted but not yet resolved;
-	// PipelineStalls counts submits that blocked at full depth.
+	// AsyncCalls counts requests written through a slot's pipeline —
+	// every request, Call's and CallAsync's, resubmissions included.
+	// PipelineDepth is the effective per-connection in-flight bound (at
+	// least 1). FuturesPending gauges requests submitted but not yet
+	// resolved; PipelineStalls counts submits that blocked at full depth.
 	AsyncCalls     int64 `json:"async_calls"`
 	PipelineDepth  int64 `json:"pipeline_depth"`
 	FuturesPending int64 `json:"futures_pending"`
@@ -306,6 +308,10 @@ func (s Stats) WarmCalls() int64 {
 // one atomic unit), so totals can be transiently off by in-flight calls;
 // after quiescence they are exact.
 func (m *Metrics) Snapshot() Stats {
+	// resolved first: every request it counts was written before, so the
+	// pending gauge never reads below zero.
+	resolved := m.resolved.Load()
+	written := m.asyncCalls.Load()
 	s := Stats{
 		Calls:  m.calls.Load(),
 		Errors: m.errors.Load(),
@@ -348,9 +354,9 @@ func (m *Metrics) Snapshot() Stats {
 		RetryBudgetExhausted: m.retryBudgetExhausted.Load(),
 		DegradedFTS:          m.degradedFTS.Load(),
 
-		AsyncCalls:     m.asyncCalls.Load(),
+		AsyncCalls:     written,
 		PipelineDepth:  m.pipelineDepth.Load(),
-		FuturesPending: m.futuresPending.Load(),
+		FuturesPending: written - resolved,
 		PipelineStalls: m.pipelineStalls.Load(),
 
 		LatencyP50: time.Duration(m.lat.Quantile(0.50)),
@@ -447,9 +453,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p.Counter("bsoap_client_retry_budget_exhausted_total", "Calls that ran out of retry budget.", s.RetryBudgetExhausted)
 	p.Counter("bsoap_client_degraded_fts_total", "Degraded first-time sends after a poisoned template.", s.DegradedFTS)
 
-	p.Counter("bsoap_client_async_calls_total", "Requests submitted through the pipelined path.", s.AsyncCalls)
+	p.Counter("bsoap_client_async_calls_total", "Requests written through a connection's pipeline (every pooled request).", s.AsyncCalls)
 	p.Counter("bsoap_client_pipeline_stalls_total", "Async submits that blocked at full pipeline depth.", s.PipelineStalls)
-	p.Gauge("bsoap_client_pipeline_depth", "Configured per-connection in-flight bound (0 = serial).", s.PipelineDepth)
+	p.Gauge("bsoap_client_pipeline_depth", "Per-connection in-flight bound: the effective pipeline depth.", s.PipelineDepth)
 	p.Gauge("bsoap_client_futures_pending", "Requests submitted but not yet resolved.", s.FuturesPending)
 
 	p.Histogram("bsoap_client_call_latency_seconds", "Successful call latency (power-of-two buckets).",

@@ -8,7 +8,8 @@
 //
 //   - Connections: a bounded sender pool with checkout/checkin, lazy
 //     dialing, and automatic redial (exponential backoff + jitter) when
-//     a connection breaks mid-send.
+//     a connection breaks. Every connection is an HTTP/1.1 pipeline; a
+//     Call uses it at depth 1, CallAsync as deep as PipelineDepth.
 //   - Templates: a sharded store (see shardedStore) so templates are
 //     owned by the runtime, not by goroutines — a new worker's first
 //     call of an operation another worker has already sent starts warm
@@ -35,12 +36,11 @@ type Options struct {
 	// Addr is the endpoint to dial (lazily, one connection per pool
 	// slot as load requires).
 	Addr string
-	// Sender configures the HTTP framing of pooled connections.
+	// Sender configures the HTTP framing of pooled connections; its
+	// Dialer is the one seam for connections that are not plain TCP
+	// (fault injection, a throttled link, tests). ExpectResponse is
+	// ignored: every pooled request reads its response.
 	Sender transport.SenderOptions
-	// Dial overrides Addr with a custom connection factory (tests,
-	// in-process benchmarking). The returned sink is closed on pool
-	// shutdown when it implements io.Closer.
-	Dial func() (core.Sink, error)
 
 	// Size bounds concurrent connections (default 4).
 	Size int
@@ -79,22 +79,21 @@ type Options struct {
 	// Call fails with errRetryBudgetExhausted instead of redialing on.
 	RetryBudget time.Duration
 
-	// PipelineDepth enables the pipelined async call path: each pool
-	// connection keeps up to this many requests in flight (HTTP/1.x
-	// pipelining — responses arrive strictly in request order), CallAsync
-	// returns Futures, and Call routes through CallAsync + Wait. Zero
-	// (the default) keeps the serial request/response path.
-	//
-	// Requires a dialed transport (Options.Addr) and a responding server:
-	// every pipelined request reads exactly one response, regardless of
-	// Sender.ExpectResponse. Incompatible with Options.Dial.
+	// PipelineDepth bounds the requests each pool connection keeps in
+	// flight (HTTP/1.1 pipelining — responses arrive strictly in request
+	// order); values below 1 mean 1. Every connection is such a
+	// pipeline: Call holds its connection until its response is in,
+	// so only CallAsync, which hands the connection back once the
+	// request is written, fills a deeper one. The server must respond:
+	// every pooled request reads exactly one response, whatever
+	// Sender.ExpectResponse says.
 	PipelineDepth int
 
 	// Delta turns on differential transmission (shorthand for
 	// Sender.Delta): full sends negotiate an X-BSoap-Delta sync with the
 	// server, after which warm content-match calls go out as compact
-	// patch frames instead of full bodies. Negotiation rides on
-	// responses, so Delta also turns on Sender.ExpectResponse.
+	// patch frames instead of full bodies. Negotiation rides on the
+	// responses every pooled request reads.
 	Delta bool
 }
 
@@ -125,6 +124,7 @@ func (o Options) withDefaults() Options {
 	if o.RetryBudget <= 0 {
 		o.RetryBudget = 10 * time.Second
 	}
+	o.PipelineDepth = max(1, o.PipelineDepth)
 	return o
 }
 
@@ -148,20 +148,12 @@ type Pool struct {
 // them.
 func New(opts Options) (*Pool, error) {
 	o := opts.withDefaults()
-	if o.Delta {
-		o.Sender.Delta = true
-		o.Sender.ExpectResponse = true
+	if o.Addr == "" {
+		return nil, fmt.Errorf("pool: Options.Addr required")
 	}
-	dial := o.Dial
-	if dial == nil {
-		if o.Addr == "" {
-			return nil, fmt.Errorf("pool: Options.Addr or Options.Dial required")
-		}
-		addr, sopts := o.Addr, o.Sender
-		dial = func() (core.Sink, error) { return transport.Dial(addr, sopts) }
-	} else if o.PipelineDepth > 0 {
-		return nil, fmt.Errorf("pool: Options.PipelineDepth requires a dialed transport (Options.Addr, not Options.Dial)")
-	}
+	o.Sender.Delta = o.Sender.Delta || o.Delta
+	addr, sopts := o.Addr, o.Sender
+	dial := func() (*transport.Sender, error) { return transport.Dial(addr, sopts) }
 	m := newMetrics()
 	m.pipelineDepth.Store(int64(o.PipelineDepth))
 	return &Pool{
@@ -178,86 +170,110 @@ func New(opts Options) (*Pool, error) {
 var errRetryBudgetExhausted = fmt.Errorf("pool: retry budget exhausted")
 
 // Call serializes and sends m through a pooled connection, reusing the
-// shared template for m's operation and structure. On a send error the
-// connection is repaired (redial with backoff) and the call retried up
-// to MaxRetries times — all within the RetryBudget wall-clock bound —
-// before the error is returned. A send that fails mid-template marks
-// that template suspect in the engine; the retry (or the structure's
-// next call) degrades to a full first-time serialization rather than
-// trusting possibly half-delivered bytes.
+// shared template for m's operation and structure, and returns once its
+// response has been read. The connection stays checked out to the call
+// until then, so a Call is a depth-1 use of the connection's pipeline
+// and allocates nothing.
 //
-// Call is submit, then finish, on the caller's goroutine: a serial pool
-// reads the response inline during the submit, a pipelined one waits
-// for it in finish (see CallAsync for that path's failure modes).
+// A failed write, or a response lost with its connection, is repaired
+// (redial with backoff) and the call retried on the connection it
+// holds, up to MaxRetries times and all within the RetryBudget
+// wall-clock bound, before the error is returned. Bytes whose delivery
+// is unconfirmed mark their template suspect, so the retry (or the
+// structure's next call) degrades to a full first-time serialization
+// rather than trusting possibly half-delivered bytes. A non-2xx response
+// arrived whole on a healthy connection: it fails the call and marks
+// the template suspect, with no redial and no retry. A refused patch
+// frame is resent in full on the same connection and reported as
+// DeltaResync.
 //
 // Call is safe for concurrent use with distinct messages; a given
 // message must not have two Calls in flight at once (see Pool).
 func (p *Pool) Call(m *wire.Message) (core.CallInfo, error) {
-	return p.finish(m, p.submit(m, nil))
+	sub := p.open()
+	if sub.err == nil {
+		p.submit(m, &sub, &sub.ps.pd)
+	}
+	return p.finish(m, sub)
 }
 
-// submission is one call between submit and finish. It travels by value:
-// a serial Call never puts it on the heap, CallAsync boxes it into a
-// Future.
+// submission is one call between open and finish. It travels by value:
+// a Call never puts it on the heap, CallAsync boxes it into a Future.
 type submission struct {
-	ci    core.CallInfo
-	err   error // why the request never got onto the wire
-	span  uint64
-	start time.Time
+	ci       core.CallInfo
+	err      error // why the call failed; before finish, why the request never got onto the wire
+	span     uint64
+	start    time.Time
+	deadline time.Time // start plus the RetryBudget
+	retries  int
+	// ps is the slot the call holds: a Call's from open to finish, a
+	// Future's only while it writes (nil after).
+	ps *pooledSender
 
-	// Pipelined pools only, when err is nil: pd resolves with the
-	// response, submitted is when the request was fully written
-	// (submitted→resolved is the call's wire stage), and r holds the
-	// template to suspect if the response fails (nil for a call served
-	// from scratch, which has none).
+	// When err is nil: pd resolves with the response, submitted is when
+	// the request was fully written (submitted→resolved is the call's
+	// wire stage), and r holds the template to suspect if the response
+	// fails (nil for a call served from scratch, which has none).
 	pd        *transport.Pending
 	submitted time.Time
 	r         *engine
 }
 
-// submit is the one call path: check a connection out, then repair it,
-// acquire a template replica, run the engine against the connection,
-// release, and retry within MaxRetries and the RetryBudget, attributing
-// the time to its stages. Serial, pipelined and delta calls are
-// parameters of it — which sink the engine writes through, and whether
-// the response was read inside the engine's send or is still pending
-// in pd (a Future's, else new) at return. The accounting is finish's.
-func (p *Pool) submit(m *wire.Message, pd *transport.Pending) submission {
-	sub := submission{start: p.senders.now()}
-	deadline := sub.start.Add(p.opts.RetryBudget)
+// open starts a call: its clock, its retry deadline and its first
+// attempt.
+func (p *Pool) open() submission {
+	start := p.senders.now()
+	sub := submission{start: start, deadline: start.Add(p.opts.RetryBudget)}
+	p.attempt(&sub, start)
+	return sub
+}
+
+// attempt opens one attempt of a call at time start: a flight-recorder
+// span of its own and, unless the call already holds one, a checked-out
+// slot.
+func (p *Pool) attempt(sub *submission, start time.Time) {
+	sub.span = 0
 	if trace.Enabled() {
 		sub.span = trace.BeginSpan()
 	}
-	span := sub.span
+	if sub.ps != nil {
+		return
+	}
 	ps, waited, err := p.senders.checkout()
 	if err != nil {
 		sub.err = err
-		return sub
+		return
 	}
-	p.metrics.Stages.Observe(trace.StageCheckout, p.senders.now().Sub(sub.start).Nanoseconds(), span)
-	if span != 0 {
+	sub.ps = ps
+	p.metrics.Stages.Observe(trace.StageCheckout, p.senders.now().Sub(start).Nanoseconds(), sub.span)
+	if sub.span != 0 {
 		w := int64(0)
 		if waited {
 			w = 1
 		}
-		trace.Rec(span, trace.KindPoolCheckout, w, 0, 0)
+		trace.Rec(sub.span, trace.KindPoolCheckout, w, 0, 0)
 	}
+}
 
-	pipelined := p.opts.PipelineDepth > 0
-	if pipelined && pd == nil {
-		pd = new(transport.Pending)
-	}
-	for attempt := 0; ; attempt++ {
+// submit is the one way a request is written: repair the held slot's
+// connection, acquire a template replica, run the engine through the
+// slot's pipeline, release, and retry a failed write within MaxRetries
+// and the RetryBudget, attributing the time to its stages. On success pd
+// is queued in the pipeline and resolves with the response; finish waits
+// for it.
+func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
+	ps, span := sub.ps, sub.span
+	for {
 		// Repair the connection before taking a template replica, so
 		// redial backoff sleeps never hold a replica lock: other callers
 		// of the same hot operation proceed through healthy pool slots
 		// while this one dials. The replica is likewise released before
 		// any retry's repair; the retry finds it again through the binding,
 		// unless another message took it over meanwhile.
-		var sink core.Sink
-		sink, err = p.connect(ps, deadline, span)
+		pl, err := p.connect(ps, sub.deadline, span)
 		if err != nil {
-			break
+			sub.err = err
+			return
 		}
 		// A call the store refuses a template (r nil) is rendered from
 		// scratch by the slot's own stub.
@@ -266,73 +282,67 @@ func (p *Pool) submit(m *wire.Message, pd *transport.Pending) submission {
 		if r != nil {
 			stub, cs = r.stub, &r.sink
 		}
-		*cs = callSink{s: sink, pl: ps.pipeline, pd: pd}
+		*cs = callSink{conn: pl, pd: pd}
 		if span != 0 {
 			stub.SetTraceSpan(span)
 		}
-		if pipelined {
-			p.metrics.futuresPending.Add(1)
-		}
+		p.metrics.asyncCalls.Add(1)
 		callStart := p.senders.now()
 		sub.ci, err = stub.Call(m)
-		callNs := p.senders.now().Sub(callStart).Nanoseconds()
-		sent := *cs
+		written := p.senders.now()
+		callNs := written.Sub(callStart).Nanoseconds()
+		queueNs := cs.ns
 		if r != nil {
 			p.store.release(r)
 		} else {
 			*cs = callSink{}
 		}
 		if err == nil {
-			// Attribute the stub's Call time: inside the transport is wire
-			// when the response was read there, pipeline queue when only
-			// the write happened; patch-frame assembly is delta encode; the
-			// rest is serialization work.
-			inTransport := trace.StageWire
-			if pipelined {
-				inTransport = trace.StagePipelineQueue
-			}
-			p.metrics.Stages.Observe(trace.StageSerialize, callNs-sent.ns-sub.ci.DeltaEncodeNs, span)
-			p.metrics.Stages.Observe(inTransport, sent.ns, span)
+			// Attribute the stub's Call time: inside the pipeline is queue
+			// (depth stall plus write); patch-frame assembly is delta
+			// encode; the rest is serialization work.
+			p.metrics.Stages.Observe(trace.StageSerialize, callNs-queueNs-sub.ci.DeltaEncodeNs, span)
+			p.metrics.Stages.Observe(trace.StagePipelineQueue, queueNs, span)
 			if sub.ci.DeltaEncodeNs > 0 {
 				p.metrics.Stages.Observe(trace.StageDeltaEncode, sub.ci.DeltaEncodeNs, span)
 			}
-			if pipelined {
-				sub.pd, sub.submitted, sub.r = pd, p.senders.now(), r
-				p.metrics.asyncCalls.Add(1)
-				if span != 0 {
-					trace.Rec(span, trace.KindAsyncSubmit, trace.OpID(m.Operation()), int64(sent.pl.InFlight()), 0)
-				}
+			sub.pd, sub.submitted, sub.r = pd, written, r
+			if span != 0 {
+				trace.Rec(span, trace.KindAsyncSubmit, trace.OpID(m.Operation()), int64(pl.InFlight()), 0)
 			}
-			break
+			return
 		}
-		if pipelined {
-			// The write failed, so pd was never queued to resolve and
-			// decrement the gauge.
-			p.metrics.futuresPending.Add(-1)
-		}
+		// The write failed, so pd was never queued to resolve.
+		p.metrics.asyncCalls.Add(-1)
 		ps.broken = true
-		if attempt >= p.opts.MaxRetries {
-			break
-		}
-		if !p.senders.now().Before(deadline) {
-			err = fmt.Errorf("pool: send failed and no budget to retry: %w (last error: %v)",
-				errRetryBudgetExhausted, err)
-			break
-		}
-		p.metrics.retries.Add(1)
-		if span != 0 {
-			trace.Rec(span, trace.KindPoolRetry, int64(attempt+1), 0, 0)
+		if sub.err = p.retry(sub, err); sub.err != nil {
+			return
 		}
 	}
-	p.senders.checkin(ps)
-	sub.err = err
-	return sub
 }
 
-// connect hands back a healthy connection for the slot (on a pipelined
-// pool with a healthy ps.pipeline over it), dialing or repairing within
-// deadline.
-func (p *Pool) connect(ps *pooledSender, deadline time.Time, span uint64) (core.Sink, error) {
+// retry decides whether a call may try again after err: nil when
+// attempts and budget remain (the retry is counted), else the error the
+// call fails with.
+func (p *Pool) retry(sub *submission, err error) error {
+	if sub.retries >= p.opts.MaxRetries {
+		return err
+	}
+	if !p.senders.now().Before(sub.deadline) {
+		return fmt.Errorf("pool: send failed and no budget to retry: %w (last error: %v)",
+			errRetryBudgetExhausted, err)
+	}
+	sub.retries++
+	p.metrics.retries.Add(1)
+	if sub.span != 0 {
+		trace.Rec(sub.span, trace.KindPoolRetry, int64(sub.retries), 0, 0)
+	}
+	return nil
+}
+
+// connect hands back the slot's healthy pipeline, dialing or repairing
+// the connection under it within deadline.
+func (p *Pool) connect(ps *pooledSender, deadline time.Time, span uint64) (*transport.Pipeline, error) {
 	if ps.pipeline != nil && (ps.broken || ps.pipeline.Broken()) {
 		// The old pipeline must fully wind down, failing any still-queued
 		// pendings, before the connection is repaired underneath it: a
@@ -345,37 +355,32 @@ func (p *Pool) connect(ps *pooledSender, deadline time.Time, span uint64) (core.
 	// The connection's X-BSoap-Trace header and its redial and deadline
 	// events carry this call's span (or none): set before ensure so a
 	// repair redial is attributed, and after it for a fresh dial.
-	attribute(ps.sink, span)
-	sink, err := p.senders.ensure(ps, deadline)
+	if ps.sender != nil {
+		ps.sender.TraceSpan = span
+	}
+	s, err := p.senders.ensure(ps, deadline)
 	if err != nil {
 		return nil, err
 	}
-	attribute(sink, span)
-	if p.opts.PipelineDepth > 0 && ps.pipeline == nil {
-		// New admits PipelineDepth only over the pool's own dialer, so the
-		// sink is a dialed Sender.
-		pl := transport.NewPipeline(sink.(*transport.Sender), p.opts.PipelineDepth)
+	s.TraceSpan = span
+	if ps.pipeline == nil {
+		pl := transport.NewPipeline(s, p.opts.PipelineDepth)
 		pl.OnStall = func() { p.metrics.pipelineStalls.Add(1) }
-		pl.OnComplete = func() { p.metrics.futuresPending.Add(-1) }
+		pl.OnComplete = func() { p.metrics.resolved.Add(1) }
 		ps.pipeline = pl
 	}
-	return sink, nil
-}
-
-func attribute(s core.Sink, span uint64) {
-	if ts, ok := s.(*transport.Sender); ok {
-		ts.TraceSpan = span
-	}
+	return ps.pipeline, nil
 }
 
 // finish is the tail every call ends in — on the caller's goroutine for
-// Call, on the first waiter's for a Future: wait for a pipelined
-// response, recover from a refused patch, account the call.
+// Call, on the first waiter's for a Future: wait for the response,
+// recover from a refused patch or (holding the slot) a lost response,
+// check a held slot back in, account the call.
 func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
-	start := sub.start
+	var now time.Time // when the last response was read; zero if the call went on after it
 	for pd := sub.pd; pd != nil; pd = sub.pd {
 		err := pd.Wait()
-		now := p.senders.now()
+		now = p.senders.now()
 		sub.pd = nil
 		if err == nil {
 			p.metrics.Stages.Observe(trace.StageWire, now.Sub(sub.submitted).Nanoseconds(), sub.span)
@@ -397,12 +402,23 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 			// base). Reading the refusal already cleared the sender's
 			// sync map, so the resubmission cannot encode another patch,
 			// and a full send never draws a resync: that bounds the loop.
-			// pd has resolved, so the resubmission reuses it.
+			// pd has resolved, so the resubmission reuses it, as a new
+			// attempt on the slot a Call holds, or on one checked out for
+			// a Future.
 			refused := sub.ci
+			sub.ci = core.CallInfo{}
 			if sub.span != 0 {
 				trace.Rec(sub.span, trace.KindDeltaResync, 0, int64(refused.WireBytes), 0)
 			}
-			sub = p.submit(m, pd)
+			held := sub.ps != nil
+			if p.attempt(&sub, now); sub.err == nil {
+				p.submit(m, &sub, pd)
+			}
+			now = time.Time{}
+			if !held && sub.ps != nil {
+				p.senders.checkin(sub.ps)
+				sub.ps = nil
+			}
 			sub.ci = resent(refused, sub.ci)
 		case err != nil:
 			// The bytes left this client but their delivery is
@@ -410,8 +426,24 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 			// against them. (m is still as it was submitted: a message is
 			// not touched until its call has resolved.)
 			p.store.markSuspect(sub.r, m.Operation(), m.Signature(), sub.span)
-			sub.err = fmt.Errorf("pool: pipelined call: %w", err)
+			if sub.ps != nil && sub.ps.pipeline.Broken() {
+				// A Call lost its response with the connection: repaired
+				// and resent on the slot it holds, a degraded first-time
+				// send. (A non-2xx leaves the pipeline healthy and is not
+				// retried; a Future's is not either, since requests behind
+				// it may already be on the wire.)
+				if err = p.retry(&sub, err); err == nil {
+					sub.ps.broken = true
+					p.submit(m, &sub, pd)
+					now = time.Time{}
+					continue
+				}
+			}
+			sub.err = fmt.Errorf("pool: call: %w", err)
 		}
+	}
+	if sub.ps != nil {
+		p.senders.checkin(sub.ps)
 	}
 	if errors.Is(sub.err, errRetryBudgetExhausted) {
 		p.metrics.retryBudgetExhausted.Add(1)
@@ -422,7 +454,10 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 		// classification happened".
 		trace.Rec(sub.span, trace.KindCallErr, -1, 0, 0)
 	}
-	elapsed := p.senders.now().Sub(start)
+	if now.IsZero() {
+		now = p.senders.now()
+	}
+	elapsed := now.Sub(sub.start)
 	p.metrics.RecordCall(sub.ci, sub.err, elapsed)
 	if sub.span != 0 && sub.err == nil {
 		trace.ObserveCall(sub.span, int64(elapsed))
@@ -431,11 +466,11 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 }
 
 // resent folds a refused patch attempt and its full-body resubmission
-// into the one call the caller made, as a serial call reports it when
-// the stub resends inside Call: the first attempt's classification and
-// work, the refused frame and the full body both on the wire. The
-// resubmission normally converts nothing; what it rewrote when it
-// landed on another replica is this call's work too.
+// into the one call the caller made, as a bare stub reports it when it
+// resends inside Call: the first attempt's classification and work, the
+// refused frame and the full body both on the wire. The resubmission
+// normally converts nothing; what it rewrote when it landed on another
+// replica is this call's work too.
 func resent(refused, full core.CallInfo) core.CallInfo {
 	ci := refused
 	ci.Span = full.Span

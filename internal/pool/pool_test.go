@@ -2,40 +2,43 @@ package pool
 
 import (
 	"encoding/json"
-	"fmt"
-	"net"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bsoap/internal/core"
+	"bsoap/internal/faultwire"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
 )
 
-// discardDial returns a dial function handing out the shared in-process
-// sink.
-func discardDial(sink *transport.DiscardSink) func() (core.Sink, error) {
-	return func() (core.Sink, error) { return sink, nil }
-}
-
-func newDiscardPool(t *testing.T, opts Options) (*Pool, *transport.DiscardSink) {
+// newAckPool dials a pool at a loopback server that answers every
+// request with an empty 200; the server counts requests and body bytes.
+func newAckPool(t testing.TB, opts Options) (*Pool, *transport.Server) {
 	t.Helper()
-	sink := transport.NewDiscardSink()
-	opts.Dial = discardDial(sink)
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	opts.Addr = srv.Addr()
+	opts.Sender.ReadTimeout = 5 * time.Second
+	opts.Sender.WriteTimeout = 5 * time.Second
 	p, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	return p, sink
+	return p, srv
 }
 
 func TestPoolTemplateReuseAcrossMessages(t *testing.T) {
 	// One replica forces both messages onto the same engine: the second
 	// message's first call must find the first message's template (warm
 	// start), not pay a first-time send.
-	p, _ := newDiscardPool(t, Options{Replicas: 1})
+	p, _ := newAckPool(t, Options{Replicas: 1})
 
 	m1 := workload.NewDoubles(64, workload.FillIntermediate)
 	ci, err := p.Call(m1.Msg)
@@ -57,7 +60,7 @@ func TestPoolTemplateReuseAcrossMessages(t *testing.T) {
 }
 
 func TestPoolContentMatchAffinity(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{Replicas: 1})
+	p, _ := newAckPool(t, Options{Replicas: 1})
 	d := workload.NewDoubles(64, workload.FillIntermediate)
 
 	if ci, err := p.Call(d.Msg); err != nil || ci.Match != core.FirstTime {
@@ -75,7 +78,7 @@ func TestPoolContentMatchAffinity(t *testing.T) {
 }
 
 func TestPoolDistinctOperationsDistinctTemplates(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{Replicas: 1})
+	p, _ := newAckPool(t, Options{Replicas: 1})
 	d := workload.NewDoubles(16, workload.FillIntermediate)
 	i := workload.NewInts(16, workload.FillIntermediate)
 	w := workload.NewMIOs(16, workload.FillIntermediate)
@@ -96,38 +99,15 @@ func TestPoolDistinctOperationsDistinctTemplates(t *testing.T) {
 	}
 }
 
-// scriptedSink fails every send once armed; pool repair must replace it.
-type scriptedSink struct {
-	okSends int
-	sends   int
-}
-
-func (s *scriptedSink) Send(net.Buffers) error {
-	s.sends++
-	if s.sends > s.okSends {
-		return fmt.Errorf("scripted failure on send %d", s.sends)
-	}
-	return nil
-}
-
 func TestPoolRetriesBrokenConnection(t *testing.T) {
-	first := &scriptedSink{okSends: 2}
-	dials := 0
-	p, err := New(Options{
+	// The third write resets the connection under it.
+	inj := faultwire.NewScripted(faultwire.Options{},
+		faultwire.Step{Op: faultwire.OpWrite, Skip: 2, Kind: faultwire.Reset})
+	p, _ := newAckPool(t, Options{
 		Size:     1,
 		Replicas: 1,
-		Dial: func() (core.Sink, error) {
-			dials++
-			if dials == 1 {
-				return first, nil
-			}
-			return transport.NewDiscardSink(), nil
-		},
+		Sender:   transport.SenderOptions{Dialer: inj.Dial(nil)},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
 
 	d := workload.NewDoubles(32, workload.FillIntermediate)
 	if _, err := p.Call(d.Msg); err != nil {
@@ -138,7 +118,7 @@ func TestPoolRetriesBrokenConnection(t *testing.T) {
 		t.Fatalf("call 2: %v", err)
 	}
 	// Third call hits the scripted failure, repairs the slot with a
-	// fresh dial, and retries — the caller never sees the error.
+	// redial, and retries — the caller never sees the error.
 	d.TouchFraction(0.5)
 	ci, err := p.Call(d.Msg)
 	if err != nil {
@@ -151,9 +131,9 @@ func TestPoolRetriesBrokenConnection(t *testing.T) {
 		t.Fatalf("retried call: match=%v degraded=%v, want degraded first-time send", ci.Match, ci.Degraded)
 	}
 	st := p.Stats()
-	if st.Errors != 0 || st.Retries != 1 || st.Dials != 2 {
-		t.Fatalf("stats after retry: errors=%d retries=%d dials=%d, want 0/1/2",
-			st.Errors, st.Retries, st.Dials)
+	if st.Errors != 0 || st.Retries != 1 || st.Dials != 1 || st.Redials != 1 {
+		t.Fatalf("stats after retry: errors=%d retries=%d dials=%d redials=%d, want 0/1/1/1",
+			st.Errors, st.Retries, st.Dials, st.Redials)
 	}
 	if st.DegradedFTS != 1 {
 		t.Fatalf("degraded_fts=%d, want 1", st.DegradedFTS)
@@ -161,7 +141,7 @@ func TestPoolRetriesBrokenConnection(t *testing.T) {
 }
 
 func TestPoolCallAfterCloseFails(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{})
+	p, _ := newAckPool(t, Options{})
 	p.Close()
 	d := workload.NewDoubles(8, workload.FillMin)
 	if _, err := p.Call(d.Msg); err == nil {
@@ -203,14 +183,59 @@ func TestSerialDeltaNegotiates(t *testing.T) {
 	}
 }
 
+// TestNon2xxFailsTheCall pins what a non-2xx answer does to a Call: the
+// response arrived whole on a healthy connection, so the call fails and
+// its template is suspect — the next call is a degraded first-time send
+// — and nothing is redialed or retried.
+func TestNon2xxFailsTheCall(t *testing.T) {
+	var refuse atomic.Bool
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
+		Respond: true,
+		Handler: func(*transport.Request) ([]byte, error) {
+			if refuse.Load() {
+				return nil, errors.New("refused")
+			}
+			return nil, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p, err := New(Options{Addr: srv.Addr(), Size: 1, Replicas: 1, MaxRetries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	d := workload.NewDoubles(16, workload.FillIntermediate)
+	if _, err := p.Call(d.Msg); err != nil {
+		t.Fatalf("call 1: %v", err)
+	}
+	refuse.Store(true)
+	d.TouchFraction(0.5)
+	if _, err := p.Call(d.Msg); err == nil {
+		t.Fatal("call 2 succeeded; the server answered 500")
+	}
+	refuse.Store(false)
+	if ci, err := p.Call(d.Msg); err != nil || ci.Match != core.FirstTime || !ci.Degraded {
+		t.Fatalf("call 3: %v degraded=%v %v, want a degraded first-time send", ci.Match, ci.Degraded, err)
+	}
+	st := p.Stats()
+	if st.Errors != 1 || st.Retries != 0 || st.Dials != 1 || st.Redials != 0 || srv.Requests() != 3 {
+		t.Fatalf("errors=%d retries=%d dials=%d redials=%d requests=%d, want 1/0/1/0/3",
+			st.Errors, st.Retries, st.Dials, st.Redials, srv.Requests())
+	}
+}
+
 func TestPoolRequiresEndpoint(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
-		t.Fatal("New without Addr or Dial succeeded")
+		t.Fatal("New without Addr succeeded")
 	}
 }
 
 func TestMetricsJSON(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{Replicas: 1})
+	p, _ := newAckPool(t, Options{Replicas: 1})
 	d := workload.NewDoubles(64, workload.FillIntermediate)
 	for i := 0; i < 5; i++ {
 		if _, err := p.Call(d.Msg); err != nil {
@@ -269,7 +294,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // only by its engine lock, so this is the test that fails under -race if
 // TemplateCount reads a store without it.
 func TestTemplateCountDuringFirstTimeSends(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{Replicas: 2, MaxTemplateBytes: 16 << 10})
+	p, _ := newAckPool(t, Options{Replicas: 2, MaxTemplateBytes: 16 << 10})
 	done := make(chan struct{})
 	errs := make(chan error, 2)
 	for w := 0; w < 2; w++ {

@@ -1,9 +1,7 @@
 package pool
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"time"
@@ -20,17 +18,21 @@ var errPoolClosed = fmt.Errorf("pool: closed")
 // to separate dial failures from send and deadline errors.
 var errDialFailed = fmt.Errorf("pool: dial failed")
 
-// pooledSender is one slot of the connection pool: an (initially
-// undialed) sink plus its health state. It is owned exclusively by the
-// goroutine that checked it out.
+// pooledSender is one slot of the connection pool: a dialed sender (nil
+// until the slot's first call) under a pipeline, plus its health state.
+// It is owned exclusively by the goroutine that checked it out.
 type pooledSender struct {
-	sink   core.Sink
+	sender *transport.Sender
 	broken bool
-	// pipeline wraps sink on a pipelined pool (nil on serial pools and
-	// until the slot's first call). It must be closed before the sink is
-	// redialed or closed: a future's waiter may be reading through the
+	// pipeline is the sender's one user (nil until the slot's first call
+	// and after a repair closes it). It must be closed before the sender
+	// is redialed or closed: a future's waiter may be reading through the
 	// sender's buffered reader, and closing fails any pending futures.
 	pipeline *transport.Pipeline
+	// pd is the place in the pipeline of the request whose Call holds
+	// the slot: a Call waits on it before checking the slot back in, so
+	// it is never in use twice.
+	pd transport.Pending
 	// render serializes from scratch the calls the template store refuses
 	// a template: a diff-off stub writing through renderSink, both
 	// confined to the slot as its connection is. Its bodies carry no
@@ -42,11 +44,11 @@ type pooledSender struct {
 // senderPool is a bounded set of connections with checkout/checkin
 // semantics. Slots start undialed; the first checkout that uses a slot
 // dials it (lazy dial). A send error marks the slot broken, and the
-// next use repairs it — Sender.Redial for dialed transports, close +
-// fresh dial otherwise — under exponential backoff with jitter.
+// next use repairs it with Sender.Redial, under exponential backoff with
+// jitter.
 type senderPool struct {
 	slots chan *pooledSender
-	dial  func() (core.Sink, error)
+	dial  func() (*transport.Sender, error)
 
 	dialAttempts int
 	backoffBase  time.Duration
@@ -69,7 +71,7 @@ type senderPool struct {
 	rng   *rand.Rand
 }
 
-func newSenderPool(size int, dial func() (core.Sink, error), opts Options, m *Metrics) *senderPool {
+func newSenderPool(size int, dial func() (*transport.Sender, error), opts Options, m *Metrics) *senderPool {
 	sp := &senderPool{
 		slots:        make(chan *pooledSender, size),
 		dial:         dial,
@@ -127,15 +129,15 @@ func (sp *senderPool) checkin(ps *pooledSender) {
 	sp.mu.Unlock()
 }
 
-// ensure hands back a healthy sink for the slot, lazily dialing or
+// ensure hands back the slot's healthy sender, lazily dialing or
 // repairing it with backoff, never sleeping past deadline (the Call's
 // retry budget). It runs on the slot owner's goroutine, and the call
 // path invokes it before acquiring a template replica so the backoff sleeps
 // here only ever hold the pool slot — never a replica lock that other
 // callers of a hot operation could be queued on.
-func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (core.Sink, error) {
-	if ps.sink != nil && !ps.broken {
-		return ps.sink, nil
+func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (*transport.Sender, error) {
+	if ps.sender != nil && !ps.broken {
+		return ps.sender, nil
 	}
 	var lastErr error
 	for attempt := 0; attempt < sp.dialAttempts; attempt++ {
@@ -147,37 +149,21 @@ func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (core.Sink, e
 			}
 			sp.sleep(d)
 		}
-		if ps.broken {
-			if s, ok := ps.sink.(*transport.Sender); ok {
-				err := s.Redial()
-				if err == nil {
-					ps.broken = false
-					sp.metrics.redials.Add(1)
-					return ps.sink, nil
-				}
-				sp.metrics.dialFailures.Add(1)
-				if !errors.Is(err, transport.ErrNotDialed) {
-					lastErr = err
-					continue
-				}
-				// Wrapped connection with no redial address: fall
-				// through to a fresh dial.
+		var err error
+		if ps.sender != nil {
+			if err = ps.sender.Redial(); err == nil {
+				sp.metrics.redials.Add(1)
 			}
-			closeSink(ps.sink)
-			ps.sink = nil
-			ps.broken = false
-		}
-		if ps.sink == nil {
-			s, err := sp.dial()
-			if err != nil {
-				lastErr = err
-				sp.metrics.dialFailures.Add(1)
-				continue
-			}
-			ps.sink = s
+		} else if ps.sender, err = sp.dial(); err == nil {
 			sp.metrics.dials.Add(1)
 		}
-		return ps.sink, nil
+		if err != nil {
+			lastErr = err
+			sp.metrics.dialFailures.Add(1)
+			continue
+		}
+		ps.broken = false
+		return ps.sender, nil
 	}
 	return nil, fmt.Errorf("pool: connection unavailable after %d attempts: %w: %w", sp.dialAttempts, errDialFailed, lastErr)
 }
@@ -223,11 +209,7 @@ func teardown(ps *pooledSender) {
 		_ = ps.pipeline.Close()
 		ps.pipeline = nil
 	}
-	closeSink(ps.sink)
-}
-
-func closeSink(s core.Sink) {
-	if c, ok := s.(io.Closer); ok {
-		_ = c.Close()
+	if ps.sender != nil {
+		_ = ps.sender.Close()
 	}
 }

@@ -114,37 +114,34 @@ type engine struct {
 	fp int64
 }
 
-// callSink is the engine's sink for one call: it routes the stub's
-// output to the connection the call checked out and times what is spent
+// callSink is the engine's sink for one call: it writes the stub's
+// output through the checked-out slot's pipeline and times what is spent
 // there. Set and read while the replica lock is held.
 type callSink struct {
-	s core.Sink // the checked-out connection
-	// pl, on a pipelined pool, is the pipeline over s. The request is
-	// written through it here, under the replica lock — template bytes
-	// are only stable while that is held — and its response left to pd.
-	pl *transport.Pipeline
-	pd *transport.Pending
-	// ns accumulates time inside the transport, which the attribution
-	// splits out of the stub's Call time: the wire stage on a serial pool
-	// (write plus inline response read), the pipeline-queue stage on a
-	// pipelined one (depth stall plus write).
+	// conn is the slot's pipeline. The request is written through it
+	// here, under the replica lock — template bytes are only stable while
+	// that is held — and its response left to pd.
+	conn submitter
+	pd   *transport.Pending
+	// ns accumulates time inside the pipeline (depth stall plus write),
+	// which the attribution splits out of the stub's Call time.
 	ns int64
+}
+
+// submitter is what a call's sink writes through: a *transport.Pipeline
+// in the pool (the store tests put a recording fake in its place).
+// DeltaEpoch is the pipeline's view of the peer's patch bases, which
+// every response read through it keeps current.
+type submitter interface {
+	Submit(p *transport.Pending, bufs net.Buffers, an transport.Annotation) error
+	DeltaEpoch(tid uint64) (uint64, bool)
 }
 
 // submit is the one timed way out; the send flavours of core.DeltaSink
 // are this call with the annotation filled in.
 func (c *callSink) submit(bufs net.Buffers, an transport.Annotation) error {
 	start := time.Now()
-	var err error
-	if c.pl != nil {
-		err = c.pl.Submit(c.pd, bufs, an)
-	} else if ds, ok := c.s.(core.DeltaSink); !ok || an.Mode == transport.DeltaNone {
-		err = c.s.Send(bufs)
-	} else if an.Mode == transport.DeltaSync {
-		err = ds.SendFull(bufs, an.TID, an.Epoch)
-	} else {
-		err = ds.SendDelta(bufs, an.TID, an.Epoch)
-	}
+	err := c.conn.Submit(c.pd, bufs, an)
 	c.ns += time.Since(start).Nanoseconds()
 	return err
 }
@@ -153,19 +150,14 @@ func (c *callSink) Send(bufs net.Buffers) error {
 	return c.submit(bufs, transport.Annotation{})
 }
 
-// callSink also implements core.DeltaSink. The stub probes capability
-// through DeltaEpoch — a connection that is not a DeltaSink answers
-// false, so the stub never encodes a patch for it — which keeps delta
-// strictly per-connection: a pool mixing delta and plain sinks degrades
-// per call, losslessly. (A pipeline's epoch view is its Sender's, which
-// every response read through it keeps current.)
+// callSink must implement core.DeltaSink, or the stub never encodes a
+// patch for a pool. The stub probes capability through DeltaEpoch, which
+// answers false until the connection's peer has acknowledged a base (or
+// when Delta is off), so delta stays strictly per-connection and
+// degrades per call, losslessly.
+var _ core.DeltaSink = (*callSink)(nil)
 
-func (c *callSink) DeltaEpoch(tid uint64) (uint64, bool) {
-	if ds, ok := c.s.(core.DeltaSink); ok {
-		return ds.DeltaEpoch(tid)
-	}
-	return 0, false
-}
+func (c *callSink) DeltaEpoch(tid uint64) (uint64, bool) { return c.conn.DeltaEpoch(tid) }
 
 func (c *callSink) SendFull(bufs net.Buffers, tid, epoch uint64) error {
 	return c.submit(bufs, transport.Annotation{Mode: transport.DeltaSync, TID: tid, Epoch: epoch})

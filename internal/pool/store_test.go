@@ -2,6 +2,7 @@ package pool
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"bsoap/internal/core"
@@ -17,7 +18,7 @@ import (
 // set while the recently used one stays warm, so the store cannot grow
 // without bound under varying message shapes.
 func TestShardedStoreEvictsColdSignatures(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{
+	p, _ := newAckPool(t, Options{
 		Replicas: 1,
 		Config:   core.Config{MaxTemplatesPerOp: 2},
 	})
@@ -135,7 +136,7 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 
 	// The held engine still diffs and sends against live template bytes.
 	var buf bytes.Buffer
-	rA.sink.s = transport.WriterSink{W: &buf}
+	rA.sink.conn = writerConn{&buf}
 	dA.SetAll(4321.5)
 	if _, err := rA.stub.Call(dA.Msg); err != nil {
 		t.Fatal(err)
@@ -160,29 +161,47 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 	}
 }
 
-// admissionPool is a serial one-replica pool over a connection that
-// keeps the last body sent.
-func admissionPool(t *testing.T) (*Pool, *bytes.Buffer) {
+// admissionPool is a one-connection, one-replica pool at a loopback
+// server that keeps the last body it received.
+func admissionPool(t *testing.T) (*Pool, *lastBody) {
 	t.Helper()
-	var last bytes.Buffer
-	p, err := New(Options{
-		Size:     1,
-		Replicas: 1,
-		Dial: func() (core.Sink, error) {
-			return transport.WriterSink{W: &last}, nil
+	last := new(lastBody)
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
+		Respond: true,
+		Handler: func(req *transport.Request) ([]byte, error) {
+			b := bytes.Clone(req.Body)
+			last.b.Store(&b)
+			return nil, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Close() })
+	p, err := New(Options{Addr: srv.Addr(), Size: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { p.Close() })
-	return p, &last
+	return p, last
+}
+
+// lastBody is the body a server handler stored last.
+type lastBody struct{ b atomic.Pointer[[]byte] }
+
+func (l *lastBody) Reset() { l.b.Store(nil) }
+
+func (l *lastBody) Bytes() []byte {
+	if b := l.b.Load(); b != nil {
+		return *b
+	}
+	return nil
 }
 
 // rotate calls every shape once, in order, and checks each call's match
 // class: want(i) for shape i. A refused call's body must be exactly what
 // the one from-scratch renderer makes of the message.
-func rotate(t *testing.T, p *Pool, last *bytes.Buffer, shapes []*workload.Doubles, want func(i int) core.MatchKind) {
+func rotate(t *testing.T, p *Pool, last *lastBody, shapes []*workload.Doubles, want func(i int) core.MatchKind) {
 	t.Helper()
 	for i, d := range shapes {
 		body := soapenv.AppendMessage(nil, d.Msg, 0)

@@ -12,12 +12,12 @@ import (
 
 // TestPoolStressSharedStore is the satellite stress test: N goroutines
 // share one Pool (and therefore one sharded template store and one
-// bounded connection pool) against a real loopback discard server,
+// bounded connection pool) against a real loopback ack server,
 // driving mixed content-match / structural-match / partial-match
 // workloads. Run under -race it proves the runtime's synchronization;
 // the counter assertions prove no call is lost or double-counted.
 func TestPoolStressSharedStore(t *testing.T) {
-	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{})
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,27 +125,13 @@ func TestPoolStressSharedStore(t *testing.T) {
 // group race one another while refused calls render on whichever
 // connection slot their caller checked out. Run under -race it proves
 // the doorkeeper and the slots' renderers need no lock beyond the
-// registry shard's; the recorder proves every body arrived whole.
+// registry shard's; the server's count proves every body arrived.
 func TestDoorkeeperUnderConcurrency(t *testing.T) {
-	var mu sync.Mutex
-	bodies := 0
-	p, err := New(Options{
+	p, srv := newAckPool(t, Options{
 		Size:     3,
 		Replicas: 2,
 		Config:   core.Config{MaxTemplatesPerOp: 2},
-		Dial: func() (core.Sink, error) {
-			return transport.WriterSink{W: writerFunc(func(b []byte) (int, error) {
-				mu.Lock()
-				bodies++
-				mu.Unlock()
-				return len(b), nil
-			})}, nil
-		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
 
 	const workers, shapes, rounds = 4, 7, 40
 	var wg sync.WaitGroup
@@ -171,8 +157,8 @@ func TestDoorkeeperUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	st := p.Stats()
 	calls := int64(workers * shapes * rounds)
-	if st.Calls != calls || st.Errors != 0 || int64(bodies) < calls {
-		t.Fatalf("calls %d, errors %d, bodies %d; want %d calls, no error", st.Calls, st.Errors, bodies, calls)
+	if st.Calls != calls || st.Errors != 0 || srv.Requests() != calls {
+		t.Fatalf("calls %d, errors %d, bodies %d; want %d calls, no error", st.Calls, st.Errors, srv.Requests(), calls)
 	}
 	if st.TemplateRefusals == 0 || st.FullSerializations != st.TemplateRefusals {
 		t.Fatalf("refusals %d, full serializations %d; want equal and nonzero", st.TemplateRefusals, st.FullSerializations)
@@ -181,7 +167,3 @@ func TestDoorkeeperUnderConcurrency(t *testing.T) {
 		t.Fatalf("%d entries resident, want at most the cap of 2", n)
 	}
 }
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(b []byte) (int, error) { return f(b) }

@@ -157,7 +157,6 @@ func TestEndToEndOverTCP(t *testing.T) {
 	defer srv.Close()
 
 	sender, err := transport.Dial(srv.Addr(), transport.SenderOptions{
-		Version:        transport.HTTP11,
 		ExpectResponse: true,
 	})
 	if err != nil {

@@ -389,9 +389,10 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 		}
 	})
 
-	// A pool whose sync is refused recovers on its own: the failed send
-	// marks the template suspect, the retry resends in full on a fresh
-	// connection, and patches resume — no call fails.
+	// A pool whose sync is refused recovers on its own: the refusal (a
+	// 500 on a healthy connection) fails that one call and marks its
+	// template suspect, the next call resends in full, and patches
+	// resume — no other call fails.
 	t.Run("pool recovers", func(t *testing.T) {
 		rt := newBenchRuntime(Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true}, false)
 		h := rt.HTTPHandler()
@@ -407,8 +408,7 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		p, err := pool.New(pool.Options{Size: 1, Delta: true, Addr: srv.Addr(), Config: stuffedCfg,
-			Sender: transport.SenderOptions{ExpectResponse: true}})
+		p, err := pool.New(pool.Options{Size: 1, Delta: true, Addr: srv.Addr(), Config: stuffedCfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,12 +416,12 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 		d := workload.NewDoubles(100, workload.FillMin)
 		for call := 0; call < 20; call++ {
 			touch(rng, d.Msg, 3)
-			if _, err := p.Call(d.Msg); err != nil {
-				t.Fatalf("call %d: %v", call, err)
+			if _, err := p.Call(d.Msg); (err != nil) != (call == 0) {
+				t.Fatalf("call %d: %v; want only call 0, the refused sync, to fail", call, err)
 			}
 		}
 		st, cs := rt.Stats(), p.Stats()
-		if !corrupted.Load() || cs.Errors != 0 || st.SelfCheckFails != 0 || cs.DeltaSends == 0 {
+		if !corrupted.Load() || cs.Errors != 1 || st.SelfCheckFails != 0 || cs.DeltaSends == 0 {
 			t.Fatalf("corrupted %v; client errors %d, patch sends %d; server self-check failures %d",
 				corrupted.Load(), cs.Errors, cs.DeltaSends, st.SelfCheckFails)
 		}

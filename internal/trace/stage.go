@@ -20,12 +20,12 @@ const (
 	// StageSerialize is differential serialization on the client: the
 	// stub's Call time minus time spent inside the transport sink.
 	StageSerialize
-	// StagePipelineQueue is the time a pipelined submit spent blocked on
-	// the in-flight window (zero on the serial path).
+	// StagePipelineQueue is the time a submit spent inside its
+	// connection's pipeline: blocked on the in-flight window, then
+	// writing the request.
 	StagePipelineQueue
-	// StageWire is wire time as seen by the client: the transport send
-	// (serial) or submit-to-completion (pipelined), so it includes the
-	// server's processing for serial calls.
+	// StageWire is wire time as seen by the client: request written to
+	// response read, so it includes the server's processing.
 	StageWire
 	// StageServerQueue is server-side admission and read-ahead queueing:
 	// request fully parsed to handler dispatch.

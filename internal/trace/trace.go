@@ -108,12 +108,12 @@ const (
 	// serialization: A=core.MatchKind of the response send, B=response
 	// bytes.
 	KindServerRespond
-	// KindAsyncSubmit is a pipelined call handed to the transport without
-	// waiting for its response: A=op id, B=requests in flight on the
-	// connection after the submit.
+	// KindAsyncSubmit is a pooled call's request written to its
+	// connection's pipeline, its response not yet read: A=op id,
+	// B=requests in flight on the connection after the submit.
 	KindAsyncSubmit
-	// KindAsyncComplete resolves a pipelined call's future: A=1 on
-	// success / 0 on error, B=submit-to-completion latency in
+	// KindAsyncComplete resolves a pooled call's response: A=1 on
+	// success / 0 on error, B=call-start-to-completion latency in
 	// nanoseconds.
 	KindAsyncComplete
 	// KindReplicaEvict is a replica-registry eviction (client or server):

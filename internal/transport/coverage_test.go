@@ -127,7 +127,7 @@ func TestSendExpectResponseErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	s, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11, ExpectResponse: true})
+	s, err := Dial(srv.Addr(), SenderOptions{ExpectResponse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func deltaPeer(t *testing.T, refuse *atomic.Bool) *Server {
 func TestSenderDeltaNegotiation(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
-	s, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11, Delta: true, ExpectResponse: true})
+	s, err := Dial(srv.Addr(), SenderOptions{Delta: true, ExpectResponse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSenderDeltaNegotiation(t *testing.T) {
 func TestSenderDeltaOffPassthrough(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
-	s, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11, ExpectResponse: true})
+	s, err := Dial(srv.Addr(), SenderOptions{ExpectResponse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDeltaStateOverflow(t *testing.T) {
 func TestPipelineDeltaAsync(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
-	s, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11, Delta: true})
+	s, err := Dial(srv.Addr(), SenderOptions{Delta: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestSubmitSameOnBothPaths(t *testing.T) {
 	}
 	run := func(an Annotation, response string, pipelined bool) outcome {
 		conn := &recordConn{scriptedConn: scriptedConn{r: bytes.NewReader([]byte(response))}}
-		s := NewSender(conn, SenderOptions{Version: HTTP11, Host: "peer", Delta: true, ExpectResponse: !pipelined})
+		s := NewSender(conn, SenderOptions{Host: "peer", Delta: true, ExpectResponse: !pipelined})
 		s.delta.noteSync(9, 1) // an earlier template's sync: a resync must drop it too
 		body := net.Buffers{[]byte("<a>"), []byte("</a>")}
 		var err error

@@ -107,7 +107,7 @@ func FuzzPipelineResponses(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := &scriptedConn{r: bytes.NewReader(data)}
-		s := NewSender(conn, SenderOptions{Version: HTTP11})
+		s := NewSender(conn, SenderOptions{})
 		pl := NewPipeline(s, 4)
 		var pending []*Pending
 		for i := 0; i < 3; i++ {

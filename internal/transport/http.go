@@ -1,7 +1,7 @@
 // Package transport carries serialized SOAP messages. It implements,
-// from scratch over net.Conn, the slice of HTTP the paper's measurements
-// rely on: POST framing with Content-Length (HTTP/1.0-style, with
-// keep-alive) and HTTP/1.1 chunked transfer encoding for streamed sends,
+// from scratch over net.Conn, the slice of HTTP/1.1 the paper's
+// measurements rely on: POST framing with Content-Length on a persistent
+// connection, and chunked transfer encoding for streamed sends,
 // plus the discard server used to isolate client Send Time and an
 // in-process sink for jitter-free benchmarking.
 package transport

@@ -115,6 +115,10 @@ func (pl *Pipeline) InFlight() int {
 	return len(pl.queue)
 }
 
+// DeltaEpoch is the Sender's (core.DeltaSink): every response read
+// through the pipeline keeps its view of the peer's patch bases current.
+func (pl *Pipeline) DeltaEpoch(tid uint64) (uint64, bool) { return pl.s.DeltaEpoch(tid) }
+
 // Broken reports whether the pipeline has failed or been closed.
 func (pl *Pipeline) Broken() bool {
 	pl.mu.Lock()
@@ -223,7 +227,7 @@ func (pl *Pipeline) resolve(p *Pending, status int, err error) {
 // Close breaks the pipeline, closes the underlying connection, resolves
 // every unanswered Pending with an error, and returns once no goroutine
 // reads or writes through it. The Sender itself survives — Redial gives
-// it a fresh connection for a new Pipeline (or plain serial use).
+// it a fresh connection for a new Pipeline.
 func (pl *Pipeline) Close() error {
 	pl.mu.Lock()
 	pl.breakLocked(errPipelineClosed)

@@ -39,7 +39,7 @@ func waitWatched(t *testing.T, p *Pending) error {
 // pipelineOver dials a pipelined sender against srv.
 func pipelineOver(t *testing.T, srv *Server, depth int) *Pipeline {
 	t.Helper()
-	s, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11})
+	s, err := Dial(srv.Addr(), SenderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func fakePeer(t *testing.T, conn net.Conn, reads, answer int) {
 func TestPipelineBreakFailsAllPending(t *testing.T) {
 	client, server := net.Pipe()
 	fakePeer(t, server, 3, 1) // one response, then the connection dies
-	s := NewSender(client, SenderOptions{Version: HTTP11})
+	s := NewSender(client, SenderOptions{})
 	pl := NewPipeline(s, 4)
 	defer pl.Close()
 
@@ -253,7 +253,7 @@ func TestPipelineCloseResolvesEverything(t *testing.T) {
 	}()
 	defer server.Close()
 
-	s := NewSender(client, SenderOptions{Version: HTTP11})
+	s := NewSender(client, SenderOptions{})
 	pl := NewPipeline(s, 2)
 	var pending []*Pending
 	for i := 0; i < 2; i++ {
@@ -389,7 +389,7 @@ func TestPipelineCloseDuringRead(t *testing.T) {
 	}()
 	defer server.Close()
 
-	pl := NewPipeline(NewSender(client, SenderOptions{Version: HTTP11}), 4)
+	pl := NewPipeline(NewSender(client, SenderOptions{}), 4)
 	var pending []*Pending
 	for i := 0; i < 3; i++ {
 		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
@@ -480,7 +480,7 @@ func TestPipelineStartsNoGoroutine(t *testing.T) {
 	defer srv.Close()
 	start := runtime.NumGoroutine()
 
-	s, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11})
+	s, err := Dial(srv.Addr(), SenderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestPipelineStartsNoGoroutine(t *testing.T) {
 func TestPipelineOnCompleteFiresOncePerPending(t *testing.T) {
 	client, server := net.Pipe()
 	fakePeer(t, server, 4, 2)
-	s := NewSender(client, SenderOptions{Version: HTTP11})
+	s := NewSender(client, SenderOptions{})
 	pl := NewPipeline(s, 4)
 	var completions atomic.Int64
 	pl.OnComplete = func() { completions.Add(1) }

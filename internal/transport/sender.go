@@ -15,18 +15,6 @@ import (
 	"bsoap/internal/wire"
 )
 
-// Version selects the HTTP framing used by a Sender.
-type Version int
-
-const (
-	// HTTP10 frames every message with Content-Length and keeps the
-	// connection alive explicitly, as the 2004 toolkits did.
-	HTTP10 Version = iota
-	// HTTP11 frames complete sends with Content-Length and streamed
-	// sends with chunked transfer encoding.
-	HTTP11
-)
-
 // SenderOptions configure a Sender.
 type SenderOptions struct {
 	// Target is the request target path (default "/").
@@ -34,11 +22,10 @@ type SenderOptions struct {
 	// Host is the Host header value (default the connection's remote
 	// address).
 	Host string
-	// Version selects HTTP/1.0-style or HTTP/1.1 framing.
-	Version Version
 	// ExpectResponse makes Send read (and discard) one HTTP response per
 	// message. The paper's Send Time measurements do not wait for
-	// responses; RPC-style examples do.
+	// responses; RPC-style examples do. A pool ignores it: every pooled
+	// request reads its response through the slot's Pipeline.
 	ExpectResponse bool
 	// Dialer overrides the TCP dial used by Dial and Redial (fault
 	// injection, tests, alternative transports). nil selects the default
@@ -55,8 +42,8 @@ type SenderOptions struct {
 	// carry an X-BSoap-Delta sync header, and once the server
 	// acknowledges one, warm calls whose template the server holds go
 	// out as compact patch frames. Negotiation completes only where
-	// responses are read (ExpectResponse, or the pipelined path); without
-	// them every send stays full — lossless either way.
+	// responses are read (ExpectResponse, or a Pipeline, as in every
+	// pool); without them every send stays full — lossless either way.
 	Delta bool
 }
 
@@ -195,17 +182,10 @@ func NewSender(conn net.Conn, opts SenderOptions) *Sender {
 			opts.Host = "bsoap"
 		}
 	}
-	proto := "HTTP/1.1"
-	if opts.Version == HTTP10 {
-		proto = "HTTP/1.0"
-	}
-	head := "POST " + opts.Target + " " + proto + "\r\n" +
+	head := "POST " + opts.Target + " HTTP/1.1\r\n" +
 		"Host: " + opts.Host + "\r\n" +
 		"Content-Type: text/xml; charset=utf-8\r\n" +
 		"SOAPAction: \"\"\r\n"
-	if opts.Version == HTTP10 {
-		head += "Connection: Keep-Alive\r\n"
-	}
 	return &Sender{
 		conn: conn,
 		bw:   bufio.NewWriterSize(conn, 32*1024),
@@ -294,10 +274,10 @@ func (s *Sender) Close() error {
 	return s.conn.Close()
 }
 
-// ErrNotDialed is returned by Redial on senders wrapped around an
+// errNotDialed is returned by Redial on senders wrapped around an
 // externally established connection (NewSender), which have no address
 // to reconnect to.
-var ErrNotDialed = fmt.Errorf("transport: sender was not created by Dial; cannot redial")
+var errNotDialed = fmt.Errorf("transport: sender was not created by Dial; cannot redial")
 
 // Redial replaces a broken connection with a fresh one to the original
 // Dial address, resetting all buffered I/O and stream state. It is the
@@ -306,7 +286,7 @@ var ErrNotDialed = fmt.Errorf("transport: sender was not created by Dial; cannot
 // the retried call re-serializes the same changes).
 func (s *Sender) Redial() error {
 	if s.addr == "" {
-		return ErrNotDialed
+		return errNotDialed
 	}
 	_ = s.Close()
 	conn, err := dialConn(s.addr, s.opts.Dialer, trace.KindRedial, s.TraceSpan)
@@ -461,11 +441,8 @@ func (s *Sender) writeRequest(bufs net.Buffers, an Annotation) error {
 	return nil
 }
 
-// BeginStream starts a chunked-transfer POST (HTTP/1.1 only).
+// BeginStream starts a chunked-transfer POST.
 func (s *Sender) BeginStream() error {
-	if s.opts.Version != HTTP11 {
-		return fmt.Errorf("transport: streaming requires HTTP/1.1")
-	}
 	if s.streaming {
 		return fmt.Errorf("transport: BeginStream during active stream")
 	}

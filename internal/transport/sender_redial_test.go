@@ -87,8 +87,8 @@ func TestRedialRequiresDial(t *testing.T) {
 	defer c1.Close()
 	defer c2.Close()
 	s := NewSender(c1, SenderOptions{})
-	if err := s.Redial(); !errors.Is(err, ErrNotDialed) {
-		t.Fatalf("Redial on wrapped conn: got %v, want ErrNotDialed", err)
+	if err := s.Redial(); !errors.Is(err, errNotDialed) {
+		t.Fatalf("Redial on wrapped conn: got %v, want errNotDialed", err)
 	}
 }
 

@@ -30,7 +30,7 @@ func (c writeOnlyConn) SetWriteDeadline(time.Time) error { return nil }
 func TestTraceSpanHeaderRoundTrip(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	s := NewSender(client, SenderOptions{Target: "/svc", Version: HTTP11})
+	s := NewSender(client, SenderOptions{Target: "/svc"})
 	s.TraceSpan = 0xdeadbeefcafe
 
 	br := bufio.NewReader(server)
@@ -110,7 +110,7 @@ func TestTraceHeaderWriteAllocFree(t *testing.T) {
 		t.Skip("AllocsPerRun is unreliable under -race")
 	}
 	var buf bytes.Buffer
-	s := NewSender(writeOnlyConn{&buf}, SenderOptions{Version: HTTP11})
+	s := NewSender(writeOnlyConn{&buf}, SenderOptions{})
 	s.TraceSpan = 0x1234abcd5678
 	payload := net.Buffers{[]byte("<a>1</a>")}
 	if got := testing.AllocsPerRun(200, func() {

@@ -107,7 +107,7 @@ func TestWriteAndReadResponse(t *testing.T) {
 func TestSenderSendFraming(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	s := NewSender(client, SenderOptions{Target: "/svc", Host: "unit", Version: HTTP11})
+	s := NewSender(client, SenderOptions{Target: "/svc", Host: "unit"})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -135,10 +135,12 @@ func TestSenderSendFraming(t *testing.T) {
 	}
 }
 
-func TestSenderHTTP10KeepAlive(t *testing.T) {
+// TestSenderHTTP11Head pins the one framing: every request is HTTP/1.1,
+// persistent by default, so the head carries no Connection header.
+func TestSenderHTTP11Head(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	s := NewSender(client, SenderOptions{Version: HTTP10})
+	s := NewSender(client, SenderOptions{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var req *Request
@@ -150,18 +152,18 @@ func TestSenderHTTP10KeepAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if req.Proto != "HTTP/1.0" {
+	if req.Proto != "HTTP/1.1" {
 		t.Fatalf("proto: %q", req.Proto)
 	}
-	if !strings.EqualFold(req.Headers["connection"], "keep-alive") {
-		t.Fatalf("connection header: %q", req.Headers["connection"])
+	if v, ok := req.Headers["connection"]; ok {
+		t.Fatalf("connection header %q on a persistent HTTP/1.1 request", v)
 	}
 }
 
 func TestSenderStreaming(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	s := NewSender(client, SenderOptions{Version: HTTP11})
+	s := NewSender(client, SenderOptions{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var req *Request
@@ -195,16 +197,18 @@ func TestSenderStreaming(t *testing.T) {
 
 func TestSenderStreamStateErrors(t *testing.T) {
 	client, _ := net.Pipe()
-	s := NewSender(client, SenderOptions{Version: HTTP11})
+	s := NewSender(client, SenderOptions{})
 	if err := s.StreamChunk([]byte("x")); err == nil {
 		t.Fatal("StreamChunk outside stream accepted")
 	}
 	if err := s.EndStream(); err == nil {
 		t.Fatal("EndStream outside stream accepted")
 	}
-	s10 := NewSender(client, SenderOptions{Version: HTTP10})
-	if err := s10.BeginStream(); err == nil {
-		t.Fatal("HTTP/1.0 stream accepted")
+	if err := s.BeginStream(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BeginStream(); err == nil {
+		t.Fatal("BeginStream during an active stream accepted")
 	}
 }
 
@@ -215,7 +219,7 @@ func TestDiscardServerEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	sender, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11})
+	sender, err := Dial(srv.Addr(), SenderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +262,7 @@ func TestServerWithHandlerAndResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := NewSender(conn, SenderOptions{Version: HTTP11}).Send(net.Buffers{[]byte("ping")}); err != nil {
+	if err := NewSender(conn, SenderOptions{}).Send(net.Buffers{[]byte("ping")}); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := ReadResponse(bufio.NewReader(conn))
@@ -276,7 +280,7 @@ func TestServerRespondingDiscardAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sender, err := Dial(srv.Addr(), SenderOptions{Version: HTTP11, ExpectResponse: true})
+	sender, err := Dial(srv.Addr(), SenderOptions{ExpectResponse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

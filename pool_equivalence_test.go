@@ -197,17 +197,11 @@ func equivalenceConfigs() []equivConfig {
 func TestPoolBaselineEquivalence(t *testing.T) {
 	for _, tc := range equivalenceConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := &recordSink{}
-			p, err := bsoap.NewPool(bsoap.PoolOptions{
+			srec, p := harness.Recorder(t, nil, bsoap.PoolOptions{
 				Size:     1,
 				Replicas: 1,
 				Config:   tc.cfg,
-				Dial:     func() (bsoap.Sink, error) { return sink, nil },
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
 
 			// Two doubles messages share one (operation, signature) — the
 			// schedule makes them alternate on the single replica, so
@@ -231,7 +225,8 @@ func TestPoolBaselineEquivalence(t *testing.T) {
 					t.Fatalf("round %d (%s): %v", round, tg.name, err)
 				}
 				seen[ci.Match] = true
-				got := canon(sink.last())
+				bodies := srec.Bodies()
+				got := canon(bodies[len(bodies)-1])
 				if !bytes.Equal(got, want) {
 					t.Fatalf("round %d (%s, %v): pool bytes diverge from baseline\n got: %s\nwant: %s",
 						round, tg.name, ci.Match, got, want)
@@ -255,9 +250,9 @@ func TestPoolBaselineEquivalence(t *testing.T) {
 }
 
 // TestPoolPipelinedEquivalence is the async-path property test: the
-// same randomized mutation schedule, run once through a serial pool
-// (recording sink) and once through a pipelined pool (depth 4, over a
-// real connection to a recording server with matching read-ahead),
+// same randomized mutation schedule, run once through a depth-1 pool and
+// once through a pipelined pool (depth 4, to a recording server with
+// matching read-ahead), each recorded by its own server,
 // must put byte-identical bodies (modulo padding) on the wire, in the
 // same order. Pipelining reorders nothing and shares nothing it should
 // not: submission order is wire order, and a message whose previous
@@ -268,17 +263,11 @@ func TestPoolPipelinedEquivalence(t *testing.T) {
 
 	for _, tc := range equivalenceConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := &recordSink{}
-			serial, err := bsoap.NewPool(bsoap.PoolOptions{
+			srec, serial := harness.Recorder(t, nil, bsoap.PoolOptions{
 				Size:     1,
 				Replicas: 1,
 				Config:   tc.cfg,
-				Dial:     func() (bsoap.Sink, error) { return sink, nil },
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer serial.Close()
 
 			rec, piped := harness.Recorder(t, nil, bsoap.PoolOptions{
 				Size:          1,
@@ -337,13 +326,13 @@ func TestPoolPipelinedEquivalence(t *testing.T) {
 				}
 			}
 
-			got := rec.Bodies()
-			if len(sink.msgs) != rounds || len(got) != rounds {
+			got, sent := rec.Bodies(), srec.Bodies()
+			if len(sent) != rounds || len(got) != rounds {
 				t.Fatalf("serial recorded %d bodies, server accepted %d, want %d each",
-					len(sink.msgs), len(got), rounds)
+					len(sent), len(got), rounds)
 			}
 			for i := range got {
-				want := canon(sink.msgs[i])
+				want := canon(sent[i])
 				if !bytes.Equal(canon(got[i]), want) {
 					t.Fatalf("call %d: pipelined body diverges from serial\n got: %s\nwant: %s",
 						i, canon(got[i]), want)

@@ -234,12 +234,26 @@ func TestSteadyStateAllocsDeltaPatch(t *testing.T) {
 	}
 }
 
+// ackPool dials a pool at a loopback server that answers every request
+// with an empty 200, so a gate counts the whole round trip: the write,
+// the server's read and answer, and the response read.
+func ackPool(t *testing.T, opts pool.Options) *pool.Pool {
+	t.Helper()
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	opts.Addr = srv.Addr()
+	return harness.Pool(t, opts)
+}
+
 // TestSteadyStateAllocsPool gates the concurrent runtime's whole warm
-// path: checkout, replica acquire, differential send, metrics. The
-// engine being allocation-free is not enough if the runtime around it
-// churns per call.
+// path: checkout, replica acquire, differential send, response read,
+// metrics. The engine being allocation-free is not enough if the
+// runtime around it churns per call.
 func TestSteadyStateAllocsPool(t *testing.T) {
-	p, _ := harness.DiscardPool(t, pool.Options{Size: 2})
+	p := ackPool(t, pool.Options{Size: 2})
 
 	m := wire.NewMessage("urn:bench", "echo")
 	arr := m.AddDoubleArray("values", 100)
@@ -267,7 +281,7 @@ func TestSteadyStateAllocsPool(t *testing.T) {
 // connection slot's own renderer, a full serialization that builds,
 // evicts and allocates nothing once the slot's buffer has grown.
 func TestSteadyStateAllocsRefused(t *testing.T) {
-	p, _ := harness.DiscardPool(t, pool.Options{Size: 1, Config: core.Config{MaxTemplatesPerOp: 1}})
+	p := ackPool(t, pool.Options{Size: 1, Config: core.Config{MaxTemplatesPerOp: 1}})
 	held := workload.NewDoubles(100, workload.FillIntermediate)
 	if ci, err := p.Call(held.Msg); err != nil || ci.Match != core.FirstTime {
 		t.Fatalf("held shape: %v %v", ci.Match, err)
@@ -295,7 +309,8 @@ func TestSteadyStateAllocsRefused(t *testing.T) {
 // loopback against a read-ahead server (the pipelined_d8 shape): a
 // request's place in the pipeline lives in its Future, and the waiter
 // reads the response itself, so CallAsync + Wait allocates the Future
-// and nothing else, and a pipelined Call allocates only its Pending.
+// and nothing else, and a Call, whose place is its connection slot's
+// own, allocates nothing.
 // AllocsPerRun counts the whole process and averages in whole
 // allocations, which absorbs the server's rare header intern (a few per
 // thousand requests).
@@ -346,7 +361,7 @@ func TestSteadyStateAllocsPipelined(t *testing.T) {
 		gateAllocs(t, depth, window)
 	})
 	t.Run("Call", func(t *testing.T) {
-		gateAllocs(t, 1, call)
+		gateAllocs(t, 0, call)
 	})
 }
 
