@@ -174,6 +174,17 @@ one_path_guard() {
     # cannot see through: the from-scratch renderer's conversion scratch
     # moved to the heap, one allocation per double.
     absent "process-global double converter" 'SetDoubleConverter|doubleConverter =' .
+    # Every counter is declared once, as a row of its registry's table,
+    # and both pages are written by walking the table (promtext.Rows).
+    # What a registry still writes line by line is what no row can hold:
+    # client — saved bytes, delta bytes saved, stale rebinds, the
+    # evictions family (lru is derived), the template source's refusals
+    # and two byte gauges, faults injected, futures pending; server — the
+    # full-parse total, the evictions family and the two byte gauges. The
+    # server runtime counts only into the registry.
+    expect 10 "exposition lines written beside the table" '\.(Counter|Gauge|CounterWithLabel)\(|promtext\.Rows\(' internal/pool
+    expect 5 "exposition lines written beside the table" '\.(Counter|Gauge|CounterWithLabel)\(|promtext\.Rows\(' internal/transport
+    absent "counter atomic in the server runtime" 'atomic\.Int64' internal/serverpool/serverpool.go
     heap=$(go build -gcflags=-m ./internal/soapenv 2>&1 | grep 'moved to heap' || true)
     if [ -n "$heap" ]; then
         echo "one-path guard: the from-scratch renderer moves a variable to the heap:" >&2

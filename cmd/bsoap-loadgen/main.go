@@ -101,10 +101,6 @@ func main() {
 		Config:           bsoap.Config{EnableStealing: true, Width: bsoap.WidthPolicy{Double: 18, Int: 9}},
 	}
 	popts.Delta = *delta
-	// Bound every socket operation: a stalled or silent peer costs a
-	// timeout, not a worker.
-	popts.Sender.WriteTimeout = 10 * time.Second
-	popts.Sender.ReadTimeout = 10 * time.Second
 	var inj *faultwire.Injector
 	if *chaos > 0 {
 		inj = faultwire.New(faultwire.Options{

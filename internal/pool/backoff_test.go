@@ -80,8 +80,8 @@ func TestBackoffGrowthAndJitter(t *testing.T) {
 				i+1, got, lo, hi, base, max)
 		}
 	}
-	if sp.metrics.dialFailures.Load() != attempts {
-		t.Fatalf("dial failures = %d, want %d", sp.metrics.dialFailures.Load(), attempts)
+	if sp.metrics.c[cDialFailures].Load() != attempts {
+		t.Fatalf("dial failures = %d, want %d", sp.metrics.c[cDialFailures].Load(), attempts)
 	}
 }
 

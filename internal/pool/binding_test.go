@@ -207,7 +207,7 @@ func TestBindingSticksWithinReplicas(t *testing.T) {
 			checkBody(t, core.Config{}, d.Msg, body, "sticky call")
 			checkBinding(t, st)
 		}
-		if got := st.metrics.templateRebinds.Load(); got != 0 {
+		if got := st.metrics.c[cTemplateRebinds].Load(); got != 0 {
 			t.Fatalf("trial %d: %d rebinds with %d messages on %d replicas, want 0",
 				trial, got, len(msgs), replicas)
 		}
@@ -271,7 +271,7 @@ func TestBindingStealsLeastRecentlyUsed(t *testing.T) {
 		checkBody(t, core.Config{}, d.Msg, body, "oversubscribed call")
 		checkBinding(t, st)
 	}
-	if got := st.metrics.templateRebinds.Load(); got != steals || steals == 0 {
+	if got := st.metrics.c[cTemplateRebinds].Load(); got != steals || steals == 0 {
 		t.Fatalf("rebinds = %d, model counted %d steals", got, steals)
 	}
 }
@@ -374,7 +374,7 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 		}
 		checkBody(t, core.Config{}, d1.Msg, body, "returning owner")
 		checkBinding(t, st)
-		if got := st.metrics.templateRebinds.Load(); got != 2 {
+		if got := st.metrics.c[cTemplateRebinds].Load(); got != 2 {
 			t.Fatalf("rebinds = %d, want 2 (d2 took the engine, d1 took it back)", got)
 		}
 	})

@@ -14,23 +14,91 @@ import (
 	"bsoap/internal/promtext"
 	"bsoap/internal/replica"
 	"bsoap/internal/trace"
-	"bsoap/internal/transport"
 )
 
-// errKind indexes the per-kind error counters: what stopped a failed
-// call (connection never established, socket deadline, retry budget, or
-// a plain send error).
+// counter indexes Metrics.c and clientRows. The order is the Prometheus
+// page's: WritePrometheus writes it as runs of rows between its explicit
+// lines.
+type counter int
+
 const (
-	errKindDial = iota
-	errKindDeadline
-	errKindBudget
-	errKindSend
-	errKindCount
+	cCalls counter = iota
+	// Failed calls by what stopped them (classifyErr): connection never
+	// established, socket deadline, retry budget, or a plain send error.
+	cErrDial
+	cErrDeadline
+	cErrBudget
+	cErrSend
+	// cMatchFirstTime+k counts successful calls of core.MatchKind k.
+	cMatchFirstTime
+	cMatchContent
+	cMatchStructural
+	cMatchPartial
+	cMatchFull
+	cBytesWire
+	cBytesRepresented
+	cBytesSerialized
+	cDeltaSends
+	cDeltaResyncs
+	cValuesRewritten
+	cTagShifts
+	cShifts
+	cSteals
+	cCheckouts
+	cCheckoutWaits
+	cDials
+	cRedials
+	cDialFailures
+	cRetries
+	cTemplateRebinds
+	cEvictions
+	cBudgetEvictions
+	cRetryBudgetExhausted
+	cDegradedFTS
+	cAsyncCalls
+	cPipelineStalls
+	cPipelineDepth
+	cResolved // futures_pending is cAsyncCalls less it
+	numCounters
 )
 
-// errKindNames are the stable label values the JSON and Prometheus
-// endpoints use.
-var errKindNames = [errKindCount]string{"dial", "deadline", "budget_exhausted", "send"}
+// clientRows declares every counter once: its family, label, help text
+// and the Stats field it fills. Snapshot and WritePrometheus walk it.
+var clientRows = [numCounters]promtext.Row[Stats]{
+	cCalls:                {Family: "bsoap_client_calls_total", Help: "Calls issued through the pool.", Field: func(s *Stats) *int64 { return &s.Calls }},
+	cErrDial:              {Family: "bsoap_client_call_errors_total", Key: "kind", Label: "dial", Help: "Failed calls by what stopped them.", Field: func(s *Stats) *int64 { return &s.ErrorsByKind.Dial }},
+	cErrDeadline:          {Family: "bsoap_client_call_errors_total", Label: "deadline", Field: func(s *Stats) *int64 { return &s.ErrorsByKind.Deadline }},
+	cErrBudget:            {Family: "bsoap_client_call_errors_total", Label: "budget_exhausted", Field: func(s *Stats) *int64 { return &s.ErrorsByKind.BudgetExhausted }},
+	cErrSend:              {Family: "bsoap_client_call_errors_total", Label: "send", Field: func(s *Stats) *int64 { return &s.ErrorsByKind.Send }},
+	cMatchFirstTime:       {Family: "bsoap_client_matches_total", Key: "kind", Label: "first_time", Help: "Successful calls by differential match class.", Field: func(s *Stats) *int64 { return &s.FirstTimeSends }},
+	cMatchContent:         {Family: "bsoap_client_matches_total", Label: "content", Field: func(s *Stats) *int64 { return &s.ContentMatches }},
+	cMatchStructural:      {Family: "bsoap_client_matches_total", Label: "structural", Field: func(s *Stats) *int64 { return &s.StructuralMatches }},
+	cMatchPartial:         {Family: "bsoap_client_matches_total", Label: "partial", Field: func(s *Stats) *int64 { return &s.PartialMatches }},
+	cMatchFull:            {Family: "bsoap_client_matches_total", Label: "full", Field: func(s *Stats) *int64 { return &s.FullSerializations }},
+	cBytesWire:            {Family: "bsoap_client_wire_bytes_total", Help: "Bytes that crossed the wire (patch frames count their framed size).", Field: func(s *Stats) *int64 { return &s.BytesOnWire }},
+	cBytesRepresented:     {Family: "bsoap_client_represented_bytes_total", Help: "Full-body bytes the sends stand for after reconstruction.", Field: func(s *Stats) *int64 { return &s.BytesRepresented }},
+	cBytesSerialized:      {Family: "bsoap_client_serialized_bytes_total", Help: "Bytes actually converted from in-memory values.", Field: func(s *Stats) *int64 { return &s.BytesSerialized }},
+	cDeltaSends:           {Family: "bsoap_client_delta_sends_total", Help: "Calls sent as compact patch frames (differential transmission).", Field: func(s *Stats) *int64 { return &s.DeltaSends }},
+	cDeltaResyncs:         {Family: "bsoap_client_delta_resyncs_total", Help: "Patch sends rejected 409/resync and retried in full.", Field: func(s *Stats) *int64 { return &s.DeltaResyncs }},
+	cValuesRewritten:      {Family: "bsoap_client_values_rewritten_total", Help: "Dirty leaves re-serialized into templates.", Field: func(s *Stats) *int64 { return &s.ValuesRewritten }},
+	cTagShifts:            {Family: "bsoap_client_tag_shifts_total", Help: "Closing-tag shifts within a field.", Field: func(s *Stats) *int64 { return &s.TagShifts }},
+	cShifts:               {Family: "bsoap_client_shifts_total", Help: "Field expansions served by shifting.", Field: func(s *Stats) *int64 { return &s.Shifts }},
+	cSteals:               {Family: "bsoap_client_steals_total", Help: "Field expansions served by padding steals.", Field: func(s *Stats) *int64 { return &s.Steals }},
+	cCheckouts:            {Family: "bsoap_client_pool_checkouts_total", Help: "Connection checkouts.", Field: func(s *Stats) *int64 { return &s.Checkouts }},
+	cCheckoutWaits:        {Family: "bsoap_client_pool_checkout_waits_total", Help: "Checkouts that blocked on a free slot.", Field: func(s *Stats) *int64 { return &s.CheckoutWaits }},
+	cDials:                {Family: "bsoap_client_pool_dials_total", Help: "Fresh connections dialed.", Field: func(s *Stats) *int64 { return &s.Dials }},
+	cRedials:              {Family: "bsoap_client_pool_redials_total", Help: "Broken connections repaired in place.", Field: func(s *Stats) *int64 { return &s.Redials }},
+	cDialFailures:         {Family: "bsoap_client_pool_dial_failures_total", Help: "Dial and redial attempts that failed.", Field: func(s *Stats) *int64 { return &s.DialFailures }},
+	cRetries:              {Family: "bsoap_client_pool_send_retries_total", Help: "Calls retried after connection repair.", Field: func(s *Stats) *int64 { return &s.Retries }},
+	cTemplateRebinds:      {Family: "bsoap_client_template_rebinds_total", Help: "Template rebinds to a different message object.", Field: func(s *Stats) *int64 { return &s.TemplateRebinds }},
+	cEvictions:            {Field: func(s *Stats) *int64 { return &s.TemplateEvictions }},
+	cBudgetEvictions:      {Field: func(s *Stats) *int64 { return &s.TemplateBudgetEvictions }},
+	cRetryBudgetExhausted: {Family: "bsoap_client_retry_budget_exhausted_total", Help: "Calls that ran out of retry budget.", Field: func(s *Stats) *int64 { return &s.RetryBudgetExhausted }},
+	cDegradedFTS:          {Family: "bsoap_client_degraded_fts_total", Help: "Degraded first-time sends after a poisoned template.", Field: func(s *Stats) *int64 { return &s.DegradedFTS }},
+	cAsyncCalls:           {Family: "bsoap_client_async_calls_total", Help: "Requests written through a connection's pipeline (every pooled request).", Field: func(s *Stats) *int64 { return &s.AsyncCalls }},
+	cPipelineStalls:       {Family: "bsoap_client_pipeline_stalls_total", Help: "Async submits that blocked at full pipeline depth.", Field: func(s *Stats) *int64 { return &s.PipelineStalls }},
+	cPipelineDepth:        {Family: "bsoap_client_pipeline_depth", Help: "Per-connection in-flight bound: the effective pipeline depth.", Gauge: true, Field: func(s *Stats) *int64 { return &s.PipelineDepth }},
+}
 
 // Metrics is the pool's registry: lock-free atomic counters covering the
 // differential-serialization outcome of every call (per-match-kind
@@ -39,59 +107,17 @@ var errKindNames = [errKindCount]string{"dial", "deadline", "budget_exhausted", 
 // (checkouts, waits, dials, redials) and a call-latency histogram.
 // All methods are safe for concurrent use.
 type Metrics struct {
-	calls  atomic.Int64
-	errors atomic.Int64
-
-	// errorsByKind breaks failed calls down by what stopped them.
-	errorsByKind [errKindCount]atomic.Int64
-
-	// matches indexes per-kind call counts by core.MatchKind.
-	matches [5]atomic.Int64
-
-	bytesWire        atomic.Int64
-	bytesRepresented atomic.Int64
-	bytesSerialized  atomic.Int64
-
-	// Differential transmission: patch frames sent instead of full
-	// bodies, and server-demanded resynchronizations.
-	deltaSends   atomic.Int64
-	deltaResyncs atomic.Int64
-
-	valuesRewritten atomic.Int64
-	tagShifts       atomic.Int64
-	shifts          atomic.Int64
-	steals          atomic.Int64
-
-	checkouts     atomic.Int64
-	checkoutWaits atomic.Int64
-	dials         atomic.Int64
-	redials       atomic.Int64
-	dialFailures  atomic.Int64
-	retries       atomic.Int64
-
-	templateRebinds atomic.Int64
-	evictions       atomic.Int64
-	budgetEvictions atomic.Int64
+	// c holds every counter, indexed by counter and declared in
+	// clientRows. The pipelines under the pool's slots add to
+	// cAsyncCalls as a write starts (and take it back if it fails) and to
+	// cResolved when its response is in or its pipeline failed;
+	// cPipelineDepth is set once at pool construction.
+	c [numCounters]atomic.Int64
 
 	// templateSource, when set, snapshots the replica registry's byte
-	// accounting (resident bytes, high water, eviction splits) so the
+	// accounting (resident bytes, high water, refusals) so the
 	// template-memory gauges come straight from the budget enforcer.
 	templateSource atomic.Pointer[func() replica.Counters]
-
-	degradedFTS          atomic.Int64
-	retryBudgetExhausted atomic.Int64
-
-	// The pipelines under the pool's slots. asyncCalls counts requests
-	// written (+1 as a write starts, -1 if it fails) and resolved the
-	// written requests whose response is in or whose pipeline failed:
-	// their difference is the futures_pending gauge. pipelineDepth is a
-	// config gauge set once at pool construction (the effective depth, at
-	// least 1); pipelineStalls counts submits that blocked because the
-	// pipeline was already at depth.
-	asyncCalls     atomic.Int64
-	resolved       atomic.Int64
-	pipelineDepth  atomic.Int64
-	pipelineStalls atomic.Int64
 
 	// faultSource, when set, reports how many faults an external
 	// injector (faultwire) has put on this pool's wire; snapshots read
@@ -117,50 +143,49 @@ func newMetrics() *Metrics { return &Metrics{} }
 // latency histogram remain success-only (a failed call has no completed
 // classification or meaningful service time).
 func (m *Metrics) RecordCall(ci core.CallInfo, err error, d time.Duration) {
-	m.calls.Add(1)
-	m.bytesWire.Add(int64(ci.WireBytes))
-	m.bytesRepresented.Add(int64(ci.Bytes))
-	m.bytesSerialized.Add(int64(ci.BytesSerialized))
+	m.c[cCalls].Add(1)
+	m.c[cBytesWire].Add(int64(ci.WireBytes))
+	m.c[cBytesRepresented].Add(int64(ci.Bytes))
+	m.c[cBytesSerialized].Add(int64(ci.BytesSerialized))
 	if ci.DeltaSent {
-		m.deltaSends.Add(1)
+		m.c[cDeltaSends].Add(1)
 	}
 	if ci.DeltaResync {
-		m.deltaResyncs.Add(1)
+		m.c[cDeltaResyncs].Add(1)
 	}
-	m.valuesRewritten.Add(int64(ci.ValuesRewritten))
-	m.tagShifts.Add(int64(ci.TagShifts))
-	m.shifts.Add(int64(ci.Shifts))
-	m.steals.Add(int64(ci.Steals))
+	m.c[cValuesRewritten].Add(int64(ci.ValuesRewritten))
+	m.c[cTagShifts].Add(int64(ci.TagShifts))
+	m.c[cShifts].Add(int64(ci.Shifts))
+	m.c[cSteals].Add(int64(ci.Steals))
 	if err != nil {
-		m.errors.Add(1)
-		m.errorsByKind[classifyErr(err)].Add(1)
+		m.c[classifyErr(err)].Add(1)
 		return
 	}
-	if k := int(ci.Match); k >= 0 && k < len(m.matches) {
-		m.matches[k].Add(1)
+	if k := cMatchFirstTime + counter(ci.Match); k >= cMatchFirstTime && k <= cMatchFull {
+		m.c[k].Add(1)
 	}
 	m.lat.Observe(int64(d))
 	if ci.Degraded && ci.Match == core.FirstTime {
-		m.degradedFTS.Add(1)
+		m.c[cDegradedFTS].Add(1)
 	}
 }
 
-// classifyErr maps a failed call's error to its errKind bucket. Budget
+// classifyErr maps a failed call's error to its error counter. Budget
 // exhaustion wins over the dial/deadline cause that consumed the budget;
 // a dial sentinel beats the generic timeout check because dial errors
 // can themselves be timeouts.
-func classifyErr(err error) int {
+func classifyErr(err error) counter {
 	switch {
 	case errors.Is(err, errRetryBudgetExhausted):
-		return errKindBudget
+		return cErrBudget
 	case errors.Is(err, errDialFailed):
-		return errKindDial
+		return cErrDial
 	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		return errKindDeadline
+		return cErrDeadline
 	}
-	return errKindSend
+	return cErrSend
 }
 
 // SetFaultSource registers a callback reporting the running fault count
@@ -310,64 +335,27 @@ func (s Stats) WarmCalls() int64 {
 func (m *Metrics) Snapshot() Stats {
 	// resolved first: every request it counts was written before, so the
 	// pending gauge never reads below zero.
-	resolved := m.resolved.Load()
-	written := m.asyncCalls.Load()
-	s := Stats{
-		Calls:  m.calls.Load(),
-		Errors: m.errors.Load(),
-
-		ErrorsByKind: ErrorsByKind{
-			Dial:            m.errorsByKind[errKindDial].Load(),
-			Deadline:        m.errorsByKind[errKindDeadline].Load(),
-			BudgetExhausted: m.errorsByKind[errKindBudget].Load(),
-			Send:            m.errorsByKind[errKindSend].Load(),
-		},
-
-		FirstTimeSends:     m.matches[core.FirstTime].Load(),
-		ContentMatches:     m.matches[core.ContentMatch].Load(),
-		StructuralMatches:  m.matches[core.StructuralMatch].Load(),
-		PartialMatches:     m.matches[core.PartialMatch].Load(),
-		FullSerializations: m.matches[core.FullSerialization].Load(),
-
-		BytesOnWire:      m.bytesWire.Load(),
-		BytesRepresented: m.bytesRepresented.Load(),
-		BytesSerialized:  m.bytesSerialized.Load(),
-		DeltaSends:       m.deltaSends.Load(),
-		DeltaResyncs:     m.deltaResyncs.Load(),
-
-		ValuesRewritten: m.valuesRewritten.Load(),
-		TagShifts:       m.tagShifts.Load(),
-		Shifts:          m.shifts.Load(),
-		Steals:          m.steals.Load(),
-
-		Checkouts:       m.checkouts.Load(),
-		CheckoutWaits:   m.checkoutWaits.Load(),
-		Dials:           m.dials.Load(),
-		Redials:         m.redials.Load(),
-		DialFailures:    m.dialFailures.Load(),
-		Retries:         m.retries.Load(),
-		TemplateRebinds: m.templateRebinds.Load(),
-
-		TemplateEvictions:       m.evictions.Load(),
-		TemplateBudgetEvictions: m.budgetEvictions.Load(),
-
-		RetryBudgetExhausted: m.retryBudgetExhausted.Load(),
-		DegradedFTS:          m.degradedFTS.Load(),
-
-		AsyncCalls:     written,
-		PipelineDepth:  m.pipelineDepth.Load(),
-		FuturesPending: written - resolved,
-		PipelineStalls: m.pipelineStalls.Load(),
-
-		LatencyP50: time.Duration(m.lat.Quantile(0.50)),
-		LatencyP90: time.Duration(m.lat.Quantile(0.90)),
-		LatencyP99: time.Duration(m.lat.Quantile(0.99)),
-		LatencyMax: time.Duration(m.lat.MaxNs()),
-
-		LatencyBuckets: make([]int64, trace.StageBucketCount),
-		LatencySumNs:   m.lat.SumNs(),
+	resolved := m.c[cResolved].Load()
+	var s Stats
+	for i, r := range clientRows {
+		if r.Field != nil {
+			*r.Field(&s) = m.c[i].Load()
+		}
 	}
+	e := s.ErrorsByKind
+	s.Errors = e.Dial + e.Deadline + e.BudgetExhausted + e.Send
+	s.FuturesPending = s.AsyncCalls - resolved
+	s.BytesSaved = s.BytesRepresented - s.BytesSerialized
+	s.DeltaBytesSaved = s.BytesRepresented - s.BytesOnWire
+
+	s.LatencyP50 = time.Duration(m.lat.Quantile(0.50))
+	s.LatencyP90 = time.Duration(m.lat.Quantile(0.90))
+	s.LatencyP99 = time.Duration(m.lat.Quantile(0.99))
+	s.LatencyMax = time.Duration(m.lat.MaxNs())
+	s.LatencyBuckets = make([]int64, trace.StageBucketCount)
+	s.LatencySumNs = m.lat.SumNs()
 	s.LatencyCount = m.lat.Buckets(s.LatencyBuckets)
+
 	if f := m.faultSource.Load(); f != nil {
 		s.FaultsInjected = (*f)()
 	}
@@ -377,8 +365,6 @@ func (m *Metrics) Snapshot() Stats {
 		s.TemplateBytesHighWater = c.HighWater
 		s.TemplateRefusals = c.Refused
 	}
-	s.BytesSaved = s.BytesRepresented - s.BytesSerialized
-	s.DeltaBytesSaved = s.BytesRepresented - s.BytesOnWire
 	return s
 }
 
@@ -394,51 +380,19 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 }
 
 // WritePrometheus writes the snapshot in Prometheus text exposition
-// format (version 0.0.4): every counter plus the latency histogram as a
-// native _bucket/_sum/_count series in seconds.
+// format (version 0.0.4): the table's rows, the derived and sourced
+// values between them, and the latency histogram as a native
+// _bucket/_sum/_count series in seconds.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	s := m.Snapshot()
 	p := promtext.New(w)
+	rows := func(from, to counter) { promtext.Rows(p, clientRows[from:to], &s) }
 
-	p.Counter("bsoap_client_calls_total", "Calls issued through the pool.", s.Calls)
-	p.CounterWithLabel("bsoap_client_call_errors_total", "Failed calls by what stopped them.",
-		"kind", []promtext.LabeledValue{
-			{Label: errKindNames[errKindDial], Value: s.ErrorsByKind.Dial},
-			{Label: errKindNames[errKindDeadline], Value: s.ErrorsByKind.Deadline},
-			{Label: errKindNames[errKindBudget], Value: s.ErrorsByKind.BudgetExhausted},
-			{Label: errKindNames[errKindSend], Value: s.ErrorsByKind.Send},
-		})
-	p.CounterWithLabel("bsoap_client_matches_total", "Successful calls by differential match class.",
-		"kind", []promtext.LabeledValue{
-			{Label: "first_time", Value: s.FirstTimeSends},
-			{Label: "content", Value: s.ContentMatches},
-			{Label: "structural", Value: s.StructuralMatches},
-			{Label: "partial", Value: s.PartialMatches},
-			{Label: "full", Value: s.FullSerializations},
-		})
-
-	p.Counter("bsoap_client_wire_bytes_total", "Bytes that crossed the wire (patch frames count their framed size).", s.BytesOnWire)
-	p.Counter("bsoap_client_represented_bytes_total", "Full-body bytes the sends stand for after reconstruction.", s.BytesRepresented)
-	p.Counter("bsoap_client_serialized_bytes_total", "Bytes actually converted from in-memory values.", s.BytesSerialized)
+	rows(0, cDeltaSends)
 	p.Counter("bsoap_client_saved_bytes_total", "Serialization bytes avoided by diffing.", s.BytesSaved)
-
-	p.Counter("bsoap_client_delta_sends_total", "Calls sent as compact patch frames (differential transmission).", s.DeltaSends)
-	p.Counter("bsoap_client_delta_resyncs_total", "Patch sends rejected 409/resync and retried in full.", s.DeltaResyncs)
+	rows(cDeltaSends, cValuesRewritten)
 	p.Counter("bsoap_client_delta_bytes_saved_total", "Wire bytes avoided by differential transmission.", s.DeltaBytesSaved)
-
-	p.Counter("bsoap_client_values_rewritten_total", "Dirty leaves re-serialized into templates.", s.ValuesRewritten)
-	p.Counter("bsoap_client_tag_shifts_total", "Closing-tag shifts within a field.", s.TagShifts)
-	p.Counter("bsoap_client_shifts_total", "Field expansions served by shifting.", s.Shifts)
-	p.Counter("bsoap_client_steals_total", "Field expansions served by padding steals.", s.Steals)
-
-	p.Counter("bsoap_client_pool_checkouts_total", "Connection checkouts.", s.Checkouts)
-	p.Counter("bsoap_client_pool_checkout_waits_total", "Checkouts that blocked on a free slot.", s.CheckoutWaits)
-	p.Counter("bsoap_client_pool_dials_total", "Fresh connections dialed.", s.Dials)
-	p.Counter("bsoap_client_pool_redials_total", "Broken connections repaired in place.", s.Redials)
-	p.Counter("bsoap_client_pool_dial_failures_total", "Dial and redial attempts that failed.", s.DialFailures)
-	p.Counter("bsoap_client_pool_send_retries_total", "Calls retried after connection repair.", s.Retries)
-
-	p.Counter("bsoap_client_template_rebinds_total", "Template rebinds to a different message object.", s.TemplateRebinds)
+	rows(cValuesRewritten, cEvictions)
 	p.Counter("bsoap_client_template_stale_rebinds_total", "Always 0: a message no longer bounces between replicas.", s.TemplateStaleRebinds)
 	p.CounterWithLabel("bsoap_client_template_evictions_total", "Replica sets evicted, by driver.",
 		"reason", []promtext.LabeledValue{
@@ -448,14 +402,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p.Counter("bsoap_client_template_refused_total", "Calls served from scratch because their operation's templates were full and in use.", s.TemplateRefusals)
 	p.Gauge("bsoap_client_template_bytes", "Accounted template memory resident in the replica registry.", s.TemplateBytes)
 	p.Gauge("bsoap_client_template_bytes_high_water", "Lifetime maximum of bsoap_client_template_bytes.", s.TemplateBytesHighWater)
-
 	p.Counter("bsoap_client_faults_injected_total", "Faults the external injector put on the wire.", s.FaultsInjected)
-	p.Counter("bsoap_client_retry_budget_exhausted_total", "Calls that ran out of retry budget.", s.RetryBudgetExhausted)
-	p.Counter("bsoap_client_degraded_fts_total", "Degraded first-time sends after a poisoned template.", s.DegradedFTS)
-
-	p.Counter("bsoap_client_async_calls_total", "Requests written through a connection's pipeline (every pooled request).", s.AsyncCalls)
-	p.Counter("bsoap_client_pipeline_stalls_total", "Async submits that blocked at full pipeline depth.", s.PipelineStalls)
-	p.Gauge("bsoap_client_pipeline_depth", "Per-connection in-flight bound: the effective pipeline depth.", s.PipelineDepth)
+	rows(cRetryBudgetExhausted, numCounters)
 	p.Gauge("bsoap_client_futures_pending", "Requests submitted but not yet resolved.", s.FuturesPending)
 
 	p.Histogram("bsoap_client_call_latency_seconds", "Successful call latency (power-of-two buckets).",
@@ -463,7 +411,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 
 	p.HistogramWithLabel("bsoap_client_stage_seconds",
 		"Client-side per-call latency attribution by pipeline stage.", "stage",
-		transport.StageSeconds(&m.Stages, clientStages))
+		promtext.StageSeconds(&m.Stages, clientStages))
 
 	return p.Err()
 }

@@ -27,17 +27,17 @@ func TestClassifyErr(t *testing.T) {
 	cases := []struct {
 		name string
 		err  error
-		want int
+		want counter
 	}{
-		{"budget", fmt.Errorf("pool: no budget: %w (last error: reset)", errRetryBudgetExhausted), errKindBudget},
-		{"dial", fmt.Errorf("pool: unavailable after 4 attempts: %w: %w", errDialFailed, timeoutErr{}), errKindDial},
-		{"budget-over-dial", fmt.Errorf("%w: %w", errRetryBudgetExhausted, errDialFailed), errKindBudget},
-		{"deadline", fmt.Errorf("transport: write body: %w", timeoutErr{}), errKindDeadline},
-		{"send", fmt.Errorf("transport: connection reset"), errKindSend},
+		{"budget", fmt.Errorf("pool: no budget: %w (last error: reset)", errRetryBudgetExhausted), cErrBudget},
+		{"dial", fmt.Errorf("pool: unavailable after 4 attempts: %w: %w", errDialFailed, timeoutErr{}), cErrDial},
+		{"budget-over-dial", fmt.Errorf("%w: %w", errRetryBudgetExhausted, errDialFailed), cErrBudget},
+		{"deadline", fmt.Errorf("transport: write body: %w", timeoutErr{}), cErrDeadline},
+		{"send", fmt.Errorf("transport: connection reset"), cErrSend},
 	}
 	for _, c := range cases {
 		if got := classifyErr(c.err); got != c.want {
-			t.Errorf("classifyErr(%s) = %s, want %s", c.name, errKindNames[got], errKindNames[c.want])
+			t.Errorf("classifyErr(%s) = %s, want %s", c.name, clientRows[got].Label, clientRows[c.want].Label)
 		}
 	}
 }

@@ -20,6 +20,7 @@
 package pool
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -39,7 +40,9 @@ type Options struct {
 	// Sender configures the HTTP framing of pooled connections; its
 	// Dialer is the one seam for connections that are not plain TCP
 	// (fault injection, a throttled link, tests). ExpectResponse is
-	// ignored: every pooled request reads its response.
+	// ignored: every pooled request reads its response. A zero
+	// ReadTimeout or WriteTimeout is 10 s, so a peer that never answers
+	// fails the call (errors_by_kind.deadline) instead of hanging it.
 	Sender transport.SenderOptions
 
 	// Size bounds concurrent connections (default 4).
@@ -124,6 +127,8 @@ func (o Options) withDefaults() Options {
 	if o.RetryBudget <= 0 {
 		o.RetryBudget = 10 * time.Second
 	}
+	o.Sender.ReadTimeout = cmp.Or(o.Sender.ReadTimeout, 10*time.Second)
+	o.Sender.WriteTimeout = cmp.Or(o.Sender.WriteTimeout, 10*time.Second)
 	o.PipelineDepth = max(1, o.PipelineDepth)
 	return o
 }
@@ -155,7 +160,7 @@ func New(opts Options) (*Pool, error) {
 	addr, sopts := o.Addr, o.Sender
 	dial := func() (*transport.Sender, error) { return transport.Dial(addr, sopts) }
 	m := newMetrics()
-	m.pipelineDepth.Store(int64(o.PipelineDepth))
+	m.c[cPipelineDepth].Store(int64(o.PipelineDepth))
 	return &Pool{
 		opts:    o,
 		senders: newSenderPool(o.Size, dial, o, m),
@@ -286,7 +291,7 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 		if span != 0 {
 			stub.SetTraceSpan(span)
 		}
-		p.metrics.asyncCalls.Add(1)
+		p.metrics.c[cAsyncCalls].Add(1)
 		callStart := p.senders.now()
 		sub.ci, err = stub.Call(m)
 		written := p.senders.now()
@@ -313,7 +318,7 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 			return
 		}
 		// The write failed, so pd was never queued to resolve.
-		p.metrics.asyncCalls.Add(-1)
+		p.metrics.c[cAsyncCalls].Add(-1)
 		ps.broken = true
 		if sub.err = p.retry(sub, err); sub.err != nil {
 			return
@@ -333,7 +338,7 @@ func (p *Pool) retry(sub *submission, err error) error {
 			errRetryBudgetExhausted, err)
 	}
 	sub.retries++
-	p.metrics.retries.Add(1)
+	p.metrics.c[cRetries].Add(1)
 	if sub.span != 0 {
 		trace.Rec(sub.span, trace.KindPoolRetry, int64(sub.retries), 0, 0)
 	}
@@ -365,8 +370,8 @@ func (p *Pool) connect(ps *pooledSender, deadline time.Time, span uint64) (*tran
 	s.TraceSpan = span
 	if ps.pipeline == nil {
 		pl := transport.NewPipeline(s, p.opts.PipelineDepth)
-		pl.OnStall = func() { p.metrics.pipelineStalls.Add(1) }
-		pl.OnComplete = func() { p.metrics.resolved.Add(1) }
+		pl.OnStall = func() { p.metrics.c[cPipelineStalls].Add(1) }
+		pl.OnComplete = func() { p.metrics.c[cResolved].Add(1) }
 		ps.pipeline = pl
 	}
 	return ps.pipeline, nil
@@ -446,7 +451,7 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 		p.senders.checkin(sub.ps)
 	}
 	if errors.Is(sub.err, errRetryBudgetExhausted) {
-		p.metrics.retryBudgetExhausted.Add(1)
+		p.metrics.c[cRetryBudgetExhausted].Add(1)
 	}
 	if sub.span != 0 && sub.err != nil && sub.ci.Span == 0 {
 		// The call never reached the engine (no healthy connection):

@@ -228,6 +228,43 @@ func TestNon2xxFailsTheCall(t *testing.T) {
 	}
 }
 
+// TestPoolSilentServerDeadline points a pool at a server that reads
+// requests and never answers: the call fails on its read timeout,
+// classified as a deadline, instead of blocking.
+func TestPoolSilentServerDeadline(t *testing.T) {
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	p, err := New(Options{Addr: srv.Addr(), Size: 1,
+		Sender: transport.SenderOptions{ReadTimeout: 50 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	d := workload.NewDoubles(8, workload.FillIntermediate)
+	if _, err := p.Call(d.Msg); err == nil {
+		t.Fatal("call to a silent server succeeded")
+	}
+	if st := p.Stats(); st.Errors != 1 || st.ErrorsByKind.Deadline != 1 {
+		t.Fatalf("errors=%d errors_by_kind=%+v, want one deadline", st.Errors, st.ErrorsByKind)
+	}
+}
+
+// TestPoolDefaultSocketTimeouts: zero socket timeouts become 10 s, and
+// explicit ones stand.
+func TestPoolDefaultSocketTimeouts(t *testing.T) {
+	o := Options{}.withDefaults()
+	if o.Sender.ReadTimeout != 10*time.Second || o.Sender.WriteTimeout != 10*time.Second {
+		t.Fatalf("default read/write timeouts %v/%v, want 10s/10s", o.Sender.ReadTimeout, o.Sender.WriteTimeout)
+	}
+	o = Options{Sender: transport.SenderOptions{ReadTimeout: time.Second, WriteTimeout: 2 * time.Second}}.withDefaults()
+	if o.Sender.ReadTimeout != time.Second || o.Sender.WriteTimeout != 2*time.Second {
+		t.Fatalf("explicit read/write timeouts became %v/%v", o.Sender.ReadTimeout, o.Sender.WriteTimeout)
+	}
+}
+
 func TestPoolRequiresEndpoint(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("New without Addr succeeded")

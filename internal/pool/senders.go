@@ -98,7 +98,7 @@ func newSenderPool(size int, dial func() (*transport.Sender, error), opts Option
 // waited, which the flight recorder tags the checkout event with). close
 // closes the slot channel, so on a closed pool the receive itself says so.
 func (sp *senderPool) checkout() (ps *pooledSender, waited bool, err error) {
-	sp.metrics.checkouts.Add(1)
+	sp.metrics.c[cCheckouts].Add(1)
 	select {
 	case ps, ok := <-sp.slots:
 		if !ok {
@@ -107,7 +107,7 @@ func (sp *senderPool) checkout() (ps *pooledSender, waited bool, err error) {
 		return ps, false, nil
 	default:
 	}
-	sp.metrics.checkoutWaits.Add(1)
+	sp.metrics.c[cCheckoutWaits].Add(1)
 	ps, ok := <-sp.slots
 	if !ok {
 		return nil, true, errPoolClosed
@@ -152,14 +152,14 @@ func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (*transport.S
 		var err error
 		if ps.sender != nil {
 			if err = ps.sender.Redial(); err == nil {
-				sp.metrics.redials.Add(1)
+				sp.metrics.c[cRedials].Add(1)
 			}
 		} else if ps.sender, err = sp.dial(); err == nil {
-			sp.metrics.dials.Add(1)
+			sp.metrics.c[cDials].Add(1)
 		}
 		if err != nil {
 			lastErr = err
-			sp.metrics.dialFailures.Add(1)
+			sp.metrics.c[cDialFailures].Add(1)
 			continue
 		}
 		ps.broken = false

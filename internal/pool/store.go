@@ -189,9 +189,9 @@ func newShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *M
 		MaxBytes:    maxBytes,
 		New:         func(reg.Key) *storeEntry { return &storeEntry{} },
 		OnEvict: func(key reg.Key, reason reg.Reason, bytes int64) {
-			m.evictions.Add(1)
+			m.c[cEvictions].Add(1)
 			if reason == reg.ReasonBudget {
-				m.budgetEvictions.Add(1)
+				m.c[cBudgetEvictions].Add(1)
 			}
 			if trace.Enabled() {
 				trace.Rec(0, trace.KindReplicaEvict, trace.OpID(key.Group), int64(reason), bytes)
@@ -262,7 +262,7 @@ func (s *shardedStore) acquire(m *wire.Message) *engine {
 	}
 	if r.bound != m {
 		if r.bound != nil {
-			s.metrics.templateRebinds.Add(1)
+			s.metrics.c[cTemplateRebinds].Add(1)
 		}
 		r.bound = m
 	}

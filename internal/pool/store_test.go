@@ -83,7 +83,7 @@ func TestBudgetEvictionDegradesToFTS(t *testing.T) {
 	if ci, _ := call(dB); ci.Match != core.FirstTime {
 		t.Fatalf("call B match = %v, want first-time", ci.Match)
 	}
-	if got := st.metrics.budgetEvictions.Load(); got == 0 {
+	if got := st.metrics.c[cBudgetEvictions].Load(); got == 0 {
 		t.Fatal("expected a budget eviction after B's release")
 	}
 	if c := st.reg.Counters(); c.Pending != 0 {
@@ -127,7 +127,7 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 	// B's release must chase the budget; with A in flight only the
 	// last-resort tier can pay, condemning A's entry under our feet.
 	call(dB)
-	if got := st.metrics.budgetEvictions.Load(); got == 0 {
+	if got := st.metrics.c[cBudgetEvictions].Load(); got == 0 {
 		t.Fatal("expected a budget eviction while A was in flight")
 	}
 	if c := st.reg.Counters(); c.Pending == 0 {

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"bsoap/internal/trace"
 )
 
 // ContentType is the exposition content type scrapers expect.
@@ -76,6 +78,45 @@ func (p *Writer) CounterWithLabel(name, help, label string, values []LabeledValu
 	}
 }
 
+// Row declares one counter of a registry's table: the family it is
+// exposed under ("": JSON only), the value of the family's one label if
+// it has one, and the field of the snapshot S that holds its value (nil
+// only in a row with no family). Help, the label key and Gauge are read
+// from the first row of a family.
+type Row[S any] struct {
+	Family string
+	Key    string // label key; a family's later rows leave it empty
+	Label  string
+	Help   string
+	Gauge  bool
+	Field  func(*S) *int64
+}
+
+// Rows writes a run of table rows, each with the value its field holds
+// in s: a sample per row with a family, a HELP/TYPE header per run of
+// rows sharing one.
+func Rows[S any](p *Writer, rows []Row[S], s *S) {
+	var head Row[S]
+	for _, r := range rows {
+		if r.Family == "" {
+			continue
+		}
+		if r.Family != head.Family {
+			head = r
+			typ := "counter"
+			if r.Gauge {
+				typ = "gauge"
+			}
+			p.header(r.Family, r.Help, typ)
+		}
+		if head.Key == "" {
+			p.printf("%s %d\n", r.Family, *r.Field(s))
+		} else {
+			p.printf("%s{%s=%q} %d\n", r.Family, head.Key, r.Label, *r.Field(s))
+		}
+	}
+}
+
 // LabeledValue is one sample of a labeled family.
 type LabeledValue struct {
 	Label string
@@ -125,6 +166,35 @@ func (p *Writer) HistogramWithLabel(name, help, label string, series []LabeledHi
 		p.printf("%s_sum{%s} %s\n", name, pair, strconv.FormatFloat(s.Sum, 'g', -1, 64))
 		p.printf("%s_count{%s} %d\n", name, pair, s.Count)
 	}
+}
+
+// StageSeconds renders the given stages of a StageHist as labeled
+// histogram series in seconds, attaching each stage's most recent
+// traced span as an exemplar. Both registries' stage families render
+// through it (cold path: exposition only).
+func StageSeconds(h *trace.StageHist, stages []trace.Stage) []LabeledHistogram {
+	uppers := trace.StageBucketUppers()
+	out := make([]LabeledHistogram, 0, len(stages))
+	for _, st := range stages {
+		counts := make([]int64, trace.StageBucketCount)
+		d := h.Stage(st)
+		lh := LabeledHistogram{
+			Label:  st.String(),
+			Uppers: uppers,
+			Counts: counts,
+			Count:  d.Buckets(counts),
+			Sum:    float64(d.SumNs()) / 1e9,
+		}
+		if span, ns, ok := h.Exemplar(st); ok {
+			lh.Exemplar = &Exemplar{
+				LabelKey:   "span",
+				LabelValue: strconv.FormatUint(span, 16),
+				Value:      float64(ns) / 1e9,
+			}
+		}
+		out = append(out, lh)
+	}
+	return out
 }
 
 // histogramSeries emits one series' bucket lines. pair is the extra

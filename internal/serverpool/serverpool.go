@@ -24,11 +24,8 @@ package serverpool
 import (
 	"bytes"
 	"fmt"
-	"net"
-	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bsoap/internal/core"
@@ -109,9 +106,9 @@ type Options struct {
 	// full-body send — off or on, reconstructed bodies are byte-identical
 	// to what the client would have sent in full.
 	Delta bool
-	// Metrics receives DDS and eviction counters; nil gets a private
-	// registry. Pass the same registry as the transport.Server to export
-	// everything on one /metrics page.
+	// Metrics receives the runtime's counters, and Stats reads them back
+	// from it; nil gets a private registry. Pass the same registry as the
+	// transport.Server to export everything on one /metrics page.
 	Metrics *transport.ServerMetrics
 }
 
@@ -126,18 +123,6 @@ type Runtime struct {
 
 	wsdlMu sync.Mutex
 	wsdl   []byte
-
-	requests         atomic.Int64
-	fullParses       atomic.Int64
-	diffDecodes      atomic.Int64
-	valuesReparsed   atomic.Int64
-	multiRefInlined  atomic.Int64
-	selfCheckFails   atomic.Int64
-	replicaEvictions atomic.Int64
-	ddsKeyEvictions  atomic.Int64
-	deltaApplied     atomic.Int64
-	deltaSyncs       atomic.Int64
-	deltaResyncs     atomic.Int64
 }
 
 type operation struct {
@@ -145,67 +130,8 @@ type operation struct {
 	factory HandlerFactory
 }
 
-// replica is one client's private decode/encode state: the client's
-// patch bases, each the decode template of its own bytes, for requests
-// that name their template; a bounded differential deserializer whose
-// templates track the shapes of requests that do not; a differential
-// response stub; and per-replica handler instances (handlers reuse
-// response messages, so instances cannot be shared). The mutex serializes
-// the rare case of two requests mapping to one replica (AffinityClient,
-// or an evicted key recreated while its old request still runs).
-type replica struct {
-	mu           sync.Mutex
-	differ       *diffdeser.Deserializer
-	keyEvictions int64 // last value drained into metrics
-	// handlers maps operation to this replica's handler instance; only
-	// registered operations get one, so rt.ops bounds it.
-	handlers map[string]Handler
-	// sink is where stub sends: handle points it at the request's
-	// recycled response storage for the length of one call.
-	sink respSink
-	// stub is the response stub; it and its templates are guarded by mu.
-	stub *core.Stub
-	// size caches the replica's memory footprint for the registry's
-	// budget accounting: stored by release while the replica lock is
-	// held, read lock-free by SizeBytes under registry locks.
-	size atomic.Int64
-	// bases holds this replica's differential-transmission patch bases
-	// and, with differential deserialization on, their templates; guarded
-	// by mu.
-	bases baseKeeper
-}
-
-// respSink is a replica's response sink: it appends the stub's gather
-// vector to buf.
-type respSink struct{ buf []byte }
-
-// Send implements core.Sink.
-func (s *respSink) Send(bufs net.Buffers) error {
-	n := 0
-	for _, b := range bufs {
-		n += len(b)
-	}
-	s.buf = slices.Grow(s.buf[:0], n)
-	for _, b := range bufs {
-		s.buf = append(s.buf, b...)
-	}
-	return nil
-}
-
-// SizeBytes reports the cached footprint (replica.Entry).
-func (r *replica) SizeBytes() int { return int(r.size.Load()) }
-
-// ReleaseArenas returns the response stub's template arenas to the
-// chunk pool (replica.Entry). The registry calls it once the evicted
-// replica's last in-flight request has finished; taking the replica
-// lock serializes against that request's final response bytes.
-func (r *replica) ReleaseArenas() {
-	r.mu.Lock()
-	r.stub.Store().ReleaseAll()
-	r.mu.Unlock()
-}
-
-// Stats is a point-in-time snapshot of runtime counters.
+// Stats is a point-in-time snapshot of runtime counters, read from the
+// runtime's metrics registry (Options.Metrics).
 type Stats struct {
 	Requests         int64
 	FullParses       int64
@@ -252,7 +178,6 @@ func New(opts Options) *Runtime {
 			// The evicted replica is not torn down here: a request
 			// already holding it finishes normally, and the registry
 			// releases its arenas after the last in-flight reference.
-			rt.replicaEvictions.Add(1)
 			m.RecordReplicaEviction(reason == reg.ReasonBudget)
 			if trace.Enabled() {
 				trace.Rec(0, trace.KindReplicaEvict, trace.OpID(key.String()), int64(reason), bytes)
@@ -292,21 +217,24 @@ func (rt *Runtime) SetWSDL(doc []byte) {
 	rt.wsdlMu.Unlock()
 }
 
-// Stats returns runtime counters.
+// Stats returns runtime counters. The runtime counts into its metrics
+// registry only, so a registry shared with other runtimes reports their
+// requests too.
 func (rt *Runtime) Stats() Stats {
+	m := rt.metrics.Snapshot()
 	return Stats{
-		Requests:         rt.requests.Load(),
-		FullParses:       rt.fullParses.Load(),
-		DiffDecodes:      rt.diffDecodes.Load(),
-		ValuesReparsed:   rt.valuesReparsed.Load(),
-		MultiRefInlined:  rt.multiRefInlined.Load(),
-		SelfCheckFails:   rt.selfCheckFails.Load(),
+		Requests:         m.DecodedRequests,
+		FullParses:       m.DDSFullParses,
+		DiffDecodes:      m.DDSFastPath,
+		ValuesReparsed:   m.DDSValuesReparsed,
+		MultiRefInlined:  m.MultiRefInlined,
+		SelfCheckFails:   m.SelfCheckFails,
 		Replicas:         rt.reg.Len(),
-		ReplicaEvictions: rt.replicaEvictions.Load(),
-		DDSKeyEvictions:  rt.ddsKeyEvictions.Load(),
-		DeltaApplied:     rt.deltaApplied.Load(),
-		DeltaSyncs:       rt.deltaSyncs.Load(),
-		DeltaResyncs:     rt.deltaResyncs.Load(),
+		ReplicaEvictions: m.ReplicaEvictions,
+		DDSKeyEvictions:  m.DDSKeyEvictions,
+		DeltaApplied:     m.DeltaApplied,
+		DeltaSyncs:       m.DeltaSyncs,
+		DeltaResyncs:     m.DeltaResyncs,
 	}
 }
 
@@ -442,20 +370,19 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 		if !rt.opts.Delta {
 			// A patch arrived but delta is off (e.g. disabled after a
 			// restart): demand a full body rather than failing the call.
-			rt.deltaResyncs.Add(1)
+			rt.metrics.RecordDeltaResync()
 			return nil, fmt.Errorf("serverpool: delta disabled: %w", wire.ErrDeltaResync)
 		}
 		start := time.Now()
 		var err error
 		if patched, err = r.bases.apply(req); err != nil {
-			rt.deltaResyncs.Add(1)
+			rt.metrics.RecordDeltaResync()
 			return nil, err
 		}
-		rt.deltaApplied.Add(1)
 		rt.metrics.RecordDeltaApply(len(req.Body), len(patched.body))
 		rt.metrics.Stages.Observe(trace.StageDeltaApply, time.Since(start).Nanoseconds(), req.TraceSpan)
 	}
-	rt.requests.Add(1)
+	rt.metrics.RecordDecodedRequest()
 
 	var span uint64
 	traced := trace.Enabled()
@@ -477,20 +404,16 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 		return nil, fmt.Errorf("serverpool: decode: %w", err)
 	}
 	rt.metrics.RecordDDSDecode(info)
-	var fast int64
-	if info.FullParse {
-		rt.fullParses.Add(1)
-	} else {
-		fast = 1
-		rt.diffDecodes.Add(1)
-		rt.valuesReparsed.Add(int64(info.ValuesReparsed))
-	}
 	if traced {
+		var fast int64
+		if !info.FullParse {
+			fast = 1
+		}
 		trace.Rec(span, trace.KindServerDecode, fast, int64(info.ValuesReparsed), int64(len(body)))
 	}
 	if rt.opts.SelfCheck && !info.FullParse {
 		if err := rt.selfCheck(body, msg); err != nil {
-			rt.selfCheckFails.Add(1)
+			rt.metrics.RecordSelfCheckFail()
 			return nil, err
 		}
 	}
@@ -569,7 +492,7 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 			return nil, nil, full, fmt.Errorf("multi-ref: %w", err)
 		}
 		body = inlined
-		rt.multiRefInlined.Add(1)
+		rt.metrics.RecordMultiRefInline()
 	}
 	if r.differ == nil {
 		msg, err := rt.fullParse(body)
@@ -588,11 +511,9 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 		key = string(name)
 	}
 	msg, info, err := r.differ.Decode(key, body)
-	if d := r.differ.Evictions() - r.keyEvictions; d > 0 {
-		r.keyEvictions += d
-		rt.ddsKeyEvictions.Add(d)
-		rt.metrics.AddDDSKeyEvictions(d)
-	}
+	n := r.differ.Evictions()
+	rt.metrics.AddDDSKeyEvictions(n - r.keyEvictions)
+	r.keyEvictions = n
 	return msg, body, info, err
 }
 
@@ -611,7 +532,6 @@ func (rt *Runtime) sync(r *replica, req *transport.Request) (*wire.Message, diff
 	} else if msg, info, err = r.bases.sync(req); err != nil {
 		return nil, info, err
 	}
-	rt.deltaSyncs.Add(1)
 	rt.metrics.RecordDeltaSync(len(req.Body))
 	return msg, info, nil
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 
 	"bsoap/internal/diffdeser"
@@ -15,44 +14,85 @@ import (
 	"bsoap/internal/trace"
 )
 
+// counter indexes ServerMetrics.c and serverRows. The order is the
+// Prometheus page's: WritePrometheus writes it as runs of rows between
+// its explicit lines.
+type counter int
+
+const (
+	cRequests counter = iota
+	cBytesIn
+	cParseErrors
+	cDeadlineHits
+	cConnsTotal
+	cActiveConns
+	cInFlight
+	cRejectedConns
+	cRejectedRequests
+	cDrainAborted
+	// cDDSFastPath+r counts decodes of diffdeser.Reason r: the fast path
+	// (ReasonNone), then full parses by why it did not serve them.
+	cDDSFastPath
+	cDDSValuesReparsed = iota + counter(diffdeser.NumReasons) - 1
+	cDDSRefused
+	cDDSKeyEvictions
+	cReplicaEvictions
+	cReplicaBudgetEvictions
+	cDeltaApplied
+	cDeltaSyncs
+	cDeltaResyncs
+	cDeltaBaseEvictions
+	cDeltaWireBytes
+	cDeltaRepresented
+	cDecodedRequests
+	cSelfCheckFails
+	cMultiRefInlined
+	numCounters
+)
+
+// serverRows declares every counter once: its family, label, help text
+// and the ServerStats field it fills. Snapshot and WritePrometheus walk
+// it.
+var serverRows = [numCounters]promtext.Row[ServerStats]{
+	cRequests:         {Family: "bsoap_server_requests_total", Help: "Requests fully received.", Field: func(s *ServerStats) *int64 { return &s.Requests }},
+	cBytesIn:          {Family: "bsoap_server_received_bytes_total", Help: "Request body bytes received.", Field: func(s *ServerStats) *int64 { return &s.BytesIn }},
+	cParseErrors:      {Family: "bsoap_server_parse_errors_total", Help: "Requests aborted by a framing or parse error.", Field: func(s *ServerStats) *int64 { return &s.ParseErrors }},
+	cDeadlineHits:     {Family: "bsoap_server_deadline_hits_total", Help: "Request reads aborted by an I/O deadline.", Field: func(s *ServerStats) *int64 { return &s.DeadlineHits }},
+	cConnsTotal:       {Family: "bsoap_server_conns_total", Help: "Connections accepted.", Field: func(s *ServerStats) *int64 { return &s.ConnsTotal }},
+	cActiveConns:      {Family: "bsoap_server_active_conns", Help: "Connections currently open.", Gauge: true, Field: func(s *ServerStats) *int64 { return &s.ActiveConns }},
+	cInFlight:         {Family: "bsoap_server_in_flight_requests", Help: "Requests currently being handled.", Gauge: true, Field: func(s *ServerStats) *int64 { return &s.InFlight }},
+	cRejectedConns:    {Family: "bsoap_server_rejected_conns_total", Help: "Connections rejected 503 by the MaxConns admission cap.", Field: func(s *ServerStats) *int64 { return &s.RejectedConns }},
+	cRejectedRequests: {Family: "bsoap_server_rejected_requests_total", Help: "Requests rejected 503 by the MaxInFlight admission cap.", Field: func(s *ServerStats) *int64 { return &s.RejectedRequests }},
+	cDrainAborted:     {Family: "bsoap_server_drain_aborted_total", Help: "In-flight requests force-closed when a Shutdown deadline expired.", Field: func(s *ServerStats) *int64 { return &s.DrainAborted }},
+	cDDSFastPath:      {Family: "bsoap_server_dds_fast_path_total", Help: "Requests decoded differentially (no full parse).", Field: func(s *ServerStats) *int64 { return &s.DDSFastPath }},
+	cDDSFastPath + counter(diffdeser.ReasonNoTemplate): {Family: "bsoap_server_dds_full_parse_reason_total", Key: "reason", Label: diffdeser.ReasonNoTemplate.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonNoTemplate] },
+		Help: "Full parses, by why the differential path did not serve the request; sums to bsoap_server_dds_full_parse_total."},
+	cDDSFastPath + counter(diffdeser.ReasonLength):  {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonLength.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonLength] }},
+	cDDSFastPath + counter(diffdeser.ReasonMarkup):  {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonMarkup.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonMarkup] }},
+	cDDSFastPath + counter(diffdeser.ReasonValue):   {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonValue.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonValue] }},
+	cDDSFastPath + counter(diffdeser.ReasonDropped): {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonDropped.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonDropped] }},
+	cDDSValuesReparsed:      {Family: "bsoap_server_dds_values_reparsed_total", Help: "Leaf value regions re-lexed on the differential fast path.", Field: func(s *ServerStats) *int64 { return &s.DDSValuesReparsed }},
+	cDDSRefused:             {Family: "bsoap_server_dds_refused_total", Help: "Full parses that kept no template: the operation's templates were full and in use.", Field: func(s *ServerStats) *int64 { return &s.DDSRefused }},
+	cDDSKeyEvictions:        {Family: "bsoap_server_dds_key_evictions_total", Help: "Operation keys evicted from bounded deserializers.", Field: func(s *ServerStats) *int64 { return &s.DDSKeyEvictions }},
+	cReplicaEvictions:       {Family: "bsoap_server_replica_evictions_total", Help: "Connection replicas evicted by the serverpool registry.", Field: func(s *ServerStats) *int64 { return &s.ReplicaEvictions }},
+	cReplicaBudgetEvictions: {Field: func(s *ServerStats) *int64 { return &s.ReplicaBudgetEvictions }},
+	cDeltaApplied:           {Family: "bsoap_server_delta_applied_total", Help: "Patch frames applied to a held base (differential transmission).", Field: func(s *ServerStats) *int64 { return &s.DeltaApplied }},
+	cDeltaSyncs:             {Family: "bsoap_server_delta_syncs_total", Help: "Full bodies stored as patch bases.", Field: func(s *ServerStats) *int64 { return &s.DeltaSyncs }},
+	cDeltaResyncs:           {Family: "bsoap_server_delta_resyncs_total", Help: "Patch frames rejected with 409 resync.", Field: func(s *ServerStats) *int64 { return &s.DeltaResyncs }},
+	cDeltaBaseEvictions:     {Family: "bsoap_server_delta_base_evictions_total", Help: "Patch bases dropped (cap, or a body that did not decode).", Field: func(s *ServerStats) *int64 { return &s.DeltaBaseEvictions }},
+	cDeltaWireBytes:         {Family: "bsoap_server_delta_wire_bytes_total", Help: "Bytes received on the wire for delta-negotiated requests.", Field: func(s *ServerStats) *int64 { return &s.DeltaWireBytes }},
+	cDeltaRepresented:       {Family: "bsoap_server_delta_represented_bytes_total", Help: "Body bytes those delta-negotiated requests represent after reconstruction.", Field: func(s *ServerStats) *int64 { return &s.DeltaRepresented }},
+	cDecodedRequests:        {Family: "bsoap_server_decoded_requests_total", Help: "Requests the serverpool runtime took to decode (a patch frame once applied).", Field: func(s *ServerStats) *int64 { return &s.DecodedRequests }},
+	cSelfCheckFails:         {Family: "bsoap_server_self_check_failures_total", Help: "Differential decodes the SelfCheck reference parse disagreed with; each failed its request.", Field: func(s *ServerStats) *int64 { return &s.SelfCheckFails }},
+	cMultiRefInlined:        {Family: "bsoap_server_multiref_inlined_total", Help: "Multi-ref request bodies inlined before decoding.", Field: func(s *ServerStats) *int64 { return &s.MultiRefInlined }},
+}
+
 // ServerMetrics is the server-side counterpart of pool.Metrics: a
 // registry of counters a receiving endpoint cares about. One instance
 // can back several Servers (e.g. a plain and a TLS listener) since every
-// field is an independent atomic.
+// counter is an independent atomic.
 type ServerMetrics struct {
-	requests     atomic.Int64
-	bytesIn      atomic.Int64
-	parseErrors  atomic.Int64
-	deadlineHits atomic.Int64
-	activeConns  atomic.Int64
-	connsTotal   atomic.Int64
-
-	// Admission control and drain (the concurrent server runtime).
-	inFlight         atomic.Int64
-	rejectedConns    atomic.Int64
-	rejectedRequests atomic.Int64
-	drainAborted     atomic.Int64
-
-	// Differential-deserialization outcomes, recorded by the serverpool
-	// runtime (the transport itself never parses SOAP).
-	ddsFastPath            atomic.Int64
-	ddsFullParses          [diffdeser.NumReasons]atomic.Int64 // by why the request went cold
-	ddsValuesReparsed      atomic.Int64
-	ddsRefused             atomic.Int64
-	ddsKeyEvictions        atomic.Int64
-	replicaEvictions       atomic.Int64
-	replicaBudgetEvictions atomic.Int64
-
-	// Differential transmission (the delta-wire protocol): patch frames
-	// applied, bases stored from sync-annotated full sends, resync
-	// rejections, bases evicted, and the wire-vs-represented byte split
-	// for delta-negotiated requests.
-	deltaApplied       atomic.Int64
-	deltaSyncs         atomic.Int64
-	deltaResyncs       atomic.Int64
-	deltaBaseEvictions atomic.Int64
-	deltaWireBytes     atomic.Int64
-	deltaRepresented   atomic.Int64
+	c [numCounters]atomic.Int64 // every counter, declared in serverRows
 
 	// templateSource, when set, snapshots the serverpool replica
 	// registry's byte accounting so the template-memory gauges come
@@ -88,11 +128,12 @@ type ServerStats struct {
 	DDSFullParses int64 `json:"dds_full_parses"`
 	// DDSFullParseReasons splits DDSFullParses by diffdeser.Reason (its
 	// label as the key): the entries sum to it.
-	DDSFullParseReasons map[string]int64 `json:"dds_full_parse_reasons"`
-	DDSValuesReparsed   int64            `json:"dds_values_reparsed"`
-	DDSRefused          int64            `json:"dds_refused"` // full parses that kept no template (diffdeser.Info.Refused)
-	DDSKeyEvictions     int64            `json:"dds_key_evictions"`
-	ReplicaEvictions    int64            `json:"replica_evictions"`
+	DDSFullParseReasons map[string]int64            `json:"dds_full_parse_reasons"`
+	reasons             [diffdeser.NumReasons]int64 // the reason rows, by Reason
+	DDSValuesReparsed   int64                       `json:"dds_values_reparsed"`
+	DDSRefused          int64                       `json:"dds_refused"` // full parses that kept no template (diffdeser.Info.Refused)
+	DDSKeyEvictions     int64                       `json:"dds_key_evictions"`
+	ReplicaEvictions    int64                       `json:"replica_evictions"`
 
 	// ReplicaBudgetEvictions is the subset of ReplicaEvictions driven by
 	// the MaxTemplateBytes budget; the rest is the replica count cap.
@@ -115,44 +156,26 @@ type ServerStats struct {
 	// memory; TemplateBytesHighWater is its lifetime maximum.
 	TemplateBytes          int64 `json:"template_bytes"`
 	TemplateBytesHighWater int64 `json:"template_bytes_high_water"`
+
+	// The serverpool runtime's own counts: requests it took to decode (a
+	// patch frame once applied), fast-path decodes its SelfCheck refused,
+	// and multi-ref bodies it inlined before decoding.
+	DecodedRequests int64 `json:"decoded_requests"`
+	SelfCheckFails  int64 `json:"self_check_failures"`
+	MultiRefInlined int64 `json:"multiref_inlined"`
 }
 
 // Snapshot reads every counter. Counters are read independently, so a
 // snapshot taken mid-request may be off by one between related fields.
 func (m *ServerMetrics) Snapshot() ServerStats {
-	st := ServerStats{
-		Requests:     m.requests.Load(),
-		BytesIn:      m.bytesIn.Load(),
-		ParseErrors:  m.parseErrors.Load(),
-		DeadlineHits: m.deadlineHits.Load(),
-		ActiveConns:  m.activeConns.Load(),
-		ConnsTotal:   m.connsTotal.Load(),
-
-		InFlight:         m.inFlight.Load(),
-		RejectedConns:    m.rejectedConns.Load(),
-		RejectedRequests: m.rejectedRequests.Load(),
-		DrainAborted:     m.drainAborted.Load(),
-
-		DDSFastPath:       m.ddsFastPath.Load(),
-		DDSValuesReparsed: m.ddsValuesReparsed.Load(),
-		DDSRefused:        m.ddsRefused.Load(),
-		DDSKeyEvictions:   m.ddsKeyEvictions.Load(),
-		ReplicaEvictions:  m.replicaEvictions.Load(),
-
-		ReplicaBudgetEvictions: m.replicaBudgetEvictions.Load(),
-
-		DeltaApplied:       m.deltaApplied.Load(),
-		DeltaSyncs:         m.deltaSyncs.Load(),
-		DeltaResyncs:       m.deltaResyncs.Load(),
-		DeltaBaseEvictions: m.deltaBaseEvictions.Load(),
-		DeltaWireBytes:     m.deltaWireBytes.Load(),
-		DeltaRepresented:   m.deltaRepresented.Load(),
+	var st ServerStats
+	for i, r := range serverRows {
+		*r.Field(&st) = m.c[i].Load()
 	}
 	st.DDSFullParseReasons = make(map[string]int64, diffdeser.NumReasons-1)
 	for r := diffdeser.ReasonNone + 1; r < diffdeser.NumReasons; r++ {
-		n := m.ddsFullParses[r].Load()
-		st.DDSFullParseReasons[r.String()] = n
-		st.DDSFullParses += n
+		st.DDSFullParseReasons[r.String()] = st.reasons[r]
+		st.DDSFullParses += st.reasons[r]
 	}
 	if f := m.templateSource.Load(); f != nil {
 		c := (*f)()
@@ -167,14 +190,11 @@ func (m *ServerMetrics) Snapshot() ServerStats {
 // parse under the reason the fast path did not serve it, and whether it
 // was refused a template. The serverpool runtime calls this per request.
 func (m *ServerMetrics) RecordDDSDecode(info diffdeser.Info) {
+	m.c[cDDSFastPath+counter(info.Reason)].Add(1)
 	if info.Reason == diffdeser.ReasonNone {
-		m.ddsFastPath.Add(1)
-		m.ddsValuesReparsed.Add(int64(info.ValuesReparsed))
-		return
-	}
-	m.ddsFullParses[info.Reason].Add(1)
-	if info.Refused {
-		m.ddsRefused.Add(1)
+		m.c[cDDSValuesReparsed].Add(int64(info.ValuesReparsed))
+	} else if info.Refused {
+		m.c[cDDSRefused].Add(1)
 	}
 }
 
@@ -182,7 +202,7 @@ func (m *ServerMetrics) RecordDDSDecode(info diffdeser.Info) {
 // replica's bounded deserializer.
 func (m *ServerMetrics) AddDDSKeyEvictions(n int64) {
 	if n > 0 {
-		m.ddsKeyEvictions.Add(n)
+		m.c[cDDSKeyEvictions].Add(n)
 	}
 }
 
@@ -190,9 +210,9 @@ func (m *ServerMetrics) AddDDSKeyEvictions(n int64) {
 // registry; budget marks evictions driven by the MaxTemplateBytes
 // budget rather than the replica count cap.
 func (m *ServerMetrics) RecordReplicaEviction(budget bool) {
-	m.replicaEvictions.Add(1)
+	m.c[cReplicaEvictions].Add(1)
 	if budget {
-		m.replicaBudgetEvictions.Add(1)
+		m.c[cReplicaBudgetEvictions].Add(1)
 	}
 }
 
@@ -200,23 +220,34 @@ func (m *ServerMetrics) RecordReplicaEviction(budget bool) {
 // base: wire is the frame's size on the wire, represented the size of
 // the body it reconstructs. The serverpool runtime calls this per patch.
 func (m *ServerMetrics) RecordDeltaApply(wire, represented int) {
-	m.deltaApplied.Add(1)
-	m.deltaWireBytes.Add(int64(wire))
-	m.deltaRepresented.Add(int64(represented))
+	m.c[cDeltaApplied].Add(1)
+	m.c[cDeltaWireBytes].Add(int64(wire))
+	m.c[cDeltaRepresented].Add(int64(represented))
 }
 
 // RecordDeltaSync counts one full body stored as a patch base (both its
 // wire and represented sizes are the body itself).
 func (m *ServerMetrics) RecordDeltaSync(bodyLen int) {
-	m.deltaSyncs.Add(1)
-	m.deltaWireBytes.Add(int64(bodyLen))
-	m.deltaRepresented.Add(int64(bodyLen))
+	m.c[cDeltaSyncs].Add(1)
+	m.c[cDeltaWireBytes].Add(int64(bodyLen))
+	m.c[cDeltaRepresented].Add(int64(bodyLen))
 }
 
 // RecordDeltaBaseEviction counts one patch base dropped — LRU pressure,
 // or a synced or patched body that would not decode (a frame that fails
 // its checksum leaves the base as it was).
-func (m *ServerMetrics) RecordDeltaBaseEviction() { m.deltaBaseEvictions.Add(1) }
+func (m *ServerMetrics) RecordDeltaBaseEviction() { m.c[cDeltaBaseEvictions].Add(1) }
+
+// RecordDeltaResync counts one patch frame refused with a resync. The
+// transport answers the 409 but leaves the count to the handler, so a
+// registry both layers share counts it once.
+func (m *ServerMetrics) RecordDeltaResync() { m.c[cDeltaResyncs].Add(1) }
+
+// RecordDecodedRequest, RecordSelfCheckFail and RecordMultiRefInline
+// count the serverpool runtime's own events (see ServerStats).
+func (m *ServerMetrics) RecordDecodedRequest() { m.c[cDecodedRequests].Add(1) }
+func (m *ServerMetrics) RecordSelfCheckFail()  { m.c[cSelfCheckFails].Add(1) }
+func (m *ServerMetrics) RecordMultiRefInline() { m.c[cMultiRefInlined].Add(1) }
 
 // SetTemplateSource installs the function that snapshots the replica
 // registry's byte accounting (serverpool wires this at startup).
@@ -226,16 +257,16 @@ func (m *ServerMetrics) SetTemplateSource(f func() replica.Counters) {
 
 // connOpened / connClosed maintain the active-connection gauge.
 func (m *ServerMetrics) connOpened() {
-	m.activeConns.Add(1)
-	m.connsTotal.Add(1)
+	m.c[cActiveConns].Add(1)
+	m.c[cConnsTotal].Add(1)
 }
 
-func (m *ServerMetrics) connClosed() { m.activeConns.Add(-1) }
+func (m *ServerMetrics) connClosed() { m.c[cActiveConns].Add(-1) }
 
 // recordRequest counts one fully received request body.
 func (m *ServerMetrics) recordRequest(bodyLen int) {
-	m.requests.Add(1)
-	m.bytesIn.Add(int64(bodyLen))
+	m.c[cRequests].Add(1)
+	m.c[cBytesIn].Add(int64(bodyLen))
 }
 
 // recordReadError classifies a failed request read: a timeout (possibly
@@ -244,39 +275,23 @@ func (m *ServerMetrics) recordRequest(bodyLen int) {
 func (m *ServerMetrics) recordReadError(err error) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		m.deadlineHits.Add(1)
+		m.c[cDeadlineHits].Add(1)
 		return
 	}
-	m.parseErrors.Add(1)
+	m.c[cParseErrors].Add(1)
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
-// format (version 0.0.4).
+// format (version 0.0.4): the table's rows and the derived and sourced
+// values between them.
 func (m *ServerMetrics) WritePrometheus(w io.Writer) error {
 	st := m.Snapshot()
 	p := promtext.New(w)
-	p.Counter("bsoap_server_requests_total", "Requests fully received.", st.Requests)
-	p.Counter("bsoap_server_received_bytes_total", "Request body bytes received.", st.BytesIn)
-	p.Counter("bsoap_server_parse_errors_total", "Requests aborted by a framing or parse error.", st.ParseErrors)
-	p.Counter("bsoap_server_deadline_hits_total", "Request reads aborted by an I/O deadline.", st.DeadlineHits)
-	p.Counter("bsoap_server_conns_total", "Connections accepted.", st.ConnsTotal)
-	p.Gauge("bsoap_server_active_conns", "Connections currently open.", st.ActiveConns)
-	p.Gauge("bsoap_server_in_flight_requests", "Requests currently being handled.", st.InFlight)
-	p.Counter("bsoap_server_rejected_conns_total", "Connections rejected 503 by the MaxConns admission cap.", st.RejectedConns)
-	p.Counter("bsoap_server_rejected_requests_total", "Requests rejected 503 by the MaxInFlight admission cap.", st.RejectedRequests)
-	p.Counter("bsoap_server_drain_aborted_total", "In-flight requests force-closed when a Shutdown deadline expired.", st.DrainAborted)
-	p.Counter("bsoap_server_dds_fast_path_total", "Requests decoded differentially (no full parse).", st.DDSFastPath)
+	rows := func(from, to counter) { promtext.Rows(p, serverRows[from:to], &st) }
+
+	rows(0, cDDSFastPath+1)
 	p.Counter("bsoap_server_dds_full_parse_total", "Requests decoded by a full schema-driven parse.", st.DDSFullParses)
-	reasons := make([]promtext.LabeledValue, 0, diffdeser.NumReasons-1)
-	for r := diffdeser.ReasonNone + 1; r < diffdeser.NumReasons; r++ {
-		reasons = append(reasons, promtext.LabeledValue{Label: r.String(), Value: st.DDSFullParseReasons[r.String()]})
-	}
-	p.CounterWithLabel("bsoap_server_dds_full_parse_reason_total",
-		"Full parses, by why the differential path did not serve the request; sums to bsoap_server_dds_full_parse_total.", "reason", reasons)
-	p.Counter("bsoap_server_dds_values_reparsed_total", "Leaf value regions re-lexed on the differential fast path.", st.DDSValuesReparsed)
-	p.Counter("bsoap_server_dds_refused_total", "Full parses that kept no template: the operation's templates were full and in use.", st.DDSRefused)
-	p.Counter("bsoap_server_dds_key_evictions_total", "Operation keys evicted from bounded deserializers.", st.DDSKeyEvictions)
-	p.Counter("bsoap_server_replica_evictions_total", "Connection replicas evicted by the serverpool registry.", st.ReplicaEvictions)
+	rows(cDDSFastPath+1, cReplicaBudgetEvictions)
 	p.CounterWithLabel("bsoap_server_template_evictions_total", "Server replica entries evicted, by reason.", "reason",
 		[]promtext.LabeledValue{
 			{Label: "lru", Value: st.ReplicaEvictions - st.ReplicaBudgetEvictions},
@@ -284,15 +299,10 @@ func (m *ServerMetrics) WritePrometheus(w io.Writer) error {
 		})
 	p.Gauge("bsoap_server_template_bytes", "Template memory accounted by the server replica registry.", st.TemplateBytes)
 	p.Gauge("bsoap_server_template_bytes_high_water", "Lifetime maximum of bsoap_server_template_bytes.", st.TemplateBytesHighWater)
-	p.Counter("bsoap_server_delta_applied_total", "Patch frames applied to a held base (differential transmission).", st.DeltaApplied)
-	p.Counter("bsoap_server_delta_syncs_total", "Full bodies stored as patch bases.", st.DeltaSyncs)
-	p.Counter("bsoap_server_delta_resyncs_total", "Patch frames rejected with 409 resync.", st.DeltaResyncs)
-	p.Counter("bsoap_server_delta_base_evictions_total", "Patch bases dropped (cap, or a body that did not decode).", st.DeltaBaseEvictions)
-	p.Counter("bsoap_server_delta_wire_bytes_total", "Bytes received on the wire for delta-negotiated requests.", st.DeltaWireBytes)
-	p.Counter("bsoap_server_delta_represented_bytes_total", "Body bytes those delta-negotiated requests represent after reconstruction.", st.DeltaRepresented)
+	rows(cReplicaBudgetEvictions, numCounters)
 	p.HistogramWithLabel("bsoap_server_stage_seconds",
 		"Server-side per-call latency attribution by pipeline stage.", "stage",
-		StageSeconds(&m.Stages, serverStages))
+		promtext.StageSeconds(&m.Stages, serverStages))
 	return p.Err()
 }
 
@@ -300,35 +310,6 @@ func (m *ServerMetrics) WritePrometheus(w io.Writer) error {
 var serverStages = []trace.Stage{
 	trace.StageServerQueue, trace.StageDeltaApply, trace.StageDecode,
 	trace.StageHandler, trace.StageRespond, trace.StageWrite,
-}
-
-// StageSeconds renders the given stages of a StageHist as labeled
-// histogram series in seconds, attaching each stage's most recent
-// traced span as an exemplar. Shared by the client and server
-// registries (cold path: exposition only).
-func StageSeconds(h *trace.StageHist, stages []trace.Stage) []promtext.LabeledHistogram {
-	uppers := trace.StageBucketUppers()
-	out := make([]promtext.LabeledHistogram, 0, len(stages))
-	for _, st := range stages {
-		counts := make([]int64, trace.StageBucketCount)
-		d := h.Stage(st)
-		lh := promtext.LabeledHistogram{
-			Label:  st.String(),
-			Uppers: uppers,
-			Counts: counts,
-			Count:  d.Buckets(counts),
-			Sum:    float64(d.SumNs()) / 1e9,
-		}
-		if span, ns, ok := h.Exemplar(st); ok {
-			lh.Exemplar = &promtext.Exemplar{
-				LabelKey:   "span",
-				LabelValue: strconv.FormatUint(span, 16),
-				Value:      float64(ns) / 1e9,
-			}
-		}
-		out = append(out, lh)
-	}
-	return out
 }
 
 // StatsHandler serves the registry as indented JSON.

@@ -177,10 +177,10 @@ func Listen(addr string, opts ServerOptions) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Requests reports how many requests have been fully received.
-func (s *Server) Requests() int64 { return s.metrics.requests.Load() }
+func (s *Server) Requests() int64 { return s.metrics.c[cRequests].Load() }
 
 // Bytes reports total body bytes received.
-func (s *Server) Bytes() int64 { return s.metrics.bytesIn.Load() }
+func (s *Server) Bytes() int64 { return s.metrics.c[cBytesIn].Load() }
 
 // closeListener closes the listener exactly once (Shutdown followed by
 // Close must not turn the second close into an error).
@@ -249,7 +249,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Lock()
 		for c, st := range s.conns {
 			if !st.idle() {
-				s.metrics.drainAborted.Add(1)
+				s.metrics.c[cDrainAborted].Add(1)
 			}
 			c.Close()
 		}
@@ -291,7 +291,7 @@ func (s *Server) acceptLoop() {
 			// than letting connections queue unboundedly. The write is
 			// deadline-bounded so a dead peer cannot stall the accept
 			// loop.
-			s.metrics.rejectedConns.Add(1)
+			s.metrics.c[cRejectedConns].Add(1)
 			_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
 			_ = WriteResponse(conn, 503, "", nil)
 			conn.Close()
@@ -422,7 +422,7 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 		default:
 			// Over the in-flight cap: shed this request now instead of
 			// queueing it behind work we cannot bound.
-			s.metrics.rejectedRequests.Add(1)
+			s.metrics.c[cRejectedRequests].Add(1)
 			return s.reply(conn, req, 503, "", nil, nil)
 		}
 	}
@@ -435,10 +435,10 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 		qns := now - req.recvNs
 		s.metrics.Stages.Observe(trace.StageServerQueue, qns, req.TraceSpan)
 	}
-	s.metrics.inFlight.Add(1)
+	s.metrics.c[cInFlight].Add(1)
 	req.beginResponse()
 	body, err := s.handler(req)
-	s.metrics.inFlight.Add(-1)
+	s.metrics.c[cInFlight].Add(-1)
 	if s.inflight != nil {
 		<-s.inflight
 	}
@@ -449,7 +449,8 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 			// request was fully read and the failure is a protocol state
 			// mismatch, not a connection fault, so keep-alive continues and
 			// the client's full-body resend arrives on this connection.
-			s.metrics.deltaResyncs.Add(1)
+			// The handler that refused the patch counts it
+			// (ServerMetrics.RecordDeltaResync), not the transport.
 			return s.reply(conn, req, 409, "", deltaResyncExtra, nil)
 		}
 		s.logf("handler: %v", err)
