@@ -141,13 +141,20 @@ one_path_guard() {
     absent "whole-table range search in the diff walk" 'sort\.Search\(len\(t\.ranges\)' internal/diffdeser
     check "per-request socket buffer declared" 'sockBufPerRequest += ' internal/transport
     absent "socket buffer set from a literal" 'Set(Read|Write)Buffer\(32 \* 1024\)' internal/transport
-    # One of each in the engine: one from-scratch renderer (in soapenv,
-    # shared by the diff-off mode and the gSOAP-like baseline), one
-    # overlay loop (sequential and pipelined sends are its parameter),
-    # and one footprint cache (the stub's own).
-    check "single-pass renderer defined" '^func AppendMessage\(' internal
-    absent "single-pass renderer in the engine" 'b = append\(b, soapenv\.(EnvelopeStart|ArrayStart)' internal/core
-    absent "single-pass renderer in the baselines" 'b = append\(b, soapenv\.(EnvelopeStart|ArrayStart)' internal/baseline
+    # One envelope grammar: soapenv compiles the operation and each
+    # parameter into steps, and every writer runs them with its own leaf
+    # writer — the one from-scratch renderer (shared by the diff-off mode
+    # and the gSOAP-like baseline), the template build, the overlay
+    # layout and the multi-ref encoder. No package outside soapenv renders
+    # a message itself, compiles steps or walks elements into markup; the
+    # XSOAP-like baseline's element tree is the one documented exception.
+    check "single-pass renderer defined" '^func \(c \*Compiler\) AppendMessage\(' internal
+    absent "single-pass renderer outside soapenv" 'b = append\(b, soapenv\.EnvelopeStart' internal --exclude-dir=soapenv
+    absent "step compiler outside soapenv" 'func appendSteps|type emitStep' internal/core
+    absent "element walk outside soapenv" 'func \(e \*Encoder\) (param|value)' internal/multiref
+    # One of each in the engine besides: one overlay loop (sequential and
+    # pipelined sends are its parameter) and one footprint cache (the
+    # stub's own).
     check "overlay stream begun" '\.BeginStream\(\)' internal/core
     absent "footprint generation beside the stub's cache" 'FootprintGen' .
     # The client reads a response one way: whoever needs it reads it

@@ -132,7 +132,7 @@ func main() {
 	case "discard":
 		opts.Respond = false // Send Time measurements never wait
 	case "record":
-		rec = serverpool.NewRecorder(*recCap)
+		rec = serverpool.NewRecorder(*recCap, sm)
 		opts.Handler = rec.HTTPHandler()
 		opts.Respond = true
 	case "sum":

@@ -49,7 +49,7 @@ func (s *expectSet) has(b []byte) bool {
 func TestConformanceMatchClasses(t *testing.T) {
 	inj := faultwire.NewScripted(faultwire.Options{},
 		faultwire.Step{Op: faultwire.OpWrite, Skip: 4, Kind: faultwire.Reset})
-	rec, p := harness.Recorder(t, inj, bsoap.PoolOptions{
+	rec, p := harness.Recorder(t, inj, nil, bsoap.PoolOptions{
 		Size:             1,
 		Replicas:         1,
 		MaxRetries:       2,
@@ -130,7 +130,7 @@ func TestConformanceMatchClasses(t *testing.T) {
 func TestConformanceLostResponse(t *testing.T) {
 	inj := faultwire.NewScripted(faultwire.Options{},
 		faultwire.Step{Op: faultwire.OpRead, Skip: 4, Kind: faultwire.Reset})
-	rec, p := harness.Recorder(t, inj, bsoap.PoolOptions{
+	rec, p := harness.Recorder(t, inj, nil, bsoap.PoolOptions{
 		Size:             1,
 		Replicas:         1,
 		MaxRetries:       2,
@@ -211,7 +211,7 @@ func TestConformanceUnderChaos(t *testing.T) {
 		},
 		Delay: 200 * time.Microsecond,
 	})
-	rec, p := harness.Recorder(t, inj, bsoap.PoolOptions{
+	rec, p := harness.Recorder(t, inj, nil, bsoap.PoolOptions{
 		Size:             4,
 		MaxRetries:       3,
 		DialAttempts:     6,

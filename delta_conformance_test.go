@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"bsoap"
@@ -27,7 +29,8 @@ func TestPoolDeltaEquivalence(t *testing.T) {
 	const rounds = 400
 	for _, tc := range equivalenceConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			rec, p := harness.Recorder(t, nil, bsoap.PoolOptions{
+			sm := transport.NewServerMetrics()
+			rec, p := harness.Recorder(t, nil, sm, bsoap.PoolOptions{
 				Size:     1,
 				Replicas: 1,
 				Config:   tc.cfg,
@@ -71,8 +74,8 @@ func TestPoolDeltaEquivalence(t *testing.T) {
 			if st.DeltaResyncs != 0 {
 				t.Errorf("delta resyncs = %d, want 0 (nothing evicted server state)", st.DeltaResyncs)
 			}
-			if rec.DeltaApplied() != st.DeltaSends {
-				t.Errorf("server applied %d patches, client sent %d", rec.DeltaApplied(), st.DeltaSends)
+			if applied := sm.Snapshot().DeltaApplied; applied != st.DeltaSends {
+				t.Errorf("server applied %d patches, client sent %d", applied, st.DeltaSends)
 			}
 			if st.BytesOnWire >= st.BytesRepresented {
 				t.Errorf("wire bytes %d not below represented bytes %d despite %d patch sends",
@@ -94,13 +97,13 @@ func TestPoolDeltaPipelinedEquivalence(t *testing.T) {
 
 	for _, tc := range equivalenceConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			srec, serial := harness.Recorder(t, nil, bsoap.PoolOptions{
+			srec, serial := harness.Recorder(t, nil, nil, bsoap.PoolOptions{
 				Size:     1,
 				Replicas: 1,
 				Config:   tc.cfg,
 			})
 
-			rec, piped := harness.Recorder(t, nil, bsoap.PoolOptions{
+			rec, piped := harness.Recorder(t, nil, nil, bsoap.PoolOptions{
 				Size:          1,
 				Replicas:      1,
 				Config:        tc.cfg,
@@ -249,7 +252,8 @@ func TestDeltaConformanceBesideIdlessPeer(t *testing.T) {
 // returns the pool's counters for the parity check between call paths.
 func resyncScript(t *testing.T, opts bsoap.PoolOptions) bsoap.PoolStats {
 	t.Helper()
-	rec, p := harness.Recorder(t, nil, opts)
+	sm := transport.NewServerMetrics()
+	rec, p := harness.Recorder(t, nil, sm, opts)
 
 	w := workload.NewDoubles(16, workload.FillMin)
 	ref := new(baseline.GSOAPLike)
@@ -316,8 +320,8 @@ func resyncScript(t *testing.T, opts bsoap.PoolOptions) bsoap.PoolStats {
 			t.Fatalf("call %d: server body diverges after resync\n got: %s\nwant: %s", i, canon(got[i]), want[i])
 		}
 	}
-	if rec.DeltaResyncs() != 1 {
-		t.Errorf("server refused %d patches, want 1", rec.DeltaResyncs())
+	if n := sm.Snapshot().DeltaResyncs; n != 1 {
+		t.Errorf("server refused %d patches, want 1", n)
 	}
 	st := p.Stats()
 	if st.DeltaResyncs != 1 || st.Errors != 0 || st.FuturesPending != 0 {
@@ -325,6 +329,48 @@ func resyncScript(t *testing.T, opts bsoap.PoolOptions) bsoap.PoolStats {
 			st.DeltaResyncs, st.Errors, st.FuturesPending)
 	}
 	return st
+}
+
+// TestRecorderPageCountsDeltas reads a recording server's metrics page
+// after a script with one refused patch: like the runtime's, its delta
+// families count every patch the client sent, every refusal and every
+// full body kept as a base.
+func TestRecorderPageCountsDeltas(t *testing.T) {
+	sm := transport.NewServerMetrics()
+	rec, p := harness.Recorder(t, nil, sm, bsoap.PoolOptions{Size: 1, Replicas: 1, Delta: true})
+	w := workload.NewDoubles(16, workload.FillMin)
+	for i := 0; i < 6; i++ {
+		if i == 3 {
+			rec.ForgetBases() // the next patch is refused and resent in full
+		}
+		w.Arr.Set(i, workload.MinDouble2)
+		if _, err := p.Call(w.Msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := p.Stats()
+	if st.DeltaSends == 0 || st.DeltaResyncs != 1 {
+		t.Fatalf("client: %d patches, %d resyncs; want some patches and one resync", st.DeltaSends, st.DeltaResyncs)
+	}
+	var page bytes.Buffer
+	if err := sm.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	for family, want := range map[string]int64{
+		"bsoap_server_delta_applied_total": st.DeltaSends,
+		"bsoap_server_delta_resyncs_total": st.DeltaResyncs,
+		"bsoap_server_delta_syncs_total":   st.Calls - st.DeltaSends, // every full body syncs
+	} {
+		var got int64 = -1
+		for _, line := range strings.Split(page.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && f[0] == family {
+				got, _ = strconv.ParseInt(f[1], 10, 64)
+			}
+		}
+		if got != want {
+			t.Errorf("%s = %d on the page, want %d", family, got, want)
+		}
+	}
 }
 
 // TestDeltaResyncRecovery runs the script through Call.

@@ -1,0 +1,93 @@
+package bsoap_test
+
+import (
+	"bytes"
+	"testing"
+
+	"bsoap/internal/baseline"
+	"bsoap/internal/core"
+	"bsoap/internal/multiref"
+	"bsoap/internal/soapenv"
+	"bsoap/internal/wire"
+	"bsoap/internal/workload"
+)
+
+// grammarShapes is one message of each shape the envelope grammar
+// frames: scalar parameters of every kind, a string that needs escaping,
+// a struct, arrays of each scalar kind and of MIOs, and a nested struct.
+// wire has no bare bool array, so bools go in an array of one-field
+// structs. No string value repeats, so the multi-ref encoder writes no
+// href.
+func grammarShapes() map[string]*wire.Message {
+	point := wire.StructOf("ns1:Point", wire.Field{Name: "x", Type: wire.TDouble}, wire.Field{Name: "y", Type: wire.TInt})
+	flag := wire.StructOf("ns1:Flag", wire.Field{Name: "on", Type: wire.TBool})
+	outer := wire.StructOf("ns1:Outer",
+		wire.Field{Name: "id", Type: wire.TInt},
+		wire.Field{Name: "at", Type: point},
+		wire.Field{Name: "name", Type: wire.TString},
+		wire.Field{Name: "ok", Type: wire.TBool})
+
+	shapes := map[string]*wire.Message{}
+	add := func(name string) *wire.Message {
+		m := wire.NewMessage("urn:grammar", name)
+		shapes[name] = m
+		return m
+	}
+	m := add("scalars")
+	m.AddInt("i", -42)
+	m.AddDouble("d", 3.25e-7)
+	m.AddString("s", "plain")
+	m.AddBool("b", true)
+	add("escaped").AddString("s", `a<b & "c" > 'd'`)
+	p := add("struct").AddStruct("p", point)
+	p.SetDouble(0, 1.5)
+	p.SetInt(1, 7)
+	m = add("ints")
+	ints := m.AddIntArray("v", 7)
+	for i := 0; i < 7; i++ {
+		ints.Set(i, int32(i*1000-3))
+	}
+	shapes["doubles"] = workload.NewDoubles(50, workload.FillIntermediate).Msg
+	strs := add("strings").AddStringArray("v", 4)
+	for i, s := range []string{"x", "<y>", "", "a longer string value"} {
+		strs.Set(i, s)
+	}
+	m = add("bools")
+	m.AddStructArray("v", flag, 3)
+	m.SetLeafBool(1, true)
+	shapes["mios"] = workload.NewMIOs(40, workload.FillIntermediate).Msg
+	m = add("nested")
+	o := m.AddStruct("o", outer)
+	o.SetInt(0, 9)
+	o.SetDouble(1, -0.125)
+	o.SetInt(2, 3)
+	o.SetString(3, "n&m")
+	m.SetLeafBool(4, true)
+	m.AddInt("tail", 1)
+	return shapes
+}
+
+// TestWritersShareOneGrammar holds every writer that runs soapenv's
+// steps to the from-scratch renderer's bytes, shape by shape: the
+// gSOAP-like baseline, a first-time template under exact widths and the
+// multi-ref encoder with nothing to deduplicate — and the XSOAP-like
+// baseline, whose element tree must frame values the same way.
+func TestWritersShareOneGrammar(t *testing.T) {
+	for name, m := range grammarShapes() {
+		want := new(soapenv.Compiler).AppendMessage(nil, m, 0)
+		sink := &recordSink{}
+		if _, err := core.NewStub(core.Config{}, sink).Call(m); err != nil {
+			t.Fatal(err)
+		}
+		for writer, got := range map[string][]byte{
+			"gSOAP-like":        new(baseline.GSOAPLike).Serialize(m),
+			"XSOAP-like":        new(baseline.XSOAPLike).Serialize(m),
+			"first-time send":   sink.last(),
+			"multi-ref encoder": multiref.NewEncoder().Serialize(m),
+		} {
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %s:\n got %s\nwant %s", name, writer, got, want)
+			}
+		}
+	}
+}

@@ -5,8 +5,8 @@
 //
 //   - GSOAPLike reproduces gSOAP's approach: a single streaming pass over
 //     the data into one reusable growing buffer, with tight inline
-//     value-conversion loops (soapenv.AppendMessage, which the engine's
-//     diff-off mode shares). This is the fastest way to serialize a
+//     value-conversion loops (soapenv's Compiler.AppendMessage, which the
+//     engine's diff-off mode shares). This is the fastest way to serialize a
 //     message *from scratch*; differential serialization wins by not
 //     serializing from scratch.
 //
@@ -72,8 +72,9 @@ func (c *Client) Call(m *wire.Message) (int, error) {
 // reused across calls).
 type GSOAPLike struct {
 	// Conv is the double converter (the zero value is the default one).
-	Conv fastconv.Converter
-	buf  []byte
+	Conv    fastconv.Converter
+	grammar soapenv.Compiler
+	buf     []byte
 }
 
 // Name implements Serializer.
@@ -81,7 +82,7 @@ func (g *GSOAPLike) Name() string { return "gSOAP-like" }
 
 // Serialize implements Serializer.
 func (g *GSOAPLike) Serialize(m *wire.Message) []byte {
-	g.buf = soapenv.AppendMessage(g.buf[:0], m, g.Conv)
+	g.buf = g.grammar.AppendMessage(g.buf[:0], m, g.Conv)
 	return g.buf
 }
 

@@ -194,11 +194,11 @@ func (b *Buffer) Reserve(n int) (*Chunk, int) {
 	return c, off
 }
 
-// AppendString copies s onto the end of the buffer, contiguously, and
+// Append copies p onto the end of the buffer, contiguously, and
 // returns where it landed, as Reserve does.
-func (b *Buffer) AppendString(s string) (*Chunk, int) {
-	c, off := b.Reserve(len(s))
-	copy(c.buf[off:], s)
+func (b *Buffer) Append(p []byte) (*Chunk, int) {
+	c, off := b.Reserve(len(p))
+	copy(c.buf[off:], p)
 	return c, off
 }
 

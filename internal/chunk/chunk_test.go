@@ -47,7 +47,7 @@ func TestAppendAndBytes(t *testing.T) {
 	var want bytes.Buffer
 	for i := 0; i < 100; i++ {
 		s := strings.Repeat("x", i%13+1)
-		b.AppendString(s)
+		b.Append([]byte(s))
 		want.WriteString(s)
 		b.CheckInvariants()
 	}
@@ -62,7 +62,7 @@ func TestAppendAndBytes(t *testing.T) {
 func TestAppendIsContiguous(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 8})
 	for i := 0; i < 200; i++ {
-		pc, off := b.AppendString("0123456789")
+		pc, off := b.Append([]byte("0123456789"))
 		if off+10 > pc.Len() {
 			t.Fatalf("append split across chunks at iteration %d", i)
 		}
@@ -75,7 +75,7 @@ func TestAppendIsContiguous(t *testing.T) {
 func TestTrailingSlackHonoured(t *testing.T) {
 	b := New(Config{ChunkSize: 100, TrailingSlack: 20})
 	for i := 0; i < 50; i++ {
-		b.AppendString("0123456789")
+		b.Append([]byte("0123456789"))
 	}
 	for c := b.Head(); c != nil; c = c.Next() {
 		if c.Next() != nil && c.Slack() < 20 {
@@ -89,7 +89,7 @@ func TestTrailingSlackHonoured(t *testing.T) {
 func TestOversizedAppendGetsOwnChunk(t *testing.T) {
 	b := New(Config{ChunkSize: 32, TrailingSlack: 4})
 	big := strings.Repeat("A", 100)
-	pc, off := b.AppendString(big)
+	pc, off := b.Append([]byte(big))
 	if off != 0 || pc.Len() != 100 {
 		t.Fatalf("oversized append at off %d in chunk of len %d", off, pc.Len())
 	}
@@ -101,7 +101,7 @@ func TestOversizedAppendGetsOwnChunk(t *testing.T) {
 
 func TestInsertGapWithinSlack(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 16})
-	pc, _ := b.AppendString("hello world")
+	pc, _ := b.Append([]byte("hello world"))
 	c := pc
 	if !c.InsertGap(5, 3) {
 		t.Fatal("InsertGap refused despite slack")
@@ -118,7 +118,7 @@ func TestInsertGapWithinSlack(t *testing.T) {
 
 func TestInsertGapAtEnds(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 16})
-	pc, _ := b.AppendString("abc")
+	pc, _ := b.Append([]byte("abc"))
 	c := pc
 	if !c.InsertGap(0, 2) {
 		t.Fatal("gap at head refused")
@@ -135,7 +135,7 @@ func TestInsertGapAtEnds(t *testing.T) {
 
 func TestInsertGapZeroIsNoop(t *testing.T) {
 	b := New(Config{ChunkSize: 64})
-	pc, _ := b.AppendString("abc")
+	pc, _ := b.Append([]byte("abc"))
 	if !pc.InsertGap(1, 0) {
 		t.Fatal("zero gap refused")
 	}
@@ -158,7 +158,7 @@ func TestInsertGapInsufficientSlack(t *testing.T) {
 
 func TestGrowChunkPreservesContentsAndIdentity(t *testing.T) {
 	b := New(Config{ChunkSize: 16, TrailingSlack: 2})
-	pc, _ := b.AppendString("0123456789abcd")
+	pc, _ := b.Append([]byte("0123456789abcd"))
 	c := pc
 	b.GrowChunk(c, 100)
 	if c.Cap() < c.Len()+100 {
@@ -175,7 +175,7 @@ func TestGrowChunkPreservesContentsAndIdentity(t *testing.T) {
 
 func TestGrowChunkNoopWhenRoomy(t *testing.T) {
 	b := New(Config{ChunkSize: 1024, TrailingSlack: 64})
-	pc, _ := b.AppendString("small")
+	pc, _ := b.Append([]byte("small"))
 	before := pc.Cap()
 	b.GrowChunk(pc, 4)
 	if pc.Cap() != before {
@@ -185,7 +185,7 @@ func TestGrowChunkNoopWhenRoomy(t *testing.T) {
 
 func TestSplitChunk(t *testing.T) {
 	b := New(Config{ChunkSize: 64, TrailingSlack: 8})
-	pc, _ := b.AppendString("0123456789")
+	pc, _ := b.Append([]byte("0123456789"))
 	c := pc
 	nc := b.SplitChunk(c, 4)
 	if string(c.Bytes()) != "0123" || string(nc.Bytes()) != "456789" {
@@ -205,9 +205,9 @@ func TestSplitChunk(t *testing.T) {
 
 func TestSplitChunkInMiddleOfList(t *testing.T) {
 	b := New(Config{ChunkSize: 8, TrailingSlack: 1})
-	b.AppendString("aaaaaa")
-	b.AppendString("bbbbbb")
-	b.AppendString("cccccc")
+	b.Append([]byte("aaaaaa"))
+	b.Append([]byte("bbbbbb"))
+	b.Append([]byte("cccccc"))
 	first := b.Head()
 	b.SplitChunk(first, 3)
 	if got := string(b.Bytes()); got != "aaaaaabbbbbbcccccc" {
@@ -222,7 +222,7 @@ func TestSplitChunkInMiddleOfList(t *testing.T) {
 
 func TestSplitAtEndsProducesEmptySide(t *testing.T) {
 	b := New(Config{ChunkSize: 64})
-	pc, _ := b.AppendString("abcdef")
+	pc, _ := b.Append([]byte("abcdef"))
 	nc := b.SplitChunk(pc, 6)
 	if nc.Len() != 0 || pc.Len() != 6 {
 		t.Fatalf("split at end: %d | %d", pc.Len(), nc.Len())
@@ -236,7 +236,7 @@ func TestSplitAtEndsProducesEmptySide(t *testing.T) {
 func TestBuffersMatchesBytes(t *testing.T) {
 	b := New(Config{ChunkSize: 32, TrailingSlack: 4})
 	for i := 0; i < 30; i++ {
-		b.AppendString("0123456789")
+		b.Append([]byte("0123456789"))
 	}
 	var joined []byte
 	for _, seg := range b.BuffersInto(new(net.Buffers)) {
@@ -249,12 +249,12 @@ func TestBuffersMatchesBytes(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	b := New(Config{ChunkSize: 32})
-	b.AppendString("data")
+	b.Append([]byte("data"))
 	b.reset()
 	if b.Len() != 0 || b.NumChunks() != 0 {
 		t.Fatal("Reset left state behind")
 	}
-	b.AppendString("fresh")
+	b.Append([]byte("fresh"))
 	if got := string(b.Bytes()); got != "fresh" {
 		t.Fatalf("after reset: %q", got)
 	}
@@ -277,7 +277,7 @@ func TestRandomOperationSequence(t *testing.T) {
 				for i := range p {
 					p[i] = byte('a' + rng.Intn(26))
 				}
-				b.AppendString(string(p))
+				b.Append(p)
 				model = append(model, p...)
 			case 1: // gap in a random chunk
 				c, base := randomChunk(rng, b)
@@ -350,16 +350,16 @@ func TestFootprintChargesArenas(t *testing.T) {
 			t.Fatalf("%s: Footprint %d, pool has %d B out", step, fp, live)
 		}
 	}
-	c, _ := b.AppendString(strings.Repeat("a", 100))
+	c, _ := b.Append([]byte(strings.Repeat("a", 100)))
 	check("append")
 	b.GrowChunk(c, 1000) // 100 + 1000 + 32 B: a 2 KB arena
 	check("grow")
 	b.SplitChunk(c, 50)
 	check("split")
-	b.AppendString(strings.Repeat("b", 700)) // a chunk of its own, 732 B in 1 KB
+	b.Append([]byte(strings.Repeat("b", 700))) // a chunk of its own, 732 B in 1 KB
 	check("oversized append")
 	b.newChunk(0) // a fresh tail chunk
-	tail, _ := b.AppendString("tail")
+	tail, _ := b.Append([]byte("tail"))
 	b.FitTail()
 	if b.tail != tail || tail.Cap() != 64 || string(tail.Bytes()) != "tail" {
 		t.Fatalf("fitted tail: same chunk %v, cap %d, bytes %q", b.tail == tail, tail.Cap(), tail.Bytes())
@@ -377,7 +377,7 @@ func TestFootprintChargesArenas(t *testing.T) {
 func TestFitTail(t *testing.T) {
 	p := membuf.NewPool()
 	b := New(Config{Pool: p}) // 32 KB chunks, 4 KB slack: ⅛
-	c, _ := b.AppendString(strings.Repeat("x", 700))
+	c, _ := b.Append([]byte(strings.Repeat("x", 700)))
 	b.FitTail()
 	// 700 B + ⌈700/8⌉ = 788 B of want: the 1 KB class, all of it visible.
 	if c.Cap() != 1024 || b.Footprint() != 1024 || b.Len() != 700 || b.tail != c {
@@ -391,7 +391,7 @@ func TestFitTail(t *testing.T) {
 	}
 
 	half := New(Config{ChunkSize: 1024, Pool: p})
-	half.AppendString(strings.Repeat("y", 500)) // 500 + 63 B of want > 512
+	half.Append([]byte(strings.Repeat("y", 500))) // 500 + 63 B of want > 512
 	before := p.Stats().Acquires
 	half.FitTail()
 	if half.tail.Cap() != 1024 || p.Stats().Acquires != before {
@@ -405,13 +405,13 @@ func TestFootprint(t *testing.T) {
 	if b.Footprint() != 0 {
 		t.Fatal("empty buffer has footprint")
 	}
-	b.AppendString("data")
+	b.Append([]byte("data"))
 	if b.Footprint() < 64 {
 		t.Fatalf("footprint %d below chunk capacity", b.Footprint())
 	}
 	before := b.Footprint()
 	b.newChunk(0) // a second chunk
-	b.AppendString("more")
+	b.Append([]byte("more"))
 	if b.Footprint() <= before {
 		t.Fatal("footprint did not grow with a second chunk")
 	}

@@ -57,7 +57,7 @@ func TestUnrepresentableTemplateGoesFromScratch(t *testing.T) {
 		if ci, err := s.Call(m); err != nil || ci.Match != FirstTime {
 			t.Fatalf("rebuild: %v, %v", ci.Match, err)
 		}
-		if want := soapenv.AppendMessage(nil, m, 0); !bytes.Equal(sink.data, want) {
+		if want := new(soapenv.Compiler).AppendMessage(nil, m, 0); !bytes.Equal(sink.data, want) {
 			t.Fatal("the rebuilt template differs from a from-scratch rendering")
 		}
 		s.Template(m.Operation(), m.Signature()).Table().CheckInvariants()
@@ -99,7 +99,7 @@ func requireFromScratch(t *testing.T, s *Stub, sink *captureSink, pool *membuf.P
 	if ci.Match != FullSerialization {
 		t.Fatalf("call served as %v, want %v", ci.Match, FullSerialization)
 	}
-	if want := soapenv.AppendMessage(nil, m, 0); !bytes.Equal(sink.data, want) {
+	if want := new(soapenv.Compiler).AppendMessage(nil, m, 0); !bytes.Equal(sink.data, want) {
 		t.Fatalf("sent %d bytes that differ from the %d a from-scratch rendering writes", len(sink.data), len(want))
 	}
 	if s.Template(m.Operation(), m.Signature()) != nil || s.Store().TemplateCount() != 0 {

@@ -8,7 +8,6 @@ import (
 	"bsoap/internal/soapenv"
 	"bsoap/internal/trace"
 	"bsoap/internal/wire"
-	"bsoap/internal/xsdlex"
 )
 
 // Chunk overlaying (paper §3.3) bounds the memory cost of differential
@@ -206,7 +205,7 @@ func (s *Stub) overlayStateFor(m *wire.Message) (*overlayState, error) {
 	if st, ok := s.overlays[m.Operation()]; ok && st.sig == m.Signature() {
 		return st, nil
 	}
-	st, err := buildOverlayState(m, s.cfg, s.scr.conv)
+	st, err := buildOverlayState(m, s.cfg, &s.scr)
 	if err != nil {
 		return nil, err
 	}
@@ -214,14 +213,14 @@ func (s *Stub) overlayStateFor(m *wire.Message) (*overlayState, error) {
 	return st, nil
 }
 
-// buildOverlayState validates the message shape and computes the fixed
-// per-item layout.
-func buildOverlayState(m *wire.Message, cfg Config, conv fastconv.Converter) (*overlayState, error) {
+// buildOverlayState validates the message shape and lays out, from
+// soapenv's steps, the message head (with the leading scalars' values),
+// the static item frame and the tail.
+func buildOverlayState(m *wire.Message, cfg Config, sc *scratch) (*overlayState, error) {
 	params := m.Params()
 	if len(params) == 0 || params[len(params)-1].Type.Kind != wire.Array {
 		return nil, errOverlayUnsupported
 	}
-	arr := params[len(params)-1]
 	for _, p := range params[:len(params)-1] {
 		if !p.Type.Kind.Scalar() {
 			return nil, errOverlayUnsupported
@@ -229,60 +228,50 @@ func buildOverlayState(m *wire.Message, cfg Config, conv fastconv.Converter) (*o
 	}
 
 	st := &overlayState{sig: m.Signature()}
-
-	// Head: envelope, operation, leading scalar params, array open tag.
-	head := soapenv.EnvelopeStart(m.Namespace()) + soapenv.OperationStart(m.Operation())
-	var scratch [xsdlex.MaxDoubleWidth]byte
-	for _, p := range params[:len(params)-1] {
-		enc := encodeLeaf(m, p.First, p.Type, scratch[:], conv)
-		head += soapenv.ScalarStart(p.Name, p.Type) + string(enc) + soapenv.CloseTag(p.Name)
+	var g soapenv.Compiler
+	head, tail := g.Operation(m)
+	st.head = append(st.head, head...)
+	for i := range params[:len(params)-1] {
+		_, steps, _, _ := g.Param(&params[i]) // a scalar: one leaf step
+		leaf := &steps[0]
+		st.head = append(st.head, leaf.Lit...)
+		st.head = append(st.head, sc.encode(m, params[i].First, leaf.Leaf)...)
+		st.head = append(st.head, leaf.Close...)
 	}
-	head += soapenv.ArrayStart(arr.Name, arr.Type.Elem, arr.Count)
-	st.head = []byte(head)
-	st.tail = []byte(soapenv.ArrayEnd(arr.Name) + soapenv.OperationEnd(m.Operation()) + soapenv.EnvelopeEnd)
+	open, steps, end, _ := g.Param(&params[len(params)-1])
+	st.head = append(st.head, open...)
+	st.tail = append(append(st.tail, end...), tail...)
 
-	// Per-item layout: collect scalar fields in document order and build
-	// the static frame (tags plus blank value fields) as one pass.
-	var walk func(t *wire.Type, tag string) error
-	walk = func(t *wire.Type, tag string) error {
-		if t.Kind == wire.Struct {
-			st.frame = append(st.frame, soapenv.OpenTag(tag)...)
-			for _, f := range t.Fields {
-				if err := walk(f.Type, f.Name); err != nil {
-					return err
-				}
-			}
-			st.frame = append(st.frame, soapenv.CloseTag(tag)...)
-			return nil
+	// The item frame: one item's markup with a blank field, sized to its
+	// bounded width, where each value and its closing tag go.
+	for i := range steps {
+		s := &steps[i]
+		st.frame = append(st.frame, s.Lit...)
+		if s.Leaf == nil {
+			continue
 		}
 		var w int
-		switch p := cfg.Width.policyFor(t); {
-		case t.Kind == wire.String:
-			return errOverlayUnsupported
+		switch p := cfg.Width.policyFor(s.Leaf); {
+		case s.Leaf.Kind == wire.String:
+			return nil, errOverlayUnsupported
 		case p == MaxWidth:
-			w = t.MaxWidth()
+			w = s.Leaf.MaxWidth()
 		case p > 0:
 			w = p
 		default:
 			// Exact-width fields cannot be overlaid: the next portion's
 			// values would not fit a previously laid-out frame.
-			return errOverlayUnsupported
+			return nil, errOverlayUnsupported
 		}
-		cls := soapenv.CloseTag(tag)
-		st.frame = append(st.frame, soapenv.OpenTag(tag)...)
 		st.valueOff = append(st.valueOff, len(st.frame))
 		st.valueWidth = append(st.valueWidth, w)
-		st.valueClose = append(st.valueClose, cls)
-		for i := 0; i < w+len(cls); i++ {
+		st.valueClose = append(st.valueClose, string(s.Close))
+		for j := 0; j < w+len(s.Close); j++ {
 			st.frame = append(st.frame, ' ')
 		}
-		return nil
-	}
-	if err := walk(arr.Type.Elem, soapenv.ItemTag); err != nil {
-		return nil, err
 	}
 	st.itemSpan = len(st.frame)
-	st.perItem = arr.Type.LeavesPerValue()
+	st.perItem = len(st.valueOff)
 
 	chunkSize := cfg.Chunk.ChunkSize
 	if chunkSize <= 0 {

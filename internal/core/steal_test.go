@@ -206,7 +206,7 @@ func TestPipelinedOverlayMatchesSequential(t *testing.T) {
 		return outcome{ci, err, s.Stats(), string(sink.data), sink.portions, m.AnyDirty()}
 	}
 	for _, el := range elems {
-		st, err := buildOverlayState(el.build(1), cfg, 0)
+		st, err := buildOverlayState(el.build(1), cfg, &scratch{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,6 +156,9 @@ type scratch struct {
 	// seen and then stop allocating.
 	regs  []deltaRegion
 	delta []byte
+	// grammar compiles a diff-off call's framing and parameters into the
+	// steps it renders by, converging on the widest parameter sent.
+	grammar soapenv.Compiler
 	// conv is the double converter every value of the stub prints
 	// through, chosen at construction (NewStubWithConverter).
 	conv fastconv.Converter
@@ -384,7 +387,7 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 // represent.
 func (s *Stub) fromScratch(m *wire.Message, ci *CallInfo) (CallInfo, error) {
 	ci.Match = FullSerialization
-	s.scr.enc = soapenv.AppendMessage(s.scr.enc[:0], m, s.scr.conv)
+	s.scr.enc = s.scr.grammar.AppendMessage(s.scr.enc[:0], m, s.scr.conv)
 	ci.Bytes = len(s.scr.enc)
 	ci.WireBytes = ci.Bytes
 	ci.BytesSerialized = ci.Bytes

@@ -122,17 +122,20 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) (*Template, bool) {
 	}
 	t.tab = dut.NewTable(m.NumLeaves())
 	t.buf.Span = sc.span
-	t.buf.AppendString(soapenv.EnvelopeStart(m.Namespace()))
-	t.buf.AppendString(soapenv.OperationStart(m.Operation()))
+	// A build is rare: its compiled steps are garbage after it, not
+	// memory every stub keeps.
+	var g soapenv.Compiler
+	head, tail := g.Operation(m)
+	t.buf.Append(head)
 	leaf := 0
-	for _, p := range m.Params() {
-		if leaf = t.emitParam(m, &p, leaf, sc); leaf < 0 {
+	params := m.Params()
+	for i := range params {
+		if leaf = t.emitParam(m, &g, &params[i], leaf, sc); leaf < 0 {
 			t.release()
 			return nil, false
 		}
 	}
-	t.buf.AppendString(soapenv.OperationEnd(m.Operation()))
-	t.buf.AppendString(soapenv.EnvelopeEnd)
+	t.buf.Append(tail)
 	t.buf.FitTail() // the template is complete: size its last chunk to what it holds
 	if leaf != m.NumLeaves() {
 		panic(fmt.Sprintf("core: emitted %d leaves, message has %d", leaf, m.NumLeaves()))
@@ -140,104 +143,49 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) (*Template, bool) {
 	return t, true
 }
 
-// emitStep is one step of serializing a value: markup copied as it
-// stands and then, for a scalar leaf, the leaf's value field.
-type emitStep struct {
-	lit  string     // open tag of the leaf, or a struct's own open or close tag
-	typ  *wire.Type // the leaf's scalar type; nil when the step is only markup
-	cls  string     // the leaf's closing tag
-	kind int        // the DUT kind of (typ, cls), set by kinds
-}
-
-// appendSteps appends the steps that serialize one value of type typ
-// wrapped in <tag>…</tag>. An array resolves its element's tags here once
-// and then runs the steps per item.
-func appendSteps(steps []emitStep, typ *wire.Type, tag string) []emitStep {
-	open, cls := soapenv.OpenTag(tag), soapenv.CloseTag(tag)
-	if typ.Kind != wire.Struct {
-		return append(steps, emitStep{lit: open, typ: typ, cls: cls})
-	}
-	steps = append(steps, emitStep{lit: open})
-	for _, f := range typ.Fields {
-		steps = appendSteps(steps, f.Type, f.Name)
-	}
-	return append(steps, emitStep{lit: cls})
-}
-
-// kinds resolves each leaf step's DUT kind once, before the steps run
-// for every item, and reports false when the table has no kind id left.
-func (t *Template) kinds(steps []emitStep) bool {
+// emitParam serializes one parameter by soapenv's steps, starting at
+// leaf index leaf, and returns the next leaf index, or -1 when the DUT
+// table cannot represent the template. Each leaf step's DUT kind is
+// resolved once, before the steps run for every item; each leaf gets a
+// field stuffed to the configured width and its DUT entry.
+func (t *Template) emitParam(m *wire.Message, g *soapenv.Compiler, p *wire.Param, leaf int, sc *scratch) int {
+	open, steps, end, n := g.Param(p)
+	var buf [8]int // an MIO item is five steps; a wider type spills to the heap
+	kinds := buf[:0]
 	for i := range steps {
-		if st := &steps[i]; st.typ != nil {
+		k := 0
+		if st := &steps[i]; st.Leaf != nil {
 			var ok bool
-			if st.kind, ok = t.tab.AddKind(st.typ, st.cls); !ok {
-				return false
+			if k, ok = t.tab.AddKind(st.Leaf, st.Close); !ok {
+				return -1
 			}
 		}
+		kinds = append(kinds, k)
 	}
-	return true
-}
-
-// emitParam serializes one parameter starting at leaf index `leaf` and
-// returns the next leaf index, or -1 when the DUT table cannot represent
-// the template.
-func (t *Template) emitParam(m *wire.Message, p *wire.Param, leaf int, sc *scratch) int {
-	var buf [8]emitStep // an MIO element is five steps; a wider type spills to the heap
-	steps, count, end := buf[:0], 1, ""
-	switch p.Type.Kind {
-	case wire.Array:
-		t.buf.AppendString(soapenv.ArrayStart(p.Name, p.Type.Elem, p.Count))
-		steps = appendSteps(steps, p.Type.Elem, soapenv.ItemTag)
-		count, end = p.Count, soapenv.ArrayEnd(p.Name)
-	case wire.Struct:
-		t.buf.AppendString(soapenv.StructStart(p.Name, p.Type))
-		for _, f := range p.Type.Fields {
-			steps = appendSteps(steps, f.Type, f.Name)
-		}
-		end = soapenv.CloseTag(p.Name)
-	default:
-		steps = append(steps, emitStep{lit: soapenv.ScalarStart(p.Name, p.Type), typ: p.Type, cls: soapenv.CloseTag(p.Name)})
-	}
-	if !t.kinds(steps) {
-		return -1
-	}
-	for i := 0; i < count && leaf >= 0; i++ {
-		leaf = t.emitSteps(m, steps, leaf, sc)
-	}
-	if end != "" && leaf >= 0 {
-		t.buf.AppendString(end)
-	}
-	return leaf
-}
-
-// emitSteps serializes one value by its steps.
-func (t *Template) emitSteps(m *wire.Message, steps []emitStep, leaf int, sc *scratch) int {
-	for i := range steps {
-		if st := &steps[i]; st.typ == nil {
-			t.buf.AppendString(st.lit)
-		} else if leaf = t.emitScalar(m, st, leaf, sc); leaf < 0 {
-			return leaf
+	t.buf.Append(open)
+	for ; n > 0; n-- {
+		for i := range steps {
+			st := &steps[i]
+			t.buf.Append(st.Lit)
+			if st.Leaf == nil {
+				continue
+			}
+			enc := sc.encode(m, leaf, st.Leaf)
+			width := t.cfg.Width.widthFor(st.Leaf, len(enc))
+			span := width + len(st.Close)
+			c, off := t.buf.Reserve(span)
+			b := c.Bytes()
+			copy(b[off:], enc)
+			copy(b[off+len(enc):], st.Close)
+			fastconv.Pad(b, off+len(enc)+len(st.Close), off+span)
+			if !t.tab.Append(c, off, len(enc), width, kinds[i]) {
+				return -1
+			}
+			leaf++
 		}
 	}
+	t.buf.Append(end)
 	return leaf
-}
-
-// emitScalar serializes one scalar leaf with the configured stuffing and
-// records its DUT entry, or returns -1 when the entry cannot hold it.
-func (t *Template) emitScalar(m *wire.Message, st *emitStep, leaf int, sc *scratch) int {
-	t.buf.AppendString(st.lit)
-	enc := sc.encode(m, leaf, st.typ)
-	width := t.cfg.Width.widthFor(st.typ, len(enc))
-	span := width + len(st.cls)
-	c, off := t.buf.Reserve(span)
-	b := c.Bytes()
-	copy(b[off:], enc)
-	copy(b[off+len(enc):], st.cls)
-	fastconv.Pad(b, off+len(enc)+len(st.cls), off+span)
-	if !t.tab.Append(c, off, len(enc), width, st.kind) {
-		return -1
-	}
-	return leaf + 1
 }
 
 // applyDiff re-serializes exactly the dirty leaves of m into the

@@ -29,7 +29,7 @@ func TestRefusedDecodesAllocateNothing(t *testing.T) {
 			schema = &soapdec.Schema{Namespace: m.Namespace(), Op: m.Operation(),
 				Params: []soapdec.ParamSpec{{Name: p.Name, Type: wire.ArrayOf(p.Type.Elem)}}}
 		}
-		bodies = append(bodies, soapenv.AppendMessage(nil, m, 0))
+		bodies = append(bodies, new(soapenv.Compiler).AppendMessage(nil, m, 0))
 	}
 	turn := 0
 	rotate := func() {

@@ -181,56 +181,29 @@ const defaultMaxKeys = 64
 type Deserializer struct {
 	lookup    soapdec.Lookup
 	keys      *replica.LRU[string, *keyTemplates] // the tree's one LRU
-	maxKeys   int
+	maxKeys   int                                 // defaultMaxKeys; tests lower it
 	evictions int64
 	size      int64 // resident bytes, maintained incrementally
 }
 
 // keyTemplates is one operation key's template list, LRU front first,
-// and its doorkeeper: the body lengths of its last MaxTemplatesPerKey
-// refusals (0 is an empty place), next the place the next one takes.
-// A refused body decodes into scratch, so a key that keeps refusing
-// reuses one message instead of making one per request; like a
-// template's message, it is not charged to SizeBytes.
+// and its doorkeeper, keyed by body length. A refused body decodes into
+// scratch, so a key that keeps refusing reuses one message instead of
+// making one per request; like a template's message, it is not charged
+// to SizeBytes.
 type keyTemplates struct {
 	list    []*owned
-	refused [MaxTemplatesPerKey]int
-	next    int
+	door    replica.Doorkeeper
 	scratch soapdec.Scratch
-}
-
-// admit reports whether the full key keeps a body of length n: only one
-// whose length it refused within its last MaxTemplatesPerKey refusals. A
-// length admitted leaves the ring; a length refused takes the oldest
-// place in it.
-func (kt *keyTemplates) admit(n int) bool {
-	for i, x := range kt.refused {
-		if x == n {
-			kt.refused[i] = 0
-			return true
-		}
-	}
-	kt.refused[kt.next] = n
-	kt.next = (kt.next + 1) % MaxTemplatesPerKey
-	return false
 }
 
 // New returns a deserializer resolving operations through lookup, with
 // the key count bounded at defaultMaxKeys.
 func New(lookup soapdec.Lookup) *Deserializer {
-	return NewBounded(lookup, defaultMaxKeys)
-}
-
-// NewBounded returns a deserializer retaining at most maxKeys operation
-// keys (values < 1 mean defaultMaxKeys).
-func NewBounded(lookup soapdec.Lookup, maxKeys int) *Deserializer {
-	if maxKeys < 1 {
-		maxKeys = defaultMaxKeys
-	}
 	return &Deserializer{
 		lookup:  lookup,
 		keys:    replica.NewLRU[string, *keyTemplates](),
-		maxKeys: maxKeys,
+		maxKeys: defaultMaxKeys,
 	}
 }
 
@@ -456,7 +429,10 @@ func relexRegion(msg *wire.Message, leaf int, seg []byte) bool {
 // key's scratch message, and the key keeps the templates it has.
 func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.Message, Info, error) {
 	kt, ok := d.keys.Peek(key)
-	if ok && reason == ReasonLength && len(kt.list) >= MaxTemplatesPerKey && !kt.admit(len(body)) {
+	// A body length plus one is its doorkeeper key: each length its own
+	// key, and none of them 0, the ring's empty place.
+	if ok && reason == ReasonLength && len(kt.list) >= MaxTemplatesPerKey &&
+		!kt.door.Admit(uint64(len(body))+1, MaxTemplatesPerKey) {
 		msg, err := kt.scratch.Decode(body, d.lookup)
 		if err != nil {
 			return nil, Info{FullParse: true, Reason: reason}, err

@@ -272,7 +272,7 @@ func TestSeparateKeysKeepSeparateTemplates(t *testing.T) {
 }
 
 // TestKeyCountLRUBound proves the deserializer cannot grow without
-// bound in the number of operation keys: beyond maxKeys the least
+// bound in the number of operation keys: beyond its key bound the least
 // recently used key is evicted (templates and all), and a recently
 // touched key survives.
 func TestKeyCountLRUBound(t *testing.T) {
@@ -288,7 +288,8 @@ func TestKeyCountLRUBound(t *testing.T) {
 	}
 	body := sink.data
 
-	d := NewBounded(testSchema(m), 3)
+	d := New(testSchema(m))
+	d.maxKeys = 3
 	for _, key := range []string{"k1", "k2", "k3"} {
 		if _, _, err := d.Decode(key, body); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package diffdeser
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"bsoap/internal/core"
@@ -159,7 +160,7 @@ func TestDoorkeeperRefusesALengthRotation(t *testing.T) {
 		t.Helper()
 		m, arr := shape(n)
 		arr.Set(n-1, float64(round)) // one digit: the body keeps its length
-		msg, info, err := d.Decode("k", soapenv.AppendMessage(nil, m, 0))
+		msg, info, err := d.Decode("k", new(soapenv.Compiler).AppendMessage(nil, m, 0))
 		if err != nil || info.FullParse == fast || info.Refused != refused {
 			t.Fatalf("%s %d, round %d: %+v, %v; want fast %v, refused %v", what, n, round, info, err, fast, refused)
 		}
@@ -185,6 +186,40 @@ func TestDoorkeeperRefusesALengthRotation(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := 0; i < MaxTemplatesPerKey; i++ {
 			decode("new length", 40+i, round, round == 2, round == 0)
+		}
+	}
+}
+
+// TestDoorkeeperKeepsAdjacentLengthsApart fills a key's templates, then
+// sends an even body length and the odd one after it: each is its own
+// doorkeeper key, so the second is refused like the first — a mapping
+// that merged them would admit it — and the first, sent again, is
+// admitted.
+func TestDoorkeeperKeepsAdjacentLengthsApart(t *testing.T) {
+	schema := &soapdec.Schema{Namespace: "urn:dd", Op: "send",
+		Params: []soapdec.ParamSpec{{Name: "s", Type: wire.TString}}}
+	d := New(func(string) (*soapdec.Schema, bool) { return schema, true })
+	body := func(n int) []byte {
+		m := wire.NewMessage("urn:dd", "send")
+		m.AddString("s", strings.Repeat("x", n))
+		return new(soapenv.Compiler).AppendMessage(nil, m, 0)
+	}
+	for i := 0; i < MaxTemplatesPerKey; i++ {
+		if _, info, err := d.Decode("k", body(10*i)); err != nil || info.Refused {
+			t.Fatalf("template %d: %+v, %v", i, info, err)
+		}
+	}
+	even := 100
+	if len(body(even))%2 != 0 {
+		even++
+	}
+	for i, c := range []struct {
+		n       int
+		refused bool
+	}{{even, true}, {even + 1, true}, {even, false}} {
+		b := body(c.n)
+		if _, info, err := d.Decode("k", b); err != nil || info.Refused != c.refused {
+			t.Fatalf("step %d, a %d-byte body: %+v, %v; want refused %v", i, len(b), info, err, c.refused)
 		}
 	}
 }

@@ -97,18 +97,19 @@ func NewTable(n int) Table {
 
 // AddKind returns the kind of the scalar type typ closed by closeTag,
 // adding it when new; ok is false when the table has no id left for it.
-// The template calls it once per emit step, not per leaf; a table holds
-// a handful of kinds, so the search is a scan.
-func (t *Table) AddKind(typ *wire.Type, closeTag string) (id int, ok bool) {
+// The template calls it once per leaf step, not per leaf; a table holds
+// a handful of kinds, so the search is a scan. closeTag is copied only
+// into a new kind.
+func (t *Table) AddKind(typ *wire.Type, closeTag []byte) (id int, ok bool) {
 	for i := len(t.kinds) - 1; i >= 0; i-- {
-		if k := &t.kinds[i]; k.typ == typ && k.closeTag == closeTag {
+		if k := &t.kinds[i]; k.typ == typ && k.closeTag == string(closeTag) {
 			return i, true
 		}
 	}
 	if len(t.kinds) > math.MaxUint16 {
 		return 0, false
 	}
-	t.kinds = append(t.kinds, kind{typ: typ, closeTag: closeTag})
+	t.kinds = append(t.kinds, kind{typ: typ, closeTag: string(closeTag)})
 	return len(t.kinds) - 1, true
 }
 

@@ -14,9 +14,9 @@ func buildTemplateLike(t *testing.T, n, w int) (*chunk.Buffer, *Table) {
 	t.Helper()
 	b := chunk.New(chunk.Config{ChunkSize: 4096, TrailingSlack: 256})
 	tab := NewTable(n)
-	k, _ := tab.AddKind(wire.TDouble, "</v>")
+	k, _ := tab.AddKind(wire.TDouble, []byte("</v>"))
 	for i := 0; i < n; i++ {
-		b.AppendString("<v>")
+		b.Append([]byte("<v>"))
 		c, off := b.Reserve(w + len("</v>"))
 		for j := 0; j < w; j++ {
 			c.Bytes()[off+j] = '1'
@@ -91,13 +91,13 @@ func TestFixupShift(t *testing.T) {
 func TestFixupShiftOnlyAffectsSameChunk(t *testing.T) {
 	b := chunk.New(chunk.Config{ChunkSize: 64, TrailingSlack: 8})
 	tab := NewTable(2)
-	k, _ := tab.AddKind(wire.TDouble, "</v>")
+	k, _ := tab.AddKind(wire.TDouble, []byte("</v>"))
 	// Two entries in two separate chunks.
 	for i := 0; i < 2; i++ {
 		if i > 0 {
 			b.SplitChunk(b.Head(), b.Head().Len()) // start a second chunk
 		}
-		b.AppendString("<v>")
+		b.Append([]byte("<v>"))
 		c, off := b.Reserve(4 + 4)
 		copy(c.Bytes()[off:], "1234</v>")
 		tab.Append(c, off, 4, 4, k)
@@ -186,7 +186,7 @@ func TestNonContiguousAppendPanics(t *testing.T) {
 	c := b.Head()
 	// One entry in a chunk after c, then one back in c.
 	nc := b.SplitChunk(c, c.Len())
-	b.AppendString("1</v>")
+	b.Append([]byte("1</v>"))
 	if !tab.Append(nc, 0, 1, 1, 0) {
 		t.Fatal("Append refused an entry")
 	}

@@ -31,11 +31,13 @@ import (
 // Recorder builds a recording server (every accepted body retained for
 // byte-conformance checks) and a pooled client dialed at it. When inj is
 // non-nil, every client connection runs through the fault injector and
-// the pool's metrics report its fault count.
-func Recorder(tb testing.TB, inj *faultwire.Injector, opts pool.Options) (*serverpool.Recorder, *pool.Pool) {
+// the pool's metrics report its fault count. sm, when non-nil, is the
+// server's registry: the transport and the recorder both count into it.
+func Recorder(tb testing.TB, inj *faultwire.Injector, sm *transport.ServerMetrics, opts pool.Options) (*serverpool.Recorder, *pool.Pool) {
 	tb.Helper()
-	rec := serverpool.NewRecorder(0)
+	rec := serverpool.NewRecorder(0, sm)
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
+		Metrics:   sm,
 		Handler:   rec.HTTPHandler(),
 		Respond:   true,
 		ReadAhead: readAheadFor(opts),

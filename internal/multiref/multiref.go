@@ -13,9 +13,11 @@
 //
 //	<multiRef id="mrN">value</multiRef>
 //
-// siblings of the operation element, and referenced everywhere as
-// <tag href="#mrN"/>. Inline reverses the transformation, yielding a
-// plain envelope any decoder understands.
+// siblings of the operation element, and referenced everywhere by the
+// leaf's opening tag, self-closed with the reference: <tag href="#mrN"/>
+// (a scalar parameter's tag keeps its xsi:type). Everything else is
+// soapenv's framing, byte for byte. Inline reverses the transformation,
+// yielding a plain envelope any decoder understands.
 package multiref
 
 import (
@@ -33,12 +35,15 @@ import (
 // below it, the href markup outweighs the value.
 const minLength = 12
 
-// Encoder is a full serializer with multi-ref string deduplication.
-// Not safe for concurrent use (the buffer is reused).
+// Encoder is a full serializer with multi-ref string deduplication: it
+// runs soapenv's steps, writing an href element in place of each
+// repeated string leaf. Not safe for concurrent use (the buffer is
+// reused).
 type Encoder struct {
-	buf  []byte
-	ids  map[string]int // escaped value → id number
-	uses map[string]int // escaped value → occurrence count
+	grammar soapenv.Compiler
+	buf     []byte
+	ids     map[string]int // escaped value → id number
+	uses    map[string]int // escaped value → occurrence count
 }
 
 // NewEncoder returns a ready encoder.
@@ -63,15 +68,28 @@ func (e *Encoder) Serialize(m *wire.Message) []byte {
 	e.ids = make(map[string]int)
 
 	b := e.buf[:0]
-	b = append(b, soapenv.EnvelopeStart(m.Namespace())...)
-	b = append(b, soapenv.OperationStart(m.Operation())...)
+	head, tail := e.grammar.Operation(m)
+	b = append(b, head...)
 	leaf := 0
-	for _, p := range m.Params() {
-		b, leaf = e.param(b, m, &p, leaf)
+	params := m.Params()
+	for i := range params {
+		open, steps, end, n := e.grammar.Param(&params[i])
+		b = append(b, open...)
+		for ; n > 0; n-- {
+			for j := range steps {
+				if st := &steps[j]; st.Leaf == nil {
+					b = append(b, st.Lit...)
+				} else {
+					b = e.leaf(b, m, st, leaf)
+					leaf++
+				}
+			}
+		}
+		b = append(b, end...)
 	}
-	b = append(b, soapenv.OperationEnd(m.Operation())...)
-
-	// Trailing multiRef elements, in first-use order (ids ascend).
+	// The operation's close tag, then the multiRef elements beside the
+	// operation in first-use order (ids ascend), then the envelope's end.
+	b = append(b, tail[:len(tail)-len(soapenv.EnvelopeEnd)]...)
 	refs := make([]string, len(e.ids))
 	for esc, id := range e.ids {
 		refs[id] = esc
@@ -83,42 +101,16 @@ func (e *Encoder) Serialize(m *wire.Message) []byte {
 		b = append(b, esc...)
 		b = append(b, "</multiRef>"...)
 	}
-
 	b = append(b, soapenv.EnvelopeEnd...)
 	e.buf = b
 	return b
 }
 
-func (e *Encoder) param(b []byte, m *wire.Message, p *wire.Param, leaf int) ([]byte, int) {
-	switch p.Type.Kind {
-	case wire.Array:
-		b = append(b, soapenv.ArrayStart(p.Name, p.Type.Elem, p.Count)...)
-		for i := 0; i < p.Count; i++ {
-			b, leaf = e.value(b, m, p.Type.Elem, soapenv.ItemTag, leaf)
-		}
-		b = append(b, soapenv.ArrayEnd(p.Name)...)
-	case wire.Struct:
-		b = append(b, soapenv.StructStart(p.Name, p.Type)...)
-		for _, f := range p.Type.Fields {
-			b, leaf = e.value(b, m, f.Type, f.Name, leaf)
-		}
-		b = append(b, soapenv.CloseTag(p.Name)...)
-	default:
-		b, leaf = e.value(b, m, p.Type, p.Name, leaf)
-	}
-	return b, leaf
-}
-
-func (e *Encoder) value(b []byte, m *wire.Message, t *wire.Type, tag string, leaf int) ([]byte, int) {
-	if t.Kind == wire.Struct {
-		b = append(b, soapenv.OpenTag(tag)...)
-		for _, f := range t.Fields {
-			b, leaf = e.value(b, m, f.Type, f.Name, leaf)
-		}
-		b = append(b, soapenv.CloseTag(tag)...)
-		return b, leaf
-	}
-	if t.Kind == wire.String {
+// leaf writes one leaf step: an href to the value's multiRef when the
+// leaf is a repeated string — the leaf's opening tag, self-closed with
+// the reference — else the tag, the value and the closing tag.
+func (e *Encoder) leaf(b []byte, m *wire.Message, st *soapenv.Step, leaf int) []byte {
+	if st.Leaf.Kind == wire.String {
 		esc := string(xsdlex.EscapeText(nil, m.LeafString(leaf)))
 		if e.uses[esc] > 1 {
 			id, ok := e.ids[esc]
@@ -126,16 +118,14 @@ func (e *Encoder) value(b []byte, m *wire.Message, t *wire.Type, tag string, lea
 				id = len(e.ids)
 				e.ids[esc] = id
 			}
-			b = append(b, '<')
-			b = append(b, tag...)
+			b = append(b, st.Lit[:len(st.Lit)-1]...) // the opening tag without its '>'
 			b = append(b, ` href="#mr`...)
 			b = strconv.AppendInt(b, int64(id), 10)
-			b = append(b, `"/>`...)
-			return b, leaf + 1
+			return append(b, `"/>`...)
 		}
 	}
-	b = append(b, soapenv.OpenTag(tag)...)
-	switch t.Kind {
+	b = append(b, st.Lit...)
+	switch st.Leaf.Kind {
 	case wire.Int:
 		b = xsdlex.AppendInt(b, m.LeafInt(leaf))
 	case wire.Double:
@@ -145,8 +135,7 @@ func (e *Encoder) value(b []byte, m *wire.Message, t *wire.Type, tag string, lea
 	case wire.String:
 		b = xsdlex.EscapeText(b, m.LeafString(leaf))
 	}
-	b = append(b, soapenv.CloseTag(tag)...)
-	return b, leaf + 1
+	return append(b, st.Close...)
 }
 
 // HasRefs cheaply detects whether a body uses multi-ref encoding. Every

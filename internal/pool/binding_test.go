@@ -457,7 +457,7 @@ func TestBindingOversubscribedConcurrent(t *testing.T) {
 // it. After every call that succeeds, the bytes handed to the sink must
 // be a from-scratch serialization of the message modulo padding, and the
 // binding invariant must hold. A call the doorkeeper refuses a template
-// must go out as exactly soapenv.AppendMessage's body and bind nothing.
+// must go out as exactly Compiler.AppendMessage's body and bind nothing.
 func FuzzBindingSchedule(f *testing.F) {
 	const (
 		opCall = iota
@@ -499,7 +499,7 @@ func FuzzBindingSchedule(f *testing.F) {
 		}
 		call := func(d *workload.Doubles) {
 			before := bindings(st)
-			want := soapenv.AppendMessage(nil, d.Msg, 0) // before the call clears the dirty bits
+			want := new(soapenv.Compiler).AppendMessage(nil, d.Msg, 0) // before the call clears the dirty bits
 			ci, body, r := through(t, st, d.Msg)
 			checkBody(t, cfg, d.Msg, body, "call")
 			checkBinding(t, st)

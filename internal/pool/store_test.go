@@ -204,7 +204,7 @@ func (l *lastBody) Bytes() []byte {
 func rotate(t *testing.T, p *Pool, last *lastBody, shapes []*workload.Doubles, want func(i int) core.MatchKind) {
 	t.Helper()
 	for i, d := range shapes {
-		body := soapenv.AppendMessage(nil, d.Msg, 0)
+		body := new(soapenv.Compiler).AppendMessage(nil, d.Msg, 0)
 		last.Reset()
 		ci, err := p.Call(d.Msg)
 		if err != nil || ci.Match != want(i) {

@@ -92,29 +92,36 @@ type rshard[E Entry] struct {
 type groupStats struct {
 	count int
 	bytes int64
-	// refused is the group's doorkeeper: the key hashes of its last
-	// MaxPerGroup refusals (0 is an empty place), next the place the
-	// next refusal takes. Allocated at the group's first refusal.
+	door  Doorkeeper // keyed by signature hash, sized MaxPerGroup
+}
+
+// Doorkeeper is the admission rule of a full set of templates, shared
+// by the registry's groups (keyed by signature hash) and the server
+// deserializer's operation keys (keyed by body length): a new key takes
+// a place only when the set refused it within its last size refusals,
+// so a key seen once is served without a template and the templates in
+// use stay. Keys are nonzero, 0 marking an empty place; each caller maps
+// its own onto them. The zero value is ready; its ring is allocated at
+// the first refusal.
+type Doorkeeper struct {
 	refused []uint64
 	next    int
 }
 
-// admit reports whether the full group lets sub in: only a key it has
-// refused within its last len(refused) refusals. A key admitted leaves
-// the ring; a key refused takes the oldest place in it.
-func (g *groupStats) admit(sub string, size int) bool {
-	h := fnv64(sub) | 1
-	for i, x := range g.refused {
-		if x == h {
-			g.refused[i] = 0
+// Admit reports whether the set lets key in. A key admitted leaves the
+// ring; a key refused takes the oldest of its size places.
+func (d *Doorkeeper) Admit(key uint64, size int) bool {
+	for i, x := range d.refused {
+		if x == key {
+			d.refused[i] = 0
 			return true
 		}
 	}
-	if g.refused == nil {
-		g.refused = make([]uint64, size)
+	if d.refused == nil {
+		d.refused = make([]uint64, size)
 	}
-	g.refused[g.next] = h
-	g.next = (g.next + 1) % size
+	d.refused[d.next] = key
+	d.next = (d.next + 1) % size
 	return false
 }
 
@@ -192,7 +199,7 @@ func (r *Registry[E]) acquire(key Key, gated bool) (s *Slot[E], created bool) {
 	var victims []*Slot[E]
 	if key.Group != "" && r.opts.MaxPerGroup > 0 {
 		if g := sh.groups[key.Group]; g != nil && g.count >= r.opts.MaxPerGroup {
-			if gated && !g.admit(key.Sub, r.opts.MaxPerGroup) {
+			if gated && !g.door.Admit(fnv64(key.Sub)|1, r.opts.MaxPerGroup) {
 				sh.mu.Unlock()
 				r.refused.Add(1)
 				return nil, false

@@ -16,23 +16,29 @@ import (
 // runs use the same byte oracle as full-body runs, and what they test is
 // the apply that ships. Its keepers decode nothing (no lookup): a
 // recorder has no schemas, and the byte oracle needs only the bytes.
+// It counts patches applied, bases stored and dropped and patches
+// refused into the server's metrics registry, as the runtime does.
 // Safe for concurrent use.
 type Recorder struct {
 	mu      sync.Mutex
 	bodies  [][]byte
 	limit   int
 	dropped int64
+	metrics *transport.ServerMetrics
 
-	keepers      map[uint64]*baseKeeper // by connection id
-	deltaApplied int64
-	deltaResyncs int64
+	keepers map[uint64]*baseKeeper // by connection id
 }
 
 // NewRecorder builds a recorder retaining at most limit bodies (<= 0
 // means unbounded). Bodies beyond the limit are counted as dropped
-// rather than silently lost.
-func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit, keepers: make(map[uint64]*baseKeeper)}
+// rather than silently lost. m receives the delta counters; nil gets a
+// private registry. Pass the transport.Server's registry to export them
+// on its /metrics page.
+func NewRecorder(limit int, m *transport.ServerMetrics) *Recorder {
+	if m == nil {
+		m = transport.NewServerMetrics()
+	}
+	return &Recorder{limit: limit, metrics: m, keepers: make(map[uint64]*baseKeeper)}
 }
 
 // HTTPHandler adapts the recorder to the transport server. The handler
@@ -48,18 +54,19 @@ func (r *Recorder) HTTPHandler() transport.Handler {
 		if req.DeltaMode != transport.DeltaNone {
 			k := r.keepers[req.ConnID]
 			if k == nil {
-				k = &baseKeeper{}
+				k = &baseKeeper{onDrop: r.metrics.RecordDeltaBaseEviction}
 				r.keepers[req.ConnID] = k
 			}
 			if req.DeltaMode == transport.DeltaSync {
 				k.sync(req) // a keeper that does not decode cannot refuse
+				r.metrics.RecordDeltaSync(len(req.Body))
 			} else {
 				b, err := k.apply(req)
 				if err != nil {
-					r.deltaResyncs++
+					r.metrics.RecordDeltaResync()
 					return nil, err
 				}
-				r.deltaApplied++
+				r.metrics.RecordDeltaApply(len(req.Body), len(b.body))
 				body = b.body
 			}
 		}
@@ -103,18 +110,4 @@ func (r *Recorder) ForgetBases() {
 	r.mu.Lock()
 	r.keepers = make(map[uint64]*baseKeeper)
 	r.mu.Unlock()
-}
-
-// DeltaApplied reports successfully reconstructed patch frames.
-func (r *Recorder) DeltaApplied() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deltaApplied
-}
-
-// DeltaResyncs reports patch frames refused with a resync.
-func (r *Recorder) DeltaResyncs() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deltaResyncs
 }

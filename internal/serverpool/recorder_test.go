@@ -16,7 +16,8 @@ import (
 // with a full body — every recorded body still byte-identical to a
 // from-scratch serialization of what the client sent.
 func TestRecorderEvictsBasesAtTheCap(t *testing.T) {
-	rec := NewRecorder(0)
+	sm := transport.NewServerMetrics()
+	rec := NewRecorder(0, sm)
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Handler: rec.HTTPHandler(), Respond: true})
 	if err != nil {
 		t.Fatal(err)
@@ -59,22 +60,22 @@ func TestRecorderEvictsBasesAtTheCap(t *testing.T) {
 		call(clients[i])
 		call(clients[i])
 	}
-	if st := p.Stats(); st.DeltaSends != int64(len(clients)) || st.DeltaResyncs != 0 || rec.DeltaResyncs() != 0 {
-		t.Fatalf("before the evicted template returns: %d patches, %d resyncs (server %d)",
-			st.DeltaSends, st.DeltaResyncs, rec.DeltaResyncs())
+	if st, ss := p.Stats(), sm.Snapshot(); st.DeltaSends != int64(len(clients)) || st.DeltaResyncs != 0 || ss.DeltaResyncs != 0 || ss.DeltaBaseEvictions != 1 {
+		t.Fatalf("before the evicted template returns: %d patches, %d resyncs (server %d, %d bases evicted)",
+			st.DeltaSends, st.DeltaResyncs, ss.DeltaResyncs, ss.DeltaBaseEvictions)
 	}
 
 	// The first template's base went when the last one synced: its patch
 	// is refused once, resent in full (a new sync), and patches again.
-	applied := rec.DeltaApplied()
+	applied := sm.Snapshot().DeltaApplied
 	call(clients[0])
-	if st := p.Stats(); st.DeltaResyncs != 1 || rec.DeltaResyncs() != 1 || rec.DeltaApplied() != applied {
+	if st, ss := p.Stats(), sm.Snapshot(); st.DeltaResyncs != 1 || ss.DeltaResyncs != 1 || ss.DeltaApplied != applied {
 		t.Fatalf("evicted template: client resyncs %d, server resyncs %d, applied %d -> %d; want one refusal",
-			st.DeltaResyncs, rec.DeltaResyncs(), applied, rec.DeltaApplied())
+			st.DeltaResyncs, ss.DeltaResyncs, applied, ss.DeltaApplied)
 	}
 	call(clients[0])
-	if st := p.Stats(); st.DeltaResyncs != 1 || rec.DeltaApplied() != applied+1 {
-		t.Fatalf("after recovery: resyncs %d, applied %d, want the template patching again", st.DeltaResyncs, rec.DeltaApplied())
+	if st, ss := p.Stats(), sm.Snapshot(); st.DeltaResyncs != 1 || ss.DeltaApplied != applied+1 {
+		t.Fatalf("after recovery: resyncs %d, applied %d, want the template patching again", st.DeltaResyncs, ss.DeltaApplied)
 	}
 	if got, want := rec.Count(), 2*len(clients)+2; got != want || p.Stats().Errors != 0 {
 		t.Fatalf("recorded %d bodies, want %d; %d call errors", got, want, p.Stats().Errors)

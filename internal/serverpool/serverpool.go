@@ -72,25 +72,18 @@ type Options struct {
 	DifferentialDeserialization bool
 	// Core configures each replica's response-side differential stub.
 	Core core.Config
-	// Shards is the number of replica-registry shards (rounded up to a
-	// power of two; default 16). More shards means less registry-lock
-	// contention; replicas themselves are never shared across requests
-	// of different connections under AffinityConn.
-	Shards int
 	// MaxReplicas bounds resident replicas across all shards (default
-	// 256). The bound is enforced per shard as max(1, MaxReplicas/Shards)
-	// with LRU eviction, mirroring the client pool's store.
+	// 256). The bound is enforced per shard as max(1,
+	// MaxReplicas/registryShards) with LRU eviction, mirroring the client
+	// pool's store.
 	MaxReplicas int
 	// MaxTemplateBytes budgets the replicas' aggregate template memory
 	// (request deserializer templates, response stub templates and patch
 	// bases): the registry evicts least-recently-used replicas
 	// to stay at or below it. Zero leaves memory bounded only by
-	// MaxReplicas and the per-replica key caps. See README "Sizing
-	// template memory".
+	// MaxReplicas and the deserializer's per-replica key cap. See README
+	// "Sizing template memory".
 	MaxTemplateBytes int64
-	// MaxKeysPerReplica bounds operation keys inside each replica's
-	// deserializer (0 = the deserializer's default).
-	MaxKeysPerReplica int
 	// Affinity selects the replica grouping key (default AffinityConn).
 	Affinity Affinity
 	// SelfCheck re-decodes every differential fast-path result with a
@@ -111,6 +104,11 @@ type Options struct {
 	// transport.Server to export everything on one /metrics page.
 	Metrics *transport.ServerMetrics
 }
+
+// registryShards is the number of replica-registry shards. More shards
+// means less registry-lock contention; replicas themselves are never
+// shared across requests of different connections under AffinityConn.
+const registryShards = 16
 
 // Runtime dispatches SOAP requests across replica deserializer/stub
 // pairs. Register all operations before serving; Register is not safe
@@ -151,11 +149,11 @@ type Stats struct {
 }
 
 // New returns an empty runtime.
-func New(opts Options) *Runtime {
-	nshards := opts.Shards
-	if nshards <= 0 {
-		nshards = 16
-	}
+func New(opts Options) *Runtime { return newRuntime(opts, registryShards) }
+
+// newRuntime is New over a registry of the given shard count: tests
+// use one or two shards to make eviction order deterministic.
+func newRuntime(opts Options, shards int) *Runtime {
 	maxReplicas := opts.MaxReplicas
 	if maxReplicas <= 0 {
 		maxReplicas = 256
@@ -170,7 +168,7 @@ func New(opts Options) *Runtime {
 		ops:     make(map[string]*operation),
 	}
 	rt.reg = reg.NewRegistry(reg.RegistryOptions[*replica]{
-		Shards:     nshards,
+		Shards:     shards,
 		MaxEntries: maxReplicas,
 		MaxBytes:   opts.MaxTemplateBytes,
 		New:        func(reg.Key) *replica { return rt.newReplica() },
@@ -347,7 +345,7 @@ func (rt *Runtime) release(slot *reg.Slot[*replica]) {
 func (rt *Runtime) newReplica() *replica {
 	r := &replica{handlers: make(map[string]Handler)}
 	if rt.opts.DifferentialDeserialization {
-		r.differ = diffdeser.NewBounded(rt.lookupSchema, rt.opts.MaxKeysPerReplica)
+		r.differ = diffdeser.New(rt.lookupSchema)
 	}
 	r.stub = core.NewStub(rt.opts.Core, &r.sink)
 	r.bases.onDrop = rt.metrics.RecordDeltaBaseEviction

@@ -148,12 +148,12 @@ func TestHandlerValuesDecodeCorrectly(t *testing.T) {
 
 func TestReplicaLRUEviction(t *testing.T) {
 	m := transport.NewServerMetrics()
-	rt := newSumRuntime(Options{
+	rt := newRuntime(Options{
 		DifferentialDeserialization: true,
-		Shards:                      1,
 		MaxReplicas:                 2,
 		Metrics:                     m,
-	})
+	}, 1)
+	rt.Register(sumSchema(), sumFactory)
 	clients := []*client{newClient(4), newClient(5), newClient(6)}
 	for i, c := range clients {
 		if _, err := rt.Handle(uint64(i+1), "", c.body(t)); err != nil {
@@ -228,35 +228,33 @@ func TestHTTPHandlerServesWSDLAndPosts(t *testing.T) {
 	}
 }
 
+// TestDDSKeyEvictionsReachMetrics sends one replica one new operation
+// after another: once its deserializer holds as many operation keys as
+// it keeps, each new one evicts the least recently used, and every
+// eviction reaches the metrics registry.
 func TestDDSKeyEvictionsReachMetrics(t *testing.T) {
 	m := transport.NewServerMetrics()
-	rt := New(Options{DifferentialDeserialization: true, MaxKeysPerReplica: 1, Metrics: m})
-	rt.Register(sumSchema(), sumFactory)
-	mean := &soapdec.Schema{
-		Namespace: "urn:calc",
-		Op:        "mean",
-		Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},
+	rt := New(Options{DifferentialDeserialization: true, Metrics: m})
+	var st Stats
+	for n := 0; st.DDSKeyEvictions < 2; n++ {
+		if n == 1000 {
+			t.Fatalf("%d operations on one replica evicted %d keys", n, st.DDSKeyEvictions)
+		}
+		op := fmt.Sprint("op", n)
+		rt.Register(&soapdec.Schema{
+			Namespace: "urn:calc",
+			Op:        op,
+			Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},
+		}, sumFactory)
+		c := &client{sink: &captureSink{}}
+		c.stub = core.NewStub(core.Config{}, c.sink)
+		c.msg = wire.NewMessage("urn:calc", op)
+		c.arr = c.msg.AddDoubleArray("values", 4)
+		if _, err := rt.Handle(1, "", c.body(t)); err != nil {
+			t.Fatal(err)
+		}
+		st = rt.Stats()
 	}
-	rt.Register(mean, sumFactory)
-
-	sumClient := newClient(4)
-	meanClient := &client{sink: &captureSink{}}
-	meanClient.stub = core.NewStub(core.Config{}, meanClient.sink)
-	meanClient.msg = wire.NewMessage("urn:calc", "mean")
-	meanClient.arr = meanClient.msg.AddDoubleArray("values", 4)
-
-	// One replica, two ops, key bound 1: alternating ops evicts the
-	// other's key every time.
-	if _, err := rt.Handle(1, "", sumClient.body(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Handle(1, "", meanClient.body(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Handle(1, "", sumClient.body(t)); err != nil {
-		t.Fatal(err)
-	}
-	st := rt.Stats()
 	if st.DDSKeyEvictions != 2 {
 		t.Fatalf("key evictions = %d, want 2", st.DDSKeyEvictions)
 	}
@@ -354,13 +352,13 @@ func TestBudgetEvictionWithInFlightRequest(t *testing.T) {
 	m := transport.NewServerMetrics()
 	// A 1-byte budget admits each replica only by self-exemption and
 	// condemns everything else at every release.
-	rt := newSumRuntime(Options{
+	rt := newRuntime(Options{
 		DifferentialDeserialization: true,
 		SelfCheck:                   true,
-		Shards:                      1,
 		MaxTemplateBytes:            1,
 		Metrics:                     m,
-	})
+	}, 1)
+	rt.Register(sumSchema(), sumFactory)
 	a, b := newClient(6), newClient(7)
 
 	// Warm conn 1, then take its replica as an in-flight request would.
@@ -425,12 +423,12 @@ func TestTemplateBytesNeverExceedBudget(t *testing.T) {
 	// (~45 KB), so eviction churns continuously while no single replica
 	// triggers the oversized-entry exemption.
 	const budget = 16 << 10
-	rt := newSumRuntime(Options{
+	rt := newRuntime(Options{
 		DifferentialDeserialization: true,
-		Shards:                      2,
 		MaxTemplateBytes:            budget,
 		Metrics:                     m,
-	})
+	}, 2)
+	rt.Register(sumSchema(), sumFactory)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

@@ -20,8 +20,9 @@ func TestAppendMessageAllocatesNothing(t *testing.T) {
 		"doubles": workload.NewDoubles(2000, workload.FillIntermediate).Msg,
 		"mios":    workload.NewMIOs(300, workload.FillIntermediate).Msg,
 	} {
-		buf := AppendMessage(nil, m, 0)
-		if a := testing.AllocsPerRun(20, func() { buf = AppendMessage(buf[:0], m, 0) }); a != 0 {
+		var c Compiler
+		buf := c.AppendMessage(nil, m, 0)
+		if a := testing.AllocsPerRun(20, func() { buf = c.AppendMessage(buf[:0], m, 0) }); a != 0 {
 			t.Errorf("%s: %.1f allocations per render, want 0", name, a)
 		}
 	}

@@ -11,10 +11,10 @@ import (
 )
 
 func TestEnvelopeRoundTrips(t *testing.T) {
-	doc := EnvelopeStart("urn:app") + OperationStart("op") +
-		ScalarStart("v", wire.TInt) + "42" + CloseTag("v") +
-		OperationEnd("op") + EnvelopeEnd
-	p := xmlparse.NewParser([]byte(doc))
+	m := wire.NewMessage("urn:app", "op")
+	m.AddInt("v", 42)
+	doc := new(Compiler).AppendMessage(nil, m, 0)
+	p := xmlparse.NewParser(doc)
 	if _, err := p.ExpectStart("Envelope"); err != nil {
 		t.Fatal(err)
 	}
@@ -46,29 +46,9 @@ func TestEnvelopeDeclaresAllNamespaces(t *testing.T) {
 	}
 }
 
-func TestArrayStart(t *testing.T) {
-	got := ArrayStart("vals", wire.TDouble, 100)
-	want := `<vals xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:double[100]">`
-	if got != want {
-		t.Fatalf("ArrayStart = %q", got)
-	}
-	if ArrayEnd("vals") != "</vals>" {
-		t.Fatal("ArrayEnd wrong")
-	}
-}
-
-func TestTagHelpers(t *testing.T) {
-	if OpenTag("x") != "<x>" || CloseTag("x") != "</x>" {
-		t.Fatal("tag helpers wrong")
-	}
-	if OperationStart("f") != "<ns1:f>" || OperationEnd("f") != "</ns1:f>" {
-		t.Fatal("operation helpers wrong")
-	}
-}
-
 // TestAppendMessageFraming renders one parameter of each kind and checks
-// the document against the grammar's own string helpers, with doubles
-// printed the same by both converters.
+// the document byte for byte, with doubles printed the same by both
+// converters.
 func TestAppendMessageFraming(t *testing.T) {
 	m := wire.NewMessage("urn:app", "op")
 	m.AddInt("n", -7)
@@ -77,15 +57,48 @@ func TestAppendMessageFraming(t *testing.T) {
 	arr := m.AddDoubleArray("vals", 2)
 	arr.Set(0, 1.5)
 	arr.Set(1, math.Inf(-1))
-	want := EnvelopeStart("urn:app") + OperationStart("op") +
-		ScalarStart("n", wire.TInt) + "-7" + CloseTag("n") +
-		ScalarStart("x", wire.TDouble) + "0.1" + CloseTag("x") +
-		ScalarStart("s", wire.TString) + "a&lt;b" + CloseTag("s") +
-		ArrayStart("vals", wire.TDouble, 2) + "<item>1.5</item><item>-INF</item>" + ArrayEnd("vals") +
-		OperationEnd("op") + EnvelopeEnd
+	want := EnvelopeStart("urn:app") + `<ns1:op>` +
+		`<n xsi:type="xsd:int">-7</n>` +
+		`<x xsi:type="xsd:double">0.1</x>` +
+		`<s xsi:type="xsd:string">a&lt;b</s>` +
+		`<vals xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:double[2]"><item>1.5</item><item>-INF</item></vals>` +
+		`</ns1:op>` + EnvelopeEnd
+	var c Compiler
 	for _, conv := range []fastconv.Converter{0, fastconv.Dragon} {
-		if got := string(AppendMessage(nil, m, conv)); got != want {
+		if got := string(c.AppendMessage(nil, m, conv)); got != want {
 			t.Errorf("converter %d:\n got %s\nwant %s", conv, got, want)
 		}
+	}
+}
+
+// TestParamSteps pins what a struct array compiles to: its arrayType
+// open tag, one item's steps — markup-only steps for the item and the
+// inner struct, a leaf step per field whose Lit and Close are exactly
+// its tags — its close tag and its length.
+func TestParamSteps(t *testing.T) {
+	inner := wire.StructOf("ns1:In", wire.Field{Name: "b", Type: wire.TBool})
+	elem := wire.StructOf("ns1:El", wire.Field{Name: "a", Type: wire.TInt}, wire.Field{Name: "in", Type: inner})
+	m := wire.NewMessage("urn:app", "op")
+	m.AddStructArray("xs", elem, 3)
+	var c Compiler
+	open, steps, end, n := c.Param(&m.Params()[0])
+	if string(open) != `<xs xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="ns1:El[3]">` || string(end) != `</xs>` || n != 3 {
+		t.Fatalf("framing %q … %q × %d", open, end, n)
+	}
+	var got []string
+	for _, st := range steps {
+		s := string(st.Lit)
+		if st.Leaf != nil {
+			s += "[" + st.Leaf.Name + "]" + string(st.Close)
+		}
+		got = append(got, s)
+	}
+	want := []string{"<item>", "<a>[xsd:int]</a>", "<in>", "<b>[xsd:boolean]</b>", "</in>", "</item>"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("steps %q, want %q", got, want)
+	}
+	head, tail := c.Operation(m)
+	if string(head) != EnvelopeStart("urn:app")+"<ns1:op>" || string(tail) != "</ns1:op>"+EnvelopeEnd {
+		t.Fatalf("operation framing %q … %q", head, tail)
 	}
 }

@@ -218,7 +218,8 @@ func (m *ServerMetrics) RecordReplicaEviction(budget bool) {
 
 // RecordDeltaApply counts one patch frame successfully applied to a held
 // base: wire is the frame's size on the wire, represented the size of
-// the body it reconstructs. The serverpool runtime calls this per patch.
+// the body it reconstructs. The serverpool runtime and recorder call
+// this per patch.
 func (m *ServerMetrics) RecordDeltaApply(wire, represented int) {
 	m.c[cDeltaApplied].Add(1)
 	m.c[cDeltaWireBytes].Add(int64(wire))

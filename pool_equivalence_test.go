@@ -197,7 +197,7 @@ func equivalenceConfigs() []equivConfig {
 func TestPoolBaselineEquivalence(t *testing.T) {
 	for _, tc := range equivalenceConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			srec, p := harness.Recorder(t, nil, bsoap.PoolOptions{
+			srec, p := harness.Recorder(t, nil, nil, bsoap.PoolOptions{
 				Size:     1,
 				Replicas: 1,
 				Config:   tc.cfg,
@@ -263,13 +263,13 @@ func TestPoolPipelinedEquivalence(t *testing.T) {
 
 	for _, tc := range equivalenceConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			srec, serial := harness.Recorder(t, nil, bsoap.PoolOptions{
+			srec, serial := harness.Recorder(t, nil, nil, bsoap.PoolOptions{
 				Size:     1,
 				Replicas: 1,
 				Config:   tc.cfg,
 			})
 
-			rec, piped := harness.Recorder(t, nil, bsoap.PoolOptions{
+			rec, piped := harness.Recorder(t, nil, nil, bsoap.PoolOptions{
 				Size:          1,
 				Replicas:      1,
 				Config:        tc.cfg,
