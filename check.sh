@@ -99,6 +99,11 @@ one_path_guard() {
     expect() { # expect <want> <what> <pattern> <dir> [grep options]
         want=$1 what=$2
         shift 2
+        # A guard on a path that is gone would count 0 and pass unseen.
+        if [ ! -e "$2" ]; then
+            echo "one-path guard: $what: $2 does not exist" >&2
+            exit 1
+        fi
         n=$(count "$@")
         if [ "$n" != "$want" ]; then
             echo "one-path guard: $what: $n occurrences in $2, want exactly $want:" >&2
@@ -123,8 +128,9 @@ one_path_guard() {
     absent "mutex in the engine" 'sync\.(RW)?Mutex' internal/core
     absent "template store shared between stubs" 'NewStubWithStore' .
     absent "gzip outside the ablation" '"compress/gzip"' .
-    # A reply is read by the sender that sent the request (ExpectResponse),
-    # not by a second round-trip path beside it.
+    # A reply is read by the sender that sent the request (Pending.Wait,
+    # which a bare ExpectResponse send is at depth 1), not by a second
+    # round-trip path beside it.
     absent "round-trip send beside Submit" 'Roundtrip\(' .
     absent "round-trip client package" '"bsoap/internal/rpc"' .
     # A response's header section is rendered at one place, and the
@@ -157,14 +163,20 @@ one_path_guard() {
     # stub's own).
     check "overlay stream begun" '\.BeginStream\(\)' internal/core
     absent "footprint generation beside the stub's cache" 'FootprintGen' .
-    # The client reads a response one way: whoever needs it reads it
-    # inline (Sender.Submit, Pending.Wait, a Submit at depth). No reader
-    # goroutine, no per-call wake-up channel, no channel on a future.
-    absent "reader goroutine in the client pipeline" 'go pl\.readLoop|func \(pl \*Pipeline\) readLoop' internal/transport
-    absent "wake-up channel in the client pipeline" 'make\(chan ' internal/transport/pipeline.go
+    # The client reads a response one way, at one place (readOldest):
+    # whoever needs it reads it (Pending.Wait — a bare ExpectResponse send
+    # included — or a Submit at depth). A client connection is one
+    # Sender: no pipeline type beside it, no inline read beside the
+    # queue, no reader goroutine, no per-call wake-up channel, no channel
+    # on a future.
+    check "client response read" 'ReadResponseInto\(s\.br' internal/transport
+    absent "pipeline type beside the Sender" 'type Pipeline struct|func NewPipeline' internal/transport
+    absent "inline response read beside the queue" 'maybeReadResponse' internal/transport
+    absent "reader goroutine in the client pipeline" 'go s\.readLoop|func \(s \*Sender\) readLoop' internal/transport
+    absent "wake-up channel in the client pipeline" 'make\(chan ' internal/transport/sender.go
     absent "channel accessor on a future" 'func \(f \*Future\) Done' internal/pool
-    # One client connection discipline: every pool slot is a dialed
-    # Sender under a Pipeline (a Call is depth 1 of it), dialed only
+    # One client connection discipline: every pool slot is one dialed
+    # Sender (a Call is depth 1 of its queue), dialed only
     # through SenderOptions.Dialer, and every request is HTTP/1.1 — no
     # second pool mode, no dial that hands the pool a sink, no second
     # framing, no in-process loadgen.

@@ -65,9 +65,15 @@ func TestTemplateMemoryIsFreed(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
 		// The benchmark's small_serial messages: 8 doubles, 8 ints, 3 MIOs.
 		heap, fp, _ := templateHeap(t, 2000, WidthPolicy{Double: 18, Int: 9},
-			workload.NewDoubles(8, workload.FillIntermediate).Msg,
-			workload.NewInts(8, workload.FillIntermediate).Msg,
-			workload.NewMIOs(3, workload.FillIntermediate).Msg)
+			[]*wire.Message{
+				workload.NewDoubles(9, workload.FillIntermediate).Msg,
+				workload.NewInts(9, workload.FillIntermediate).Msg,
+				workload.NewMIOs(4, workload.FillIntermediate).Msg,
+			}, []*wire.Message{
+				workload.NewDoubles(8, workload.FillIntermediate).Msg,
+				workload.NewInts(8, workload.FillIntermediate).Msg,
+				workload.NewMIOs(3, workload.FillIntermediate).Msg,
+			})
 		if heap > 4096 {
 			t.Errorf("heap grew %.0f B per template, want <= 4096", heap)
 		}
@@ -81,7 +87,8 @@ func TestTemplateMemoryIsFreed(t *testing.T) {
 		// 16 B an entry and a few headers per chunk.
 		const leaves = 5000
 		heap, fp, arenas := templateHeap(t, 16, WidthPolicy{Double: MaxWidth},
-			workload.NewDoubles(leaves, workload.FillMax).Msg)
+			[]*wire.Message{workload.NewDoubles(leaves+1, workload.FillMax).Msg},
+			[]*wire.Message{workload.NewDoubles(leaves, workload.FillMax).Msg})
 		side := (heap - arenas) / leaves
 		t.Logf("outside the chunk arenas: %.1f B per leaf", side)
 		if heap < 0.85*fp || heap > 1.15*fp {
@@ -96,21 +103,33 @@ func TestTemplateMemoryIsFreed(t *testing.T) {
 // templateHeap builds one template of each message on each of n stubs
 // and reports, per template, the heap the templates hold, what
 // Stub.Footprint charges for them, and the bytes of their chunk arenas.
-func templateHeap(t *testing.T, n int, width WidthPolicy, msgs ...*wire.Message) (heap, fp, arenas float64) {
+// Before the measurement each stub builds a template of each warm
+// message — the same shapes one leaf longer, kept resident — so the
+// stub's own scratch has already grown to what the measured builds need
+// and nothing freed is refilled in the window: the window sees template
+// memory alone.
+func templateHeap(t *testing.T, n int, width WidthPolicy, warm, msgs []*wire.Message) (heap, fp, arenas float64) {
 	t.Helper()
 	cfg := Config{Chunk: chunk.Config{Pool: membuf.NewPool()}, Width: width}
 	// The sink is shared and holds one message at a time; a warm-up
 	// stub sizes it to the largest before the measurement starts.
 	sink := &captureSink{}
-	warm := NewStub(cfg, sink)
-	for _, m := range msgs {
-		if _, err := warm.Call(m); err != nil {
+	sizer := NewStub(cfg, sink)
+	for _, m := range warm {
+		if _, err := sizer.Call(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ss := make([]*Stub, n)
+	warmFootprint := 0
 	for i := range ss {
 		ss[i] = NewStub(cfg, sink)
+		for _, m := range warm {
+			if _, err := ss[i].Call(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warmFootprint += ss[i].Footprint()
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -128,7 +147,7 @@ func templateHeap(t *testing.T, n int, width WidthPolicy, msgs ...*wire.Message)
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	footprint, arena := 0, 0
+	footprint, arena := -warmFootprint, 0
 	for _, s := range ss {
 		footprint += s.Footprint()
 		for _, m := range msgs {

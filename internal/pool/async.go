@@ -23,7 +23,7 @@ type Future struct {
 	p   *Pool
 	m   *wire.Message
 	sub submission        // never written after CallAsync: finish works on a copy
-	pd  transport.Pending // the request's place in the pipeline: no allocation of its own
+	pd  transport.Pending // the request's place on the connection: no allocation of its own
 
 	once sync.Once
 	ci   core.CallInfo
@@ -32,7 +32,7 @@ type Future struct {
 
 // Wait blocks until the call's response has been read in order off the
 // connection and returns the call's serialization info and outcome. On a
-// response failure (transport error, non-2xx status, pipeline torn down)
+// response failure (transport error, non-2xx status, connection closed)
 // the template that produced the request is marked suspect — the bytes
 // left this client but their delivery is unconfirmed, so the structure's
 // next call degrades to a full first-time send instead of diffing

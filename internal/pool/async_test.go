@@ -363,3 +363,59 @@ func TestPipelinedResyncSpans(t *testing.T) {
 			spans[refused].stages[trace.StageWire], spans[ci.Span].stages[trace.StageWire])
 	}
 }
+
+// TestReadDeadlineSpanIsTheWaitedCalls: a response read that hits its
+// deadline is recorded under the span of the call whose response it is,
+// not of whichever call the connection serves by then. On a depth-2
+// pool against a server that never answers, a's future is waited on in
+// a goroutine while b is submitted behind it on the same connection; the
+// read deadline of a's response belongs to a.
+func TestReadDeadlineSpanIsTheWaitedCalls(t *testing.T) {
+	trace.Enable()
+	defer trace.Disable()
+	trace.Default.Clear()
+
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{}) // reads, never answers
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p, err := New(Options{
+		Addr: srv.Addr(), Size: 1, PipelineDepth: 2,
+		Sender: transport.SenderOptions{ReadTimeout: 200 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	f1, err := p.CallAsync(workload.NewDoubles(4, workload.FillMin).Msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() {
+		_, err := f1.Wait()
+		waited <- err
+	}()
+	f2, err := p.CallAsync(workload.NewInts(4, workload.FillMin).Msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-waited; err == nil {
+		t.Fatal("a's call succeeded against a server that never answers")
+	}
+	if _, err := f2.Wait(); err == nil {
+		t.Fatal("b's call succeeded against a server that never answers")
+	}
+
+	var spans []uint64
+	for _, ev := range trace.Default.Snapshot().Events {
+		if ev.Kind == "deadline" && ev.A == 1 {
+			spans = append(spans, ev.Span)
+		}
+	}
+	if len(spans) != 1 || spans[0] != f1.sub.span {
+		t.Fatalf("read deadlines under spans %v, want one under a's span %d (b's is %d)", spans, f1.sub.span, f2.sub.span)
+	}
+}

@@ -57,7 +57,7 @@ func TestBackoffGrowthAndJitter(t *testing.T) {
 	clk.install(sp)
 
 	ps := &pooledSender{}
-	_, err := sp.ensure(ps, clk.t.Add(time.Hour))
+	_, err := sp.ensure(ps, clk.t.Add(time.Hour), 0)
 	if !errors.Is(err, dialErr) {
 		t.Fatalf("ensure with failing dialer: err=%v, want wrapped dial error", err)
 	}
@@ -101,7 +101,7 @@ func TestEnsureHonorsRetryBudget(t *testing.T) {
 	// Budget covers the first dial and one 20–30ms sleep, never the
 	// second (40–60ms) one.
 	deadline := clk.t.Add(35 * time.Millisecond)
-	_, err := sp.ensure(&pooledSender{}, deadline)
+	_, err := sp.ensure(&pooledSender{}, deadline, 0)
 	if !errors.Is(err, errRetryBudgetExhausted) {
 		t.Fatalf("ensure past deadline: err=%v, want errRetryBudgetExhausted", err)
 	}

@@ -108,9 +108,9 @@ var clientRows = [numCounters]promtext.Row[Stats]{
 // All methods are safe for concurrent use.
 type Metrics struct {
 	// c holds every counter, indexed by counter and declared in
-	// clientRows. The pipelines under the pool's slots add to
-	// cAsyncCalls as a write starts (and take it back if it fails) and to
-	// cResolved when its response is in or its pipeline failed;
+	// clientRows. The pool's calls add to cAsyncCalls as a write starts
+	// (and take it back if it fails), and the slots' senders add to
+	// cResolved when its response is in or the connection failed;
 	// cPipelineDepth is set once at pool construction.
 	c [numCounters]atomic.Int64
 
@@ -296,7 +296,7 @@ type Stats struct {
 	// first-time send because a prior failure poisoned the template.
 	DegradedFTS int64 `json:"degraded_fts"`
 
-	// AsyncCalls counts requests written through a slot's pipeline —
+	// AsyncCalls counts requests written through a slot's sender —
 	// every request, Call's and CallAsync's, resubmissions included.
 	// PipelineDepth is the effective per-connection in-flight bound (at
 	// least 1). FuturesPending gauges requests submitted but not yet

@@ -39,10 +39,12 @@ type Options struct {
 	Addr string
 	// Sender configures the HTTP framing of pooled connections; its
 	// Dialer is the one seam for connections that are not plain TCP
-	// (fault injection, a throttled link, tests). ExpectResponse is
-	// ignored: every pooled request reads its response. A zero
-	// ReadTimeout or WriteTimeout is 10 s, so a peer that never answers
-	// fails the call (errors_by_kind.deadline) instead of hanging it.
+	// (fault injection, a throttled link, tests). ExpectResponse governs
+	// a sender's bare sends, which the pool does not use: every pooled
+	// request goes through Sender.Submit, which always queues it for its
+	// response. Depth is set from PipelineDepth. A zero ReadTimeout or
+	// WriteTimeout is 10 s, so a peer that never answers fails the call
+	// (errors_by_kind.deadline) instead of hanging it.
 	Sender transport.SenderOptions
 
 	// Size bounds concurrent connections (default 4).
@@ -89,7 +91,8 @@ type Options struct {
 	// so only CallAsync, which hands the connection back once the
 	// request is written, fills a deeper one. The server must respond:
 	// every pooled request reads exactly one response, whatever
-	// Sender.ExpectResponse says.
+	// Sender.ExpectResponse says. It is each connection's
+	// SenderOptions.Depth.
 	PipelineDepth int
 
 	// Delta turns on differential transmission (shorthand for
@@ -157,9 +160,17 @@ func New(opts Options) (*Pool, error) {
 		return nil, fmt.Errorf("pool: Options.Addr required")
 	}
 	o.Sender.Delta = o.Sender.Delta || o.Delta
+	o.Sender.Depth = o.PipelineDepth
 	addr, sopts := o.Addr, o.Sender
-	dial := func() (*transport.Sender, error) { return transport.Dial(addr, sopts) }
 	m := newMetrics()
+	dial := func() (*transport.Sender, error) {
+		s, err := transport.Dial(addr, sopts)
+		if err == nil {
+			s.OnStall = func() { m.c[cPipelineStalls].Add(1) }
+			s.OnComplete = func() { m.c[cResolved].Add(1) }
+		}
+		return s, err
+	}
 	m.c[cPipelineDepth].Store(int64(o.PipelineDepth))
 	return &Pool{
 		opts:    o,
@@ -177,8 +188,8 @@ var errRetryBudgetExhausted = fmt.Errorf("pool: retry budget exhausted")
 // Call serializes and sends m through a pooled connection, reusing the
 // shared template for m's operation and structure, and returns once its
 // response has been read. The connection stays checked out to the call
-// until then, so a Call is a depth-1 use of the connection's pipeline
-// and allocates nothing.
+// until then, so a Call is a depth-1 use of the connection and
+// allocates nothing.
 //
 // A failed write, or a response lost with its connection, is repaired
 // (redial with backoff) and the call retried on the connection it
@@ -262,9 +273,9 @@ func (p *Pool) attempt(sub *submission, start time.Time) {
 
 // submit is the one way a request is written: repair the held slot's
 // connection, acquire a template replica, run the engine through the
-// slot's pipeline, release, and retry a failed write within MaxRetries
+// slot's sender, release, and retry a failed write within MaxRetries
 // and the RetryBudget, attributing the time to its stages. On success pd
-// is queued in the pipeline and resolves with the response; finish waits
+// is queued on the sender and resolves with the response; finish waits
 // for it.
 func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 	ps, span := sub.ps, sub.span
@@ -275,7 +286,7 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 		// while this one dials. The replica is likewise released before
 		// any retry's repair; the retry finds it again through the binding,
 		// unless another message took it over meanwhile.
-		pl, err := p.connect(ps, sub.deadline, span)
+		s, err := p.senders.ensure(ps, sub.deadline, span)
 		if err != nil {
 			sub.err = err
 			return
@@ -287,7 +298,7 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 		if r != nil {
 			stub, cs = r.stub, &r.sink
 		}
-		*cs = callSink{conn: pl, pd: pd}
+		*cs = callSink{conn: s, pd: pd}
 		if span != 0 {
 			stub.SetTraceSpan(span)
 		}
@@ -303,7 +314,7 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 			*cs = callSink{}
 		}
 		if err == nil {
-			// Attribute the stub's Call time: inside the pipeline is queue
+			// Attribute the stub's Call time: inside Submit is queue
 			// (depth stall plus write); patch-frame assembly is delta
 			// encode; the rest is serialization work.
 			p.metrics.Stages.Observe(trace.StageSerialize, callNs-queueNs-sub.ci.DeltaEncodeNs, span)
@@ -313,13 +324,13 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 			}
 			sub.pd, sub.submitted, sub.r = pd, written, r
 			if span != 0 {
-				trace.Rec(span, trace.KindAsyncSubmit, trace.OpID(m.Operation()), int64(pl.InFlight()), 0)
+				trace.Rec(span, trace.KindAsyncSubmit, trace.OpID(m.Operation()), int64(s.InFlight()), 0)
 			}
 			return
 		}
-		// The write failed, so pd was never queued to resolve.
+		// The write failed, so pd was never queued to resolve, and the
+		// sender is broken: ensure redials it.
 		p.metrics.c[cAsyncCalls].Add(-1)
-		ps.broken = true
 		if sub.err = p.retry(sub, err); sub.err != nil {
 			return
 		}
@@ -343,38 +354,6 @@ func (p *Pool) retry(sub *submission, err error) error {
 		trace.Rec(sub.span, trace.KindPoolRetry, int64(sub.retries), 0, 0)
 	}
 	return nil
-}
-
-// connect hands back the slot's healthy pipeline, dialing or repairing
-// the connection under it within deadline.
-func (p *Pool) connect(ps *pooledSender, deadline time.Time, span uint64) (*transport.Pipeline, error) {
-	if ps.pipeline != nil && (ps.broken || ps.pipeline.Broken()) {
-		// The old pipeline must fully wind down, failing any still-queued
-		// pendings, before the connection is repaired underneath it: a
-		// waiter reading through it shares the sender's buffered reader,
-		// which Redial resets.
-		_ = ps.pipeline.Close()
-		ps.pipeline = nil
-		ps.broken = true // the connection was closed with it: ensure redials
-	}
-	// The connection's X-BSoap-Trace header and its redial and deadline
-	// events carry this call's span (or none): set before ensure so a
-	// repair redial is attributed, and after it for a fresh dial.
-	if ps.sender != nil {
-		ps.sender.TraceSpan = span
-	}
-	s, err := p.senders.ensure(ps, deadline)
-	if err != nil {
-		return nil, err
-	}
-	s.TraceSpan = span
-	if ps.pipeline == nil {
-		pl := transport.NewPipeline(s, p.opts.PipelineDepth)
-		pl.OnStall = func() { p.metrics.c[cPipelineStalls].Add(1) }
-		pl.OnComplete = func() { p.metrics.c[cResolved].Add(1) }
-		ps.pipeline = pl
-	}
-	return ps.pipeline, nil
 }
 
 // finish is the tail every call ends in — on the caller's goroutine for
@@ -431,14 +410,13 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 			// against them. (m is still as it was submitted: a message is
 			// not touched until its call has resolved.)
 			p.store.markSuspect(sub.r, m.Operation(), m.Signature(), sub.span)
-			if sub.ps != nil && sub.ps.pipeline.Broken() {
+			if sub.ps != nil && sub.ps.sender.Broken() {
 				// A Call lost its response with the connection: repaired
 				// and resent on the slot it holds, a degraded first-time
-				// send. (A non-2xx leaves the pipeline healthy and is not
+				// send. (A non-2xx leaves the sender healthy and is not
 				// retried; a Future's is not either, since requests behind
 				// it may already be on the wire.)
 				if err = p.retry(&sub, err); err == nil {
-					sub.ps.broken = true
 					p.submit(m, &sub, pd)
 					now = time.Time{}
 					continue

@@ -19,17 +19,12 @@ var errPoolClosed = fmt.Errorf("pool: closed")
 var errDialFailed = fmt.Errorf("pool: dial failed")
 
 // pooledSender is one slot of the connection pool: a dialed sender (nil
-// until the slot's first call) under a pipeline, plus its health state.
-// It is owned exclusively by the goroutine that checked it out.
+// until the slot's first call), whose own Broken says whether it needs
+// a redial. It is owned exclusively by the goroutine that checked it
+// out; its futures' waiters read through the sender meanwhile.
 type pooledSender struct {
 	sender *transport.Sender
-	broken bool
-	// pipeline is the sender's one user (nil until the slot's first call
-	// and after a repair closes it). It must be closed before the sender
-	// is redialed or closed: a future's waiter may be reading through the
-	// sender's buffered reader, and closing fails any pending futures.
-	pipeline *transport.Pipeline
-	// pd is the place in the pipeline of the request whose Call holds
+	// pd is the place on the sender of the request whose Call holds
 	// the slot: a Call waits on it before checking the slot back in, so
 	// it is never in use twice.
 	pd transport.Pending
@@ -134,10 +129,16 @@ func (sp *senderPool) checkin(ps *pooledSender) {
 // retry budget). It runs on the slot owner's goroutine, and the call
 // path invokes it before acquiring a template replica so the backoff sleeps
 // here only ever hold the pool slot — never a replica lock that other
-// callers of a hot operation could be queued on.
-func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (*transport.Sender, error) {
-	if ps.sender != nil && !ps.broken {
-		return ps.sender, nil
+// callers of a hot operation could be queued on. The sender's
+// X-BSoap-Trace header and its redial and write-deadline events carry
+// span, the call's (or none): set before a repair so the redial is
+// attributed, and after a fresh dial.
+func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time, span uint64) (*transport.Sender, error) {
+	if ps.sender != nil {
+		ps.sender.TraceSpan = span
+		if !ps.sender.Broken() {
+			return ps.sender, nil
+		}
 	}
 	var lastErr error
 	for attempt := 0; attempt < sp.dialAttempts; attempt++ {
@@ -155,6 +156,7 @@ func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (*transport.S
 				sp.metrics.c[cRedials].Add(1)
 			}
 		} else if ps.sender, err = sp.dial(); err == nil {
+			ps.sender.TraceSpan = span
 			sp.metrics.c[cDials].Add(1)
 		}
 		if err != nil {
@@ -162,7 +164,6 @@ func (sp *senderPool) ensure(ps *pooledSender, deadline time.Time) (*transport.S
 			sp.metrics.c[cDialFailures].Add(1)
 			continue
 		}
-		ps.broken = false
 		return ps.sender, nil
 	}
 	return nil, fmt.Errorf("pool: connection unavailable after %d attempts: %w: %w", sp.dialAttempts, errDialFailed, lastErr)
@@ -202,13 +203,9 @@ func (sp *senderPool) close() {
 	}
 }
 
-// teardown closes a slot's pipeline (failing its pending futures and
-// waiting out any read through it) before the underlying connection.
+// teardown closes a slot's sender, failing its pending futures and
+// waiting out any read through it.
 func teardown(ps *pooledSender) {
-	if ps.pipeline != nil {
-		_ = ps.pipeline.Close()
-		ps.pipeline = nil
-	}
 	if ps.sender != nil {
 		_ = ps.sender.Close()
 	}

@@ -115,22 +115,22 @@ type engine struct {
 }
 
 // callSink is the engine's sink for one call: it writes the stub's
-// output through the checked-out slot's pipeline and times what is spent
+// output through the checked-out slot's sender and times what is spent
 // there. Set and read while the replica lock is held.
 type callSink struct {
-	// conn is the slot's pipeline. The request is written through it
+	// conn is the slot's sender. The request is written through it
 	// here, under the replica lock — template bytes are only stable while
 	// that is held — and its response left to pd.
 	conn submitter
 	pd   *transport.Pending
-	// ns accumulates time inside the pipeline (depth stall plus write),
-	// which the attribution splits out of the stub's Call time.
+	// ns accumulates time inside Submit (depth stall plus write), which
+	// the attribution splits out of the stub's Call time.
 	ns int64
 }
 
-// submitter is what a call's sink writes through: a *transport.Pipeline
+// submitter is what a call's sink writes through: a *transport.Sender
 // in the pool (the store tests put a recording fake in its place).
-// DeltaEpoch is the pipeline's view of the peer's patch bases, which
+// DeltaEpoch is the sender's view of the peer's patch bases, which
 // every response read through it keeps current.
 type submitter interface {
 	Submit(p *transport.Pending, bufs net.Buffers, an transport.Annotation) error

@@ -135,16 +135,12 @@ func TestDeltaStateOverflow(t *testing.T) {
 func TestPipelineDeltaAsync(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
-	s, err := Dial(srv.Addr(), SenderOptions{Delta: true})
+	s, err := Dial(srv.Addr(), SenderOptions{Delta: true, Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := NewPipeline(s, 4)
-	defer func() {
-		pl.Close()
-		s.Close()
-	}()
-	p, err := submit(pl, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 1})
+	defer s.Close()
+	p, err := submit(s, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 1})
 	if err != nil {
 		t.Fatalf("sync submit: %v", err)
 	}
@@ -156,7 +152,7 @@ func TestPipelineDeltaAsync(t *testing.T) {
 	}
 
 	refuse.Store(true)
-	p, err = submit(pl, net.Buffers{[]byte("patchbytes")}, Annotation{DeltaPatch, 9, 2})
+	p, err = submit(s, net.Buffers{[]byte("patchbytes")}, Annotation{DeltaPatch, 9, 2})
 	if err != nil {
 		t.Fatalf("patch submit: %v", err)
 	}
@@ -169,7 +165,7 @@ func TestPipelineDeltaAsync(t *testing.T) {
 
 	// The connection survived the 409: a full send resynchronizes.
 	refuse.Store(false)
-	p, err = submit(pl, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 2})
+	p, err = submit(s, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 9, 2})
 	if err != nil {
 		t.Fatalf("sync submit after resync: %v", err)
 	}
@@ -194,7 +190,7 @@ func TestPipelineDeltaOffFallback(t *testing.T) {
 	if err := p.Wait(); err != nil {
 		t.Fatalf("pending: %v", err)
 	}
-	if _, ok := pl.s.DeltaEpoch(3); ok {
+	if _, ok := pl.DeltaEpoch(3); ok {
 		t.Fatal("Delta off but the pipeline tracked a sync")
 	}
 }
@@ -246,13 +242,14 @@ func (c *recordConn) Write(b []byte) (int, error) {
 	return c.written.Write(b)
 }
 
-// TestSubmitSameOnBothPaths drives the three annotations through
-// Sender.Submit (response read inline) and Pipeline.Submit (response
-// read by the reader goroutine) against each response the delta protocol
-// distinguishes — 200 with an ack, 409 resync, 500 — and requires the
-// same request bytes on the wire, the same outcome and the same
-// negotiation state afterwards: there is one header renderer and one
-// response classifier, and both paths go through them.
+// TestSubmitSameOnBothPaths drives the three annotations through the
+// bare sends of an ExpectResponse sender (Send, SendFull, SendDelta) and
+// through Submit and Pending.Wait against each response the delta
+// protocol distinguishes — 200 with an ack, 409 resync, 500 — and
+// requires the same request bytes on the wire, the same outcome and the
+// same negotiation state afterwards: there is one header renderer, one
+// response read and one response classifier, and both paths go through
+// them.
 func TestSubmitSameOnBothPaths(t *testing.T) {
 	annotations := map[string]Annotation{
 		"plain": {},
@@ -273,20 +270,24 @@ func TestSubmitSameOnBothPaths(t *testing.T) {
 	}
 	run := func(an Annotation, response string, pipelined bool) outcome {
 		conn := &recordConn{scriptedConn: scriptedConn{r: bytes.NewReader([]byte(response))}}
-		s := NewSender(conn, SenderOptions{Host: "peer", Delta: true, ExpectResponse: !pipelined})
+		s := NewSender(conn, SenderOptions{Host: "peer", Delta: true, ExpectResponse: !pipelined, Depth: 2})
 		s.delta.noteSync(9, 1) // an earlier template's sync: a resync must drop it too
 		body := net.Buffers{[]byte("<a>"), []byte("</a>")}
 		var err error
-		if pipelined {
-			pl := NewPipeline(s, 2)
+		switch {
+		case pipelined:
 			var p Pending
-			if err = pl.Submit(&p, body, an); err == nil {
+			if err = s.Submit(&p, body, an); err == nil {
 				err = p.Wait()
 			}
-			defer pl.Close()
-		} else {
-			err = s.Submit(body, an)
+		case an.Mode == DeltaSync:
+			err = s.SendFull(body, an.TID, an.Epoch)
+		case an.Mode == DeltaPatch:
+			err = s.SendDelta(body, an.TID, an.Epoch)
+		default:
+			err = s.Send(body)
 		}
+		defer s.Close()
 		o := outcome{resync: errors.Is(err, wire.ErrDeltaResync), syncs: map[uint64]uint64{}}
 		if err != nil {
 			o.err = err.Error()
@@ -294,12 +295,12 @@ func TestSubmitSameOnBothPaths(t *testing.T) {
 		conn.mu.Lock()
 		o.wire = conn.written.String()
 		conn.mu.Unlock()
-		s.delta.mu.Lock()
+		s.mu.Lock()
 		o.capable = s.delta.capable
 		for k, v := range s.delta.syncs {
 			o.syncs[k] = v
 		}
-		s.delta.mu.Unlock()
+		s.mu.Unlock()
 		return o
 	}
 	for an, annotation := range annotations {

@@ -107,8 +107,7 @@ func FuzzPipelineResponses(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := &scriptedConn{r: bytes.NewReader(data)}
-		s := NewSender(conn, SenderOptions{})
-		pl := NewPipeline(s, 4)
+		pl := NewSender(conn, SenderOptions{Depth: 4})
 		var pending []*Pending
 		for i := 0; i < 3; i++ {
 			p, err := submit(pl, net.Buffers{[]byte("<m/>")}, Annotation{})

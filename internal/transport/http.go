@@ -275,7 +275,11 @@ func fields3(line []byte) (a, b, c []byte, ok bool) {
 }
 
 // readHeadersInto parses "Key: Value" lines up to the blank line into h,
-// which is cleared and reused (or allocated when nil).
+// which is cleared and reused (or allocated when nil). Three spellings
+// another HTTP parser may frame differently are refused rather than
+// read one way: an obs-fold continuation line, whitespace between a
+// name and its colon, and Content-Length repeated with another value
+// (RFC 9112 §5.1, §5.2, §6.3).
 func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (map[string]string, error) {
 	if h == nil {
 		h = make(map[string]string, 8)
@@ -297,12 +301,23 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 		if len(line) == 0 {
 			return h, nil
 		}
+		if line[0] == ' ' || line[0] == '\t' {
+			return nil, fmt.Errorf("transport: folded header line %q", line)
+		}
 		colon := bytes.IndexByte(line, ':')
 		if colon < 0 {
 			return nil, fmt.Errorf("transport: malformed header line %q", line)
 		}
-		key := lowerASCIIInPlace(bytes.TrimSpace(line[:colon]))
+		if colon > 0 && (line[colon-1] == ' ' || line[colon-1] == '\t') {
+			return nil, fmt.Errorf("transport: whitespace before colon in %q", line)
+		}
+		key := lowerASCIIInPlace(line[:colon])
 		val := bytes.TrimSpace(line[colon+1:])
+		if string(key) == "content-length" {
+			if prev, ok := h["content-length"]; ok && prev != string(val) {
+				return nil, errors.New("transport: conflicting content-length headers")
+			}
+		}
 		if string(key) == traceHeaderKey {
 			ps.traceSpan, _ = parseHex64(val)
 			continue
@@ -440,6 +455,13 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 	}
 	req.Body = nil
 	if req.Method == "GET" || req.Method == "HEAD" {
+		// Refused, not skipped: a body left unread would be read as the
+		// next request.
+		_, cl := req.Headers["content-length"]
+		_, te := req.Headers["transfer-encoding"]
+		if cl || te {
+			return fmt.Errorf("transport: %s request with a body", req.Method)
+		}
 		return nil
 	}
 	req.Body, err = readBodyInto(br, req.Headers, ps)

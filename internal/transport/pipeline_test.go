@@ -14,9 +14,9 @@ import (
 	"time"
 )
 
-// submit is Pipeline.Submit with a Pending of its own, the shape most
+// submit is Sender.Submit with a Pending of its own, the shape most
 // tests want.
-func submit(pl *Pipeline, bufs net.Buffers, an Annotation) (*Pending, error) {
+func submit(pl *Sender, bufs net.Buffers, an Annotation) (*Pending, error) {
 	p := new(Pending)
 	return p, pl.Submit(p, bufs, an)
 }
@@ -37,18 +37,14 @@ func waitWatched(t *testing.T, p *Pending) error {
 }
 
 // pipelineOver dials a pipelined sender against srv.
-func pipelineOver(t *testing.T, srv *Server, depth int) *Pipeline {
+func pipelineOver(t *testing.T, srv *Server, depth int) *Sender {
 	t.Helper()
-	s, err := Dial(srv.Addr(), SenderOptions{})
+	s, err := Dial(srv.Addr(), SenderOptions{Depth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := NewPipeline(s, depth)
-	t.Cleanup(func() {
-		pl.Close()
-		s.Close()
-	})
-	return pl
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 func TestPipelineOrderedCompletion(t *testing.T) {
@@ -212,8 +208,7 @@ func fakePeer(t *testing.T, conn net.Conn, reads, answer int) {
 func TestPipelineBreakFailsAllPending(t *testing.T) {
 	client, server := net.Pipe()
 	fakePeer(t, server, 3, 1) // one response, then the connection dies
-	s := NewSender(client, SenderOptions{})
-	pl := NewPipeline(s, 4)
+	pl := NewSender(client, SenderOptions{Depth: 4})
 	defer pl.Close()
 
 	var pending []*Pending
@@ -253,8 +248,7 @@ func TestPipelineCloseResolvesEverything(t *testing.T) {
 	}()
 	defer server.Close()
 
-	s := NewSender(client, SenderOptions{})
-	pl := NewPipeline(s, 2)
+	pl := NewSender(client, SenderOptions{Depth: 2})
 	var pending []*Pending
 	for i := 0; i < 2; i++ {
 		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
@@ -272,14 +266,14 @@ func TestPipelineCloseResolvesEverything(t *testing.T) {
 		if !resolved(pl, p) {
 			t.Fatalf("pending %d unresolved after Close", i)
 		}
-		if err := waitWatched(t, p); !errors.Is(err, errPipelineClosed) {
-			t.Fatalf("pending %d: %v, want ErrPipelineClosed", i, err)
+		if err := waitWatched(t, p); !errors.Is(err, errSenderClosed) {
+			t.Fatalf("pending %d: %v, want the closed error", i, err)
 		}
 	}
 }
 
 // resolved reports whether p has resolved, without waiting on it.
-func resolved(pl *Pipeline, p *Pending) bool {
+func resolved(pl *Sender, p *Pending) bool {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	return p.done
@@ -389,7 +383,7 @@ func TestPipelineCloseDuringRead(t *testing.T) {
 	}()
 	defer server.Close()
 
-	pl := NewPipeline(NewSender(client, SenderOptions{}), 4)
+	pl := NewSender(client, SenderOptions{Depth: 4})
 	var pending []*Pending
 	for i := 0; i < 3; i++ {
 		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
@@ -419,7 +413,7 @@ func TestPipelineCloseDuringRead(t *testing.T) {
 	for range pending {
 		select {
 		case err := <-results:
-			if !errors.Is(err, errPipelineClosed) {
+			if !errors.Is(err, errSenderClosed) {
 				t.Fatalf("waiter got %v, want the closed error", err)
 			}
 		case <-time.After(10 * time.Second):
@@ -480,11 +474,10 @@ func TestPipelineStartsNoGoroutine(t *testing.T) {
 	defer srv.Close()
 	start := runtime.NumGoroutine()
 
-	s, err := Dial(srv.Addr(), SenderOptions{})
+	pl, err := Dial(srv.Addr(), SenderOptions{Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := NewPipeline(s, 4)
 	for i := 0; i < 16; i++ {
 		p, err := submit(pl, net.Buffers{[]byte("x")}, Annotation{})
 		if err == nil {
@@ -510,8 +503,7 @@ func TestPipelineStartsNoGoroutine(t *testing.T) {
 func TestPipelineOnCompleteFiresOncePerPending(t *testing.T) {
 	client, server := net.Pipe()
 	fakePeer(t, server, 4, 2)
-	s := NewSender(client, SenderOptions{})
-	pl := NewPipeline(s, 4)
+	pl := NewSender(client, SenderOptions{Depth: 4})
 	var completions atomic.Int64
 	pl.OnComplete = func() { completions.Add(1) }
 

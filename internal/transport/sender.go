@@ -22,10 +22,13 @@ type SenderOptions struct {
 	// Host is the Host header value (default the connection's remote
 	// address).
 	Host string
-	// ExpectResponse makes Send read (and discard) one HTTP response per
-	// message. The paper's Send Time measurements do not wait for
-	// responses; RPC-style examples do. A pool ignores it: every pooled
-	// request reads its response through the slot's Pipeline.
+	// ExpectResponse makes the bare sends (Send, SendFull, SendDelta,
+	// EndStream) wait for their response: each queues at depth 1 on the
+	// sender's own Pending and waits on it. Without it a bare send only
+	// writes and the sender never reads — the paper's Send Time
+	// measurements do not wait for responses; RPC-style examples do.
+	// Submit always queues its request for a response, whatever this
+	// says.
 	ExpectResponse bool
 	// Dialer overrides the TCP dial used by Dial and Redial (fault
 	// injection, tests, alternative transports). nil selects the default
@@ -42,15 +45,46 @@ type SenderOptions struct {
 	// carry an X-BSoap-Delta sync header, and once the server
 	// acknowledges one, warm calls whose template the server holds go
 	// out as compact patch frames. Negotiation completes only where
-	// responses are read (ExpectResponse, or a Pipeline, as in every
-	// pool); without them every send stays full — lossless either way.
+	// responses are read (ExpectResponse, or Submit, as in every pool);
+	// without them every send stays full — lossless either way.
 	Delta bool
+	// Depth bounds the requests Submit keeps on the wire before the
+	// first of their responses is read (HTTP/1.1 pipelining); values
+	// below 1 mean 1. A Depth that is set also raises a bare TCP
+	// connection's send buffer to Depth requests' worth, at construction
+	// and after every Redial, so a full window fits in the socket and
+	// Submit does not block in write before the depth bound does. Zero
+	// leaves the socket as dialed.
+	Depth int
 }
 
 // Sender frames serialized messages as HTTP POSTs over one persistent
-// connection. It implements the engine's Sink (vectored complete sends)
-// and StreamSink (chunked streaming for overlay). Not safe for
-// concurrent use.
+// connection, and is that connection's depth-bounded pipeline: up to
+// Depth requests ride it before the first response is read, and
+// responses resolve their Pendings strictly in submission order (HTTP/1.x
+// responses carry no request id — FIFO is the protocol's matching rule).
+// It implements the engine's Sink (vectored complete sends) and
+// StreamSink (chunked streaming for overlay).
+//
+// A Sender runs on its callers' goroutines only. A write happens on the
+// submitter's, under writeMu: the engine's scatter-gather buffers point
+// straight into template chunks that are only stable while the caller
+// holds its template replica, so handing them to another goroutine would
+// force a copy on every send. A response is read by whoever needs one —
+// a Pending.Wait, or a Submit at depth — one at a time, at one place
+// (readOldest). A bare send that expects a response is such a waiter at
+// depth 1. Acquisition order under writeMu equals wire order equals
+// completion order.
+//
+// Failure semantics: the first write or read error (and Close) breaks
+// the sender. Every Pending already submitted resolves with the response
+// it got or with the sticky error; later submits fail immediately until
+// Redial. A non-2xx response fails only its own Pending — the response
+// was fully read, so the connection stays usable.
+//
+// Submit, Pending.Wait, InFlight, Broken, DeltaEpoch and Close are safe
+// for concurrent use. The bare sends, the stream calls and Redial belong
+// to one goroutine at a time (the pool's slot owner).
 type Sender struct {
 	conn net.Conn
 	bw   *bufio.Writer
@@ -63,13 +97,24 @@ type Sender struct {
 	addr   string
 	closed atomic.Bool
 
-	// TraceSpan attributes this sender's flight-recorder events (redial,
-	// deadline hits) to the call in progress, and is propagated to the
-	// server as the X-BSoap-Trace request header so server-side events
-	// join the same span. The pool sets it before each call; zero
-	// records the events unattributed and writes no header. Written only
-	// by the sender's owner (same synchronization as every send method).
+	// TraceSpan attributes this sender's write-side flight-recorder
+	// events (redial, write deadline hits) to the call in progress, is
+	// recorded on each Pending it submits (whose response read is
+	// attributed to it), and is propagated to the server as the
+	// X-BSoap-Trace request header so server-side events join the same
+	// span. The pool sets it before each call; zero records the events
+	// unattributed and writes no header. Written only by the sender's
+	// owner, before a send.
 	TraceSpan uint64
+
+	// OnStall, when set, is invoked each time a Submit must wait for
+	// in-flight responses because the sender is at depth. OnComplete is
+	// invoked exactly once per Pending as it resolves (success, error, or
+	// breakage). Both must be set before the first Submit, must be safe
+	// for concurrent use, and run with the sender's state locked, so
+	// they must not call back into it.
+	OnStall    func()
+	OnComplete func()
 
 	// traceBuf is the persistent scratch the X-BSoap-Trace header is
 	// rendered into: a field (not a stack array) so handing it to the
@@ -88,20 +133,30 @@ type Sender struct {
 
 	streaming bool
 
-	// resp is reused across maybeReadResponse roundtrips: the ack of a
-	// warm send is parsed into recycled storage.
-	resp Response
-
-	// delta holds the per-connection differential-transmission state:
-	// whether the peer has acknowledged delta capability and which
-	// template epochs it is believed synchronized at. Guarded by its
-	// own mutex because the pipelined read loop updates it concurrently
-	// with submits; on the serial path the lock is uncontended.
-	delta deltaState
-
 	// deltaHdrBuf is the persistent scratch the X-BSoap-Delta request
 	// header is rendered into, for the same reason as traceBuf.
 	deltaHdrBuf [64]byte
+
+	// writeMu serializes Submits — depth check, write and queue push —
+	// so the queue's order is exactly the wire's. It is taken before mu.
+	writeMu sync.Mutex
+
+	// mu guards the fields below and every Pending's outcome; cond is
+	// broadcast whenever a read lands or the sender breaks.
+	mu    sync.Mutex
+	cond  sync.Cond
+	queue []*Pending // unanswered requests in wire order; cap is the depth
+	// reading is set while one goroutine reads a response with mu
+	// released; resp is its parse state (next read invalidates).
+	reading bool
+	resp    Response
+	err     error // sticky: the first failure
+	// delta is what the peer is believed to hold for differential
+	// transmission: noted at write time, updated by every response read.
+	delta deltaState
+	// own is the place in the queue of a bare send that expects its
+	// response.
+	own Pending
 }
 
 // Annotation says what a request's body is to a delta-capable peer — the
@@ -113,9 +168,41 @@ type Annotation struct {
 	TID, Epoch uint64
 }
 
-// deltaState tracks what the peer holds for delta transmission.
+// Pending is the completion state of one queued request, filled in by
+// Submit: it resolves once the request's response has been read off the
+// connection, or once the sender breaks (every Pending resolves — a
+// broken connection fails all of them rather than leaving any waiter
+// blocked forever). The caller owns its storage, so it can live inside
+// whatever tracks the call; once resolved it may be submitted again.
+type Pending struct {
+	s *Sender
+	// span is the submitting call's TraceSpan: the read of this request's
+	// response is attributed to it, whatever call the sender serves when
+	// the read happens.
+	span   uint64
+	done   bool // guarded by s.mu, as are status and err
+	status int
+	err    error
+}
+
+// Wait blocks until the request's response has been read (or the sender
+// broke) and returns the outcome: nil for a 2xx response, an error for a
+// non-2xx status or a transport failure. The waiter does the reading:
+// until its own response is in, it reads the oldest one outstanding, or
+// waits while another goroutine does.
+func (p *Pending) Wait() error {
+	s := p.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !p.done {
+		s.readOldest()
+	}
+	return p.err
+}
+
+// deltaState tracks what the peer holds for delta transmission. It has
+// no lock of its own: it is part of the Sender's state, under mu.
 type deltaState struct {
-	mu      sync.Mutex
 	capable bool
 	syncs   map[uint64]uint64 // template id -> synchronized epoch
 }
@@ -129,7 +216,6 @@ const maxDeltaSyncs = 256
 // once the bytes now being written arrive. Sound because submits happen
 // in wire order: any patch referencing this base is written after it.
 func (d *deltaState) noteSync(tid, epoch uint64) {
-	d.mu.Lock()
 	if d.syncs == nil {
 		d.syncs = make(map[uint64]uint64, 8)
 	} else if len(d.syncs) >= maxDeltaSyncs {
@@ -138,20 +224,10 @@ func (d *deltaState) noteSync(tid, epoch uint64) {
 		}
 	}
 	d.syncs[tid] = epoch
-	d.mu.Unlock()
-}
-
-// noteAck marks the peer delta-capable (it acknowledged storing a base).
-func (d *deltaState) noteAck() {
-	d.mu.Lock()
-	d.capable = true
-	d.mu.Unlock()
 }
 
 // epoch reports the epoch the peer is believed synchronized at for tid.
 func (d *deltaState) epoch(tid uint64) (uint64, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if !d.capable {
 		return 0, false
 	}
@@ -164,10 +240,8 @@ func (d *deltaState) epoch(tid uint64) (uint64, bool) {
 // just lost a base — but not a redial (fresh connection, fresh
 // negotiation).
 func (d *deltaState) reset(keepCapable bool) {
-	d.mu.Lock()
 	d.capable = d.capable && keepCapable
 	clear(d.syncs)
-	d.mu.Unlock()
 }
 
 // NewSender wraps an established connection.
@@ -186,13 +260,17 @@ func NewSender(conn net.Conn, opts SenderOptions) *Sender {
 		"Host: " + opts.Host + "\r\n" +
 		"Content-Type: text/xml; charset=utf-8\r\n" +
 		"SOAPAction: \"\"\r\n"
-	return &Sender{
-		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 32*1024),
-		br:   bufio.NewReaderSize(conn, 32*1024),
-		opts: opts,
-		head: []byte(head),
+	s := &Sender{
+		conn:  conn,
+		bw:    bufio.NewWriterSize(conn, 32*1024),
+		br:    bufio.NewReaderSize(conn, 32*1024),
+		opts:  opts,
+		head:  []byte(head),
+		queue: make([]*Pending, 0, max(1, opts.Depth)),
 	}
+	s.cond.L = &s.mu
+	s.sizeSendBuffer()
+	return s
 }
 
 // Dial connects to addr over TCP with the socket options the paper sets
@@ -214,10 +292,18 @@ func Dial(addr string, opts SenderOptions) (*Sender, error) {
 // sockBufPerRequest is the paper's socket buffer size (32 KiB), which
 // holds the one message a serial connection has in flight. A connection
 // that carries several requests at once gets this much per request: a
-// depth-d Pipeline's send buffer and a read-ahead-N server connection's
+// depth-d Sender's send buffer and a read-ahead-N server connection's
 // receive buffer are d and N times it. Every setting is advisory — a
 // connection still works, only slower, where the kernel refuses it.
 const sockBufPerRequest = 32 * 1024
+
+// sizeSendBuffer gives a bare TCP connection a send buffer of Depth
+// requests, when Depth is set.
+func (s *Sender) sizeSendBuffer() {
+	if tc, ok := s.conn.(*net.TCPConn); ok && s.opts.Depth > 0 {
+		_ = tc.SetWriteBuffer(s.opts.Depth * sockBufPerRequest)
+	}
+}
 
 // DefaultDialer establishes one experiment-configured TCP connection:
 // TCP_NODELAY, keep-alive, 32 KiB socket buffers, 10s dial timeout. It
@@ -261,17 +347,32 @@ func dialConn(addr string, dialer func(network, addr string) (net.Conn, error), 
 	return conn, nil
 }
 
-// Close closes the underlying connection. It is idempotent — closing an
-// already-closed Sender is a no-op — and, alone among Sender methods,
-// safe to call from multiple goroutines (the first call wins), so pool
-// cleanup paths may Close unconditionally. Close must still not race
-// Redial or a send: those need the same external synchronization as the
-// rest of the Sender (the pool provides it via exclusive slot ownership).
+// errSenderClosed is the sticky error a Sender fails with when Close or
+// Redial shuts it down rather than an I/O error: pendings still in
+// flight (and any later Submit) resolve with it.
+var errSenderClosed = fmt.Errorf("transport: sender closed")
+
+// Close breaks the sender, closes the connection, resolves every
+// unanswered Pending with an error, and returns once no goroutine reads
+// or writes through it. It is idempotent and safe to call from several
+// goroutines (one closes the connection), so pool cleanup paths may
+// Close unconditionally. It must still not race Redial or a bare send.
 func (s *Sender) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
-		return nil
+	s.mu.Lock()
+	s.breakLocked(errSenderClosed)
+	s.mu.Unlock()
+	var err error
+	if s.closed.CompareAndSwap(false, true) {
+		err = s.conn.Close() // fails a read or write in progress
 	}
-	return s.conn.Close()
+	s.writeMu.Lock() // a Submit mid-write has finished
+	defer s.writeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.reading {
+		s.cond.Wait()
+	}
+	return err
 }
 
 // errNotDialed is returned by Redial on senders wrapped around an
@@ -280,7 +381,10 @@ func (s *Sender) Close() error {
 var errNotDialed = fmt.Errorf("transport: sender was not created by Dial; cannot redial")
 
 // Redial replaces a broken connection with a fresh one to the original
-// Dial address, resetting all buffered I/O and stream state. It is the
+// Dial address. It winds the old one down first, as Close does — every
+// unanswered Pending fails and any reader is waited out, since the
+// buffered reader it reads through is reset here — then dials and
+// resets all buffered I/O, stream and delta state. It is the
 // health-check primitive connection pools use: on a send error, Redial
 // and retry (the engine preserves dirty bits across failed sends, so
 // the retried call re-serializes the same changes).
@@ -293,15 +397,35 @@ func (s *Sender) Redial() error {
 	if err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.conn = conn
 	s.bw.Reset(conn)
 	s.br.Reset(conn)
-	s.closed.Store(false)
 	s.streaming = false
+	s.err = nil
 	// A fresh connection negotiates delta from scratch: nothing the old
 	// peer connection held can be assumed synchronized.
 	s.delta.reset(false)
+	s.sizeSendBuffer()
+	s.closed.Store(false)
 	return nil
+}
+
+// Broken reports whether the sender has failed or been closed; Redial
+// repairs it.
+func (s *Sender) Broken() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err != nil
+}
+
+// InFlight reports how many requests are currently on the wire awaiting
+// their response (approximate under concurrency).
+func (s *Sender) InFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
 }
 
 // armWrite re-arms the per-operation write deadline (no-op when
@@ -320,10 +444,10 @@ func (s *Sender) armRead() {
 	}
 }
 
-// noteIOErr records a flight-recorder deadline event when err is a
-// socket timeout, returning err unchanged so call sites can keep
+// noteIOErr records a flight-recorder deadline event under span when err
+// is a socket timeout, returning err unchanged so call sites can keep
 // wrapping it.
-func (s *Sender) noteIOErr(err error, read bool) error {
+func noteIOErr(err error, read bool, span uint64) error {
 	if err == nil {
 		return nil
 	}
@@ -334,7 +458,7 @@ func (s *Sender) noteIOErr(err error, read bool) error {
 			if read {
 				rw = 1
 			}
-			trace.Rec(s.TraceSpan, trace.KindDeadline, rw, 0, 0)
+			trace.Rec(span, trace.KindDeadline, rw, 0, 0)
 		}
 	}
 	return err
@@ -368,7 +492,9 @@ func (s *Sender) writeRequestHead(an Annotation) error {
 		// Noted optimistically at write time: requests reach the peer in
 		// the order written, so any later patch against this base arrives
 		// after it; if the write fails, redial/resync recovery clears it.
+		s.mu.Lock()
 		s.delta.noteSync(an.TID, an.Epoch)
+		s.mu.Unlock()
 		if _, err := s.bw.Write(b); err != nil {
 			return err
 		}
@@ -384,37 +510,94 @@ const (
 	traceHeaderKey    = "x-bsoap-trace"
 )
 
-// Submit is the one way a complete message reaches this connection:
+// Submit is the one way a complete message is queued on this connection:
 // bufs framed as one POST with Content-Length, annotated per an, and
-// flushed, then — with ExpectResponse — one response read and classified
-// inline. The vector is written segment by segment straight out of the
-// template chunks (scatter-gather).
-func (s *Sender) Submit(bufs net.Buffers, an Annotation) error {
-	if err := s.writeRequest(bufs, an); err != nil {
-		return err
+// flushed, and p resolves when its in-order response has been read. The
+// vector is written segment by segment straight out of the template
+// chunks (scatter-gather), on the caller's goroutine (see the type
+// comment); when Depth requests are already in flight, Submit first
+// reads responses until a place is free, reporting the stall through
+// OnStall. A write error breaks the sender and is returned directly — p
+// is not queued for a request that never got onto the wire. A refused
+// patch resolves p with wire.ErrDeltaResync and leaves the sender
+// healthy, so the caller can resubmit in full.
+func (s *Sender) Submit(p *Pending, bufs net.Buffers, an Annotation) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	err := s.room()
+	if err == nil {
+		err = s.writeRequest(bufs, an) // readers touch the read half only
 	}
-	return s.maybeReadResponse()
+	return s.enqueue(p, err)
 }
 
-// Send implements the engine's Sink: a plain Submit.
-func (s *Sender) Send(bufs net.Buffers) error { return s.Submit(bufs, Annotation{}) }
+// room holds a Submit, which holds writeMu, at the depth bound: while
+// Depth requests are in flight it reads the oldest response. It returns
+// the sticky error of a broken sender.
+func (s *Sender) room() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	full := func() bool { return s.err == nil && len(s.queue) == cap(s.queue) }
+	if full() && s.OnStall != nil {
+		s.OnStall()
+	}
+	for full() { // holding writeMu, nothing else queues: the count only falls
+		s.readOldest()
+	}
+	return s.err
+}
+
+// enqueue queues p for the request just written, for a caller holding
+// writeMu; err is how the write went, and a failed one breaks the
+// sender instead.
+func (s *Sender) enqueue(p *Pending, err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.breakLocked(err)
+		return err
+	}
+	*p = Pending{s: s, span: s.TraceSpan}
+	s.queue = append(s.queue, p)
+	if s.err != nil {
+		// Broken (by a failed read or Close) while the request was being
+		// written: nobody will read its response.
+		s.breakLocked(s.err)
+	}
+	return nil
+}
+
+// send is every bare complete send: a write alone, or with
+// ExpectResponse a Submit at depth 1 on the sender's own Pending and a
+// wait for its response.
+func (s *Sender) send(bufs net.Buffers, an Annotation) error {
+	if !s.opts.ExpectResponse {
+		return s.writeRequest(bufs, an)
+	}
+	if err := s.Submit(&s.own, bufs, an); err != nil {
+		return err
+	}
+	return s.own.Wait()
+}
+
+// Send implements the engine's Sink: a plain bare send.
+func (s *Sender) Send(bufs net.Buffers) error { return s.send(bufs, Annotation{}) }
 
 // SendFull implements core.DeltaSink: a full body a capable peer stores
 // as the patch base for tid.
 func (s *Sender) SendFull(bufs net.Buffers, tid, epoch uint64) error {
-	return s.Submit(bufs, Annotation{DeltaSync, tid, epoch})
+	return s.send(bufs, Annotation{DeltaSync, tid, epoch})
 }
 
 // SendDelta implements core.DeltaSink: bufs is a pre-encoded patch
 // frame.
 func (s *Sender) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
-	return s.Submit(bufs, Annotation{DeltaPatch, tid, newEpoch})
+	return s.send(bufs, Annotation{DeltaPatch, tid, newEpoch})
 }
 
 // writeRequest frames bufs as one POST and flushes it without touching
-// the response side of the connection — the write half Submit and
-// Pipeline.Submit share. The caller owns reading (or not reading) the
-// response.
+// the response side of the connection. The caller owns reading (or not
+// reading) the response.
 func (s *Sender) writeRequest(bufs net.Buffers, an Annotation) error {
 	s.armWrite()
 	total := 0
@@ -432,11 +615,11 @@ func (s *Sender) writeRequest(bufs net.Buffers, an Annotation) error {
 	}
 	for _, b := range bufs {
 		if _, err := s.bw.Write(b); err != nil {
-			return fmt.Errorf("transport: send body: %w", s.noteIOErr(err, false))
+			return fmt.Errorf("transport: send body: %w", noteIOErr(err, false, s.TraceSpan))
 		}
 	}
 	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("transport: flush: %w", s.noteIOErr(err, false))
+		return fmt.Errorf("transport: flush: %w", noteIOErr(err, false, s.TraceSpan))
 	}
 	return nil
 }
@@ -478,46 +661,95 @@ func (s *Sender) StreamChunk(p []byte) error {
 	if _, err := s.bw.WriteString("\r\n"); err != nil {
 		return fmt.Errorf("transport: chunk tail: %w", err)
 	}
-	return s.noteIOErr(s.bw.Flush(), false)
+	return noteIOErr(s.bw.Flush(), false, s.TraceSpan)
 }
 
-// EndStream terminates the chunked body.
+// EndStream terminates the chunked body; with ExpectResponse the stream
+// is then queued on the sender's own Pending, as a bare send is, and
+// its response waited for.
 func (s *Sender) EndStream() error {
 	if !s.streaming {
 		return fmt.Errorf("transport: EndStream outside a stream")
 	}
 	s.streaming = false
 	s.armWrite()
-	if _, err := s.bw.WriteString("0\r\n\r\n"); err != nil {
-		return fmt.Errorf("transport: end stream: %w", err)
+	_, err := s.bw.WriteString("0\r\n\r\n")
+	if err != nil {
+		err = fmt.Errorf("transport: end stream: %w", err)
+	} else if err = s.bw.Flush(); err != nil {
+		err = fmt.Errorf("transport: end stream flush: %w", noteIOErr(err, false, s.TraceSpan))
 	}
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("transport: end stream flush: %w", s.noteIOErr(err, false))
-	}
-	return s.maybeReadResponse()
-}
-
-func (s *Sender) maybeReadResponse() error {
 	if !s.opts.ExpectResponse {
-		return nil
-	}
-	if err := s.readResponse(&s.resp); err != nil {
 		return err
 	}
-	return s.classify(&s.resp)
+	s.writeMu.Lock()
+	err = s.enqueue(&s.own, err)
+	s.writeMu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.own.Wait()
 }
 
-// readResponse reads one response off the connection under the read
-// deadline. An error means the response stream is gone or out of step.
-func (s *Sender) readResponse(resp *Response) error {
+// readOldest is one step of a wait, for a caller holding mu, and the
+// one place a Sender reads a response: it waits for the read in progress
+// to land, or reads the oldest outstanding response itself, with mu
+// released, and resolves that request. A read error breaks the sender —
+// every request behind the lost response is undeliverable too.
+func (s *Sender) readOldest() {
+	if s.reading {
+		s.cond.Wait()
+		return
+	}
+	s.reading = true
+	span := s.queue[0].span
+	s.mu.Unlock()
 	s.armRead()
-	return s.noteIOErr(ReadResponseInto(s.br, resp), true)
+	err := noteIOErr(ReadResponseInto(s.br, &s.resp), true, span)
+	s.mu.Lock()
+	s.reading = false
+	switch {
+	case s.err != nil:
+		// Broken while the read was out, which resolved the queue.
+	case err != nil:
+		s.breakLocked(fmt.Errorf("transport: read response: %w", err))
+	default:
+		p := s.queue[0]
+		s.queue = append(s.queue[:0], s.queue[1:]...)
+		// A non-2xx (a refused patch included) fails only this request:
+		// the response was fully read and the connection is healthy.
+		s.resolve(p, s.resp.Status, s.classify(&s.resp))
+	}
+	s.cond.Broadcast()
+}
+
+// breakLocked records the first failure (later ones lose) and resolves
+// every queued request with it. Called with mu held.
+func (s *Sender) breakLocked(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+	for _, p := range s.queue {
+		s.resolve(p, 0, s.err)
+	}
+	s.queue = s.queue[:0]
+	s.cond.Broadcast()
+}
+
+// resolve counts first, then publishes: whoever Wait releases must
+// already see what OnComplete accounted (the pool's futures_pending
+// gauge). Called with mu held.
+func (s *Sender) resolve(p *Pending, status int, err error) {
+	if s.OnComplete != nil {
+		s.OnComplete()
+	}
+	p.status, p.err, p.done = status, err, true
 }
 
 // classify turns one fully read response into the request's outcome and
-// folds it into the delta negotiation state, for the inline read and the
-// pipeline's reader alike. Whatever it returns, the connection is
-// healthy: the response was read whole.
+// folds it into the delta negotiation state. Called with mu held.
+// Whatever it returns, the connection is healthy: the response was read
+// whole.
 func (s *Sender) classify(resp *Response) error {
 	if resp.Status/100 != 2 {
 		if s.opts.Delta && resp.Status == 409 && resp.Headers[wire.DeltaHeaderKey] == wire.DeltaValResync {
@@ -531,7 +763,8 @@ func (s *Sender) classify(resp *Response) error {
 	if s.opts.Delta {
 		if v, ok := resp.Headers[wire.DeltaHeaderKey]; ok {
 			if _, _, oka := wire.ParseDeltaAck(v); oka {
-				s.delta.noteAck()
+				// The peer acknowledged storing a base: it is delta-capable.
+				s.delta.capable = true
 			}
 		}
 	}
@@ -549,6 +782,8 @@ func (s *Sender) DeltaEpoch(tid uint64) (uint64, bool) {
 	if !s.opts.Delta {
 		return 0, false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.delta.epoch(tid)
 }
 

@@ -49,8 +49,8 @@ func acceptedConn(t *testing.T, srv *Server, s *Sender) net.Conn {
 
 // TestSocketBuffersFollowDepth reads the kernel's buffer sizes off
 // loopback sockets: a serial connection keeps the paper's 32 KiB, a
-// depth-8 pipeline's send buffer and a read-ahead-8 handler connection's
-// receive buffer hold eight requests' worth.
+// depth-8 sender's send buffer (after a Redial too) and a read-ahead-8
+// handler connection's receive buffer hold eight requests' worth.
 func TestSocketBuffersFollowDepth(t *testing.T) {
 	// What the kernel reports for the paper's setting, which need not be
 	// the number set.
@@ -101,10 +101,19 @@ func TestSocketBuffersFollowDepth(t *testing.T) {
 				t.Fatalf("accepted connection: receive %d, want at least %d", rcv, c.rcvAtLeast)
 			}
 
-			pl := NewPipeline(s, 8)
+			pl, err := Dial(srv.Addr(), SenderOptions{Depth: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer pl.Close()
-			if snd, _ := sockBufs(t, s.conn); snd < 8*sockBufPerRequest {
-				t.Fatalf("depth-8 pipeline: send %d, want at least %d", snd, 8*sockBufPerRequest)
+			if snd, _ := sockBufs(t, pl.conn); snd < 8*sockBufPerRequest {
+				t.Fatalf("depth-8 sender: send %d, want at least %d", snd, 8*sockBufPerRequest)
+			}
+			if err := pl.Redial(); err != nil {
+				t.Fatal(err)
+			}
+			if snd, _ := sockBufs(t, pl.conn); snd < 8*sockBufPerRequest {
+				t.Fatalf("depth-8 sender after Redial: send %d, want at least %d", snd, 8*sockBufPerRequest)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +72,75 @@ func TestReadRequestErrors(t *testing.T) {
 	}
 	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(""))); err != errConnClosed {
 		t.Error("empty connection should be ErrConnClosed")
+	}
+}
+
+// TestRequestFramingHolesRejected feeds the request spellings two HTTP
+// parsers may frame differently to ReadRequestInto and to a live
+// responding server. Each is refused: the parse fails, and the server
+// answers nothing, counts no request and closes the connection — a GET
+// whose Content-Length covers a complete POST must not come back as two
+// requests. The accepted rows pin what the checks leave alone.
+func TestRequestFramingHolesRejected(t *testing.T) {
+	post := "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi"
+	cases := []struct {
+		name, raw string
+		ok        bool
+	}{
+		{"GET with a body", "GET /wsdl HTTP/1.1\r\nHost: t\r\nContent-Length: " + strconv.Itoa(len(post)) + "\r\n\r\n" + post, false},
+		{"HEAD with a body", "HEAD / HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi", false},
+		{"GET with chunked framing", "GET / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", false},
+		{"conflicting Content-Length", "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello", false},
+		{"space before colon", "POST / HTTP/1.1\r\nHost: t\r\nContent-Length : 2\r\n\r\nhi", false},
+		{"obs-fold", "POST / HTTP/1.1\r\nHost: t\r\nX-A: b\r\n Content-Length: 2\r\n\r\nhi", false},
+		{"plain GET", "GET /wsdl HTTP/1.1\r\nHost: t\r\n\r\n", true},
+		{"repeated equal Content-Length", "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi", true},
+	}
+	srv, err := Listen("127.0.0.1:0", ServerOptions{Respond: true, Handler: echoHandler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var req Request
+			if err := ReadRequestInto(bufio.NewReader(strings.NewReader(c.raw)), &req); (err == nil) != c.ok {
+				t.Fatalf("ReadRequestInto: err %v, want ok=%v", err, c.ok)
+			}
+
+			before := srv.Requests()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte(c.raw)); err != nil {
+				t.Fatal(err)
+			}
+			if c.ok {
+				// The server holds an answered keep-alive connection open.
+				conn.(*net.TCPConn).CloseWrite()
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			br := bufio.NewReader(conn)
+			responses := 0
+			for {
+				if _, err := ReadResponse(br); err != nil {
+					if ne, ok := err.(net.Error); ok && ne.Timeout() {
+						t.Fatal("the server neither answered nor closed the connection")
+					}
+					break
+				}
+				responses++
+			}
+			want := 0
+			if c.ok {
+				want = 1
+			}
+			if responses != want || srv.Requests()-before != int64(want) {
+				t.Fatalf("%d responses and %d requests counted, want %d of each", responses, srv.Requests()-before, want)
+			}
+		})
 	}
 }
 
