@@ -60,10 +60,17 @@ kernel_guard() {
         echo "kernel guard: go generate changed the committed power-of-ten table" >&2
         exit 1
     }
+    dirs="internal/xsdlex internal/fastconv internal/core internal/soapdec
+        internal/diffdeser internal/multiref internal/baseline internal/soapenv"
+    # A listed directory that is gone would be searched for nothing.
+    for d in $dirs; do
+        if [ ! -d "$d" ]; then
+            echo "kernel guard: $d does not exist" >&2
+            exit 1
+        fi
+    done
     sites=$(grep -rnE 'strconv\.(ParseFloat|AppendFloat|FormatFloat)' \
-        --include='*.go' --exclude='*_test.go' --exclude=gen_pow10.go \
-        internal/xsdlex internal/fastconv internal/core internal/soapdec \
-        internal/diffdeser internal/xmlwr internal/multiref internal/baseline internal/soapenv \
+        --include='*.go' --exclude='*_test.go' --exclude=gen_pow10.go $dirs \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
         | grep -v '^internal/xsdlex/atof\.go:.*strconv\.ParseFloat(string(s), 64)$' || true)
     if [ -n "$sites" ]; then
@@ -93,8 +100,13 @@ one_path_guard() {
     count() { # count <pattern> <dir> [grep options]: matching non-comment lines of non-test code
         pattern=$1 dir=$2
         shift 2
-        grep -rnE "$pattern" --include='*.go' --exclude='*_test.go' "$@" "$dir" \
-            | grep -vcE '^[^:]+:[0-9]+:[[:space:]]*//' || true
+        # grep exits 1 when nothing matches and 2 when it cannot search
+        # (a malformed pattern): a guard that cannot search must not pass.
+        hits=$(grep -rnE "$pattern" --include='*.go' --exclude='*_test.go' "$@" "$dir") || [ $? -eq 1 ] || {
+            echo "one-path guard: grep failed on '$pattern' in $dir" >&2
+            exit 1
+        }
+        printf '%s\n' "$hits" | grep -vcE '^$|^[^:]+:[0-9]+:[[:space:]]*//' || true
     }
     expect() { # expect <want> <what> <pattern> <dir> [grep options]
         want=$1 what=$2
@@ -204,6 +216,13 @@ one_path_guard() {
     expect 10 "exposition lines written beside the table" '\.(Counter|Gauge|CounterWithLabel)\(|promtext\.Rows\(' internal/pool
     expect 5 "exposition lines written beside the table" '\.(Counter|Gauge|CounterWithLabel)\(|promtext\.Rows\(' internal/transport
     absent "counter atomic in the server runtime" 'atomic\.Int64' internal/serverpool/serverpool.go
+    # The WSDL control plane runs on the standard library: encoding/xml
+    # parses a description and net/http fetches it, so the hand-rolled
+    # XML writer stays gone, the WSDL package walks no xmlparse tokens,
+    # and the transport writes requests only through the Sender.
+    absent "hand-rolled XML writer" '"bsoap/internal/xmlwr"' .
+    absent "xmlparse walk in the WSDL package" 'xmlparse' internal/wsdl
+    absent "hand-written request line beside the Sender" '"GET ' internal/transport
     heap=$(go build -gcflags=-m ./internal/soapenv 2>&1 | grep 'moved to heap' || true)
     if [ -n "$heap" ]; then
         echo "one-path guard: the from-scratch renderer moves a variable to the heap:" >&2

@@ -14,7 +14,6 @@ import (
 	"bsoap/internal/classad"
 	"bsoap/internal/mcs"
 	"bsoap/internal/soapdec"
-	"bsoap/internal/transport"
 	"bsoap/internal/wire"
 	"bsoap/internal/wsdl"
 )
@@ -36,20 +35,21 @@ func main() {
 		os.Stdout.Write(doc)
 		fmt.Println()
 	case *fetch != "":
-		resp, err := transport.Fetch(*fetch, "/?wsdl")
+		svc, err := wsdl.Fetch(*fetch)
 		if err != nil {
 			fatal(err)
 		}
-		if resp.Status != 200 {
-			fatal(fmt.Errorf("endpoint returned %d", resp.Status))
-		}
-		summarize(resp.Body)
+		summarize(svc)
 	case *validate != "":
 		doc, err := os.ReadFile(*validate)
 		if err != nil {
 			fatal(err)
 		}
-		summarize(doc)
+		svc, err := wsdl.Parse(doc)
+		if err != nil {
+			fatal(fmt.Errorf("invalid WSDL: %w", err))
+		}
+		summarize(svc)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -87,12 +87,8 @@ func builtinWSDL(name string) ([]byte, error) {
 	return nil, fmt.Errorf("unknown built-in service %q (calc | mcs | flock)", name)
 }
 
-// summarize parses a WSDL document and prints its operations.
-func summarize(doc []byte) {
-	svc, err := wsdl.Parse(doc)
-	if err != nil {
-		fatal(fmt.Errorf("invalid WSDL: %w", err))
-	}
+// summarize prints a service description and its operations.
+func summarize(svc *wsdl.Service) {
 	fmt.Printf("service  %s\n", svc.Name)
 	fmt.Printf("namespace %s\n", svc.Namespace)
 	if svc.Endpoint != "" {

@@ -136,11 +136,7 @@ func main() {
 	// --- Client side ----------------------------------------------------
 	// Discover the service: fetch and parse its WSDL, then build the
 	// request message from the recovered schema.
-	wsdlResp, err := transport.Fetch(srv.Addr(), "/?wsdl")
-	if err != nil {
-		log.Fatal(err)
-	}
-	svc, err := wsdl.Parse(wsdlResp.Body)
+	svc, err := wsdl.Fetch(srv.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,8 +2,11 @@ package serverpool
 
 import (
 	"bufio"
+	"bytes"
+	"io"
 	"math"
 	"net"
+	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -275,22 +278,31 @@ func TestWSDLServedOnGET(t *testing.T) {
 	}
 	defer srv.Close()
 
-	resp, err := transport.Fetch(srv.Addr(), "/?wsdl")
-	if err != nil {
-		t.Fatal(err)
+	// A net/http client reads the description on one kept-alive
+	// connection, as often as it asks.
+	for i := 0; i < 3; i++ {
+		resp, err := http.Get("http://" + srv.Addr() + "/?wsdl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 || !bytes.Equal(body, doc) {
+			t.Fatalf("GET %d: status %d, %v:\n%s", i, resp.StatusCode, err, body)
+		}
 	}
-	if resp.Status != 200 {
-		t.Fatalf("status %d", resp.Status)
-	}
-	svc, err := wsdl.Parse(resp.Body)
+	svc, err := wsdl.Fetch(srv.Addr())
 	if err != nil {
-		t.Fatalf("served WSDL does not parse: %v", err)
+		t.Fatalf("served WSDL does not fetch: %v", err)
 	}
 	if svc.Name != "Calc" || len(svc.Operations) != 1 || svc.Operations[0].Op != "sum" {
 		t.Fatalf("recovered service: %+v", svc)
 	}
-	if !strings.Contains(string(resp.Body), "ArrayOfdouble") {
-		t.Fatal("array type missing from served WSDL")
+	if p := svc.Operations[0].Params[0].Type; p.Kind != wire.Array || p.Elem != wire.TDouble {
+		t.Fatalf("array parameter recovered as %+v", p)
+	}
+	if srv.Requests() != 4 {
+		t.Fatalf("%d requests served, want 4", srv.Requests())
 	}
 }
 
@@ -305,8 +317,14 @@ func TestGETWithoutWSDLErrors(t *testing.T) {
 	defer srv.Close()
 	// On the wire the handler's error is a 500, and the server survives it.
 	for i := 0; i < 2; i++ {
-		if resp, err := transport.Fetch(srv.Addr(), "/"); err != nil || resp.Status != 500 {
-			t.Fatalf("GET without installed WSDL: %+v, %v", resp, err)
+		resp, err := http.Get("http://" + srv.Addr() + "/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 500 {
+			t.Fatalf("GET without installed WSDL: status %d", resp.StatusCode)
 		}
 	}
 }
@@ -401,11 +419,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestDiscoverAndDial(t *testing.T) {
 	svc := startCalc(t)
-	resp, err := transport.Fetch(svc.addr, "/?wsdl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, err := wsdl.Parse(resp.Body)
+	desc, err := wsdl.Fetch(svc.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +498,7 @@ func TestRawResponseAndDiscoverErrors(t *testing.T) {
 		t.Fatalf("raw response %d: %s", resp.Status, resp.Body)
 	}
 	// Discovery against a dead endpoint fails cleanly.
-	if _, err := transport.Fetch("127.0.0.1:1", "/?wsdl"); err == nil {
+	if _, err := wsdl.Fetch("127.0.0.1:1"); err == nil {
 		t.Fatal("discovery against closed port succeeded")
 	}
 }

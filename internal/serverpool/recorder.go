@@ -3,15 +3,23 @@ package serverpool
 import (
 	"sync"
 
+	reg "bsoap/internal/replica"
 	"bsoap/internal/transport"
 )
+
+// maxRecorderKeepers bounds the connections a Recorder holds patch bases
+// for, LRU by connection id: the runtime's default replica count. A
+// connection whose keeper was dropped draws a resync on its next patch
+// and resends in full, so the bound is lossless.
+const maxRecorderKeepers = 256
 
 // Recorder is a conformance-test endpoint: it keeps a verbatim copy of
 // every request body the transport accepted, so a test can later prove
 // that what the server received is byte-equivalent to a from-scratch
 // serialization of the client's values. It speaks the differential
 // transmission protocol through the keeper every replica uses — one per
-// connection, scoped the way the client scopes its sync state — so the
+// connection, scoped the way the client scopes its sync state, for the
+// maxRecorderKeepers connections most recently active — so the
 // recorded body is always the full reconstructed body, delta conformance
 // runs use the same byte oracle as full-body runs, and what they test is
 // the apply that ships. Its keepers decode nothing (no lookup): a
@@ -26,7 +34,7 @@ type Recorder struct {
 	dropped int64
 	metrics *transport.ServerMetrics
 
-	keepers map[uint64]*baseKeeper // by connection id
+	keepers *reg.LRU[uint64, *baseKeeper] // by connection id
 }
 
 // NewRecorder builds a recorder retaining at most limit bodies (<= 0
@@ -38,7 +46,7 @@ func NewRecorder(limit int, m *transport.ServerMetrics) *Recorder {
 	if m == nil {
 		m = transport.NewServerMetrics()
 	}
-	return &Recorder{limit: limit, metrics: m, keepers: make(map[uint64]*baseKeeper)}
+	return &Recorder{limit: limit, metrics: m, keepers: reg.NewLRU[uint64, *baseKeeper]()}
 }
 
 // HTTPHandler adapts the recorder to the transport server. The handler
@@ -52,10 +60,22 @@ func (r *Recorder) HTTPHandler() transport.Handler {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if req.DeltaMode != transport.DeltaNone {
-			k := r.keepers[req.ConnID]
-			if k == nil {
+			k, held := r.keepers.Get(req.ConnID)
+			if !held {
+				// A sync makes a connection's keeper. A patch on a
+				// connection without one finds no base and draws a
+				// resync, evicting nobody.
 				k = &baseKeeper{onDrop: r.metrics.RecordDeltaBaseEviction}
-				r.keepers[req.ConnID] = k
+				if req.DeltaMode == transport.DeltaSync {
+					if r.keepers.Len() >= maxRecorderKeepers {
+						// A sync made it, so it holds bases to give up.
+						_, old, _ := r.keepers.RemoveTail()
+						for tid, ok := old.bases.Tail(); ok; tid, ok = old.bases.Tail() {
+							old.drop(tid)
+						}
+					}
+					r.keepers.PushFront(req.ConnID, k)
+				}
 			}
 			if req.DeltaMode == transport.DeltaSync {
 				k.sync(req) // a keeper that does not decode cannot refuse
@@ -108,6 +128,6 @@ func (r *Recorder) Dropped() int64 {
 // refused with a resync and the client must recover losslessly.
 func (r *Recorder) ForgetBases() {
 	r.mu.Lock()
-	r.keepers = make(map[uint64]*baseKeeper)
+	r.keepers = reg.NewLRU[uint64, *baseKeeper]()
 	r.mu.Unlock()
 }

@@ -2,11 +2,13 @@ package serverpool
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"bsoap/internal/core"
 	"bsoap/internal/pool"
 	"bsoap/internal/transport"
+	"bsoap/internal/wire"
 )
 
 // TestRecorderEvictsBasesAtTheCap is the recorder's share of the
@@ -79,5 +81,50 @@ func TestRecorderEvictsBasesAtTheCap(t *testing.T) {
 	}
 	if got, want := rec.Count(), 2*len(clients)+2; got != want || p.Stats().Errors != 0 {
 		t.Fatalf("recorded %d bodies, want %d; %d call errors", got, want, p.Stats().Errors)
+	}
+}
+
+// TestRecorderBoundsKeepers: a recorder holds patch bases for at most
+// maxRecorderKeepers connections. One more connection drops the least
+// recently active one's keeper, its bases are counted as evicted, and
+// its next patch draws a resync that a full resend recovers from.
+func TestRecorderBoundsKeepers(t *testing.T) {
+	sm := transport.NewServerMetrics()
+	rec := NewRecorder(0, sm)
+	h := rec.HTTPHandler()
+	body := []byte("<E:Envelope>full body</E:Envelope>")
+	sync := func(conn uint64) {
+		t.Helper()
+		req := &transport.Request{ConnID: conn, DeltaMode: transport.DeltaSync, DeltaTID: 7, DeltaEpoch: 1, Body: body}
+		if _, err := h(req); err != nil || !req.DeltaAck {
+			t.Fatalf("conn %d: sync %v, ack %v", conn, err, req.DeltaAck)
+		}
+	}
+	patch := func(conn uint64) error {
+		frame := wire.AppendDeltaHeader(nil, 7, 1, 1, len(body), wire.DeltaCRC(body), 0)
+		_, err := h(&transport.Request{ConnID: conn, DeltaMode: transport.DeltaPatch, Body: frame})
+		return err
+	}
+	for conn := uint64(1); conn <= maxRecorderKeepers+1; conn++ {
+		sync(conn)
+	}
+	if n := rec.keepers.Len(); n != maxRecorderKeepers {
+		t.Fatalf("%d keepers held, want %d", n, maxRecorderKeepers)
+	}
+	if n := sm.Snapshot().DeltaBaseEvictions; n != 1 {
+		t.Fatalf("%d bases evicted, want the dropped keeper's 1", n)
+	}
+	if err := patch(1); !errors.Is(err, wire.ErrDeltaResync) {
+		t.Fatalf("patch on the dropped connection: %v, want a resync", err)
+	}
+	if err := patch(2); err != nil {
+		t.Fatalf("patch on a held connection: %v", err)
+	}
+	sync(1) // the full resend
+	if err := patch(1); err != nil {
+		t.Fatalf("patch after the full resend: %v", err)
+	}
+	if ss := sm.Snapshot(); ss.DeltaResyncs != 1 || ss.DeltaApplied != 2 {
+		t.Fatalf("%d resyncs and %d patches applied, want 1 and 2", ss.DeltaResyncs, ss.DeltaApplied)
 	}
 }

@@ -25,7 +25,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"bsoap/internal/core"
@@ -119,8 +119,7 @@ type Runtime struct {
 	ops     map[string]*operation
 	reg     *reg.Registry[*replica]
 
-	wsdlMu sync.Mutex
-	wsdl   []byte
+	wsdl atomic.Pointer[[]byte] // nil until SetWSDL
 }
 
 type operation struct {
@@ -210,9 +209,8 @@ func (rt *Runtime) lookupSchema(opLocal string) (*soapdec.Schema, bool) {
 
 // SetWSDL installs the service description served on GET requests.
 func (rt *Runtime) SetWSDL(doc []byte) {
-	rt.wsdlMu.Lock()
-	rt.wsdl = append([]byte(nil), doc...)
-	rt.wsdlMu.Unlock()
+	doc = append([]byte(nil), doc...)
+	rt.wsdl.Store(&doc)
 }
 
 // Stats returns runtime counters. The runtime counts into its metrics
@@ -281,13 +279,11 @@ func (rt *Runtime) DebugTemplates() reg.Dump {
 func (rt *Runtime) HTTPHandler() transport.Handler {
 	return func(req *transport.Request) ([]byte, error) {
 		if req.Method == "GET" {
-			rt.wsdlMu.Lock()
-			doc := rt.wsdl
-			rt.wsdlMu.Unlock()
+			doc := rt.wsdl.Load()
 			if doc == nil {
 				return nil, fmt.Errorf("serverpool: no WSDL installed")
 			}
-			return doc, nil
+			return *doc, nil
 		}
 		slot, r := rt.acquire(rt.keyFor(req))
 		defer rt.release(slot)

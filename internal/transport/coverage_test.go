@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"log"
 	"net"
 	"strings"
@@ -53,60 +52,6 @@ func TestStatusText(t *testing.T) {
 		if !strings.Contains(buf.String(), "HTTP/1.1") {
 			t.Fatalf("status %d: %q", status, buf.String())
 		}
-	}
-}
-
-func TestFetch(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", ServerOptions{
-		Respond: true,
-		Handler: func(req *Request) ([]byte, error) {
-			if req.Method != "GET" {
-				t.Errorf("method %q", req.Method)
-			}
-			return []byte("<wsdl/>"), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := Fetch(srv.Addr(), "/?wsdl")
-	if err != nil || resp.Status != 200 || string(resp.Body) != "<wsdl/>" {
-		t.Fatalf("Fetch: %+v, %v", resp, err)
-	}
-	// Default target.
-	if _, err := Fetch(srv.Addr(), ""); err != nil {
-		t.Fatal(err)
-	}
-	// Unreachable address errors.
-	if _, err := Fetch("127.0.0.1:1", "/"); err == nil {
-		t.Fatal("fetch to closed port succeeded")
-	}
-	// A peer that accepts and never answers fails the fetch at its
-	// deadline instead of hanging it.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	silent := make(chan net.Conn, 1)
-	go func() {
-		c, _ := ln.Accept()
-		silent <- c // held open, never written to
-	}()
-	defer func() {
-		if c := <-silent; c != nil {
-			c.Close()
-		}
-	}()
-	start := time.Now()
-	_, err = fetch(ln.Addr().String(), "/", 200*time.Millisecond)
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("fetch from a silent peer: %v, want a timeout", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("fetch from a silent peer took %v against a 200ms deadline", d)
 	}
 }
 

@@ -77,6 +77,9 @@ type Request struct {
 	// request; dispatch attributes recv→dispatch time to the
 	// server-queue latency stage. Zero outside a Server.
 	recvNs int64
+	// refused marks a request the parser refused: the Server answers it
+	// 400 and closes the connection (Server.nextRequest).
+	refused bool
 
 	scratch parseScratch
 	// out is the Server's response buffer, len == cap: respHeaderBytes of
@@ -401,7 +404,10 @@ func readChunkedBodyInto(br *bufio.Reader, ps *parseScratch) ([]byte, error) {
 			return nil, fmt.Errorf("transport: reading chunk data: %w", err)
 		}
 		var crlf [2]byte
-		if _, err := io.ReadFull(br, crlf[:]); err != nil || crlf != [2]byte{'\r', '\n'} {
+		if _, err := io.ReadFull(br, crlf[:]); err != nil {
+			return nil, fmt.Errorf("transport: reading chunk data: %w", err)
+		}
+		if crlf != [2]byte{'\r', '\n'} {
 			return nil, errors.New("transport: chunk data not CRLF-terminated")
 		}
 	}

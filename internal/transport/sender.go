@@ -790,37 +790,6 @@ func (s *Sender) DeltaEpoch(tid uint64) (uint64, bool) {
 // crlf is the HTTP line terminator.
 const crlf = "\r\n"
 
-// Fetch performs one GET request against addr and returns the response
-// — the client side of WSDL retrieval.
-func Fetch(addr, target string) (*Response, error) {
-	return fetch(addr, target, 10*time.Second)
-}
-
-// fetch is Fetch with the time allowed for the dial and, again, for the
-// exchange after it: a peer that accepts and never answers fails the
-// caller instead of hanging it.
-func fetch(addr, target string, timeout time.Duration) (*Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, fmt.Errorf("transport: fetch: %w", err)
-	}
-	if target == "" {
-		target = "/"
-	}
-	if _, err := io.WriteString(conn, "GET "+target+" HTTP/1.1"+crlf+"Host: "+addr+crlf+crlf); err != nil {
-		return nil, fmt.Errorf("transport: fetch: %w", err)
-	}
-	resp := &Response{}
-	if err := ReadResponseInto(bufio.NewReader(conn), resp); err != nil {
-		return nil, fmt.Errorf("transport: fetch %s%s: %w", addr, target, err)
-	}
-	return resp, nil
-}
-
 // DiscardSink is the in-process sink the benchmarks use by default: it
 // consumes messages without network or copies beyond reading lengths, so
 // measured time is pure serialization-side cost. It is safe for

@@ -347,7 +347,11 @@ func (s *Server) serveConn(conn net.Conn) {
 // connection goroutine, or on its reader goroutine under read-ahead:
 // wait for a first byte unless one is buffered, arm the deadline, read
 // into req, account. False means the connection has no further request
-// to serve (clean close, drain, or a read failure, already recorded).
+// to serve (clean close, drain, or an I/O failure, already recorded). A
+// request the parser refuses is recorded as a read error too, but
+// returned, marked refused, and is the connection's last: nothing after
+// it can be framed. It is answered by whoever answers the connection,
+// after every answer owed before it, so the reader never writes.
 func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req *Request) bool {
 	if br.Buffered() == 0 && !s.await(conn, br, st) {
 		return false
@@ -364,7 +368,11 @@ func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req
 			s.metrics.recordReadError(err)
 			s.logf("read request: %v", err)
 		}
-		return false
+		if req.refused = refused(err); !req.refused {
+			return false
+		}
+		st.pending.Add(1)
+		return true
 	}
 	if s.reqTO > 0 {
 		// The request is fully read; its deadline must not outlive it
@@ -375,6 +383,16 @@ func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req
 	req.recvNs = time.Now().UnixNano()
 	st.pending.Add(1)
 	return true
+}
+
+// refused reports whether a failed request read is the parser refusing
+// the request rather than the connection failing under it. The parser
+// wraps every I/O error it meets, and those are net.Errors (deadlines,
+// resets, a closed conn) or EOFs.
+func refused(err error) bool {
+	var ne net.Error
+	return !errors.As(err, &ne) && !errors.Is(err, io.EOF) &&
+		!errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, errConnClosed)
 }
 
 // await parks until a next request's first byte arrives. Drain wakes a
@@ -412,6 +430,14 @@ func (s *Server) await(conn net.Conn, br *bufio.Reader, st *connState) bool {
 // wire and keep the connection alive. Every answer, whatever its status,
 // leaves in one Write from req's response buffer (reply).
 func (s *Server) dispatch(conn net.Conn, req *Request) bool {
+	if req.refused {
+		// The stream cannot be framed past a refused request: say so,
+		// unless this server answers nothing, and close.
+		if s.handler != nil || s.respond {
+			s.reply(conn, req, 400, "", []byte("Connection: close\r\n"), nil)
+		}
+		return false
+	}
 	if s.handler == nil {
 		// Dummy server: the body has been drained; optionally ack.
 		return !s.respond || s.reply(conn, req, 202, "", nil, nil)
@@ -517,6 +543,9 @@ func (s *Server) serveAhead(conn net.Conn, br *bufio.Reader, st *connState, firs
 				return
 			}
 			parsed <- req
+			if req.refused {
+				return
+			}
 		}
 	}()
 

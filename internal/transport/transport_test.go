@@ -3,7 +3,11 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,7 +82,7 @@ func TestReadRequestErrors(t *testing.T) {
 // TestRequestFramingHolesRejected feeds the request spellings two HTTP
 // parsers may frame differently to ReadRequestInto and to a live
 // responding server. Each is refused: the parse fails, and the server
-// answers nothing, counts no request and closes the connection — a GET
+// answers one 400, counts no request and closes the connection — a GET
 // whose Content-Length covers a complete POST must not come back as two
 // requests. The accepted rows pin what the checks leave alone.
 func TestRequestFramingHolesRejected(t *testing.T) {
@@ -96,51 +100,112 @@ func TestRequestFramingHolesRejected(t *testing.T) {
 		{"plain GET", "GET /wsdl HTTP/1.1\r\nHost: t\r\n\r\n", true},
 		{"repeated equal Content-Length", "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi", true},
 	}
-	srv, err := Listen("127.0.0.1:0", ServerOptions{Respond: true, Handler: echoHandler})
+	// Inline, and answered by the responder of a read-ahead connection.
+	srvs := map[int]*Server{}
+	for _, ahead := range []int{0, 4} {
+		srv, err := Listen("127.0.0.1:0", ServerOptions{Respond: true, Handler: echoHandler, ReadAhead: ahead})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srvs[ahead] = srv
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for ahead, srv := range srvs {
+				t.Run(fmt.Sprintf("readahead=%d", ahead), func(t *testing.T) {
+					var req Request
+					if err := ReadRequestInto(bufio.NewReader(strings.NewReader(c.raw)), &req); (err == nil) != c.ok {
+						t.Fatalf("ReadRequestInto: err %v, want ok=%v", err, c.ok)
+					}
+
+					before := srv.Requests()
+					conn, err := net.Dial("tcp", srv.Addr())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer conn.Close()
+					if _, err := conn.Write([]byte(c.raw)); err != nil {
+						t.Fatal(err)
+					}
+					if c.ok {
+						// The server holds an answered keep-alive connection open.
+						conn.(*net.TCPConn).CloseWrite()
+					}
+					_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+					br := bufio.NewReader(conn)
+					var statuses []int
+					for {
+						resp, err := ReadResponse(br)
+						if err != nil {
+							if !errors.Is(err, errConnClosed) {
+								t.Fatalf("after %v: %v, want a clean close", statuses, err)
+							}
+							break
+						}
+						statuses = append(statuses, resp.Status)
+					}
+					want, requests := []int{400}, int64(0)
+					if c.ok {
+						want, requests = []int{200}, 1
+					}
+					if !slices.Equal(statuses, want) || srv.Requests()-before != requests {
+						t.Fatalf("statuses %v and %d requests counted, want %v and %d", statuses, srv.Requests()-before, want, requests)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestRefusalAnsweredInOrder pins where a refusal's 400 leaves a
+// read-ahead connection: after every answer owed before it, written by
+// the responder, while the reader has already stopped reading.
+func TestRefusalAnsweredInOrder(t *testing.T) {
+	gate := make(chan struct{})
+	srv, err := Listen("127.0.0.1:0", ServerOptions{
+		Respond:   true,
+		ReadAhead: 4,
+		Handler: func(req *Request) ([]byte, error) {
+			if string(req.Body) == "req-0" {
+				<-gate
+			}
+			return []byte("echo:" + string(req.Body)), nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var req Request
-			if err := ReadRequestInto(bufio.NewReader(strings.NewReader(c.raw)), &req); (err == nil) != c.ok {
-				t.Fatalf("ReadRequestInto: err %v, want ok=%v", err, c.ok)
-			}
-
-			before := srv.Requests()
-			conn, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			if _, err := conn.Write([]byte(c.raw)); err != nil {
-				t.Fatal(err)
-			}
-			if c.ok {
-				// The server holds an answered keep-alive connection open.
-				conn.(*net.TCPConn).CloseWrite()
-			}
-			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			br := bufio.NewReader(conn)
-			responses := 0
-			for {
-				if _, err := ReadResponse(br); err != nil {
-					if ne, ok := err.(net.Error); ok && ne.Timeout() {
-						t.Fatal("the server neither answered nor closed the connection")
-					}
-					break
-				}
-				responses++
-			}
-			want := 0
-			if c.ok {
-				want = 1
-			}
-			if responses != want || srv.Requests()-before != int64(want) {
-				t.Fatalf("%d responses and %d requests counted, want %d of each", responses, srv.Requests()-before, want)
-			}
-		})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < 3; i++ {
+		body := fmt.Sprintf("req-%d", i)
+		fmt.Fprintf(conn, "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	}
+	fmt.Fprint(conn, "POST / HTTP/1.1\r\nHost: t\r\nX-A: b\r\n Content-Length: 2\r\n\r\nhi")
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	for i := 0; i < 3; i++ {
+		resp, err := ReadResponse(br)
+		if err != nil || string(resp.Body) != fmt.Sprintf("echo:req-%d", i) {
+			t.Fatalf("response %d: %+v, %v", i, resp, err)
+		}
+	}
+	resp, err := ReadResponse(br)
+	if err != nil || resp.Status != 400 || resp.Headers["connection"] != "close" {
+		t.Fatalf("refusal: %+v, %v", resp, err)
+	}
+	if _, err := ReadResponse(br); !errors.Is(err, errConnClosed) {
+		t.Fatalf("after the refusal: %v, want a clean close", err)
+	}
+	if n := srv.metrics.Snapshot().ParseErrors; n != 1 {
+		t.Fatalf("%d parse errors counted, want 1", n)
 	}
 }
 
@@ -395,4 +460,25 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// TestSilentServerStaysSilentOnRefusal: a server that answers nothing
+// (the dummy server without Respond) closes on a refused request
+// without a 400.
+func TestSilentServerStaysSilentOnRefusal(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "POST / HTTP/1.1\r\nHost: t\r\nContent-Length : 2\r\n\r\nhi")
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if b, err := io.ReadAll(conn); err != nil || len(b) != 0 {
+		t.Fatalf("read %q, %v; want a close with nothing written", b, err)
+	}
 }

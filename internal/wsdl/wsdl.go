@@ -1,23 +1,30 @@
-// Package wsdl generates and parses WSDL 1.1 service descriptions for
-// the operations this library serves. The paper situates SOAP inside
-// the Web Services architecture, where "WSDL provides a precise
-// description of a Web Service interface"; this package lets a bsoap
-// service publish that description and a client recover the operation
-// schemas (soapdec.Schema) needed to call it.
+// Package wsdl generates, parses and fetches WSDL 1.1 service
+// descriptions for the operations this library serves. The paper
+// situates SOAP inside the Web Services architecture, where "WSDL
+// provides a precise description of a Web Service interface"; this
+// package lets a bsoap service publish that description and a client
+// recover the operation schemas (soapdec.Schema) needed to call it.
 //
 // The supported subset is the RPC/encoded style the rest of the
 // repository speaks: scalar parts, struct complexTypes (sequences of
-// scalars or structs) and item-sequence array types.
+// scalars or structs) and item-sequence array types. A description is
+// written once at server start-up and read once at client discovery, so
+// none of the per-call cost the paper measures is spent here: the
+// standard library parses it (encoding/xml) and fetches it (net/http).
 package wsdl
 
 import (
+	"encoding/xml"
 	"fmt"
+	"io"
+	"net/http"
 	"sort"
+	"strings"
+	"time"
 
 	"bsoap/internal/soapdec"
 	"bsoap/internal/wire"
-	"bsoap/internal/xmlparse"
-	"bsoap/internal/xmlwr"
+	"bsoap/internal/xsdlex"
 )
 
 // Service describes one SOAP service: its operations plus addressing.
@@ -39,70 +46,68 @@ const (
 	nsXSD  = "http://www.w3.org/2001/XMLSchema"
 )
 
+// node is one element of a generated document: attrs are name, value
+// pairs, and an element without kids is written self-closed.
+type node struct {
+	name  string
+	attrs []string
+	kids  []node
+}
+
+func (n node) appendTo(b []byte) []byte {
+	b = append(append(b, '<'), n.name...)
+	for i := 0; i+1 < len(n.attrs); i += 2 {
+		b = append(append(append(b, ' '), n.attrs[i]...), '=', '"')
+		b = append(xsdlex.EscapeText(b, n.attrs[i+1]), '"')
+	}
+	if len(n.kids) == 0 {
+		return append(b, '/', '>')
+	}
+	b = append(b, '>')
+	for _, k := range n.kids {
+		b = k.appendTo(b)
+	}
+	return append(append(append(b, '<', '/'), n.name...), '>')
+}
+
 // Generate renders the WSDL document for svc.
 func Generate(svc *Service) ([]byte, error) {
 	if svc.Name == "" || svc.Namespace == "" {
 		return nil, fmt.Errorf("wsdl: service needs a name and namespace")
 	}
+	root := node{name: "definitions", attrs: []string{
+		"name", svc.Name, "targetNamespace", svc.Namespace, "xmlns", nsWSDL,
+		"xmlns:soap", nsSOAP, "xmlns:xsd", nsXSD, "xmlns:tns", svc.Namespace}}
+	types, err := typesNode(svc)
+	if err != nil {
+		return nil, err
+	}
+	if types.kids != nil {
+		root.kids = append(root.kids, types)
+	}
+	portType := node{name: "portType", attrs: []string{"name", svc.Name + "PortType"}}
+	binding := node{name: "binding", attrs: []string{"name", svc.Name + "Binding", "type", "tns:" + svc.Name + "PortType"},
+		kids: []node{{name: "soap:binding", attrs: []string{"style", "rpc", "transport", "http://schemas.xmlsoap.org/soap/http"}}}}
 	for _, op := range svc.Operations {
 		if op.Namespace != svc.Namespace {
 			return nil, fmt.Errorf("wsdl: operation %q namespace %q differs from service namespace %q",
 				op.Op, op.Namespace, svc.Namespace)
 		}
-	}
-
-	w := xmlwr.NewWriter(4096)
-	w.Decl()
-	w.Start("definitions").
-		Attr("name", svc.Name).
-		Attr("targetNamespace", svc.Namespace).
-		Attr("xmlns", nsWSDL).
-		Attr("xmlns:soap", nsSOAP).
-		Attr("xmlns:xsd", nsXSD).
-		Attr("xmlns:tns", svc.Namespace)
-
-	if err := writeTypes(w, svc); err != nil {
-		return nil, err
-	}
-
-	// Messages: one per operation, one part per parameter.
-	for _, op := range svc.Operations {
-		w.Start("message").Attr("name", op.Op+"Request")
+		// A message per operation, a part per parameter.
+		msg := node{name: "message", attrs: []string{"name", op.Op + "Request"}}
 		for _, p := range op.Params {
-			w.Start("part").Attr("name", p.Name).Attr("type", typeRef(p.Type)).End()
+			msg.kids = append(msg.kids, node{name: "part", attrs: []string{"name", p.Name, "type", typeRef(p.Type)}})
 		}
-		w.End()
+		root.kids = append(root.kids, msg)
+		portType.kids = append(portType.kids, node{name: "operation", attrs: []string{"name", op.Op},
+			kids: []node{{name: "input", attrs: []string{"message", "tns:" + op.Op + "Request"}}}})
+		binding.kids = append(binding.kids, node{name: "operation", attrs: []string{"name", op.Op},
+			kids: []node{{name: "soap:operation", attrs: []string{"soapAction", ""}}}})
 	}
-
-	// Port type.
-	w.Start("portType").Attr("name", svc.Name+"PortType")
-	for _, op := range svc.Operations {
-		w.Start("operation").Attr("name", op.Op).
-			Start("input").Attr("message", "tns:"+op.Op+"Request").End().
-			End()
-	}
-	w.End()
-
-	// Binding: RPC over HTTP.
-	w.Start("binding").Attr("name", svc.Name+"Binding").Attr("type", "tns:"+svc.Name+"PortType")
-	w.Start("soap:binding").Attr("style", "rpc").
-		Attr("transport", "http://schemas.xmlsoap.org/soap/http").End()
-	for _, op := range svc.Operations {
-		w.Start("operation").Attr("name", op.Op).
-			Start("soap:operation").Attr("soapAction", "").End().
-			End()
-	}
-	w.End()
-
-	// Service and port.
-	w.Start("service").Attr("name", svc.Name).
-		Start("port").Attr("name", svc.Name+"Port").Attr("binding", "tns:"+svc.Name+"Binding").
-		Start("soap:address").Attr("location", svc.Endpoint).End().
-		End().
-		End()
-
-	w.End() // definitions
-	return w.Result()
+	root.kids = append(root.kids, portType, binding, node{name: "service", attrs: []string{"name", svc.Name},
+		kids: []node{{name: "port", attrs: []string{"name", svc.Name + "Port", "binding", "tns:" + svc.Name + "Binding"},
+			kids: []node{{name: "soap:address", attrs: []string{"location", svc.Endpoint}}}}}})
+	return root.appendTo(append(make([]byte, 0, 4096), `<?xml version="1.0" encoding="UTF-8"?>`+"\n"...)), nil
 }
 
 // typeRef renders a parameter type reference: xsd scalars stay
@@ -110,39 +115,37 @@ func Generate(svc *Service) ([]byte, error) {
 func typeRef(t *wire.Type) string {
 	switch t.Kind {
 	case wire.Array:
-		return "tns:ArrayOf" + localTypeName(t.Elem)
+		return "tns:ArrayOf" + local(t.Elem.Name)
 	case wire.Struct:
-		return "tns:" + localTypeName(t)
+		return "tns:" + local(t.Name)
 	default:
 		return t.Name // e.g. xsd:double
 	}
 }
 
-// localTypeName strips any namespace prefix from a schema type name.
-func localTypeName(t *wire.Type) string {
-	if t.Kind.Scalar() {
-		return xmlparse.Local(t.Name)
-	}
-	return xmlparse.Local(t.Name)
+// local strips any namespace prefix from a qualified name.
+func local(name string) string {
+	return name[strings.LastIndexByte(name, ':')+1:]
 }
 
-// writeTypes emits the xsd:schema with every struct and array
-// complexType reachable from the operations, deterministically ordered.
-func writeTypes(w *xmlwr.Writer, svc *Service) error {
+// typesNode is the types element, holding an xsd:schema with every
+// struct and array complexType reachable from the operations in a
+// deterministic order; it has no kids when there are none.
+func typesNode(svc *Service) (node, error) {
 	structs := map[string]*wire.Type{}
 	arrays := map[string]*wire.Type{}
 	var collect func(t *wire.Type) error
 	collect = func(t *wire.Type) error {
 		switch t.Kind {
 		case wire.Array:
-			name := "ArrayOf" + localTypeName(t.Elem)
+			name := "ArrayOf" + local(t.Elem.Name)
 			if prev, ok := arrays[name]; ok && prev.Elem != t.Elem {
 				return fmt.Errorf("wsdl: conflicting array element types for %s", name)
 			}
 			arrays[name] = t
 			return collect(t.Elem)
 		case wire.Struct:
-			name := localTypeName(t)
+			name := local(t.Name)
 			if prev, ok := structs[name]; ok && prev != t {
 				return fmt.Errorf("wsdl: two distinct struct types named %s", name)
 			}
@@ -158,38 +161,33 @@ func writeTypes(w *xmlwr.Writer, svc *Service) error {
 	for _, op := range svc.Operations {
 		for _, p := range op.Params {
 			if err := collect(p.Type); err != nil {
-				return err
+				return node{}, err
 			}
 		}
 	}
-	if len(structs) == 0 && len(arrays) == 0 {
-		return nil
+	schema := node{name: "xsd:schema", attrs: []string{"targetNamespace", svc.Namespace}}
+	complexType := func(name string, elems ...node) {
+		schema.kids = append(schema.kids, node{name: "xsd:complexType", attrs: []string{"name", name},
+			kids: []node{{name: "xsd:sequence", kids: elems}}})
 	}
-
-	w.Start("types")
-	w.Start("xsd:schema").Attr("targetNamespace", svc.Namespace)
 	for _, name := range sortedKeys(structs) {
-		t := structs[name]
-		w.Start("xsd:complexType").Attr("name", name)
-		w.Start("xsd:sequence")
-		for _, f := range t.Fields {
-			w.Start("xsd:element").Attr("name", f.Name).Attr("type", typeRef(f.Type)).End()
+		var elems []node
+		for _, f := range structs[name].Fields {
+			elems = append(elems, node{name: "xsd:element", attrs: []string{"name", f.Name, "type", typeRef(f.Type)}})
 		}
-		w.End() // sequence
-		w.End() // complexType
+		complexType(name, elems...)
 	}
 	for _, name := range sortedKeys(arrays) {
-		t := arrays[name]
-		w.Start("xsd:complexType").Attr("name", name)
-		w.Start("xsd:sequence")
-		w.Start("xsd:element").Attr("name", "item").Attr("type", typeRef(t.Elem)).
-			Attr("minOccurs", "0").Attr("maxOccurs", "unbounded").End()
-		w.End()
-		w.End()
+		if _, ok := structs[name]; ok {
+			return node{}, fmt.Errorf("wsdl: a struct type and an array type both named %s", name)
+		}
+		complexType(name, node{name: "xsd:element", attrs: []string{"name", "item", "type", typeRef(arrays[name].Elem),
+			"minOccurs", "0", "maxOccurs", "unbounded"}})
 	}
-	w.End() // schema
-	w.End() // types
-	return nil
+	if schema.kids == nil {
+		return node{}, nil
+	}
+	return node{name: "types", kids: []node{schema}}, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -201,112 +199,79 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-// rawType is a complexType before resolution.
-type rawType struct {
-	name     string
-	isArray  bool
-	elemRef  string   // array element type reference
-	fields   []string // struct field names
-	fieldRef []string // struct field type references
-}
-
 // Parse recovers the service description from a WSDL document produced
-// by Generate (or a compatible subset).
+// by Generate (or a compatible subset). Operations come in portType
+// order, the name falls back to the service element's, and the endpoint
+// is the last non-empty soap:address. Well-formedness is encoding/xml's;
+// text between elements is ignored, since the description is data, not
+// framing.
 func Parse(doc []byte) (*Service, error) {
-	p := xmlparse.NewParser(doc)
-	tok, err := p.ExpectStart("definitions")
-	if err != nil {
+	// The document as encoding/xml reads it. Tags name local parts only,
+	// so any prefix binding of the WSDL, XSD and SOAP namespaces is
+	// accepted; elements off these paths are skipped. One shape serves
+	// the complexTypes, messages and services, each filling its own
+	// children.
+	type leaf struct {
+		Name      string `xml:"name,attr"`
+		Type      string `xml:"type,attr"`
+		MaxOccurs string `xml:"maxOccurs,attr"`
+		Location  string `xml:"location,attr"`
+	}
+	type group struct {
+		Name      string `xml:"name,attr"`
+		Elements  []leaf `xml:"sequence>element"`
+		Parts     []leaf `xml:"part"`
+		Addresses []leaf `xml:"port>address"`
+	}
+	var d struct {
+		XMLName   xml.Name `xml:"definitions"`
+		Name      string   `xml:"name,attr"`
+		Namespace string   `xml:"targetNamespace,attr"`
+		Types     []group  `xml:"types>schema>complexType"`
+		Messages  []group  `xml:"message"`
+		Ops       []leaf   `xml:"portType>operation"`
+		Services  []group  `xml:"service"`
+	}
+	if err := xml.Unmarshal(doc, &d); err != nil {
 		return nil, fmt.Errorf("wsdl: %w", err)
 	}
-	svc := &Service{}
-	for _, a := range tok.Attrs {
-		switch localName(a.Name) {
-		case "name":
-			if string(a.Name) == "name" {
-				svc.Name = string(a.Value)
-			}
-		case "targetNamespace":
-			svc.Namespace = string(a.Value)
-		}
-	}
-	if svc.Namespace == "" {
+	if d.Namespace == "" {
 		return nil, fmt.Errorf("wsdl: definitions without targetNamespace")
 	}
-
-	raw := map[string]*rawType{}
-	type rawPart struct{ name, ref string }
-	messages := map[string][]rawPart{}
-	var opOrder []string // operation names in portType order
-
-	for {
-		tok, err := p.NextNonSpace()
-		if err != nil {
-			return nil, fmt.Errorf("wsdl: %w", err)
+	svc := &Service{Name: d.Name, Namespace: d.Namespace}
+	for _, s := range d.Services {
+		if svc.Name == "" {
+			svc.Name = s.Name
 		}
-		if tok.Kind == xmlparse.EndElement {
-			break // </definitions>
-		}
-		if tok.Kind != xmlparse.StartElement {
-			return nil, fmt.Errorf("wsdl: unexpected %v at top level", tok.Kind)
-		}
-		switch localName(tok.Name) {
-		case "types":
-			if err := parseTypes(p, raw); err != nil {
-				return nil, err
-			}
-		case "message":
-			name := attr(tok.Attrs, "name")
-			var parts []rawPart
-			if err := eachChild(p, func(c *xmlparse.Token) error {
-				if localName(c.Name) != "part" {
-					return p.SkipElement()
-				}
-				parts = append(parts, rawPart{attr(c.Attrs, "name"), attr(c.Attrs, "type")})
-				return p.SkipElement()
-			}); err != nil {
-				return nil, err
-			}
-			messages[name] = parts
-		case "portType":
-			if err := eachChild(p, func(c *xmlparse.Token) error {
-				if localName(c.Name) == "operation" {
-					opOrder = append(opOrder, attr(c.Attrs, "name"))
-				}
-				return p.SkipElement()
-			}); err != nil {
-				return nil, err
-			}
-		case "service":
-			if svc.Name == "" {
-				svc.Name = attr(tok.Attrs, "name")
-			}
-			loc, err := findAddress(p)
-			if err != nil {
-				return nil, err
-			}
-			if loc != "" {
-				svc.Endpoint = loc
-			}
-		default:
-			if err := p.SkipElement(); err != nil {
-				return nil, fmt.Errorf("wsdl: %w", err)
+		for _, a := range s.Addresses {
+			if a.Location != "" {
+				svc.Endpoint = a.Location
 			}
 		}
 	}
+	raw := map[string][]leaf{}
+	for _, ct := range d.Types {
+		if ct.Name == "" {
+			return nil, fmt.Errorf("wsdl: anonymous complexType")
+		}
+		raw[ct.Name] = ct.Elements
+	}
+	messages := map[string][]leaf{}
+	for _, m := range d.Messages {
+		messages[m.Name] = m.Parts
+	}
 
-	// Resolve complexTypes, then operations.
+	// Resolve complexTypes, then operations. An unbounded element makes
+	// its type an item sequence (of the last such element's type), and a
+	// type of bounded elements only is a struct.
 	resolved := map[string]*wire.Type{}
 	var resolve func(ref string, depth int) (*wire.Type, error)
 	resolve = func(ref string, depth int) (*wire.Type, error) {
 		if depth > 32 {
 			return nil, fmt.Errorf("wsdl: type reference cycle at %q", ref)
 		}
-		local := xmlparse.Local(ref)
-		switch local {
+		name := local(ref)
+		switch name {
 		case "int":
 			return wire.TInt, nil
 		case "double", "float":
@@ -316,147 +281,78 @@ func Parse(doc []byte) (*Service, error) {
 		case "boolean":
 			return wire.TBool, nil
 		}
-		if t, ok := resolved[local]; ok {
+		if t, ok := resolved[name]; ok {
 			return t, nil
 		}
-		rt, ok := raw[local]
+		elems, ok := raw[name]
 		if !ok {
 			return nil, fmt.Errorf("wsdl: unresolved type reference %q", ref)
 		}
-		if rt.isArray {
-			elem, err := resolve(rt.elemRef, depth+1)
+		var item *wire.Type
+		var fields []wire.Field
+		for _, el := range elems {
+			t, err := resolve(el.Type, depth+1)
 			if err != nil {
 				return nil, err
 			}
-			t := wire.ArrayOf(elem)
-			resolved[local] = t
-			return t, nil
-		}
-		fields := make([]wire.Field, len(rt.fields))
-		for i := range rt.fields {
-			ft, err := resolve(rt.fieldRef[i], depth+1)
-			if err != nil {
-				return nil, err
+			if t.Kind == wire.Array {
+				return nil, fmt.Errorf("wsdl: complexType %q nests an array", name)
 			}
-			fields[i] = wire.Field{Name: rt.fields[i], Type: ft}
+			if el.MaxOccurs == "unbounded" {
+				item = t
+			} else {
+				fields = append(fields, wire.Field{Name: el.Name, Type: t})
+			}
 		}
-		t := wire.StructOf("ns1:"+local, fields...)
-		resolved[local] = t
-		return t, nil
+		switch {
+		case item != nil:
+			resolved[name] = wire.ArrayOf(item)
+		case fields != nil:
+			resolved[name] = wire.StructOf("ns1:"+name, fields...)
+		default:
+			return nil, fmt.Errorf("wsdl: complexType %q has no elements", name)
+		}
+		return resolved[name], nil
 	}
 
-	for _, opName := range opOrder {
-		parts, ok := messages[opName+"Request"]
+	for _, op := range d.Ops {
+		parts, ok := messages[op.Name+"Request"]
 		if !ok {
-			return nil, fmt.Errorf("wsdl: operation %q has no %sRequest message", opName, opName)
+			return nil, fmt.Errorf("wsdl: operation %q has no %sRequest message", op.Name, op.Name)
 		}
-		schema := &soapdec.Schema{Namespace: svc.Namespace, Op: opName}
+		schema := &soapdec.Schema{Namespace: svc.Namespace, Op: op.Name}
 		for _, part := range parts {
-			t, err := resolve(part.ref, 0)
+			t, err := resolve(part.Type, 0)
 			if err != nil {
-				return nil, fmt.Errorf("wsdl: operation %q part %q: %w", opName, part.name, err)
+				return nil, fmt.Errorf("wsdl: operation %q part %q: %w", op.Name, part.Name, err)
 			}
-			schema.Params = append(schema.Params, soapdec.ParamSpec{Name: part.name, Type: t})
+			schema.Params = append(schema.Params, soapdec.ParamSpec{Name: part.Name, Type: t})
 		}
 		svc.Operations = append(svc.Operations, schema)
 	}
 	return svc, nil
 }
 
-// parseTypes consumes <types> collecting complexType declarations.
-func parseTypes(p *xmlparse.Parser, raw map[string]*rawType) error {
-	return eachChild(p, func(schemaTok *xmlparse.Token) error {
-		if localName(schemaTok.Name) != "schema" {
-			return p.SkipElement()
-		}
-		return eachChild(p, func(ct *xmlparse.Token) error {
-			if localName(ct.Name) != "complexType" {
-				return p.SkipElement()
-			}
-			rt := &rawType{name: attr(ct.Attrs, "name")}
-			if rt.name == "" {
-				return fmt.Errorf("wsdl: anonymous complexType")
-			}
-			err := eachChild(p, func(seq *xmlparse.Token) error {
-				if localName(seq.Name) != "sequence" {
-					return p.SkipElement()
-				}
-				return eachChild(p, func(el *xmlparse.Token) error {
-					if localName(el.Name) != "element" {
-						return p.SkipElement()
-					}
-					name := attr(el.Attrs, "name")
-					ref := attr(el.Attrs, "type")
-					if attr(el.Attrs, "maxOccurs") == "unbounded" {
-						rt.isArray = true
-						rt.elemRef = ref
-					} else {
-						rt.fields = append(rt.fields, name)
-						rt.fieldRef = append(rt.fieldRef, ref)
-					}
-					return p.SkipElement()
-				})
-			})
-			if err != nil {
-				return err
-			}
-			raw[rt.name] = rt
-			return nil
-		})
-	})
+// Fetch retrieves and parses the description a server publishes at
+// http://addr/?wsdl.
+func Fetch(addr string) (*Service, error) {
+	return fetch(addr, 10*time.Second)
 }
 
-// findAddress walks a <service> element for soap:address/@location.
-func findAddress(p *xmlparse.Parser) (string, error) {
-	var loc string
-	err := eachChild(p, func(port *xmlparse.Token) error {
-		if localName(port.Name) != "port" {
-			return p.SkipElement()
-		}
-		return eachChild(p, func(addr *xmlparse.Token) error {
-			if localName(addr.Name) == "address" {
-				loc = attr(addr.Attrs, "location")
-			}
-			return p.SkipElement()
-		})
-	})
-	return loc, err
-}
-
-// eachChild invokes fn for every child element of the element whose
-// StartElement was just consumed; fn must consume the child completely
-// (e.g. via SkipElement or nested eachChild). eachChild consumes the
-// parent's EndElement.
-func eachChild(p *xmlparse.Parser, fn func(tok *xmlparse.Token) error) error {
-	for {
-		tok, err := p.NextNonSpace()
-		if err != nil {
-			return fmt.Errorf("wsdl: %w", err)
-		}
-		switch tok.Kind {
-		case xmlparse.EndElement:
-			return nil
-		case xmlparse.StartElement:
-			if err := fn(tok); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("wsdl: unexpected %v", tok.Kind)
-		}
+// fetch is Fetch with the time allowed for the whole exchange: a peer
+// that accepts and never answers fails the caller instead of hanging it.
+func fetch(addr string, timeout time.Duration) (*Service, error) {
+	resp, err := (&http.Client{Timeout: timeout}).Get("http://" + addr + "/?wsdl")
+	if err != nil {
+		return nil, fmt.Errorf("wsdl: %w", err)
 	}
-}
-
-// localName is a token name's local part as a string. Tokens are views into
-// the document; the service description outlives it, so everything this
-// package keeps of a token goes through localName or attr.
-func localName(name []byte) string { return string(xmlparse.Local(name)) }
-
-// attr finds an attribute by local name.
-func attr(attrs []xmlparse.Attr, name string) string {
-	for _, a := range attrs {
-		if localName(a.Name) == name {
-			return string(a.Value)
-		}
+	defer resp.Body.Close()
+	doc, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("%s answered %s", addr, resp.Status)
 	}
-	return ""
+	if err != nil {
+		return nil, fmt.Errorf("wsdl: fetch: %w", err)
+	}
+	return Parse(doc)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"bsoap/internal/xmlwr"
 	"bsoap/internal/xsdlex"
 )
 
@@ -242,24 +241,19 @@ func TestDepth(t *testing.T) {
 	}
 }
 
-// TestWriterParserRoundTrip uses random trees produced by the writer and
-// checks the parser reproduces the structure and attribute values
-// exactly, and each string as character data escaped as the writer
-// escapes attributes.
+// TestWriterParserRoundTrip builds random trees with xsdlex.EscapeText
+// and checks the parser reproduces the structure and attribute values
+// exactly, and each string as character data escaped the same way.
 func TestWriterParserRoundTrip(t *testing.T) {
 	f := func(texts []string) bool {
-		w := xmlwr.NewWriter(256)
-		w.Start("root")
+		doc := []byte("<root>")
 		for i, s := range texts {
 			// Element names must be XML names; texts are arbitrary.
 			name := "e" + string(rune('a'+i%26))
-			w.Start(name).Attr("attr", s).End()
+			doc = append(doc, "<"+name+` attr="`...)
+			doc = append(xsdlex.EscapeText(doc, s), `"/>`...)
 		}
-		w.End()
-		doc, err := w.Result()
-		if err != nil {
-			return false
-		}
+		doc = append(doc, "</root>"...)
 		p := NewParser(doc)
 		if _, err := p.ExpectStart("root"); err != nil {
 			return false
@@ -287,7 +281,7 @@ func TestWriterParserRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		_, err = p.ExpectEnd()
+		_, err := p.ExpectEnd()
 		return err == nil
 	}
 	cfg := &quick.Config{MaxCount: 300}
