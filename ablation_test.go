@@ -81,57 +81,6 @@ func BenchmarkAblationTrailingSlack(b *testing.B) {
 	}
 }
 
-// slowStream simulates a transport whose writes cost real time (spin,
-// not sleep, to stay benchmark-friendly), making the overlap bought by
-// pipelined send visible.
-type slowStream struct {
-	perChunk int // spin iterations per chunk
-	sinkSum  int
-}
-
-func (s *slowStream) BeginStream() error { return nil }
-func (s *slowStream) StreamChunk(p []byte) error {
-	x := 0
-	for i := 0; i < s.perChunk; i++ {
-		x += i ^ len(p)
-	}
-	s.sinkSum += x
-	return nil
-}
-func (s *slowStream) EndStream() error { return nil }
-
-// BenchmarkAblationPipelinedOverlay compares sequential chunk overlay
-// against pipelined send (companion paper [3]) over a transport with
-// non-trivial per-chunk cost.
-func BenchmarkAblationPipelinedOverlay(b *testing.B) {
-	cfg := core.Config{
-		Chunk: chunk.Config{ChunkSize: 32 * 1024},
-		Width: core.WidthPolicy{Double: core.MaxWidth},
-	}
-	n := 20000
-	for _, mode := range []string{"sequential", "pipelined"} {
-		b.Run(mode, func(b *testing.B) {
-			stream := &slowStream{perChunk: 200000}
-			w := workload.NewDoubles(n, workload.FillMax)
-			stub := core.NewStub(cfg, transport.NewDiscardSink())
-			call := stub.CallOverlay
-			if mode == "pipelined" {
-				call = stub.CallOverlayPipelined
-			}
-			if _, err := call(w.Msg, stream); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.TouchFraction(1)
-				if _, err := call(w.Msg, stream); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCompression compares the two bandwidth strategies
 // the paper's related work contrasts: gzip compression (gSOAP's
 // option) re-compresses the whole message every send and trades CPU

@@ -170,11 +170,14 @@ one_path_guard() {
     absent "single-pass renderer outside soapenv" 'b = append\(b, soapenv\.EnvelopeStart' internal --exclude-dir=soapenv
     absent "step compiler outside soapenv" 'func appendSteps|type emitStep' internal/core
     absent "element walk outside soapenv" 'func \(e \*Encoder\) (param|value)' internal/multiref
-    # One of each in the engine besides: one overlay loop (sequential and
-    # pipelined sends are its parameter) and one footprint cache (the
-    # stub's own).
+    # One of each in the engine besides: one overlay loop, which fills
+    # and streams each portion through one resident chunk, with no
+    # pipelined variant or writer goroutine beside it; one footprint
+    # cache (the stub's own); and one steal scan distance, a constant.
     check "overlay stream begun" '\.BeginStream\(\)' internal/core
+    absent "pipelined overlay beside the one loop" 'CallOverlayPipelined|pipeWriter' internal/core
     absent "footprint generation beside the stub's cache" 'FootprintGen' .
+    absent "steal scan option" 'StealScan' internal/core
     # The client reads a response one way, at one place (readOldest):
     # whoever needs it reads it (Pending.Wait — a bare ExpectResponse send
     # included — or a Submit at depth). A client connection is one
@@ -196,6 +199,13 @@ one_path_guard() {
     absent "serial pool mode beside the pipeline" 'errNotPipelined|PipelineDepth > 0' internal/pool
     absent "pool dial returning a sink" 'func\(\) \(core\.Sink' internal/pool
     absent "in-process loadgen" 'inprocess' cmd/bsoap-loadgen
+    # A server replica is keyed by its connection alone, and the client
+    # template store has one shard count, a constant: no host-keyed
+    # replicas (they made one host's connections contend one replica and
+    # share one patch-base keeper) and no shard option.
+    absent "replicas keyed by remote host" 'AffinityClient|client-affine' internal
+    absent "replicas keyed by remote host" 'AffinityClient|client-affine' cmd
+    absent "template-store shard option" '^[[:space:]]*Shards[[:space:]]' internal/pool/pool.go
     # Template memory is charged at what the layouts hold (unsafe.Sizeof
     # of a 16-byte DUT entry and an 8-byte leaf range), not at constants.
     absent "flat per-entry charge" 'entrySize = 64' internal/core

@@ -55,7 +55,6 @@ func main() {
 		hold      = flag.Duration("hold", 0, "keep serving -metrics debug endpoints this long after the run (so trace rings can be scraped/correlated post-run)")
 		conns     = flag.Int("conns", 0, "pooled connections (default = workers, max 16)")
 		replicas  = flag.Int("replicas", 0, "template replicas per operation structure (default = conns: one template per message that can be in flight)")
-		shards    = flag.Int("shards", 16, "template store shards")
 		maxTmplB  = flag.Int64("max-template-bytes", 0, "template memory budget in bytes (0 = unbudgeted); LRU entries are evicted to stay under it")
 		mix       = flag.String("mix", "60/30/10", "percent of iterations that are untouched/touched/grown")
 		metrics   = flag.String("metrics", "", "serve live metrics on this address (e.g. :8123): JSON at /, Prometheus at /metrics, /debug/trace, /debug/trace/slow, /debug/health, /debug/templates")
@@ -94,7 +93,6 @@ func main() {
 	popts := bsoap.PoolOptions{
 		Addr:             *addr,
 		Size:             *conns,
-		Shards:           *shards,
 		Replicas:         *replicas,
 		MaxTemplateBytes: *maxTmplB,
 		PipelineDepth:    *pipeline,

@@ -17,8 +17,10 @@
 // SOAP modes run on the concurrent serverpool runtime: each connection
 // gets its own differential-deserializer replica and response stub, so
 // concurrent clients decode in parallel without thrashing shared
-// templates. With -diff, requests decode through differential
-// deserialization; decode statistics are reported on shutdown.
+// templates, and a client that reconnects starts cold (-max-replicas
+// bounds the replicas kept). With -diff, requests decode through
+// differential deserialization; decode statistics are reported on
+// shutdown.
 //
 // Admission control: -max-conns and -max-inflight reject excess load
 // with fast 503s, -request-timeout bounds each request read.
@@ -86,7 +88,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM before force-closing")
 		maxReplicas  = flag.Int("max-replicas", 256, "serverpool: max resident per-connection replicas (LRU beyond)")
 		maxTmplB     = flag.Int64("max-template-bytes", 0, "serverpool: replica template memory budget in bytes (0 = unbudgeted); LRU replicas are evicted to stay under it")
-		clientAff    = flag.Bool("client-affine", false, "serverpool: key replicas by remote host instead of connection")
 	)
 	flag.Parse()
 
@@ -158,7 +159,6 @@ func main() {
 			MaxTemplateBytes:            *maxTmplB,
 			SelfCheck:                   *selfchk,
 			Metrics:                     sm,
-			Affinity:                    affinity(*clientAff),
 		})
 		if *mode == "mcs" {
 			mcs.BindRuntime(rt, catalog)
@@ -263,13 +263,6 @@ func main() {
 	if drainErr != nil {
 		os.Exit(1)
 	}
-}
-
-func affinity(clientAffine bool) serverpool.Affinity {
-	if clientAffine {
-		return serverpool.AffinityClient
-	}
-	return serverpool.AffinityConn
 }
 
 // opSpec couples an operation schema with a per-replica handler factory

@@ -127,9 +127,6 @@ type Config struct {
 	// EnableStealing turns on neighbour-padding stealing before falling
 	// back to shifting when a value outgrows its field.
 	EnableStealing bool
-	// StealScan bounds how many entries to the right are examined for a
-	// padding donor. Zero selects 8.
-	StealScan int
 	// DisableDiff turns differential serialization off: every call
 	// serializes from scratch (the paper's baseline bSOAP mode).
 	DisableDiff bool
@@ -144,9 +141,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.StealScan <= 0 {
-		c.StealScan = 8
-	}
 	if c.MaxTemplatesPerOp <= 0 {
 		c.MaxTemplatesPerOp = 4
 	}

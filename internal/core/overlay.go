@@ -37,22 +37,15 @@ type overlayState struct {
 	valueClose   []string
 	frame        []byte // static item frame: tags plus blank value fields
 	itemsPerMbuf int    // items per resident chunk
-	// Two resident buffers: CallOverlay uses only the first; the
-	// pipelined variant alternates so serialization of one portion
-	// overlaps the transport write of the previous one.
-	resident [2][]byte
-	laidOut  [2]int // items laid out per resident buffer
+	resident     []byte // the one resident chunk every portion overlays
+	laidOut      int    // items whose frames resident holds
 }
 
 // memoryFootprint reports the overlay engine's resident cost for one
 // operation: the head/tail strings, the item frame, and the resident
-// buffers — independent of array length, unlike a full template.
+// chunk — independent of array length, unlike a full template.
 func (st *overlayState) memoryFootprint() int {
-	n := len(st.head) + len(st.tail) + len(st.frame)
-	for _, r := range st.resident {
-		n += cap(r)
-	}
-	return n
+	return len(st.head) + len(st.tail) + len(st.frame) + cap(st.resident)
 }
 
 // OverlayFootprint reports the resident memory of the overlay state for
@@ -72,25 +65,13 @@ var errOverlayUnsupported = errors.New("core: overlay requires a message whose f
 // final parameter must be an array; any preceding parameters are scalars
 // serialized into the message head. The template store is not used: the
 // resident chunk *is* the (single-portion) template, kept across calls.
+//
+// One loop streams the head, each portion as it is filled into the
+// resident buffer, and the tail. Every exit after a successful
+// BeginStream ends the stream unless the sink itself failed, so a value
+// too wide for its field still leaves a whole (unparseable) request and a
+// connection in step for the next call.
 func (s *Stub) CallOverlay(m *wire.Message, sink StreamSink) (CallInfo, error) {
-	return s.overlay(m, sink, false)
-}
-
-// CallOverlayPipelined is CallOverlay with pipelined send (companion
-// paper [3], "Chunk-Overlaying and Pipelined-Send"): a writer goroutine
-// streams portion k while the caller serializes portion k+1 into the
-// alternate resident buffer, overlapping conversion with transport I/O.
-func (s *Stub) CallOverlayPipelined(m *wire.Message, sink StreamSink) (CallInfo, error) {
-	return s.overlay(m, sink, true)
-}
-
-// overlay is the one portion loop behind both entry points; pipelined
-// picks its send step: inline from resident buffer 0, or a pipeWriter
-// goroutine while the loop alternates the two buffers. Every exit after
-// a successful BeginStream ends the stream unless the sink itself
-// failed, so a value too wide for its field still leaves a whole
-// (unparseable) request and a connection in step for the next call.
-func (s *Stub) overlay(m *wire.Message, sink StreamSink, pipelined bool) (CallInfo, error) {
 	var ci CallInfo
 	st, err := s.overlayStateFor(m)
 	if err != nil {
@@ -102,35 +83,24 @@ func (s *Stub) overlay(m *wire.Message, sink StreamSink, pipelined bool) (CallIn
 		return s.endCall(m, &ci, fmt.Errorf("core: overlay begin: %w", err))
 	}
 
-	var pw *pipeWriter // nil: sequential
-	if pipelined {
-		pw = startPipeWriter(sink)
-	}
 	var ferr error // a portion that could not be filled
-	serr := pw.send(sink, st.head)
+	serr := sink.StreamChunk(st.head)
 	ci.Bytes += len(st.head)
-	buf := 0
 	for base := 0; serr == nil && base < arr.Count; base += st.itemsPerMbuf {
 		n := min(arr.Count-base, st.itemsPerMbuf)
 		var portion []byte
-		if portion, ferr = st.fillPortion(m, arr, base, n, buf, &s.scr, &ci); ferr != nil {
+		if portion, ferr = st.fillPortion(m, arr, base, n, &s.scr, &ci); ferr != nil {
 			break
 		}
-		serr = pw.send(sink, portion)
+		serr = sink.StreamChunk(portion)
 		ci.Bytes += len(portion)
 		if serr == nil && s.scr.span != 0 {
 			trace.Rec(s.scr.span, trace.KindOverlayPortion, int64(base), int64(n), int64(len(portion)))
 		}
-		if pw != nil {
-			buf ^= 1
-		}
 	}
 	if serr == nil && ferr == nil {
-		serr = pw.send(sink, st.tail)
+		serr = sink.StreamChunk(st.tail)
 		ci.Bytes += len(st.tail)
-	}
-	if pw != nil {
-		serr = pw.stop()
 	}
 
 	switch {
@@ -149,52 +119,6 @@ func (s *Stub) overlay(m *wire.Message, sink StreamSink, pipelined bool) (CallIn
 		}
 	}
 	return s.endCall(m, &ci, err)
-}
-
-// pipeWriter is the pipelined send step: a goroutine streams each portion
-// handed to it. A handoff completes only once the writer is free, that
-// is once the previous portion's StreamChunk has returned, so the
-// resident buffer the loop fills next is never one still being written.
-type pipeWriter struct {
-	ch   chan []byte
-	done chan struct{}
-	err  error // the sink's error; read only after done is closed
-}
-
-func startPipeWriter(sink StreamSink) *pipeWriter {
-	w := &pipeWriter{ch: make(chan []byte), done: make(chan struct{})}
-	go func() {
-		defer close(w.done)
-		for p := range w.ch {
-			if w.err = sink.StreamChunk(p); w.err != nil {
-				return
-			}
-		}
-	}()
-	return w
-}
-
-// send hands p to the writer, or reports the sink's error once the writer
-// has stopped on it. Without a writer (sequential mode) it streams p
-// inline.
-func (w *pipeWriter) send(sink StreamSink, p []byte) error {
-	if w == nil {
-		return sink.StreamChunk(p)
-	}
-	select {
-	case w.ch <- p:
-		return nil
-	case <-w.done:
-		return w.err
-	}
-}
-
-// stop waits for the writer to finish the portions handed to it and
-// returns the sink's error, if any.
-func (w *pipeWriter) stop() error {
-	close(w.ch)
-	<-w.done
-	return w.err
 }
 
 // overlayStateFor returns (building if needed) the overlay layout for m.
@@ -281,24 +205,20 @@ func buildOverlayState(m *wire.Message, cfg Config, sc *scratch) (*overlayState,
 	if st.itemsPerMbuf < 1 {
 		st.itemsPerMbuf = 1
 	}
-	st.resident[0] = make([]byte, st.itemsPerMbuf*st.itemSpan)
+	st.resident = make([]byte, st.itemsPerMbuf*st.itemSpan)
 	return st, nil
 }
 
-// fillPortion serializes items [base, base+n) of arr into resident
-// buffer buf and returns the filled slice. Item frames (tags, padding)
-// are laid out the first time the buffer must hold that many items;
+// fillPortion serializes items [base, base+n) of arr into the resident
+// chunk and returns the filled slice. Item frames (tags, padding) are
+// laid out the first time the chunk must hold that many items;
 // afterwards only the values are rewritten — "the tags that describe
 // the data need not be rewritten" (§3.3).
-func (st *overlayState) fillPortion(m *wire.Message, arr wire.Param, base, n, buf int, sc *scratch, ci *CallInfo) ([]byte, error) {
-	res := st.resident[buf]
-	if res == nil {
-		res = make([]byte, st.itemsPerMbuf*st.itemSpan)
-		st.resident[buf] = res
-	}
-	for st.laidOut[buf] < n {
-		copy(res[st.laidOut[buf]*st.itemSpan:], st.frame)
-		st.laidOut[buf]++
+func (st *overlayState) fillPortion(m *wire.Message, arr wire.Param, base, n int, sc *scratch, ci *CallInfo) ([]byte, error) {
+	res := st.resident
+	for st.laidOut < n {
+		copy(res[st.laidOut*st.itemSpan:], st.frame)
+		st.laidOut++
 	}
 	for it := 0; it < n; it++ {
 		ibase := it * st.itemSpan

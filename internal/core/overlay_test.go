@@ -264,72 +264,137 @@ func TestOverlayIntermediateFixedWidth(t *testing.T) {
 	}
 }
 
-// TestOverlayFailureEndsStream drives both overlay modes over a real
+// TestOverlayPortionsAndSinkFailures streams arrays of lengths around
+// the portion size, for a scalar and a struct element, and checks the
+// stream, its chunk boundaries, the CallInfo and the message's dirty
+// bits. Then a sink failing at the head, the second chunk or the tail
+// must fail the call, count nothing, keep the message's dirty bits for
+// a retry, and end the stream where it failed: no chunk after the
+// failed one, and no EndStream on a sink that failed.
+func TestOverlayPortionsAndSinkFailures(t *testing.T) {
+	mio := wire.StructOf("ns1:MIO",
+		wire.Field{Name: "x", Type: wire.TInt},
+		wire.Field{Name: "y", Type: wire.TInt},
+		wire.Field{Name: "value", Type: wire.TDouble},
+	)
+	elems := []struct {
+		name  string
+		build func(n int) *wire.Message
+	}{
+		{"double", func(n int) *wire.Message {
+			m := wire.NewMessage("urn:t", "big")
+			arr := m.AddDoubleArray("v", n)
+			for i := 0; i < n; i++ {
+				arr.Set(i, float64(i)+0.5)
+			}
+			return m
+		}},
+		{"mio", func(n int) *wire.Message {
+			m := wire.NewMessage("urn:t", "big")
+			arr := m.AddStructArray("v", mio, n)
+			for i := 0; i < n; i++ {
+				arr.SetInt(i, 0, int32(i))
+				arr.SetInt(i, 1, int32(-i))
+				arr.SetDouble(i, 2, float64(i)/3)
+			}
+			return m
+		}},
+	}
+	cfg := overlayConfig()
+	for _, el := range elems {
+		st, err := buildOverlayState(el.build(1), cfg, &scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := st.itemsPerMbuf
+		chunks := func(n int) int { return 1 + (n+per-1)/per + 1 } // head, portions, tail
+		for _, n := range []int{1, per - 1, per, per + 1, 3*per + 7} {
+			m := el.build(n)
+			sink := &captureStream{}
+			s := NewStub(cfg, sink)
+			ci, err := s.CallOverlay(m, sink)
+			if err != nil {
+				t.Fatalf("%s[%d]: %v", el.name, n, err)
+			}
+			if sink.portions != chunks(n) || !sink.ended {
+				t.Fatalf("%s[%d]: %d chunks, ended %v; want %d, ended", el.name, n, sink.portions, sink.ended, chunks(n))
+			}
+			if ci.Bytes != len(sink.data) || ci.ValuesRewritten != n*st.perItem || ci.Match != StructuralMatch || m.AnyDirty() {
+				t.Fatalf("%s[%d]: %+v for %d streamed bytes, dirty %v", el.name, n, ci, len(sink.data), m.AnyDirty())
+			}
+			checkRendered(t, el.build(n), sink.data)
+		}
+
+		n := 3*per + 7
+		for _, failAt := range []int{1, 2, chunks(n)} {
+			m := el.build(n)
+			sink := &captureStream{failAt: failAt}
+			s := NewStub(cfg, sink)
+			if _, err := s.CallOverlay(m, sink); err == nil || s.Stats() != (Stats{}) || !m.AnyDirty() ||
+				sink.portions != failAt || sink.ended {
+				t.Fatalf("%s, sink failing at chunk %d: err %v, stats %+v, dirty %v, %d chunks, ended %v",
+					el.name, failAt, err, s.Stats(), m.AnyDirty(), sink.portions, sink.ended)
+			}
+		}
+	}
+}
+
+// TestOverlayFailureEndsStream drives the overlay over a real
 // connection into a value too wide for its fixed field, two portions
 // into the stream. The failed call must still end the chunked body: the
 // server answers the truncated envelope with a 500, and the same Sender
 // then carries a plain Call and a second overlay without redialing.
 func TestOverlayFailureEndsStream(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "sequential"
-		if pipelined {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			var whole, truncated atomic.Int64
-			srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
-				Respond: true,
-				Handler: func(req *transport.Request) ([]byte, error) {
-					if !bytes.HasSuffix(req.Body, []byte(soapenv.EnvelopeEnd)) {
-						truncated.Add(1)
-						return nil, errors.New("truncated envelope")
-					}
-					whole.Add(1)
-					return nil, nil
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			sender, err := transport.Dial(srv.Addr(), transport.SenderOptions{
-				ExpectResponse: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sender.Close()
-
-			s := NewStub(Config{Width: WidthPolicy{Double: 6}}, sender)
-			call := s.CallOverlay
-			if pipelined {
-				call = s.CallOverlayPipelined
-			}
-			m := wire.NewMessage("urn:t", "big")
-			arr := m.AddDoubleArray("v", 5000)
-			for i := 0; i < arr.Len(); i++ {
-				arr.Set(i, 0.5)
-			}
-			arr.Set(4000, 1234567.25) // ten characters in a six-character field
-			if _, err := call(m, sender); err == nil || !strings.Contains(err.Error(), "wider") {
-				t.Fatalf("overlay error = %v, want the width error", err)
-			}
-			if !m.AnyDirty() || s.Stats().Calls != 0 {
-				t.Fatal("failed overlay cleared dirty bits or was counted")
-			}
-
-			plain := wire.NewMessage("urn:t", "small")
-			plain.AddInt("n", 7)
-			if _, err := s.Call(plain); err != nil {
-				t.Fatalf("plain call after the failed overlay: %v", err)
-			}
-			arr.Set(4000, 2.5)
-			if _, err := call(m, sender); err != nil {
-				t.Fatalf("second overlay: %v", err)
-			}
-			if w, tr := whole.Load(), truncated.Load(); w != 2 || tr != 1 {
-				t.Fatalf("server saw %d whole and %d truncated bodies, want 2 and 1", w, tr)
-			}
+	t.Run("sequential", func(t *testing.T) {
+		var whole, truncated atomic.Int64
+		srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
+			Respond: true,
+			Handler: func(req *transport.Request) ([]byte, error) {
+				if !bytes.HasSuffix(req.Body, []byte(soapenv.EnvelopeEnd)) {
+					truncated.Add(1)
+					return nil, errors.New("truncated envelope")
+				}
+				whole.Add(1)
+				return nil, nil
+			},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		sender, err := transport.Dial(srv.Addr(), transport.SenderOptions{
+			ExpectResponse: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sender.Close()
+
+		s := NewStub(Config{Width: WidthPolicy{Double: 6}}, sender)
+		m := wire.NewMessage("urn:t", "big")
+		arr := m.AddDoubleArray("v", 5000)
+		for i := 0; i < arr.Len(); i++ {
+			arr.Set(i, 0.5)
+		}
+		arr.Set(4000, 1234567.25) // ten characters in a six-character field
+		if _, err := s.CallOverlay(m, sender); err == nil || !strings.Contains(err.Error(), "wider") {
+			t.Fatalf("overlay error = %v, want the width error", err)
+		}
+		if !m.AnyDirty() || s.Stats().Calls != 0 {
+			t.Fatal("failed overlay cleared dirty bits or was counted")
+		}
+
+		plain := wire.NewMessage("urn:t", "small")
+		plain.AddInt("n", 7)
+		if _, err := s.Call(plain); err != nil {
+			t.Fatalf("plain call after the failed overlay: %v", err)
+		}
+		arr.Set(4000, 2.5)
+		if _, err := s.CallOverlay(m, sender); err != nil {
+			t.Fatalf("second overlay: %v", err)
+		}
+		if w, tr := whole.Load(), truncated.Load(); w != 2 || tr != 1 {
+			t.Fatalf("server saw %d whole and %d truncated bodies, want 2 and 1", w, tr)
+		}
+	})
 }

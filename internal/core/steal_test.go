@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net"
 	"testing"
 
 	"bsoap/internal/wire"
@@ -100,186 +99,44 @@ func TestStealExhaustionFallsBackToShift(t *testing.T) {
 	checkTemplate(t, s, m)
 }
 
+// TestStealScanLimitRespected pins the donor scan at 8 entries on each
+// side of the grower: with every other field's padding drained, a donor
+// 8 entries away serves the expansion and one 9 away does not, so the
+// expansion shifts instead.
 func TestStealScanLimitRespected(t *testing.T) {
-	m := wire.NewMessage("urn:t", "send")
-	arr := m.AddDoubleArray("v", 12)
-	for i := 0; i < 12; i++ {
-		arr.Set(i, 1)
-	}
-	sink := &captureSink{}
-	// Widths: first/last elements have pad, middle band none. Scan
-	// limit 2 cannot reach a donor from the centre.
-	s := NewStub(Config{Width: WidthPolicy{Double: 10}, EnableStealing: true, StealScan: 2}, sink)
-	if _, err := s.Call(m); err != nil {
-		t.Fatal(err)
-	}
-	// Drain pads of elements 3..9 by growing each to exactly 10 chars.
-	for i := 3; i <= 9; i++ {
-		arr.Set(i, 1.23456789) // 10 chars: fills the field, no expansion
-	}
-	if _, err := s.Call(m); err != nil {
-		t.Fatal(err)
-	}
-	// Element 6 grows; donors (0..2, 10..11) are beyond scan distance 2.
-	arr.Set(6, 1.234567890123)
-	ci, err := s.Call(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Steals != 0 || ci.Shifts != 1 {
-		t.Fatalf("scan limit ignored: %+v", ci)
-	}
-	checkRendered(t, m, sink.data)
-}
-
-// pipeSink exercises the pipelined writer against a slow consumer and
-// records what arrives.
-type pipeSink struct {
-	data   []byte
-	chunks int
-	failAt int
-}
-
-func (p *pipeSink) BeginStream() error { p.data = p.data[:0]; p.chunks = 0; return nil }
-func (p *pipeSink) StreamChunk(b []byte) error {
-	p.chunks++
-	if p.failAt != 0 && p.chunks == p.failAt {
-		return net.ErrClosed
-	}
-	p.data = append(p.data, b...)
-	return nil
-}
-func (p *pipeSink) EndStream() error { return nil }
-
-// TestPipelinedOverlayMatchesSequential runs the overlay loop's two send
-// modes side by side over array lengths around the portion size, for a
-// scalar and a struct element: the streamed bytes and chunk boundaries,
-// every CallInfo field and the stub's Stats must agree. A sink failing at
-// the head, the second chunk or the tail fails both modes alike, counts
-// nothing and keeps the message's dirty bits for a retry.
-func TestPipelinedOverlayMatchesSequential(t *testing.T) {
-	mio := wire.StructOf("ns1:MIO",
-		wire.Field{Name: "x", Type: wire.TInt},
-		wire.Field{Name: "y", Type: wire.TInt},
-		wire.Field{Name: "value", Type: wire.TDouble},
-	)
-	elems := []struct {
-		name  string
-		build func(n int) *wire.Message
-	}{
-		{"double", func(n int) *wire.Message {
-			m := wire.NewMessage("urn:t", "big")
-			arr := m.AddDoubleArray("v", n)
-			for i := 0; i < n; i++ {
-				arr.Set(i, float64(i)+0.5)
-			}
-			return m
-		}},
-		{"mio", func(n int) *wire.Message {
-			m := wire.NewMessage("urn:t", "big")
-			arr := m.AddStructArray("v", mio, n)
-			for i := 0; i < n; i++ {
-				arr.SetInt(i, 0, int32(i))
-				arr.SetInt(i, 1, int32(-i))
-				arr.SetDouble(i, 2, float64(i)/3)
-			}
-			return m
-		}},
-	}
-	cfg := overlayConfig()
-	type outcome struct {
-		ci     CallInfo
-		err    error
-		stats  Stats
-		data   string
-		chunks int
-		dirty  bool
-	}
-	run := func(m *wire.Message, failAt int, pipelined bool) outcome {
-		sink := &captureStream{failAt: failAt}
-		s := NewStub(cfg, sink)
-		call := s.CallOverlay
-		if pipelined {
-			call = s.CallOverlayPipelined
+	const n, grower = 20, 10
+	for _, c := range []struct {
+		away  int
+		taken bool
+	}{{8, true}, {9, false}, {-8, true}, {-9, false}} {
+		m := wire.NewMessage("urn:t", "send")
+		arr := m.AddDoubleArray("v", n)
+		for i := 0; i < n; i++ {
+			arr.Set(i, 1)
 		}
-		ci, err := call(m, sink)
-		return outcome{ci, err, s.Stats(), string(sink.data), sink.portions, m.AnyDirty()}
-	}
-	for _, el := range elems {
-		st, err := buildOverlayState(el.build(1), cfg, &scratch{})
+		sink := &captureSink{}
+		s := NewStub(Config{Width: WidthPolicy{Double: 10}, EnableStealing: true}, sink)
+		if _, err := s.Call(m); err != nil {
+			t.Fatal(err)
+		}
+		// Drain every pad but the donor's by filling each field exactly.
+		for i := 0; i < n; i++ {
+			if i != grower+c.away {
+				arr.Set(i, 1.23456789) // 10 chars: fills the field, no expansion
+			}
+		}
+		if _, err := s.Call(m); err != nil {
+			t.Fatal(err)
+		}
+		arr.Set(grower, 1.234567890123) // 14 chars: a deficit of 4
+		ci, err := s.Call(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		per := st.itemsPerMbuf
-		for _, n := range []int{1, per - 1, per, per + 1, 3*per + 7} {
-			seq, pip := run(el.build(n), 0, false), run(el.build(n), 0, true)
-			if seq.err != nil || pip.err != nil {
-				t.Fatalf("%s[%d]: %v / %v", el.name, n, seq.err, pip.err)
-			}
-			if pip.data != seq.data || pip.chunks != seq.chunks {
-				t.Fatalf("%s[%d]: pipelined stream (%d B in %d chunks) diverges from sequential (%d B in %d)",
-					el.name, n, len(pip.data), pip.chunks, len(seq.data), seq.chunks)
-			}
-			if pip.ci != seq.ci || pip.stats != seq.stats {
-				t.Fatalf("%s[%d]: pipelined %+v %+v, sequential %+v %+v", el.name, n, pip.ci, pip.stats, seq.ci, seq.stats)
-			}
-			if seq.ci.Bytes != len(seq.data) || seq.ci.ValuesRewritten != n*st.perItem || seq.dirty {
-				t.Fatalf("%s[%d]: %+v for %d streamed bytes, dirty %v", el.name, n, seq.ci, len(seq.data), seq.dirty)
-			}
-			checkRendered(t, el.build(n), []byte(seq.data))
+		if c.taken && (ci.Steals != 1 || ci.Shifts != 0) || !c.taken && (ci.Steals != 0 || ci.Shifts != 1) {
+			t.Fatalf("donor %+d entries away: %+v, want a steal %v", c.away, ci, c.taken)
 		}
-
-		n := 3*per + 7
-		tail := 1 + (n+per-1)/per + 1
-		for _, failAt := range []int{1, 2, tail} {
-			for _, pipelined := range []bool{false, true} {
-				o := run(el.build(n), failAt, pipelined)
-				if o.err == nil || o.stats != (Stats{}) || !o.dirty {
-					t.Fatalf("%s, sink failing at chunk %d (pipelined %v): err %v, stats %+v, dirty %v",
-						el.name, failAt, pipelined, o.err, o.stats, o.dirty)
-				}
-			}
-		}
-	}
-}
-
-func TestPipelinedOverlayRepeatSends(t *testing.T) {
-	m := wire.NewMessage("urn:t", "big")
-	arr := m.AddDoubleArray("v", 500)
-	for i := 0; i < 500; i++ {
-		arr.Set(i, 1)
-	}
-	pip := &pipeSink{}
-	s := NewStub(overlayConfig(), &captureSink{})
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 500; i++ {
-			arr.Set(i, float64(i+round))
-		}
-		if _, err := s.CallOverlayPipelined(m, pip); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		checkRendered(t, m, pip.data)
-	}
-}
-
-func TestPipelinedOverlayWriterError(t *testing.T) {
-	m := wire.NewMessage("urn:t", "big")
-	arr := m.AddDoubleArray("v", 2000)
-	for i := 0; i < 2000; i++ {
-		arr.Set(i, 1)
-	}
-	pip := &pipeSink{failAt: 3}
-	s := NewStub(overlayConfig(), &captureSink{})
-	if _, err := s.CallOverlayPipelined(m, pip); err == nil {
-		t.Fatal("writer error not propagated")
-	}
-}
-
-func TestPipelinedOverlayUnsupportedShape(t *testing.T) {
-	m := wire.NewMessage("urn:t", "op")
-	m.AddInt("x", 1)
-	s := NewStub(overlayConfig(), &captureSink{})
-	if _, err := s.CallOverlayPipelined(m, &pipeSink{}); err == nil {
-		t.Fatal("unsupported shape accepted")
+		checkRendered(t, m, sink.data)
+		checkTemplate(t, s, m)
 	}
 }

@@ -299,6 +299,10 @@ func (t *Template) shiftGrow(i, deficit int, ci *CallInfo, sc *scratch) bool {
 	return t.tab.Grow(i, deficit)
 }
 
+// stealScan bounds how many entries on each side of a grower are
+// examined for a padding donor.
+const stealScan = 8
+
 // trySteal serves a field expansion by taking padding from a nearby
 // entry in the same chunk, moving only the bytes between the grower and
 // the donor's padding instead of shifting the whole chunk tail
@@ -320,7 +324,7 @@ func (t *Template) stealRight(i, deficit int) (int, bool) {
 	e := t.tab.At(i)
 	c := t.tab.Chunk(e)
 	_, hi := t.tab.Range(e)
-	limit := min(i+1+t.cfg.StealScan, hi)
+	limit := min(i+1+stealScan, hi)
 	for j := i + 1; j < limit; j++ {
 		d := t.tab.At(j)
 		if d.Width()-d.SerLen() < deficit {
@@ -350,7 +354,7 @@ func (t *Template) stealLeft(i, deficit int) (int, bool) {
 	e := t.tab.At(i)
 	c := t.tab.Chunk(e)
 	lo, _ := t.tab.Range(e)
-	limit := max(i-t.cfg.StealScan, lo)
+	limit := max(i-stealScan, lo)
 	for j := i - 1; j >= limit; j-- {
 		d := t.tab.At(j)
 		if d.Width()-d.SerLen() < deficit {

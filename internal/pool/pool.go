@@ -42,9 +42,10 @@ type Options struct {
 	// (fault injection, a throttled link, tests). ExpectResponse governs
 	// a sender's bare sends, which the pool does not use: every pooled
 	// request goes through Sender.Submit, which always queues it for its
-	// response. Depth is set from PipelineDepth. A zero ReadTimeout or
-	// WriteTimeout is 10 s, so a peer that never answers fails the call
-	// (errors_by_kind.deadline) instead of hanging it.
+	// response. Depth is set from PipelineDepth and Delta from Delta. A
+	// zero ReadTimeout or WriteTimeout is 10 s, so a peer that never
+	// answers fails the call (errors_by_kind.deadline) instead of
+	// hanging it.
 	Sender transport.SenderOptions
 
 	// Size bounds concurrent connections (default 4).
@@ -54,8 +55,6 @@ type Options struct {
 	// operation and sizes the doorkeeper that admits new ones (see
 	// README "Sizing template memory").
 	Config core.Config
-	// Shards is the template-store shard count (default 16).
-	Shards int
 	// Replicas bounds per-(operation,signature) engine replicas
 	// (default 4): the parallelism ceiling for a single hot operation.
 	Replicas int
@@ -95,20 +94,21 @@ type Options struct {
 	// SenderOptions.Depth.
 	PipelineDepth int
 
-	// Delta turns on differential transmission (shorthand for
-	// Sender.Delta): full sends negotiate an X-BSoap-Delta sync with the
-	// server, after which warm content-match calls go out as compact
-	// patch frames instead of full bodies. Negotiation rides on the
-	// responses every pooled request reads.
+	// Delta turns on differential transmission: full sends negotiate an
+	// X-BSoap-Delta sync with the server, after which warm content-match
+	// calls go out as compact patch frames instead of full bodies.
+	// Negotiation rides on the responses every pooled request reads. It
+	// is each connection's SenderOptions.Delta.
 	Delta bool
 }
+
+// storeShards is the template store's shard count, as many as the
+// server runtime's replica registry has.
+const storeShards = 16
 
 func (o Options) withDefaults() Options {
 	if o.Size <= 0 {
 		o.Size = 4
-	}
-	if o.Shards <= 0 {
-		o.Shards = 16
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 4
@@ -159,7 +159,7 @@ func New(opts Options) (*Pool, error) {
 	if o.Addr == "" {
 		return nil, fmt.Errorf("pool: Options.Addr required")
 	}
-	o.Sender.Delta = o.Sender.Delta || o.Delta
+	o.Sender.Delta = o.Delta
 	o.Sender.Depth = o.PipelineDepth
 	addr, sopts := o.Addr, o.Sender
 	m := newMetrics()
@@ -175,7 +175,7 @@ func New(opts Options) (*Pool, error) {
 	return &Pool{
 		opts:    o,
 		senders: newSenderPool(o.Size, dial, o, m),
-		store:   newShardedStore(o.Shards, o.Replicas, o.MaxTemplateBytes, o.Config, m),
+		store:   newShardedStore(storeShards, o.Replicas, o.MaxTemplateBytes, o.Config, m),
 		metrics: m,
 	}, nil
 }

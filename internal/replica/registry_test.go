@@ -328,7 +328,6 @@ func TestKeyStringAndReason(t *testing.T) {
 		want string
 	}{
 		{Key{Group: "mul", Sub: "sig"}, "op:mul"},
-		{Key{Sub: "10.0.0.1"}, "host:10.0.0.1"},
 		{Key{Conn: 17}, "conn:17"},
 	}
 	for _, c := range cases {

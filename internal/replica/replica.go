@@ -51,32 +51,27 @@ import "strconv"
 
 // Key identifies one registry entry. Exactly one grouping is used per
 // registry: the client pool keys by (Group=operation, Sub=signature),
-// the server runtime by Conn (AffinityConn) or Sub=remote host
-// (AffinityClient). Group, when set, names the fairness-accounting
-// group and pins all of a group's entries to one shard so per-group
-// caps and floors need no cross-shard coordination.
+// the server runtime by Conn. Group, when set, names the
+// fairness-accounting group and pins all of a group's entries to one
+// shard so per-group caps and floors need no cross-shard coordination.
 type Key struct {
 	// Group is the operation name (client registries) or "" (server
 	// registries, which have no per-group semantics).
 	Group string
 	// Sub distinguishes entries within a group (the structural
-	// signature) or names the client host under host affinity.
+	// signature).
 	Sub string
-	// Conn is the transport connection ID under connection affinity.
+	// Conn is the transport connection ID (server registries).
 	Conn uint64
 }
 
 // String renders the key as the uniform affinity-key column of the
 // /debug/templates dump.
 func (k Key) String() string {
-	switch {
-	case k.Group != "":
+	if k.Group != "" {
 		return "op:" + k.Group
-	case k.Sub != "":
-		return "host:" + k.Sub
-	default:
-		return "conn:" + strconv.FormatUint(k.Conn, 10)
 	}
+	return "conn:" + strconv.FormatUint(k.Conn, 10)
 }
 
 // hash spreads keys over shards. Group-keyed entries hash the group
@@ -86,9 +81,6 @@ func (k Key) String() string {
 func (k Key) hash() uint32 {
 	if k.Group != "" {
 		return fnv32(k.Group)
-	}
-	if k.Sub != "" {
-		return fnv32(k.Sub)
 	}
 	return uint32(k.Conn*2654435761) ^ uint32(k.Conn>>32)
 }

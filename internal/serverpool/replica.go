@@ -15,9 +15,11 @@ import (
 // that name their template; a bounded differential deserializer whose
 // templates track the shapes of requests that do not; a differential
 // response stub; and per-replica handler instances (handlers reuse
-// response messages, so instances cannot be shared). The mutex serializes
-// the rare case of two requests mapping to one replica (AffinityClient,
-// or an evicted key recreated while its old request still runs).
+// response messages, so instances cannot be shared). A replica is keyed
+// by its connection, which serves one request at a time, so the mutex is
+// all but uncontended: it serializes the request with ResponseStats'
+// reads, with the registry releasing an evicted replica's arenas, and
+// with Handle callers that name one connection id from two goroutines.
 type replica struct {
 	mu           sync.Mutex
 	differ       *diffdeser.Deserializer

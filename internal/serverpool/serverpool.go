@@ -24,7 +24,6 @@ package serverpool
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -51,20 +50,6 @@ type Handler func(req *wire.Message) (*wire.Message, error)
 // across replicas.
 type HandlerFactory func() Handler
 
-// Affinity selects how requests are grouped onto replicas.
-type Affinity int
-
-const (
-	// AffinityConn gives every transport connection its own replica.
-	// Keep-alive clients (the paper's model) see perfect template
-	// locality; the replica dies with the connection's LRU slot.
-	AffinityConn Affinity = iota
-	// AffinityClient groups by remote host instead, so a client that
-	// reconnects (or opens several connections) keeps its templates.
-	// Replicas are then contended locks, not exclusive owners.
-	AffinityClient
-)
-
 // Options configure a Runtime.
 type Options struct {
 	// DifferentialDeserialization enables the per-replica diffdeser fast
@@ -84,8 +69,6 @@ type Options struct {
 	// MaxReplicas and the deserializer's per-replica key cap. See README
 	// "Sizing template memory".
 	MaxTemplateBytes int64
-	// Affinity selects the replica grouping key (default AffinityConn).
-	Affinity Affinity
 	// SelfCheck re-decodes every differential fast-path result with a
 	// from-scratch parse and compares leaf values — the conformance
 	// paranoid mode. A mismatch fails the request and is counted.
@@ -107,7 +90,7 @@ type Options struct {
 
 // registryShards is the number of replica-registry shards. More shards
 // means less registry-lock contention; replicas themselves are never
-// shared across requests of different connections under AffinityConn.
+// shared across requests of different connections.
 const registryShards = 16
 
 // Runtime dispatches SOAP requests across replica deserializer/stub
@@ -264,8 +247,7 @@ func (rt *Runtime) ResponseStats() core.Stats {
 // DebugTemplates snapshots the replica registry in the uniform
 // client/server dump format served by /debug/templates and read by
 // `bsoap-inspect templates`. Each server entry is a single replica; the
-// affinity column carries the conn:N or host:X grouping key, and the
-// refusals are the deserializers' (diffdeser.Info.Refused), as counted
+// affinity column carries its conn:N key, and the refusals are the deserializers' (diffdeser.Info.Refused), as counted
 // by the server metrics.
 func (rt *Runtime) DebugTemplates() reg.Dump {
 	d := rt.reg.Dump("server", nil)
@@ -285,29 +267,27 @@ func (rt *Runtime) HTTPHandler() transport.Handler {
 			}
 			return *doc, nil
 		}
-		slot, r := rt.acquire(rt.keyFor(req))
+		slot, r := rt.acquire(keyFor(req))
 		defer rt.release(slot)
 		return rt.handle(r, req)
 	}
 }
 
 // Handle decodes and dispatches one envelope for the given connection
-// identity, for callers not going through transport.Server.
+// identity, for callers not going through transport.Server. The replica
+// is connID's; remoteAddr only rides on the request, as a Server's does.
 func (rt *Runtime) Handle(connID uint64, remoteAddr string, body []byte) ([]byte, error) {
 	req := &transport.Request{ConnID: connID, RemoteAddr: remoteAddr, Body: body}
-	slot, r := rt.acquire(rt.keyFor(req))
+	slot, r := rt.acquire(keyFor(req))
 	defer rt.release(slot)
 	return rt.handle(r, req)
 }
 
-func (rt *Runtime) keyFor(req *transport.Request) reg.Key {
-	if rt.opts.Affinity == AffinityClient {
-		host := req.RemoteAddr
-		if c := strings.LastIndexByte(host, ':'); c >= 0 {
-			host = host[:c]
-		}
-		return reg.Key{Sub: host}
-	}
+// keyFor keys a request's replica by its connection: keep-alive clients
+// (the paper's model) see perfect template locality, each replica has
+// one request at a time, and the replica dies with the connection's LRU
+// slot.
+func keyFor(req *transport.Request) reg.Key {
 	return reg.Key{Conn: req.ConnID}
 }
 

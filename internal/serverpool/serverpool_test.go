@@ -187,26 +187,6 @@ func TestReplicaLRUEviction(t *testing.T) {
 	}
 }
 
-func TestClientAffinityGroupsConnections(t *testing.T) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true, Affinity: AffinityClient})
-	c := newClient(9)
-	// Same host, different ports and conn IDs: one replica, so the
-	// second connection inherits the first one's template.
-	if _, err := rt.Handle(1, "10.1.1.1:1111", c.body(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Handle(2, "10.1.1.1:2222", c.body(t)); err != nil {
-		t.Fatal(err)
-	}
-	st := rt.Stats()
-	if st.Replicas != 1 {
-		t.Fatalf("replicas = %d, want 1", st.Replicas)
-	}
-	if st.DiffDecodes != 1 {
-		t.Fatalf("diff decodes = %d, want 1 (template shared across conns)", st.DiffDecodes)
-	}
-}
-
 func TestHTTPHandlerServesWSDLAndPosts(t *testing.T) {
 	rt := newSumRuntime(Options{})
 	h := rt.HTTPHandler()

@@ -38,8 +38,8 @@ type Request struct {
 	// differential-deserializer replicas by it).
 	ConnID uint64
 	// RemoteAddr is the peer address of the connection (host:port),
-	// for client-affine keying and logging. Set by the Server alongside
-	// ConnID; zero for requests parsed outside a Server.
+	// for logging and tracing. Set by the Server alongside ConnID; zero
+	// for requests parsed outside a Server.
 	RemoteAddr string
 
 	// TraceSpan is the client's flight-recorder span id, parsed from the

@@ -436,6 +436,7 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 		if s.handler != nil || s.respond {
 			s.reply(conn, req, 400, "", []byte("Connection: close\r\n"), nil)
 		}
+		linger(conn)
 		return false
 	}
 	if s.handler == nil {
@@ -505,6 +506,27 @@ func (s *Server) dispatch(conn net.Conn, req *Request) bool {
 		trace.ObserveCall(req.TraceSpan, time.Now().UnixNano()-req.recvNs)
 	}
 	return ok
+}
+
+// A refused connection's unread input is discarded up to lingerBytes or
+// for lingerTimeout, whichever ends first; Shutdown waits no longer.
+const (
+	lingerBytes   = 4 << 20
+	lingerTimeout = 500 * time.Millisecond
+)
+
+// linger half-closes a refused connection and discards what its client
+// is still sending before the connection is closed. A socket closed with
+// unread input answers with a reset, which fails the client's body write
+// and may discard the 400 before the client reads it; after the
+// half-close the client reads the answer and then EOF.
+func linger(conn net.Conn) {
+	tc, ok := conn.(*net.TCPConn)
+	if !ok || tc.CloseWrite() != nil {
+		return
+	}
+	_ = tc.SetReadDeadline(time.Now().Add(lingerTimeout))
+	_, _ = io.CopyN(io.Discard, tc, lingerBytes)
 }
 
 // reply writes req's response in one Write from req's own buffer

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -153,6 +154,53 @@ func TestRequestFramingHolesRejected(t *testing.T) {
 						t.Fatalf("statuses %v and %d requests counted, want %v and %d", statuses, srv.Requests()-before, want, requests)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestRefusedRequestAnswerSurvivesItsBody sends a request the parser
+// refuses (white space before a header colon) followed by the 1 MiB body
+// its header announces, more than the server reads before refusing. The
+// body write must succeed and the client must read the 400 and then EOF:
+// a server that closed with the body unread would reset the connection
+// under the client's write and its read.
+func TestRefusedRequestAnswerSurvivesItsBody(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 1<<20)
+	for _, ahead := range []int{0, 4} {
+		t.Run(fmt.Sprintf("readahead=%d", ahead), func(t *testing.T) {
+			srv, err := Listen("127.0.0.1:0", ServerOptions{Respond: true, Handler: echoHandler, ReadAhead: ahead})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := fmt.Fprintf(conn, "POST / HTTP/1.1\r\nHost: t\r\nContent-Length : %d\r\n\r\n", len(body)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(body); err != nil {
+				t.Fatalf("body write: %v", err)
+			}
+			br := bufio.NewReader(conn)
+			resp, err := ReadResponse(br)
+			if err != nil || resp.Status != 400 {
+				t.Fatalf("answer: %+v, %v; want a 400", resp, err)
+			}
+			if _, err := ReadResponse(br); !errors.Is(err, errConnClosed) {
+				t.Fatalf("after the 400: %v, want a clean close", err)
+			}
+			// The client keeps its end open: the server stops discarding
+			// at its deadline, and a drain waits no longer than that.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			start := time.Now()
+			if err := srv.Shutdown(ctx); err != nil || time.Since(start) > lingerTimeout+time.Second {
+				t.Fatalf("shutdown after %v: %v", time.Since(start), err)
 			}
 		})
 	}
