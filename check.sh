@@ -127,7 +127,7 @@ one_path_guard() {
     absent() { expect 0 "$@"; }
     check "delta request header rendered" 'append\(.*deltaHeaderPrefix' internal/transport
     check "resync answer classified" '== *wire\.DeltaValResync' internal/transport
-    check "engine invoked from the pool" 'stub\.Call\(' internal/pool
+    check "engine invoked from the pool" 'stub\.CallHeld\(' internal/pool
     check "request decoded differentially" 'differ\.Decode\(' internal
     check "request decoded by template id" '\.DecodeRegions\(' internal
     check "patch frame parsed outside internal/wire" 'ParseDeltaFrame\(' internal --exclude-dir=wire
@@ -178,6 +178,18 @@ one_path_guard() {
     absent "pipelined overlay beside the one loop" 'CallOverlayPipelined|pipeWriter' internal/core
     absent "footprint generation beside the stub's cache" 'FootprintGen' .
     absent "steal scan option" 'StealScan' internal/core
+    # One template level in the pool: the replica registry is the pool's
+    # template store, an engine holds its template (no stub of its own),
+    # and a connection slot holds the one stub that serializes its calls,
+    # a refused call included (no diff-off stub beside it). One constant,
+    # replica.TemplatesPerOp, caps templates per operation on both sides,
+    # and a chunk splits at twice its size; a template holds no copy of
+    # its stub's configuration.
+    absent "stub built per engine" 'core\.NewStub' internal/pool/store.go
+    absent "diff-off stub in the pool" 'DisableDiff' internal/pool
+    absent "per-operation template cap option" 'MaxTemplatesPerOp' .
+    absent "split threshold option" 'SplitThreshold' internal/chunk
+    absent "configuration copied into each template" '^[[:space:]]+cfg[[:space:]]+Config' internal/core/template.go
     # The client reads a response one way, at one place (readOldest):
     # whoever needs it reads it (Pending.Wait — a bare ExpectResponse send
     # included — or a Submit at depth). A client connection is one

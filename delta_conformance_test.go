@@ -13,6 +13,7 @@ import (
 	"bsoap/internal/core"
 	"bsoap/internal/harness"
 	"bsoap/internal/pool"
+	"bsoap/internal/replica"
 	"bsoap/internal/serverpool"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
@@ -421,14 +422,15 @@ func TestDeltaResyncRecoveryPipelined(t *testing.T) {
 	}
 }
 
-// TestRefusedCallIsNeverAPatchBase runs a delta pool whose operation has
-// room for one template, on a serial and on a pipelined connection: the
-// held shape syncs once and then goes out as patch frames, while two
-// other shapes take turns, each refused a template by the doorkeeper.
-// A refused call is a plain full body — no sync annotation, no patch —
-// so the server keeps no base for it, and the held shape's base stays
-// in step: no resync, and every patch applied.
+// TestRefusedCallIsNeverAPatchBase runs a delta pool whose operation's
+// templates are full, on a serial and on a pipelined connection: the cap
+// of held shapes sync once each and then go out as patch frames, while
+// one shape more than the cap takes turns, each refused a template by
+// the doorkeeper. A refused call is a plain full body — no sync
+// annotation, no patch — so the server keeps no base for it, and the
+// held shapes' bases stay in step: no resync, and every patch applied.
 func TestRefusedCallIsNeverAPatchBase(t *testing.T) {
+	const cap = replica.TemplatesPerOp
 	for _, depth := range []int{0, 2} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			rt, srv := harness.BenchRuntime(t,
@@ -436,12 +438,15 @@ func TestRefusedCallIsNeverAPatchBase(t *testing.T) {
 				transport.ServerOptions{ReadAhead: depth})
 			p := harness.Pool(t, pool.Options{
 				Size: 1, Addr: srv.Addr(), PipelineDepth: depth, Delta: true,
-				Config: core.Config{MaxTemplatesPerOp: 1, Width: core.WidthPolicy{Double: core.MaxWidth}},
+				Config: core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}},
 			})
-			held := workload.NewDoubles(64, workload.FillIntermediate)
-			others := []*workload.Doubles{
-				workload.NewDoubles(65, workload.FillIntermediate),
-				workload.NewDoubles(66, workload.FillIntermediate),
+			held := make([]*workload.Doubles, cap)
+			for i := range held {
+				held[i] = workload.NewDoubles(64+i, workload.FillIntermediate)
+			}
+			others := make([]*workload.Doubles, cap+1)
+			for i := range others {
+				others[i] = workload.NewDoubles(64+cap+i, workload.FillIntermediate)
 			}
 			call := func(d *workload.Doubles, i int) core.CallInfo {
 				t.Helper()
@@ -452,8 +457,10 @@ func TestRefusedCallIsNeverAPatchBase(t *testing.T) {
 				}
 				return ci
 			}
-			if ci := call(held, 0); ci.Match != core.FirstTime || ci.DeltaSent {
-				t.Fatalf("held shape's first call: %+v", ci)
+			for _, d := range held {
+				if ci := call(d, 0); ci.Match != core.FirstTime || ci.DeltaSent {
+					t.Fatalf("held shape's first call: %+v", ci)
+				}
 			}
 			const rounds = 6
 			for i := 1; i <= rounds; i++ {
@@ -462,16 +469,18 @@ func TestRefusedCallIsNeverAPatchBase(t *testing.T) {
 						t.Fatalf("round %d: refused call %+v, want a plain full body", i, ci)
 					}
 				}
-				if ci := call(held, i); !ci.DeltaSent {
-					t.Fatalf("round %d: held shape %+v, want a patch frame", i, ci)
+				for _, d := range held {
+					if ci := call(d, i); !ci.DeltaSent {
+						t.Fatalf("round %d: held shape %+v, want a patch frame", i, ci)
+					}
 				}
 			}
 			st, cs := rt.Stats(), p.Stats()
-			if st.DeltaSyncs != 1 || st.DeltaApplied != rounds || st.DeltaResyncs != 0 || cs.DeltaResyncs != 0 {
-				t.Fatalf("server: %d syncs, %d patches applied, %d resyncs; client %d resyncs; want 1, %d, 0, 0",
-					st.DeltaSyncs, st.DeltaApplied, st.DeltaResyncs, cs.DeltaResyncs, rounds)
+			if st.DeltaSyncs != cap || st.DeltaApplied != cap*rounds || st.DeltaResyncs != 0 || cs.DeltaResyncs != 0 {
+				t.Fatalf("server: %d syncs, %d patches applied, %d resyncs; client %d resyncs; want %d, %d, 0, 0",
+					st.DeltaSyncs, st.DeltaApplied, st.DeltaResyncs, cs.DeltaResyncs, cap, cap*rounds)
 			}
-			if cs.TemplateRefusals != 2*rounds || cs.TemplateEvictions != 0 || st.SelfCheckFails != 0 {
+			if cs.TemplateRefusals != (cap+1)*rounds || cs.TemplateEvictions != 0 || st.SelfCheckFails != 0 {
 				t.Fatalf("client: %d refusals, %d evictions; server %d self-check fails", cs.TemplateRefusals, cs.TemplateEvictions, st.SelfCheckFails)
 			}
 		})

@@ -4,10 +4,12 @@
 // on-the-fly message expansion (shifting) is bounded by the size of a
 // chunk rather than the size of the whole message (paper §3.2).
 //
-// Three configurable parameters govern the buffer, exactly the knobs the
-// paper lists: the default initial chunk size, the threshold at which a
-// chunk is split in two, and the slack initially left empty at the end of
-// each chunk so small shifts need no reallocation.
+// The paper lists three knobs for the buffer: the default initial chunk
+// size, the threshold at which a chunk is split in two, and the slack
+// initially left empty at the end of each chunk so small shifts need no
+// reallocation. The chunk size and the slack are configurable; the split
+// threshold is fixed at twice the chunk size, the value every
+// configuration used.
 package chunk
 
 import (
@@ -28,9 +30,6 @@ type Config struct {
 	// ChunkSize is the capacity of newly allocated chunks. Zero selects
 	// defaultChunkSize.
 	ChunkSize int
-	// SplitThreshold is the used-byte count beyond which a chunk is split
-	// in two instead of being grown further. Zero selects 2×ChunkSize.
-	SplitThreshold int
 	// TrailingSlack is the space left empty at the end of each chunk
 	// during initial serialization, allowing shifts without reallocation.
 	// Zero selects ChunkSize/8. A finished template's tail chunk keeps
@@ -48,9 +47,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = defaultChunkSize
-	}
-	if cfg.SplitThreshold <= 0 {
-		cfg.SplitThreshold = 2 * cfg.ChunkSize
 	}
 	if cfg.TrailingSlack <= 0 {
 		cfg.TrailingSlack = cfg.ChunkSize / 8

@@ -29,9 +29,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.ChunkSize != defaultChunkSize {
 		t.Errorf("ChunkSize = %d", cfg.ChunkSize)
 	}
-	if cfg.SplitThreshold != 2*defaultChunkSize {
-		t.Errorf("SplitThreshold = %d", cfg.SplitThreshold)
-	}
 	if cfg.TrailingSlack != defaultChunkSize/8 {
 		t.Errorf("TrailingSlack = %d", cfg.TrailingSlack)
 	}

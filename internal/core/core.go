@@ -119,8 +119,8 @@ func (w WidthPolicy) widthFor(t *wire.Type, serLen int) int {
 
 // Config tunes a Stub.
 type Config struct {
-	// Chunk configures the template buffers (sizes, split threshold,
-	// trailing slack).
+	// Chunk configures the template buffers (chunk size and trailing
+	// slack; a chunk splits once it would pass twice its size).
 	Chunk chunk.Config
 	// Width is the stuffing policy applied at first-time serialization.
 	Width WidthPolicy
@@ -130,21 +130,6 @@ type Config struct {
 	// DisableDiff turns differential serialization off: every call
 	// serializes from scratch (the paper's baseline bSOAP mode).
 	DisableDiff bool
-	// MaxTemplatesPerOp bounds how many structurally distinct templates
-	// are retained per operation (paper §6 future work: multiple
-	// templates per remote service). Zero selects 4. In a pool it also
-	// sizes the template store's doorkeeper: once an operation holds
-	// this many, a new signature gets a template only if it was refused
-	// one within the operation's last MaxTemplatesPerOp refusals, and a
-	// refused call is serialized from scratch.
-	MaxTemplatesPerOp int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxTemplatesPerOp <= 0 {
-		c.MaxTemplatesPerOp = 4
-	}
-	return c
 }
 
 // Sink consumes one complete serialized message as a vector of byte

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bsoap/internal/chunk"
+	"bsoap/internal/replica"
 	"bsoap/internal/wire"
 	"bsoap/internal/xmlparse"
 	"bsoap/internal/xsdlex"
@@ -417,7 +418,7 @@ func TestChunkSplittingUnderWorstCaseGrowth(t *testing.T) {
 	}
 	sink := &captureSink{}
 	s := NewStub(Config{
-		Chunk: chunk.Config{ChunkSize: 1024, SplitThreshold: 2048, TrailingSlack: 64},
+		Chunk: chunk.Config{ChunkSize: 1024, TrailingSlack: 64},
 	}, sink)
 	if _, err := s.Call(m); err != nil {
 		t.Fatal(err)
@@ -467,8 +468,8 @@ func TestRebindDifferentMessageSameStructure(t *testing.T) {
 		t.Fatalf("rebind rewrote %d values, want all 8", ci.ValuesRewritten)
 	}
 	checkRendered(t, m2, sink.data)
-	if s.Store().TemplateCount() != 1 {
-		t.Fatalf("templates = %d, want 1 (reused)", s.Store().TemplateCount())
+	if s.store.templateCount() != 1 {
+		t.Fatalf("templates = %d, want 1 (reused)", s.store.templateCount())
 	}
 }
 
@@ -489,8 +490,8 @@ func TestResizeCreatesNewTemplate(t *testing.T) {
 		t.Fatalf("resized send match = %v, want FirstTime", ci.Match)
 	}
 	checkRendered(t, m, sink.data)
-	if s.Store().TemplateCount() != 2 {
-		t.Fatalf("templates = %d, want 2", s.Store().TemplateCount())
+	if s.store.templateCount() != 2 {
+		t.Fatalf("templates = %d, want 2", s.store.templateCount())
 	}
 
 	// Returning to the original size reuses the old template.
@@ -506,18 +507,19 @@ func TestResizeCreatesNewTemplate(t *testing.T) {
 }
 
 func TestTemplateLRUEviction(t *testing.T) {
+	const cap = replica.TemplatesPerOp
 	m := wire.NewMessage("urn:t", "send")
 	arr := m.AddDoubleArray("v", 1)
 	sink := &captureSink{}
-	s := NewStub(Config{MaxTemplatesPerOp: 2}, sink)
-	for _, n := range []int{1, 2, 3} {
+	s := NewStub(Config{}, sink)
+	for n := 1; n <= cap+1; n++ {
 		arr.Resize(n)
 		if _, err := s.Call(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Store().TemplateCount(); got != 2 {
-		t.Fatalf("templates = %d, want 2 after eviction", got)
+	if got := s.store.templateCount(); got != cap {
+		t.Fatalf("templates = %d, want %d after eviction", got, cap)
 	}
 	// Size 1 was evicted; sending it again is a first-time send.
 	arr.Resize(1)
@@ -548,7 +550,7 @@ func TestDisableDiff(t *testing.T) {
 		}
 		checkRendered(t, m, sink.data)
 	}
-	if s.Store().TemplateCount() != 0 {
+	if s.store.templateCount() != 0 {
 		t.Fatal("diff-disabled stub stored templates")
 	}
 }

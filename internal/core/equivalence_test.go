@@ -21,8 +21,8 @@ func TestGoldenEquivalence(t *testing.T) {
 		{Width: WidthPolicy{Double: 18, Int: 6}},
 		{EnableStealing: true},
 		{Width: WidthPolicy{Double: 10}, EnableStealing: true},
-		{Chunk: chunk.Config{ChunkSize: 256, SplitThreshold: 512, TrailingSlack: 32}},
-		{Chunk: chunk.Config{ChunkSize: 128, SplitThreshold: 200, TrailingSlack: 16}, EnableStealing: true},
+		{Chunk: chunk.Config{ChunkSize: 256, TrailingSlack: 32}},
+		{Chunk: chunk.Config{ChunkSize: 100, TrailingSlack: 16}, EnableStealing: true},
 	}
 	for ci, cfg := range configs {
 		cfg := cfg

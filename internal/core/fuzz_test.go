@@ -63,7 +63,7 @@ func FuzzMutationSchedule(f *testing.F) {
 	chunks := []chunk.Config{
 		{},
 		{ChunkSize: 64, TrailingSlack: 8},
-		{ChunkSize: 512, SplitThreshold: 1024, TrailingSlack: 64},
+		{ChunkSize: 512, TrailingSlack: 64},
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 2 {
@@ -175,7 +175,9 @@ func FuzzMutationSchedule(f *testing.F) {
 			case opRebind:
 				cur = 1 - cur
 			case opSuspect:
-				s.MarkSuspect(m.Operation(), m.Signature())
+				if tpl := s.Template(m.Operation(), m.Signature()); tpl != nil {
+					tpl.MarkSuspect()
+				}
 			}
 		}
 	})

@@ -32,7 +32,7 @@ func TestOverlayBoundsMemory(t *testing.T) {
 	if _, err := tmplStub.Call(mT); err != nil {
 		t.Fatal(err)
 	}
-	tmplCost := tmplStub.Template(mT.Operation(), mT.Signature()).memoryFootprint()
+	tmplCost := tmplStub.Template(mT.Operation(), mT.Signature()).Footprint()
 
 	// Overlay.
 	ovStub := NewStub(cfg, &captureSink{})
@@ -172,7 +172,7 @@ func TestFootprintGrowsWithMessage(t *testing.T) {
 		if _, err := s.Call(m); err != nil {
 			t.Fatal(err)
 		}
-		return s.Template(m.Operation(), m.Signature()).memoryFootprint()
+		return s.Template(m.Operation(), m.Signature()).Footprint()
 	}
 	small, large := cost(100), cost(10000)
 	if large <= small {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"bsoap/internal/chunk"
@@ -30,13 +31,14 @@ func TestUnrepresentableTemplateGoesFromScratch(t *testing.T) {
 		requireFromScratch(t, s, sink, pool, m)
 	})
 	t.Run("split", func(t *testing.T) {
-		// Two items a 32-byte chunk and a 40-byte split threshold, sized
-		// so the build takes exactly the last chunk id an entry holds.
-		// A value that outgrows its field then splits its chunk and
-		// moves its neighbour into a chunk whose id does not fit.
-		cfg := Config{Chunk: chunk.Config{ChunkSize: 32, SplitThreshold: 40}}
+		// Two empty string items a 32-byte chunk, sized so the build
+		// takes exactly the last chunk id an entry holds. A value that
+		// outgrows its field past the split threshold (twice the chunk
+		// size) then splits its chunk and moves its neighbour into a
+		// chunk whose id does not fit.
+		cfg := Config{Chunk: chunk.Config{ChunkSize: 32}}
 		m := wire.NewMessage("urn:t", "op")
-		arr := m.AddDoubleArray("v", 131072)
+		arr := m.AddStringArray("v", 131072)
 		s, sink, pool := overflowStub(cfg)
 		ci, err := s.Call(m)
 		if err != nil || ci.Match != FirstTime {
@@ -48,12 +50,12 @@ func TestUnrepresentableTemplateGoesFromScratch(t *testing.T) {
 		if s.Footprint() == 0 {
 			t.Fatal("no footprint for the built template")
 		}
-		arr.Set(0, -1.7976931348623157e308)
+		arr.Set(0, strings.Repeat("x", 64))
 		requireFromScratch(t, s, sink, pool, m)
 		// With the wide value gone again, the next call builds the
 		// structure's template afresh, in the same chunks as the first.
-		arr.Set(0, 0)
-		arr.Set(1, 7)
+		arr.Set(0, "")
+		arr.Set(1, "7")
 		if ci, err := s.Call(m); err != nil || ci.Match != FirstTime {
 			t.Fatalf("rebuild: %v, %v", ci.Match, err)
 		}
@@ -102,7 +104,7 @@ func requireFromScratch(t *testing.T, s *Stub, sink *captureSink, pool *membuf.P
 	if want := new(soapenv.Compiler).AppendMessage(nil, m, 0); !bytes.Equal(sink.data, want) {
 		t.Fatalf("sent %d bytes that differ from the %d a from-scratch rendering writes", len(sink.data), len(want))
 	}
-	if s.Template(m.Operation(), m.Signature()) != nil || s.Store().TemplateCount() != 0 {
+	if s.Template(m.Operation(), m.Signature()) != nil || s.store.templateCount() != 0 {
 		t.Fatal("an unrepresentable template was kept")
 	}
 	if fp := s.Footprint(); fp != 0 {

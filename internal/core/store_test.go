@@ -3,34 +3,53 @@ package core
 import (
 	"testing"
 
+	"bsoap/internal/replica"
 	"bsoap/internal/wire"
 )
 
-// TestStoreLookupMovesToFront pins the LRU behaviour the pool relies on:
-// with two templates per operation, a third structure evicts the least
+// TestStoreLookupMovesToFront pins the store's LRU behaviour: with an
+// operation's cap of templates held, one structure more evicts the least
 // recently used one, and a call that reuses a template refreshes it.
 func TestStoreLookupMovesToFront(t *testing.T) {
-	s := NewStub(Config{MaxTemplatesPerOp: 2}, &captureSink{})
+	const cap = replica.TemplatesPerOp
+	s := NewStub(Config{}, &captureSink{})
 
 	mk := func(n int) *wire.Message {
 		m := wire.NewMessage("urn:t", "op")
 		m.AddDoubleArray("v", n)
 		return m
 	}
-	a, b, c := mk(1), mk(2), mk(3)
-	for _, m := range []*wire.Message{a, b, a, c} { // a touched after b
+	msgs := make([]*wire.Message, cap+1)
+	for i := range msgs {
+		msgs[i] = mk(i + 1)
+	}
+	// The first shape is touched after all the others, so the second is
+	// the least recently used when the last arrives.
+	order := append(append(msgs[:cap:cap], msgs[0]), msgs[cap])
+	for _, m := range order {
 		if _, err := s.Call(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if s.Template("op", b.Signature()) != nil {
-		t.Error("b should have been evicted as least recently used")
+	if s.Template("op", msgs[1].Signature()) != nil {
+		t.Error("the second shape should have been evicted as least recently used")
 	}
-	if s.Template("op", a.Signature()) == nil || s.Template("op", c.Signature()) == nil {
-		t.Error("a and c should have survived")
+	for _, i := range []int{0, 2, cap} {
+		if s.Template("op", msgs[i].Signature()) == nil {
+			t.Errorf("shape %d should have survived", i)
+		}
 	}
-	if n := s.Store().TemplateCount(); n != 2 {
-		t.Errorf("TemplateCount = %d, want 2", n)
+	if n := s.store.templateCount(); n != cap {
+		t.Errorf("TemplateCount = %d, want %d", n, cap)
 	}
+}
+
+// templateCount reports the number of stored templates (all operations).
+func (st *Store) templateCount() int {
+	n := 0
+	for _, l := range st.byOp {
+		n += l.Len()
+	}
+	return n
 }

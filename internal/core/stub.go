@@ -13,16 +13,17 @@ import (
 	"bsoap/internal/xsdlex"
 )
 
-// Store holds a stub's templates keyed by operation. It is part of the
-// Stub that owns it and has no synchronization of its own: a Call
-// mutates the looked-up Template's bytes in place, so the store is
-// confined exactly as its stub is — to one goroutine, or to whoever
-// holds the pool engine or server replica lock around the stub. Recency
-// within an operation is tracked by the tree's one LRU
-// (internal/replica); a warm-path lookup allocates nothing.
+// Store holds a bare stub's templates keyed by operation, up to
+// replica.TemplatesPerOp of them each. It is part of the Stub that owns
+// it and has no synchronization of its own: a Call mutates the
+// looked-up Template's bytes in place, so the store is confined exactly
+// as its stub is — to one goroutine, or to whoever holds the server
+// replica lock around the stub. Recency within an operation is tracked
+// by the tree's one LRU (internal/replica); a warm-path lookup
+// allocates nothing. A pool keeps no store: its registry is the one
+// template store, and each engine holds its template itself (CallHeld).
 type Store struct {
 	byOp map[string]*replica.LRU[string, *Template]
-	cap  int // templates retained per operation (Config.MaxTemplatesPerOp)
 }
 
 // lookup finds a template with the given structural signature, moving it
@@ -36,51 +37,36 @@ func (st *Store) lookup(op, sig string) *Template {
 	return nil
 }
 
-// remove deletes the template with the given signature, if present,
-// returning its arenas to the pool (callers discard suspect templates;
-// their bytes are no longer in flight once the failed send returned),
-// and the operation's list with its last template.
-func (st *Store) remove(op, sig string) {
-	if l := st.byOp[op]; l != nil {
-		if t, ok := l.Remove(sig); ok {
-			t.release()
-		}
-		if l.Len() == 0 {
-			delete(st.byOp, op)
-		}
-	}
-}
-
-// insert records a new template at the LRU front, evicting the least
-// recently used beyond capacity. Insertion happens only on first-time
-// sends (which allocate a whole template anyway); warm calls never come
-// here. An evicted template's chunk arenas go back to the pool (safe:
-// insert runs inside a Call on the owning stub, so nothing evicted can be
-// mid-send).
-func (st *Store) insert(op string, t *Template) {
+// swap puts t in old's place for op, either of them nil. CallHeld has
+// released old already. A new template goes to the LRU front, evicting
+// the least recently used beyond the cap: that happens only on
+// first-time sends (which allocate a whole template anyway), and an
+// evicted template's chunk arenas go back to the pool (safe: swap runs
+// inside a Call on the owning stub, so nothing evicted can be mid-send).
+// An operation's list leaves with its last template.
+func (st *Store) swap(op string, old, t *Template) {
 	l := st.byOp[op]
-	if l == nil {
-		l = replica.NewLRU[string, *Template]()
-		st.byOp[op] = l
+	if old != nil {
+		l.Remove(old.sig)
 	}
-	if l.Len() >= st.cap {
-		if _, victim, ok := l.RemoveTail(); ok {
-			victim.release()
+	if t != nil {
+		if l == nil {
+			l = replica.NewLRU[string, *Template]()
+			st.byOp[op] = l
 		}
+		if l.Len() >= replica.TemplatesPerOp {
+			if _, victim, ok := l.RemoveTail(); ok {
+				victim.Release()
+			}
+		}
+		l.PushFront(t.sig, t)
 	}
-	l.PushFront(t.sig, t)
+	if l != nil && l.Len() == 0 {
+		delete(st.byOp, op)
+	}
 }
 
-// TemplateCount reports the number of stored templates (all operations).
-func (st *Store) TemplateCount() int {
-	n := 0
-	for _, l := range st.byOp {
-		n += l.Len()
-	}
-	return n
-}
-
-// footprint sums the memoryFootprint of every stored template and the
+// footprint sums the Footprint of every stored template and the
 // store's own bookkeeping for them: per operation a slot in byOp and its
 // LRU, whose nodes and index slots are one per template.
 func (st *Store) footprint() int {
@@ -89,7 +75,7 @@ func (st *Store) footprint() int {
 	for _, l := range st.byOp {
 		n += perOp + l.SizeBytes()
 		l.FromFront(func(_ string, t *Template) bool {
-			n += t.memoryFootprint()
+			n += t.Footprint()
 			return true
 		})
 	}
@@ -97,10 +83,9 @@ func (st *Store) footprint() int {
 }
 
 // ReleaseAll returns every template's chunk arenas to the pool and
-// empties the store. The unified replica registry calls this (through
-// the pool entry's ReleaseArenas) once an evicted entry's last in-flight
-// call has returned; a late MarkSuspect from a pipelined response simply
-// misses its lookup afterwards.
+// empties the store. The server runtime calls this (through its
+// replica's ReleaseArenas) once an evicted replica's last in-flight
+// request has returned.
 func (st *Store) ReleaseAll() {
 	for op, l := range st.byOp {
 		for {
@@ -108,18 +93,20 @@ func (st *Store) ReleaseAll() {
 			if !ok {
 				break
 			}
-			t.release()
+			t.Release()
 		}
 		delete(st.byOp, op)
 	}
 }
 
 // Stub is a client-side SOAP endpoint employing differential
-// serialization. It owns its templates (paper §1) and is not safe for
-// concurrent use: one goroutine drives it, or — for pooled engines and
-// server replicas — whoever holds that engine's or replica's lock. To
-// reuse one serialization for several destinations, swap the stub's
-// sink between sends rather than sharing templates between stubs.
+// serialization. Through Call it owns its templates (paper §1); through
+// CallHeld it serializes through a template its caller keeps — a pool
+// connection slot's stub through the engine it checked out. It is not
+// safe for concurrent use: one goroutine drives it, or — for pool slots
+// and server replicas — whoever holds that slot or replica. To reuse
+// one serialization for several destinations, swap the stub's sink
+// between sends rather than sharing templates between stubs.
 type Stub struct {
 	cfg      Config
 	sink     Sink
@@ -127,10 +114,10 @@ type Stub struct {
 	stats    Stats
 	overlays map[string]*overlayState
 	scr      scratch // per-stub send scratch, alive across calls
-	// fp caches the store's footprint as of footprint generation fpGen
-	// (see Footprint).
-	fp    int
-	fpGen int64
+	// fp caches the store's footprint; fpStale says a call has built,
+	// grown, split, replaced or dropped a template since (see Footprint).
+	fp      int
+	fpStale bool
 }
 
 // scratch is the stub's reusable working memory: everything a warm send
@@ -193,10 +180,8 @@ func NewStub(cfg Config, sink Sink) *Stub { return NewStubWithConverter(cfg, sin
 // NewStubWithConverter returns a stub sending through sink whose doubles
 // print through conv — fastconv.Dragon for the 2004-era cost emulation.
 func NewStubWithConverter(cfg Config, sink Sink, conv fastconv.Converter) *Stub {
-	c := cfg.withDefaults()
-	return &Stub{cfg: c, sink: sink, scr: scratch{conv: conv}, store: Store{
+	return &Stub{cfg: cfg, sink: sink, scr: scratch{conv: conv}, store: Store{
 		byOp: make(map[string]*replica.LRU[string, *Template]),
-		cap:  c.MaxTemplatesPerOp,
 	}}
 }
 
@@ -204,15 +189,15 @@ func NewStubWithConverter(cfg Config, sink Sink, conv fastconv.Converter) *Stub 
 func (s *Stub) Stats() Stats { return s.stats }
 
 // Footprint reports the memory held by the stub's stored templates: its
-// contribution to a pooled or server replica's budget accounting. Only
-// template builds and buffer reshaping (grows, splits) change it —
-// in-place rewrites, tag shifts, shifts and steals reuse existing bytes,
-// and a diff-off call never touches the store — so the walk over the
-// chunk lists is cached and redone only when one of those counters has
-// moved since.
+// contribution to a server replica's budget accounting. Only a template
+// built, grown, split, replaced or dropped changes it — in-place
+// rewrites, tag shifts, shifts and steals reuse existing bytes, and a
+// diff-off call never touches the store — so the walk over the chunk
+// lists is cached and redone only after a call, failed or not, did one
+// of those.
 func (s *Stub) Footprint() int {
-	if gen := s.stats.FirstTimeSends + s.stats.Grows + s.stats.Splits; gen != s.fpGen {
-		s.fpGen = gen
+	if s.fpStale {
+		s.fpStale = false
 		s.fp = s.store.footprint()
 	}
 	return s.fp
@@ -240,9 +225,13 @@ func (s *Stub) beginCall(m *wire.Message, ci *CallInfo) {
 
 // endCall is every call's epilogue. A call that succeeded clears m's
 // dirty bits and is counted; a failed one keeps both, so a retry
-// re-serializes the same changes. Either way the trace span is closed
+// re-serializes the same changes. Either way a template built, grown or
+// split makes the footprint cache stale, and the trace span is closed
 // and reset so it cannot leak into the next call.
 func (s *Stub) endCall(m *wire.Message, ci *CallInfo, err error) (CallInfo, error) {
+	if ci.Match == FirstTime || ci.Grows+ci.Splits > 0 {
+		s.fpStale = true
+	}
 	if err == nil {
 		m.ClearDirty()
 		s.stats.add(*ci)
@@ -266,57 +255,61 @@ func (s *Stub) Store() *Store { return &s.store }
 // nil (tests, inspector tool).
 func (s *Stub) Template(op, sig string) *Template { return s.store.lookup(op, sig) }
 
-// MarkSuspect poisons the stored template for (op, sig), if present, so
-// the structure's next Call degrades to a full first-time serialization.
-// Call does this itself when a send fails; MarkSuspect is for owners who
-// learn about a delivery failure later — the pipelined pool marks a
-// template suspect when a call's response never arrives, after the send
-// itself succeeded and the template's bytes left unconfirmed. It
-// reports whether a template was found. MarkSuspect needs the same
-// external synchronization as Call (the pool holds the replica lock).
-func (s *Stub) MarkSuspect(op, sig string) bool {
-	tpl := s.store.lookup(op, sig)
-	if tpl == nil {
-		return false
+// Call serializes and sends m, reusing the stored template of m's
+// structure when possible: the store lookup around CallHeld, which
+// keeps whatever template the call leaves.
+func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
+	if s.cfg.DisableDiff {
+		return s.CallHeld(nil, m)
 	}
-	tpl.suspect = true
-	return true
+	op := m.Operation()
+	tpl := s.store.lookup(op, m.Signature())
+	held := tpl
+	ci, err := s.CallHeld(&held, m)
+	if held != tpl {
+		s.store.swap(op, tpl, held)
+	}
+	return ci, err
 }
 
-// Call serializes and sends m, reusing the saved template when possible.
+// CallHeld serializes and sends m through *held, the template of m's
+// structure that the caller keeps (nil for none), and leaves in *held
+// what to keep: a new template after a first-time send, nil after the
+// template was dropped. It releases any template it replaced. A nil
+// held, or a diff-off stub, serves m from scratch and keeps nothing.
+//
 // On success the message's dirty bits are cleared; on a send error they
 // are preserved so a retry re-serializes the same changes, and the
 // template is marked suspect: the next call of that structure is forced
 // through a full first-time serialization (CallInfo.Degraded) rather
-// than patching bytes whose delivery state is unknown.
-func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
+// than patching bytes whose delivery state is unknown. The template
+// needs the same confinement as the stub for the whole call.
+func (s *Stub) CallHeld(held **Template, m *wire.Message) (CallInfo, error) {
 	var ci CallInfo
 	s.beginCall(m, &ci)
-
-	if s.cfg.DisableDiff {
+	if held == nil || s.cfg.DisableDiff {
 		return s.fromScratch(m, &ci)
 	}
-
 	op := m.Operation()
-	tpl := s.store.lookup(op, m.Signature())
+	tpl := *held
 	if tpl != nil && tpl.suspect {
 		// The template's last send failed mid-flight: its on-wire state
 		// is unknown, so degrade gracefully — discard it and serialize
 		// this call from the live values as a fresh first-time send
 		// rather than trusting possibly half-delivered bytes.
-		s.store.remove(op, tpl.sig)
-		tpl = nil
+		tpl.Release()
+		tpl, *held = nil, nil
 		ci.Degraded = true
 	}
 	switch {
 	case tpl == nil:
-		// First-Time Send: serialize fully and save the template.
+		// First-Time Send: serialize fully and keep the template.
 		ci.Match = FirstTime
 		var ok bool
-		if tpl, ok = newTemplate(m, s.cfg, &s.scr); !ok {
-			return s.unrepresentable(m, &ci)
+		if tpl, ok = newTemplate(m, &s.cfg, &s.scr); !ok {
+			return s.unrepresentable(held, m, &ci)
 		}
-		s.store.insert(op, tpl)
+		*held = tpl
 		if s.scr.span != 0 {
 			trace.Rec(s.scr.span, trace.KindTemplateBuild, trace.OpID(op), int64(tpl.buf.Len()), 0)
 		}
@@ -326,8 +319,8 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 			ci.Match = ContentMatch
 		} else {
 			ci.Match = StructuralMatch
-			if !tpl.applyDiff(m, &ci, &s.scr) {
-				return s.unrepresentable(m, &ci)
+			if !tpl.applyDiff(m, &ci, &s.scr, s.cfg.EnableStealing) {
+				return s.unrepresentable(held, m, &ci)
 			}
 			if ci.Shifts > 0 || ci.Steals > 0 {
 				ci.Match = PartialMatch
@@ -346,8 +339,8 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 		if s.scr.span != 0 {
 			trace.Rec(s.scr.span, trace.KindTemplateRebind, trace.OpID(op), 0, 0)
 		}
-		if !tpl.applyDiff(m, &ci, &s.scr) {
-			return s.unrepresentable(m, &ci)
+		if !tpl.applyDiff(m, &ci, &s.scr, s.cfg.EnableStealing) {
+			return s.unrepresentable(held, m, &ci)
 		}
 		if ci.Shifts > 0 || ci.Steals > 0 {
 			ci.Match = PartialMatch
@@ -400,13 +393,15 @@ func (s *Stub) fromScratch(m *wire.Message, ci *CallInfo) (CallInfo, error) {
 }
 
 // unrepresentable serves from scratch a call whose template the DUT
-// table could not represent, dropping the template if it was stored (a
+// table could not represent, dropping the template if one was held (a
 // failed build kept nothing). What the call did to the dropped template
-// is not reported, and the footprint cache is invalidated, since the
-// store changed without a build, grow or split being counted.
-func (s *Stub) unrepresentable(m *wire.Message, ci *CallInfo) (CallInfo, error) {
-	s.store.remove(m.Operation(), m.Signature())
+// is not reported; the footprint cache goes stale all the same.
+func (s *Stub) unrepresentable(held **Template, m *wire.Message, ci *CallInfo) (CallInfo, error) {
+	if *held != nil {
+		(*held).Release()
+		*held = nil
+	}
 	*ci = CallInfo{Span: ci.Span}
-	s.fpGen = -1
+	s.fpStale = true
 	return s.fromScratch(m, ci)
 }

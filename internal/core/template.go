@@ -26,7 +26,6 @@ type Template struct {
 
 	buf *chunk.Buffer
 	tab dut.Table
-	cfg Config
 
 	// suspect marks a template whose most recent send failed: the peer
 	// may hold a half-delivered copy and the repaired connection must not
@@ -59,7 +58,7 @@ func (t *Template) Message() *wire.Message { return t.msg }
 // Bytes returns a contiguous copy of the serialized message.
 func (t *Template) Bytes() []byte { return t.buf.Bytes() }
 
-// memoryFootprint estimates the template's resident cost in bytes: the
+// Footprint estimates the template's resident cost in bytes: the
 // arenas its chunks hold, the DUT table at its layout's size, and the
 // headers that tie them together (the template, its chunk buffer, and a
 // chunk and arena header per chunk) — the storage the paper's §3.3
@@ -67,7 +66,7 @@ func (t *Template) Bytes() []byte { return t.buf.Bytes() }
 // overlaying bounds to a single chunk. With tails fitted to their
 // messages the headers are a fifth of a small template, so they are
 // charged too.
-func (t *Template) memoryFootprint() int {
+func (t *Template) Footprint() int {
 	const fixed = int(unsafe.Sizeof(Template{}) + unsafe.Sizeof(chunk.Buffer{}))
 	const perChunk = int(unsafe.Sizeof(chunk.Chunk{}) + unsafe.Sizeof(membuf.Buf{}))
 	const perEntry = int(unsafe.Sizeof(dut.Entry{}))
@@ -94,13 +93,15 @@ func encodeLeaf(m *wire.Message, i int, typ *wire.Type, scratch []byte, conv fas
 	panic("core: encodeLeaf of non-scalar " + typ.Name)
 }
 
-// release returns the template's chunk arenas to the pool. Only the
-// template store calls this, on eviction or suspect removal, under the
-// same external synchronization as the Calls using the template — so
+// Release returns the template's chunk arenas to the pool. Its keeper
+// calls it under the confinement of the calls using the template, so
 // nothing released can still be mid-send.
-func (t *Template) release() {
-	t.buf.Release()
-}
+func (t *Template) Release() { t.buf.Release() }
+
+// MarkSuspect makes the next call through the template a degraded
+// first-time send, as a failed send does: for a keeper that learns of a
+// lost delivery later (a pipelined response that never arrived).
+func (t *Template) MarkSuspect() { t.suspect = true }
 
 // nextDeltaID allocates process-unique template identities for the
 // delta wire. Starting at 1 keeps 0 free as "no template".
@@ -111,13 +112,12 @@ var nextDeltaID atomic.Uint64
 // field of the table cannot represent the template (a chunk or kind id,
 // an offset or a width out of its entry field's range); the call then
 // goes out from scratch.
-func newTemplate(m *wire.Message, cfg Config, sc *scratch) (*Template, bool) {
+func newTemplate(m *wire.Message, cfg *Config, sc *scratch) (*Template, bool) {
 	t := &Template{
 		sig:     m.Signature(),
 		msg:     m,
 		version: m.Version(),
 		buf:     chunk.New(cfg.Chunk),
-		cfg:     cfg,
 		deltaID: nextDeltaID.Add(1),
 	}
 	t.tab = dut.NewTable(m.NumLeaves())
@@ -130,8 +130,8 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) (*Template, bool) {
 	leaf := 0
 	params := m.Params()
 	for i := range params {
-		if leaf = t.emitParam(m, &g, &params[i], leaf, sc); leaf < 0 {
-			t.release()
+		if leaf = t.emitParam(m, &g, &params[i], leaf, cfg.Width, sc); leaf < 0 {
+			t.Release()
 			return nil, false
 		}
 	}
@@ -147,8 +147,8 @@ func newTemplate(m *wire.Message, cfg Config, sc *scratch) (*Template, bool) {
 // leaf index leaf, and returns the next leaf index, or -1 when the DUT
 // table cannot represent the template. Each leaf step's DUT kind is
 // resolved once, before the steps run for every item; each leaf gets a
-// field stuffed to the configured width and its DUT entry.
-func (t *Template) emitParam(m *wire.Message, g *soapenv.Compiler, p *wire.Param, leaf int, sc *scratch) int {
+// field stuffed to width's policy and its DUT entry.
+func (t *Template) emitParam(m *wire.Message, g *soapenv.Compiler, p *wire.Param, leaf int, width WidthPolicy, sc *scratch) int {
 	open, steps, end, n := g.Param(p)
 	var buf [8]int // an MIO item is five steps; a wider type spills to the heap
 	kinds := buf[:0]
@@ -171,14 +171,14 @@ func (t *Template) emitParam(m *wire.Message, g *soapenv.Compiler, p *wire.Param
 				continue
 			}
 			enc := sc.encode(m, leaf, st.Leaf)
-			width := t.cfg.Width.widthFor(st.Leaf, len(enc))
-			span := width + len(st.Close)
+			w := width.widthFor(st.Leaf, len(enc))
+			span := w + len(st.Close)
 			c, off := t.buf.Reserve(span)
 			b := c.Bytes()
 			copy(b[off:], enc)
 			copy(b[off+len(enc):], st.Close)
 			fastconv.Pad(b, off+len(enc)+len(st.Close), off+span)
-			if !t.tab.Append(c, off, len(enc), width, kinds[i]) {
+			if !t.tab.Append(c, off, len(enc), w, kinds[i]) {
 				return -1
 			}
 			leaf++
@@ -190,10 +190,11 @@ func (t *Template) emitParam(m *wire.Message, g *soapenv.Compiler, p *wire.Param
 
 // applyDiff re-serializes exactly the dirty leaves of m into the
 // template, expanding fields as needed, and updates ci. The walk ends at
-// the last dirty leaf, not at the last leaf. It reports false when an
+// the last dirty leaf, not at the last leaf. A grower steals neighbour
+// padding before shifting when stealing is on. It reports false when an
 // expansion left a field the DUT table cannot represent: the template is
 // then unusable and must be dropped.
-func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch) bool {
+func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch, stealing bool) bool {
 	t.buf.Span = sc.span // attribute chunk grow/split events to this call
 	n := t.tab.Len()
 	for i, left := 0, m.DirtyCount(); i < n && left > 0; i++ {
@@ -201,7 +202,7 @@ func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch) bool {
 			continue
 		}
 		left--
-		if !t.rewriteLeaf(m, i, sc, ci) {
+		if !t.rewriteLeaf(m, i, sc, ci, stealing) {
 			return false
 		}
 	}
@@ -209,7 +210,7 @@ func (t *Template) applyDiff(m *wire.Message, ci *CallInfo, sc *scratch) bool {
 }
 
 // rewriteLeaf writes leaf i's current value into its template field.
-func (t *Template) rewriteLeaf(m *wire.Message, i int, sc *scratch, ci *CallInfo) bool {
+func (t *Template) rewriteLeaf(m *wire.Message, i int, sc *scratch, ci *CallInfo, stealing bool) bool {
 	e := t.tab.At(i)
 	typ, cls := t.tab.Kind(e)
 	enc := sc.encode(m, i, typ)
@@ -220,7 +221,7 @@ func (t *Template) rewriteLeaf(m *wire.Message, i int, sc *scratch, ci *CallInfo
 		// Partial structural match: the field must be expanded.
 		deficit := len(enc) - e.Width()
 		donor, stolen := -1, false
-		if t.cfg.EnableStealing {
+		if stealing {
 			donor, stolen = t.trySteal(i, deficit)
 		}
 		if stolen {
@@ -256,15 +257,16 @@ func (t *Template) rewriteLeaf(m *wire.Message, i int, sc *scratch, ci *CallInfo
 
 // shiftGrow expands entry i's field by deficit bytes using on-the-fly
 // message expansion: consume the chunk's slack, grow the chunk up to the
-// split threshold, or split the chunk and expand there (paper §3.2). It
-// reports false when the DUT table cannot represent the result.
+// split threshold of twice the chunk size, or split the chunk and expand
+// there (paper §3.2). It reports false when the DUT table cannot
+// represent the result.
 func (t *Template) shiftGrow(i, deficit int, ci *CallInfo, sc *scratch) bool {
 	e := t.tab.At(i)
 	c := t.tab.Chunk(e)
 	pos := t.tab.SpanEnd(e)
 
 	if c.Slack() < deficit {
-		if c.Len()+deficit <= t.buf.Config().SplitThreshold {
+		if c.Len()+deficit <= 2*t.buf.Config().ChunkSize {
 			t.buf.GrowChunk(c, deficit)
 			ci.Grows++
 		} else {

@@ -6,13 +6,14 @@ import (
 	"bytes"
 	"testing"
 
+	"bsoap/internal/replica"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/soapenv"
 	"bsoap/internal/wire"
 	"bsoap/internal/workload"
 )
 
-// TestRefusedDecodesAllocateNothing rotates 2×MaxTemplatesPerKey+1 MIO
+// TestRefusedDecodesAllocateNothing rotates 2×replica.TemplatesPerOp+1 MIO
 // array lengths through one key, each body changed in one value per
 // turn: the held lengths decode on the fast path and the refused ones
 // into the key's scratch message, so once the rotation has come round a
@@ -22,7 +23,7 @@ func TestRefusedDecodesAllocateNothing(t *testing.T) {
 	var schema *soapdec.Schema
 	d := New(func(string) (*soapdec.Schema, bool) { return schema, true })
 	var bodies [][]byte
-	for i := 0; i < 2*MaxTemplatesPerKey+1; i++ {
+	for i := 0; i < 2*replica.TemplatesPerOp+1; i++ {
 		m := workload.NewMIOs(100+10*i, workload.FillIntermediate).Msg
 		if schema == nil {
 			p := m.Params()[0]
@@ -38,7 +39,7 @@ func TestRefusedDecodesAllocateNothing(t *testing.T) {
 			// The last digit of the last value flips: same length, one region.
 			b[bytes.LastIndex(b, []byte("</value>"))-1] ^= 1
 			_, info, err := d.Decode("k", b)
-			if err != nil || info.Refused != (i >= MaxTemplatesPerKey) || (i < MaxTemplatesPerKey && turn > 1 && info.FullParse) {
+			if err != nil || info.Refused != (i >= replica.TemplatesPerOp) || (i < replica.TemplatesPerOp && turn > 1 && info.FullParse) {
 				t.Fatalf("turn %d, body %d: %+v, %v", turn, i, info, err)
 			}
 		}

@@ -154,28 +154,23 @@ type owned struct {
 	Template
 }
 
-// MaxTemplatesPerKey bounds how many structurally distinct message
-// templates are retained per key — the server-side analogue of the
+// defaultMaxKeys bounds how many distinct operation keys a deserializer
+// retains, each holding up to replica.TemplatesPerOp templates (the
 // paper's "multiple templates per remote service" future work, letting
 // a client that alternates between a few message shapes keep hitting
-// the fast path.
-const MaxTemplatesPerKey = 4
-
-// defaultMaxKeys bounds how many distinct operation keys a deserializer
-// retains (each holding up to MaxTemplatesPerKey templates). Keys are
-// evicted least-recently-used, mirroring core.Store's per-op signature
-// LRU, so a peer cycling through many operations cannot grow the
-// deserializer without bound.
+// the fast path). Keys are evicted least-recently-used, mirroring
+// core.Store's per-op signature LRU, so a peer cycling through many
+// operations cannot grow the deserializer without bound.
 const defaultMaxKeys = 64
 
 // Deserializer decodes requests that name no template: it keeps, per
 // operation key, the last few bodies with their templates and decodes a
 // new body against the first of them with the same length.
 //
-// A key whose MaxTemplatesPerKey templates are full keeps a body of a new
-// length only when it refused that length within its last
-// MaxTemplatesPerKey refusals (the client pool's doorkeeper, keyed by
-// length): any other is decoded without ranges and without a copy, and
+// A key whose replica.TemplatesPerOp templates are full keeps a body of
+// a new length only when it refused that length within its last
+// replica.TemplatesPerOp refusals (the client pool's doorkeeper, keyed
+// by length): any other is decoded without ranges and without a copy, and
 // the templates in use stay. Not safe for concurrent use; guard it per
 // connection or with the server's dispatch lock.
 type Deserializer struct {
@@ -431,8 +426,8 @@ func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.
 	kt, ok := d.keys.Peek(key)
 	// A body length plus one is its doorkeeper key: each length its own
 	// key, and none of them 0, the ring's empty place.
-	if ok && reason == ReasonLength && len(kt.list) >= MaxTemplatesPerKey &&
-		!kt.door.Admit(uint64(len(body))+1, MaxTemplatesPerKey) {
+	if ok && reason == ReasonLength && len(kt.list) >= replica.TemplatesPerOp &&
+		!kt.door.Admit(uint64(len(body))+1, replica.TemplatesPerOp) {
 		msg, err := kt.scratch.Decode(body, d.lookup)
 		if err != nil {
 			return nil, Info{FullParse: true, Reason: reason}, err
@@ -450,11 +445,11 @@ func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.
 	}
 	kt.list = append([]*owned{o}, kt.list...)
 	d.size += templateCost(o)
-	if len(kt.list) > MaxTemplatesPerKey {
-		for _, dropped := range kt.list[MaxTemplatesPerKey:] {
+	if len(kt.list) > replica.TemplatesPerOp {
+		for _, dropped := range kt.list[replica.TemplatesPerOp:] {
 			d.size -= templateCost(dropped)
 		}
-		kt.list = kt.list[:MaxTemplatesPerKey]
+		kt.list = kt.list[:replica.TemplatesPerOp]
 	}
 	d.noteKey(key, kt)
 	return o.msg, Info{FullParse: true, Reason: reason}, nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bsoap/internal/core"
+	"bsoap/internal/replica"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/soapenv"
 	"bsoap/internal/wire"
@@ -140,12 +141,12 @@ func lastIndex(b, pat []byte) int {
 	return bytes.LastIndex(b, pat)
 }
 
-// TestDoorkeeperRefusesALengthRotation rotates 2×MaxTemplatesPerKey+1
-// body lengths through one key: the first MaxTemplatesPerKey lengths
+// TestDoorkeeperRefusesALengthRotation rotates 2×replica.TemplatesPerOp+1
+// body lengths through one key: the first replica.TemplatesPerOp lengths
 // keep the key's templates and decode on the fast path from their second
 // turn; every other is refused a template on every turn — a full parse
 // that records no ranges, copies nothing and evicts nothing — and still
-// decodes to the values sent. A new set of MaxTemplatesPerKey lengths
+// decodes to the values sent. A new set of replica.TemplatesPerOp lengths
 // then takes the key over: refused on its first turn, admitted on its
 // second, fast on its third.
 func TestDoorkeeperRefusesALengthRotation(t *testing.T) {
@@ -173,18 +174,18 @@ func TestDoorkeeperRefusesALengthRotation(t *testing.T) {
 	}
 	var size int
 	for round := 0; round < 3; round++ {
-		for i := 0; i < 2*MaxTemplatesPerKey+1; i++ {
-			held := i < MaxTemplatesPerKey
+		for i := 0; i < 2*replica.TemplatesPerOp+1; i++ {
+			held := i < replica.TemplatesPerOp
 			decode("length", 10+i, round, held && round > 0, !held)
 		}
 		if round == 0 {
 			size = d.SizeBytes()
-		} else if d.SizeBytes() != size || d.TemplateCount() != MaxTemplatesPerKey {
-			t.Fatalf("round %d: %d templates, %d B; want %d and %d B", round, d.TemplateCount(), d.SizeBytes(), MaxTemplatesPerKey, size)
+		} else if d.SizeBytes() != size || d.TemplateCount() != replica.TemplatesPerOp {
+			t.Fatalf("round %d: %d templates, %d B; want %d and %d B", round, d.TemplateCount(), d.SizeBytes(), replica.TemplatesPerOp, size)
 		}
 	}
 	for round := 0; round < 3; round++ {
-		for i := 0; i < MaxTemplatesPerKey; i++ {
+		for i := 0; i < replica.TemplatesPerOp; i++ {
 			decode("new length", 40+i, round, round == 2, round == 0)
 		}
 	}
@@ -204,7 +205,7 @@ func TestDoorkeeperKeepsAdjacentLengthsApart(t *testing.T) {
 		m.AddString("s", strings.Repeat("x", n))
 		return new(soapenv.Compiler).AppendMessage(nil, m, 0)
 	}
-	for i := 0; i < MaxTemplatesPerKey; i++ {
+	for i := 0; i < replica.TemplatesPerOp; i++ {
 		if _, info, err := d.Decode("k", body(10*i)); err != nil || info.Refused {
 			t.Fatalf("template %d: %+v, %v", i, info, err)
 		}

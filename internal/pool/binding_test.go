@@ -20,31 +20,46 @@ import (
 	"bsoap/internal/workload"
 )
 
-// through runs one call of m through the store, as Pool.submit does
-// between acquire and release, into a buffer of its own: the body the
-// call put on the wire, and the engine that served it (nil when the
-// store refused the call a template and it went out from scratch).
-func through(t testing.TB, st *shardedStore, m *wire.Message) (core.CallInfo, []byte, *engine) {
+// through runs one call of m through the store on slot ps, as
+// Pool.submit does between acquire and release, into a buffer of its
+// own: the body the call put on the wire, and the engine that served it
+// (nil when the store refused the call a template and the slot's stub
+// served it from scratch).
+func through(t testing.TB, st *shardedStore, ps *pooledSender, m *wire.Message) (core.CallInfo, []byte, *engine) {
 	t.Helper()
 	var buf bytes.Buffer
-	ci, r, err := throughTo(st, m, &buf)
+	ci, r, err := throughTo(st, ps, m, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ci, buf.Bytes(), r
 }
 
-func throughTo(st *shardedStore, m *wire.Message, w io.Writer) (core.CallInfo, *engine, error) {
+func throughTo(st *shardedStore, ps *pooledSender, m *wire.Message, w io.Writer) (core.CallInfo, *engine, error) {
 	r := st.acquire(m)
-	if r == nil {
-		// Refused: rendered from scratch, as by the pool slot's own stub.
-		ci, err := core.NewStub(core.Config{DisableDiff: true}, transport.WriterSink{W: w}).Call(m)
-		return ci, nil, err
-	}
-	r.sink.conn = writerConn{w}
-	ci, err := r.stub.Call(m)
-	st.release(r)
+	ci, err := serveHeld(st, ps, r, m, w)
 	return ci, r, err
+}
+
+// serveHeld runs the call of m on an engine already acquired (nil for a
+// refused call) through slot ps into w, and releases the engine.
+func serveHeld(st *shardedStore, ps *pooledSender, r *engine, m *wire.Message, w io.Writer) (core.CallInfo, error) {
+	ps.sink = callSink{conn: writerConn{w}}
+	ci, recharge, err := ps.serve(r, m)
+	ps.sink = callSink{}
+	if r != nil {
+		st.release(r, recharge)
+	}
+	return ci, err
+}
+
+// newSlot returns a connection slot whose stub serializes with cfg, as
+// the pool builds its slots, but with no sender: the store tests write
+// through writerConn.
+func newSlot(cfg core.Config) *pooledSender {
+	ps := &pooledSender{}
+	ps.stub = core.NewStub(cfg, &ps.sink)
+	return ps
 }
 
 // writerConn stands in for a slot's pipeline in the store tests: Submit
@@ -108,7 +123,8 @@ func checkBody(t testing.TB, cfg core.Config, m *wire.Message, sent []byte, what
 
 // checkBinding asserts the binding invariant on every entry at rest: no
 // message is bound to two engines, and an idle engine's record of its
-// binding is the message its template actually serialized last.
+// binding is the message its template actually serialized last. (An
+// engine holds at most one template by construction: the field.)
 func checkBinding(t testing.TB, st *shardedStore) {
 	t.Helper()
 	st.reg.Each(func(key reg.Key, e *storeEntry) {
@@ -124,10 +140,7 @@ func checkBinding(t testing.TB, st *shardedStore) {
 				continue // mid-call: the template catches up when the queue drains
 			}
 			r.mu.Lock()
-			if n := r.stub.Store().TemplateCount(); n > 1 {
-				t.Errorf("%s engine %d holds %d templates, want at most one", key.Group, i, n)
-			}
-			if tpl := r.stub.Template(key.Group, key.Sub); tpl != nil && tpl.Message() != r.bound {
+			if tpl := r.tpl; tpl != nil && tpl.Message() != r.bound {
 				t.Errorf("%s engine %d: bound to %p, template serialized %p last",
 					key.Group, i, r.bound, tpl.Message())
 			}
@@ -176,7 +189,7 @@ func TestBindingSticksWithinReplicas(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
 		replicas := 1 + rng.Intn(6)
-		st := newShardedStore(1, replicas, 0, core.Config{}, nil)
+		st, ps := newShardedStore(1, replicas, 0, nil), newSlot(core.Config{})
 		msgs := make([]*workload.Doubles, 1+rng.Intn(replicas))
 		var decoys [][]byte
 		for i := range msgs {
@@ -186,7 +199,7 @@ func TestBindingSticksWithinReplicas(t *testing.T) {
 			msgs[i] = workload.NewDoubles(leaves, workload.FillIntermediate)
 		}
 		for _, i := range rng.Perm(len(msgs)) {
-			if ci, _, _ := through(t, st, msgs[i].Msg); ci.Match != core.FirstTime {
+			if ci, _, _ := through(t, st, ps, msgs[i].Msg); ci.Match != core.FirstTime {
 				t.Fatalf("trial %d: first call of message %d: %v, want first-time", trial, i, ci.Match)
 			}
 		}
@@ -195,7 +208,7 @@ func TestBindingSticksWithinReplicas(t *testing.T) {
 			d := msgs[rng.Intn(len(msgs))]
 			changed := rng.Intn(4)
 			change(rng, d, changed)
-			ci, body, r := through(t, st, d.Msg)
+			ci, body, r := through(t, st, ps, d.Msg)
 			if ci.ValuesRewritten != changed || (ci.Match == core.ContentMatch) != (changed == 0) {
 				t.Fatalf("trial %d step %d: %v rewrote %d leaves, %d changed",
 					trial, step, ci.Match, ci.ValuesRewritten, changed)
@@ -222,7 +235,7 @@ func TestBindingSticksWithinReplicas(t *testing.T) {
 func TestBindingStealsLeastRecentlyUsed(t *testing.T) {
 	const leaves, replicas = 16, 3
 	rng := rand.New(rand.NewSource(43))
-	st := newShardedStore(1, replicas, 0, core.Config{}, nil)
+	st, ps := newShardedStore(1, replicas, 0, nil), newSlot(core.Config{})
 	msgs := make([]*workload.Doubles, 5)
 	for i := range msgs {
 		msgs[i] = workload.NewDoubles(leaves, workload.FillIntermediate)
@@ -236,7 +249,7 @@ func TestBindingStealsLeastRecentlyUsed(t *testing.T) {
 		d := msgs[rng.Intn(len(msgs))]
 		changed := rng.Intn(3)
 		change(rng, d, changed)
-		ci, body, r := through(t, st, d.Msg)
+		ci, body, r := through(t, st, ps, d.Msg)
 
 		at := -1
 		for i, e := range order {
@@ -286,26 +299,26 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 	newMsg := func() *workload.Doubles { return workload.NewDoubles(leaves, workload.FillIntermediate) }
 
 	t.Run("steals", func(t *testing.T) {
-		st := newShardedStore(1, 2, 0, core.Config{}, nil)
+		st, ps := newShardedStore(1, 2, 0, nil), newSlot(core.Config{})
 		d, a, b := newMsg(), newMsg(), newMsg()
 		a.SetAll(1.5)
 		b.SetAll(2.5)
 
-		_, b1, r1 := through(t, st, d.Msg) // d on the first engine
-		_, _, r2 := through(t, st, a.Msg)  // a on the second
-		if _, _, r := through(t, st, b.Msg); r != r1 {
+		_, b1, r1 := through(t, st, ps, d.Msg) // d on the first engine
+		_, _, r2 := through(t, st, ps, a.Msg)  // a on the second
+		if _, _, r := through(t, st, ps, b.Msg); r != r1 {
 			t.Fatal("b was expected to take over d's engine, the least recently used")
 		}
 		// d carries new values to the other engine...
 		d.SetAll(4242.5)
-		if _, _, r := through(t, st, d.Msg); r != r2 {
+		if _, _, r := through(t, st, ps, d.Msg); r != r2 {
 			t.Fatal("d was expected to take over a's engine")
 		}
 		// ...and, untouched, comes back to the first once a and b have
 		// moved over it.
-		through(t, st, a.Msg)
-		through(t, st, b.Msg)
-		ci, b3, r3 := through(t, st, d.Msg)
+		through(t, st, ps, a.Msg)
+		through(t, st, ps, b.Msg)
+		ci, b3, r3 := through(t, st, ps, d.Msg)
 		if r3 != r1 {
 			t.Fatal("d was expected to return to its first engine")
 		}
@@ -328,10 +341,10 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 	// moment it chose it, so the returning owner meets a template that is
 	// no longer its own and rewrites it.
 	t.Run("queued behind the owner", func(t *testing.T) {
-		st := newShardedStore(1, 1, 0, core.Config{}, nil)
+		st, ps := newShardedStore(1, 1, 0, nil), newSlot(core.Config{})
 		d1, d2 := newMsg(), newMsg()
 		d2.SetAll(77.25)
-		through(t, st, d1.Msg)
+		through(t, st, ps, d1.Msg)
 
 		r := st.acquire(d1.Msg) // d1 mid-call
 		type result struct {
@@ -342,7 +355,7 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 		queued := make(chan result)
 		go func() {
 			var buf bytes.Buffer
-			ci, _, err := throughTo(st, d2.Msg, &buf)
+			ci, _, err := throughTo(st, newSlot(core.Config{}), d2.Msg, &buf)
 			queued <- result{ci, buf.Bytes(), err}
 		}()
 		waitChosen(r, 2)
@@ -355,11 +368,9 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		r.sink.conn = writerConn{&buf}
-		if ci, err := r.stub.Call(d1.Msg); err != nil || ci.Match != core.ContentMatch {
+		if ci, err := serveHeld(st, ps, r, d1.Msg, &buf); err != nil || ci.Match != core.ContentMatch {
 			t.Fatalf("owner's call in flight: %v %v, want content match", ci.Match, err)
 		}
-		st.release(r)
 		q := <-queued
 		if q.err != nil || q.ci.ValuesRewritten != leaves {
 			t.Fatalf("queued call: %v, rewrote %d of %d leaves", q.err, q.ci.ValuesRewritten, leaves)
@@ -367,7 +378,7 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 		checkBody(t, core.Config{}, d2.Msg, q.body, "queued call")
 		checkBinding(t, st)
 
-		ci, body, _ := through(t, st, d1.Msg) // untouched
+		ci, body, _ := through(t, st, ps, d1.Msg) // untouched
 		if ci.Match == core.ContentMatch || ci.ValuesRewritten != leaves {
 			t.Fatalf("returning owner: %v rewrote %d of %d leaves on the queued message's template",
 				ci.Match, ci.ValuesRewritten, leaves)
@@ -384,7 +395,7 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 // the order they chose it, which is what lets the binding recorded at
 // the choice stand for the message the template serialized last.
 func TestBindingQueueRunsInChoiceOrder(t *testing.T) {
-	st := newShardedStore(1, 1, 0, core.Config{}, nil)
+	st := newShardedStore(1, 1, 0, nil)
 	head := workload.NewDoubles(4, workload.FillIntermediate)
 	r := st.acquire(head.Msg)
 
@@ -400,11 +411,11 @@ func TestBindingQueueRunsInChoiceOrder(t *testing.T) {
 			mu.Lock()
 			ran = append(ran, i)
 			mu.Unlock()
-			st.release(q)
+			st.release(q, false)
 		}(i)
 		waitChosen(r, uint32(i+2))
 	}
-	st.release(r)
+	st.release(r, false)
 	wg.Wait()
 	for i, got := range ran {
 		if got != i {
@@ -419,13 +430,14 @@ func TestBindingQueueRunsInChoiceOrder(t *testing.T) {
 // as its owner left it.
 func TestBindingOversubscribedConcurrent(t *testing.T) {
 	cfg := core.Config{EnableStealing: true}
-	st := newShardedStore(1, 2, 0, cfg, nil)
+	st := newShardedStore(1, 2, 0, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
+			ps := newSlot(cfg) // a slot is its caller's alone
 			d := workload.NewDoubles(24, workload.FillIntermediate)
 			for i := 0; i < 200 && !t.Failed(); i++ {
 				switch rng.Intn(4) {
@@ -436,7 +448,7 @@ func TestBindingOversubscribedConcurrent(t *testing.T) {
 					change(rng, d, 1+rng.Intn(3))
 				}
 				var buf bytes.Buffer
-				if _, _, err := throughTo(st, d.Msg, &buf); err != nil {
+				if _, _, err := throughTo(st, ps, d.Msg, &buf); err != nil {
 					t.Error(err)
 					return
 				}
@@ -483,24 +495,24 @@ func FuzzBindingSchedule(f *testing.F) {
 			return
 		}
 		const leaves = 6
-		cfg := core.Config{EnableStealing: true, MaxTemplatesPerOp: 2}
+		cfg := core.Config{EnableStealing: true}
 		k := 1 + int(in[0])%6
-		st := newShardedStore(1, []int{1, 2, 4}[int(in[1])%3], 0, cfg, nil)
+		st, ps := newShardedStore(1, []int{1, 2, 4}[int(in[1])%3], 0, nil), newSlot(cfg)
 		msgs := make([]*workload.Doubles, k)
 		for i := range msgs {
 			msgs[i] = workload.NewDoubles(leaves, workload.FillIntermediate)
 		}
-		// Two other shapes of the same operation: calling both twice —
-		// refused by the full operation, then admitted — pushes the
-		// messages' entry out of the per-operation cap.
-		evictors := []*workload.Doubles{
-			workload.NewDoubles(leaves+2, workload.FillMin),
-			workload.NewDoubles(leaves+3, workload.FillMin),
+		// The cap's worth of other shapes of the same operation: calling
+		// each twice — refused once the operation is full, then admitted —
+		// pushes the messages' entry out of the per-operation cap.
+		evictors := make([]*workload.Doubles, reg.TemplatesPerOp)
+		for i := range evictors {
+			evictors[i] = workload.NewDoubles(leaves+2+i, workload.FillMin)
 		}
 		call := func(d *workload.Doubles) {
 			before := bindings(st)
 			want := new(soapenv.Compiler).AppendMessage(nil, d.Msg, 0) // before the call clears the dirty bits
-			ci, body, r := through(t, st, d.Msg)
+			ci, body, r := through(t, st, ps, d.Msg)
 			checkBody(t, cfg, d.Msg, body, "call")
 			checkBinding(t, st)
 			if r != nil {
@@ -522,7 +534,7 @@ func FuzzBindingSchedule(f *testing.F) {
 			case opSet:
 				d.Arr.Set(arg/k%d.Arr.Len(), values[arg/k/leaves%len(values)])
 			case opFail:
-				if _, _, err := throughTo(st, d.Msg, failWriter{}); err == nil {
+				if _, _, err := throughTo(st, ps, d.Msg, failWriter{}); err == nil {
 					t.Fatal("a send into a dead connection succeeded")
 				}
 				checkBinding(t, st)

@@ -9,6 +9,7 @@ import (
 
 	"bsoap/internal/core"
 	"bsoap/internal/promtext"
+	"bsoap/internal/trace"
 )
 
 // timeoutErr satisfies net.Error with Timeout() true — a socket deadline
@@ -160,6 +161,39 @@ func TestWritePrometheusValid(t *testing.T) {
 	} {
 		if !st.Names[name] {
 			t.Errorf("exposition missing %s", name)
+		}
+	}
+}
+
+// TestPrometheusValidWhileRecording scrapes the client page while a
+// goroutine records calls and stage times: every page must parse, each
+// histogram cumulative up to its +Inf bucket, however a scrape races an
+// Observe between the bucket it bumps and the count.
+func TestPrometheusValidWhileRecording(t *testing.T) {
+	m := newMetrics()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			d := time.Duration(1+i%4096) * time.Microsecond
+			m.RecordCall(core.CallInfo{Match: core.ContentMatch}, nil, d)
+			m.Stages.Observe(trace.StageSerialize, int64(d), 0)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	var buf bytes.Buffer
+	for i := 0; i < 500; i++ {
+		buf.Reset()
+		if err := m.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := promtext.Validate(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("page %d: invalid exposition: %v", i, err)
 		}
 	}
 }

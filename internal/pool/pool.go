@@ -50,9 +50,9 @@ type Options struct {
 
 	// Size bounds concurrent connections (default 4).
 	Size int
-	// Config tunes the differential-serialization engines. Its
-	// MaxTemplatesPerOp caps the signatures the template store keeps per
-	// operation and sizes the doorkeeper that admits new ones (see
+	// Config tunes the connection slots' stubs, which serialize every
+	// call. The template store keeps replica.TemplatesPerOp signatures
+	// per operation, and a doorkeeper of that size admits new ones (see
 	// README "Sizing template memory").
 	Config core.Config
 	// Replicas bounds per-(operation,signature) engine replicas
@@ -175,7 +175,7 @@ func New(opts Options) (*Pool, error) {
 	return &Pool{
 		opts:    o,
 		senders: newSenderPool(o.Size, dial, o, m),
-		store:   newShardedStore(storeShards, o.Replicas, o.MaxTemplateBytes, o.Config, m),
+		store:   newShardedStore(storeShards, o.Replicas, o.MaxTemplateBytes, m),
 		metrics: m,
 	}, nil
 }
@@ -291,27 +291,23 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 			sub.err = err
 			return
 		}
-		// A call the store refuses a template (r nil) is rendered from
-		// scratch by the slot's own stub.
+		// The slot's stub serializes through the engine's template, or
+		// from scratch when the store refuses the call one (r nil).
 		r := p.store.acquire(m)
-		stub, cs := ps.render, &ps.renderSink
-		if r != nil {
-			stub, cs = r.stub, &r.sink
-		}
-		*cs = callSink{conn: s, pd: pd}
+		ps.sink = callSink{conn: s, pd: pd}
 		if span != 0 {
-			stub.SetTraceSpan(span)
+			ps.stub.SetTraceSpan(span)
 		}
 		p.metrics.c[cAsyncCalls].Add(1)
 		callStart := p.senders.now()
-		sub.ci, err = stub.Call(m)
+		var recharge bool
+		sub.ci, recharge, err = ps.serve(r, m)
 		written := p.senders.now()
 		callNs := written.Sub(callStart).Nanoseconds()
-		queueNs := cs.ns
+		queueNs := ps.sink.ns
+		ps.sink = callSink{}
 		if r != nil {
-			p.store.release(r)
-		} else {
-			*cs = callSink{}
+			p.store.release(r, recharge)
 		}
 		if err == nil {
 			// Attribute the stub's Call time: inside Submit is queue
@@ -409,7 +405,7 @@ func (p *Pool) finish(m *wire.Message, sub submission) (core.CallInfo, error) {
 			// unconfirmed: the structure's next call must not diff
 			// against them. (m is still as it was submitted: a message is
 			// not touched until its call has resolved.)
-			p.store.markSuspect(sub.r, m.Operation(), m.Signature(), sub.span)
+			p.store.markSuspect(sub.r, m.Operation(), sub.span)
 			if sub.ps != nil && sub.ps.sender.Broken() {
 				// A Call lost its response with the connection: repaired
 				// and resent on the slot it holds, a degraded first-time

@@ -8,6 +8,7 @@ import (
 
 	"bsoap/internal/core"
 	"bsoap/internal/transport"
+	"bsoap/internal/wire"
 )
 
 // errPoolClosed is returned by checkout after Close.
@@ -20,7 +21,8 @@ var errDialFailed = fmt.Errorf("pool: dial failed")
 
 // pooledSender is one slot of the connection pool: a dialed sender (nil
 // until the slot's first call), whose own Broken says whether it needs
-// a redial. It is owned exclusively by the goroutine that checked it
+// a redial, and the one stub that serializes every call the slot
+// carries. It is owned exclusively by the goroutine that checked it
 // out; its futures' waiters read through the sender meanwhile.
 type pooledSender struct {
 	sender *transport.Sender
@@ -28,12 +30,25 @@ type pooledSender struct {
 	// the slot: a Call waits on it before checking the slot back in, so
 	// it is never in use twice.
 	pd transport.Pending
-	// render serializes from scratch the calls the template store refuses
-	// a template: a diff-off stub writing through renderSink, both
-	// confined to the slot as its connection is. Its bodies carry no
-	// delta annotation, so none becomes a patch base.
-	render     *core.Stub
-	renderSink callSink
+	// stub writes through sink, both confined to the slot (serve). A
+	// refused call's body carries no delta annotation, so it never
+	// becomes a patch base.
+	stub *core.Stub
+	sink callSink
+}
+
+// serve serializes m through the slot's stub and r's template, or from
+// scratch when the store refused m one (r nil). recharge reports that
+// the call, failed or not, changed the engine's footprint: it built,
+// grew, split, replaced or dropped the template.
+func (ps *pooledSender) serve(r *engine, m *wire.Message) (ci core.CallInfo, recharge bool, err error) {
+	var held **core.Template
+	var before *core.Template
+	if r != nil {
+		held, before = &r.tpl, r.tpl
+	}
+	ci, err = ps.stub.CallHeld(held, m)
+	return ci, r != nil && (r.tpl != before || ci.Grows+ci.Splits > 0), err
 }
 
 // senderPool is a bounded set of connections with checkout/checkin
@@ -78,11 +93,9 @@ func newSenderPool(size int, dial func() (*transport.Sender, error), opts Option
 		metrics:      m,
 		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	cfg := opts.Config
-	cfg.DisableDiff = true
 	for i := 0; i < size; i++ {
 		ps := &pooledSender{}
-		ps.render = core.NewStub(cfg, &ps.renderSink)
+		ps.stub = core.NewStub(opts.Config, &ps.sink)
 		sp.slots <- ps
 	}
 	return sp

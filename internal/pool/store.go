@@ -20,12 +20,13 @@ import (
 // client-specific — the engine replicas inside an entry and the binding
 // of each message to the one replica that holds its bytes.
 //
-// Entries are keyed by (operation, structural signature). Within one
-// entry the store holds up to Replicas independent engine replicas (a
-// core.Stub each, holding that key's one template and confined by the
-// engine lock). A call checks out one
-// replica, holds its lock across classify + diff + send (the template's
-// bytes are on the wire during the send, so they cannot be mutated
+// The registry is the pool's one template store, keyed by (operation,
+// structural signature), replica.TemplatesPerOp signatures an
+// operation. Within one entry it holds up to Replicas engine replicas,
+// each holding that key's one template under the engine lock. A call
+// checks out one replica, holds its lock while the connection slot's
+// stub classifies, diffs and sends through the template (its bytes are
+// on the wire during the send, so they cannot be mutated
 // concurrently), and releases it. Replicas are what lets a hot
 // operation scale: R goroutines diff and send R copies of the same
 // template in parallel, while the total first-time-send cost stays
@@ -37,8 +38,8 @@ import (
 //
 // An operation whose templates are full admits a new signature only
 // through the registry's doorkeeper (replica.Registry.AcquireAdmitted):
-// a signature refused there gets no entry, and its call goes out from
-// scratch on the checked-out connection (pooledSender.render) instead.
+// a signature refused there gets no entry, and the slot's stub serves
+// its call from scratch instead (core.Stub.CallHeld with no template).
 //
 // Eviction — per-operation LRU cap or byte budget — condemns an entry
 // in the registry; calls already holding one of its engines complete
@@ -50,7 +51,6 @@ import (
 type shardedStore struct {
 	reg      *reg.Registry[*storeEntry]
 	replicas int
-	cfg      core.Config
 	metrics  *Metrics
 }
 
@@ -73,25 +73,28 @@ func (e *storeEntry) SizeBytes() int { return int(e.size.Load()) }
 // ReleaseArenas returns every engine's template arenas to the chunk
 // pool (replica.Entry). The registry calls it once the evicted entry's
 // last in-flight call has returned; the engine locks serialize against
-// a late MarkSuspect from a pipelined response, which afterwards just
-// misses its store lookup.
+// a late markSuspect from a pipelined response, which afterwards finds
+// no template.
 func (e *storeEntry) ReleaseArenas() {
 	e.mu.Lock()
 	engines := e.engines
 	e.mu.Unlock()
 	for _, r := range engines {
 		r.mu.Lock()
-		r.stub.Store().ReleaseAll()
+		if r.tpl != nil {
+			r.tpl.Release()
+			r.tpl = nil
+		}
 		r.mu.Unlock()
 	}
 }
 
-// engine is one lockable differential-serialization engine: a stub
-// whose sink is swapped to the checked-out connection per call.
+// engine is one lockable differential-serialization engine: the
+// template of its entry's key (nil until a call builds one, and after a
+// drop), which a connection slot's stub serializes through under mu.
 type engine struct {
-	mu   sync.Mutex
-	stub *core.Stub
-	sink callSink
+	mu  sync.Mutex
+	tpl *core.Template
 	// slot is the registry slot of the entry this engine belongs to;
 	// stable for the entry's lifetime, it is how release finds its way
 	// back to the registry's refcount.
@@ -114,9 +117,9 @@ type engine struct {
 	fp int64
 }
 
-// callSink is the engine's sink for one call: it writes the stub's
-// output through the checked-out slot's sender and times what is spent
-// there. Set and read while the replica lock is held.
+// callSink is a connection slot's sink for one call: it writes the
+// slot stub's output through the slot's sender and times what is spent
+// there. Set and read by the goroutine that checked the slot out.
 type callSink struct {
 	// conn is the slot's sender. The request is written through it
 	// here, under the replica lock — template bytes are only stable while
@@ -170,22 +173,17 @@ func (c *callSink) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
 // newShardedStore builds a store with the given shard count (rounded up
 // to a power of two), per-key replica limit, and template memory budget
 // in bytes (0 = unbudgeted); Options.withDefaults holds the defaults.
-func newShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *Metrics) *shardedStore {
+func newShardedStore(shards, replicas int, maxBytes int64, m *Metrics) *shardedStore {
 	if m == nil {
 		m = newMetrics()
 	}
-	perOp := cfg.MaxTemplatesPerOp
-	if perOp <= 0 {
-		perOp = 4 // core.Config's own default
-	}
 	s := &shardedStore{
 		replicas: replicas,
-		cfg:      cfg,
 		metrics:  m,
 	}
 	s.reg = reg.NewRegistry(reg.RegistryOptions[*storeEntry]{
 		Shards:      shards,
-		MaxPerGroup: perOp,
+		MaxPerGroup: reg.TemplatesPerOp,
 		MaxBytes:    maxBytes,
 		New:         func(reg.Key) *storeEntry { return &storeEntry{} },
 		OnEvict: func(key reg.Key, reason reg.Reason, bytes int64) {
@@ -253,7 +251,6 @@ func (s *shardedStore) acquire(m *wire.Message) *engine {
 	case len(e.engines) < s.replicas:
 		r = &engine{slot: slot}
 		r.turn.L = &r.mu
-		r.stub = core.NewStub(s.cfg, &r.sink)
 		e.engines = append(e.engines, r)
 	case free != nil:
 		r = free
@@ -280,23 +277,26 @@ func (s *shardedStore) acquire(m *wire.Message) *engine {
 }
 
 // release returns an engine acquired by acquire: it re-accounts the
-// engine's template footprint into the entry's cached size, unlocks the
-// engine, and drops the registry reference — the budget-enforcement
-// point, and, for a condemned entry, possibly the release that frees
-// its arenas.
-func (s *shardedStore) release(r *engine) {
-	if fp := int64(r.stub.Footprint()); fp != r.fp {
+// engine's template footprint into the entry's cached size if the call
+// changed it (recharge, from serve), unlocks the engine, and drops the
+// registry reference — the budget-enforcement point, and, for a
+// condemned entry, possibly the release that frees its arenas.
+func (s *shardedStore) release(r *engine, recharge bool) {
+	if recharge {
+		fp := int64(0)
+		if r.tpl != nil {
+			fp = int64(r.tpl.Footprint())
+		}
 		r.slot.Value.size.Add(fp - r.fp)
 		r.fp = fp
 	}
-	r.sink = callSink{}
 	r.served.Add(1)
 	r.turn.Broadcast()
 	r.mu.Unlock()
 	s.reg.Release(r.slot)
 }
 
-// markSuspect poisons r's template for (op, sig), if it still holds one.
+// markSuspect poisons r's template, if it still holds one.
 // The async call path uses it when a pipelined response fails after the
 // submit succeeded: the replica was released long ago, so the suspicion
 // arrives late — safe, because a first-time send serializes from live
@@ -305,22 +305,24 @@ func (s *shardedStore) release(r *engine) {
 // connection died. If the entry was evicted and its arenas released in
 // the meantime, the lookup simply misses. span tags the flight-recorder
 // event (0 = untraced).
-func (s *shardedStore) markSuspect(r *engine, op, sig string, span uint64) {
+func (s *shardedStore) markSuspect(r *engine, op string, span uint64) {
 	if r == nil {
 		return // served from scratch: no template to suspect
 	}
 	r.mu.Lock()
-	found := r.stub.MarkSuspect(op, sig)
+	found := r.tpl != nil
+	if found {
+		r.tpl.MarkSuspect()
+	}
 	r.mu.Unlock()
 	if found && span != 0 {
 		trace.Rec(span, trace.KindTemplateSuspect, trace.OpID(op), 0, 0)
 	}
 }
 
-// templateCount sums the stored templates across every entry and
-// engine. Each engine's stub serves one registry key, so it holds at
-// most one template. A stub's store is confined to its engine lock, so
-// each count is read under it, as ReleaseArenas does.
+// templateCount counts the engines holding a template, across every
+// entry. An engine's template is confined to its engine lock, so each
+// is read under it, as ReleaseArenas does.
 func (s *shardedStore) templateCount() int {
 	n := 0
 	s.reg.Each(func(_ reg.Key, e *storeEntry) {
@@ -329,7 +331,9 @@ func (s *shardedStore) templateCount() int {
 		e.mu.Unlock()
 		for _, r := range engines {
 			r.mu.Lock()
-			n += r.stub.Store().TemplateCount()
+			if r.tpl != nil {
+				n++
+			}
 			r.mu.Unlock()
 		}
 	})

@@ -2,10 +2,14 @@ package pool
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"net"
 	"sync/atomic"
 	"testing"
 
 	"bsoap/internal/core"
+	reg "bsoap/internal/replica"
 	"bsoap/internal/soapenv"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
@@ -18,16 +22,16 @@ import (
 // set while the recently used one stays warm, so the store cannot grow
 // without bound under varying message shapes.
 func TestShardedStoreEvictsColdSignatures(t *testing.T) {
-	p, _ := newAckPool(t, Options{
-		Replicas: 1,
-		Config:   core.Config{MaxTemplatesPerOp: 2},
-	})
+	const cap = reg.TemplatesPerOp
+	p, _ := newAckPool(t, Options{Replicas: 1})
 
 	// Each array length is a distinct structural signature of the same
-	// operation.
-	dA := workload.NewDoubles(4, workload.FillIntermediate)
-	dB := workload.NewDoubles(5, workload.FillIntermediate)
-	dC := workload.NewDoubles(6, workload.FillIntermediate)
+	// operation: the cap's worth, and one more.
+	shapes := make([]*workload.Doubles, cap+1)
+	for i := range shapes {
+		shapes[i] = workload.NewDoubles(4+i, workload.FillIntermediate)
+	}
+	first, second, third, next := shapes[0], shapes[1], shapes[2], shapes[cap]
 
 	call := func(what string, d *workload.Doubles, want core.MatchKind, evictions int64) {
 		t.Helper()
@@ -38,24 +42,27 @@ func TestShardedStoreEvictsColdSignatures(t *testing.T) {
 			t.Fatalf("%s: evictions = %d, want %d", what, got, evictions)
 		}
 	}
-	call("warmup A", dA, core.FirstTime, 0)
-	call("warmup B", dB, core.FirstTime, 0)
-	// Touch A so B becomes the LRU tail.
-	call("recency touch", dA, core.ContentMatch, 0)
-	// C finds the operation full: refused once, then admitted over B.
-	call("C refused", dC, core.FullSerialization, 0)
-	call("C admitted", dC, core.FirstTime, 1)
-
-	if got := p.Entries(); got != 2 {
-		t.Fatalf("entries = %d, want 2 (per-op cap)", got)
+	for _, d := range shapes[:cap] {
+		call("warmup", d, core.FirstTime, 0)
 	}
-	call("A after C", dA, core.ContentMatch, 1)
-	// B was evicted: it goes through the doorkeeper like any new shape,
-	// and its admission evicts C, now the tail.
-	call("B refused", dB, core.FullSerialization, 1)
-	call("B admitted", dB, core.FirstTime, 2)
-	if st := p.Stats(); st.TemplateRefusals != 2 || st.FullSerializations != 2 {
-		t.Fatalf("refusals %d, full serializations %d, want 2 and 2", st.TemplateRefusals, st.FullSerializations)
+	// Touch the first so the second becomes the LRU tail.
+	call("recency touch", first, core.ContentMatch, 0)
+	// The next shape finds the operation full: refused once, then
+	// admitted over the second.
+	call("next refused", next, core.FullSerialization, 0)
+	call("next admitted", next, core.FirstTime, 1)
+
+	if got := p.Entries(); got != cap {
+		t.Fatalf("entries = %d, want %d (per-op cap)", got, cap)
+	}
+	call("first after next", first, core.ContentMatch, 1)
+	// The second was evicted: it goes through the doorkeeper like any new
+	// shape, and its admission evicts the third, now the tail.
+	call("second refused", second, core.FullSerialization, 1)
+	call("second admitted", second, core.FirstTime, 2)
+	call("third refused", third, core.FullSerialization, 2)
+	if st := p.Stats(); st.TemplateRefusals != 3 || st.FullSerializations != 3 {
+		t.Fatalf("refusals %d, full serializations %d, want 3 and 3", st.TemplateRefusals, st.FullSerializations)
 	}
 }
 
@@ -67,13 +74,13 @@ func TestShardedStoreEvictsColdSignatures(t *testing.T) {
 func TestBudgetEvictionDegradesToFTS(t *testing.T) {
 	// A 1-byte budget admits each entry only by self-exemption and
 	// condemns everything else at every release.
-	st := newShardedStore(1, 1, 1, core.Config{}, nil)
+	st, ps := newShardedStore(1, 1, 1, nil), newSlot(core.Config{})
 	dA := workload.NewDoubles(8, workload.FillIntermediate)
 	dB := workload.NewDoubles(9, workload.FillIntermediate)
 
 	call := func(d *workload.Doubles) (core.CallInfo, []byte) {
 		t.Helper()
-		ci, body, _ := through(t, st, d.Msg)
+		ci, body, _ := through(t, st, ps, d.Msg)
 		return ci, body
 	}
 
@@ -108,13 +115,13 @@ func TestBudgetEvictionDegradesToFTS(t *testing.T) {
 // 0xDB poison bytes on the wire), and the arenas are released only when
 // the in-flight reference returns.
 func TestBudgetEvictionWithInFlightCall(t *testing.T) {
-	st := newShardedStore(1, 1, 1, core.Config{}, nil)
+	st, ps := newShardedStore(1, 1, 1, nil), newSlot(core.Config{})
 	dA := workload.NewDoubles(8, workload.FillIntermediate)
 	dB := workload.NewDoubles(9, workload.FillIntermediate)
 
 	call := func(d *workload.Doubles) core.CallInfo {
 		t.Helper()
-		ci, _, _ := through(t, st, d.Msg)
+		ci, _, _ := through(t, st, ps, d.Msg)
 		return ci
 	}
 
@@ -136,12 +143,10 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 
 	// The held engine still diffs and sends against live template bytes.
 	var buf bytes.Buffer
-	rA.sink.conn = writerConn{&buf}
 	dA.SetAll(4321.5)
-	if _, err := rA.stub.Call(dA.Msg); err != nil {
+	if _, err := serveHeld(st, ps, rA, dA.Msg, &buf); err != nil {
 		t.Fatal(err)
 	}
-	st.release(rA)
 	out := buf.Bytes()
 	if !bytes.Contains(out, []byte("4321.5")) {
 		t.Fatalf("in-flight call payload missing current values:\n%s", out)
@@ -161,9 +166,58 @@ func TestBudgetEvictionWithInFlightCall(t *testing.T) {
 	}
 }
 
+// TestFailedSendsChargeTheirTemplates: a call whose send fails still
+// leaves its engine the template it built (suspect, to be rebuilt by the
+// next call), so the registry must charge it. Over a pool whose every
+// send fails, the registry's bytes are the engines' template footprints
+// to the byte.
+func TestFailedSendsChargeTheirTemplates(t *testing.T) {
+	dead := func(string, string) (net.Conn, error) {
+		c, peer := net.Pipe()
+		peer.Close()
+		return c, nil
+	}
+	p, err := New(Options{Addr: "dead", Size: 1, Replicas: 2, Sender: transport.SenderOptions{Dialer: dead}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 3; i++ {
+		d := workload.NewDoubles(500+i, workload.FillIntermediate)
+		for k := 0; k < 2; k++ {
+			if _, err := p.Call(d.Msg); err == nil {
+				t.Fatal("a call through a dead connection succeeded")
+			}
+		}
+	}
+	var held int64
+	p.store.reg.Each(func(_ reg.Key, e *storeEntry) {
+		e.mu.Lock()
+		engines := e.engines
+		e.mu.Unlock()
+		for _, r := range engines {
+			r.mu.Lock()
+			if r.tpl != nil {
+				held += int64(r.tpl.Footprint())
+			}
+			r.mu.Unlock()
+		}
+	})
+	if got := p.store.reg.Counters().Bytes; got != held || held == 0 {
+		t.Fatalf("registry charges %d B, the engines hold %d B of templates", got, held)
+	}
+}
+
 // admissionPool is a one-connection, one-replica pool at a loopback
 // server that keeps the last body it received.
 func admissionPool(t *testing.T) (*Pool, *lastBody) {
+	t.Helper()
+	return lastBodyPool(t, Options{Size: 1, Replicas: 1})
+}
+
+// lastBodyPool is a pool of opts at a loopback server that keeps the
+// last body it received.
+func lastBodyPool(t *testing.T, opts Options) (*Pool, *lastBody) {
 	t.Helper()
 	last := new(lastBody)
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
@@ -178,7 +232,8 @@ func admissionPool(t *testing.T) (*Pool, *lastBody) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	p, err := New(Options{Addr: srv.Addr(), Size: 1, Replicas: 1})
+	opts.Addr = srv.Addr()
+	p, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +281,7 @@ func rotate(t *testing.T, p *Pool, last *lastBody, shapes []*workload.Doubles, w
 // on its second turn and displace the first half, as the phase change
 // below does.)
 func TestDoorkeeperKeepsTheTemplatesInUse(t *testing.T) {
-	const perOp = 4 // core.Config's default MaxTemplatesPerOp
+	const perOp = reg.TemplatesPerOp
 	p, last := admissionPool(t)
 	shapes := make([]*workload.Doubles, 2*perOp+1)
 	for i := range shapes {
@@ -260,7 +315,7 @@ func TestDoorkeeperKeepsTheTemplatesInUse(t *testing.T) {
 // evicting one old shape each, and is warm from the third; the old
 // shapes, come back, are now the ones refused.
 func TestDoorkeeperAdmitsANewSteadySet(t *testing.T) {
-	const perOp = 4
+	const perOp = reg.TemplatesPerOp
 	p, last := admissionPool(t)
 	old, next := make([]*workload.Doubles, perOp), make([]*workload.Doubles, perOp)
 	for i := range old {
@@ -276,4 +331,45 @@ func TestDoorkeeperAdmitsANewSteadySet(t *testing.T) {
 		t.Fatalf("evictions %d, refusals %d; want %d and %d", st.TemplateEvictions, st.TemplateRefusals, perOp, perOp)
 	}
 	rotate(t, p, last, old[:1], func(int) core.MatchKind { return core.FullSerialization })
+}
+
+// TestEngineTemplateServesAnySlot: a template belongs to its engine, not
+// to a connection slot. With two slots and one replica, serial calls
+// alternate slots (each call checks its slot in behind the other), so
+// the template built through one slot's stub is diffed through the
+// other's, and every body is the from-scratch rendering of the message.
+func TestEngineTemplateServesAnySlot(t *testing.T) {
+	p, last := lastBodyPool(t, Options{Size: 2, Replicas: 1})
+	rng := rand.New(rand.NewSource(45))
+	d := workload.NewDoubles(16, workload.FillIntermediate)
+	for i := 0; i < 8; i++ {
+		if i > 0 {
+			change(rng, d, 1+rng.Intn(3))
+		}
+		ci, err := p.Call(d.Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (ci.Match == core.FirstTime) != (i == 0) {
+			t.Fatalf("call %d: %v", i, ci.Match)
+		}
+		checkBody(t, core.Config{}, d.Msg, last.Bytes(), fmt.Sprintf("call %d", i))
+	}
+	if n := p.TemplateCount(); n != 1 {
+		t.Fatalf("%d templates, want the one engine's", n)
+	}
+	var builds int64
+	for i := 0; i < 2; i++ {
+		ps := <-p.senders.slots
+		defer func() { p.senders.slots <- ps }()
+		st := ps.stub.Stats()
+		builds += st.FirstTimeSends
+		if st.Calls != 4 || st.StructuralMatches+st.PartialMatches == 0 {
+			t.Fatalf("slot %d: %d calls, %d structural and %d partial matches; want 4 calls and a diff",
+				i, st.Calls, st.StructuralMatches, st.PartialMatches)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("%d template builds across the slots, want 1", builds)
+	}
 }

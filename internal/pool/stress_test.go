@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bsoap/internal/core"
+	reg "bsoap/internal/replica"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
 )
@@ -122,18 +123,18 @@ func TestPoolStressSharedStore(t *testing.T) {
 // TestDoorkeeperUnderConcurrency has workers rotate more shapes of one
 // operation than twice its cap through a shared pool at once, each over
 // its own messages, so admissions, refusals and evictions of the one
-// group race one another while refused calls render on whichever
-// connection slot their caller checked out. Run under -race it proves
-// the doorkeeper and the slots' renderers need no lock beyond the
-// registry shard's; the server's count proves every body arrived.
+// group race one another while refused calls go out from scratch
+// through whichever connection slot their caller checked out. Run under
+// -race it proves the doorkeeper and the slots' stubs need no lock
+// beyond the registry shard's; the server's count proves every body
+// arrived.
 func TestDoorkeeperUnderConcurrency(t *testing.T) {
 	p, srv := newAckPool(t, Options{
 		Size:     3,
 		Replicas: 2,
-		Config:   core.Config{MaxTemplatesPerOp: 2},
 	})
 
-	const workers, shapes, rounds = 4, 7, 40
+	const workers, shapes, rounds = 4, 2*reg.TemplatesPerOp + 3, 40
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -163,7 +164,7 @@ func TestDoorkeeperUnderConcurrency(t *testing.T) {
 	if st.TemplateRefusals == 0 || st.FullSerializations != st.TemplateRefusals {
 		t.Fatalf("refusals %d, full serializations %d; want equal and nonzero", st.TemplateRefusals, st.FullSerializations)
 	}
-	if n := p.Entries(); n > 2 {
-		t.Fatalf("%d entries resident, want at most the cap of 2", n)
+	if n := p.Entries(); n > reg.TemplatesPerOp {
+		t.Fatalf("%d entries resident, want at most the cap of %d", n, reg.TemplatesPerOp)
 	}
 }

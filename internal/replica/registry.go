@@ -95,6 +95,11 @@ type groupStats struct {
 	door  Doorkeeper // keyed by signature hash, sized MaxPerGroup
 }
 
+// TemplatesPerOp caps the templates an operation keeps, on both sides:
+// a bare stub's store, the client pool registry's MaxPerGroup (and so
+// its Doorkeeper rings) and the server deserializer's list per key.
+const TemplatesPerOp = 4
+
 // Doorkeeper is the admission rule of a full set of templates, shared
 // by the registry's groups (keyed by signature hash) and the server
 // deserializer's operation keys (keyed by body length): a new key takes

@@ -10,7 +10,7 @@ import (
 // connection id, so one replica's mutex, deserializer and response stub
 // serve everyone — and (b) the sharded runtime with a replica per
 // connection. The shared decoder holds at most
-// diffdeser.MaxTemplatesPerKey templates per operation, so eight
+// reg.TemplatesPerOp templates per operation, so eight
 // distinct shapes thrash it into constant full parses on top of the
 // dispatch lock convoy; per-connection replicas keep every client on
 // the differential fast path with no shared lock.

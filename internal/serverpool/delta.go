@@ -40,7 +40,7 @@ type deltaBase struct {
 // template of its own bytes, so a request that names its template is
 // decoded against the one copy of the body the server holds. Decode
 // state is bounded as the length walk bounds it: per operation, only the
-// diffdeser.MaxTemplatesPerKey most recently decoded bases keep their
+// reg.TemplatesPerOp most recently decoded bases keep their
 // templates, and the rest hold bare bytes until their next sync or patch
 // parses them again. Not safe for concurrent use; the owner's lock guards
 // it. The zero value is a keeper that does not decode.
@@ -70,7 +70,7 @@ func (k *baseKeeper) account(b *deltaBase) {
 
 // decoded records that b's template was just rebuilt by a full parse of
 // its bytes into msg, and gives up the templates of the same operation's
-// bases beyond the newest diffdeser.MaxTemplatesPerKey. b is the most
+// bases beyond the newest reg.TemplatesPerOp. b is the most
 // recently used base, so it keeps its own.
 func (k *baseKeeper) decoded(b *deltaBase, msg *wire.Message) {
 	b.op = msg.Operation()
@@ -79,7 +79,7 @@ func (k *baseKeeper) decoded(b *deltaBase, msg *wire.Message) {
 		if o.op != b.op {
 			return true
 		}
-		if n++; n > diffdeser.MaxTemplatesPerKey {
+		if n++; n > reg.TemplatesPerOp {
 			o.tpl, o.op = diffdeser.Template{}, ""
 			k.account(o)
 		}

@@ -430,7 +430,7 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 
 // TestDeltaBoundsDecodeStateUnderChurn: a client that keeps rebuilding
 // templates under new ids leaves the server a base per id, up to
-// maxDeltaBases. Only the newest diffdeser.MaxTemplatesPerKey bases of
+// maxDeltaBases. Only the newest reg.TemplatesPerOp bases of
 // each operation keep their decode templates — the bound the length walk
 // keeps per key — and the rest are charged their bytes alone. A patch
 // against a base without a template is parsed in full from the patched

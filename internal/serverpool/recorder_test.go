@@ -3,10 +3,12 @@ package serverpool
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"bsoap/internal/core"
 	"bsoap/internal/pool"
+	reg "bsoap/internal/replica"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
 )
@@ -25,8 +27,10 @@ func TestRecorderEvictsBasesAtTheCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// The client keeps every shape's template, so only the server forgets.
-	cfg := core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}, MaxTemplatesPerOp: 2 * maxDeltaBases}
+	// The client keeps every shape's template, so only the server
+	// forgets: the shapes are spread over operations, at most the cap of
+	// them each, so none is refused or evicted.
+	cfg := core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}}
 	p, err := pool.New(pool.Options{
 		Size: 1, Addr: srv.Addr(), Config: cfg, Delta: true,
 		Sender: transport.SenderOptions{ExpectResponse: true},
@@ -58,7 +62,7 @@ func TestRecorderEvictsBasesAtTheCap(t *testing.T) {
 	// by its second; the last sync is one more than the keeper holds.
 	clients := make([]*client, maxDeltaBases+1)
 	for i := range clients {
-		clients[i] = newClient(4 + i)
+		clients[i] = newOpClient(fmt.Sprintf("sum%d", i/reg.TemplatesPerOp), 4+i)
 		call(clients[i])
 		call(clients[i])
 	}

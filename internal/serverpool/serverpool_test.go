@@ -67,10 +67,13 @@ type client struct {
 	stub *core.Stub
 }
 
-func newClient(n int) *client {
+func newClient(n int) *client { return newOpClient("sum", n) }
+
+// newOpClient is newClient for an operation of the given name.
+func newOpClient(op string, n int) *client {
 	c := &client{sink: &captureSink{}}
 	c.stub = core.NewStub(core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}}, c.sink)
-	c.msg = wire.NewMessage("urn:calc", "sum")
+	c.msg = wire.NewMessage("urn:calc", op)
 	c.arr = c.msg.AddDoubleArray("values", n)
 	for i := 0; i < n; i++ {
 		c.arr.Set(i, float64(i))

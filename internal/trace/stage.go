@@ -116,12 +116,14 @@ func (h *Hist) SumNs() int64 { return h.sum.Load() }
 func (h *Hist) MaxNs() int64 { return h.max.Load() }
 
 // Buckets copies the per-bucket (non-cumulative) counts into dst, which
-// should hold StageBucketCount entries, and returns the observation
-// count at snapshot start.
+// should hold StageBucketCount entries, and returns their sum as the
+// count: +Inf then never reads below the last finite bucket, however an
+// Observe races the copy.
 func (h *Hist) Buckets(dst []int64) int64 {
-	n := h.count.Load()
+	var n int64
 	for i := 0; i < histBuckets && i < len(dst); i++ {
 		dst[i] = h.buckets[i].Load()
+		n += dst[i]
 	}
 	return n
 }

@@ -19,6 +19,7 @@ import (
 	"bsoap/internal/core"
 	"bsoap/internal/harness"
 	"bsoap/internal/pool"
+	"bsoap/internal/replica"
 	"bsoap/internal/serverpool"
 	"bsoap/internal/trace"
 	"bsoap/internal/transport"
@@ -275,20 +276,23 @@ func TestSteadyStateAllocsPool(t *testing.T) {
 }
 
 // TestSteadyStateAllocsRefused gates the call the template store refuses:
-// an operation whose one template is in use sees two other shapes take
-// turns, so the doorkeeper — which remembers only the last refused
-// shape — refuses each, and it goes out from scratch through the
-// connection slot's own renderer, a full serialization that builds,
-// evicts and allocates nothing once the slot's buffer has grown.
+// an operation whose cap of templates is in use sees one shape more than
+// the cap take turns, so the doorkeeper — which remembers only the last
+// cap refused shapes — refuses each, and it goes out from scratch
+// through the connection slot's own stub, a full serialization that
+// builds, evicts and allocates nothing once the slot's buffer has grown.
 func TestSteadyStateAllocsRefused(t *testing.T) {
-	p := ackPool(t, pool.Options{Size: 1, Config: core.Config{MaxTemplatesPerOp: 1}})
-	held := workload.NewDoubles(100, workload.FillIntermediate)
-	if ci, err := p.Call(held.Msg); err != nil || ci.Match != core.FirstTime {
-		t.Fatalf("held shape: %v %v", ci.Match, err)
+	const cap = replica.TemplatesPerOp
+	p := ackPool(t, pool.Options{Size: 1})
+	for i := 0; i < cap; i++ {
+		held := workload.NewDoubles(100+i, workload.FillIntermediate)
+		if ci, err := p.Call(held.Msg); err != nil || ci.Match != core.FirstTime {
+			t.Fatalf("held shape %d: %v %v", i, ci.Match, err)
+		}
 	}
-	refused := []*workload.Doubles{
-		workload.NewDoubles(101, workload.FillIntermediate),
-		workload.NewDoubles(102, workload.FillIntermediate),
+	refused := make([]*workload.Doubles, cap+1)
+	for i := range refused {
+		refused[i] = workload.NewDoubles(100+cap+i, workload.FillIntermediate)
 	}
 	call := func() {
 		for i, d := range refused {
@@ -300,8 +304,8 @@ func TestSteadyStateAllocsRefused(t *testing.T) {
 	}
 	call()
 	gateAllocs(t, 0, call)
-	if st := p.Stats(); st.TemplateEvictions != 0 || st.FirstTimeSends != 1 {
-		t.Fatalf("%d evictions, %d first-time sends; want 0 and 1", st.TemplateEvictions, st.FirstTimeSends)
+	if st := p.Stats(); st.TemplateEvictions != 0 || st.FirstTimeSends != cap {
+		t.Fatalf("%d evictions, %d first-time sends; want 0 and %d", st.TemplateEvictions, st.FirstTimeSends, cap)
 	}
 }
 
