@@ -27,8 +27,9 @@ func sizeName(n int) string { return fmt.Sprintf("n=%d", n) }
 
 func cfg32K() core.Config { return core.Config{Chunk: chunk.Config{ChunkSize: 32 * 1024}} }
 
-// benchFullSerialization measures a full-serialization engine.
-func benchFullSerialization(b *testing.B, m *wire.Message, disableDiffBSOAP bool, ser baseline.Serializer) {
+// benchFullSerialization measures a full-serialization engine: ser, or
+// with ser nil a bSOAP stub serving every call from scratch.
+func benchFullSerialization(b *testing.B, m *wire.Message, ser baseline.Serializer) {
 	sink := transport.NewDiscardSink()
 	if ser != nil {
 		client := baseline.NewClient(ser, sink)
@@ -41,13 +42,11 @@ func benchFullSerialization(b *testing.B, m *wire.Message, disableDiffBSOAP bool
 		}
 		return
 	}
-	c := cfg32K()
-	c.DisableDiff = disableDiffBSOAP
-	stub := core.NewStub(c, sink)
+	stub := core.NewStub(core.Config{}, sink)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stub.Call(m); err != nil {
+		if _, err := stub.CallHeld(nil, m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,14 +79,14 @@ func mcmBench(b *testing.B, build func(n int) *wire.Message, withXSOAP bool) {
 		m := build(n)
 		if withXSOAP {
 			b.Run("series=XSOAP/"+sizeName(n), func(b *testing.B) {
-				benchFullSerialization(b, m, false, new(baseline.XSOAPLike))
+				benchFullSerialization(b, m, new(baseline.XSOAPLike))
 			})
 		}
 		b.Run("series=gSOAP/"+sizeName(n), func(b *testing.B) {
-			benchFullSerialization(b, m, false, new(baseline.GSOAPLike))
+			benchFullSerialization(b, m, new(baseline.GSOAPLike))
 		})
 		b.Run("series=bSOAPFull/"+sizeName(n), func(b *testing.B) {
-			benchFullSerialization(b, m, true, nil)
+			benchFullSerialization(b, m, nil)
 		})
 		b.Run("series=ContentMatch/"+sizeName(n), func(b *testing.B) {
 			benchDiff(b, m, cfg32K(), nil)

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,10 +33,11 @@ import (
 // needs a visible edit to that file, and a name that leaves the code, or
 // gains a user, must leave it too.
 func TestExportCensus(t *testing.T) {
-	got, err := runCensus(".")
+	c, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := c.unreferenced()
 	want, err := readCensus("testdata/census.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +111,12 @@ type censusPkg struct {
 	info *types.Info
 }
 
-func runCensus(root string) ([]string, error) {
+// loadRepo type-checks the repository once for every test that reads
+// its syntax trees and types.
+var loadRepo = sync.OnceValues(func() (*census, error) { return loadCensus(".") })
+
+// loadCensus type-checks every package of the modules under root.
+func loadCensus(root string) (*census, error) {
 	fset := token.NewFileSet()
 	c := &census{
 		fset: fset,
@@ -151,7 +158,7 @@ func runCensus(root string) ([]string, error) {
 			return nil, err
 		}
 	}
-	return c.unreferenced(), nil
+	return c, nil
 }
 
 func path(mod, rel string) string {

@@ -82,14 +82,17 @@ func main() {
 	cfg := core.Config{Width: policy}
 	switch *engine {
 	case "bsoap", "bsoap-full":
-		cfg.DisableDiff = *engine == "bsoap-full"
 		stub := core.NewStubWithConverter(cfg, sink, conv)
+		call := stub.Call
+		if *engine == "bsoap-full" {
+			call = func(m *wire.Message) (core.CallInfo, error) { return stub.CallHeld(nil, m) }
+		}
 		for i := 0; i < *count; i++ {
 			if i > 0 {
 				touch(*dirty)
 			}
 			start := time.Now()
-			ci, err := stub.Call(msg)
+			ci, err := call(msg)
 			if err != nil {
 				fatal(err)
 			}

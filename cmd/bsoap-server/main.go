@@ -250,8 +250,8 @@ func main() {
 				st.DeltaApplied, st.DeltaSyncs, st.DeltaResyncs)
 		}
 		ss := sm.Snapshot()
-		fmt.Printf("bsoap-server: replicas: %d resident, %d evicted, %d template keys evicted, %d templates refused\n",
-			st.Replicas, st.ReplicaEvictions, st.DDSKeyEvictions, ss.DDSRefused)
+		fmt.Printf("bsoap-server: replicas: %d resident, %d evicted, %d templates refused\n",
+			st.Replicas, st.ReplicaEvictions, ss.DDSRefused)
 		if ss.ReplicaBudgetEvictions > 0 || ss.TemplateBytesHighWater > 0 {
 			fmt.Printf("bsoap-server: template memory: %.1f KB resident (high water %.1f KB), %d budget evictions\n",
 				float64(ss.TemplateBytes)/1e3, float64(ss.TemplateBytesHighWater)/1e3, ss.ReplicaBudgetEvictions)

@@ -6,7 +6,7 @@
 //   - GSOAPLike reproduces gSOAP's approach: a single streaming pass over
 //     the data into one reusable growing buffer, with tight inline
 //     value-conversion loops (soapenv's Compiler.AppendMessage, which the
-//     engine's diff-off mode shares). This is the fastest way to serialize a
+//     engine's from-scratch send shares). This is the fastest way to serialize a
 //     message *from scratch*; differential serialization wins by not
 //     serializing from scratch.
 //

@@ -82,7 +82,7 @@ func leafTexts(t *testing.T, doc []byte) []string {
 
 // TestGSOAPLikeMatchesDifferentialFirstSend pins the one from-scratch
 // renderer against the template builder, which stays a separate
-// serializer: for every message shape, the engine's diff-off call, the
+// serializer: for every message shape, the engine's from-scratch call, the
 // gSOAP-like baseline and an exact-width first-time template must be
 // byte-identical — same grammar, same conversions.
 func TestGSOAPLikeMatchesDifferentialFirstSend(t *testing.T) {
@@ -154,7 +154,7 @@ func TestGSOAPLikeMatchesDifferentialFirstSend(t *testing.T) {
 		g := string(new(GSOAPLike).Serialize(sh.build()))
 
 		off := &captureSink{}
-		if _, err := core.NewStub(core.Config{DisableDiff: true}, off).Call(sh.build()); err != nil {
+		if _, err := core.NewStub(core.Config{}, off).CallHeld(nil, sh.build()); err != nil {
 			t.Fatal(err)
 		}
 		first := &captureSink{}
@@ -162,7 +162,7 @@ func TestGSOAPLikeMatchesDifferentialFirstSend(t *testing.T) {
 			t.Fatal(err)
 		}
 		if g != string(off.data) || g != string(first.data) {
-			t.Fatalf("%s: serializers diverge:\n gsoap:    %.400s\n diff-off: %.400s\n template: %.400s",
+			t.Fatalf("%s: serializers diverge:\n gsoap:    %.400s\n scratch:  %.400s\n template: %.400s",
 				sh.name, g, off.data, first.data)
 		}
 	}

@@ -88,8 +88,8 @@ func mcmFigure(o Options, id, title, elem string, build mcmBuilder, withXSOAP bo
 		}
 		sGSOAP.Points = append(sGSOAP.Points, Point{n, ms})
 
-		full := core.NewStubWithConverter(core.Config{Chunk: chunk32K(), DisableDiff: true}, o.Sink, conv)
-		ms, err = timeCalls(o.Reps, func() error { _, err := full.Call(m); return err })
+		full := core.NewStubWithConverter(core.Config{}, o.Sink, conv)
+		ms, err = timeCalls(o.Reps, func() error { _, err := full.CallHeld(nil, m); return err })
 		if err != nil {
 			return nil, err
 		}
@@ -154,8 +154,8 @@ func psmFigure(o Options, id, title string, newMsg func(n int) (*wire.Message, f
 	for _, n := range o.linearSizes() {
 		m, touch := newMsg(n)
 
-		full := core.NewStub(core.Config{Chunk: chunk32K(), DisableDiff: true}, o.Sink)
-		ms, err := timeCalls(o.Reps, func() error { _, err := full.Call(m); return err })
+		full := core.NewStub(core.Config{}, o.Sink)
+		ms, err := timeCalls(o.Reps, func() error { _, err := full.CallHeld(nil, m); return err })
 		if err != nil {
 			return nil, err
 		}

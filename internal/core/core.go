@@ -29,7 +29,7 @@ import (
 )
 
 // MatchKind classifies how a Call was served (paper §3, the four
-// matching possibilities, plus the diff-disabled mode).
+// matching possibilities, plus a from-scratch send).
 type MatchKind int
 
 const (
@@ -43,8 +43,9 @@ const (
 	// PartialMatch rewrote dirty values and had to expand at least one
 	// field (stealing or shifting).
 	PartialMatch
-	// FullSerialization is a from-scratch serialization with differential
-	// serialization disabled (the paper's "bSOAP Full Serialization").
+	// FullSerialization is a from-scratch serialization that keeps no
+	// template (the paper's "bSOAP Full Serialization"): CallHeld(nil, m),
+	// or a message whose template the DUT table cannot represent.
 	FullSerialization
 )
 
@@ -127,9 +128,6 @@ type Config struct {
 	// EnableStealing turns on neighbour-padding stealing before falling
 	// back to shifting when a value outgrows its field.
 	EnableStealing bool
-	// DisableDiff turns differential serialization off: every call
-	// serializes from scratch (the paper's baseline bSOAP mode).
-	DisableDiff bool
 }
 
 // Sink consumes one complete serialized message as a vector of byte
@@ -182,7 +180,7 @@ type CallInfo struct {
 	Bytes int
 	// BytesSerialized counts the bytes this call actually converted from
 	// in-memory values into their lexical forms: the full message for
-	// first-time and diff-disabled sends, zero for a content match, and
+	// first-time and from-scratch sends, zero for a content match, and
 	// only the rewritten value bytes for structural matches. The gap
 	// between BytesSerialized and Bytes is the serialization work
 	// differential serialization avoided.

@@ -532,6 +532,9 @@ func TestTemplateLRUEviction(t *testing.T) {
 	}
 }
 
+// TestDisableDiff serves every call from scratch through CallHeld(nil,
+// m), the paper's "bSOAP Full Serialization": each call renders the whole
+// message and the stub keeps no template.
 func TestDisableDiff(t *testing.T) {
 	m := wire.NewMessage("urn:t", "send")
 	arr := m.AddDoubleArray("v", 10)
@@ -539,9 +542,9 @@ func TestDisableDiff(t *testing.T) {
 		arr.Set(i, float64(i))
 	}
 	sink := &captureSink{}
-	s := NewStub(Config{DisableDiff: true}, sink)
+	s := NewStub(Config{}, sink)
 	for k := 0; k < 3; k++ {
-		ci, err := s.Call(m)
+		ci, err := s.CallHeld(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +554,7 @@ func TestDisableDiff(t *testing.T) {
 		checkRendered(t, m, sink.data)
 	}
 	if s.store.templateCount() != 0 {
-		t.Fatal("diff-disabled stub stored templates")
+		t.Fatal("a from-scratch call stored a template")
 	}
 }
 

@@ -256,9 +256,10 @@ func stripPadding(b []byte) []byte {
 // back into the store.
 func (st *Store) EachTemplate(visit func(op string, t *Template)) {
 	for op, l := range st.byOp {
-		l.FromFront(func(_ string, t *Template) bool {
-			visit(op, t)
-			return true
-		})
+		for _, t := range l {
+			if t != nil {
+				visit(op, t)
+			}
+		}
 	}
 }

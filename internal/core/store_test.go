@@ -49,7 +49,11 @@ func TestStoreLookupMovesToFront(t *testing.T) {
 func (st *Store) templateCount() int {
 	n := 0
 	for _, l := range st.byOp {
-		n += l.Len()
+		for _, t := range l {
+			if t != nil {
+				n++
+			}
+		}
 	}
 	return n
 }

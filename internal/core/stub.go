@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net"
+	"slices"
 	"unsafe"
 
 	"bsoap/internal/fastconv"
@@ -18,19 +19,32 @@ import (
 // it and has no synchronization of its own: a Call mutates the
 // looked-up Template's bytes in place, so the store is confined exactly
 // as its stub is — to one goroutine, or to whoever holds the server
-// replica lock around the stub. Recency within an operation is tracked
-// by the tree's one LRU (internal/replica); a warm-path lookup
-// allocates nothing. A pool keeps no store: its registry is the one
-// template store, and each engine holds its template itself (CallHeld).
+// replica lock around the stub. Each operation keeps its templates most
+// recently used first; a warm-path lookup allocates nothing. A pool
+// keeps no store: its registry is the one template store, and each
+// engine holds its template itself (CallHeld).
 type Store struct {
-	byOp map[string]*replica.LRU[string, *Template]
+	byOp map[string]*opTemplates
 }
 
+// opTemplates is one operation's templates, most recently used first;
+// the slots past the last template are nil.
+type opTemplates [replica.TemplatesPerOp]*Template
+
 // lookup finds a template with the given structural signature, moving it
-// to the front (LRU position) when found.
+// to the front (most recently used) when found.
 func (st *Store) lookup(op, sig string) *Template {
-	if l := st.byOp[op]; l != nil {
-		if t, ok := l.Get(sig); ok {
+	l := st.byOp[op]
+	if l == nil {
+		return nil
+	}
+	for i, t := range l {
+		if t == nil {
+			break
+		}
+		if t.sig == sig {
+			copy(l[1:i+1], l[:i])
+			l[0] = t
 			return t
 		}
 	}
@@ -38,46 +52,48 @@ func (st *Store) lookup(op, sig string) *Template {
 }
 
 // swap puts t in old's place for op, either of them nil. CallHeld has
-// released old already. A new template goes to the LRU front, evicting
-// the least recently used beyond the cap: that happens only on
-// first-time sends (which allocate a whole template anyway), and an
-// evicted template's chunk arenas go back to the pool (safe: swap runs
-// inside a Call on the owning stub, so nothing evicted can be mid-send).
-// An operation's list leaves with its last template.
+// released old already. A new template goes to the front, evicting the
+// least recently used beyond the cap: that happens only on first-time
+// sends (which allocate a whole template anyway), and an evicted
+// template's chunk arenas go back to the pool (safe: swap runs inside a
+// Call on the owning stub, so nothing evicted can be mid-send). An
+// operation leaves the store with its last template.
 func (st *Store) swap(op string, old, t *Template) {
 	l := st.byOp[op]
 	if old != nil {
-		l.Remove(old.sig)
+		i := slices.Index(l[:], old)
+		copy(l[i:], l[i+1:])
+		l[len(l)-1] = nil
 	}
 	if t != nil {
 		if l == nil {
-			l = replica.NewLRU[string, *Template]()
+			l = new(opTemplates)
 			st.byOp[op] = l
 		}
-		if l.Len() >= replica.TemplatesPerOp {
-			if _, victim, ok := l.RemoveTail(); ok {
-				victim.Release()
-			}
+		if victim := l[len(l)-1]; victim != nil {
+			victim.Release()
 		}
-		l.PushFront(t.sig, t)
+		copy(l[1:], l[:len(l)-1])
+		l[0] = t
 	}
-	if l != nil && l.Len() == 0 {
+	if l != nil && l[0] == nil {
 		delete(st.byOp, op)
 	}
 }
 
 // footprint sums the Footprint of every stored template and the
 // store's own bookkeeping for them: per operation a slot in byOp and its
-// LRU, whose nodes and index slots are one per template.
+// template array.
 func (st *Store) footprint() int {
-	const perOp = int(unsafe.Sizeof("") + unsafe.Sizeof((*replica.LRU[string, *Template])(nil)))
+	const perOp = int(unsafe.Sizeof("") + unsafe.Sizeof((*opTemplates)(nil)) + unsafe.Sizeof(opTemplates{}))
 	n := 0
 	for _, l := range st.byOp {
-		n += perOp + l.SizeBytes()
-		l.FromFront(func(_ string, t *Template) bool {
-			n += t.Footprint()
-			return true
-		})
+		n += perOp
+		for _, t := range l {
+			if t != nil {
+				n += t.Footprint()
+			}
+		}
 	}
 	return n
 }
@@ -88,12 +104,10 @@ func (st *Store) footprint() int {
 // request has returned.
 func (st *Store) ReleaseAll() {
 	for op, l := range st.byOp {
-		for {
-			_, t, ok := l.RemoveTail()
-			if !ok {
-				break
+		for _, t := range l {
+			if t != nil {
+				t.Release()
 			}
-			t.Release()
 		}
 		delete(st.byOp, op)
 	}
@@ -132,9 +146,9 @@ type scratch struct {
 	bufs net.Buffers
 	// enc holds one leaf's lexical form. It starts at the numeric
 	// maximum width and grows to the longest string leaf seen, so
-	// re-serializing strings stays allocation-free once warm. A diff-off
-	// call renders its whole message here instead (it encodes no single
-	// leaf), converging on the largest message sent.
+	// re-serializing strings stays allocation-free once warm. A
+	// from-scratch call renders its whole message here instead (it
+	// encodes no single leaf), converging on the largest message sent.
 	enc []byte
 	// regs and delta are the differential-transmission working set:
 	// the coalesced dirty regions of the call in progress and the
@@ -143,8 +157,8 @@ type scratch struct {
 	// seen and then stop allocating.
 	regs  []deltaRegion
 	delta []byte
-	// grammar compiles a diff-off call's framing and parameters into the
-	// steps it renders by, converging on the widest parameter sent.
+	// grammar compiles a from-scratch call's framing and parameters into
+	// the steps it renders by, converging on the widest parameter sent.
 	grammar soapenv.Compiler
 	// conv is the double converter every value of the stub prints
 	// through, chosen at construction (NewStubWithConverter).
@@ -181,7 +195,7 @@ func NewStub(cfg Config, sink Sink) *Stub { return NewStubWithConverter(cfg, sin
 // print through conv — fastconv.Dragon for the 2004-era cost emulation.
 func NewStubWithConverter(cfg Config, sink Sink, conv fastconv.Converter) *Stub {
 	return &Stub{cfg: cfg, sink: sink, scr: scratch{conv: conv}, store: Store{
-		byOp: make(map[string]*replica.LRU[string, *Template]),
+		byOp: make(map[string]*opTemplates),
 	}}
 }
 
@@ -192,9 +206,9 @@ func (s *Stub) Stats() Stats { return s.stats }
 // contribution to a server replica's budget accounting. Only a template
 // built, grown, split, replaced or dropped changes it — in-place
 // rewrites, tag shifts, shifts and steals reuse existing bytes, and a
-// diff-off call never touches the store — so the walk over the chunk
-// lists is cached and redone only after a call, failed or not, did one
-// of those.
+// from-scratch call never touches the store — so the walk over the
+// chunk lists is cached and redone only after a call, failed or not, did
+// one of those.
 func (s *Stub) Footprint() int {
 	if s.fpStale {
 		s.fpStale = false
@@ -259,9 +273,6 @@ func (s *Stub) Template(op, sig string) *Template { return s.store.lookup(op, si
 // structure when possible: the store lookup around CallHeld, which
 // keeps whatever template the call leaves.
 func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
-	if s.cfg.DisableDiff {
-		return s.CallHeld(nil, m)
-	}
 	op := m.Operation()
 	tpl := s.store.lookup(op, m.Signature())
 	held := tpl
@@ -276,7 +287,7 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 // structure that the caller keeps (nil for none), and leaves in *held
 // what to keep: a new template after a first-time send, nil after the
 // template was dropped. It releases any template it replaced. A nil
-// held, or a diff-off stub, serves m from scratch and keeps nothing.
+// held serves m from scratch and keeps nothing.
 //
 // On success the message's dirty bits are cleared; on a send error they
 // are preserved so a retry re-serializes the same changes, and the
@@ -287,7 +298,7 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 func (s *Stub) CallHeld(held **Template, m *wire.Message) (CallInfo, error) {
 	var ci CallInfo
 	s.beginCall(m, &ci)
-	if held == nil || s.cfg.DisableDiff {
+	if held == nil {
 		return s.fromScratch(m, &ci)
 	}
 	op := m.Operation()
@@ -376,8 +387,8 @@ func (s *Stub) CallHeld(held **Template, m *wire.Message) (CallInfo, error) {
 }
 
 // fromScratch serializes m in one pass and sends it, with no template:
-// the diff-off mode, and a message whose template the DUT table cannot
-// represent.
+// a call with nothing held, and a message whose template the DUT table
+// cannot represent.
 func (s *Stub) fromScratch(m *wire.Message, ci *CallInfo) (CallInfo, error) {
 	ci.Match = FullSerialization
 	s.scr.enc = s.scr.grammar.AppendMessage(s.scr.enc[:0], m, s.scr.conv)

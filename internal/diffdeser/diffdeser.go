@@ -154,56 +154,41 @@ type owned struct {
 	Template
 }
 
-// defaultMaxKeys bounds how many distinct operation keys a deserializer
-// retains, each holding up to replica.TemplatesPerOp templates (the
-// paper's "multiple templates per remote service" future work, letting
-// a client that alternates between a few message shapes keep hitting
-// the fast path). Keys are evicted least-recently-used, mirroring
-// core.Store's per-op signature LRU, so a peer cycling through many
-// operations cannot grow the deserializer without bound.
-const defaultMaxKeys = 64
-
 // Deserializer decodes requests that name no template: it keeps, per
 // operation key, the last few bodies with their templates and decodes a
 // new body against the first of them with the same length.
 //
-// A key whose replica.TemplatesPerOp templates are full keeps a body of
-// a new length only when it refused that length within its last
-// replica.TemplatesPerOp refusals (the client pool's doorkeeper, keyed
-// by length): any other is decoded without ranges and without a copy, and
-// the templates in use stay. Not safe for concurrent use; guard it per
-// connection or with the server's dispatch lock.
+// Each key holds up to replica.TemplatesPerOp templates (the paper's
+// "multiple templates per remote service" future work, letting a client
+// that alternates between a few message shapes keep hitting the fast
+// path). Keys are never evicted: the caller passes only operations it
+// has registered, so registration bounds them. A key whose templates
+// are full keeps a body of a new length only when it refused that length
+// within its last replica.TemplatesPerOp refusals (the client pool's
+// doorkeeper, keyed by length): any other is decoded without ranges and
+// without a copy, and the templates in use stay. Not safe for concurrent
+// use; guard it per connection or with the server's dispatch lock.
 type Deserializer struct {
-	lookup    soapdec.Lookup
-	keys      *replica.LRU[string, *keyTemplates] // the tree's one LRU
-	maxKeys   int                                 // defaultMaxKeys; tests lower it
-	evictions int64
-	size      int64 // resident bytes, maintained incrementally
+	lookup soapdec.Lookup
+	keys   map[string]*keyTemplates
+	size   int64 // resident bytes, maintained incrementally
 }
 
-// keyTemplates is one operation key's template list, LRU front first,
-// and its doorkeeper, keyed by body length. A refused body decodes into
-// scratch, so a key that keeps refusing reuses one message instead of
-// making one per request; like a template's message, it is not charged
-// to SizeBytes.
+// keyTemplates is one operation key's template list, most recently used
+// first, and its doorkeeper, keyed by body length. A refused body
+// decodes into scratch, so a key that keeps refusing reuses one message
+// instead of making one per request; like a template's message, it is
+// not charged to SizeBytes.
 type keyTemplates struct {
 	list    []*owned
 	door    replica.Doorkeeper
 	scratch soapdec.Scratch
 }
 
-// New returns a deserializer resolving operations through lookup, with
-// the key count bounded at defaultMaxKeys.
+// New returns a deserializer resolving operations through lookup.
 func New(lookup soapdec.Lookup) *Deserializer {
-	return &Deserializer{
-		lookup:  lookup,
-		keys:    replica.NewLRU[string, *keyTemplates](),
-		maxKeys: defaultMaxKeys,
-	}
+	return &Deserializer{lookup: lookup, keys: make(map[string]*keyTemplates)}
 }
-
-// Evictions reports how many operation keys the LRU bound has evicted.
-func (d *Deserializer) Evictions() int64 { return d.evictions }
 
 // SizeBytes reports the deserializer's resident cost: stored message
 // bodies plus each template's own estimate. Maintained incrementally, so
@@ -217,30 +202,12 @@ func templateCost(o *owned) int64 {
 	return int64(cap(o.body) + o.SizeBytes())
 }
 
-// noteKey moves key to the front of the key LRU, inserting it when new
-// and evicting the least recently used key (and its templates) beyond
-// maxKeys.
-func (d *Deserializer) noteKey(key string, kt *keyTemplates) {
-	if _, ok := d.keys.Get(key); ok {
-		return
-	}
-	d.keys.PushFront(key, kt)
-	if d.keys.Len() > d.maxKeys {
-		if _, victim, ok := d.keys.RemoveTail(); ok {
-			for _, o := range victim.list {
-				d.size -= templateCost(o)
-			}
-			d.evictions++
-		}
-	}
-}
-
 // Decode parses body, differentially when a previous message for key
 // had identical framing. The returned message is owned by the
 // deserializer and valid until the next Decode with the same key.
 func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, error) {
-	kt, ok := d.keys.Peek(key)
-	if !ok || len(kt.list) == 0 {
+	kt := d.keys[key]
+	if kt == nil || len(kt.list) == 0 {
 		return d.fullParse(key, body, ReasonNoTemplate)
 	}
 	reason := ReasonLength
@@ -260,13 +227,11 @@ func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, err
 			}
 			continue
 		}
-		// Move the hit to the LRU front (template within the key, and
-		// the key within the deserializer).
+		// Move the hit to the front of its key's list.
 		if idx != 0 {
 			copy(kt.list[1:idx+1], kt.list[0:idx])
 			kt.list[0] = o
 		}
-		d.keys.Touch(key)
 		return o.msg, Info{ValuesReparsed: n}, nil
 	}
 	return d.fullParse(key, body, reason)
@@ -423,16 +388,15 @@ func relexRegion(msg *wire.Message, leaf int, seg []byte) bool {
 // then the parse records no ranges, copies nothing and decodes into the
 // key's scratch message, and the key keeps the templates it has.
 func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.Message, Info, error) {
-	kt, ok := d.keys.Peek(key)
+	kt := d.keys[key]
 	// A body length plus one is its doorkeeper key: each length its own
 	// key, and none of them 0, the ring's empty place.
-	if ok && reason == ReasonLength && len(kt.list) >= replica.TemplatesPerOp &&
+	if kt != nil && reason == ReasonLength && len(kt.list) >= replica.TemplatesPerOp &&
 		!kt.door.Admit(uint64(len(body))+1, replica.TemplatesPerOp) {
 		msg, err := kt.scratch.Decode(body, d.lookup)
 		if err != nil {
 			return nil, Info{FullParse: true, Reason: reason}, err
 		}
-		d.keys.Touch(key)
 		return msg, Info{FullParse: true, Reason: reason, Refused: true}, nil
 	}
 	o := &owned{}
@@ -440,8 +404,9 @@ func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.
 		return nil, Info{FullParse: true, Reason: reason}, err
 	}
 	o.body = append([]byte(nil), body...)
-	if !ok {
+	if kt == nil {
 		kt = &keyTemplates{}
+		d.keys[key] = kt
 	}
 	kt.list = append([]*owned{o}, kt.list...)
 	d.size += templateCost(o)
@@ -451,6 +416,5 @@ func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.
 		}
 		kt.list = kt.list[:replica.TemplatesPerOp]
 	}
-	d.noteKey(key, kt)
 	return o.msg, Info{FullParse: true, Reason: reason}, nil
 }

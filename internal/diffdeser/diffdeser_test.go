@@ -271,61 +271,11 @@ func TestSeparateKeysKeepSeparateTemplates(t *testing.T) {
 	}
 }
 
-// TestKeyCountLRUBound proves the deserializer cannot grow without
-// bound in the number of operation keys: beyond its key bound the least
-// recently used key is evicted (templates and all), and a recently
-// touched key survives.
-func TestKeyCountLRUBound(t *testing.T) {
-	m := wire.NewMessage("urn:dd", "send")
-	arr := m.AddDoubleArray("v", 5)
-	for i := 0; i < 5; i++ {
-		arr.Set(i, 2.5)
-	}
-	sink := &captureSink{}
-	stub := core.NewStub(core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}}, sink)
-	if _, err := stub.Call(m); err != nil {
-		t.Fatal(err)
-	}
-	body := sink.data
-
-	d := New(testSchema(m))
-	d.maxKeys = 3
-	for _, key := range []string{"k1", "k2", "k3"} {
-		if _, _, err := d.Decode(key, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Touch k1 so k2 becomes the LRU tail.
-	if _, info, err := d.Decode("k1", body); err != nil || info.FullParse {
-		t.Fatalf("k1 re-decode: info=%+v err=%v", info, err)
-	}
-	// A fourth key must evict k2, not k1.
-	if _, _, err := d.Decode("k4", body); err != nil {
-		t.Fatal(err)
-	}
-	if d.KeyCount() != 3 {
-		t.Fatalf("keys = %d, want 3", d.KeyCount())
-	}
-	if d.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", d.Evictions())
-	}
-	if _, info, err := d.Decode("k1", body); err != nil || info.FullParse {
-		t.Fatalf("k1 evicted despite recent use: info=%+v err=%v", info, err)
-	}
-	if _, info, err := d.Decode("k2", body); err != nil || !info.FullParse {
-		t.Fatalf("k2 should have been evicted: info=%+v err=%v", info, err)
-	}
-}
-
-// KeyCount reports how many operation keys are resident.
-func (d *Deserializer) KeyCount() int { return d.keys.Len() }
-
 // TemplateCount reports how many templates are resident (all keys).
 func (d *Deserializer) TemplateCount() int {
 	n := 0
-	d.keys.FromFront(func(_ string, kt *keyTemplates) bool {
+	for _, kt := range d.keys {
 		n += len(kt.list)
-		return true
-	})
+	}
 	return n
 }

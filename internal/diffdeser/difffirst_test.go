@@ -92,8 +92,8 @@ func (s snapshot) check(t *testing.T, tpl *owned) {
 
 func templates(t *testing.T, d *Deserializer, key string) []*owned {
 	t.Helper()
-	kt, ok := d.keys.Peek(key)
-	if !ok {
+	kt := d.keys[key]
+	if kt == nil {
 		t.Fatalf("no templates for %q", key)
 	}
 	return kt.list

@@ -324,7 +324,7 @@ type Stats struct {
 }
 
 // WarmCalls counts calls served from an existing template (everything
-// except first-time and diff-disabled sends).
+// except first-time and from-scratch sends).
 func (s Stats) WarmCalls() int64 {
 	return s.ContentMatches + s.StructuralMatches + s.PartialMatches
 }

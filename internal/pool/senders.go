@@ -2,7 +2,7 @@ package pool
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -74,11 +74,6 @@ type senderPool struct {
 
 	mu     sync.Mutex
 	closed bool
-
-	// rng drives backoff jitter; guarded by rngMu (math/rand's global
-	// source would serialize all pools).
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 func newSenderPool(size int, dial func() (*transport.Sender, error), opts Options, m *Metrics) *senderPool {
@@ -91,7 +86,6 @@ func newSenderPool(size int, dial func() (*transport.Sender, error), opts Option
 		now:          time.Now,
 		sleep:        time.Sleep,
 		metrics:      m,
-		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for i := 0; i < size; i++ {
 		ps := &pooledSender{}
@@ -189,10 +183,7 @@ func (sp *senderPool) backoff(attempt int) time.Duration {
 	if d > sp.backoffMax || d <= 0 {
 		d = sp.backoffMax
 	}
-	sp.rngMu.Lock()
-	j := time.Duration(sp.rng.Int63n(int64(d)/2 + 1))
-	sp.rngMu.Unlock()
-	return d + j
+	return d + rand.N(d/2+1)
 }
 
 // close tears the pool down: no new checkouts, every idle connection

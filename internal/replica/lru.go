@@ -1,7 +1,5 @@
 package replica
 
-import "unsafe"
-
 // LRU is the one recency list in the tree: a map-indexed intrusive
 // doubly-linked list with O(1) touch, lookup, insert and tail removal.
 // Touching or reading never allocates — nodes are allocated only on
@@ -27,16 +25,6 @@ func NewLRU[K comparable, V any]() *LRU[K, V] {
 // Len reports the number of entries.
 func (l *LRU[K, V]) Len() int { return len(l.index) }
 
-// SizeBytes reports the list's resident bookkeeping at its layout's
-// sizes: the list header and, per entry, a node and an index slot (the
-// key and the node pointer). Lengths are charged, not capacities: the
-// index's unused slots are not.
-func (l *LRU[K, V]) SizeBytes() int {
-	var key K
-	perEntry := unsafe.Sizeof(node[K, V]{}) + unsafe.Sizeof(key) + unsafe.Sizeof(l.head)
-	return int(unsafe.Sizeof(*l)) + len(l.index)*int(perEntry)
-}
-
 // Get returns the value for key and marks it most recently used.
 func (l *LRU[K, V]) Get(key K) (V, bool) {
 	n, ok := l.index[key]
@@ -46,23 +34,6 @@ func (l *LRU[K, V]) Get(key K) (V, bool) {
 	}
 	l.moveToFront(n)
 	return n.value, true
-}
-
-// Peek returns the value for key without touching recency.
-func (l *LRU[K, V]) Peek(key K) (V, bool) {
-	n, ok := l.index[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return n.value, true
-}
-
-// Touch marks key most recently used if present.
-func (l *LRU[K, V]) Touch(key K) {
-	if n, ok := l.index[key]; ok {
-		l.moveToFront(n)
-	}
 }
 
 // PushFront inserts key at the front, or updates and touches it if

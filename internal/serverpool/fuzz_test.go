@@ -184,8 +184,14 @@ func heldBase(rt *Runtime, msg *wire.Message) (heldState, bool) {
 	if r.bases.bases == nil {
 		return heldState{}, false
 	}
-	b, ok := r.bases.bases.Peek(3)
-	if !ok {
+	var b *deltaBase
+	r.bases.bases.FromFront(func(id uint64, o *deltaBase) bool {
+		if id == 3 {
+			b = o
+		}
+		return b == nil
+	})
+	if b == nil {
 		return heldState{}, false
 	}
 	s := heldState{body: bytes.Clone(b.body), msg: msg}

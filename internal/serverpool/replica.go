@@ -12,8 +12,8 @@ import (
 
 // replica is one client's private decode/encode state: the client's
 // patch bases, each the decode template of its own bytes, for requests
-// that name their template; a bounded differential deserializer whose
-// templates track the shapes of requests that do not; a differential
+// that name their template; a differential deserializer, one key per
+// registered operation, whose templates track the shapes of requests that do not; a differential
 // response stub; and per-replica handler instances (handlers reuse
 // response messages, so instances cannot be shared). A replica is keyed
 // by its connection, which serves one request at a time, so the mutex is
@@ -21,9 +21,8 @@ import (
 // reads, with the registry releasing an evicted replica's arenas, and
 // with Handle callers that name one connection id from two goroutines.
 type replica struct {
-	mu           sync.Mutex
-	differ       *diffdeser.Deserializer
-	keyEvictions int64 // last value drained into metrics
+	mu     sync.Mutex
+	differ *diffdeser.Deserializer
 	// handlers maps operation to this replica's handler instance; only
 	// registered operations get one, so rt.ops bounds it.
 	handlers map[string]Handler

@@ -121,7 +121,9 @@ type Stats struct {
 	SelfCheckFails   int64
 	Replicas         int // currently resident
 	ReplicaEvictions int64
-	DDSKeyEvictions  int64
+	// DDSKeyEvictions is always 0: a deserializer keeps one key per
+	// registered operation and evicts none.
+	DDSKeyEvictions int64
 
 	// Differential transmission: patch frames applied, full bodies stored
 	// as bases, and 409/resync answers.
@@ -210,7 +212,6 @@ func (rt *Runtime) Stats() Stats {
 		SelfCheckFails:   m.SelfCheckFails,
 		Replicas:         rt.reg.Len(),
 		ReplicaEvictions: m.ReplicaEvictions,
-		DDSKeyEvictions:  m.DDSKeyEvictions,
 		DeltaApplied:     m.DeltaApplied,
 		DeltaSyncs:       m.DeltaSyncs,
 		DeltaResyncs:     m.DeltaResyncs,
@@ -472,22 +473,20 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 		msg, err := rt.fullParse(body)
 		return msg, body, full, err
 	}
-	// Key by operation, a registered one by its schema's own string; an
-	// unknown name is left for the full parse to refuse.
+	// Key by a registered operation's own string. A name no operation is
+	// registered under keeps nothing: the full parse refuses the body, or
+	// serves the operation the body really names when the peek was misled
+	// (a comment ahead of the envelope), so a peer cannot choose the keys.
 	name, err := peekOperation(body)
 	if err != nil {
 		return nil, nil, full, err
 	}
-	var key string
-	if op := rt.ops[string(name)]; op != nil {
-		key = op.schema.Op
-	} else {
-		key = string(name)
+	op := rt.ops[string(name)]
+	if op == nil {
+		msg, err := rt.fullParse(body)
+		return msg, body, full, err
 	}
-	msg, info, err := r.differ.Decode(key, body)
-	n := r.differ.Evictions()
-	rt.metrics.AddDDSKeyEvictions(n - r.keyEvictions)
-	r.keyEvictions = n
+	msg, info, err := r.differ.Decode(op.schema.Op, body)
 	return msg, body, info, err
 }
 

@@ -211,38 +211,33 @@ func TestHTTPHandlerServesWSDLAndPosts(t *testing.T) {
 	}
 }
 
-// TestDDSKeyEvictionsReachMetrics sends one replica one new operation
-// after another: once its deserializer holds as many operation keys as
-// it keeps, each new one evicts the least recently used, and every
-// eviction reaches the metrics registry.
-func TestDDSKeyEvictionsReachMetrics(t *testing.T) {
-	m := transport.NewServerMetrics()
-	rt := New(Options{DifferentialDeserialization: true, Metrics: m})
-	var st Stats
-	for n := 0; st.DDSKeyEvictions < 2; n++ {
-		if n == 1000 {
-			t.Fatalf("%d operations on one replica evicted %d keys", n, st.DDSKeyEvictions)
+// TestPeekedNamesKeepNoTemplates hides a fake operation name in a
+// comment ahead of each envelope: the peek reads the fake name, and the
+// full parse skips the comment and serves the registered operation. A
+// name no operation is registered under keeps nothing, so a peer cannot
+// make a replica hold templates under keys of its choosing.
+func TestPeekedNamesKeepNoTemplates(t *testing.T) {
+	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	c := newClient(16)
+	for n := 0; n < 100; n++ {
+		c.arr.Set(0, float64(n))
+		body := append([]byte(fmt.Sprintf("<!-- :Body><fake%d> -->", n)), c.body(t)...)
+		resp, err := rt.Handle(1, "", body)
+		if err != nil {
+			t.Fatalf("request %d: %v", n, err)
 		}
-		op := fmt.Sprint("op", n)
-		rt.Register(&soapdec.Schema{
-			Namespace: "urn:calc",
-			Op:        op,
-			Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},
-		}, sumFactory)
-		c := &client{sink: &captureSink{}}
-		c.stub = core.NewStub(core.Config{}, c.sink)
-		c.msg = wire.NewMessage("urn:calc", op)
-		c.arr = c.msg.AddDoubleArray("values", 4)
-		if _, err := rt.Handle(1, "", c.body(t)); err != nil {
-			t.Fatal(err)
+		if !strings.Contains(string(resp), "sumResponse") {
+			t.Fatalf("request %d: response %s", n, resp)
 		}
-		st = rt.Stats()
 	}
-	if st.DDSKeyEvictions != 2 {
-		t.Fatalf("key evictions = %d, want 2", st.DDSKeyEvictions)
+	if st := rt.Stats(); st.Requests != 100 || st.FullParses != 100 {
+		t.Fatalf("requests %d, full parses %d, want 100 and 100", st.Requests, st.FullParses)
 	}
-	if n := m.Snapshot().DDSKeyEvictions; n != 2 {
-		t.Fatalf("metrics key evictions = %d, want 2", n)
+	slot, r := rt.acquire(reg.Key{Conn: 1})
+	held := r.differ.SizeBytes()
+	rt.release(slot)
+	if held != 0 {
+		t.Fatalf("the deserializer holds %d B of templates under peeked names, want 0", held)
 	}
 }
 
@@ -640,9 +635,6 @@ func TestFullParseReasonsOfALengthRotation(t *testing.T) {
 	if snap.DDSFastPath != fast || snap.DDSFullParses != total-fast || snap.DDSRefused != refused {
 		t.Fatalf("fast %d full %d refused %d, want %d, %d and %d of %d calls",
 			snap.DDSFastPath, snap.DDSFullParses, snap.DDSRefused, fast, total-fast, refused, total)
-	}
-	if st := rt.Stats(); st.DDSKeyEvictions != 0 {
-		t.Fatalf("runtime: %d key evictions, want 0", st.DDSKeyEvictions)
 	}
 	if d := rt.DebugTemplates(); d.Refused != refused {
 		t.Fatalf("/debug/templates reads %d refused, want %d", d.Refused, refused)

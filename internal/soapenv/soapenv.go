@@ -6,7 +6,7 @@
 // steps with its own leaf writer:
 //
 //   - Compiler.AppendMessage, the one from-scratch renderer (the
-//     gSOAP-like baseline and the engine's diff-off mode), appends the
+//     gSOAP-like baseline and the engine's from-scratch send), appends the
 //     values contiguously;
 //   - the engine's template build (internal/core) reserves a stuffed
 //     field per leaf and records its DUT entry;
@@ -210,7 +210,7 @@ func appendTag(b []byte, tag string, closing bool) []byte {
 // AppendMessage appends m's complete envelope to b in one pass — no
 // template, no DUT table — and returns the extended slice. It is the
 // repository's one from-scratch renderer: the gSOAP-like baseline and the
-// engine's diff-off mode ("bSOAP Full Serialization") both call it, so
+// engine's from-scratch send ("bSOAP Full Serialization") both call it, so
 // the measured gap between them and differential serialization is
 // strategy alone. Doubles print through conv.
 func (c *Compiler) AppendMessage(b []byte, m *wire.Message, conv fastconv.Converter) []byte {

@@ -205,8 +205,6 @@ func TestServerMetricsDeltaCounters(t *testing.T) {
 	m.RecordDDSDecode(diffdeser.Info{ValuesReparsed: 3})
 	m.RecordDDSDecode(diffdeser.Info{FullParse: true, Reason: diffdeser.ReasonLength})
 	m.RecordDDSDecode(diffdeser.Info{FullParse: true, Reason: diffdeser.ReasonLength, Refused: true})
-	m.AddDDSKeyEvictions(2)
-	m.AddDDSKeyEvictions(0) // no-op branch
 	m.RecordReplicaEviction(true)
 	m.RecordReplicaEviction(false)
 
@@ -219,9 +217,6 @@ func TestServerMetricsDeltaCounters(t *testing.T) {
 	}
 	if st.DDSFastPath != 1 || st.DDSFullParses != 2 || st.DDSValuesReparsed != 3 || st.DDSFullParseReasons["length"] != 2 || st.DDSRefused != 1 {
 		t.Fatalf("dds counters: %+v", st)
-	}
-	if st.DDSKeyEvictions != 2 {
-		t.Fatalf("dds key evictions: %d", st.DDSKeyEvictions)
 	}
 	if st.ReplicaEvictions != 2 || st.ReplicaBudgetEvictions != 1 {
 		t.Fatalf("replica evictions: %d/%d", st.ReplicaEvictions, st.ReplicaBudgetEvictions)

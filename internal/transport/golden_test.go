@@ -35,7 +35,6 @@ func pinServerCounters(m *ServerMetrics) {
 		cDDSFastPath + 5:        47,
 		cDDSValuesReparsed:      53,
 		cDDSRefused:             59,
-		cDDSKeyEvictions:        61,
 		cReplicaEvictions:       71,
 		cReplicaBudgetEvictions: 67,
 		cDeltaApplied:           73,

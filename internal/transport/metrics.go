@@ -35,7 +35,6 @@ const (
 	cDDSFastPath
 	cDDSValuesReparsed = iota + counter(diffdeser.NumReasons) - 1
 	cDDSRefused
-	cDDSKeyEvictions
 	cReplicaEvictions
 	cReplicaBudgetEvictions
 	cDeltaApplied
@@ -73,7 +72,6 @@ var serverRows = [numCounters]promtext.Row[ServerStats]{
 	cDDSFastPath + counter(diffdeser.ReasonDropped): {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonDropped.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonDropped] }},
 	cDDSValuesReparsed:      {Family: "bsoap_server_dds_values_reparsed_total", Help: "Leaf value regions re-lexed on the differential fast path.", Field: func(s *ServerStats) *int64 { return &s.DDSValuesReparsed }},
 	cDDSRefused:             {Family: "bsoap_server_dds_refused_total", Help: "Full parses that kept no template: the operation's templates were full and in use.", Field: func(s *ServerStats) *int64 { return &s.DDSRefused }},
-	cDDSKeyEvictions:        {Family: "bsoap_server_dds_key_evictions_total", Help: "Operation keys evicted from bounded deserializers.", Field: func(s *ServerStats) *int64 { return &s.DDSKeyEvictions }},
 	cReplicaEvictions:       {Family: "bsoap_server_replica_evictions_total", Help: "Connection replicas evicted by the serverpool registry.", Field: func(s *ServerStats) *int64 { return &s.ReplicaEvictions }},
 	cReplicaBudgetEvictions: {Field: func(s *ServerStats) *int64 { return &s.ReplicaBudgetEvictions }},
 	cDeltaApplied:           {Family: "bsoap_server_delta_applied_total", Help: "Patch frames applied to a held base (differential transmission).", Field: func(s *ServerStats) *int64 { return &s.DeltaApplied }},
@@ -132,7 +130,6 @@ type ServerStats struct {
 	reasons             [diffdeser.NumReasons]int64 // the reason rows, by Reason
 	DDSValuesReparsed   int64                       `json:"dds_values_reparsed"`
 	DDSRefused          int64                       `json:"dds_refused"` // full parses that kept no template (diffdeser.Info.Refused)
-	DDSKeyEvictions     int64                       `json:"dds_key_evictions"`
 	ReplicaEvictions    int64                       `json:"replica_evictions"`
 
 	// ReplicaBudgetEvictions is the subset of ReplicaEvictions driven by
@@ -195,14 +192,6 @@ func (m *ServerMetrics) RecordDDSDecode(info diffdeser.Info) {
 		m.c[cDDSValuesReparsed].Add(int64(info.ValuesReparsed))
 	} else if info.Refused {
 		m.c[cDDSRefused].Add(1)
-	}
-}
-
-// AddDDSKeyEvictions accumulates operation-key evictions from a
-// replica's bounded deserializer.
-func (m *ServerMetrics) AddDDSKeyEvictions(n int64) {
-	if n > 0 {
-		m.c[cDDSKeyEvictions].Add(n)
 	}
 }
 
