@@ -181,12 +181,12 @@ one_path_guard() {
     # One template level in the pool: the replica registry is the pool's
     # template store, an engine holds its template (no stub of its own),
     # and a connection slot holds the one stub that serializes its calls,
-    # a refused call included (no diff-off stub beside it). One constant,
+    # a refused call included (no diff-off stub beside it: core.Config has
+    # no DisableDiff field, a case of arch_test.go). One constant,
     # replica.TemplatesPerOp, caps templates per operation on both sides,
     # and a chunk splits at twice its size; a template holds no copy of
     # its stub's configuration.
     absent "stub built per engine" 'core\.NewStub' internal/pool/store.go
-    absent "diff-off stub in the pool" 'DisableDiff' internal/pool
     absent "per-operation template cap option" 'MaxTemplatesPerOp' .
     absent "split threshold option" 'SplitThreshold' internal/chunk
     absent "configuration copied into each template" '^[[:space:]]+cfg[[:space:]]+Config' internal/core/template.go
