@@ -1,7 +1,12 @@
 package bsoap_test
 
 import (
+	"go/token"
 	"go/types"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +47,57 @@ func TestArchitecture(t *testing.T) {
 			if f := cfg.Field(i); f.Name() == "DisableDiff" {
 				t.Errorf("%s: core.Config.DisableDiff", c.fset.Position(f.Pos()))
 			}
+		}
+	})
+
+	// strconvCalls lists, in position order, the uses of the named
+	// strconv functions in the non-test code of the packages under
+	// internal/ named by dirs.
+	type site struct {
+		pos  token.Position
+		name string
+	}
+	strconvCalls := func(t *testing.T, names []string, dirs ...string) []site {
+		var sites []site
+		for _, d := range dirs {
+			for id, obj := range pkg(t, "bsoap/internal/"+d).info.Uses {
+				if f, ok := obj.(*types.Func); ok && f.Pkg().Path() == "strconv" && slices.Contains(names, f.Name()) {
+					sites = append(sites, site{c.fset.Position(id.Pos()), f.Name()})
+				}
+			}
+		}
+		sort.Slice(sites, func(i, j int) bool {
+			a, b := sites[i].pos, sites[j].pos
+			return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
+		})
+		return sites
+	}
+
+	// On the SOAP value path strconv's float routines appear at one
+	// place, the parser's fallback for input it has already validated
+	// (xsdlex/atof.go): a second call site is a second grammar (strconv
+	// reads hex floats, underscores and "Infinity") or a second spelling
+	// of the shortest form. promtext and bsoap-inspect format metrics,
+	// not messages, and are not on the list.
+	t.Run("value path calls strconv floats only in the parser's fallback", func(t *testing.T) {
+		fallback := 0
+		for _, s := range strconvCalls(t, []string{"ParseFloat", "AppendFloat", "FormatFloat"},
+			"xsdlex", "fastconv", "core", "soapdec", "diffdeser", "multiref", "baseline", "soapenv") {
+			if s.name == "ParseFloat" && strings.HasSuffix(filepath.ToSlash(s.pos.Filename), "internal/xsdlex/atof.go") && fallback == 0 {
+				fallback++
+				continue
+			}
+			t.Errorf("%s: strconv.%s on the value path", s.pos, s.name)
+		}
+	})
+
+	// Ints print through xsdlex.AppendInt, the double printer's digit
+	// writer, on both the template and the from-scratch path: no second
+	// int printer in the packages that render values.
+	t.Run("value path prints ints only through xsdlex.AppendInt", func(t *testing.T) {
+		for _, s := range strconvCalls(t, []string{"AppendInt", "FormatInt", "Itoa"},
+			"xsdlex", "fastconv", "core", "soapenv") {
+			t.Errorf("%s: strconv.%s on the value path", s.pos, s.name)
 		}
 	})
 }

@@ -45,40 +45,18 @@ go -C benchmark test ./...
 go test -tags membufpoison ./internal/membuf ./internal/replica \
     ./internal/pool ./internal/serverpool ./internal/core ./internal/chunk .
 
-# Float-kernel guards. The power-of-ten table both kernels read is
+# Float-kernel guard. The power-of-ten table both kernels read is
 # committed, not built at start-up: regenerating it must reproduce the
 # committed file byte for byte (TestPow10Table checks the entries
-# themselves, independently of the generator). And on the SOAP value
-# path strconv's float routines may appear at exactly one place, the
-# parser's fallback for input it has already validated — a second call
-# site is a second grammar (strconv reads hex floats, underscores and
-# "Infinity") or a second spelling of the shortest form. promtext and
-# bsoap-inspect format metrics, not messages, and are not on the list.
+# themselves, independently of the generator). Which strconv routines
+# the value path may call is a case of arch_test.go.
 kernel_guard() {
     go generate ./internal/xsdlex
     git diff --exit-code -- internal/xsdlex/pow10tab.go || {
         echo "kernel guard: go generate changed the committed power-of-ten table" >&2
         exit 1
     }
-    dirs="internal/xsdlex internal/fastconv internal/core internal/soapdec
-        internal/diffdeser internal/multiref internal/baseline internal/soapenv"
-    # A listed directory that is gone would be searched for nothing.
-    for d in $dirs; do
-        if [ ! -d "$d" ]; then
-            echo "kernel guard: $d does not exist" >&2
-            exit 1
-        fi
-    done
-    sites=$(grep -rnE 'strconv\.(ParseFloat|AppendFloat|FormatFloat)' \
-        --include='*.go' --exclude='*_test.go' --exclude=gen_pow10.go $dirs \
-        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
-        | grep -v '^internal/xsdlex/atof\.go:.*strconv\.ParseFloat(string(s), 64)$' || true)
-    if [ -n "$sites" ]; then
-        echo "kernel guard: strconv float calls on the value path besides the fallback in xsdlex/atof.go:" >&2
-        echo "$sites" >&2
-        exit 1
-    fi
-    echo "check.sh: float-kernel guards ok"
+    echo "check.sh: float-kernel guard ok"
 }
 kernel_guard
 
@@ -690,6 +668,7 @@ coverage_gate
 FUZZTIME=${FUZZTIME:-10s}
 if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzParser$'      -fuzztime="$FUZZTIME" ./internal/xmlparse
+    go test -run='^$' -fuzz='^FuzzExpect$'      -fuzztime="$FUZZTIME" ./internal/xmlparse
     go test -run='^$' -fuzz='^FuzzDecode$'      -fuzztime="$FUZZTIME" ./internal/soapdec
     go test -run='^$' -fuzz='^FuzzDiffDeser$'   -fuzztime="$FUZZTIME" ./internal/diffdeser
     go test -run='^$' -fuzz='^FuzzInline$'      -fuzztime="$FUZZTIME" ./internal/multiref
@@ -701,6 +680,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzUnescape$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzParseDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzAppendDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
+    go test -run='^$' -fuzz='^FuzzAppendInt$'   -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzParseInt$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzBindingSchedule$' -fuzztime="$FUZZTIME" ./internal/pool
     # A schedule replays up to 64 calls, each checked against a fresh

@@ -79,8 +79,7 @@ func (t *Template) Footprint() int {
 func encodeLeaf(m *wire.Message, i int, typ *wire.Type, scratch []byte, conv fastconv.Converter) []byte {
 	switch typ.Kind {
 	case wire.Int:
-		n := fastconv.WriteInt(scratch, m.LeafInt(i))
-		return scratch[:n]
+		return xsdlex.AppendInt(scratch[:0], m.LeafInt(i))
 	case wire.Double:
 		n := conv.WriteDouble(scratch, m.LeafDouble(i))
 		return scratch[:n]

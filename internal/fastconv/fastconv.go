@@ -17,31 +17,11 @@ import (
 )
 
 // WriteInt writes the decimal form of v at dst[0:] and returns the number
-// of bytes written. dst must have room for xsdlex.MaxIntWidth bytes.
+// of bytes written. dst must have room for xsdlex.MaxIntWidth bytes. It
+// is xsdlex.AppendInt, the one int printer, which the serializers call
+// directly; the name stays for the benchmark's per-layer probe.
 func WriteInt(dst []byte, v int32) int {
-	if v == 0 {
-		dst[0] = '0'
-		return 1
-	}
-	var tmp [xsdlex.MaxIntWidth]byte
-	u := uint32(v)
-	neg := v < 0
-	if neg {
-		u = uint32(-int64(v)) // handles MinInt32
-	}
-	i := len(tmp)
-	for u > 0 {
-		i--
-		tmp[i] = byte('0' + u%10)
-		u /= 10
-	}
-	n := 0
-	if neg {
-		dst[0] = '-'
-		n = 1
-	}
-	n += copy(dst[n:], tmp[i:])
-	return n
+	return len(xsdlex.AppendInt(dst[:0], v))
 }
 
 // Converter selects the double→ASCII routine a serializer prints with.

@@ -69,14 +69,6 @@ func BenchmarkWriteDouble(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteInt(b *testing.B) {
-	var buf [xsdlex.MaxIntWidth]byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		WriteInt(buf[:], -123456789)
-	}
-}
-
 func TestDoubleConverterSwap(t *testing.T) {
 	var buf [xsdlex.MaxDoubleWidth]byte
 	def := WriteDouble(buf[:], 3.25)

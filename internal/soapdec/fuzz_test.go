@@ -141,14 +141,34 @@ func FuzzDecode(f *testing.F) {
 		env("op2", `<s/><ms e:arrayType="ns1:MIO[6]"><item><x>1</x><value>2</value></item></ms>`),
 		env("op2", `<s/><ms e:arrayType="ns1:MIO[0]"></ms><o><tag/><in><x>1</x><value>1</value></in><ok>0</ok></o><ss e:arrayType="xsd:string[9]"><item/></ss>`),
 	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	lookup := fuzzLookup()
 	// A Scratch decodes into what the decodes before it left: a message of
 	// the other operation with strings in it, then one of this operation
 	// abandoned part-way by an error.
 	strs, bad := []byte(seeds[len(seeds)-3]), []byte(seeds[5])
+	// One seed per form the tokenizer's fast reads decline, each in a
+	// body that is otherwise plain: white space in an open and in a
+	// close tag, an empty element, a prefix, an attribute on an item, an
+	// entity, a comment before a tag, a child inside a scalar and a
+	// mismatched close.
+	plain := func(v, item, m string) string {
+		return env("op", v+`<a e:arrayType="xsd:double[1]">`+item+`</a><m>`+m+`</m>`)
+	}
+	const v, item, m = `<v>7</v>`, `<item>1</item>`, `<x>3</x><value>4</value>`
+	seeds = append(seeds,
+		plain(v, `<item >1</item>`, m),
+		plain(v, item, `<x>3</x ><value>4</value>`),
+		plain(v, item, `<x/><value>4</value>`),
+		plain(v, item, `<p:x>3</p:x><value>4</value>`),
+		plain(v, `<item id="1">1</item>`, m),
+		plain(`<v>1&#48;</v>`, item, m),
+		plain(`<!-- c --><v>7</v>`, item, m),
+		plain(`<v><b>7</b></v>`, item, m),
+		plain(v, item, `<x>1</y><value>4</value>`),
+	)
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	lookup := fuzzLookup()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, record := range []bool{false, true} {
 			requireSameAsReference(t, data, lookup, record, nil)

@@ -24,7 +24,6 @@ package soapenv
 
 import (
 	"slices"
-	"strconv"
 
 	"bsoap/internal/fastconv"
 	"bsoap/internal/wire"
@@ -183,7 +182,7 @@ func appendArrayStart(b []byte, name string, elem *wire.Type, n int) []byte {
 	b = append(b, arrayType...)
 	b = append(b, elem.Name...)
 	b = append(b, '[')
-	b = strconv.AppendInt(b, int64(n), 10)
+	b = xsdlex.AppendInt(b, int32(n)) // wire holds a length to an xsd:int
 	return append(b, `]">`...)
 }
 
@@ -241,9 +240,7 @@ func (c *Compiler) AppendMessage(b []byte, m *wire.Message, conv fastconv.Conver
 func appendScalar(b []byte, m *wire.Message, t *wire.Type, leaf int, conv fastconv.Converter) []byte {
 	switch t.Kind {
 	case wire.Int:
-		var tmp [xsdlex.MaxIntWidth]byte
-		n := fastconv.WriteInt(tmp[:], m.LeafInt(leaf))
-		return append(b, tmp[:n]...)
+		return xsdlex.AppendInt(b, m.LeafInt(leaf))
 	case wire.Double:
 		var tmp [xsdlex.MaxDoubleWidth]byte
 		n := conv.WriteDouble(tmp[:], m.LeafDouble(leaf))

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -210,8 +211,8 @@ func (m *Message) AddStructArray(name string, elem *Type, n int) StructArrayRef 
 }
 
 func (m *Message) addArray(name string, elem *Type, n int) int {
-	if n < 0 {
-		panic("wire: negative array length")
+	if uint(n) > math.MaxInt32 {
+		panic("wire: array length outside an xsd:int")
 	}
 	m.bumpStructure()
 	first := len(m.leaves)
@@ -257,8 +258,8 @@ func (m *Message) ResizeArray(pi, n int) {
 	if pi < 0 || pi >= len(m.params) || m.params[pi].Type.Kind != Array {
 		panic("wire: ResizeArray of non-array parameter")
 	}
-	if n < 0 {
-		panic("wire: negative array length")
+	if uint(n) > math.MaxInt32 {
+		panic("wire: array length outside an xsd:int")
 	}
 	old := m.params
 	type saved struct {

@@ -284,3 +284,54 @@ func toRef(t *Token) refToken {
 	}
 	return r
 }
+
+// The three convenience reads as they stood before they read the tag a
+// serializer writes with one compare: every token through the general
+// walk. FuzzExpect holds the fast reads to them step by step.
+
+func refExpectStart(p *Parser, local string) (*Token, error) {
+	t, err := p.NextNonSpace()
+	if err != nil {
+		return nil, err
+	}
+	if t.Kind != StartElement {
+		return nil, fmt.Errorf("xmlparse: expected <%s>, got %v", local, t.Kind)
+	}
+	if local != "" && !equal(Local(t.Name), local) {
+		return nil, fmt.Errorf("xmlparse: expected <%s>, got <%s>", local, t.Name)
+	}
+	return t, nil
+}
+
+func refExpectEnd(p *Parser) (*Token, error) {
+	t, err := p.NextNonSpace()
+	if err != nil {
+		return nil, err
+	}
+	if t.Kind != EndElement {
+		return nil, fmt.Errorf("xmlparse: expected end tag, got %v", t.Kind)
+	}
+	return t, nil
+}
+
+func refText(p *Parser) ([]byte, error) {
+	var text []byte
+	for {
+		t, err := p.Next()
+		if err != nil {
+			return nil, err
+		}
+		switch t.Kind {
+		case CharData:
+			if text == nil {
+				text = t.Text
+			} else {
+				text = append(text[:len(text):len(text)], t.Text...)
+			}
+		case EndElement:
+			return text, nil
+		default:
+			return nil, fmt.Errorf("xmlparse: unexpected %v inside text element", t.Kind)
+		}
+	}
+}

@@ -398,7 +398,19 @@ func (p *Parser) NextNonSpace() (*Token, error) {
 // ExpectStart consumes the next non-space token and verifies it opens an
 // element with the given local name (namespace prefix ignored). An empty
 // local accepts any element.
+//
+// The tag a serializer writes, <local>, is read with one compare. Every
+// other form — a prefix, attributes, white space inside the tag,
+// <local/>, markup before it — and every error take the general walk.
 func (p *Parser) ExpectStart(local string) (*Token, error) {
+	if i := p.spaceEnd(); !p.selfClosed && plainName(local) {
+		if tag := p.data[i:]; len(tag) > len(local)+1 && tag[0] == '<' &&
+			tag[len(local)+1] == '>' && equal(tag[1:len(local)+1], local) {
+			p.pos = i + len(local) + 2
+			p.stack = append(p.stack, nameSpan{i + 1, i + 1 + len(local)})
+			return p.set(StartElement, tag[1:len(local)+1], nil), nil
+		}
+	}
 	t, err := p.NextNonSpace()
 	if err != nil {
 		return nil, err
@@ -413,8 +425,11 @@ func (p *Parser) ExpectStart(local string) (*Token, error) {
 }
 
 // ExpectEnd consumes the next non-space token and verifies it closes an
-// element.
+// element. A plain </name> of the open element is read with one compare.
 func (p *Parser) ExpectEnd() (*Token, error) {
+	if p.closeAt(p.spaceEnd()) {
+		return &p.tok, nil
+	}
 	t, err := p.NextNonSpace()
 	if err != nil {
 		return nil, err
@@ -431,7 +446,21 @@ func (p *Parser) ExpectEnd() (*Token, error) {
 // single run of text — the only form a serializer writes — is returned
 // as the token's view; runs split by a comment or a CDATA section are the
 // one case that is joined into a new slice.
+//
+// That single run, holding no entity and followed by the open element's
+// plain </name>, is read with one scan and one compare; anything else
+// (an entity, a comment, CDATA, a child, a mismatched close) takes the
+// general walk.
 func (p *Parser) Text() ([]byte, error) {
+	if i := bytes.IndexByte(p.data[p.pos:], '<'); i >= 0 {
+		run := p.data[p.pos : p.pos+i]
+		if bytes.IndexByte(run, '&') < 0 && p.closeAt(p.pos+i) {
+			if i == 0 {
+				return nil, nil // no CharData token: the general walk's nil
+			}
+			return run, nil
+		}
+	}
 	var text []byte
 	for {
 		t, err := p.Next()
@@ -453,6 +482,38 @@ func (p *Parser) Text() ([]byte, error) {
 			return nil, fmt.Errorf("xmlparse: unexpected %v inside text element", t.Kind)
 		}
 	}
+}
+
+// closeAt reads the open element's close tag at offset i when it stands
+// there as a serializer writes it, </name>: it pops the element, makes
+// the current token its EndElement and reports true. Anything else it
+// leaves unread for the general walk.
+func (p *Parser) closeAt(i int) bool {
+	n := len(p.stack)
+	if p.selfClosed || n == 0 {
+		return false
+	}
+	open := p.stack[n-1]
+	name, tag := p.data[open.lo:open.hi], p.data[i:]
+	if len(tag) < len(name)+3 || tag[0] != '<' || tag[1] != '/' || tag[len(name)+2] != '>' ||
+		!bytes.Equal(tag[2:len(name)+2], name) {
+		return false
+	}
+	p.pos = i + len(name) + 3
+	p.stack = p.stack[:n-1]
+	p.set(EndElement, tag[2:len(name)+2], nil)
+	return true
+}
+
+// plainName reports whether local is a name with no prefix, so that
+// <local> is a tag the general walk would read as that element.
+func plainName(local string) bool {
+	for i := 0; i < len(local); i++ {
+		if !nameByte[local[i]] || local[i] == ':' {
+			return false
+		}
+	}
+	return len(local) > 0
 }
 
 // SkipElement consumes tokens until the element whose StartElement was

@@ -64,3 +64,13 @@ func FuzzAppendDouble(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendInt holds the int printer to strconv on arbitrary int32s.
+func FuzzAppendInt(f *testing.F) {
+	for _, v := range []int32{0, 1, -1, 9, 10, -10, 99999999, 100000000, -100000000, math.MaxInt32, math.MinInt32} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v int32) {
+		checkAppendInt(t, v)
+	})
+}

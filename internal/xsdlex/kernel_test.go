@@ -350,6 +350,47 @@ func TestParseInt(t *testing.T) {
 	}
 }
 
+// checkAppendInt holds the int printer to strconv, appending after a
+// non-empty prefix so that a write before dst's end shows.
+func checkAppendInt(t *testing.T, v int32) {
+	t.Helper()
+	want := strconv.AppendInt([]byte("<v>"), int64(v), 10)
+	if got := AppendInt([]byte("<v>"), v); string(got) != string(want) {
+		t.Fatalf("AppendInt(%d) = %q, strconv %q", v, got, want)
+	}
+	if got, n := IntLen(v), len(want)-len("<v>"); got != n {
+		t.Fatalf("IntLen(%d) = %d, strconv writes %d bytes", v, got, n)
+	}
+}
+
+// TestAppendInt holds AppendInt and IntLen to strconv on the edges of
+// every digit count, the two limits and random int32s, each printed
+// after bytes already in dst; then into a full dst and one with room.
+func TestAppendInt(t *testing.T) {
+	edges := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 - 1, math.MinInt32 + 1}
+	for p := int64(10); p <= math.MaxInt32; p *= 10 {
+		for _, v := range []int64{p - 1, p, p + 1} {
+			edges = append(edges, int32(v), int32(-v))
+		}
+	}
+	for _, v := range edges {
+		checkAppendInt(t, v)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i, n := 0, propertyN(); i < n; i++ {
+		checkAppendInt(t, int32(rng.Uint32()))
+	}
+	// A full dst grows; one with room is written in place.
+	full := []byte("<v>")
+	if got := AppendInt(full[:len(full):len(full)], -42); string(got) != "<v>-42" || string(full) != "<v>" {
+		t.Fatalf("AppendInt into a full dst = %q, dst now %q", got, full)
+	}
+	roomy := make([]byte, 3, 3+MaxIntWidth)
+	if got := AppendInt(roomy, 7); &got[0] != &roomy[0] || string(got[3:]) != "7" {
+		t.Fatalf("AppendInt into a dst with room moved it or wrote %q", got[3:])
+	}
+}
+
 // TestParseErrorsCloneInput: an error must not keep the caller's bytes
 // alive or show them changing, since diffdeser parses a body in place.
 func TestParseErrorsCloneInput(t *testing.T) {
@@ -445,6 +486,29 @@ func BenchmarkParseDouble(b *testing.B) {
 			sinkFloat, _ = ParseDouble(texts[i%len(texts)])
 		}, func(i int) {
 			sinkFloat, _ = strconv.ParseFloat(string(texts[i%len(texts)]), 64)
+		})
+	}
+}
+
+// BenchmarkAppendInt runs the int printer and strconv.AppendInt over
+// the same values: full-range int32s and the short ints of a
+// message's counters and coordinates.
+func BenchmarkAppendInt(b *testing.B) {
+	rng := rand.New(rand.NewSource(22))
+	var full, short [4096]int32
+	for i := range full {
+		full[i], short[i] = int32(rng.Uint32()), int32(rng.Intn(2001)-1000)
+	}
+	buf := make([]byte, 0, MaxIntWidth)
+	for _, shape := range []struct {
+		name string
+		vals *[4096]int32
+	}{{"int32", &full}, {"short", &short}} {
+		vals := shape.vals
+		benchPair(b, shape.name, func(i int) {
+			sinkBytes = AppendInt(buf, vals[i%len(vals)])
+		}, func(i int) {
+			sinkBytes = strconv.AppendInt(buf, int64(vals[i%len(vals)]), 10)
 		})
 	}
 }

@@ -13,6 +13,7 @@ package xsdlex
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,10 +31,17 @@ const (
 	MaxBoolWidth = 5
 )
 
-// AppendInt appends the canonical lexical form of a 32-bit integer to dst.
-// The result is at most MaxIntWidth bytes.
+// AppendInt appends the canonical lexical form of a 32-bit integer to dst,
+// its digits written as the double printer writes them, eight to a
+// 64-bit word. The result is at most MaxIntWidth bytes.
 func AppendInt(dst []byte, v int32) []byte {
-	return strconv.AppendInt(dst, int64(v), 10)
+	neg, u := magnitude(v)
+	n := neg + decimalLen(u|1)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	out[0] = '-' // overwritten by the first digit unless v < 0
+	putDigits(out[neg:], u)
+	return dst[:len(dst)+n]
 }
 
 // AppendDouble appends the shortest lexical form of v that parses back to
@@ -62,19 +70,22 @@ func AppendBool(dst []byte, v bool) []byte {
 	return append(dst, "false"...)
 }
 
-// IntLen reports the exact encoded length of v without allocating.
+// IntLen reports the exact encoded length of v without allocating: the
+// sign and the double printer's digit count. u|1 has as many digits as
+// u (a power of ten is even, one below it odd), and 0|1 has the one
+// digit 0 is written with.
 func IntLen(v int32) int {
-	n := 1
-	u := uint64(v)
+	neg, u := magnitude(v)
+	return neg + decimalLen(u|1)
+}
+
+// magnitude returns v's sign as the length of its '-' and v's absolute
+// value, MinInt32 included.
+func magnitude(v int32) (neg int, u uint64) {
 	if v < 0 {
-		n++
-		u = uint64(-int64(v))
+		return 1, uint64(-int64(v))
 	}
-	for u >= 10 {
-		u /= 10
-		n++
-	}
-	return n
+	return 0, uint64(v)
 }
 
 // DoubleLen reports len(AppendDouble(nil, v)) from the shortest form's
