@@ -153,18 +153,20 @@ func TestEndToEndOverlayStreaming(t *testing.T) {
 	endpoint := serverpool.New(serverpool.Options{})
 	resp := wire.NewMessage("urn:calc", "sumResponse")
 	total := resp.AddDouble("total", 0)
-	endpoint.RegisterShared(&soapdec.Schema{
+	endpoint.Register(&soapdec.Schema{
 		Namespace: "urn:calc",
 		Op:        "sum",
 		Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},
-	}, func(req *wire.Message) (*wire.Message, error) {
-		var s float64
-		for i := 0; i < req.NumLeaves(); i++ {
-			s += req.LeafDouble(i)
+	}, func() serverpool.Handler {
+		return func(req *wire.Message) (*wire.Message, error) {
+			var s float64
+			for i := 0; i < req.NumLeaves(); i++ {
+				s += req.LeafDouble(i)
+			}
+			lastSum.Store(s)
+			total.Set(s)
+			return resp, nil
 		}
-		lastSum.Store(s)
-		total.Set(s)
-		return resp, nil
 	})
 
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{

@@ -56,11 +56,10 @@ func TestBudgetChaosSoak(t *testing.T) {
 	sm := transport.NewServerMetrics()
 	rt, srv := harness.BenchRuntime(t,
 		serverpool.Options{
-			DifferentialDeserialization: true,
-			Delta:                       true,
-			SelfCheck:                   true,
-			Metrics:                     sm,
-			MaxTemplateBytes:            serverBudget,
+			Delta:            true,
+			SelfCheck:        true,
+			Metrics:          sm,
+			MaxTemplateBytes: serverBudget,
 		},
 		transport.ServerOptions{Metrics: sm, ReadAhead: 8})
 
@@ -79,11 +78,6 @@ func TestBudgetChaosSoak(t *testing.T) {
 			Size:             1,
 			PipelineDepth:    window,
 			Addr:             srv.Addr(),
-			MaxRetries:       3,
-			DialAttempts:     6,
-			RedialBackoff:    time.Millisecond,
-			RedialBackoffMax: 10 * time.Millisecond,
-			RetryBudget:      30 * time.Second,
 			MaxTemplateBytes: clientBudget,
 			Delta:            true,
 			// Stuffed widths keep touches in place (no shifts), so calls

@@ -107,8 +107,9 @@ type census struct {
 }
 
 type censusPkg struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 }
 
 // loadRepo type-checks the repository once for every test that reads
@@ -226,7 +227,7 @@ func (c *census) check(path string) (*censusPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &censusPkg{pkg: pkg, info: info}
+	p := &censusPkg{pkg: pkg, info: info, files: files}
 	c.pkgs[path] = p
 	c.order = append(c.order, p)
 	return p, nil

@@ -173,13 +173,8 @@ one_path_guard() {
     # included — or a Submit at depth). A client connection is one
     # Sender: no pipeline type beside it, no inline read beside the
     # queue, no reader goroutine, no per-call wake-up channel, no channel
-    # on a future.
+    # on a future (cases of arch_test.go).
     check "client response read" 'ReadResponseInto\(s\.br' internal/transport
-    absent "pipeline type beside the Sender" 'type Pipeline struct|func NewPipeline' internal/transport
-    absent "inline response read beside the queue" 'maybeReadResponse' internal/transport
-    absent "reader goroutine in the client pipeline" 'go s\.readLoop|func \(s \*Sender\) readLoop' internal/transport
-    absent "wake-up channel in the client pipeline" 'make\(chan ' internal/transport/sender.go
-    absent "channel accessor on a future" 'func \(f \*Future\) Done' internal/pool
     # One client connection discipline: every pool slot is one dialed
     # Sender (a Call is depth 1 of its queue), dialed only
     # through SenderOptions.Dialer, and every request is HTTP/1.1 — no
@@ -208,12 +203,12 @@ one_path_guard() {
     # Every counter is declared once, as a row of its registry's table,
     # and both pages are written by walking the table (promtext.Rows).
     # What a registry still writes line by line is what no row can hold:
-    # client — saved bytes, delta bytes saved, stale rebinds, the
-    # evictions family (lru is derived), the template source's refusals
-    # and two byte gauges, faults injected, futures pending; server — the
-    # full-parse total, the evictions family and the two byte gauges. The
-    # server runtime counts only into the registry.
-    expect 10 "exposition lines written beside the table" '\.(Counter|Gauge|CounterWithLabel)\(|promtext\.Rows\(' internal/pool
+    # client — saved bytes, delta bytes saved, the evictions family (lru
+    # is derived), the template source's refusals and two byte gauges,
+    # faults injected, futures pending; server — the full-parse total, the
+    # evictions family and the two byte gauges. The server runtime counts
+    # only into the registry.
+    expect 9 "exposition lines written beside the table" '\.(Counter|Gauge|CounterWithLabel)\(|promtext\.Rows\(' internal/pool
     expect 5 "exposition lines written beside the table" '\.(Counter|Gauge|CounterWithLabel)\(|promtext\.Rows\(' internal/transport
     absent "counter atomic in the server runtime" 'atomic\.Int64' internal/serverpool/serverpool.go
     # The WSDL control plane runs on the standard library: encoding/xml

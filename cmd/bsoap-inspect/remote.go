@@ -212,8 +212,6 @@ func renderEvent(ev trace.EventJSON, ops map[int64]string) string {
 		return fmt.Sprintf("template %s marked suspect (send failed mid-template)", op(ev.A))
 	case trace.KindTemplateRebind:
 		return fmt.Sprintf("template %s rebound to a new message", op(ev.A))
-	case trace.KindStaleRebind:
-		return fmt.Sprintf("forced full rewrite of %s (returned to a stale replica)", op(ev.A))
 	case trace.KindPoolCheckout:
 		if ev.A == 1 {
 			return "connection checked out (waited for a free slot)"

@@ -488,10 +488,3 @@ func parseMix(s string) ([3]int, error) {
 	}
 	return p, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

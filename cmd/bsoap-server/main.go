@@ -18,9 +18,8 @@
 // gets its own differential-deserializer replica and response stub, so
 // concurrent clients decode in parallel without thrashing shared
 // templates, and a client that reconnects starts cold (-max-replicas
-// bounds the replicas kept). With -diff, requests decode through
-// differential deserialization; decode statistics are reported on
-// shutdown.
+// bounds the replicas kept). Requests decode through differential
+// deserialization; decode statistics are reported on shutdown.
 //
 // Admission control: -max-conns and -max-inflight reject excess load
 // with fast 503s, -request-timeout bounds each request read.
@@ -69,7 +68,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:9999", "listen address")
 		mode     = flag.String("mode", "discard", "discard | sum | mcs | flock | bench | record")
 		respond  = flag.Bool("respond", true, "answer every request (discard mode defaults to silent)")
-		diff     = flag.Bool("diff", true, "use differential deserialization in SOAP modes")
 		delta    = flag.Bool("delta", true, "accept differential transmission (serverpool runtime: hold each client template's last body, apply patch frames against it)")
 		selfchk  = flag.Bool("selfcheck", false, "re-verify every differential fast-path decode against a full parse")
 		quiet    = flag.Bool("quiet", false, "suppress per-connection error logging")
@@ -153,12 +151,11 @@ func main() {
 	if soapMode {
 		catalog := mcs.NewCatalog([]string{"owner", "experiment", "format", "site"})
 		rt = serverpool.New(serverpool.Options{
-			DifferentialDeserialization: *diff,
-			Delta:                       *delta,
-			MaxReplicas:                 *maxReplicas,
-			MaxTemplateBytes:            *maxTmplB,
-			SelfCheck:                   *selfchk,
-			Metrics:                     sm,
+			Delta:            *delta,
+			MaxReplicas:      *maxReplicas,
+			MaxTemplateBytes: *maxTmplB,
+			SelfCheck:        *selfchk,
+			Metrics:          sm,
 		})
 		if *mode == "mcs" {
 			mcs.BindRuntime(rt, catalog)
@@ -357,11 +354,4 @@ func benchOps() []opSpec {
 			Params: []soapdec.ParamSpec{{Name: "mios", Type: wire.ArrayOf(workload.MIOType())}},
 		}, factory: ack("sendMIOsResponse")},
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

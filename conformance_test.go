@@ -50,11 +50,8 @@ func TestConformanceMatchClasses(t *testing.T) {
 	inj := faultwire.NewScripted(faultwire.Options{},
 		faultwire.Step{Op: faultwire.OpWrite, Skip: 4, Kind: faultwire.Reset})
 	rec, p := harness.Recorder(t, inj, nil, bsoap.PoolOptions{
-		Size:             1,
-		Replicas:         1,
-		MaxRetries:       2,
-		RedialBackoff:    time.Millisecond,
-		RedialBackoffMax: 10 * time.Millisecond,
+		Size:     1,
+		Replicas: 1,
 	})
 
 	w := workload.NewDoubles(16, workload.FillMin)
@@ -131,11 +128,8 @@ func TestConformanceLostResponse(t *testing.T) {
 	inj := faultwire.NewScripted(faultwire.Options{},
 		faultwire.Step{Op: faultwire.OpRead, Skip: 4, Kind: faultwire.Reset})
 	rec, p := harness.Recorder(t, inj, nil, bsoap.PoolOptions{
-		Size:             1,
-		Replicas:         1,
-		MaxRetries:       2,
-		RedialBackoff:    time.Millisecond,
-		RedialBackoffMax: 10 * time.Millisecond,
+		Size:     1,
+		Replicas: 1,
 	})
 
 	w := workload.NewDoubles(16, workload.FillMin)
@@ -212,12 +206,7 @@ func TestConformanceUnderChaos(t *testing.T) {
 		Delay: 200 * time.Microsecond,
 	})
 	rec, p := harness.Recorder(t, inj, nil, bsoap.PoolOptions{
-		Size:             4,
-		MaxRetries:       3,
-		DialAttempts:     6,
-		RedialBackoff:    time.Millisecond,
-		RedialBackoffMax: 10 * time.Millisecond,
-		RetryBudget:      30 * time.Second,
+		Size: 4,
 		Config: bsoap.Config{
 			Width:          bsoap.WidthPolicy{Double: 18, Int: 9},
 			EnableStealing: true,

@@ -190,7 +190,7 @@ func TestPoolDeltaPipelinedEquivalence(t *testing.T) {
 func TestDeltaConformanceBesideIdlessPeer(t *testing.T) {
 	const rounds = 400
 	rt, srv := harness.BenchRuntime(t,
-		serverpool.Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true},
+		serverpool.Options{Delta: true, SelfCheck: true},
 		transport.ServerOptions{})
 	p := harness.Pool(t, bsoap.PoolOptions{
 		Size: 1, Replicas: 2, Delta: true, Addr: srv.Addr(),
@@ -434,7 +434,7 @@ func TestRefusedCallIsNeverAPatchBase(t *testing.T) {
 	for _, depth := range []int{0, 2} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			rt, srv := harness.BenchRuntime(t,
-				serverpool.Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true},
+				serverpool.Options{Delta: true, SelfCheck: true},
 				transport.ServerOptions{ReadAhead: depth})
 			p := harness.Pool(t, pool.Options{
 				Size: 1, Addr: srv.Addr(), PipelineDepth: depth, Delta: true,

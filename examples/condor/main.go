@@ -30,7 +30,7 @@ func main() {
 	flag.Parse()
 
 	// The flock collector: receives updates, acks with the ad count.
-	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
+	endpoint := serverpool.New(serverpool.Options{})
 	endpoint.Register(&soapdec.Schema{
 		Namespace: classad.Namespace,
 		Op:        "flockUpdate",

@@ -26,7 +26,7 @@ func main() {
 	// differential deserialization.
 	schema := []string{"owner", "experiment", "format", "site"}
 	catalog := mcs.NewCatalog(schema)
-	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
+	endpoint := serverpool.New(serverpool.Options{})
 	mcs.BindRuntime(endpoint, catalog)
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
 		Handler: endpoint.HTTPHandler(),

@@ -87,7 +87,7 @@ func main() {
 			{Name: "maxResults", Type: wire.TInt},
 		},
 	}
-	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
+	endpoint := serverpool.New(serverpool.Options{})
 
 	// One response message per connection's replica, reused for every
 	// query: fixed page shape.

@@ -119,7 +119,7 @@ func call(t *testing.T, ep *serverpool.Runtime, stub *core.Stub, sink *captureSi
 
 func TestSOAPBindingEndToEnd(t *testing.T) {
 	c := NewCatalog(testSchema)
-	ep := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
+	ep := serverpool.New(serverpool.Options{})
 	BindRuntime(ep, c)
 
 	sink := &captureSink{}

@@ -56,8 +56,8 @@ func (f *Future) resolve() { f.ci, f.err = f.p.finish(f.m, f.sub) }
 // pipelining differential sends: serialization overlaps transmission).
 //
 // Submit-side failures (dial, write) are repaired and retried exactly
-// like Pool.Call — it is the same submit — within MaxRetries and the
-// RetryBudget; once the request is on the wire the call's failure mode
+// like Pool.Call — it is the same submit — within the retry policy's
+// bounds; once the request is on the wire the call's failure mode
 // moves to the Future (see Future.Wait). The per-message confinement
 // contract extends to futures: a message must not be mutated or
 // resubmitted until its previous call's Future has resolved.

@@ -37,8 +37,8 @@ func (c *fakeClock) install(sp *senderPool) {
 }
 
 // TestBackoffGrowthAndJitter pins the redial backoff schedule: the
-// pre-attempt delay doubles from RedialBackoff, caps at
-// RedialBackoffMax, and carries at most +50% jitter — all observed
+// pre-attempt delay doubles from the base, caps at the maximum, and
+// carries at most +50% jitter — all observed
 // through the fake clock, with zero real sleeping.
 func TestBackoffGrowthAndJitter(t *testing.T) {
 	const (
@@ -47,12 +47,8 @@ func TestBackoffGrowthAndJitter(t *testing.T) {
 		attempts = 7
 	)
 	dialErr := errors.New("dial refused")
-	opts := Options{
-		DialAttempts:     attempts,
-		RedialBackoff:    base,
-		RedialBackoffMax: max,
-	}.withDefaults()
-	sp := newSenderPool(1, func() (*transport.Sender, error) { return nil, dialErr }, opts, newMetrics())
+	sp := newSenderPool(1, func() (*transport.Sender, error) { return nil, dialErr }, Options{}.withDefaults(), newMetrics())
+	sp.dialAttempts, sp.backoffBase, sp.backoffMax = attempts, base, max
 	clk := newFakeClock()
 	clk.install(sp)
 
@@ -89,12 +85,8 @@ func TestBackoffGrowthAndJitter(t *testing.T) {
 // sleep that would cross the call's deadline: the error wraps
 // errRetryBudgetExhausted and no further sleeping happens.
 func TestEnsureHonorsRetryBudget(t *testing.T) {
-	opts := Options{
-		DialAttempts:     10,
-		RedialBackoff:    20 * time.Millisecond,
-		RedialBackoffMax: time.Second,
-	}.withDefaults()
-	sp := newSenderPool(1, func() (*transport.Sender, error) { return nil, fmt.Errorf("down") }, opts, newMetrics())
+	sp := newSenderPool(1, func() (*transport.Sender, error) { return nil, fmt.Errorf("down") }, Options{}.withDefaults(), newMetrics())
+	sp.dialAttempts = 10
 	clk := newFakeClock()
 	clk.install(sp)
 
@@ -124,15 +116,14 @@ func TestCallRetryBudgetExhausted(t *testing.T) {
 		Sender: transport.SenderOptions{Dialer: func(string, string) (net.Conn, error) {
 			return nil, fmt.Errorf("endpoint down")
 		}},
-		DialAttempts:     100,
-		RedialBackoff:    50 * time.Millisecond,
-		RedialBackoffMax: 200 * time.Millisecond,
-		RetryBudget:      300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.senders.dialAttempts = 100
+	p.senders.backoffBase, p.senders.backoffMax = 50*time.Millisecond, 200*time.Millisecond
+	p.retryBudget = 300 * time.Millisecond
 	clk := newFakeClock()
 	clk.install(p.senders)
 

@@ -208,7 +208,7 @@ type ErrorsByKind struct {
 	// Deadline counts calls stopped by a socket read/write deadline.
 	Deadline int64 `json:"deadline"`
 	// BudgetExhausted counts calls whose repair/retry work exceeded
-	// Options.RetryBudget.
+	// the retry budget (10 s a call).
 	BudgetExhausted int64 `json:"budget_exhausted"`
 	// Send counts every other send failure (resets, broken pipes, …).
 	Send int64 `json:"send"`
@@ -266,7 +266,8 @@ type Stats struct {
 
 	// TemplateStaleRebinds is always zero: it counted messages returning
 	// to a replica they had bounced away from, which exact binding rules
-	// out. The field and its Prometheus family stay for their readers.
+	// out. The field stays for its reader, the benchmark; it has no
+	// Prometheus family.
 	TemplateStaleRebinds int64 `json:"template_stale_rebinds"`
 	// TemplateEvictions counts (operation, signature) replica sets
 	// dropped for any reason; TemplateBudgetEvictions is the subset
@@ -290,7 +291,7 @@ type Stats struct {
 	// (zero unless a fault source is registered; see SetFaultSource).
 	FaultsInjected int64 `json:"faults_injected"`
 	// RetryBudgetExhausted counts calls that failed because repair and
-	// retry work exceeded Options.RetryBudget.
+	// retry work exceeded the retry budget (10 s a call).
 	RetryBudgetExhausted int64 `json:"retry_budget_exhausted"`
 	// DegradedFTS counts successful calls served as a degraded
 	// first-time send because a prior failure poisoned the template.
@@ -393,7 +394,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	rows(cDeltaSends, cValuesRewritten)
 	p.Counter("bsoap_client_delta_bytes_saved_total", "Wire bytes avoided by differential transmission.", s.DeltaBytesSaved)
 	rows(cValuesRewritten, cEvictions)
-	p.Counter("bsoap_client_template_stale_rebinds_total", "Always 0: a message no longer bounces between replicas.", s.TemplateStaleRebinds)
 	p.CounterWithLabel("bsoap_client_template_evictions_total", "Replica sets evicted, by driver.",
 		"reason", []promtext.LabeledValue{
 			{Label: "lru", Value: s.TemplateEvictions - s.TemplateBudgetEvictions},

@@ -65,24 +65,6 @@ type Options struct {
 	// per-operation count caps. See README "Sizing template memory".
 	MaxTemplateBytes int64
 
-	// MaxRetries is how many times a Call is retried on a send error
-	// after repairing the connection (default 1). The engine preserves
-	// dirty bits across failed sends, so retries re-serialize exactly
-	// the pending changes.
-	MaxRetries int
-	// DialAttempts bounds connection-repair attempts per Call (default
-	// 4), spaced by RedialBackoff doubling up to RedialBackoffMax with
-	// 50% jitter (defaults 20ms / 1s).
-	DialAttempts     int
-	RedialBackoff    time.Duration
-	RedialBackoffMax time.Duration
-	// RetryBudget bounds the total wall-clock one Call may spend on
-	// connection repair, backoff sleeps and retries (default 10s).
-	// Together with MaxRetries and DialAttempts it makes every failure
-	// path bounded in both count and time: when the budget runs out the
-	// Call fails with errRetryBudgetExhausted instead of redialing on.
-	RetryBudget time.Duration
-
 	// PipelineDepth bounds the requests each pool connection keeps in
 	// flight (HTTP/1.1 pipelining — responses arrive strictly in request
 	// order); values below 1 mean 1. Every connection is such a
@@ -106,29 +88,28 @@ type Options struct {
 // server runtime's replica registry has.
 const storeShards = 16
 
+// The retry policy. A Call is retried maxRetries times on a send error
+// after repairing the connection; the engine preserves dirty bits across
+// failed sends, so a retry re-serializes exactly the pending changes.
+// Each repair makes at most dialAttempts dials, spaced by redialBackoff
+// doubling up to redialBackoffMax with 50% jitter. retryBudget bounds the
+// wall-clock one Call may spend on repair, backoff sleeps and retries:
+// when it runs out the Call fails with errRetryBudgetExhausted instead of
+// redialing on, so every failure path is bounded in count and in time.
+const (
+	maxRetries       = 1
+	dialAttempts     = 4
+	redialBackoff    = 20 * time.Millisecond
+	redialBackoffMax = time.Second
+	retryBudget      = 10 * time.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.Size <= 0 {
 		o.Size = 4
 	}
 	if o.Replicas <= 0 {
 		o.Replicas = 4
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	} else if o.MaxRetries == 0 {
-		o.MaxRetries = 1
-	}
-	if o.DialAttempts <= 0 {
-		o.DialAttempts = 4
-	}
-	if o.RedialBackoff <= 0 {
-		o.RedialBackoff = 20 * time.Millisecond
-	}
-	if o.RedialBackoffMax <= 0 {
-		o.RedialBackoffMax = time.Second
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 10 * time.Second
 	}
 	o.Sender.ReadTimeout = cmp.Or(o.Sender.ReadTimeout, 10*time.Second)
 	o.Sender.WriteTimeout = cmp.Or(o.Sender.WriteTimeout, 10*time.Second)
@@ -150,6 +131,11 @@ type Pool struct {
 	senders *senderPool
 	store   *shardedStore
 	metrics *Metrics
+
+	// maxRetries and retryBudget are the retry policy's per-call bounds,
+	// fields so that tests can tighten them.
+	maxRetries  int
+	retryBudget time.Duration
 }
 
 // New builds a Pool. Connections are not established until calls need
@@ -177,11 +163,14 @@ func New(opts Options) (*Pool, error) {
 		senders: newSenderPool(o.Size, dial, o, m),
 		store:   newShardedStore(storeShards, o.Replicas, o.MaxTemplateBytes, m),
 		metrics: m,
+
+		maxRetries:  maxRetries,
+		retryBudget: retryBudget,
 	}, nil
 }
 
 // errRetryBudgetExhausted is wrapped by Call when a call's repair/retry
-// work exceeds Options.RetryBudget: the failure is bounded in wall-clock,
+// work exceeds the retry budget: the failure is bounded in wall-clock,
 // not just attempt count.
 var errRetryBudgetExhausted = fmt.Errorf("pool: retry budget exhausted")
 
@@ -193,7 +182,7 @@ var errRetryBudgetExhausted = fmt.Errorf("pool: retry budget exhausted")
 //
 // A failed write, or a response lost with its connection, is repaired
 // (redial with backoff) and the call retried on the connection it
-// holds, up to MaxRetries times and all within the RetryBudget
+// holds, up to maxRetries times and all within the retryBudget
 // wall-clock bound, before the error is returned. Bytes whose delivery
 // is unconfirmed mark their template suspect, so the retry (or the
 // structure's next call) degrades to a full first-time serialization
@@ -220,7 +209,7 @@ type submission struct {
 	err      error // why the call failed; before finish, why the request never got onto the wire
 	span     uint64
 	start    time.Time
-	deadline time.Time // start plus the RetryBudget
+	deadline time.Time // start plus the retry budget
 	retries  int
 	// ps is the slot the call holds: a Call's from open to finish, a
 	// Future's only while it writes (nil after).
@@ -239,7 +228,7 @@ type submission struct {
 // attempt.
 func (p *Pool) open() submission {
 	start := p.senders.now()
-	sub := submission{start: start, deadline: start.Add(p.opts.RetryBudget)}
+	sub := submission{start: start, deadline: start.Add(p.retryBudget)}
 	p.attempt(&sub, start)
 	return sub
 }
@@ -273,8 +262,8 @@ func (p *Pool) attempt(sub *submission, start time.Time) {
 
 // submit is the one way a request is written: repair the held slot's
 // connection, acquire a template replica, run the engine through the
-// slot's sender, release, and retry a failed write within MaxRetries
-// and the RetryBudget, attributing the time to its stages. On success pd
+// slot's sender, release, and retry a failed write within maxRetries
+// and the retry budget, attributing the time to its stages. On success pd
 // is queued on the sender and resolves with the response; finish waits
 // for it.
 func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
@@ -337,7 +326,7 @@ func (p *Pool) submit(m *wire.Message, sub *submission, pd *transport.Pending) {
 // attempts and budget remain (the retry is counted), else the error the
 // call fails with.
 func (p *Pool) retry(sub *submission, err error) error {
-	if sub.retries >= p.opts.MaxRetries {
+	if sub.retries >= p.maxRetries {
 		return err
 	}
 	if !p.senders.now().Before(sub.deadline) {

@@ -202,11 +202,12 @@ func TestNon2xxFailsTheCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p, err := New(Options{Addr: srv.Addr(), Size: 1, Replicas: 1, MaxRetries: 2})
+	p, err := New(Options{Addr: srv.Addr(), Size: 1, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.maxRetries = 2
 
 	d := workload.NewDoubles(16, workload.FillIntermediate)
 	if _, err := p.Call(d.Msg); err != nil {

@@ -60,6 +60,8 @@ type senderPool struct {
 	slots chan *pooledSender
 	dial  func() (*transport.Sender, error)
 
+	// The repair bounds: dialAttempts, redialBackoff and
+	// redialBackoffMax, fields so that tests can change them.
 	dialAttempts int
 	backoffBase  time.Duration
 	backoffMax   time.Duration
@@ -80,9 +82,9 @@ func newSenderPool(size int, dial func() (*transport.Sender, error), opts Option
 	sp := &senderPool{
 		slots:        make(chan *pooledSender, size),
 		dial:         dial,
-		dialAttempts: opts.DialAttempts,
-		backoffBase:  opts.RedialBackoff,
-		backoffMax:   opts.RedialBackoffMax,
+		dialAttempts: dialAttempts,
+		backoffBase:  redialBackoff,
+		backoffMax:   redialBackoffMax,
 		now:          time.Now,
 		sleep:        time.Sleep,
 		metrics:      m,

@@ -141,7 +141,8 @@ type submitter interface {
 }
 
 // submit is the one timed way out; the send flavours of core.DeltaSink
-// are this call with the annotation filled in.
+// are this call with the annotation filled in, and it is the only place
+// a delta annotation reaches the wire.
 func (c *callSink) submit(bufs net.Buffers, an transport.Annotation) error {
 	start := time.Now()
 	err := c.conn.Submit(c.pd, bufs, an)

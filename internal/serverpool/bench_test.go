@@ -27,7 +27,7 @@ func benchBodies(b *testing.B) [][]byte {
 }
 
 func BenchmarkLockedEndpoint8Clients(b *testing.B) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	rt := newSumRuntime(Options{})
 	bodies := benchBodies(b)
 	var next atomic.Int64
 	b.SetParallelism(benchClients)
@@ -45,7 +45,7 @@ func BenchmarkLockedEndpoint8Clients(b *testing.B) {
 }
 
 func BenchmarkShardedRuntime8Clients(b *testing.B) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	rt := newSumRuntime(Options{})
 	bodies := benchBodies(b)
 	var next atomic.Int64
 	b.SetParallelism(benchClients)

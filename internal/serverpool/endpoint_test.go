@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -23,7 +24,7 @@ import (
 // single-mutex endpoint, asserted of the Runtime fed one connection id.
 
 func TestHandleDecodesAndResponds(t *testing.T) {
-	rt := newSumRuntime(Options{}) // differ off: every request a full parse
+	rt := newSumRuntime(Options{})
 	c := newClient(4)
 	c.arr.Fill([]float64{1, 2, 3, 4.5})
 	resp, err := rt.Handle(1, "", c.body(t))
@@ -39,7 +40,7 @@ func TestHandleDecodesAndResponds(t *testing.T) {
 }
 
 func TestDifferentialDeserializationPath(t *testing.T) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	rt := newSumRuntime(Options{})
 	c := newClient(32)
 	for i := 0; i < 32; i++ {
 		c.arr.Set(i, 1)
@@ -57,6 +58,22 @@ func TestDifferentialDeserializationPath(t *testing.T) {
 	}
 	if st := rt.Stats(); st.FullParses != 1 || st.DiffDecodes != 1 || st.ValuesReparsed != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestDecodesDifferentiallyWithZeroOptions: differential deserialization
+// is the one decode mode, so a runtime built with no options serves a
+// repeated body on the fast path.
+func TestDecodesDifferentiallyWithZeroOptions(t *testing.T) {
+	rt := newSumRuntime(Options{})
+	body := newClient(8).body(t)
+	for i := 0; i < 2; i++ {
+		if _, err := rt.Handle(1, "", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rt.Stats(); st.FullParses != 1 || st.DiffDecodes != 1 || st.ValuesReparsed != 0 {
+		t.Fatalf("stats %+v, want one full parse, then one differential decode reparsing nothing", st)
 	}
 }
 
@@ -88,21 +105,18 @@ func TestUnknownOperationErrors(t *testing.T) {
 	c.stub = core.NewStub(core.Config{}, c.sink)
 	c.msg = wire.NewMessage("urn:calc", "nosuch")
 	c.msg.AddInt("x", 1)
-	body := c.body(t)
-	for _, differ := range []bool{false, true} {
-		rt := newSumRuntime(Options{DifferentialDeserialization: differ})
-		_, err := rt.Handle(1, "", body)
-		if err == nil || !strings.Contains(err.Error(), `unknown operation "nosuch"`) {
-			t.Fatalf("differ=%v: unknown operation: %v", differ, err)
-		}
-		if st := rt.Stats(); st.DiffDecodes != 0 {
-			t.Fatalf("differ=%v: stats %+v", differ, st)
-		}
+	rt := newSumRuntime(Options{})
+	_, err := rt.Handle(1, "", c.body(t))
+	if err == nil || !strings.Contains(err.Error(), `unknown operation "nosuch"`) {
+		t.Fatalf("unknown operation: %v", err)
+	}
+	if st := rt.Stats(); st.DiffDecodes != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 
 func TestMalformedBodyErrors(t *testing.T) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	rt := newSumRuntime(Options{})
 	if _, err := rt.Handle(1, "", []byte("not xml at all")); err == nil {
 		t.Fatal("garbage accepted")
 	}
@@ -148,7 +162,7 @@ func TestPeekOperation(t *testing.T) {
 // transport server → runtime dispatch → differential deserialization →
 // handler → response → client.
 func TestEndToEndOverTCP(t *testing.T) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	rt := newSumRuntime(Options{})
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
 		Handler: rt.HTTPHandler(),
 		Respond: true,
@@ -194,6 +208,76 @@ func TestEndToEndOverTCP(t *testing.T) {
 	}
 }
 
+// headConn records what is written to the connection it wraps.
+type headConn struct {
+	net.Conn
+	mu      *sync.Mutex
+	written *bytes.Buffer
+}
+
+func (c headConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.written.Write(b)
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+// TestBareStubSendsNoDelta: a delta request is only ever a pooled
+// Submit. A bare stub over a Sender with Delta on, talking to a runtime
+// that accepts delta, sends every call as a plain full body: no request
+// head carries an X-BSoap-Delta header, and the server stores no base.
+func TestBareStubSendsNoDelta(t *testing.T) {
+	rt := newSumRuntime(Options{Delta: true})
+	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Handler: rt.HTTPHandler(), Respond: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var mu sync.Mutex
+	var written bytes.Buffer
+	sender, err := transport.Dial(srv.Addr(), transport.SenderOptions{
+		Delta:          true,
+		ExpectResponse: true,
+		Dialer: func(network, addr string) (net.Conn, error) {
+			conn, err := transport.DefaultDialer(network, addr)
+			if err != nil {
+				return nil, err
+			}
+			return headConn{Conn: conn, mu: &mu, written: &written}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+
+	m := wire.NewMessage("urn:calc", "sum")
+	arr := m.AddDoubleArray("values", 16)
+	stub := core.NewStub(core.Config{Width: core.WidthPolicy{Double: core.MaxWidth}}, sender)
+	for call := 0; call < 3; call++ {
+		arr.Set(call, float64(call+1))
+		ci, err := stub.Call(m)
+		if err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		if ci.DeltaSent {
+			t.Fatalf("call %d went out as a patch frame", call)
+		}
+	}
+	mu.Lock()
+	heads := written.String()
+	mu.Unlock()
+	if n := strings.Count(heads, "POST "); n != 3 {
+		t.Fatalf("%d requests written, want 3", n)
+	}
+	if strings.Contains(heads, "X-BSoap-Delta") {
+		t.Fatalf("a bare send carried a delta header:\n%s", heads)
+	}
+	if st := rt.Stats(); st.Requests != 3 || st.DeltaSyncs != 0 || st.DeltaApplied != 0 {
+		t.Fatalf("server stats %+v, want 3 plain requests", st)
+	}
+}
+
 // TestMultiRefRequestsAreInlined drives a multi-ref-encoded request
 // (the format a gSOAP client emits for shared values) through the
 // endpoint and verifies dispatch sees the resolved values.
@@ -202,17 +286,19 @@ func TestMultiRefRequestsAreInlined(t *testing.T) {
 	var seen []string
 	resp := wire.NewMessage("urn:mr", "tagResponse")
 	count := resp.AddInt("count", 0)
-	rt.RegisterShared(&soapdec.Schema{
+	rt.Register(&soapdec.Schema{
 		Namespace: "urn:mr",
 		Op:        "tag",
 		Params:    []soapdec.ParamSpec{{Name: "labels", Type: wire.ArrayOf(wire.TString)}},
-	}, func(req *wire.Message) (*wire.Message, error) {
-		seen = seen[:0]
-		for i := 0; i < req.NumLeaves(); i++ {
-			seen = append(seen, req.LeafString(i))
+	}, func() Handler {
+		return func(req *wire.Message) (*wire.Message, error) {
+			seen = seen[:0]
+			for i := 0; i < req.NumLeaves(); i++ {
+				seen = append(seen, req.LeafString(i))
+			}
+			count.Set(int32(len(seen)))
+			return resp, nil
 		}
-		count.Set(int32(len(seen)))
-		return resp, nil
 	})
 
 	// A client using multi-ref encoding for repeated labels.
@@ -341,7 +427,7 @@ type calcService struct {
 
 func startCalc(t *testing.T) *calcService {
 	t.Helper()
-	c := &calcService{rt: New(Options{DifferentialDeserialization: true})}
+	c := &calcService{rt: New(Options{})}
 	c.rt.Register(sumSchema(), func() Handler {
 		sum := sumFactory()
 		return func(req *wire.Message) (*wire.Message, error) {

@@ -53,7 +53,7 @@ func FuzzDeltaFrame(f *testing.F) {
 		// The handler keeps the message it last ran on: the held template's
 		// own, which a refused frame must leave as it was.
 		var seen *wire.Message
-		rt := New(Options{Delta: true, DifferentialDeserialization: true, SelfCheck: true})
+		rt := New(Options{Delta: true, SelfCheck: true})
 		rt.Register(sumSchema(), func() Handler {
 			sum := sumFactory()
 			return func(m *wire.Message) (*wire.Message, error) {

@@ -30,8 +30,7 @@ func TestResponseStubMemoryIsFreed(t *testing.T) {
 	} {
 		bodies = append(bodies, renderFresh(t, m))
 	}
-	rt := newBenchRuntime(Options{DifferentialDeserialization: true,
-		Core: core.Config{Chunk: chunk.Config{Pool: membuf.NewPool()}}}, false)
+	rt := newBenchRuntime(Options{Core: core.Config{Chunk: chunk.Config{Pool: membuf.NewPool()}}}, false)
 	h := rt.HTTPHandler()
 	for c := uint64(1); c <= conns; c++ {
 		for _, b := range bodies {

@@ -177,7 +177,7 @@ func TestDeltaSameShapeReparsesOnlyChanges(t *testing.T) {
 
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			rt := newBenchRuntime(Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true}, false)
+			rt := newBenchRuntime(Options{Delta: true, SelfCheck: true}, false)
 			sink := newHandlerSink(rt, 1)
 			rng := rand.New(rand.NewSource(int64(k)))
 			msgs := make([]*wire.Message, k)
@@ -209,7 +209,7 @@ func TestDeltaSameShapeReparsesOnlyChanges(t *testing.T) {
 	// Two same-shape messages in flight at once on one pipelined
 	// connection: each waits only for its own previous call.
 	t.Run("pipelined depth 2", func(t *testing.T) {
-		rt := newBenchRuntime(Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true}, false)
+		rt := newBenchRuntime(Options{Delta: true, SelfCheck: true}, false)
 		srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
 			Handler: rt.HTTPHandler(), Respond: true, ReadAhead: 2})
 		if err != nil {
@@ -309,7 +309,7 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 		sum += conns * int64(cap(append([]byte(nil), b...)))
 	}
 	grow := func(delta bool) (int64, *Runtime) {
-		rt := newBenchRuntime(Options{DifferentialDeserialization: true, Delta: delta}, true)
+		rt := newBenchRuntime(Options{Delta: delta}, true)
 		h := rt.HTTPHandler()
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -350,7 +350,7 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 	}
 
 	t.Run("undecodable sync", func(t *testing.T) {
-		rt := newSumRuntime(Options{DifferentialDeserialization: true, Delta: true})
+		rt := newSumRuntime(Options{Delta: true})
 		h := rt.HTTPHandler()
 		good := newClient(8).body(t)
 		bad := bytes.Clone(good)
@@ -394,7 +394,7 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 	// template suspect, the next call resends in full, and patches
 	// resume — no other call fails.
 	t.Run("pool recovers", func(t *testing.T) {
-		rt := newBenchRuntime(Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true}, false)
+		rt := newBenchRuntime(Options{Delta: true, SelfCheck: true}, false)
 		h := rt.HTTPHandler()
 		var corrupted atomic.Bool
 		srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{Respond: true,
@@ -437,7 +437,7 @@ func TestDeltaHoldsOneBodyPerTemplate(t *testing.T) {
 // bytes, which gives it a template back and takes one from its
 // operation's least recently used base; the next patch is differential.
 func TestDeltaBoundsDecodeStateUnderChurn(t *testing.T) {
-	rt := newBenchRuntime(Options{DifferentialDeserialization: true, Delta: true, SelfCheck: true}, true)
+	rt := newBenchRuntime(Options{Delta: true, SelfCheck: true}, true)
 	h := rt.HTTPHandler()
 	type base struct {
 		tid    uint64
@@ -521,10 +521,10 @@ func TestDeltaBoundsDecodeStateUnderChurn(t *testing.T) {
 	check("after the second patch", d[0], d[9], d[8], d[7], ints[0], ints[1])
 }
 
-// TestDeltaWithFullParsesOnly: with differential deserialization off, a
-// delta replica still keeps and patches bases, but every request it
-// decodes is a full parse and no template is kept or charged.
-func TestDeltaWithFullParsesOnly(t *testing.T) {
+// TestDeltaPatchDecodesDifferentially: a runtime with no option but
+// Delta decodes a patch against its base's template, re-lexing the one
+// changed leaf, and charges the template beside the body.
+func TestDeltaPatchDecodesDifferentially(t *testing.T) {
 	rt := newSumRuntime(Options{Delta: true})
 	h := rt.HTTPHandler()
 	c := newClient(8)
@@ -551,10 +551,10 @@ func TestDeltaWithFullParsesOnly(t *testing.T) {
 	if err != nil || !bytes.Contains(resp, []byte(">32.5<")) { // 0+1+2+7.5+4+5+6+7
 		t.Fatalf("patch: %v, response %s", err, resp)
 	}
-	if st := rt.Stats(); st.FullParses != 2 || st.DiffDecodes != 0 || st.DeltaSyncs != 1 || st.DeltaApplied != 1 {
-		t.Fatalf("stats %+v, want two full parses, one sync, one patch", st)
+	if st := rt.Stats(); st.FullParses != 1 || st.DiffDecodes != 1 || st.ValuesReparsed != 1 || st.DeltaSyncs != 1 || st.DeltaApplied != 1 {
+		t.Fatalf("stats %+v, want one full parse, one differential decode of one leaf, one sync, one patch", st)
 	}
-	if size, stub := replicaSize(rt, 1); size != stub+int64(cap(append([]byte(nil), b...))) {
-		t.Fatalf("replica holds %d B, want the stub's %d and one body", size, stub)
+	if size, stub := replicaSize(rt, 1); size <= stub+int64(cap(append([]byte(nil), b...))) {
+		t.Fatalf("replica holds %d B, want more than the stub's %d and one body: the base's template", size, stub)
 	}
 }

@@ -36,8 +36,7 @@ type replica struct {
 	// held, read lock-free by SizeBytes under registry locks.
 	size atomic.Int64
 	// bases holds this replica's differential-transmission patch bases
-	// and, with differential deserialization on, their templates; guarded
-	// by mu.
+	// and their templates; guarded by mu.
 	bases baseKeeper
 }
 

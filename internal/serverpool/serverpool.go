@@ -1,9 +1,9 @@
 // Package serverpool is the SOAP service endpoint: it dispatches
-// incoming envelopes to registered operations, decoding with a full
-// schema-driven parse or with differential deserialization, and
-// serializes responses through a differential stub (the paper: the
-// technique "could be used equally well by a server sending identical
-// (or similar) responses").
+// incoming envelopes to registered operations, decoding each
+// differentially (a full schema-driven parse where no template serves
+// it), and serializes responses through a differential stub (the paper:
+// the technique "could be used equally well by a server sending
+// identical (or similar) responses").
 //
 // Runtime keeps a pool of per-connection (or per-client) replicas, each
 // with its own patch bases (which are also the decode templates of the
@@ -52,8 +52,9 @@ type HandlerFactory func() Handler
 
 // Options configure a Runtime.
 type Options struct {
-	// DifferentialDeserialization enables the per-replica diffdeser fast
-	// path; off, every request is a full schema-driven parse.
+	// DifferentialDeserialization is ignored: every replica decodes
+	// differentially, the fast path tried before a full schema-driven
+	// parse.
 	DifferentialDeserialization bool
 	// Core configures each replica's response-side differential stub.
 	Core core.Config
@@ -174,14 +175,6 @@ func newRuntime(opts Options, shards int) *Runtime {
 // sees the operation. Not safe concurrently with request handling.
 func (rt *Runtime) Register(schema *soapdec.Schema, factory HandlerFactory) {
 	rt.ops[schema.Op] = &operation{schema: schema, factory: factory}
-}
-
-// RegisterShared adds an operation whose single handler is shared by
-// every replica. Only safe for handlers that build a fresh response
-// message per call (forfeiting response-side differential matches) or
-// are otherwise concurrency-safe.
-func (rt *Runtime) RegisterShared(schema *soapdec.Schema, h Handler) {
-	rt.Register(schema, func() Handler { return h })
 }
 
 func (rt *Runtime) lookupSchema(opLocal string) (*soapdec.Schema, bool) {
@@ -310,25 +303,18 @@ func (rt *Runtime) acquire(key reg.Key) (*reg.Slot[*replica], *replica) {
 // its arenas. Caller holds r.mu.
 func (rt *Runtime) release(slot *reg.Slot[*replica]) {
 	r := slot.Value
-	fp := int64(r.stub.Footprint()) + r.bases.bytes
-	if r.differ != nil {
-		fp += int64(r.differ.SizeBytes())
-	}
-	r.size.Store(fp)
+	r.size.Store(int64(r.stub.Footprint()) + r.bases.bytes + int64(r.differ.SizeBytes()))
 	r.mu.Unlock()
 	rt.reg.Release(slot)
 }
 
 func (rt *Runtime) newReplica() *replica {
-	r := &replica{handlers: make(map[string]Handler)}
-	if rt.opts.DifferentialDeserialization {
-		r.differ = diffdeser.New(rt.lookupSchema)
+	r := &replica{
+		handlers: make(map[string]Handler),
+		differ:   diffdeser.New(rt.lookupSchema),
+		bases:    baseKeeper{lookup: rt.lookupSchema, onDrop: rt.metrics.RecordDeltaBaseEviction},
 	}
 	r.stub = core.NewStub(rt.opts.Core, &r.sink)
-	r.bases.onDrop = rt.metrics.RecordDeltaBaseEviction
-	if r.differ != nil {
-		r.bases.lookup = rt.lookupSchema
-	}
 	return r
 }
 
@@ -444,20 +430,19 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 // that template id. Anything else — delta off, a peer that sends no id, a
 // multi-ref body the server would have to rewrite before decoding — goes
 // through the replica's deserializer, which picks a retained body of the
-// same operation by length. With differential deserialization off every
-// decode is a full parse, and a sync is kept only once it has parsed.
+// same operation by length.
 func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase) (*wire.Message, []byte, diffdeser.Info, error) {
 	body := req.Body
 	full := diffdeser.Info{FullParse: true, Reason: diffdeser.ReasonNoTemplate}
 	switch {
-	case patched != nil && r.differ != nil:
+	case patched != nil:
 		msg, info, err := r.bases.decodePatch(patched)
 		return msg, patched.body, info, err
-	case patched != nil:
-		msg, err := rt.fullParse(patched.body)
-		return msg, patched.body, full, err
 	case req.DeltaMode == transport.DeltaSync && rt.opts.Delta && !multiref.HasRefs(body):
-		msg, info, err := rt.sync(r, req)
+		msg, info, err := r.bases.sync(req)
+		if err == nil {
+			rt.metrics.RecordDeltaSync(len(body))
+		}
 		return msg, body, info, err
 	}
 
@@ -468,10 +453,6 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 		}
 		body = inlined
 		rt.metrics.RecordMultiRefInline()
-	}
-	if r.differ == nil {
-		msg, err := rt.fullParse(body)
-		return msg, body, full, err
 	}
 	// Key by a registered operation's own string. A name no operation is
 	// registered under keeps nothing: the full parse refuses the body, or
@@ -488,25 +469,6 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 	}
 	msg, info, err := r.differ.Decode(op.schema.Op, body)
 	return msg, body, info, err
-}
-
-// sync keeps a sync-annotated body as its template's patch base, once it
-// has decoded: into the base's own template, or — with differential
-// deserialization off — by a full parse that keeps nothing but the bytes.
-func (rt *Runtime) sync(r *replica, req *transport.Request) (*wire.Message, diffdeser.Info, error) {
-	info := diffdeser.Info{FullParse: true, Reason: diffdeser.ReasonNoTemplate}
-	var msg *wire.Message
-	var err error
-	if r.differ == nil {
-		if msg, err = rt.fullParse(req.Body); err != nil {
-			return nil, info, err
-		}
-		r.bases.sync(req) // a keeper that does not decode cannot refuse
-	} else if msg, info, err = r.bases.sync(req); err != nil {
-		return nil, info, err
-	}
-	rt.metrics.RecordDeltaSync(len(req.Body))
-	return msg, info, nil
 }
 
 // fullParse is the complete schema-driven parse, keeping nothing.

@@ -90,7 +90,7 @@ func (c *client) body(t testing.TB) []byte {
 }
 
 func TestPerConnectionTemplateLocality(t *testing.T) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true, SelfCheck: true})
+	rt := newSumRuntime(Options{SelfCheck: true})
 	// Two connections with different array shapes: on a shared decoder
 	// they would compete for templates; per-connection replicas keep
 	// both on the fast path after each one's first request.
@@ -125,7 +125,7 @@ func TestPerConnectionTemplateLocality(t *testing.T) {
 }
 
 func TestHandlerValuesDecodeCorrectly(t *testing.T) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true, SelfCheck: true})
+	rt := newSumRuntime(Options{SelfCheck: true})
 	c := newClient(4)
 	c.arr.Fill([]float64{1, 2, 3, 4.5})
 	resp, err := rt.Handle(1, "", c.body(t))
@@ -152,9 +152,8 @@ func TestHandlerValuesDecodeCorrectly(t *testing.T) {
 func TestReplicaLRUEviction(t *testing.T) {
 	m := transport.NewServerMetrics()
 	rt := newRuntime(Options{
-		DifferentialDeserialization: true,
-		MaxReplicas:                 2,
-		Metrics:                     m,
+		MaxReplicas: 2,
+		Metrics:     m,
 	}, 1)
 	rt.Register(sumSchema(), sumFactory)
 	clients := []*client{newClient(4), newClient(5), newClient(6)}
@@ -217,7 +216,7 @@ func TestHTTPHandlerServesWSDLAndPosts(t *testing.T) {
 // name no operation is registered under keeps nothing, so a peer cannot
 // make a replica hold templates under keys of its choosing.
 func TestPeekedNamesKeepNoTemplates(t *testing.T) {
-	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	rt := newSumRuntime(Options{})
 	c := newClient(16)
 	for n := 0; n < 100; n++ {
 		c.arr.Set(0, float64(n))
@@ -243,7 +242,7 @@ func TestPeekedNamesKeepNoTemplates(t *testing.T) {
 
 func TestConcurrentClientsRace(t *testing.T) {
 	m := transport.NewServerMetrics()
-	rt := newSumRuntime(Options{DifferentialDeserialization: true, SelfCheck: true, Metrics: m})
+	rt := newSumRuntime(Options{SelfCheck: true, Metrics: m})
 	const clients = 8
 	const rounds = 50
 	var wg sync.WaitGroup
@@ -331,10 +330,9 @@ func TestBudgetEvictionWithInFlightRequest(t *testing.T) {
 	// A 1-byte budget admits each replica only by self-exemption and
 	// condemns everything else at every release.
 	rt := newRuntime(Options{
-		DifferentialDeserialization: true,
-		SelfCheck:                   true,
-		MaxTemplateBytes:            1,
-		Metrics:                     m,
+		SelfCheck:        true,
+		MaxTemplateBytes: 1,
+		Metrics:          m,
 	}, 1)
 	rt.Register(sumSchema(), sumFactory)
 	a, b := newClient(6), newClient(7)
@@ -402,9 +400,8 @@ func TestTemplateBytesNeverExceedBudget(t *testing.T) {
 	// triggers the oversized-entry exemption.
 	const budget = 16 << 10
 	rt := newRuntime(Options{
-		DifferentialDeserialization: true,
-		MaxTemplateBytes:            budget,
-		Metrics:                     m,
+		MaxTemplateBytes: budget,
+		Metrics:          m,
 	}, 2)
 	rt.Register(sumSchema(), sumFactory)
 	var wg sync.WaitGroup
@@ -460,8 +457,7 @@ func TestTemplateBytesNeverExceedBudget(t *testing.T) {
 func TestDebugTemplatesDump(t *testing.T) {
 	const budget = 1 << 20
 	rt := newSumRuntime(Options{
-		DifferentialDeserialization: true,
-		MaxTemplateBytes:            budget,
+		MaxTemplateBytes: budget,
 	})
 	a, b := newClient(8), newClient(12)
 	for r := 0; r < 3; r++ {
@@ -521,16 +517,17 @@ func TestDebugTemplatesDump(t *testing.T) {
 }
 
 // TestRegisterShared routes every replica through one shared handler
-// instance.
+// instance: a factory that returns the same handler each time.
 func TestRegisterShared(t *testing.T) {
-	rt := New(Options{DifferentialDeserialization: true})
+	rt := New(Options{})
 	calls := 0
 	resp := wire.NewMessage("urn:calc", "sumResponse")
 	resp.AddDouble("total", 0)
-	rt.RegisterShared(sumSchema(), func(req *wire.Message) (*wire.Message, error) {
+	shared := func(req *wire.Message) (*wire.Message, error) {
 		calls++
 		return resp, nil
-	})
+	}
+	rt.Register(sumSchema(), func() Handler { return shared })
 	a := newClient(4)
 	for conn := uint64(1); conn <= 2; conn++ {
 		if _, err := rt.Handle(conn, "", a.body(t)); err != nil {
@@ -554,7 +551,7 @@ func TestSpanAdoptionRecordsServerEvents(t *testing.T) {
 	defer trace.Disable()
 	trace.Default.Clear()
 
-	rt := newSumRuntime(Options{DifferentialDeserialization: true})
+	rt := newSumRuntime(Options{})
 	h := rt.HTTPHandler()
 	c := newClient(4)
 
@@ -615,7 +612,7 @@ func TestSpanAdoptionRecordsServerEvents(t *testing.T) {
 // page stays valid.
 func TestFullParseReasonsOfALengthRotation(t *testing.T) {
 	m := transport.NewServerMetrics()
-	rt := newSumRuntime(Options{DifferentialDeserialization: true, Metrics: m})
+	rt := newSumRuntime(Options{Metrics: m})
 	clients := make([]*client, 16)
 	for i := range clients {
 		clients[i] = newClient(20 + 2*i)

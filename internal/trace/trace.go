@@ -72,10 +72,6 @@ const (
 	// KindTemplateRebind is a same-structure different-message rebind
 	// (all values rewritten, tags reused): A=op id.
 	KindTemplateRebind
-	// KindStaleRebind was a forced full value rewrite because the message
-	// returned to a replica holding stale bytes: A=op id. Nothing records
-	// it any more; the kind keeps its number so saved rings still decode.
-	KindStaleRebind
 	// KindPoolCheckout is a connection checkout: A=1 when the caller had
 	// to wait for a free slot.
 	KindPoolCheckout
@@ -156,7 +152,6 @@ var kindNames = [kindCount]string{
 	KindTemplateBuild:   "template-build",
 	KindTemplateSuspect: "template-suspect",
 	KindTemplateRebind:  "template-rebind",
-	KindStaleRebind:     "stale-rebind",
 	KindPoolCheckout:    "pool-checkout",
 	KindPoolRetry:       "pool-retry",
 	KindDial:            "dial",

@@ -43,11 +43,22 @@ func deltaPeer(t *testing.T, refuse *atomic.Bool) *Server {
 	return srv
 }
 
-// TestSenderDeltaNegotiation drives the serial sender through the whole
-// negotiation lifecycle: not capable until the first ack, synchronized
-// epochs tracked per template, a 409/resync clearing the sync map (but
-// not capability) and surfacing as wire.ErrDeltaResync, and a fresh
-// sync restoring patch eligibility.
+// submitWait is one annotated request at depth 1: Submit, then wait for
+// its response.
+func submitWait(s *Sender, bufs net.Buffers, an Annotation) error {
+	var p Pending
+	if err := s.Submit(&p, bufs, an); err != nil {
+		return err
+	}
+	return p.Wait()
+}
+
+// TestSenderDeltaNegotiation drives one-at-a-time annotated submits
+// through the whole negotiation lifecycle: not capable until the first
+// ack, synchronized epochs tracked per template, a 409/resync clearing
+// the sync map (but not capability) and surfacing as
+// wire.ErrDeltaResync with the sender healthy, and a fresh sync
+// restoring patch eligibility.
 func TestSenderDeltaNegotiation(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
@@ -60,33 +71,37 @@ func TestSenderDeltaNegotiation(t *testing.T) {
 	if _, ok := s.DeltaEpoch(5); ok {
 		t.Fatal("sender believed peer capable before any ack")
 	}
-	if err := s.SendFull(net.Buffers{[]byte("<body/>")}, 5, 1); err != nil {
-		t.Fatalf("SendFull: %v", err)
+	if err := submitWait(s, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 5, 1}); err != nil {
+		t.Fatalf("sync: %v", err)
 	}
 	if e, ok := s.DeltaEpoch(5); !ok || e != 1 {
 		t.Fatalf("after acked sync: epoch %d, ok %v, want 1/true", e, ok)
 	}
 
 	refuse.Store(true)
-	err = s.SendDelta(net.Buffers{[]byte("patchbytes")}, 5, 2)
+	err = submitWait(s, net.Buffers{[]byte("patchbytes")}, Annotation{DeltaPatch, 5, 2})
 	if !errors.Is(err, wire.ErrDeltaResync) {
 		t.Fatalf("refused patch returned %v, want ErrDeltaResync", err)
+	}
+	if s.Broken() {
+		t.Fatal("a refused patch broke the sender")
 	}
 	if _, ok := s.DeltaEpoch(5); ok {
 		t.Fatal("sync map not cleared by the resync")
 	}
 
 	refuse.Store(false)
-	if err := s.SendFull(net.Buffers{[]byte("<body/>")}, 5, 2); err != nil {
-		t.Fatalf("SendFull after resync: %v", err)
+	if err := submitWait(s, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 5, 2}); err != nil {
+		t.Fatalf("sync after resync: %v", err)
 	}
 	if e, ok := s.DeltaEpoch(5); !ok || e != 2 {
 		t.Fatalf("after re-sync: epoch %d, ok %v, want 2/true", e, ok)
 	}
 }
 
-// TestSenderDeltaOffPassthrough: with Delta off, SendFull is a plain
-// send (no header, no sync state) and DeltaEpoch never reports capable.
+// TestSenderDeltaOffPassthrough: with Delta off, a sync-annotated
+// submit is a plain request (no header, no sync state) and DeltaEpoch
+// never reports capable.
 func TestSenderDeltaOffPassthrough(t *testing.T) {
 	var refuse atomic.Bool
 	srv := deltaPeer(t, &refuse)
@@ -95,11 +110,17 @@ func TestSenderDeltaOffPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.SendFull(net.Buffers{[]byte("<body/>")}, 5, 1); err != nil {
-		t.Fatalf("SendFull: %v", err)
+	if err := submitWait(s, net.Buffers{[]byte("<body/>")}, Annotation{DeltaSync, 5, 1}); err != nil {
+		t.Fatalf("sync: %v", err)
 	}
 	if _, ok := s.DeltaEpoch(5); ok {
 		t.Fatal("Delta off but DeltaEpoch reported capable")
+	}
+	s.mu.Lock()
+	n := len(s.delta.syncs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("Delta off but %d syncs noted", n)
 	}
 }
 
@@ -237,14 +258,15 @@ func (c *recordConn) Write(b []byte) (int, error) {
 	return c.written.Write(b)
 }
 
-// TestSubmitSameOnBothPaths drives the three annotations through the
-// bare sends of an ExpectResponse sender (Send, SendFull, SendDelta) and
-// through Submit and Pending.Wait against each response the delta
-// protocol distinguishes — 200 with an ack, 409 resync, 500 — and
-// requires the same request bytes on the wire, the same outcome and the
-// same negotiation state afterwards: there is one header renderer, one
-// response read and one response classifier, and both paths go through
-// them.
+// TestSubmitSameOnBothPaths drives the three annotations through an
+// ExpectResponse sender at depth 1 — a plain request through the bare
+// Send, the delta ones through Submit and Pending.Wait, the only way a
+// delta request is sent — and through Submit on a depth-2 sender,
+// against each response the delta protocol distinguishes — 200 with an
+// ack, 409 resync, 500 — and requires the same request bytes on the
+// wire, the same outcome and the same negotiation state afterwards:
+// there is one header renderer, one response read and one response
+// classifier, and both paths go through them.
 func TestSubmitSameOnBothPaths(t *testing.T) {
 	annotations := map[string]Annotation{
 		"plain": {},
@@ -269,17 +291,9 @@ func TestSubmitSameOnBothPaths(t *testing.T) {
 		s.delta.noteSync(9, 1) // an earlier template's sync: a resync must drop it too
 		body := net.Buffers{[]byte("<a>"), []byte("</a>")}
 		var err error
-		switch {
-		case pipelined:
-			var p Pending
-			if err = s.Submit(&p, body, an); err == nil {
-				err = p.Wait()
-			}
-		case an.Mode == DeltaSync:
-			err = s.SendFull(body, an.TID, an.Epoch)
-		case an.Mode == DeltaPatch:
-			err = s.SendDelta(body, an.TID, an.Epoch)
-		default:
+		if pipelined || an.Mode != DeltaNone {
+			err = submitWait(s, body, an)
+		} else {
 			err = s.Send(body)
 		}
 		defer s.Close()

@@ -5,14 +5,17 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"strings"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
 )
 
-// FuzzReadRequest asserts HTTP request parsing never panics on
-// arbitrary input.
+// FuzzReadRequest holds the request parser to net/http's: it never
+// panics, never accepts an encoded body, and on every input it either
+// refuses or agrees with http.ReadRequest on the method, the target,
+// the body and where the next request starts. It may be stricter than
+// net/http, never looser.
 func FuzzReadRequest(f *testing.F) {
 	seeds := []string{
 		"",
@@ -24,12 +27,21 @@ func FuzzReadRequest(f *testing.F) {
 		"\r\n\r\n",
 		"POST / HTTP/1.1\r\nContent-Encoding: gzip\r\nContent-Length: 28\r\n\r\n" +
 			"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03\xb3\x49\xb4\x33\xb4\xd1\x4f\xb4\x03\x00\x68\x28\xdb\x0c\x08\x00\x00\x00",
+		"POST /a HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhiGET / HTTP/1.1\r\n\r\n",
+		"POST / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n2;x=y\r\nhi\r\n0\r\nT: v\r\n\r\nnext",
+		"POST / HTTP/1.1\r\nHost: t\r\nTrailer: Content-Length\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		"POST / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		"POST / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n0\r\n\r\n",
+		"POST / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n00000000000000003\r\nabc\r\n0\r\n\r\n",
+		"POST / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\nX: a\r\n Y\r\n\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := ReadRequest(bufio.NewReader(strings.NewReader(string(data))))
+		r := bytes.NewReader(data)
+		br := bufio.NewReader(r)
+		req, err := ReadRequest(br)
 		if err == nil && req == nil {
 			t.Fatal("nil request without error")
 		}
@@ -38,6 +50,27 @@ func FuzzReadRequest(f *testing.F) {
 		}
 		if _, ok := req.Headers["content-encoding"]; ok {
 			t.Fatal("encoded body accepted")
+		}
+		used := len(data) - r.Len() - br.Buffered()
+
+		or := bytes.NewReader(data)
+		obr := bufio.NewReader(or)
+		oreq, err := http.ReadRequest(obr)
+		if err != nil {
+			t.Fatalf("accepted what net/http refuses (%v): %q", err, data)
+		}
+		obody, err := io.ReadAll(oreq.Body)
+		if err != nil {
+			t.Fatalf("accepted a body net/http cannot read (%v): %q", err, data)
+		}
+		if req.Method != oreq.Method || req.Target != oreq.RequestURI {
+			t.Fatalf("request line %s %s, net/http reads %s %s: %q", req.Method, req.Target, oreq.Method, oreq.RequestURI, data)
+		}
+		if !bytes.Equal(req.Body, obody) {
+			t.Fatalf("body %q, net/http reads %q: %q", req.Body, obody, data)
+		}
+		if oused := len(data) - or.Len() - obr.Buffered(); used != oused {
+			t.Fatalf("next request at byte %d, net/http says %d: %q", used, oused, data)
 		}
 	})
 }

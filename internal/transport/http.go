@@ -177,6 +177,21 @@ func readLine(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	}
 }
 
+// readCRLFLine reads one line that must end in CRLF, and returns it
+// without the CRLF. The chunked framing reads its lines this way: a bare
+// LF there is refused, not read as a line end another parser may not
+// see (RFC 9112 §7.1).
+func readCRLFLine(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
+	line, err := readLine(br, scratch)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasSuffix(line, []byte("\r\n")) {
+		return nil, fmt.Errorf("line %q not CRLF-terminated", line)
+	}
+	return line[:len(line)-2], nil
+}
+
 // trimCRLF strips one trailing "\n" or "\r\n".
 func trimCRLF(b []byte) []byte {
 	if n := len(b); n > 0 && b[n-1] == '\n' {
@@ -256,7 +271,10 @@ func parseHex64[T ~string | ~[]byte](s T) (uint64, bool) {
 // splitRequestLine splits a request line into its method, target and
 // version, which exactly two single spaces separate (RFC 9112 §3). A
 // doubled space, a tab or any other control byte refuses the line, as
-// net/http refuses it, instead of being read as a separator.
+// net/http refuses it, instead of being read as a separator. The method
+// must be a token, the target in origin form ("/" and a path whose
+// percent-escapes are all two hex digits, RFC 9112 §3.2.1), and the
+// version HTTP/1.1, the one framing the server speaks.
 func splitRequestLine(line []byte) (method, target, proto []byte, ok bool) {
 	if hasCTL(line) || bytes.IndexByte(line, '\t') >= 0 {
 		return nil, nil, nil, false
@@ -270,8 +288,45 @@ func splitRequestLine(line []byte) (method, target, proto []byte, ok bool) {
 		return nil, nil, nil, false
 	}
 	target, proto = target[:sp], target[sp+1:]
-	ok = len(method) > 0 && len(target) > 0 && len(proto) > 0 && bytes.IndexByte(proto, ' ') < 0
+	ok = isToken(method) && originForm(target) && string(proto) == "HTTP/1.1"
 	return method, target, proto, ok
+}
+
+// isToken reports whether b is a non-empty RFC 9110 §5.6.2 token.
+func isToken(b []byte) bool {
+	for _, c := range b {
+		if !tokenByte[c] {
+			return false
+		}
+	}
+	return len(b) > 0
+}
+
+// tokenByte marks the bytes a token may hold.
+var tokenByte = func() (t [256]bool) {
+	for c := 0; c < 256; c++ {
+		t[c] = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			strings.IndexByte("!#$%&'*+-.^_`|~", byte(c)) >= 0
+	}
+	return t
+}()
+
+// originForm reports whether target is an origin-form request target:
+// it starts with "/", and every "%" begins a two-hex-digit escape.
+func originForm(target []byte) bool {
+	if len(target) == 0 || target[0] != '/' {
+		return false
+	}
+	for i, c := range target {
+		if c == '%' && (i+2 >= len(target) || !isHex(target[i+1]) || !isHex(target[i+2])) {
+			return false
+		}
+	}
+	return true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // hasCTL reports whether b holds a control byte other than HTAB, which
@@ -288,10 +343,12 @@ func hasCTL(b []byte) bool {
 // readHeadersInto parses "Key: Value" lines up to the blank line into h,
 // which is cleared and reused (or allocated when nil). Spellings another
 // HTTP parser may read differently are refused rather than read one
-// way: an obs-fold continuation line, whitespace between a name and its
-// colon, Content-Length repeated with another value, a repeated Host
-// and a control byte other than HTAB anywhere in a value (RFC 9112
-// §3.2, §5.1, §5.2, §6.3; RFC 9110 §5.5). Only SP and HTAB are trimmed.
+// way: an obs-fold continuation line, a name that is not a token
+// (whitespace before its colon, say), Content-Length repeated with
+// another value, a repeated Host or Transfer-Encoding, a Trailer that
+// announces a framing header, and a control byte other than HTAB
+// anywhere in a value (RFC 9112 §3.2, §5.1, §5.2, §6.3; RFC 9110 §5.5).
+// Only SP and HTAB are trimmed.
 // Responses share these rules, as both share net/textproto's in net/http.
 func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (map[string]string, error) {
 	if h == nil {
@@ -321,8 +378,8 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 		if colon < 0 {
 			return nil, fmt.Errorf("transport: malformed header line %q", line)
 		}
-		if colon > 0 && (line[colon-1] == ' ' || line[colon-1] == '\t') {
-			return nil, fmt.Errorf("transport: whitespace before colon in %q", line)
+		if !isToken(line[:colon]) {
+			return nil, fmt.Errorf("transport: header name not a token in %q", line)
 		}
 		key := lowerASCIIInPlace(line[:colon])
 		val := line[colon+1:]
@@ -335,9 +392,16 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 			if prev, ok := h["content-length"]; ok && prev != string(val) {
 				return nil, errors.New("transport: conflicting content-length headers")
 			}
-		case "host":
-			if _, ok := h["host"]; ok {
-				return nil, errors.New("transport: repeated host header")
+		case "host", "transfer-encoding":
+			if _, ok := h[string(key)]; ok {
+				return nil, fmt.Errorf("transport: repeated %s header", key)
+			}
+		case "trailer":
+			for _, name := range bytes.Split(val, []byte(",")) {
+				switch string(bytes.ToLower(bytes.Trim(name, " \t"))) {
+				case "content-length", "transfer-encoding", "trailer":
+					return nil, fmt.Errorf("transport: framing header %q announced as a trailer", name)
+				}
 			}
 		}
 		if string(key) == traceHeaderKey {
@@ -384,28 +448,30 @@ func readBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch) ([]by
 func readChunkedBodyInto(br *bufio.Reader, ps *parseScratch) ([]byte, error) {
 	body := ps.body[:0]
 	for {
-		line, err := readLine(br, &ps.line)
+		line, err := readCRLFLine(br, &ps.line)
 		if err != nil {
 			return nil, fmt.Errorf("transport: reading chunk size: %w", err)
 		}
-		line = trimCRLF(line)
 		if semi := bytes.IndexByte(line, ';'); semi >= 0 {
 			line = line[:semi] // chunk extensions, ignored
 		}
-		size, ok := parseUintBytes(bytes.TrimSpace(line), 16)
-		if !ok {
+		size, ok := parseUintBytes(line, 16)
+		if !ok || len(line) > 16 {
 			return nil, fmt.Errorf("transport: bad chunk size %q", line)
 		}
 		if size == 0 {
-			// Trailer section: consume up to the final blank line.
+			// Trailer section: field lines up to the final blank line.
 			for {
-				t, err := readLine(br, &ps.line)
+				t, err := readCRLFLine(br, &ps.line)
 				if err != nil {
 					return nil, fmt.Errorf("transport: reading trailer: %w", err)
 				}
-				if len(trimCRLF(t)) == 0 {
+				if len(t) == 0 {
 					ps.body = body
 					return body, nil
+				}
+				if colon := bytes.IndexByte(t, ':'); colon < 0 || !isToken(t[:colon]) || hasCTL(t[colon+1:]) {
+					return nil, fmt.Errorf("transport: malformed trailer line %q", t)
 				}
 			}
 		}

@@ -22,11 +22,11 @@ type SenderOptions struct {
 	// Host is the Host header value (default the connection's remote
 	// address).
 	Host string
-	// ExpectResponse makes the bare sends (Send, SendFull, SendDelta,
-	// EndStream) wait for their response: each queues at depth 1 on the
-	// sender's own Pending and waits on it. Without it a bare send only
-	// writes and the sender never reads — the paper's Send Time
-	// measurements do not wait for responses; RPC-style examples do.
+	// ExpectResponse makes the bare sends (Send, EndStream) wait for
+	// their response: each queues at depth 1 on the sender's own Pending
+	// and waits on it. Without it a bare send only writes and the sender
+	// never reads — the paper's Send Time measurements do not wait for
+	// responses; RPC-style examples do.
 	// Submit always queues its request for a response, whatever this
 	// says.
 	ExpectResponse bool
@@ -41,12 +41,14 @@ type SenderOptions struct {
 	WriteTimeout time.Duration
 	// ReadTimeout bounds each response read the same way. Zero disables.
 	ReadTimeout time.Duration
-	// Delta turns on differential-transmission negotiation: full sends
-	// carry an X-BSoap-Delta sync header, and once the server
-	// acknowledges one, warm calls whose template the server holds go
-	// out as compact patch frames. Negotiation completes only where
-	// responses are read (ExpectResponse, or Submit, as in every pool);
-	// without them every send stays full — lossless either way.
+	// Delta turns on differential-transmission negotiation for
+	// annotated Submits: a sync-annotated body carries an X-BSoap-Delta
+	// sync header, every response read notes what the peer acknowledged,
+	// and DeltaEpoch reports it, so the pool sends warm calls whose
+	// template the server holds as compact patch frames. Off, a sync
+	// annotation is written as a plain request and DeltaEpoch never
+	// reports capable, so no patch is encoded. The bare sends carry no
+	// annotation either way.
 	Delta bool
 	// Depth bounds the requests Submit keeps on the wire before the
 	// first of their responses is read (HTTP/1.1 pipelining); values
@@ -567,32 +569,18 @@ func (s *Sender) enqueue(p *Pending, err error) error {
 	return nil
 }
 
-// send is every bare complete send: a write alone, or with
+// Send implements the engine's Sink: a bare complete send, unannotated
+// (a delta request is always a Submit). It is a write alone, or with
 // ExpectResponse a Submit at depth 1 on the sender's own Pending and a
 // wait for its response.
-func (s *Sender) send(bufs net.Buffers, an Annotation) error {
+func (s *Sender) Send(bufs net.Buffers) error {
 	if !s.opts.ExpectResponse {
-		return s.writeRequest(bufs, an)
+		return s.writeRequest(bufs, Annotation{})
 	}
-	if err := s.Submit(&s.own, bufs, an); err != nil {
+	if err := s.Submit(&s.own, bufs, Annotation{}); err != nil {
 		return err
 	}
 	return s.own.Wait()
-}
-
-// Send implements the engine's Sink: a plain bare send.
-func (s *Sender) Send(bufs net.Buffers) error { return s.send(bufs, Annotation{}) }
-
-// SendFull implements core.DeltaSink: a full body a capable peer stores
-// as the patch base for tid.
-func (s *Sender) SendFull(bufs net.Buffers, tid, epoch uint64) error {
-	return s.send(bufs, Annotation{DeltaSync, tid, epoch})
-}
-
-// SendDelta implements core.DeltaSink: bufs is a pre-encoded patch
-// frame.
-func (s *Sender) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
-	return s.send(bufs, Annotation{DeltaPatch, tid, newEpoch})
 }
 
 // writeRequest frames bufs as one POST and flushes it without touching
@@ -775,9 +763,10 @@ func (s *Sender) classify(resp *Response) error {
 // header (request side).
 const deltaHeaderPrefix = "X-BSoap-Delta: "
 
-// DeltaEpoch implements core.DeltaSink: the epoch the peer is believed
-// synchronized at for template tid (ok=false until the peer has
-// acknowledged delta capability, or when Delta is off).
+// DeltaEpoch reports the epoch the peer is believed synchronized at for
+// template tid (ok=false until the peer has acknowledged delta
+// capability, or when Delta is off): the pool's view of its peer's patch
+// bases, which every response read keeps current.
 func (s *Sender) DeltaEpoch(tid uint64) (uint64, bool) {
 	if !s.opts.Delta {
 		return 0, false

@@ -103,6 +103,19 @@ func TestRequestFramingHolesRejected(t *testing.T) {
 		{"repeated Host", "POST / HTTP/1.1\r\nHost: t\r\nHost: u\r\nContent-Length: 2\r\n\r\nhi", false},
 		{"leading VT in a header value", "POST / HTTP/1.1\r\nHost: t\r\nX: \va\r\nContent-Length: 2\r\n\r\nhi", false},
 		{"trailing FF in a header value", "POST / HTTP/1.1\r\nHost: t\r\nX: a\f\r\nContent-Length: 2\r\n\r\nhi", false},
+		// Found by FuzzReadRequest's net/http oracle: each was read here
+		// and refused there.
+		{"malformed version", "0 0 0\nContent-Length:0\n\n000", false},
+		{"version other than HTTP/1.1", "POST / HTTP/1.0\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi", false},
+		{"target not in origin form", "POST svc HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi", false},
+		{"bad escape in the target", "POST /%zz HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi", false},
+		{"method not a token", "PO@ST / HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\nhi", false},
+		{"empty header name", "0 / HTTP/1.1\n:\nContent-Length:0\n\n00", false},
+		{"chunked body ended by a bare LF", "0 / HTTP/1.1\nTrAnsfer-EnCoding:Chunked\n\n0\n\n", false},
+		{"header name not a token", "POST / HTTP/1.1\r\nHost: t\r\nX@Y: v\r\nContent-Length: 2\r\n\r\nhi", false},
+		{"repeated Transfer-Encoding", "POST / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", false},
+		{"framing header announced as a trailer", "POST / HTTP/1.1\r\nHost: t\r\nTrailer: Content-Length\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", false},
+		{"chunk size of 17 hex digits", "POST / HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n00000000000000002\r\nhi\r\n0\r\n\r\n", false},
 		{"plain GET", "GET /wsdl HTTP/1.1\r\nHost: t\r\n\r\n", true},
 		{"value padded with SP and HTAB", "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: \t2 \t\r\n\r\nhi", true},
 		{"repeated equal Content-Length", "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi", true},

@@ -463,10 +463,3 @@ func (m *Message) Signature() string {
 	m.sigValid = true
 	return m.signature
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

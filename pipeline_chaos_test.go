@@ -25,7 +25,7 @@ import (
 func TestPipelinedChaosSoak(t *testing.T) {
 	sm := transport.NewServerMetrics()
 	rt, srv := harness.BenchRuntime(t,
-		serverpool.Options{DifferentialDeserialization: true, SelfCheck: true, Metrics: sm},
+		serverpool.Options{SelfCheck: true, Metrics: sm},
 		transport.ServerOptions{Metrics: sm, ReadAhead: 8})
 
 	inj := faultwire.New(faultwire.Options{
@@ -52,14 +52,9 @@ func TestPipelinedChaosSoak(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			opts := bsoap.PoolOptions{
-				Size:             1,
-				PipelineDepth:    window,
-				Addr:             srv.Addr(),
-				MaxRetries:       3,
-				DialAttempts:     6,
-				RedialBackoff:    time.Millisecond,
-				RedialBackoffMax: 10 * time.Millisecond,
-				RetryBudget:      30 * time.Second,
+				Size:          1,
+				PipelineDepth: window,
+				Addr:          srv.Addr(),
 			}
 			opts.Sender.Dialer = inj.Dial(nil)
 			pool := harness.Pool(t, opts)

@@ -25,7 +25,7 @@ import (
 func TestServerPoolMultiClientConformance(t *testing.T) {
 	sm := transport.NewServerMetrics()
 	rt, srv := harness.BenchRuntime(t,
-		serverpool.Options{DifferentialDeserialization: true, SelfCheck: true, Metrics: sm},
+		serverpool.Options{SelfCheck: true, Metrics: sm},
 		transport.ServerOptions{Metrics: sm})
 
 	const clients = 8
@@ -84,7 +84,7 @@ func TestServerPoolMultiClientConformance(t *testing.T) {
 func TestServerPoolConformanceUnderChaos(t *testing.T) {
 	sm := transport.NewServerMetrics()
 	rt, srv := harness.BenchRuntime(t,
-		serverpool.Options{DifferentialDeserialization: true, SelfCheck: true, Metrics: sm},
+		serverpool.Options{SelfCheck: true, Metrics: sm},
 		transport.ServerOptions{Metrics: sm})
 
 	inj := faultwire.New(faultwire.Options{
@@ -106,13 +106,8 @@ func TestServerPoolConformanceUnderChaos(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			opts := bsoap.PoolOptions{
-				Size:             1,
-				Addr:             srv.Addr(),
-				MaxRetries:       3,
-				DialAttempts:     6,
-				RedialBackoff:    time.Millisecond,
-				RedialBackoffMax: 10 * time.Millisecond,
-				RetryBudget:      30 * time.Second,
+				Size: 1,
+				Addr: srv.Addr(),
 			}
 			opts.Sender.Dialer = inj.Dial(nil)
 			pool := harness.Pool(t, opts)
@@ -158,7 +153,7 @@ func TestServerPoolConformanceUnderChaos(t *testing.T) {
 func TestServerDrainUnderLoad(t *testing.T) {
 	sm := transport.NewServerMetrics()
 	rt, srv := harness.BenchRuntime(t,
-		serverpool.Options{DifferentialDeserialization: true, Metrics: sm},
+		serverpool.Options{Metrics: sm},
 		transport.ServerOptions{Metrics: sm})
 
 	const clients = 4

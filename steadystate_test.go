@@ -321,7 +321,7 @@ func TestSteadyStateAllocsRefused(t *testing.T) {
 func TestSteadyStateAllocsPipelined(t *testing.T) {
 	const depth = 8
 	_, srv := harness.BenchRuntime(t,
-		serverpool.Options{DifferentialDeserialization: true},
+		serverpool.Options{},
 		transport.ServerOptions{ReadAhead: depth})
 	p := harness.Pool(t, pool.Options{
 		Size: 1, Addr: srv.Addr(), PipelineDepth: depth,
@@ -467,7 +467,7 @@ func TestSteadyStateAllocsServer(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rt, _ := harness.BenchRuntime(t,
-				serverpool.Options{DifferentialDeserialization: true, Delta: true},
+				serverpool.Options{Delta: true},
 				transport.ServerOptions{})
 			h := rt.HTTPHandler()
 			a, b := serverBodyPair(t, c.n, c.step)
@@ -523,7 +523,7 @@ func TestSteadyStateAllocsServer(t *testing.T) {
 		for _, readAhead := range []int{0, 8} {
 			t.Run(fmt.Sprintf("readahead%d", readAhead), func(t *testing.T) {
 				rt, srv := harness.BenchRuntime(t,
-					serverpool.Options{DifferentialDeserialization: true},
+					serverpool.Options{},
 					transport.ServerOptions{ReadAhead: readAhead})
 				p := harness.Pool(t, pool.Options{
 					Size: 1, Addr: srv.Addr(),
