@@ -51,6 +51,28 @@ func TestArchitecture(t *testing.T) {
 		}
 	})
 
+	// A server replica holds each operation's response template itself,
+	// as a pool engine does: it serializes through CallHeld, never
+	// through the stub's own store.
+	t.Run("serverpool calls neither Stub.Call nor Stub.Store", func(t *testing.T) {
+		stub := pkg(t, "bsoap/internal/core").pkg.Scope().Lookup("Stub").(*types.TypeName)
+		banned := []*types.Func{methodNamed(stub, "Call"), methodNamed(stub, "Store")}
+		for id, obj := range pkg(t, "bsoap/internal/serverpool").info.Uses {
+			if f, ok := obj.(*types.Func); ok && slices.Contains(banned, f) {
+				t.Errorf("%s: serverpool calls Stub.%s", c.fset.Position(id.Pos()), f.Name())
+			}
+		}
+	})
+
+	// Whoever holds a template charges its footprint: the stub keeps no
+	// footprint cache of its own.
+	t.Run("core.Stub has no Footprint method", func(t *testing.T) {
+		stub := pkg(t, "bsoap/internal/core").pkg.Scope().Lookup("Stub").(*types.TypeName)
+		if f := methodNamed(stub, "Footprint"); f != nil {
+			t.Errorf("%s: Stub.Footprint", c.fset.Position(f.Pos()))
+		}
+	})
+
 	// The retry policy is the pool's constants (maxRetries,
 	// dialAttempts, redialBackoff, redialBackoffMax, retryBudget): no
 	// binary, example or benchmark set another value. A retry knob

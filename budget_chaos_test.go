@@ -42,7 +42,7 @@ func TestBudgetChaosSoak(t *testing.T) {
 		serverBudget = 80 << 10
 		// A client entry is one stuffed template, 5.4 KB at most (a
 		// 44-double body with 16 B a leaf of DUT table and the headers;
-		// Stub.Footprint of the largest message below); the
+		// Template.Footprint of the largest message below); the
 		// per-operation cap keeps four resident, ~15 KB. The budget
 		// holds two to three of them, about two thirds: low enough that
 		// eviction churns every round, high enough that the alternating

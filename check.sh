@@ -150,8 +150,10 @@ one_path_guard() {
     absent "element walk outside soapenv" 'func \(e \*Encoder\) (param|value)' internal/multiref
     # One of each in the engine besides: one overlay loop, which fills
     # and streams each portion through one resident chunk, with no
-    # pipelined variant or writer goroutine beside it; one footprint
-    # cache (the stub's own); and one steal scan distance, a constant.
+    # pipelined variant or writer goroutine beside it; no footprint
+    # generation counter (whoever holds a template charges its footprint,
+    # and core.Stub has no Footprint method, a case of arch_test.go); and
+    # one steal scan distance, a constant.
     check "overlay stream begun" '\.BeginStream\(\)' internal/core
     absent "pipelined overlay beside the one loop" 'CallOverlayPipelined|pipeWriter' internal/core
     absent "footprint generation beside the stub's cache" 'FootprintGen' .

@@ -163,10 +163,10 @@ type DeltaSink interface {
 	// id and current epoch so a capable peer can store it as the delta
 	// base for future patches.
 	SendFull(bufs net.Buffers, tid, epoch uint64) error
-	// SendDelta sends a patch frame (already encoded by the stub).
-	// Returning an error wrapping wire.ErrDeltaResync means the peer
-	// rejected the patch and the caller must fall back to SendFull;
-	// the connection itself remains healthy in that case.
+	// SendDelta sends a patch frame (already encoded by the stub). An
+	// error fails the call like any failed send: the template is marked
+	// suspect and the message keeps its dirty bits. A sink whose peer
+	// refuses patches resends in full itself (the pool resubmits).
 	SendDelta(bufs net.Buffers, tid, newEpoch uint64) error
 }
 
@@ -208,8 +208,8 @@ type CallInfo struct {
 	// avoided.
 	WireBytes int
 	// DeltaSent marks a call served by a patch frame instead of the
-	// full body; DeltaResync marks a call whose patch was rejected by
-	// the peer and transparently resent in full.
+	// full body; DeltaResync marks a call whose patch the peer rejected
+	// and the pool resent in full (the pool sets it, the stub never).
 	DeltaSent   bool
 	DeltaResync bool
 	// DeltaEncodeNs is the time spent encoding the patch frame
@@ -237,10 +237,8 @@ type Stats struct {
 	Steals          int64
 	Grows           int64
 	Splits          int64
-	// DeltaSends counts calls served by a patch frame; DeltaResyncs
-	// counts patches the peer rejected (resent in full).
-	DeltaSends   int64
-	DeltaResyncs int64
+	// DeltaSends counts calls served by a patch frame.
+	DeltaSends int64
 }
 
 func (s *Stats) add(ci CallInfo) {
@@ -265,9 +263,6 @@ func (s *Stats) add(ci CallInfo) {
 	s.BytesSerialized += int64(ci.BytesSerialized)
 	if ci.DeltaSent {
 		s.DeltaSends++
-	}
-	if ci.DeltaResync {
-		s.DeltaResyncs++
 	}
 	s.ValuesRewritten += int64(ci.ValuesRewritten)
 	s.TagShifts += int64(ci.TagShifts)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"bsoap/internal/chunk"
 	"bsoap/internal/replica"
+	"bsoap/internal/soapenv"
 	"bsoap/internal/wire"
 	"bsoap/internal/xmlparse"
 	"bsoap/internal/xsdlex"
@@ -555,6 +557,55 @@ func TestDisableDiff(t *testing.T) {
 	}
 	if s.store.templateCount() != 0 {
 		t.Fatal("a from-scratch call stored a template")
+	}
+}
+
+// TestCallHeldReplacesTemplateOfAnotherShape hands CallHeld a held
+// template of another structure than the message's: another message
+// object, and the bound object after ResizeArray. Either call is an
+// ordinary first-time send, not a degraded one, writes what the one-pass
+// renderer writes, and leaves the new structure's template held, the old
+// one released: releasing the new one returns every arena.
+func TestCallHeldReplacesTemplateOfAnotherShape(t *testing.T) {
+	mk := func(n int) *wire.Message {
+		m := wire.NewMessage("urn:t", "op")
+		arr := m.AddDoubleArray("v", n)
+		for i := 0; i < n; i++ {
+			arr.Set(i, float64(i)+0.25)
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name  string
+		other func(m *wire.Message) *wire.Message
+	}{
+		{"another message", func(*wire.Message) *wire.Message { return mk(7) }},
+		{"resized", func(m *wire.Message) *wire.Message { m.ResizeArray(0, 7); return m }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, sink, pool := overflowStub(Config{})
+			m := mk(5)
+			var held *Template
+			if ci, err := s.CallHeld(&held, m); err != nil || ci.Match != FirstTime {
+				t.Fatalf("build: %v, %v", ci.Match, err)
+			}
+			first := held
+			m = tc.other(m)
+			ci, err := s.CallHeld(&held, m)
+			if err != nil || ci.Match != FirstTime || ci.Degraded {
+				t.Fatalf("other shape: %v (degraded %v), %v; want a first-time send", ci.Match, ci.Degraded, err)
+			}
+			if held == nil || held == first || held.sig != m.Signature() {
+				t.Fatal("the other shape's template is not the one held")
+			}
+			if want := new(soapenv.Compiler).AppendMessage(nil, m, 0); !bytes.Equal(sink.data, want) {
+				t.Fatalf("sent %d bytes that differ from the %d a from-scratch rendering writes", len(sink.data), len(want))
+			}
+			held.Release()
+			if live := pool.LiveBytes(); live != 0 {
+				t.Fatalf("%d B of arenas still out after the held template was released", live)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"bsoap/internal/chunk"
@@ -27,9 +26,7 @@ type deltaRegion struct {
 
 // send pushes the template onto the sink, preferring a patch frame when
 // the sink is delta-capable and synchronized with this template at its
-// pre-call epoch. A peer-rejected patch (wire.ErrDeltaResync) falls
-// back to a full send on the same connection without poisoning the
-// template; any other error propagates so Call applies the usual
+// pre-call epoch. An error propagates so CallHeld applies the usual
 // suspect/degraded algebra.
 func (s *Stub) send(tpl *Template, m *wire.Message, ci *CallInfo) error {
 	ds, capable := s.sink.(DeltaSink)
@@ -48,27 +45,14 @@ func (s *Stub) send(tpl *Template, m *wire.Message, ci *CallInfo) error {
 		start := time.Now()
 		if ok := s.encodeDelta(tpl, m, ci, baseEpoch); ok {
 			ci.DeltaEncodeNs = time.Since(start).Nanoseconds()
-			err := ds.SendDelta(s.scr.bufs, tpl.deltaID, tpl.deltaEpoch)
-			if err == nil {
-				ci.DeltaSent = true
-				if s.scr.span != 0 {
-					trace.Rec(s.scr.span, trace.KindDeltaSend, int64(ci.WireBytes), int64(ci.Bytes), int64(tpl.deltaID))
-				}
-				return nil
+			if err := ds.SendDelta(s.scr.bufs, tpl.deltaID, tpl.deltaEpoch); err != nil {
+				return err
 			}
-			if errors.Is(err, wire.ErrDeltaResync) {
-				// The peer lost or refused the base (eviction, restart,
-				// epoch skew): resend in full on the same connection.
-				// The frame already crossed the wire, so it stays in
-				// WireBytes alongside the body.
-				ci.DeltaResync = true
-				ci.WireBytes += ci.Bytes
-				if s.scr.span != 0 {
-					trace.Rec(s.scr.span, trace.KindDeltaResync, int64(tpl.deltaID), 0, 0)
-				}
-				return ds.SendFull(tpl.buf.BuffersInto(&s.scr.bufs), tpl.deltaID, tpl.deltaEpoch)
+			ci.DeltaSent = true
+			if s.scr.span != 0 {
+				trace.Rec(s.scr.span, trace.KindDeltaSend, int64(ci.WireBytes), int64(ci.Bytes), int64(tpl.deltaID))
 			}
-			return err
+			return nil
 		}
 	}
 	return ds.SendFull(tpl.buf.BuffersInto(&s.scr.bufs), tpl.deltaID, tpl.deltaEpoch)

@@ -102,7 +102,7 @@ func TestTemplateMemoryIsFreed(t *testing.T) {
 
 // templateHeap builds one template of each message on each of n stubs
 // and reports, per template, the heap the templates hold, what
-// Stub.Footprint charges for them, and the bytes of their chunk arenas.
+// Template.Footprint charges for them, and the bytes of their chunk arenas.
 // Before the measurement each stub builds a template of each warm
 // message — the same shapes one leaf longer, kept resident — so the
 // stub's own scratch has already grown to what the measured builds need
@@ -121,7 +121,6 @@ func templateHeap(t *testing.T, n int, width WidthPolicy, warm, msgs []*wire.Mes
 		}
 	}
 	ss := make([]*Stub, n)
-	warmFootprint := 0
 	for i := range ss {
 		ss[i] = NewStub(cfg, sink)
 		for _, m := range warm {
@@ -129,7 +128,6 @@ func templateHeap(t *testing.T, n int, width WidthPolicy, warm, msgs []*wire.Mes
 				t.Fatal(err)
 			}
 		}
-		warmFootprint += ss[i].Footprint()
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -147,11 +145,12 @@ func templateHeap(t *testing.T, n int, width WidthPolicy, warm, msgs []*wire.Mes
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	footprint, arena := -warmFootprint, 0
+	footprint, arena := 0, 0
 	for _, s := range ss {
-		footprint += s.Footprint()
 		for _, m := range msgs {
-			arena += s.Template(m.Operation(), m.Signature()).Buffer().Footprint()
+			tpl := s.Template(m.Operation(), m.Signature())
+			footprint += tpl.Footprint()
+			arena += tpl.Buffer().Footprint()
 		}
 	}
 	runtime.KeepAlive(ss)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"unsafe"
 
 	"bsoap/internal/fastconv"
 	"bsoap/internal/replica"
@@ -18,11 +17,10 @@ import (
 // replica.TemplatesPerOp of them each. It is part of the Stub that owns
 // it and has no synchronization of its own: a Call mutates the
 // looked-up Template's bytes in place, so the store is confined exactly
-// as its stub is — to one goroutine, or to whoever holds the server
-// replica lock around the stub. Each operation keeps its templates most
-// recently used first; a warm-path lookup allocates nothing. A pool
-// keeps no store: its registry is the one template store, and each
-// engine holds its template itself (CallHeld).
+// as its stub is, to one goroutine. Each operation keeps its templates
+// most recently used first; a warm-path lookup allocates nothing. Neither
+// runtime stores templates here: a pool engine and a server replica's
+// operation each hold their one template themselves (CallHeld).
 type Store struct {
 	byOp map[string]*opTemplates
 }
@@ -81,27 +79,8 @@ func (st *Store) swap(op string, old, t *Template) {
 	}
 }
 
-// footprint sums the Footprint of every stored template and the
-// store's own bookkeeping for them: per operation a slot in byOp and its
-// template array.
-func (st *Store) footprint() int {
-	const perOp = int(unsafe.Sizeof("") + unsafe.Sizeof((*opTemplates)(nil)) + unsafe.Sizeof(opTemplates{}))
-	n := 0
-	for _, l := range st.byOp {
-		n += perOp
-		for _, t := range l {
-			if t != nil {
-				n += t.Footprint()
-			}
-		}
-	}
-	return n
-}
-
 // ReleaseAll returns every template's chunk arenas to the pool and
-// empties the store. The server runtime calls this (through its
-// replica's ReleaseArenas) once an evicted replica's last in-flight
-// request has returned.
+// empties the store.
 func (st *Store) ReleaseAll() {
 	for op, l := range st.byOp {
 		for _, t := range l {
@@ -116,9 +95,10 @@ func (st *Store) ReleaseAll() {
 // Stub is a client-side SOAP endpoint employing differential
 // serialization. Through Call it owns its templates (paper §1); through
 // CallHeld it serializes through a template its caller keeps — a pool
-// connection slot's stub through the engine it checked out. It is not
-// safe for concurrent use: one goroutine drives it, or — for pool slots
-// and server replicas — whoever holds that slot or replica. To reuse
+// connection slot's stub through the engine it checked out, a server
+// replica's stub through the operation it answers. It is not safe for
+// concurrent use: one goroutine drives it, or — for pool slots and
+// server replicas — whoever holds that slot or replica. To reuse
 // one serialization for several destinations, swap the stub's sink
 // between sends rather than sharing templates between stubs.
 type Stub struct {
@@ -128,10 +108,6 @@ type Stub struct {
 	stats    Stats
 	overlays map[string]*overlayState
 	scr      scratch // per-stub send scratch, alive across calls
-	// fp caches the store's footprint; fpStale says a call has built,
-	// grown, split, replaced or dropped a template since (see Footprint).
-	fp      int
-	fpStale bool
 }
 
 // scratch is the stub's reusable working memory: everything a warm send
@@ -202,21 +178,6 @@ func NewStubWithConverter(cfg Config, sink Sink, conv fastconv.Converter) *Stub 
 // Stats returns cumulative counters.
 func (s *Stub) Stats() Stats { return s.stats }
 
-// Footprint reports the memory held by the stub's stored templates: its
-// contribution to a server replica's budget accounting. Only a template
-// built, grown, split, replaced or dropped changes it — in-place
-// rewrites, tag shifts, shifts and steals reuse existing bytes, and a
-// from-scratch call never touches the store — so the walk over the
-// chunk lists is cached and redone only after a call, failed or not, did
-// one of those.
-func (s *Stub) Footprint() int {
-	if s.fpStale {
-		s.fpStale = false
-		s.fp = s.store.footprint()
-	}
-	return s.fp
-}
-
 // SetTraceSpan hands the stub the flight-recorder span for the next
 // Call, letting a runtime that owns the call lifecycle (internal/pool)
 // stitch pool-level events (checkout, redial, retry) and core-level
@@ -239,13 +200,9 @@ func (s *Stub) beginCall(m *wire.Message, ci *CallInfo) {
 
 // endCall is every call's epilogue. A call that succeeded clears m's
 // dirty bits and is counted; a failed one keeps both, so a retry
-// re-serializes the same changes. Either way a template built, grown or
-// split makes the footprint cache stale, and the trace span is closed
+// re-serializes the same changes. Either way the trace span is closed
 // and reset so it cannot leak into the next call.
 func (s *Stub) endCall(m *wire.Message, ci *CallInfo, err error) (CallInfo, error) {
-	if ci.Match == FirstTime || ci.Grows+ci.Splits > 0 {
-		s.fpStale = true
-	}
 	if err == nil {
 		m.ClearDirty()
 		s.stats.add(*ci)
@@ -261,8 +218,8 @@ func (s *Stub) endCall(m *wire.Message, ci *CallInfo, err error) (CallInfo, erro
 	return *ci, err
 }
 
-// Store exposes the stub's template store (memory accounting, release,
-// tests, inspector tool). It shares the stub's confinement.
+// Store exposes the stub's template store (release, tests, inspector
+// tool). It shares the stub's confinement.
 func (s *Stub) Store() *Store { return &s.store }
 
 // Template returns the current template for an operation+signature, or
@@ -283,11 +240,12 @@ func (s *Stub) Call(m *wire.Message) (CallInfo, error) {
 	return ci, err
 }
 
-// CallHeld serializes and sends m through *held, the template of m's
-// structure that the caller keeps (nil for none), and leaves in *held
-// what to keep: a new template after a first-time send, nil after the
-// template was dropped. It releases any template it replaced. A nil
-// held serves m from scratch and keeps nothing.
+// CallHeld serializes and sends m through *held, the template that the
+// caller keeps (nil for none), and leaves in *held what to keep: a new
+// template after a first-time send, nil after the template was dropped.
+// A held template of another structure than m's is replaced through a
+// first-time send. It releases any template it replaced. A nil held
+// serves m from scratch and keeps nothing.
 //
 // On success the message's dirty bits are cleared; on a send error they
 // are preserved so a retry re-serializes the same changes, and the
@@ -311,6 +269,13 @@ func (s *Stub) CallHeld(held **Template, m *wire.Message) (CallInfo, error) {
 		tpl.Release()
 		tpl, *held = nil, nil
 		ci.Degraded = true
+	}
+	if tpl != nil && (tpl.msg != m || tpl.version != m.Version()) && tpl.sig != m.Signature() {
+		// A template of another structure: its caller keeps one template
+		// for whatever shape it sends (a server operation whose handler
+		// reshaped its response). Drop it; this is a first-time send.
+		tpl.Release()
+		tpl, *held = nil, nil
 	}
 	switch {
 	case tpl == nil:
@@ -406,13 +371,12 @@ func (s *Stub) fromScratch(m *wire.Message, ci *CallInfo) (CallInfo, error) {
 // unrepresentable serves from scratch a call whose template the DUT
 // table could not represent, dropping the template if one was held (a
 // failed build kept nothing). What the call did to the dropped template
-// is not reported; the footprint cache goes stale all the same.
+// is not reported.
 func (s *Stub) unrepresentable(held **Template, m *wire.Message, ci *CallInfo) (CallInfo, error) {
 	if *held != nil {
 		(*held).Release()
 		*held = nil
 	}
 	*ci = CallInfo{Span: ci.Span}
-	s.fpStale = true
 	return s.fromScratch(m, ci)
 }

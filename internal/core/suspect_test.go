@@ -108,45 +108,3 @@ func TestSuspectFirstTimeSend(t *testing.T) {
 	}
 	checkRendered(t, m, sink.data)
 }
-
-// TestFootprintExactAfterFailedSend: a call that builds or grows a
-// template keeps it whether or not its send succeeds (a failed one only
-// marks it suspect), so the footprint a keeper charges must follow every
-// call, failed or not — a first send that fails, and a rewrite that grows
-// its chunks and then fails.
-func TestFootprintExactAfterFailedSend(t *testing.T) {
-	msg := func() (*wire.Message, wire.DoubleArrayRef) {
-		m := wire.NewMessage("urn:t", "op")
-		arr := m.AddDoubleArray("values", 5000)
-		return m, arr
-	}
-	exact := func(t *testing.T, s *Stub, what string) {
-		t.Helper()
-		if got, want := s.Footprint(), s.store.footprint(); got != want || want == 0 {
-			t.Fatalf("%s: footprint %d B, the store holds %d B", what, got, want)
-		}
-	}
-	t.Run("first send", func(t *testing.T) {
-		s := NewStub(Config{}, &flakySink{failOn: map[int]bool{1: true}})
-		m, _ := msg()
-		if ci, err := s.Call(m); !errors.Is(err, errFlaky) || ci.Match != FirstTime {
-			t.Fatalf("first send: %v %v, want a failed first-time send", ci.Match, err)
-		}
-		exact(t, s, "after a failed first send")
-	})
-	t.Run("growing rewrite", func(t *testing.T) {
-		s := NewStub(Config{}, &flakySink{failOn: map[int]bool{2: true}})
-		m, arr := msg()
-		if _, err := s.Call(m); err != nil {
-			t.Fatal(err)
-		}
-		exact(t, s, "after the build")
-		for i := 0; i < arr.Len(); i++ {
-			arr.Set(i, -1.7976931348623157e308)
-		}
-		if ci, err := s.Call(m); !errors.Is(err, errFlaky) || ci.Grows == 0 {
-			t.Fatalf("growing rewrite: %d grows, %v, want a failed send after growing", ci.Grows, err)
-		}
-		exact(t, s, "after a failed growing rewrite")
-	})
-}

@@ -132,13 +132,25 @@ func heldCost(body []byte, leaves int) int64 {
 	return int64(cap(append([]byte(nil), body...)) + int(unsafe.Sizeof(soapdec.LeafRange{}))*leaves + 256)
 }
 
-// replicaSize reads conn's accounted footprint and its response stub's
-// share of it.
-func replicaSize(rt *Runtime, conn uint64) (size, stub int64) {
+// replicaSize reads conn's accounted footprint and its response
+// templates' share of it, walked afresh.
+func replicaSize(rt *Runtime, conn uint64) (size, resp int64) {
 	slot, r := rt.acquire(reg.Key{Conn: conn})
-	stub = int64(r.stub.Footprint())
+	resp = respFootprint(r)
 	rt.release(slot)
-	return int64(r.SizeBytes()), stub
+	return int64(r.SizeBytes()), resp
+}
+
+// respFootprint sums the footprints of the response templates r holds.
+// Caller holds r.mu.
+func respFootprint(r *replica) int64 {
+	n := int64(0)
+	for _, op := range r.ops {
+		if op.tpl != nil {
+			n += int64(op.tpl.Footprint())
+		}
+	}
+	return n
 }
 
 // TestDeltaSameShapeReparsesOnlyChanges rotates K same-shape messages —

@@ -7,8 +7,10 @@
 //
 // Runtime keeps a pool of per-connection (or per-client) replicas, each
 // with its own patch bases (which are also the decode templates of the
-// requests that name them), deserializer, response stub and handler
-// instances — the server-side mirror of the client pool's sharded store.
+// requests that name them), deserializer, response stub, and per
+// operation a handler instance holding one response template, as a
+// client pool engine holds one — the server-side mirror of the client
+// pool's sharded store.
 // Requests from the same connection land on the same replica, so its
 // templates track that client's message shapes: concurrent clients do
 // not thrash a shared template set, and decodes proceed in parallel with
@@ -47,7 +49,9 @@ type Handler func(req *wire.Message) (*wire.Message, error)
 // instance, so handlers may keep per-instance state — in particular a
 // reused response wire.Message, which is exactly what makes the
 // response-side differential stub effective and is not safe to share
-// across replicas.
+// across replicas. The replica holds one response template per handler
+// instance: a response of another shape than the last replaces it
+// through a first-time send.
 type HandlerFactory func() Handler
 
 // Options configure a Runtime.
@@ -64,7 +68,7 @@ type Options struct {
 	// pool's store.
 	MaxReplicas int
 	// MaxTemplateBytes budgets the replicas' aggregate template memory
-	// (request deserializer templates, response stub templates and patch
+	// (request deserializer templates, response templates and patch
 	// bases): the registry evicts least-recently-used replicas
 	// to stay at or below it. Zero leaves memory bounded only by
 	// MaxReplicas and the deserializer's per-replica key cap. See README
@@ -303,16 +307,16 @@ func (rt *Runtime) acquire(key reg.Key) (*reg.Slot[*replica], *replica) {
 // its arenas. Caller holds r.mu.
 func (rt *Runtime) release(slot *reg.Slot[*replica]) {
 	r := slot.Value
-	r.size.Store(int64(r.stub.Footprint()) + r.bases.bytes + int64(r.differ.SizeBytes()))
+	r.size.Store(r.respBytes + r.bases.bytes + int64(r.differ.SizeBytes()))
 	r.mu.Unlock()
 	rt.reg.Release(slot)
 }
 
 func (rt *Runtime) newReplica() *replica {
 	r := &replica{
-		handlers: make(map[string]Handler),
-		differ:   diffdeser.New(rt.lookupSchema),
-		bases:    baseKeeper{lookup: rt.lookupSchema, onDrop: rt.metrics.RecordDeltaBaseEviction},
+		ops:    make(map[string]*replicaOp),
+		differ: diffdeser.New(rt.lookupSchema),
+		bases:  baseKeeper{lookup: rt.lookupSchema, onDrop: rt.metrics.RecordDeltaBaseEviction},
 	}
 	r.stub = core.NewStub(rt.opts.Core, &r.sink)
 	return r
@@ -384,16 +388,16 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 	rt.metrics.Stages.Observe(trace.StageDecode, decodeNs, span)
 
 	opLocal := msg.Operation()
-	h, ok := r.handlers[opLocal]
+	op, ok := r.ops[opLocal]
 	if !ok {
-		op := rt.ops[opLocal]
-		if op == nil {
+		o := rt.ops[opLocal]
+		if o == nil {
 			return nil, fmt.Errorf("serverpool: no handler for %s", opLocal)
 		}
-		h = op.factory()
-		r.handlers[opLocal] = h
+		op = &replicaOp{h: o.factory()}
+		r.ops[opLocal] = op
 	}
-	resp, err := h(msg)
+	resp, err := op.h(msg)
 	respondStart := time.Now()
 	handlerNs := respondStart.Sub(handlerStart).Nanoseconds()
 	rt.metrics.Stages.Observe(trace.StageHandler, handlerNs, span)
@@ -410,7 +414,7 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 		r.stub.SetTraceSpan(span)
 	}
 	r.sink.buf = req.Resp
-	ci, err := r.stub.Call(resp)
+	ci, err := r.respond(op, resp)
 	req.Resp, r.sink.buf = r.sink.buf, nil
 	respondNs := time.Since(respondStart).Nanoseconds()
 	rt.metrics.Stages.Observe(trace.StageRespond, respondNs, span)

@@ -27,7 +27,6 @@ import (
 type Request struct {
 	Method  string
 	Target  string
-	Proto   string
 	Headers map[string]string // keys lower-cased; x-bsoap-trace is parsed into TraceSpan instead
 	Body    []byte
 
@@ -102,7 +101,6 @@ const (
 // Response is one parsed HTTP response. The reuse contract matches
 // Request's: ReadResponseInto recycles the map, body and interns.
 type Response struct {
-	Proto   string
 	Status  int
 	Headers map[string]string
 	Body    []byte
@@ -268,28 +266,30 @@ func parseHex64[T ~string | ~[]byte](s T) (uint64, bool) {
 	return n, true
 }
 
-// splitRequestLine splits a request line into its method, target and
-// version, which exactly two single spaces separate (RFC 9112 §3). A
+// splitRequestLine splits a request line into its method and target,
+// which exactly two single spaces separate from each other and from the
+// version (RFC 9112 §3). A
 // doubled space, a tab or any other control byte refuses the line, as
 // net/http refuses it, instead of being read as a separator. The method
 // must be a token, the target in origin form ("/" and a path whose
 // percent-escapes are all two hex digits, RFC 9112 §3.2.1), and the
 // version HTTP/1.1, the one framing the server speaks.
-func splitRequestLine(line []byte) (method, target, proto []byte, ok bool) {
+func splitRequestLine(line []byte) (method, target []byte, ok bool) {
 	if hasCTL(line) || bytes.IndexByte(line, '\t') >= 0 {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	sp := bytes.IndexByte(line, ' ')
 	if sp < 0 {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	method, target = line[:sp], line[sp+1:]
 	if sp = bytes.IndexByte(target, ' '); sp < 0 {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	target, proto = target[:sp], target[sp+1:]
+	proto := target[sp+1:]
+	target = target[:sp]
 	ok = isToken(method) && originForm(target) && string(proto) == "HTTP/1.1"
-	return method, target, proto, ok
+	return method, target, ok
 }
 
 // isToken reports whether b is a non-empty RFC 9110 §5.6.2 token.
@@ -415,10 +415,16 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 // readBodyInto consumes the message body per the framing headers into
 // ps.body. No content encoding is accepted: a body is the message bytes
 // themselves (delta frames, not compression, are the answer to slow
-// links).
+// links). A Content-Length is checked even beside chunked encoding,
+// which overrides it: net/http refuses a malformed one either way.
 func readBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch) ([]byte, error) {
 	if ce, ok := h["content-encoding"]; ok {
 		return nil, fmt.Errorf("transport: unsupported content encoding %q", ce)
+	}
+	cl, hasCL := h["content-length"]
+	n, okn := parseUintBytes(cl, 10)
+	if hasCL && (!okn || n > maxBodyBytes) {
+		return nil, fmt.Errorf("transport: bad content-length %q", cl)
 	}
 	if te, ok := h["transfer-encoding"]; ok {
 		if !strings.EqualFold(te, "chunked") {
@@ -426,13 +432,8 @@ func readBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch) ([]by
 		}
 		return readChunkedBodyInto(br, ps)
 	}
-	cl, ok := h["content-length"]
-	if !ok {
+	if !hasCL {
 		return nil, errors.New("transport: message without content-length or chunked encoding")
-	}
-	n, okn := parseUintBytes(cl, 10)
-	if !okn || n > maxBodyBytes {
-		return nil, fmt.Errorf("transport: bad content-length %q", cl)
 	}
 	if uint64(cap(ps.body)) < n {
 		ps.body = make([]byte, n)
@@ -519,14 +520,13 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 		}
 		return fmt.Errorf("transport: reading request line: %w", err)
 	}
-	method, target, proto, ok := splitRequestLine(trimCRLF(line))
+	method, target, ok := splitRequestLine(trimCRLF(line))
 	if !ok {
 		return fmt.Errorf("transport: malformed request line %q", line)
 	}
 	ps := &req.scratch
 	req.Method = ps.intern(method)
 	req.Target = ps.intern(target)
-	req.Proto = ps.intern(proto)
 	if req.Headers, err = readHeadersInto(br, req.Headers, ps); err != nil {
 		return err
 	}
@@ -574,7 +574,7 @@ func ReadResponseInto(br *bufio.Reader, resp *Response) error {
 	if sp < 0 {
 		return fmt.Errorf("transport: malformed status line %q", line)
 	}
-	proto, rest := line[:sp], line[sp+1:]
+	rest := line[sp+1:]
 	statusB := rest
 	if sp2 := bytes.IndexByte(rest, ' '); sp2 >= 0 {
 		statusB = rest[:sp2] // reason phrase ignored
@@ -584,7 +584,6 @@ func ReadResponseInto(br *bufio.Reader, resp *Response) error {
 		return fmt.Errorf("transport: bad status %q", statusB)
 	}
 	ps := &resp.scratch
-	resp.Proto = ps.intern(proto)
 	resp.Status = int(status)
 	if resp.Headers, err = readHeadersInto(br, resp.Headers, ps); err != nil {
 		return err
