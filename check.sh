@@ -671,6 +671,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzInline$'      -fuzztime="$FUZZTIME" ./internal/multiref
     go test -run='^$' -fuzz='^FuzzParse$'       -fuzztime="$FUZZTIME" ./internal/wsdl
     go test -run='^$' -fuzz='^FuzzReadRequest$' -fuzztime="$FUZZTIME" ./internal/transport
+    go test -run='^$' -fuzz='^FuzzReadResponse$' -fuzztime="$FUZZTIME" ./internal/transport
     go test -run='^$' -fuzz='^FuzzPipelineResponses$' -fuzztime="$FUZZTIME" ./internal/transport
     go test -run='^$' -fuzz='^FuzzDeltaFrame$'  -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzDeltaFrame$'  -fuzztime="$FUZZTIME" ./internal/serverpool

@@ -2,6 +2,10 @@ package bsoap_test
 
 import (
 	"bytes"
+	"encoding/xml"
+	"io"
+	"maps"
+	"strings"
 	"testing"
 
 	"bsoap/internal/baseline"
@@ -87,6 +91,91 @@ func TestWritersShareOneGrammar(t *testing.T) {
 		} {
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s, %s:\n got %s\nwant %s", name, writer, got, want)
+			}
+		}
+	}
+}
+
+// TestWritersDeclareWhatTheyUse reads every writer's output with
+// encoding/xml, for the three workload operations and for a reply with
+// one scalar: each must be well-formed and declare exactly the
+// namespace prefixes it uses — in element names, in attribute names and
+// in the QName values of xsi:type and SOAP-ENC:arrayType.
+func TestWritersDeclareWhatTheyUse(t *testing.T) {
+	reply := wire.NewMessage(workload.Namespace, "sendDoublesResponse")
+	reply.AddInt("n", 4000)
+	msgs := map[string]*wire.Message{
+		"sendDoubles": workload.NewDoubles(20, workload.FillIntermediate).Msg,
+		"sendInts":    workload.NewInts(20, workload.FillIntermediate).Msg,
+		"sendMIOs":    workload.NewMIOs(20, workload.FillIntermediate).Msg,
+		"reply":       reply,
+	}
+	for name, m := range msgs {
+		sink := &recordSink{}
+		if _, err := core.NewStub(core.Config{}, sink).Call(m); err != nil {
+			t.Fatal(err)
+		}
+		for writer, doc := range map[string][]byte{
+			"from-scratch":      new(soapenv.Compiler).AppendMessage(nil, m, 0),
+			"gSOAP-like":        new(baseline.GSOAPLike).Serialize(m),
+			"XSOAP-like":        new(baseline.XSOAPLike).Serialize(m),
+			"first-time send":   sink.last(),
+			"multi-ref encoder": multiref.NewEncoder().Serialize(m),
+		} {
+			declared, used, err := prefixesOf(doc)
+			if err != nil {
+				t.Errorf("%s, %s: not well-formed: %v\n%s", name, writer, err, doc)
+				continue
+			}
+			if !maps.Equal(declared, used) {
+				t.Errorf("%s, %s: declares %v, uses %v", name, writer, declared, used)
+			}
+		}
+	}
+}
+
+// prefixesOf reads doc with encoding/xml, which refuses a document that
+// is not well-formed, and returns the namespace prefixes it declares and
+// those it uses.
+func prefixesOf(doc []byte) (declared, used map[string]bool, err error) {
+	for d := xml.NewDecoder(bytes.NewReader(doc)); ; {
+		if _, err := d.Token(); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, nil, err
+		}
+	}
+	declared, used = map[string]bool{}, map[string]bool{}
+	use := func(qname string) {
+		if prefix, _, ok := strings.Cut(qname, ":"); ok {
+			used[prefix] = true
+		}
+	}
+	for d := xml.NewDecoder(bytes.NewReader(doc)); ; {
+		tok, err := d.RawToken()
+		if err == io.EOF {
+			return declared, used, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		start, ok := tok.(xml.StartElement)
+		if !ok {
+			continue
+		}
+		if start.Name.Space != "" {
+			used[start.Name.Space] = true
+		}
+		for _, a := range start.Attr {
+			switch {
+			case a.Name.Space == "xmlns":
+				declared[a.Name.Local] = true
+				continue
+			case a.Name.Space != "":
+				used[a.Name.Space] = true
+			}
+			if a.Name.Local == "type" || a.Name.Local == "arrayType" {
+				use(a.Value)
 			}
 		}
 	}

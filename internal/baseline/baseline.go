@@ -145,7 +145,7 @@ func (x *XSOAPLike) Serialize(m *wire.Message) []byte {
 
 	// Second pass: stringify the tree.
 	out := make([]byte, 0, 4096)
-	out = append(out, soapenv.EnvelopeStart(m.Namespace())...)
+	out = append(out, soapenv.EnvelopeStart(m)...)
 	out = render(out, op)
 	out = append(out, soapenv.EnvelopeEnd...)
 	return out

@@ -159,9 +159,11 @@ func TestFirstTimeSendRendersAllTypes(t *testing.T) {
 		t.Fatal("dirty bits survive a successful send")
 	}
 	doc := string(sink.data)
+	if !strings.HasPrefix(doc, `<SOAP-ENV:Envelope xmlns:SOAP-ENV=`) {
+		t.Errorf("rendered message does not open with the envelope: %.60q", doc)
+	}
 	for _, want := range []string{
-		`<?xml version="1.0" encoding="UTF-8"?>`,
-		`<SOAP-ENV:Envelope`,
+		`xmlns:SOAP-ENC="http://schemas.xmlsoap.org/soap/encoding/"`,
 		`xmlns:ns1="urn:bsoap-test"`,
 		`<ns1:mixed>`,
 		`<count xsi:type="xsd:int">-42</count>`,

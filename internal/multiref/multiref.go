@@ -161,9 +161,11 @@ func Inline(body []byte) ([]byte, error) {
 		if idx < 0 {
 			break
 		}
+		// The href must sit in the start tag it is read from: a '>'
+		// between that tag's '<' and the href puts it in text.
 		open := strings.LastIndexByte(rest[:idx], '<')
-		if open < 0 {
-			return nil, fmt.Errorf("multiref: href outside an element")
+		if open < 0 || strings.IndexByte(rest[open:idx], '>') >= 0 {
+			return nil, fmt.Errorf("multiref: href outside a start tag")
 		}
 		tagEnd := open + 1
 		for tagEnd < len(rest) && isNameByte(rest[tagEnd]) {
@@ -202,7 +204,9 @@ func Inline(body []byte) ([]byte, error) {
 	return stripMultiRefs(out)
 }
 
-// collectRefs gathers id → raw escaped content of multiRef elements.
+// collectRefs gathers id → raw escaped content of multiRef elements,
+// refusing a duplicate id and a multiRef whose content holds a
+// reference.
 func collectRefs(body []byte) (map[string]string, error) {
 	refs := make(map[string]string)
 	s := string(body)
@@ -233,6 +237,11 @@ func collectRefs(body []byte) (map[string]string, error) {
 		}
 		if _, dup := refs[id]; dup {
 			return nil, fmt.Errorf("multiref: duplicate id %q", id)
+		}
+		// A value that refers on would need resolving in turn, and a
+		// cycle never ends: a multiRef holds no reference.
+		if strings.Contains(s[gt+1:gt+end], `href="#`) {
+			return nil, fmt.Errorf("multiref: multiRef %q holds a reference", id)
 		}
 		refs[id] = s[gt+1 : gt+end]
 		s = s[gt+end+len("</multiRef>"):]

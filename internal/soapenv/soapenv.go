@@ -24,6 +24,7 @@ package soapenv
 
 import (
 	"slices"
+	"strings"
 
 	"bsoap/internal/fastconv"
 	"bsoap/internal/wire"
@@ -38,27 +39,68 @@ const (
 	nsXSD      = "http://www.w3.org/2001/XMLSchema"
 )
 
-// prologue is the XML declaration that starts every message.
-const prologue = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
-
-// envelopeHead and bodyStart frame the application namespace in the
-// envelope and body opening.
+// The envelope carries no XML declaration (UTF-8 XML 1.0 is what a
+// document without one is) and no white space between its elements. It
+// declares SOAP-ENV and ns1, which every message uses, and each of
+// SOAP-ENC, xsi and xsd only when a parameter uses it (declares): bytes
+// that carry nothing are link time on every call, requests and
+// responses alike.
 const (
-	envelopeHead = prologue +
-		`<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + nsEnvelope +
-		`" xmlns:SOAP-ENC="` + nsEncoding +
-		`" xmlns:xsi="` + nsXSI +
-		`" xmlns:xsd="` + nsXSD +
-		`" xmlns:ns1="`
-	bodyStart = `">` + "\n<SOAP-ENV:Body>\n"
+	envelopeOpen = `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + nsEnvelope + `"`
+	declEncoding = ` xmlns:SOAP-ENC="` + nsEncoding + `"`
+	declXSI      = ` xmlns:xsi="` + nsXSI + `"`
+	declXSD      = ` xmlns:xsd="` + nsXSD + `"`
+	declApp      = ` xmlns:ns1="`
+	bodyStart    = `"><SOAP-ENV:Body>`
+	// maxEnvelopeStart is the longest envelope opening, less the
+	// application namespace.
+	maxEnvelopeStart = len(envelopeOpen) + len(declEncoding) + len(declXSI) + len(declXSD) + len(declApp) + len(bodyStart)
 )
 
-// EnvelopeStart returns the envelope and body opening, binding ns1 to the
-// application namespace.
-func EnvelopeStart(appNS string) string { return envelopeHead + appNS + bodyStart }
+// declares reports which of the optional prefixes m's parameters write:
+// xsi in every parameter's xsi:type, SOAP-ENC in an array's type and
+// arrayType, and xsd where a parameter's type, or an array's element
+// type, is an XML Schema one. Items and struct fields carry bare tags,
+// and a struct holds no array (wire.StructOf), so nothing deeper names
+// a prefix.
+func declares(m *wire.Message) (xsi, enc, xsd bool) {
+	params := m.Params()
+	for i := range params {
+		t := params[i].Type
+		xsi = true
+		if t.Kind == wire.Array {
+			enc, t = true, t.Elem
+		}
+		xsd = xsd || strings.HasPrefix(t.Name, "xsd:")
+	}
+	return xsi, enc, xsd
+}
+
+// appendEnvelopeStart appends m's envelope and body opening, binding ns1
+// to m's namespace.
+func appendEnvelopeStart(b []byte, m *wire.Message) []byte {
+	xsi, enc, xsd := declares(m)
+	b = append(b, envelopeOpen...)
+	if enc {
+		b = append(b, declEncoding...)
+	}
+	if xsi {
+		b = append(b, declXSI...)
+	}
+	if xsd {
+		b = append(b, declXSD...)
+	}
+	b = append(b, declApp...)
+	b = append(b, m.Namespace()...)
+	return append(b, bodyStart...)
+}
+
+// EnvelopeStart returns m's envelope and body opening, binding ns1 to
+// m's namespace, for a writer that builds its own operation element.
+func EnvelopeStart(m *wire.Message) string { return string(appendEnvelopeStart(nil, m)) }
 
 // EnvelopeEnd closes the body and envelope.
-const EnvelopeEnd = "\n</SOAP-ENV:Body>\n</SOAP-ENV:Envelope>\n"
+const EnvelopeEnd = "</SOAP-ENV:Body></SOAP-ENV:Envelope>"
 
 // ItemTag is the element name of array items. Items and struct fields
 // carry bare tags: the enclosing arrayType or xsi:type already fixes
@@ -87,17 +129,15 @@ type Compiler struct {
 	steps []Step
 }
 
-// Operation compiles m's operation framing. open is the XML declaration,
-// the envelope and body opening, binding ns1 to m's namespace, and the
-// operation's open tag. close is the operation's close tag followed by
-// EnvelopeEnd; a writer that places independent elements beside the
-// operation (multi-ref values) writes them before that EnvelopeEnd.
+// Operation compiles m's operation framing. open is the envelope and
+// body opening (appendEnvelopeStart) and the operation's open tag.
+// close is the operation's close tag followed by EnvelopeEnd; a writer
+// that places independent elements beside the operation (multi-ref
+// values) writes them before that EnvelopeEnd.
 func (c *Compiler) Operation(m *wire.Message) (open, close []byte) {
 	op := m.Operation()
-	b := slices.Grow(c.op[:0], len(envelopeHead)+len(m.Namespace())+len(bodyStart)+len("<ns1:></ns1:>")+2*len(op)+len(EnvelopeEnd))
-	b = append(b, envelopeHead...)
-	b = append(b, m.Namespace()...)
-	b = append(b, bodyStart...)
+	b := slices.Grow(c.op[:0], maxEnvelopeStart+len(m.Namespace())+len("<ns1:></ns1:>")+2*len(op)+len(EnvelopeEnd))
+	b = appendEnvelopeStart(b, m)
 	b = append(b, "<ns1:"...)
 	b = append(b, op...)
 	b = append(b, '>')

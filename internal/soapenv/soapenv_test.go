@@ -34,15 +34,46 @@ func TestEnvelopeRoundTrips(t *testing.T) {
 	}
 }
 
-func TestEnvelopeDeclaresAllNamespaces(t *testing.T) {
-	env := EnvelopeStart("urn:app")
-	for _, ns := range []string{nsEnvelope, nsEncoding, nsXSI, nsXSD, "urn:app"} {
-		if !strings.Contains(env, ns) {
-			t.Errorf("envelope missing namespace %q", ns)
-		}
+// TestEnvelopeDeclaresWhatItUses pins the envelope rule: no XML
+// declaration, no white space between elements, SOAP-ENV and ns1
+// always, and SOAP-ENC, xsi and xsd only for a message whose parameters
+// write them.
+func TestEnvelopeDeclaresWhatItUses(t *testing.T) {
+	elem := wire.StructOf("ns1:El", wire.Field{Name: "a", Type: wire.TInt})
+	cases := []struct {
+		name          string
+		add           func(m *wire.Message)
+		enc, xsi, xsd bool
+	}{
+		{"none", func(*wire.Message) {}, false, false, false},
+		{"scalar", func(m *wire.Message) { m.AddInt("v", 1) }, false, true, true},
+		{"struct", func(m *wire.Message) { m.AddStruct("p", elem) }, false, true, false},
+		{"array", func(m *wire.Message) { m.AddDoubleArray("v", 2) }, true, true, true},
+		{"struct array", func(m *wire.Message) { m.AddStructArray("v", elem, 2) }, true, true, false},
+		{"struct and scalar", func(m *wire.Message) { m.AddStruct("p", elem); m.AddBool("b", true) }, false, true, true},
 	}
-	if !strings.HasPrefix(env, prologue) {
-		t.Error("envelope missing XML declaration")
+	for _, c := range cases {
+		m := wire.NewMessage("urn:app", "op")
+		c.add(m)
+		env := EnvelopeStart(m)
+		want := `<SOAP-ENV:Envelope xmlns:SOAP-ENV="` + nsEnvelope + `"`
+		if c.enc {
+			want += ` xmlns:SOAP-ENC="` + nsEncoding + `"`
+		}
+		if c.xsi {
+			want += ` xmlns:xsi="` + nsXSI + `"`
+		}
+		if c.xsd {
+			want += ` xmlns:xsd="` + nsXSD + `"`
+		}
+		want += ` xmlns:ns1="urn:app"><SOAP-ENV:Body>`
+		if env != want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, env, want)
+		}
+		doc := new(Compiler).AppendMessage(nil, m, 0)
+		if !strings.HasPrefix(string(doc), want) || !strings.HasSuffix(string(doc), EnvelopeEnd) || strings.ContainsAny(string(doc), "\n?") {
+			t.Errorf("%s: document %s", c.name, doc)
+		}
 	}
 }
 
@@ -57,7 +88,7 @@ func TestAppendMessageFraming(t *testing.T) {
 	arr := m.AddDoubleArray("vals", 2)
 	arr.Set(0, 1.5)
 	arr.Set(1, math.Inf(-1))
-	want := EnvelopeStart("urn:app") + `<ns1:op>` +
+	want := EnvelopeStart(m) + `<ns1:op>` +
 		`<n xsi:type="xsd:int">-7</n>` +
 		`<x xsi:type="xsd:double">0.1</x>` +
 		`<s xsi:type="xsd:string">a&lt;b</s>` +
@@ -98,7 +129,7 @@ func TestParamSteps(t *testing.T) {
 		t.Fatalf("steps %q, want %q", got, want)
 	}
 	head, tail := c.Operation(m)
-	if string(head) != EnvelopeStart("urn:app")+"<ns1:op>" || string(tail) != "</ns1:op>"+EnvelopeEnd {
+	if string(head) != EnvelopeStart(m)+"<ns1:op>" || string(tail) != "</ns1:op>"+EnvelopeEnd {
 		t.Fatalf("operation framing %q … %q", head, tail)
 	}
 }

@@ -75,6 +75,62 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
+// FuzzReadResponse holds the response parser to net/http's, as
+// FuzzReadRequest holds the request parser: on every input it either
+// refuses or agrees with http.ReadResponse (answering a POST) on the
+// status, the body and where the next response starts. It may be
+// stricter, never looser. Two ways it is stricter are known and kept: it
+// refuses a response with neither a Content-Length nor chunked framing
+// (net/http reads its body to EOF, so nothing could follow it on a
+// persistent connection), and it refuses every interim (1xx) response.
+func FuzzReadResponse(f *testing.F) {
+	seeds := []string{
+		"",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhiHTTP/1.1 200 OK\r\n",
+		"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\nnext",
+		"HTTP/1.1 204 No Content\r\nContent-Length: 3\r\n\r\nabc",
+		"HTTP/1.1 200\r\nContent-Length: 1\r\n\r\nx",
+		"HTTP/1.1 200 OK\r\n\r\nto EOF",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-BSoap-Delta: ack 1 2\r\nContent-Length: 2\r\n\r\nhi",
+		"garbage 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		br := bufio.NewReader(r)
+		var resp Response
+		if err := ReadResponseInto(br, &resp); err != nil {
+			return
+		}
+		used := len(data) - r.Len() - br.Buffered()
+
+		or := bytes.NewReader(data)
+		obr := bufio.NewReader(or)
+		oresp, err := http.ReadResponse(obr, &http.Request{Method: "POST"})
+		if err != nil {
+			t.Fatalf("accepted what net/http refuses (%v): %q", err, data)
+		}
+		obody, err := io.ReadAll(oresp.Body)
+		if err != nil {
+			t.Fatalf("accepted a body net/http cannot read (%v): %q", err, data)
+		}
+		if resp.Status != oresp.StatusCode {
+			t.Fatalf("status %d, net/http reads %d: %q", resp.Status, oresp.StatusCode, data)
+		}
+		if !bytes.Equal(resp.Body, obody) {
+			t.Fatalf("body %q, net/http reads %q: %q", resp.Body, obody, data)
+		}
+		if oused := len(data) - or.Len() - obr.Buffered(); used != oused {
+			t.Fatalf("next response at byte %d, net/http says %d: %q", used, oused, data)
+		}
+	})
+}
+
 // scriptedConn is a fake net.Conn whose read side replays a canned byte
 // stream (then EOF) and whose write side discards — the response-stream
 // analogue of strings.Reader for fuzzing the pipelined reader.

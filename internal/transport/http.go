@@ -292,6 +292,34 @@ func splitRequestLine(line []byte) (method, target []byte, ok bool) {
 	return method, target, ok
 }
 
+// parseStatusLine returns the status code of a response's status line,
+// held to the request line's rules: the version HTTP/1.1, one space,
+// exactly three digits, then the end of the line or a space and a
+// reason phrase, which is ignored (RFC 9112 §4). A control byte other
+// than HTAB refuses the line. So does a code outside 200–599: an
+// interim (1xx) response has no body whatever its headers say, and a
+// reader that took it for the answer would pair every later response
+// with the wrong request.
+func parseStatusLine(line []byte) (int, bool) {
+	const version = "HTTP/1.1"
+	v := len(version)
+	if len(line) < v+4 || string(line[:v]) != version || line[v] != ' ' || hasCTL(line) {
+		return 0, false
+	}
+	code, rest := line[v+1:v+4], line[v+4:]
+	if len(rest) > 0 && rest[0] != ' ' {
+		return 0, false
+	}
+	status := 0
+	for _, c := range code {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		status = status*10 + int(c-'0')
+	}
+	return status, 200 <= status && status <= 599
+}
+
 // isToken reports whether b is a non-empty RFC 9110 §5.6.2 token.
 func isToken(b []byte) bool {
 	for _, c := range b {
@@ -416,8 +444,9 @@ func readHeadersInto(br *bufio.Reader, h map[string]string, ps *parseScratch) (m
 // ps.body. No content encoding is accepted: a body is the message bytes
 // themselves (delta frames, not compression, are the answer to slow
 // links). A Content-Length is checked even beside chunked encoding,
-// which overrides it: net/http refuses a malformed one either way.
-func readBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch) ([]byte, error) {
+// which overrides it, and so are both when none is set (a status that
+// carries no body): net/http refuses a malformed one either way.
+func readBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch, none bool) ([]byte, error) {
 	if ce, ok := h["content-encoding"]; ok {
 		return nil, fmt.Errorf("transport: unsupported content encoding %q", ce)
 	}
@@ -426,13 +455,16 @@ func readBodyInto(br *bufio.Reader, h map[string]string, ps *parseScratch) ([]by
 	if hasCL && (!okn || n > maxBodyBytes) {
 		return nil, fmt.Errorf("transport: bad content-length %q", cl)
 	}
-	if te, ok := h["transfer-encoding"]; ok {
-		if !strings.EqualFold(te, "chunked") {
-			return nil, fmt.Errorf("transport: unsupported transfer encoding %q", te)
-		}
-		return readChunkedBodyInto(br, ps)
+	te, chunked := h["transfer-encoding"]
+	if chunked && !strings.EqualFold(te, "chunked") {
+		return nil, fmt.Errorf("transport: unsupported transfer encoding %q", te)
 	}
-	if !hasCL {
+	switch {
+	case none:
+		return nil, nil
+	case chunked:
+		return readChunkedBodyInto(br, ps)
+	case !hasCL:
 		return nil, errors.New("transport: message without content-length or chunked encoding")
 	}
 	if uint64(cap(ps.body)) < n {
@@ -555,7 +587,7 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 		}
 		return nil
 	}
-	req.Body, err = readBodyInto(br, req.Headers, ps)
+	req.Body, err = readBodyInto(br, req.Headers, ps, false)
 	return err
 }
 
@@ -569,30 +601,16 @@ func ReadResponseInto(br *bufio.Reader, resp *Response) error {
 		}
 		return fmt.Errorf("transport: reading status line: %w", err)
 	}
-	line = trimCRLF(line)
-	sp := bytes.IndexByte(line, ' ')
-	if sp < 0 {
+	status, ok := parseStatusLine(trimCRLF(line))
+	if !ok {
 		return fmt.Errorf("transport: malformed status line %q", line)
 	}
-	rest := line[sp+1:]
-	statusB := rest
-	if sp2 := bytes.IndexByte(rest, ' '); sp2 >= 0 {
-		statusB = rest[:sp2] // reason phrase ignored
-	}
-	status, ok := parseUintBytes(statusB, 10)
-	if !ok {
-		return fmt.Errorf("transport: bad status %q", statusB)
-	}
 	ps := &resp.scratch
-	resp.Status = int(status)
+	resp.Status = status
 	if resp.Headers, err = readHeadersInto(br, resp.Headers, ps); err != nil {
 		return err
 	}
-	resp.Body = nil
-	if resp.Status == 204 || resp.Status == 304 {
-		return nil
-	}
-	resp.Body, err = readBodyInto(br, resp.Headers, ps)
+	resp.Body, err = readBodyInto(br, resp.Headers, ps, resp.Status == 204 || resp.Status == 304)
 	return err
 }
 

@@ -34,12 +34,16 @@ type SenderOptions struct {
 	// injection, tests, alternative transports). nil selects the default
 	// dialer with the paper's socket options.
 	Dialer func(network, addr string) (net.Conn, error)
-	// WriteTimeout bounds the socket writes of one Send/stream operation:
-	// the write deadline is re-armed at the start of each operation, so a
-	// peer that stops draining cannot stall a pooled sender forever. Zero
-	// disables the deadline.
+	// WriteTimeout bounds the socket writes of one Send/stream operation,
+	// so a peer that stops draining cannot stall a pooled sender forever:
+	// a stalled write fails no sooner than WriteTimeout after its
+	// operation starts, and at most WriteTimeout/16 later. (The deadline
+	// is re-armed, at WriteTimeout + WriteTimeout/16, only when less than
+	// WriteTimeout of it is left.) Zero disables the deadline.
 	WriteTimeout time.Duration
-	// ReadTimeout bounds each response read the same way. Zero disables.
+	// ReadTimeout bounds each response read the same way: a stalled read
+	// fails no sooner than ReadTimeout after it starts, and at most
+	// ReadTimeout/16 later. Zero disables.
 	ReadTimeout time.Duration
 	// Delta turns on differential-transmission negotiation for
 	// annotated Submits: a sync-annotated body carries an X-BSoap-Delta
@@ -92,6 +96,11 @@ type Sender struct {
 	bw   *bufio.Writer
 	br   *bufio.Reader
 	opts SenderOptions
+
+	// writeBy and readBy are the deadlines last armed on conn (zero:
+	// none): armWrite's under writeMu or the owner, armRead's by the one
+	// reader.
+	writeBy, readBy time.Time
 
 	// addr is the dial target, recorded by Dial; empty for senders
 	// wrapped around an externally established connection, which
@@ -402,6 +411,7 @@ func (s *Sender) Redial() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.conn = conn
+	s.writeBy, s.readBy = time.Time{}, time.Time{}
 	s.bw.Reset(conn)
 	s.br.Reset(conn)
 	s.streaming = false
@@ -430,19 +440,40 @@ func (s *Sender) InFlight() int {
 	return len(s.queue)
 }
 
-// armWrite re-arms the per-operation write deadline (no-op when
-// WriteTimeout is zero). Errors are ignored: on a dead connection the
-// write that follows surfaces the failure with better context.
+// deadlineSlack sets how far past its timeout a deadline is armed: by
+// timeout/deadlineSlack. The deadline then stands for that long across
+// operations, so a sender calls into the runtime's timers once per
+// timeout/deadlineSlack instead of once per operation.
+const deadlineSlack = 16
+
+// rearm reports whether the deadline last armed, *by, lies less than
+// timeout ahead of now, and if so moves it to timeout + timeout/
+// deadlineSlack from now. An operation that starts when rearm says no
+// still has at least timeout left, so it fails no sooner than timeout
+// and at most timeout/deadlineSlack later.
+func rearm(by *time.Time, timeout time.Duration) bool {
+	now := time.Now()
+	if by.Sub(now) >= timeout {
+		return false
+	}
+	*by = now.Add(timeout + timeout/deadlineSlack)
+	return true
+}
+
+// armWrite arms the write deadline for an operation (no-op when
+// WriteTimeout is zero), when the one armed last is due (rearm). Errors
+// are ignored: on a dead connection the write that follows surfaces the
+// failure with better context.
 func (s *Sender) armWrite() {
-	if s.opts.WriteTimeout > 0 {
-		_ = s.conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	if s.opts.WriteTimeout > 0 && rearm(&s.writeBy, s.opts.WriteTimeout) {
+		_ = s.conn.SetWriteDeadline(s.writeBy)
 	}
 }
 
-// armRead re-arms the per-operation read deadline the same way.
+// armRead arms the read deadline for a response read the same way.
 func (s *Sender) armRead() {
-	if s.opts.ReadTimeout > 0 {
-		_ = s.conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
+	if s.opts.ReadTimeout > 0 && rearm(&s.readBy, s.opts.ReadTimeout) {
+		_ = s.conn.SetReadDeadline(s.readBy)
 	}
 }
 

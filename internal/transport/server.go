@@ -59,6 +59,9 @@ type Server struct {
 type connState struct {
 	park    atomic.Int32
 	pending atomic.Int64
+	// poisoned says a drain poke's deadline may still be armed on the
+	// connection. Only its reader reads and writes it.
+	poisoned bool
 }
 
 // Park states. A poke is two steps, claim then poison, so the reader
@@ -357,12 +360,15 @@ func (s *Server) nextRequest(conn net.Conn, br *bufio.Reader, st *connState, req
 		return false
 	}
 	// A request has begun: arm its deadline, which also lifts a drain
-	// poke that lost the race to it (await waited the poke out).
-	var deadline time.Time
+	// poke that lost the race to it (await waited the poke out). Without
+	// a RequestTimeout no deadline is armed but a poke's, so only that
+	// one is cleared.
 	if s.reqTO > 0 {
-		deadline = time.Now().Add(s.reqTO)
+		_ = conn.SetReadDeadline(time.Now().Add(s.reqTO))
+	} else if st.poisoned {
+		_ = conn.SetReadDeadline(time.Time{})
 	}
-	_ = conn.SetReadDeadline(deadline)
+	st.poisoned = false
 	if err := ReadRequestInto(br, req); err != nil {
 		if !errors.Is(err, errConnClosed) && !s.draining.Load() {
 			s.metrics.recordReadError(err)
@@ -410,6 +416,7 @@ func (s *Server) await(conn net.Conn, br *bufio.Reader, st *connState) bool {
 		// The drain found the connection idle, and err may be its
 		// poisoned deadline. A request that arrived meanwhile is still
 		// served: nextRequest re-arms the deadline before reading it.
+		st.poisoned = true
 		return br.Buffered() > 0 || arrived(conn)
 	}
 	if err != nil {

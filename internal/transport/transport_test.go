@@ -552,6 +552,40 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	return resp, nil
 }
 
+// TestStatusLineStrict holds the status line to the request line's
+// rules. The first four lines were read here as responses, and net/http
+// refuses each of them.
+func TestStatusLineStrict(t *testing.T) {
+	for _, c := range []struct {
+		line   string
+		status int // 0: refused
+	}{
+		{"garbage 200 OK", 0},
+		{" 200 OK", 0},
+		{"HTTP/1.1 2000 OK", 0},
+		{"HTTP/1.1 20 OK", 0},
+		{"HTTP/1.0 200 OK", 0},
+		{"HTTP/1.1  200 OK", 0},
+		{"HTTP/1.1 +20 OK", 0},
+		{"HTTP/1.1 200OK", 0},
+		{"HTTP/1.1 200 O\x00K", 0},
+		{"HTTP/1.1 100 Continue", 0},
+		{"HTTP/1.1 200 OK", 200},
+		{"HTTP/1.1 200", 200},
+		{"HTTP/1.1 200 ", 200},
+		{"HTTP/1.1 503 Service Unavailable", 503},
+	} {
+		raw := c.line + "\r\nContent-Length: 2\r\n\r\nhi"
+		resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)))
+		switch {
+		case c.status == 0 && err == nil:
+			t.Errorf("%q: read as status %d", c.line, resp.Status)
+		case c.status != 0 && (err != nil || resp.Status != c.status || string(resp.Body) != "hi"):
+			t.Errorf("%q: %+v, %v; want status %d", c.line, resp, err, c.status)
+		}
+	}
+}
+
 // TestSilentServerStaysSilentOnRefusal: a server that answers nothing
 // (the dummy server without Respond) closes on a refused request
 // without a 400.
