@@ -41,6 +41,71 @@ func TestArchitecture(t *testing.T) {
 		}
 	})
 
+	// A server replica holds every retained request body in its delta
+	// keeper, a request that names no template under an id derived from
+	// its operation and length: no deserializer keeps a second store
+	// beside it.
+	t.Run("serverpool holds no diffdeser.Deserializer", func(t *testing.T) {
+		dd, _ := pkg(t, "bsoap/internal/diffdeser").pkg.Scope().Lookup("Deserializer").(*types.TypeName)
+		if dd == nil {
+			return
+		}
+		for id, obj := range pkg(t, "bsoap/internal/serverpool").info.Uses {
+			if refersTo(origin(obj), dd) {
+				t.Errorf("%s: %s refers to diffdeser.Deserializer", c.fset.Position(id.Pos()), id.Name)
+			}
+		}
+	})
+
+	// The diff walk finds a changed leaf by seeking forward from the last
+	// one hit (seek), not by a binary search of the whole range table.
+	t.Run("diffdeser calls no binary search", func(t *testing.T) {
+		for id, obj := range pkg(t, "bsoap/internal/diffdeser").info.Uses {
+			f, ok := obj.(*types.Func)
+			if !ok || f.Pkg() == nil {
+				continue
+			}
+			if path := f.Pkg().Path(); path == "sort" && strings.HasPrefix(f.Name(), "Search") ||
+				path == "slices" && strings.HasPrefix(f.Name(), "BinarySearch") {
+				t.Errorf("%s: %s.%s in diffdeser", c.fset.Position(id.Pos()), path, f.Name())
+			}
+		}
+	})
+
+	// Template memory is charged at what the layouts hold: a decode
+	// template's ranges at unsafe.Sizeof(soapdec.LeafRange{}), not at a
+	// constant.
+	t.Run("diffdeser charges ranges at their layout's size", func(t *testing.T) {
+		p := pkg(t, "bsoap/internal/diffdeser")
+		sizeof := types.Unsafe.Scope().Lookup("Sizeof")
+		leafRange := pkg(t, "bsoap/internal/soapdec").pkg.Scope().Lookup("LeafRange")
+		found := false
+		funcsIn(c, p, func(_ string, d *ast.FuncDecl) {
+			if d.Name.Name != "SizeBytes" || !receiverIs(d, "Template") || d.Body == nil {
+				return
+			}
+			ast.Inspect(d.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || p.info.Uses[sel.Sel] != sizeof {
+					return true
+				}
+				ast.Inspect(call.Args[0], func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && p.info.Uses[id] == leafRange {
+						found = true
+					}
+					return !found
+				})
+				return true
+			})
+		})
+		if !found {
+			t.Error("diffdeser: Template.SizeBytes does not charge unsafe.Sizeof(soapdec.LeafRange{}) per range")
+		}
+	})
+
 	// A from-scratch send is CallHeld(nil, m), the one way to ask for it.
 	t.Run("core.Config has no DisableDiff field", func(t *testing.T) {
 		cfg := pkg(t, "bsoap/internal/core").pkg.Scope().Lookup("Config").Type().Underlying().(*types.Struct)

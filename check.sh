@@ -106,7 +106,7 @@ one_path_guard() {
     check "delta request header rendered" 'append\(.*deltaHeaderPrefix' internal/transport
     check "resync answer classified" '== *wire\.DeltaValResync' internal/transport
     check "engine invoked from the pool" 'stub\.CallHeld\(' internal/pool
-    check "request decoded differentially" 'differ\.Decode\(' internal
+    check "unnamed request decoded by derived id" 'bases\.unnamed\(' internal
     check "request decoded by template id" '\.DecodeRegions\(' internal
     check "patch frame parsed outside internal/wire" 'ParseDeltaFrame\(' internal --exclude-dir=wire
     check "patch frame applied outside internal/wire" '\.Apply\(' internal --exclude-dir=wire
@@ -129,12 +129,11 @@ one_path_guard() {
     # stays gone.
     check "response status line rendered" '"HTTP/1\.1 "' internal/transport
     absent "allocating response writer" 'writeResponseExtra' .
-    # The diff walk finds a changed leaf by seeking forward from the last
-    # one hit, not by a binary search of the whole range table. Socket
-    # buffers are sized per request in flight from one constant: serial
-    # connections keep the paper's 32 KiB, pipelines and read-ahead
-    # connections get a multiple of it.
-    absent "whole-table range search in the diff walk" 'sort\.Search\(len\(t\.ranges\)' internal/diffdeser
+    # Socket buffers are sized per request in flight from one constant:
+    # serial connections keep the paper's 32 KiB, pipelines and
+    # read-ahead connections get a multiple of it. (That the diff walk
+    # seeks forward rather than binary-searching the range table is a
+    # case of arch_test.go.)
     check "per-request socket buffer declared" 'sockBufPerRequest += ' internal/transport
     absent "socket buffer set from a literal" 'Set(Read|Write)Buffer\(32 \* 1024\)' internal/transport
     # One envelope grammar: soapenv compiles the operation and each
@@ -194,9 +193,9 @@ one_path_guard() {
     absent "replicas keyed by remote host" 'AffinityClient|client-affine' cmd
     absent "template-store shard option" '^[[:space:]]*Shards[[:space:]]' internal/pool/pool.go
     # Template memory is charged at what the layouts hold (unsafe.Sizeof
-    # of a 16-byte DUT entry and an 8-byte leaf range), not at constants.
+    # of a 16-byte DUT entry and an 8-byte leaf range), not at constants;
+    # the leaf range's charge is a case of arch_test.go.
     absent "flat per-entry charge" 'entrySize = 64' internal/core
-    absent "flat per-range charge" 'perRange = 16' internal/diffdeser
     # Doubles print through a converter value each serializer holds. A
     # process-global converter is an indirect call that escape analysis
     # cannot see through: the from-scratch renderer's conversion scratch
@@ -675,6 +674,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzPipelineResponses$' -fuzztime="$FUZZTIME" ./internal/transport
     go test -run='^$' -fuzz='^FuzzDeltaFrame$'  -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz='^FuzzDeltaFrame$'  -fuzztime="$FUZZTIME" ./internal/serverpool
+    go test -run='^$' -fuzz='^FuzzUnnamed$'     -fuzztime="$FUZZTIME" ./internal/serverpool
     go test -run='^$' -fuzz='^FuzzUnescape$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzParseDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzAppendDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex

@@ -13,23 +13,22 @@
 // that also refreshes the template.
 //
 // A Template does not hold the bytes it was decoded from; its owner does.
-// Two owners exist. A request that names its template (a delta sync or
-// patch frame) is decoded against the patch base the serverpool keeper
-// already holds for that template id, through DecodeRegions — compared
-// only where the frame's regions say the body changed. A request that
-// names nothing is decoded by a Deserializer, which keeps its own copy of
-// each body and picks among a key's few by equal length.
+// On the server one owner exists: a replica's delta keeper (serverpool),
+// which holds every retained request body under an id — the client's
+// template id for a delta sync or patch frame, an id of its own, derived
+// from the operation and the body's length, for a request that names
+// none. A patch is decoded through DecodeRegions, compared only where the
+// frame's regions say the body changed; a full body through DecodeBody.
+// A Deserializer is the same decode for callers outside a server: one
+// held body per key, with no cap, admission rule or charge.
 package diffdeser
 
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"math/bits"
-	"slices"
 	"unsafe"
 
-	"bsoap/internal/replica"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/wire"
 	"bsoap/internal/xsdlex"
@@ -43,9 +42,9 @@ type Info struct {
 	ValuesReparsed int
 	// Reason says why a full parse happened (ReasonNone on the fast path).
 	Reason Reason
-	// Refused is set on a full parse that kept nothing: the key's
+	// Refused is set on a full parse that kept nothing: the operation's
 	// templates were full and the doorkeeper had not refused the body's
-	// length recently (see Deserializer).
+	// length recently (the serverpool keeper's admission rule).
 	Refused bool
 }
 
@@ -57,25 +56,24 @@ type Reason uint8
 const (
 	// ReasonNone: the fast path served the decode.
 	ReasonNone Reason = iota
-	// ReasonNoTemplate: nothing is retained for the key or template id.
+	// ReasonNoTemplate: nothing is retained for the operation, key or
+	// template id.
 	ReasonNoTemplate
-	// ReasonLength: no retained body has this body's length.
+	// ReasonLength: no retained body of the operation or key has this
+	// body's length.
 	ReasonLength
 	// ReasonMarkup: a byte differs outside every leaf's region.
 	ReasonMarkup
 	// ReasonValue: a changed region is not a value of its leaf's type,
 	// the leaf's closing tag and white space.
 	ReasonValue
-	// ReasonDropped: a region failed after others had been set, and the
-	// retained bytes would not lex to undo them: the template was dropped.
-	ReasonDropped
 	// NumReasons sizes an array indexed by Reason.
 	NumReasons
 )
 
 // String returns the reason as a metric label value ("" for ReasonNone).
 func (r Reason) String() string {
-	return [NumReasons]string{"", "no_template", "length", "markup", "value", "dropped"}[r]
+	return [NumReasons]string{"", "no_template", "length", "markup", "value"}[r]
 }
 
 // Template is the decode state of one retained body: the message the
@@ -98,34 +96,62 @@ func (t *Template) SizeBytes() int {
 
 // DecodeRegions brings the template up to src, a body that differs from
 // the one it was last decoded from only inside regions; old holds the
-// bytes the regions replaced, region after region. Either src is a held
-// body with a verified patch frame's regions already copied in, old what
-// they overwrote, or src is a new full body and the one region spans it,
-// old the held bytes. Only the leaves whose bytes differ are re-lexed,
-// from src. If the template has no message yet, old is not as long as
-// the regions (a full body of another length), a difference lies outside
-// every leaf's region or a changed region does not lex, src is parsed in
-// full instead and the template refreshed from it. The returned message
-// is owned by the template and valid until its next decode.
+// bytes the regions replaced, region after region: src is a held body
+// with a verified patch frame's regions already copied in, old what they
+// overwrote. Only the leaves whose bytes differ are re-lexed, from src.
+// If the template has no message yet, old is not as long as the regions,
+// a difference lies outside every leaf's region or a changed region does
+// not lex, src is parsed in full instead and the template refreshed from
+// it. The returned message is owned by the template and valid until its
+// next decode.
 //
-// After an error the message may hold values no body says: the caller
-// must give the template up.
+// After an error the template is as it was, or empty when the fast path
+// had already set leaves from src: it never holds values no body says.
 func (t *Template) DecodeRegions(src []byte, regions []wire.DeltaRegion, old []byte, lookup soapdec.Lookup) (*wire.Message, Info, error) {
-	why := ReasonNoTemplate
+	msg, info, _, _, err := t.decode(src, regions, old, lookup)
+	return msg, info, err
+}
+
+// DecodeBody brings the template up to body, a new full body, and *held,
+// its owner's copy of the body it was last decoded from, up to body too:
+// DecodeRegions with one region spanning body and the held bytes as what
+// it replaced. On the fast path only the span from the first to the last
+// changed leaf is copied into *held; a full parse copies the whole body.
+// After an error *held is as it was.
+func (t *Template) DecodeBody(body []byte, held *[]byte, lookup soapdec.Lookup) (*wire.Message, Info, error) {
+	whole := [1]wire.DeltaRegion{{Bytes: body}}
+	msg, info, lo, hi, err := t.decode(body, whole[:], *held, lookup)
+	switch {
+	case err != nil:
+	case info.FullParse:
+		*held = append((*held)[:0], body...)
+	default:
+		// Outside [lo, hi) the two bodies are equal.
+		copy((*held)[lo:hi], body[lo:hi])
+	}
+	return msg, info, err
+}
+
+// decode is DecodeRegions, also returning the span [lo, hi) of src that
+// covers every difference the fast path found.
+func (t *Template) decode(src []byte, regions []wire.DeltaRegion, old []byte, lookup soapdec.Lookup) (msg *wire.Message, info Info, lo, hi int, err error) {
+	why, n := ReasonNoTemplate, 0
 	if t.msg != nil {
 		why = ReasonLength
 		if regionBytes(regions) == len(old) {
-			var n int
-			if n, _, _, why = t.relexChanged(regions, old, src, math.MaxInt); why == ReasonNone {
-				return t.msg, Info{ValuesReparsed: n}, nil
+			if n, lo, hi, why = t.relexChanged(regions, old, src); why == ReasonNone {
+				return t.msg, Info{ValuesReparsed: n}, lo, hi, nil
 			}
 		}
 	}
-	info := Info{FullParse: true, Reason: why}
-	if err := t.parse(src, lookup); err != nil {
-		return nil, info, err
+	info = Info{FullParse: true, Reason: why}
+	if err = t.parse(src, lookup); err != nil {
+		if n > 0 {
+			*t = Template{} // leaves were set from bytes that do not parse
+		}
+		return nil, info, 0, 0, err
 	}
-	return t.msg, info, nil
+	return t.msg, info, 0, 0, nil
 }
 
 func regionBytes(regions []wire.DeltaRegion) int {
@@ -147,140 +173,60 @@ func (t *Template) parse(body []byte, lookup soapdec.Lookup) error {
 	return nil
 }
 
-// owned is a Template with its own copy of the body: what a Deserializer
-// retains, several per operation key.
-type owned struct {
+// Deserializer decodes full bodies outside a server: it holds one body
+// per key with its template, and decodes each new body for the key
+// against it through DecodeBody. It keeps no list, cap, admission rule or
+// charge — a server replica holds its bodies in its delta keeper instead.
+// Not safe for concurrent use.
+type Deserializer struct {
+	lookup soapdec.Lookup
+	keys   map[string]*heldBody
+}
+
+// heldBody is a Template with its owner's copy of the body.
+type heldBody struct {
 	body []byte
 	Template
 }
 
-// Deserializer decodes requests that name no template: it keeps, per
-// operation key, the last few bodies with their templates and decodes a
-// new body against the first of them with the same length.
-//
-// Each key holds up to replica.TemplatesPerOp templates (the paper's
-// "multiple templates per remote service" future work, letting a client
-// that alternates between a few message shapes keep hitting the fast
-// path). Keys are never evicted: the caller passes only operations it
-// has registered, so registration bounds them. A key whose templates
-// are full keeps a body of a new length only when it refused that length
-// within its last replica.TemplatesPerOp refusals (the client pool's
-// doorkeeper, keyed by length): any other is decoded without ranges and
-// without a copy, and the templates in use stay. Not safe for concurrent
-// use; guard it per connection or with the server's dispatch lock.
-type Deserializer struct {
-	lookup soapdec.Lookup
-	keys   map[string]*keyTemplates
-	size   int64 // resident bytes, maintained incrementally
-}
-
-// keyTemplates is one operation key's template list, most recently used
-// first, and its doorkeeper, keyed by body length. A refused body
-// decodes into scratch, so a key that keeps refusing reuses one message
-// instead of making one per request; like a template's message, it is
-// not charged to SizeBytes.
-type keyTemplates struct {
-	list    []*owned
-	door    replica.Doorkeeper
-	scratch soapdec.Scratch
-}
-
 // New returns a deserializer resolving operations through lookup.
 func New(lookup soapdec.Lookup) *Deserializer {
-	return &Deserializer{lookup: lookup, keys: make(map[string]*keyTemplates)}
+	return &Deserializer{lookup: lookup, keys: make(map[string]*heldBody)}
 }
 
-// SizeBytes reports the deserializer's resident cost: stored message
-// bodies plus each template's own estimate. Maintained incrementally, so
-// reading it is free — the server runtime feeds it to the replica
-// registry's byte budget.
-func (d *Deserializer) SizeBytes() int { return int(d.size) }
-
-// templateCost is one retained template's resident bytes: its body's
-// capacity and the template's own estimate.
-func templateCost(o *owned) int64 {
-	return int64(cap(o.body) + o.SizeBytes())
-}
-
-// Decode parses body, differentially when a previous message for key
-// had identical framing. The returned message is owned by the
-// deserializer and valid until the next Decode with the same key.
+// Decode parses body, differentially when the body held for key has its
+// length and differs from it only inside leaf values. The returned
+// message is owned by the deserializer and valid until the next Decode
+// with the same key.
 func (d *Deserializer) Decode(key string, body []byte) (*wire.Message, Info, error) {
-	kt := d.keys[key]
-	if kt == nil || len(kt.list) == 0 {
-		return d.fullParse(key, body, ReasonNoTemplate)
+	h := d.keys[key]
+	if h == nil {
+		h = new(heldBody)
+		d.keys[key] = h
 	}
-	reason := ReasonLength
-	for idx := 0; idx < len(kt.list); idx++ {
-		o := kt.list[idx]
-		if len(body) != len(o.body) {
-			continue
-		}
-		n, why, intact := o.tryFast(body)
-		if why != ReasonNone {
-			reason = why
-			if !intact {
-				reason = ReasonDropped
-				d.size -= templateCost(o)
-				kt.list = slices.Delete(kt.list, idx, idx+1)
-				idx--
-			}
-			continue
-		}
-		// Move the hit to the front of its key's list.
-		if idx != 0 {
-			copy(kt.list[1:idx+1], kt.list[0:idx])
-			kt.list[0] = o
-		}
-		return o.msg, Info{ValuesReparsed: n}, nil
-	}
-	return d.fullParse(key, body, reason)
-}
-
-// tryFast attempts the differential decode of body (already known to be
-// as long as the retained one) and reports the regions re-lexed, or why
-// the template does not fit. Values are set as their regions lex; the
-// retained bytes are overwritten only once the whole body has validated,
-// so a body that fails part-way is undone from them and the template
-// stays as it was for the next candidate or the next arrival. intact is
-// false in the one case the undo cannot cover — a retained region that a
-// full parse accepted in a form the region lexer does not (an entity in a
-// number, a comment) — and the caller must then drop the template.
-func (o *owned) tryFast(body []byte) (n int, why Reason, intact bool) {
-	whole := [1]wire.DeltaRegion{{Bytes: body}}
-	n, lo, hi, why := o.relexChanged(whole[:], o.body, body, math.MaxInt)
-	if why != ReasonNone {
-		restored, _, _, _ := o.relexChanged(whole[:], o.body, o.body, n)
-		return 0, why, restored == n
-	}
-	// Adopt the new bytes as the template for the next arrival: outside
-	// [lo, hi) the two bodies are equal.
-	copy(o.body[lo:hi], body[lo:hi])
-	return n, ReasonNone, true
+	return h.DecodeBody(body, &h.body, d.lookup)
 }
 
 // relexChanged walks the bytes at which the regions differ from old, the
 // bytes they replaced (region after region, so the two are as long).
 // Each difference must fall inside a leaf's variable region — anything
 // else is changed markup — and that leaf is set from its region's text in
-// src: the new body to decode, or the retained one to undo a decode that
-// set limit leaves before failing (the walk depends only on the regions
-// and old, so it revisits the same leaves in the same order). A leaf is
-// set once, from its whole text, however many regions touch it. It
-// returns the leaves set, the span [lo, hi) of the body that covers every
-// difference seen, and why it stopped early (ReasonNone when it did not).
+// src. A leaf is set once, from its whole text, however many regions
+// touch it. It returns the leaves set, the span [lo, hi) of the body that
+// covers every difference seen, and why it stopped early (ReasonNone when
+// it did not).
 //
 // The cost is one block-wise comparison of the regions with old plus the
 // lexing of the leaves that differ; nothing is allocated unless a string
 // leaf changed or the walk fails.
-func (t *Template) relexChanged(regions []wire.DeltaRegion, old, src []byte, limit int) (n, lo, hi int, why Reason) {
+func (t *Template) relexChanged(regions []wire.DeltaRegion, old, src []byte) (n, lo, hi int, why Reason) {
 	next := 0
 	for g := range regions {
 		cur, at := regions[g].Bytes, regions[g].Off
 		prev := old[:len(cur)]
 		old = old[len(cur):]
 		// Bytes before hi belong to a leaf that is already set.
-		for j := max(hi-at, 0); n < limit && j < len(cur); {
+		for j := max(hi-at, 0); j < len(cur); {
 			j += mismatch(cur[j:], prev[j:])
 			if j == len(cur) {
 				break
@@ -380,41 +326,4 @@ func relexRegion(msg *wire.Message, leaf int, seg []byte) bool {
 		}
 	}
 	return soapdec.SetLeafBytes(msg, leaf, seg[:lt]) == nil
-}
-
-// fullParse runs the complete schema-driven parse and refreshes the
-// template for key — unless the key is full and the body is a length
-// none of its templates has (ReasonLength) that the doorkeeper refuses:
-// then the parse records no ranges, copies nothing and decodes into the
-// key's scratch message, and the key keeps the templates it has.
-func (d *Deserializer) fullParse(key string, body []byte, reason Reason) (*wire.Message, Info, error) {
-	kt := d.keys[key]
-	// A body length plus one is its doorkeeper key: each length its own
-	// key, and none of them 0, the ring's empty place.
-	if kt != nil && reason == ReasonLength && len(kt.list) >= replica.TemplatesPerOp &&
-		!kt.door.Admit(uint64(len(body))+1, replica.TemplatesPerOp) {
-		msg, err := kt.scratch.Decode(body, d.lookup)
-		if err != nil {
-			return nil, Info{FullParse: true, Reason: reason}, err
-		}
-		return msg, Info{FullParse: true, Reason: reason, Refused: true}, nil
-	}
-	o := &owned{}
-	if err := o.parse(body, d.lookup); err != nil {
-		return nil, Info{FullParse: true, Reason: reason}, err
-	}
-	o.body = append([]byte(nil), body...)
-	if kt == nil {
-		kt = &keyTemplates{}
-		d.keys[key] = kt
-	}
-	kt.list = append([]*owned{o}, kt.list...)
-	d.size += templateCost(o)
-	if len(kt.list) > replica.TemplatesPerOp {
-		for _, dropped := range kt.list[replica.TemplatesPerOp:] {
-			d.size -= templateCost(dropped)
-		}
-		kt.list = kt.list[:replica.TemplatesPerOp]
-	}
-	return o.msg, Info{FullParse: true, Reason: reason}, nil
 }

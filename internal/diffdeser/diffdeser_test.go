@@ -271,11 +271,13 @@ func TestSeparateKeysKeepSeparateTemplates(t *testing.T) {
 	}
 }
 
-// TemplateCount reports how many templates are resident (all keys).
+// TemplateCount reports how many keys hold a template.
 func (d *Deserializer) TemplateCount() int {
 	n := 0
-	for _, kt := range d.keys {
-		n += len(kt.list)
+	for _, h := range d.keys {
+		if h.msg != nil {
+			n++
+		}
 	}
 	return n
 }

@@ -3,7 +3,6 @@ package diffdeser
 import (
 	"bytes"
 	"math"
-	"slices"
 	"testing"
 
 	"bsoap/internal/core"
@@ -12,7 +11,7 @@ import (
 
 // The tests below pin the edges of the diff-first decode: where the
 // block-wise compare ends, where a region crosses a block, and what a
-// body that fails part-way leaves behind.
+// body that fails leaves behind.
 
 func TestMismatch(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 255, 256, 257, 263, 264, 511, 512, 520, 1000} {
@@ -70,7 +69,7 @@ type snapshot struct {
 	doubles []float64
 }
 
-func snap(tpl *owned) snapshot {
+func snap(tpl *heldBody) snapshot {
 	s := snapshot{body: append([]byte(nil), tpl.body...)}
 	for i := 0; i < tpl.msg.NumLeaves(); i++ {
 		s.doubles = append(s.doubles, tpl.msg.LeafDouble(i))
@@ -78,7 +77,7 @@ func snap(tpl *owned) snapshot {
 	return s
 }
 
-func (s snapshot) check(t *testing.T, tpl *owned) {
+func (s snapshot) check(t *testing.T, tpl *heldBody) {
 	t.Helper()
 	if !bytes.Equal(tpl.body, s.body) {
 		t.Fatal("failed decode changed the retained bytes")
@@ -90,13 +89,14 @@ func (s snapshot) check(t *testing.T, tpl *owned) {
 	}
 }
 
-func templates(t *testing.T, d *Deserializer, key string) []*owned {
+// held returns the body and template d holds for key.
+func held(t *testing.T, d *Deserializer, key string) *heldBody {
 	t.Helper()
-	kt := d.keys[key]
-	if kt == nil {
-		t.Fatalf("no templates for %q", key)
+	h := d.keys[key]
+	if h == nil || h.msg == nil {
+		t.Fatalf("no template for %q", key)
 	}
-	return kt.list
+	return h
 }
 
 func TestMismatchInLastPartialBlockAndTrailingMarkup(t *testing.T) {
@@ -106,7 +106,7 @@ func TestMismatchInLastPartialBlockAndTrailingMarkup(t *testing.T) {
 	if _, _, err := d.Decode("k", first); err != nil {
 		t.Fatal(err)
 	}
-	last := templates(t, d, "k")[0].ranges[39]
+	last := held(t, d, "k").ranges[39]
 	if len(first)%256 == 0 || int(last.Start) < len(first)/256*256 {
 		t.Fatalf("last leaf at %d of %d bytes is not in a partial block", last.Start, len(first))
 	}
@@ -122,13 +122,13 @@ func TestMismatchInLastPartialBlockAndTrailingMarkup(t *testing.T) {
 
 	// Same length, one byte of the envelope's closing tag changed: the
 	// difference lies after every leaf region.
-	before := snap(templates(t, d, "k")[0])
+	before := snap(held(t, d, "k"))
 	bad := c.body(t)
 	bad[len(bad)-2] = 'X'
 	if _, info, err := d.Decode("k", bad); err == nil && !info.FullParse {
 		t.Fatalf("trailing markup change served from the fast path: %+v", info)
 	}
-	before.check(t, templates(t, d, "k")[0])
+	before.check(t, held(t, d, "k"))
 }
 
 func TestChangedRegionStraddlesBlockBoundary(t *testing.T) {
@@ -138,7 +138,7 @@ func TestChangedRegionStraddlesBlockBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaf := -1
-	for i, r := range templates(t, d, "k")[0].ranges {
+	for i, r := range held(t, d, "k").ranges {
 		// A 24-character value rewrites at least the first 24 bytes of
 		// its region, so a boundary inside them has changes on both sides.
 		if b := (r.Start/256 + 1) * 256; b > r.Start+2 && b < r.Start+20 {
@@ -159,133 +159,39 @@ func TestChangedRegionStraddlesBlockBoundary(t *testing.T) {
 	}
 }
 
-// insertAfter returns body with a space inserted after the first
-// occurrence of marker: same message, different static bytes.
-func insertAfter(t *testing.T, body []byte, marker string) []byte {
-	t.Helper()
-	at := bytes.Index(body, []byte(marker))
-	if at < 0 {
-		t.Fatalf("%q not in body", marker)
-	}
-	return slices.Insert(bytes.Clone(body), at+len(marker), ' ')
-}
-
-// TestFirstCandidateFailsAfterRegionsSet keeps two templates of one
-// length under one key that differ only in markup after the last leaf.
-// A body for the older one sets its changed leaves in the newer one
-// before the markup difference is reached; the newer template must come
-// out of that exactly as it went in, and the older one must then hit.
-func TestFirstCandidateFailsAfterRegionsSet(t *testing.T) {
-	c := newStuffedDoubles(12)
-	d := New(testSchema(c.msg))
-	plain := c.body(t)
-	spaceA := func(b []byte) []byte { return insertAfter(t, b, "</ns1:send>") }
-	spaceB := func(b []byte) []byte { return insertAfter(t, b, "</SOAP-ENV:Body>") }
-
-	if _, info, err := d.Decode("k", spaceA(plain)); err != nil || !info.FullParse {
-		t.Fatalf("template A: %+v, %v", info, err)
-	}
-	if _, info, err := d.Decode("k", spaceB(plain)); err != nil || !info.FullParse {
-		t.Fatalf("template B: %+v, %v", info, err)
-	}
-	list := templates(t, d, "k")
-	if len(list) != 2 {
-		t.Fatalf("templates = %d, want 2", len(list))
-	}
-	tplB, tplA := list[0], list[1]
-	before := snap(tplB)
-
-	c.arr.Set(1, 101.5)
-	c.arr.Set(6, 106.5)
-	c.arr.Set(11, 111.5)
-	msg, info, err := d.Decode("k", spaceA(c.body(t)))
-	if err != nil || info.FullParse || info.ValuesReparsed != 3 {
-		t.Fatalf("body for template A: %+v, %v", info, err)
-	}
-	if msg != tplA.msg || msg.LeafDouble(1) != 101.5 || msg.LeafDouble(6) != 106.5 || msg.LeafDouble(11) != 111.5 {
-		t.Fatal("template A did not serve the changed values")
-	}
-	before.check(t, tplB)
-	if templates(t, d, "k")[1] != tplB {
-		t.Fatal("template B was dropped")
-	}
-
-	// And B still serves its own, unchanged body with nothing re-lexed.
-	msg, info, err = d.Decode("k", spaceB(plain))
-	if err != nil || info.FullParse || info.ValuesReparsed != 0 || msg != tplB.msg {
-		t.Fatalf("body for template B: %+v, %v", info, err)
-	}
-}
-
-func TestFailureAtLastLeafRollsBackEarlierOnes(t *testing.T) {
+// TestFailureAfterLeavesSetEmptiesTemplate changes every leaf and
+// corrupts the last: the fast path sets 29 leaves from the new body
+// before it fails, and the full parse it falls to fails too. No undo
+// puts them back: the template is emptied, the held bytes stay as they
+// were, and the clean body is parsed in full to its own values.
+func TestFailureAfterLeavesSetEmptiesTemplate(t *testing.T) {
 	c := newStuffedDoubles(30)
 	d := New(testSchema(c.msg))
 	clean := c.body(t)
 	if _, _, err := d.Decode("k", clean); err != nil {
 		t.Fatal(err)
 	}
-	tpl := templates(t, d, "k")[0]
-	before := snap(tpl)
-
+	h := held(t, d, "k")
+	before := append([]byte(nil), h.body...)
 	for i := 0; i < 30; i++ {
 		c.arr.Set(i, float64(i)+0.25)
 	}
 	evil := c.body(t)
-	evil[tpl.ranges[29].Start] = 'x' // 29 leaves lex, the last does not
+	evil[h.ranges[29].Start] = 'x' // 29 leaves lex, the last does not
 	if _, _, err := d.Decode("k", evil); err == nil {
 		t.Fatal("corrupt last leaf decoded")
 	}
-	if got := templates(t, d, "k"); len(got) != 1 || got[0] != tpl {
-		t.Fatal("template replaced or dropped by a failed decode")
+	if d.TemplateCount() != 0 || !bytes.Equal(h.body, before) {
+		t.Fatal("a failed decode left a template, or changed the held bytes")
 	}
-	before.check(t, tpl)
-
 	msg, info, err := d.Decode("k", clean)
-	if err != nil || info.FullParse || info.ValuesReparsed != 0 {
+	if err != nil || !info.FullParse || info.Reason != ReasonNoTemplate {
 		t.Fatalf("clean resend: %+v, %v", info, err)
 	}
 	for i := 0; i < 30; i++ {
 		if msg.LeafDouble(i) != float64(i) {
-			t.Fatalf("leaf %d = %g after rollback", i, msg.LeafDouble(i))
+			t.Fatalf("leaf %d = %g", i, msg.LeafDouble(i))
 		}
-	}
-}
-
-// TestUndoThatCannotLexDropsTemplate covers the one retained form the
-// region lexer cannot undo from: a numeric leaf the full parse accepted
-// as a character reference. The template is given up, never left with
-// values its bytes do not say.
-func TestUndoThatCannotLexDropsTemplate(t *testing.T) {
-	c := newStuffedDoubles(3)
-	d := New(testSchema(c.msg))
-	plain := c.body(t)
-	r0 := bytes.Index(plain, []byte("<item>")) + len("<item>")
-	exotic := append([]byte(nil), plain...)
-	// Leaf 0 is "0</item>" and 23 bytes of padding: spell the 0 as an
-	// entity and give four bytes of padding back.
-	copy(exotic[r0:], "&#48;</item>")
-	if _, info, err := d.Decode("k", exotic); err != nil || !info.FullParse {
-		t.Fatalf("exotic template: %+v, %v", info, err)
-	}
-	tpl := templates(t, d, "k")[0]
-
-	// Leaf 0 changes and lexes, then leaf 2 fails: undoing leaf 0 means
-	// lexing "&#48;" as a double, which the region lexer refuses.
-	evil := append([]byte(nil), plain...)
-	evil[r0] = '7'
-	evil[tpl.ranges[2].Start] = 'x'
-	if _, _, err := d.Decode("k", evil); err == nil {
-		t.Fatal("corrupt body decoded")
-	}
-	if d.TemplateCount() != 0 {
-		t.Fatalf("templates = %d, want the half-undone one dropped", d.TemplateCount())
-	}
-	if d.SizeBytes() != 0 {
-		t.Fatalf("resident bytes = %d after the drop", d.SizeBytes())
-	}
-	msg, info, err := d.Decode("k", exotic)
-	if err != nil || !info.FullParse || msg.LeafDouble(0) != 0 {
-		t.Fatalf("after drop: %+v, %v", info, err)
 	}
 }
 
@@ -383,53 +289,44 @@ func TestRelexHoldsTheDoubleGrammar(t *testing.T) {
 
 // TestFullParseReasons drives each way a decode leaves the fast path and
 // checks the class it reports: the closed set a metric label is cut from.
+// Each body is decoded against a deserializer that holds the plain one.
 func TestFullParseReasons(t *testing.T) {
 	c := newStuffedDoubles(3)
-	d := New(testSchema(c.msg))
 	plain := c.body(t)
-	decode := func(body []byte) Reason {
+	after := func(body []byte) (Reason, *Deserializer) {
 		t.Helper()
+		d := New(testSchema(c.msg))
+		if _, info, err := d.Decode("k", plain); err != nil || info.Reason != ReasonNoTemplate {
+			t.Fatalf("first body: %+v, %v; want no_template", info, err)
+		}
 		_, info, _ := d.Decode("k", body)
 		if info.FullParse != (info.Reason != ReasonNone) {
 			t.Fatalf("info %+v: a reason without a full parse, or the reverse", info)
 		}
-		return info.Reason
+		return info.Reason, d
 	}
 	edit := func(at int, with string) []byte {
 		b := append([]byte(nil), plain...)
 		copy(b[at:], with)
 		return b
 	}
-	if got := decode(plain); got != ReasonNoTemplate {
-		t.Fatalf("first body: %v, want no_template", got)
-	}
-	tpl := templates(t, d, "k")[0]
+	_, d := after(plain)
+	tpl := held(t, d, "k")
 	r0, r2 := int(tpl.ranges[0].Start), int(tpl.ranges[2].Start)
-	if got := decode(edit(r0, "7")); got != ReasonNone {
+	if got, _ := after(edit(r0, "7")); got != ReasonNone {
 		t.Fatalf("one changed value: %v, want the fast path", got)
 	}
-	if got := decode(append(append([]byte(nil), plain...), ' ')); got != ReasonLength {
+	if got, _ := after(append(append([]byte(nil), plain...), ' ')); got != ReasonLength {
 		t.Fatalf("longer body: %v, want length", got)
 	}
 	// A letter of the array's own tag name: outside every region. (The
 	// body fails to parse; the reason is still why the fast path was
 	// left.)
-	if got := decode(edit(bytes.Index(plain, []byte("<v ")), "<w ")); got != ReasonMarkup {
+	if got, _ := after(edit(bytes.Index(plain, []byte("<v ")), "<w ")); got != ReasonMarkup {
 		t.Fatalf("changed tag: %v, want markup", got)
 	}
-	if got := decode(edit(r2, "x")); got != ReasonValue {
+	if got, _ := after(edit(r2, "x")); got != ReasonValue {
 		t.Fatalf("unlexable value: %v, want value", got)
-	}
-	// TestUndoThatCannotLexDropsTemplate's case: the retained body spells
-	// leaf 0 in a form the region lexer cannot undo from.
-	d = New(testSchema(c.msg))
-	if got := decode(edit(r0, "&#48;</item>")); got != ReasonNoTemplate {
-		t.Fatalf("exotic first body: %v, want no_template", got)
-	}
-	evil := edit(r0, "7")
-	evil[r2] = 'x'
-	if got := decode(evil); got != ReasonDropped {
-		t.Fatalf("undo that cannot lex: %v, want dropped", got)
 	}
 	for r := ReasonNone; r < NumReasons; r++ {
 		if (r.String() == "") != (r == ReasonNone) {

@@ -181,9 +181,6 @@ type heldState struct {
 func heldBase(rt *Runtime, msg *wire.Message) (heldState, bool) {
 	slot, r := rt.acquire(reg.Key{Conn: 7})
 	defer rt.release(slot)
-	if r.bases.bases == nil {
-		return heldState{}, false
-	}
 	var b *deltaBase
 	r.bases.bases.FromFront(func(id uint64, o *deltaBase) bool {
 		if id == 3 {

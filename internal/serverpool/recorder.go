@@ -65,7 +65,7 @@ func (r *Recorder) HTTPHandler() transport.Handler {
 				// A sync makes a connection's keeper. A patch on a
 				// connection without one finds no base and draws a
 				// resync, evicting nobody.
-				k = &baseKeeper{onDrop: r.metrics.RecordDeltaBaseEviction}
+				k = newKeeper(nil, r.metrics.RecordDeltaBaseEviction)
 				if req.DeltaMode == transport.DeltaSync {
 					if r.keepers.Len() >= maxRecorderKeepers {
 						// A sync made it, so it holds bases to give up.

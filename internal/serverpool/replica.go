@@ -7,15 +7,14 @@ import (
 	"sync/atomic"
 
 	"bsoap/internal/core"
-	"bsoap/internal/diffdeser"
 	"bsoap/internal/wire"
 )
 
-// replica is one client's private decode/encode state: the client's
-// patch bases, each the decode template of its own bytes, for requests
-// that name their template; a differential deserializer, one key per
-// registered operation, whose templates track the shapes of requests
-// that do not; a differential response stub; and per operation a handler
+// replica is one client's private decode/encode state: one store of
+// request bodies, each with the decode template of its own bytes — the
+// client's patch bases for requests that name their template, and per
+// registered operation and body length the last body of requests that do
+// not; a differential response stub; and per operation a handler
 // instance with its response template (handlers reuse response messages,
 // so instances cannot be shared). A replica is keyed by its connection,
 // which serves one request at a time, so the mutex is all but
@@ -23,8 +22,7 @@ import (
 // the registry releasing an evicted replica's arenas, and with Handle
 // callers that name one connection id from two goroutines.
 type replica struct {
-	mu     sync.Mutex
-	differ *diffdeser.Deserializer
+	mu sync.Mutex
 	// ops maps operation to this replica's handler instance and response
 	// template; only registered operations get one, so rt.ops bounds it.
 	ops map[string]*replicaOp
@@ -40,9 +38,9 @@ type replica struct {
 	// budget accounting: stored by release while the replica lock is
 	// held, read lock-free by SizeBytes under registry locks.
 	size atomic.Int64
-	// bases holds this replica's differential-transmission patch bases
-	// and their templates; guarded by mu.
-	bases baseKeeper
+	// bases holds every request body this replica retains, with its
+	// decode template; guarded by mu.
+	bases *baseKeeper
 }
 
 // replicaOp is one operation on a replica: its handler instance, the one

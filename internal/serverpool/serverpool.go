@@ -6,11 +6,12 @@
 // identical (or similar) responses").
 //
 // Runtime keeps a pool of per-connection (or per-client) replicas, each
-// with its own patch bases (which are also the decode templates of the
-// requests that name them), deserializer, response stub, and per
-// operation a handler instance holding one response template, as a
-// client pool engine holds one — the server-side mirror of the client
-// pool's sharded store.
+// with one store of request bodies — the delta keeper, holding a body and
+// its decode template under the client's template id, or, for a request
+// that names none, under an id derived from its operation and length —
+// a response stub, and per operation a handler instance holding one
+// response template, as a client pool engine holds one — the server-side
+// mirror of the client pool's sharded store.
 // Requests from the same connection land on the same replica, so its
 // templates track that client's message shapes: concurrent clients do
 // not thrash a shared template set, and decodes proceed in parallel with
@@ -68,11 +69,12 @@ type Options struct {
 	// pool's store.
 	MaxReplicas int
 	// MaxTemplateBytes budgets the replicas' aggregate template memory
-	// (request deserializer templates, response templates and patch
-	// bases): the registry evicts least-recently-used replicas
-	// to stay at or below it. Zero leaves memory bounded only by
-	// MaxReplicas and the deserializer's per-replica key cap. See README
-	// "Sizing template memory".
+	// (each replica's held request bodies with their decode templates,
+	// and its response templates): the registry evicts
+	// least-recently-used replicas to stay at or below it. Zero leaves
+	// memory bounded only by MaxReplicas and each replica's caps: 32 held
+	// request bodies, replica.TemplatesPerOp decode templates per
+	// operation. See README "Sizing template memory".
 	MaxTemplateBytes int64
 	// SelfCheck re-decodes every differential fast-path result with a
 	// from-scratch parse and compares leaf values — the conformance
@@ -113,6 +115,7 @@ type Runtime struct {
 type operation struct {
 	schema  *soapdec.Schema
 	factory HandlerFactory
+	id      uint32 // the operation's number in the ids of its unnamed bodies
 }
 
 // Stats is a point-in-time snapshot of runtime counters, read from the
@@ -126,8 +129,8 @@ type Stats struct {
 	SelfCheckFails   int64
 	Replicas         int // currently resident
 	ReplicaEvictions int64
-	// DDSKeyEvictions is always 0: a deserializer keeps one key per
-	// registered operation and evicts none.
+	// DDSKeyEvictions is always 0: no decode state is keyed by anything
+	// but a registered operation or a template id.
 	DDSKeyEvictions int64
 
 	// Differential transmission: patch frames applied, full bodies stored
@@ -178,7 +181,7 @@ func newRuntime(opts Options, shards int) *Runtime {
 // Register adds an operation. The factory runs once per replica that
 // sees the operation. Not safe concurrently with request handling.
 func (rt *Runtime) Register(schema *soapdec.Schema, factory HandlerFactory) {
-	rt.ops[schema.Op] = &operation{schema: schema, factory: factory}
+	rt.ops[schema.Op] = &operation{schema: schema, factory: factory, id: uint32(len(rt.ops))}
 }
 
 func (rt *Runtime) lookupSchema(opLocal string) (*soapdec.Schema, bool) {
@@ -245,8 +248,9 @@ func (rt *Runtime) ResponseStats() core.Stats {
 // DebugTemplates snapshots the replica registry in the uniform
 // client/server dump format served by /debug/templates and read by
 // `bsoap-inspect templates`. Each server entry is a single replica; the
-// affinity column carries its conn:N key, and the refusals are the deserializers' (diffdeser.Info.Refused), as counted
-// by the server metrics.
+// affinity column carries its conn:N key, and the refusals are the
+// unnamed requests the replicas decoded without keeping them
+// (diffdeser.Info.Refused), as counted by the server metrics.
 func (rt *Runtime) DebugTemplates() reg.Dump {
 	d := rt.reg.Dump("server", nil)
 	d.Refused = rt.metrics.Snapshot().DDSRefused
@@ -307,16 +311,15 @@ func (rt *Runtime) acquire(key reg.Key) (*reg.Slot[*replica], *replica) {
 // its arenas. Caller holds r.mu.
 func (rt *Runtime) release(slot *reg.Slot[*replica]) {
 	r := slot.Value
-	r.size.Store(r.respBytes + r.bases.bytes + int64(r.differ.SizeBytes()))
+	r.size.Store(r.respBytes + r.bases.bytes)
 	r.mu.Unlock()
 	rt.reg.Release(slot)
 }
 
 func (rt *Runtime) newReplica() *replica {
 	r := &replica{
-		ops:    make(map[string]*replicaOp),
-		differ: diffdeser.New(rt.lookupSchema),
-		bases:  baseKeeper{lookup: rt.lookupSchema, onDrop: rt.metrics.RecordDeltaBaseEviction},
+		ops:   make(map[string]*replicaOp),
+		bases: newKeeper(rt.lookupSchema, rt.metrics.RecordDeltaBaseEviction),
 	}
 	r.stub = core.NewStub(rt.opts.Core, &r.sink)
 	return r
@@ -378,6 +381,9 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 	}
 	if rt.opts.SelfCheck && !info.FullParse {
 		if err := rt.selfCheck(body, msg); err != nil {
+			// The fast path served the base at the front: it holds
+			// values its bytes do not say, so it goes.
+			r.bases.dropFront()
 			rt.metrics.RecordSelfCheckFail()
 			return nil, err
 		}
@@ -427,14 +433,15 @@ func (rt *Runtime) handle(r *replica, req *transport.Request) ([]byte, error) {
 	return req.Resp, nil
 }
 
-// decode turns a request into its message by the one path its
-// annotation selects, and returns the body the message was decoded from.
-// A request that names its template — a patch frame already applied to
-// patched, or a delta sync — is decoded against the one body held for
-// that template id. Anything else — delta off, a peer that sends no id, a
-// multi-ref body the server would have to rewrite before decoding — goes
-// through the replica's deserializer, which picks a retained body of the
-// same operation by length.
+// decode turns a request into its message against the one body the
+// replica's keeper holds for it, and returns the body the message was
+// decoded from. A request that names its template — a patch frame already
+// applied to patched, or a delta sync — is decoded against the body held
+// under that template id. Anything else — delta off, a peer that sends no
+// id, a sync naming an id in the space the server derives its own from,
+// a multi-ref body the server would have to rewrite before decoding —
+// against the body held under the id derived from its operation and
+// length, and is not acknowledged.
 func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase) (*wire.Message, []byte, diffdeser.Info, error) {
 	body := req.Body
 	full := diffdeser.Info{FullParse: true, Reason: diffdeser.ReasonNoTemplate}
@@ -442,7 +449,7 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 	case patched != nil:
 		msg, info, err := r.bases.decodePatch(patched)
 		return msg, patched.body, info, err
-	case req.DeltaMode == transport.DeltaSync && rt.opts.Delta && !multiref.HasRefs(body):
+	case req.DeltaMode == transport.DeltaSync && rt.opts.Delta && req.DeltaTID&derived == 0 && !multiref.HasRefs(body):
 		msg, info, err := r.bases.sync(req)
 		if err == nil {
 			rt.metrics.RecordDeltaSync(len(body))
@@ -458,10 +465,10 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 		body = inlined
 		rt.metrics.RecordMultiRefInline()
 	}
-	// Key by a registered operation's own string. A name no operation is
+	// Hold it under a registered operation's id. A name no operation is
 	// registered under keeps nothing: the full parse refuses the body, or
 	// serves the operation the body really names when the peek was misled
-	// (a comment ahead of the envelope), so a peer cannot choose the keys.
+	// (a comment ahead of the envelope), so a peer cannot choose the ids.
 	name, err := peekOperation(body)
 	if err != nil {
 		return nil, nil, full, err
@@ -471,7 +478,7 @@ func (rt *Runtime) decode(r *replica, req *transport.Request, patched *deltaBase
 		msg, err := rt.fullParse(body)
 		return msg, body, full, err
 	}
-	msg, info, err := r.differ.Decode(op.schema.Op, body)
+	msg, info, err := r.bases.unnamed(op, body)
 	return msg, body, info, err
 }
 

@@ -233,10 +233,10 @@ func TestPeekedNamesKeepNoTemplates(t *testing.T) {
 		t.Fatalf("requests %d, full parses %d, want 100 and 100", st.Requests, st.FullParses)
 	}
 	slot, r := rt.acquire(reg.Key{Conn: 1})
-	held := r.differ.SizeBytes()
+	held := r.bases.bytes
 	rt.release(slot)
 	if held != 0 {
-		t.Fatalf("the deserializer holds %d B of templates under peeked names, want 0", held)
+		t.Fatalf("the replica holds %d B of request bodies under peeked names, want 0", held)
 	}
 }
 
@@ -637,8 +637,8 @@ func TestFullParseReasonsOfALengthRotation(t *testing.T) {
 		t.Fatalf("/debug/templates reads %d refused, want %d", d.Refused, refused)
 	}
 	why := snap.DDSFullParseReasons
-	if why["no_template"] != 1 || why["length"] != total-fast-1 || len(why) != 5 {
-		t.Fatalf("reasons %v, want 1 no_template and %d length of 5 classes", why, total-fast-1)
+	if why["no_template"] != 1 || why["length"] != total-fast-1 || len(why) != 4 {
+		t.Fatalf("reasons %v, want 1 no_template and %d length of 4 classes", why, total-fast-1)
 	}
 
 	var page strings.Builder
@@ -653,7 +653,7 @@ func TestFullParseReasonsOfALengthRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, reason := range []string{"no_template", "length", "markup", "value", "dropped"} {
+	for _, reason := range []string{"no_template", "length", "markup", "value"} {
 		v, ok := vals[`bsoap_server_dds_full_parse_reason_total{reason="`+reason+`"}`]
 		if !ok {
 			t.Errorf("no %q sample on the page", reason)

@@ -32,7 +32,6 @@ func pinServerCounters(m *ServerMetrics) {
 		cDDSFastPath + 2:        37,
 		cDDSFastPath + 3:        41,
 		cDDSFastPath + 4:        43,
-		cDDSFastPath + 5:        47,
 		cDDSValuesReparsed:      53,
 		cDDSRefused:             59,
 		cReplicaEvictions:       71,

@@ -66,10 +66,9 @@ var serverRows = [numCounters]promtext.Row[ServerStats]{
 	cDDSFastPath:      {Family: "bsoap_server_dds_fast_path_total", Help: "Requests decoded differentially (no full parse).", Field: func(s *ServerStats) *int64 { return &s.DDSFastPath }},
 	cDDSFastPath + counter(diffdeser.ReasonNoTemplate): {Family: "bsoap_server_dds_full_parse_reason_total", Key: "reason", Label: diffdeser.ReasonNoTemplate.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonNoTemplate] },
 		Help: "Full parses, by why the differential path did not serve the request; sums to bsoap_server_dds_full_parse_total."},
-	cDDSFastPath + counter(diffdeser.ReasonLength):  {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonLength.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonLength] }},
-	cDDSFastPath + counter(diffdeser.ReasonMarkup):  {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonMarkup.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonMarkup] }},
-	cDDSFastPath + counter(diffdeser.ReasonValue):   {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonValue.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonValue] }},
-	cDDSFastPath + counter(diffdeser.ReasonDropped): {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonDropped.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonDropped] }},
+	cDDSFastPath + counter(diffdeser.ReasonLength): {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonLength.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonLength] }},
+	cDDSFastPath + counter(diffdeser.ReasonMarkup): {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonMarkup.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonMarkup] }},
+	cDDSFastPath + counter(diffdeser.ReasonValue):  {Family: "bsoap_server_dds_full_parse_reason_total", Label: diffdeser.ReasonValue.String(), Field: func(s *ServerStats) *int64 { return &s.reasons[diffdeser.ReasonValue] }},
 	cDDSValuesReparsed:      {Family: "bsoap_server_dds_values_reparsed_total", Help: "Leaf value regions re-lexed on the differential fast path.", Field: func(s *ServerStats) *int64 { return &s.DDSValuesReparsed }},
 	cDDSRefused:             {Family: "bsoap_server_dds_refused_total", Help: "Full parses that kept no template: the operation's templates were full and in use.", Field: func(s *ServerStats) *int64 { return &s.DDSRefused }},
 	cReplicaEvictions:       {Family: "bsoap_server_replica_evictions_total", Help: "Connection replicas evicted by the serverpool registry.", Field: func(s *ServerStats) *int64 { return &s.ReplicaEvictions }},
