@@ -96,18 +96,18 @@ type groupStats struct {
 }
 
 // TemplatesPerOp caps the templates an operation keeps, on both sides:
-// a bare stub's store, the client pool registry's MaxPerGroup (and so
-// its Doorkeeper rings) and the server deserializer's list per key.
+// a bare stub's store, the client pool registry's MaxPerGroup and a
+// server replica's decode templates (each with its Doorkeeper ring).
 const TemplatesPerOp = 4
 
 // Doorkeeper is the admission rule of a full set of templates, shared
-// by the registry's groups (keyed by signature hash) and the server
-// deserializer's operation keys (keyed by body length): a new key takes
-// a place only when the set refused it within its last size refusals,
-// so a key seen once is served without a template and the templates in
-// use stay. Keys are nonzero, 0 marking an empty place; each caller maps
-// its own onto them. The zero value is ready; its ring is allocated at
-// the first refusal.
+// by the registry's groups (keyed by signature hash) and a server
+// replica's unnamed request bodies (keyed by operation and body
+// length): a new key takes a place only when the set refused it within
+// its last size refusals, so a key seen once is served without a
+// template and the templates in use stay. Keys are nonzero, 0 marking
+// an empty place; each caller maps its own onto them. The zero value is
+// ready; its ring is allocated at the first refusal.
 type Doorkeeper struct {
 	refused []uint64
 	next    int

@@ -100,9 +100,9 @@ type Options struct {
 // shared across requests of different connections.
 const registryShards = 16
 
-// Runtime dispatches SOAP requests across replica deserializer/stub
-// pairs. Register all operations before serving; Register is not safe
-// to call concurrently with request handling.
+// Runtime dispatches SOAP requests across replicas, each a request-body
+// keeper and a response stub. Register all operations before serving;
+// Register is not safe to call concurrently with request handling.
 type Runtime struct {
 	opts    Options
 	metrics *transport.ServerMetrics
