@@ -27,6 +27,7 @@ package serverpool
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -554,7 +555,8 @@ func (rt *Runtime) selfCheck(body []byte, got *wire.Message) error {
 		case wire.Int:
 			same = got.LeafInt(i) == want.LeafInt(i)
 		case wire.Double:
-			same = got.LeafDouble(i) == want.LeafDouble(i)
+			g, w := got.LeafDouble(i), want.LeafDouble(i)
+			same = g == w || math.IsNaN(g) && math.IsNaN(w)
 		case wire.String:
 			same = got.LeafString(i) == want.LeafString(i)
 		case wire.Bool:

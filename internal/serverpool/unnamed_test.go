@@ -3,6 +3,7 @@ package serverpool
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -280,5 +281,22 @@ func TestSelfCheckFailureDropsTheBase(t *testing.T) {
 	}
 	if len(sums) != 2 || sums[1] != 6 {
 		t.Fatalf("handler saw sums %v, want the second 6", sums)
+	}
+}
+
+// TestSelfCheckAcceptsNaN: a double leaf reading NaN is the same value on
+// the fast path and in the reference parse, though NaN != NaN.
+func TestSelfCheckAcceptsNaN(t *testing.T) {
+	rt := newSumRuntime(Options{SelfCheck: true})
+	c := newClient(4)
+	c.arr.Set(1, math.NaN())
+	body := c.body(t)
+	for i := 0; i < 3; i++ {
+		if _, err := rt.Handle(1, "", body); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if st := rt.Stats(); st.DiffDecodes != 2 || st.SelfCheckFails != 0 {
+		t.Fatalf("%d fast decodes, %d self-check failures; want 2 and 0", st.DiffDecodes, st.SelfCheckFails)
 	}
 }
